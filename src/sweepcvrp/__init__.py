@@ -2,6 +2,7 @@
 validated-numerics verification of the underlying constants."""
 
 from .bounds import (
+    BoundContext,
     BoundsReport,
     choose_R,
     compute_bounds,
@@ -39,7 +40,7 @@ from .tsp import TspResult, tsp_dispatch, tsp_exact, tsp_heuristic
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsReport", "ExperimentConfig", "Instance", "Interval",
+    "BoundContext", "BoundsReport", "ExperimentConfig", "Instance", "Interval",
     "NetCertificate", "Point", "Solution", "SolveConfig", "Tour", "TspResult",
     "choose_R", "compute_bounds", "cvrp_exact_small", "cvrp_group_heuristic",
     "diameter", "enumerate_net", "g1", "g2", "g3", "g_all", "gen_instance",

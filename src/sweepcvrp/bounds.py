@@ -15,12 +15,20 @@ tour overestimates T*_R, so such values are flagged rather than trusted.
 
 math.inf is the distinguished "unclipped" R value; the set {d >= inf} is
 empty and T*_inf = 0 exactly.
+
+BoundContext assembles the bounds of one instance for one (tsp_mode, seed):
+it computes D once and each rad_R and (T*_R, certified) the first time R is
+asked for, so T*_0 serves lb_r0 and every upper bound. Its scope is that one
+instance: callers make a fresh context per instance and drop it afterwards,
+and nothing is cached across contexts. lower_bound, upper_bound_formula and
+compute_bounds are one-shot wrappers over a fresh context.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .closedform import choose_radius
 from .geometry import Instance, Point, diameter, dist
@@ -59,41 +67,6 @@ def local_cost(
 
 def instance_diameter(instance: Instance) -> float:
     return diameter([*instance.terminals, instance.depot])
-
-
-def lower_bound(
-    instance: Instance, R: float, tsp_mode: str = "auto", seed: int = 0
-) -> tuple[float, bool]:
-    """(value, valid): value = T*_R + rad_R - (3 pi / 2) D. Valid only with a
-    certified T*_R; lower bounds may be vacuous (negative) and that is fine."""
-    local, certified = local_cost(instance, R, tsp_mode, seed)
-    value = local + radial_cost(instance, R) \
-        - 1.5 * math.pi * instance_diameter(instance)
-    return value, certified
-
-
-def upper_bound_formula(
-    instance: Instance, M: int, approx_factor: float = 1.0,
-    tsp_mode: str = "auto", seed: int = 0,
-) -> tuple[float, bool]:
-    """(value, certified) for the sweep-cost upper bound
-    factor * (T*_0 + rad_inf + (3 pi / 2) D ceil(n/(M k))).
-
-    Use factor 1 when the group subproblems are solved exactly. The bound is
-    a certificate only when T*_0 is exact (certified False records the
-    caveat otherwise)."""
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    if approx_factor < 1.0:
-        raise ValueError(f"approx_factor must be >= 1, got {approx_factor}")
-    t_zero, certified = local_cost(instance, 0.0, tsp_mode, seed)
-    rad_inf = radial_cost(instance, math.inf)
-    groups = math.ceil(instance.n / (M * instance.capacity))
-    value = approx_factor * (
-        t_zero + rad_inf
-        + 1.5 * math.pi * instance_diameter(instance) * groups
-    )
-    return value, certified
 
 
 def choose_R(depot: Point) -> float:
@@ -136,18 +109,90 @@ class BoundsReport:
         )
 
 
+class BoundContext:
+    """The bound ingredients of one instance, each computed at most once.
+
+    Values come from local_cost, radial_cost and instance_diameter, so every
+    bound equals, bit for bit, what the one-shot functions return.
+    """
+
+    def __init__(self, instance: Instance, tsp_mode: str = "auto", seed: int = 0):
+        self.instance = instance
+        self.tsp_mode = tsp_mode
+        self.seed = seed
+        self._local: dict[float, tuple[float, bool]] = {}
+        self._radial: dict[float, float] = {}
+
+    @cached_property
+    def D(self) -> float:
+        return instance_diameter(self.instance)
+
+    def local(self, R: float) -> tuple[float, bool]:
+        """(T*_R, certified), as local_cost."""
+        if R not in self._local:
+            self._local[R] = local_cost(self.instance, R, self.tsp_mode, self.seed)
+        return self._local[R]
+
+    def radial(self, R: float) -> float:
+        if R not in self._radial:
+            self._radial[R] = radial_cost(self.instance, R)
+        return self._radial[R]
+
+    def lower(self, R: float) -> tuple[float, bool]:
+        """(value, valid): value = T*_R + rad_R - (3 pi / 2) D. Valid only
+        with a certified T*_R; lower bounds may be vacuous (negative) and
+        that is fine."""
+        local, certified = self.local(R)
+        return local + self.radial(R) - 1.5 * math.pi * self.D, certified
+
+    def upper(self, M: int, approx_factor: float = 1.0) -> tuple[float, bool]:
+        """(value, certified) for the sweep-cost upper bound
+        factor * (T*_0 + rad_inf + (3 pi / 2) D ceil(n/(M k))).
+
+        Use factor 1 when the group subproblems are solved exactly. The bound
+        is a certificate only when T*_0 is exact (certified False records the
+        caveat otherwise)."""
+        if M < 1:
+            raise ValueError(f"M must be >= 1, got {M}")
+        if approx_factor < 1.0:
+            raise ValueError(f"approx_factor must be >= 1, got {approx_factor}")
+        t_zero, certified = self.local(0.0)
+        groups = math.ceil(self.instance.n / (M * self.instance.capacity))
+        value = approx_factor * (
+            t_zero + self.radial(math.inf) + 1.5 * math.pi * self.D * groups
+        )
+        return value, certified
+
+    def report(self, R: float, M: int) -> BoundsReport:
+        """Every bound ingredient at one R; the upper bound is reported at
+        approx factor 1 (the exact-subsolver certificate)."""
+        lower, certified = self.lower(R)
+        upper, _ = self.upper(M)
+        return BoundsReport(
+            R=R, rad_R=self.radial(R), local_R=self.local(R)[0],
+            local_certified=certified, D=self.D, lower=lower, upper=upper, M=M,
+        )
+
+
+def lower_bound(
+    instance: Instance, R: float, tsp_mode: str = "auto", seed: int = 0
+) -> tuple[float, bool]:
+    """BoundContext.lower on a fresh context."""
+    return BoundContext(instance, tsp_mode, seed).lower(R)
+
+
+def upper_bound_formula(
+    instance: Instance, M: int, approx_factor: float = 1.0,
+    tsp_mode: str = "auto", seed: int = 0,
+) -> tuple[float, bool]:
+    """BoundContext.upper on a fresh context."""
+    return BoundContext(instance, tsp_mode, seed).upper(M, approx_factor)
+
+
 def compute_bounds(
     instance: Instance, R: float, M: int,
     tsp_mode: str = "auto", seed: int = 0,
 ) -> BoundsReport:
-    """Evaluate every bound ingredient at one R; the upper bound is reported
-    at approx factor 1 (the exact-subsolver certificate)."""
-    local, certified = local_cost(instance, R, tsp_mode, seed)
-    rad = radial_cost(instance, R)
-    D = instance_diameter(instance)
-    lower = local + rad - 1.5 * math.pi * D
-    upper, _ = upper_bound_formula(instance, M, 1.0, tsp_mode, seed)
-    return BoundsReport(
-        R=R, rad_R=rad, local_R=local, local_certified=certified,
-        D=D, lower=lower, upper=upper, M=M,
-    )
+    """BoundContext.report on a fresh context: at R = 0, T*_0 is built once
+    for both the lower and the upper bound."""
+    return BoundContext(instance, tsp_mode, seed).report(R, M)

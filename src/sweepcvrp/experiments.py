@@ -25,7 +25,9 @@ from typing import TextIO
 
 import numpy as np
 
-from .bounds import choose_R, lower_bound, upper_bound_formula
+# lower_bound and upper_bound_formula are not called here any more, but stay
+# importable from this module: perfbench's traced run wraps them at this site.
+from .bounds import BoundContext, choose_R, lower_bound, upper_bound_formula  # noqa: F401
 from .bruteforce import brute_force_opt
 from .geometry import Instance, Point
 from .group_cvrp import SolveConfig
@@ -156,12 +158,11 @@ def run_ratio_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     for seed in config.seeds:
         instance = gen_instance(config.n, k, config.depot, seed)
+        bounds = BoundContext(instance, config.tsp_mode, seed)
         lbs = {}
         valid = {}
         for name, R in (("r0", 0.0), ("rstar", rstar), ("rinf", math.inf)):
-            lbs[name], valid[name] = lower_bound(
-                instance, R, tsp_mode=config.tsp_mode, seed=seed
-            )
+            lbs[name], valid[name] = bounds.lower(R)
         best_lb = max(lbs.values())
         certified = all(valid.values())
         certified_values = [v for name, v in lbs.items() if valid[name]]
@@ -176,14 +177,11 @@ def run_ratio_experiment(config: ExperimentConfig) -> ExperimentResult:
             if algo == "sweep":
                 solve_cfg = SolveConfig(tsp_mode=config.tsp_mode, seed=seed)
                 cost = sweep_solve(instance, config.M, solve_cfg).total_cost
-                ub, _ = upper_bound_formula(
-                    instance, config.M, 1.0, config.tsp_mode, seed
-                )
                 M = config.M
             else:
                 cost = itp_solve(instance, tsp_mode=config.tsp_mode, seed=seed).total_cost
-                ub, _ = upper_bound_formula(instance, 1, 1.0, config.tsp_mode, seed)
                 M = 1
+            ub, _ = bounds.upper(M)
             ratio = cost / denominator if denominator > 0.0 else math.nan
             result.rows.append(RatioRow(
                 seed=seed, n=config.n, k=k, M=M, algo=algo, cost=cost,

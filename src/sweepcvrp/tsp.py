@@ -7,6 +7,13 @@ implicitly (callers include it in the point list when they need it).
 
 Degenerate conventions: 0 or 1 points have tour length 0; two points have
 length 2*d (out and back).
+
+The 2-opt kernel keeps the tour's coordinates and edge lengths in arrays in
+tour order and updates them incrementally on each move, so a step costs two
+hypot vectors over the candidate edges and no gather. It takes the same
+moves, in the same order, as evaluating every delta from scratch: edge
+lengths are only reversed or recomputed with the same np.hypot call, and
+each delta is summed in the same order.
 """
 
 from __future__ import annotations
@@ -143,36 +150,50 @@ def _nearest_neighbor(pts: np.ndarray, start: int) -> np.ndarray:
 
 def _two_opt(pts: np.ndarray, tour: np.ndarray) -> np.ndarray:
     """First-improvement 2-opt, scanning edge pairs (i, j) lexicographically
-    with the j-scan vectorized; restarts passes until no move improves."""
+    with the j-scan vectorized; restarts passes until no move improves.
+
+    Invariants between steps, all in current tour order:
+      - x[p], y[p] are the coordinates of tour[p], and x[n], y[n] repeat
+        position 0 (never moved, since a move reverses i+1..j with i >= 0),
+        so x[1:], y[1:] are the successor coordinates;
+      - e[p] = hypot(x[p] - x[p+1], y[p] - y[p+1]), the length of edge
+        (p, p+1 mod n).
+    A move (i, j) reverses positions i+1..j of tour, x and y and edge lengths
+    i+1..j-1 (hypot(-dx, -dy) == hypot(dx, dy), so they stay exact), and sets
+    e[i], e[j] to the two new edges' lengths, which the scan just computed.
+    The move order and every delta are those of a kernel that recomputes all
+    four edge lengths from the tour at each step, bit for bit: the delta is
+    (h_ac + h_bd) - e[i] - e[j] with the same operands in the same order.
+    """
     n = len(tour)
     if n < 4:
         return tour
+    x = np.append(pts[tour, 0], pts[tour[0], 0])
+    y = np.append(pts[tour, 1], pts[tour[0], 1])
+    e = np.hypot(x[:-1] - x[1:], y[:-1] - y[1:])
     improved = True
     while improved:
         improved = False
         i = 0
         while i < n - 2:
-            tx = pts[tour, 0]
-            ty = pts[tour, 1]
-            a_x, a_y = tx[i], ty[i]
-            b_x, b_y = tx[i + 1], ty[i + 1]
-            d_ab = np.hypot(a_x - b_x, a_y - b_y)
+            a_x, a_y = x[i], y[i]
+            b_x, b_y = x[i + 1], y[i + 1]
             # candidate second edges (j, j+1) for j in i+2 .. jmax
             jmax = n - 1 if i > 0 else n - 2  # (0, n-1) shares a node
-            js = np.arange(i + 2, jmax + 1)
-            c_x, c_y = tx[js], ty[js]
-            nx = np.where(js + 1 < n, js + 1, 0)
-            dn_x, dn_y = tx[nx], ty[nx]
-            delta = (
-                np.hypot(a_x - c_x, a_y - c_y)
-                + np.hypot(b_x - dn_x, b_y - dn_y)
-                - d_ab
-                - np.hypot(c_x - dn_x, c_y - dn_y)
-            )
-            hits = np.nonzero(delta < -_IMPROVE_EPS)[0]
-            if hits.size:
-                j = int(js[hits[0]])
+            c_x, c_y = x[i + 2 : jmax + 1], y[i + 2 : jmax + 1]
+            dn_x, dn_y = x[i + 3 : jmax + 2], y[i + 3 : jmax + 2]
+            h_ac = np.hypot(a_x - c_x, a_y - c_y)
+            h_bd = np.hypot(b_x - dn_x, b_y - dn_y)
+            hit = (h_ac + h_bd) - e[i] - e[i + 2 : jmax + 1] < -_IMPROVE_EPS
+            k = int(hit.argmax())
+            if hit[k]:
+                j = i + 2 + k
                 tour[i + 1 : j + 1] = tour[i + 1 : j + 1][::-1]
+                x[i + 1 : j + 1] = x[i + 1 : j + 1][::-1]
+                y[i + 1 : j + 1] = y[i + 1 : j + 1][::-1]
+                e[i + 1 : j] = e[i + 1 : j][::-1]
+                e[i] = h_ac[k]
+                e[j] = h_bd[k]
                 improved = True
                 # keep scanning from the same i
             else:

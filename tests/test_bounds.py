@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sweepcvrp.bounds import (
+    BoundContext,
     BoundsReport,
     choose_R,
     compute_bounds,
@@ -15,6 +16,7 @@ from sweepcvrp.bounds import (
     upper_bound_formula,
 )
 from sweepcvrp.bruteforce import brute_force_opt
+from sweepcvrp.experiments import gen_instance
 from sweepcvrp.geometry import Instance, Point
 from sweepcvrp.itp import itp_solve
 from sweepcvrp.sweep import sweep_solve
@@ -212,6 +214,73 @@ class TestReports:
             report = compute_bounds(inst, R, M=int(rng.integers(1, 4)))
             assert report.local_certified
             assert report.lower <= report.upper + 1e-9
+
+
+class TestBoundContext:
+    def test_compute_bounds_matches_one_shot_functions(self):
+        # a 40-terminal instance (heuristic T*_R) and a 9-terminal one (exact)
+        for n, k, seed in ((40, 4, 5), (9, 3, 6)):
+            inst = gen_instance(n, k, Point(0.3, 0.6), seed)
+            for R in (0.0, choose_R(inst.depot), math.inf):
+                report = compute_bounds(inst, R, 2, "auto", seed)
+                assert repr(report.local_R) == repr(local_cost(inst, R, "auto", seed)[0])
+                assert repr(report.D) == repr(instance_diameter(inst))
+                assert repr(report.lower) == repr(lower_bound(inst, R, "auto", seed)[0])
+                assert repr(report.upper) == repr(
+                    upper_bound_formula(inst, 2, 1.0, "auto", seed)[0])
+
+    def test_golden_report(self):
+        # recorded with the three-pass bound code this context replaced
+        inst = gen_instance(40, 4, Point(0.3, 0.6), 7)
+        assert repr(compute_bounds(inst, 0.0, 2, "auto", 3)) == (
+            "BoundsReport(R=0.0, rad_R=0.0, local_R=5.618239171836337, "
+            "local_certified=False, D=1.1015416130881752, "
+            "lower=0.42734661288444453, upper=39.125717301094944, M=2)"
+        )
+
+    @pytest.fixture
+    def ingredient_calls(self, monkeypatch):
+        """(name, R) of every local_cost, radial_cost and instance_diameter
+        call made through the bounds module."""
+        import sweepcvrp.bounds as bounds
+
+        calls = []
+        for name in ("local_cost", "radial_cost", "instance_diameter"):
+            real = getattr(bounds, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls.append((_name, args[1] if len(args) > 1 else None))
+                return _real(*args)
+
+            monkeypatch.setattr(bounds, name, counted)
+        return calls
+
+    def test_each_ingredient_computed_once(self, ingredient_calls):
+        ctx = BoundContext(CROSS)
+        for R in (0.0, 0.5, math.inf):
+            ctx.lower(R)
+        ctx.upper(1)
+        ctx.upper(2, 1.5)
+        ctx.report(0.0, 2)
+        assert sorted(ingredient_calls, key=repr) == sorted([
+            ("local_cost", 0.0), ("local_cost", 0.5), ("local_cost", math.inf),
+            ("radial_cost", 0.0), ("radial_cost", 0.5), ("radial_cost", math.inf),
+            ("instance_diameter", None),
+        ], key=repr)
+
+    def test_compute_bounds_at_zero_tours_once(self, ingredient_calls):
+        compute_bounds(CROSS, 0.0, 2)
+        assert [c for c in ingredient_calls if c[0] == "local_cost"] == [
+            ("local_cost", 0.0)]
+
+    def test_validation_matches_one_shot(self):
+        ctx = BoundContext(CROSS)
+        with pytest.raises(ValueError, match="M must be"):
+            ctx.upper(0)
+        with pytest.raises(ValueError, match="approx_factor"):
+            ctx.upper(1, 0.5)
+        with pytest.raises(ValueError, match="R must be"):
+            ctx.lower(-1.0)
 
 
 class TestAlgorithmsAgainstBounds:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import sweepcvrp.tsp as tsp
 from sweepcvrp.closedform import g1
 from sweepcvrp.experiments import (
     CSV_HEADER,
@@ -142,6 +143,50 @@ class TestRunRatioExperiment:
         assert valid
         assert lb == pytest.approx(2 * n * d - 1.5 * math.pi * d, abs=1e-6)
         assert 1.0 - 1e-9 <= sweep_cost / lb <= 1.05
+
+
+class TestBoundReuse:
+    def test_full_terminal_set_toured_once_per_call(self, monkeypatch):
+        tours = []
+        real = tsp.tsp_heuristic
+
+        def counted(points, seed=0):
+            tours.append(frozenset(points))
+            return real(points, seed)
+
+        monkeypatch.setattr(tsp, "tsp_heuristic", counted)
+        config = ExperimentConfig(n=60, depot=Point(0.5, 0.5), M=2, seeds=(4,),
+                                  k_fixed=5)
+        terminals = frozenset(gen_instance(60, 5, config.depot, 4).terminals)
+        run_ratio_experiment(config)
+        first = list(tours)
+        # T*_0 serves lb_r0 and both upper bounds
+        assert first.count(terminals) == 1
+        # nothing is cached across calls
+        run_ratio_experiment(config)
+        assert tours[len(first):] == first
+
+
+# CSV rows recorded with the bound code that built T*_0 once per bound and
+# the 2-opt kernel that recomputed every edge length at every step.
+GOLDEN_ROWS = [
+    "0,200,14,2,sweep,22.149507684330793,5.44071358070705,11.008064583644853,"
+    "4.948895499553731,11.008064583644853,73.07938807188144,2.012116436638576,false",
+    "0,200,14,1,itp,21.675018083790828,5.44071358070705,11.008064583644853,"
+    "4.948895499553731,11.008064583644853,116.96223336601591,1.9690126197110362,false",
+    "1,200,14,2,sweep,20.763471612646573,5.4278045481997355,10.07004775168772,"
+    "4.712719678500984,10.07004775168772,70.52170101394807,2.061903987413233,false",
+    "1,200,14,1,itp,20.564196988612903,5.4278045481997355,10.07004775168772,"
+    "4.712719678500984,10.07004775168772,112.78852476502124,2.04211514142685,false",
+]
+
+
+def test_golden_rows_bit_identical():
+    config = ExperimentConfig(n=200, depot=Point(0.5, 0.5), M=2, seeds=(0, 1),
+                              k_fixed=14)
+    result = run_ratio_experiment(config)
+    assert [row.to_csv() for row in result.rows] == GOLDEN_ROWS
+    assert repr(result.best_certified_lb) == "{0: 4.948895499553731, 1: 4.712719678500984}"
 
 
 class TestCsvParsing:

@@ -5,7 +5,15 @@ import pytest
 
 from sweepcvrp.bruteforce import tsp_brute_force
 from sweepcvrp.geometry import Point, dist
-from sweepcvrp.tsp import cycle_length, tsp_dispatch, tsp_exact, tsp_heuristic
+from sweepcvrp.tsp import (
+    _IMPROVE_EPS,
+    _nearest_neighbor,
+    _two_opt,
+    cycle_length,
+    tsp_dispatch,
+    tsp_exact,
+    tsp_heuristic,
+)
 
 from helpers import random_points
 
@@ -147,3 +155,77 @@ class TestDispatch:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown tsp mode"):
             tsp_dispatch([], "fastest")
+
+
+def _two_opt_reference(pts: np.ndarray, tour: np.ndarray) -> np.ndarray:
+    """The 2-opt kernel that rebuilds the tour coordinates and evaluates all
+    four edge lengths at every step; _two_opt must take the same moves."""
+    n = len(tour)
+    if n < 4:
+        return tour
+    improved = True
+    while improved:
+        improved = False
+        i = 0
+        while i < n - 2:
+            tx = pts[tour, 0]
+            ty = pts[tour, 1]
+            a_x, a_y = tx[i], ty[i]
+            b_x, b_y = tx[i + 1], ty[i + 1]
+            d_ab = np.hypot(a_x - b_x, a_y - b_y)
+            jmax = n - 1 if i > 0 else n - 2
+            js = np.arange(i + 2, jmax + 1)
+            c_x, c_y = tx[js], ty[js]
+            nx = np.where(js + 1 < n, js + 1, 0)
+            dn_x, dn_y = tx[nx], ty[nx]
+            delta = (
+                np.hypot(a_x - c_x, a_y - c_y)
+                + np.hypot(b_x - dn_x, b_y - dn_y)
+                - d_ab
+                - np.hypot(c_x - dn_x, c_y - dn_y)
+            )
+            hits = np.nonzero(delta < -_IMPROVE_EPS)[0]
+            if hits.size:
+                j = int(js[hits[0]])
+                tour[i + 1 : j + 1] = tour[i + 1 : j + 1][::-1]
+                improved = True
+            else:
+                i += 1
+    return tour
+
+
+def _kernel_cases() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(71)
+    cases = {f"random-{n}": rng.random((n, 2)) for n in (4, 5, 17, 64, 300)}
+    base = rng.random((12, 2))
+    cases["duplicates"] = np.vstack([base, base[:7], base[3:5]])
+    t = rng.permutation(25) / 24.0
+    cases["collinear"] = np.column_stack([0.2 + 0.5 * t, 0.1 + 0.3 * t])
+    cases["all-equal"] = np.full((9, 2), 0.375)
+    # Collinear at coordinate scale 1e4: the rounding noise of an edge length
+    # is near _IMPROVE_EPS, so which moves are taken depends on the last bit
+    # of every delta.
+    far = np.random.default_rng(1)
+    u = far.normal(size=2)
+    u /= np.hypot(*u)
+    cases["collinear-far"] = np.outer(far.random(30) * 1e4, u)
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+class TestTwoOptKernel:
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_same_tours_as_reference(self, name):
+        pts = KERNEL_CASES[name]
+        n = len(pts)
+        moved = False
+        for start in sorted({0, 1, n // 2, n - 1}):
+            nn = _nearest_neighbor(pts, start)
+            expected = _two_opt_reference(pts, nn.copy())
+            got = _two_opt(pts, nn.copy())
+            assert np.array_equal(got, expected), start
+            moved |= not np.array_equal(expected, nn)
+        if n >= 17 and name.startswith("random"):
+            assert moved  # the comparison covers tours that 2-opt changed
