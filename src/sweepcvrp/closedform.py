@@ -68,7 +68,7 @@ def fn_C(i: int, h1: float, h2: float) -> float:
     return 0.0
 
 
-def _square_distance(a: float, b: float) -> float:
+def square_distance(a: float, b: float) -> float:
     """Distance from (a, b) to the unit square (coordinate clamping)."""
     dx = max(0.0, -a, a - 1.0)
     dy = max(0.0, -b, b - 1.0)
@@ -85,7 +85,7 @@ def fn_D(i: int, a: float, b: float, R: float) -> float:
     """
     if R <= 0.0:
         raise ValueError(f"R must be > 0, got {R}")
-    if _square_distance(a, b) >= R:
+    if square_distance(a, b) >= R:
         return 0.0
     return (
         fn_C(i, (1.0 - a) / R, (1.0 - b) / R)

@@ -2,10 +2,12 @@
 tour-splitting heuristic otherwise.
 
 The exact path computes, for every subset of the group, the optimal tour
-through the depot (one Held-Karp sweep yields all subsets at once), then a
-set-partition DP over capacity-feasible blocks. The heuristic path computes
-one TSP tour over the group plus depot and cuts it into segments of at most
-k terminals, choosing the best of k rotation offsets.
+through the depot (one run of tsp.held_karp yields all subsets at once, ties
+to the smallest index), then a set-partition DP over capacity-feasible
+blocks, one popcount layer per numpy step; among equal sums the largest
+block wins. The heuristic path computes one TSP tour over the group plus
+depot and cuts it into segments of at most k terminals, choosing the best of
+k rotation offsets.
 
 All solutions returned here use local indices 0..len(U)-1; callers remap.
 """
@@ -16,8 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .geometry import Point, Solution, Tour, dist, make_solution, tour_length
-from .tsp import tsp_dispatch
+from .tsp import held_karp, held_karp_path, subset_layers, tsp_dispatch
 
 EXACT_GROUP_THRESHOLD = 12
 
@@ -33,65 +37,6 @@ class SolveConfig:
 class GroupResult:
     solution: Solution
     method: str  # "exact" or "heuristic"
-
-
-def _held_karp_all_subsets(U: Sequence[Point], depot: Point):
-    """Shortest depot-rooted path DP over all subsets of U.
-
-    Returns (tour_cost, tour_end, parent) where tour_cost[mask] is the
-    optimal closed-tour cost over the terminals in mask plus the depot,
-    tour_end[mask] the last terminal of that optimal path, and parent
-    the DP backpointers for order reconstruction.
-    """
-    n = len(U)
-    size = 1 << n
-    d0 = [dist(depot, u) for u in U]
-    d = [[dist(a, b) for b in U] for a in U]
-    inf = math.inf
-    dp = [[inf] * n for _ in range(size)]
-    parent = [[-1] * n for _ in range(size)]
-    for j in range(n):
-        dp[1 << j][j] = d0[j]
-    for mask in range(1, size):
-        row = dp[mask]
-        for j in range(n):
-            cj = row[j]
-            if cj == inf:
-                continue
-            dj = d[j]
-            for m in range(n):
-                bit = 1 << m
-                if mask & bit:
-                    continue
-                cand = cj + dj[m]
-                nmask = mask | bit
-                if cand < dp[nmask][m]:
-                    dp[nmask][m] = cand
-                    parent[nmask][m] = j
-    tour_cost = [0.0] * size
-    tour_end = [-1] * size
-    for mask in range(1, size):
-        row = dp[mask]
-        best, best_j = inf, -1
-        for j in range(n):
-            if row[j] == inf:
-                continue
-            cand = row[j] + d0[j]
-            if cand < best:
-                best, best_j = cand, j
-        tour_cost[mask] = best
-        tour_end[mask] = best_j
-    return tour_cost, tour_end, parent
-
-
-def _reconstruct_path(mask: int, end: int, parent) -> list[int]:
-    order = []
-    j = end
-    while j != -1:
-        order.append(j)
-        mask, j = mask ^ (1 << j), parent[mask][j]
-    order.reverse()
-    return order
 
 
 def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
@@ -110,36 +55,32 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
     if n == 0:
         return make_solution([])
 
-    tour_cost, tour_end, parent = _held_karp_all_subsets(U, depot)
-
-    size = 1 << n
-    inf = math.inf
-    part = [inf] * size
-    choice = [0] * size
-    part[0] = 0.0
-    for mask in range(1, size):
-        low = mask & (-mask)  # anchor blocks on the lowest set bit
-        rest = mask ^ low
-        sub = rest
-        best, best_s = inf, 0
-        while True:
-            s = sub | low
-            if s.bit_count() <= k:
-                cand = tour_cost[s] + part[mask ^ s]
-                if cand < best:
-                    best, best_s = cand, s
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        part[mask] = best
-        choice[mask] = best_s
+    tour_cost, tour_end, parent = held_karp(U, depot)
+    # part[mask]: cheapest partition of mask into blocks of at most k
+    # terminals. A block holds the lowest bit of mask and a submask of the
+    # other bits, so part pulls from layers of lower popcount only.
+    part = np.zeros(1 << n)
+    choice = np.zeros(1 << n, dtype=np.int64)
+    for masks, pos in subset_layers(n):
+        p = pos.shape[1]
+        # patterns over the p - 1 other bits with at most k - 1 set, in
+        # descending order: argmin keeps the first of equal sums, so among
+        # equal sums the largest block wins
+        t = np.arange((1 << (p - 1)) - 1, -1, -1)
+        t_bits = (t[:, None] >> np.arange(p - 1)) & 1
+        t_bits = t_bits[t_bits.sum(axis=1) < k]
+        blocks = ((1 << pos[:, 1:]) @ t_bits.T) | (1 << pos[:, :1])
+        cand = tour_cost[blocks] + part[masks[:, None] ^ blocks]
+        rows, best = np.arange(len(masks)), cand.argmin(axis=1)
+        part[masks] = cand[rows, best]
+        choice[masks] = blocks[rows, best]
 
     tours = []
-    mask = size - 1
+    mask = (1 << n) - 1
     while mask:
-        s = choice[mask]
-        order = _reconstruct_path(s, tour_end[s], parent)
-        tours.append(Tour(indices=tuple(order), length=tour_cost[s]))
+        s = int(choice[mask])
+        order = held_karp_path(parent, s, int(tour_end[s]))
+        tours.append(Tour(indices=tuple(order), length=float(tour_cost[s])))
         mask ^= s
     return make_solution(tours)
 
@@ -156,20 +97,25 @@ def split_tour_sequence(
     n = len(seq)
     if n == 0:
         return [], 0.0
-    best_cost = math.inf
-    best_segments: list[list[int]] = []
+    pts = [U[i] for i in seq]
+    dep = [dist(depot, p) for p in pts]
+    legs = [dist(a, b) for a, b in zip(pts, pts[1:])]
+
+    def cost(a: int, b: int) -> float:
+        # tour_length of seq[a:b], summed in the same order
+        total = dep[a]
+        for leg in legs[a : b - 1]:
+            total += leg
+        return total + dep[b - 1]
+
+    best_cost, best_cuts = math.inf, []
     for r in range(min(k, n)):
-        segments = []
-        if r > 0:
-            segments.append(list(seq[:r]))
-        segments.extend(list(seq[i : i + k]) for i in range(r, n, k))
-        cost = math.fsum(
-            tour_length(depot, [U[i] for i in seg]) for seg in segments
-        )
-        if cost < best_cost:
-            best_cost = cost
-            best_segments = segments
-    return best_segments, best_cost
+        starts = ([0] if r else []) + list(range(r, n, k))
+        cuts = list(zip(starts, starts[1:] + [n]))
+        total = math.fsum(cost(a, b) for a, b in cuts)
+        if total < best_cost:
+            best_cost, best_cuts = total, cuts
+    return [list(seq[a:b]) for a, b in best_cuts], best_cost
 
 
 def cvrp_group_heuristic(

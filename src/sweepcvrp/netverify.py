@@ -31,6 +31,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
+from .closedform import square_distance
 from .interval import (
     Interval,
     iv_add,
@@ -101,13 +102,6 @@ def verify_point(
     margin3 = Interval(float(m3[0]), float(m3[1]))
     passed = margin2.lo >= thresholds[0] and margin3.lo >= thresholds[1]
     return PointCheck(margin2=margin2, margin3=margin3, passed=passed)
-
-
-def square_distance(a: float, b: float) -> float:
-    """Distance from (a, b) to the unit square, by coordinate clamping."""
-    dx = max(0.0, -a, a - 1.0)
-    dy = max(0.0, -b, b - 1.0)
-    return math.hypot(dx, dy)
 
 
 def verify_far_field(a: float, b: float) -> bool:

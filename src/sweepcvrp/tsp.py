@@ -5,6 +5,13 @@ points, and a nearest-neighbor + 2-opt heuristic for anything larger. Tours
 are closed cycles over exactly the given points; no depot is added
 implicitly (callers include it in the point list when they need it).
 
+`held_karp` is the one Held-Karp DP of the package: tsp_exact runs it over
+points[1:] rooted at points[0], and the exact group solver in group_cvrp runs
+it over a sweep group rooted at the depot and reads off every subset's tour.
+It fills all subsets of equal popcount in one numpy step. Ties go to the
+smallest index: the smallest predecessor among equal path costs and the
+smallest last terminal among equal tour costs.
+
 Degenerate conventions: 0 or 1 points have tour length 0; two points have
 length 2*d (out and back).
 
@@ -28,7 +35,9 @@ from .geometry import Point, dist
 
 EXACT_THRESHOLD = 14
 
-# strict-improvement threshold for 2-opt; prevents cycling on FP noise
+# strict-improvement threshold for 2-opt at unit coordinate scale; prevents
+# cycling on FP noise. tsp_heuristic scales it by the largest |coordinate|,
+# since an edge length's rounding error grows with the coordinates.
 _IMPROVE_EPS = 1e-12
 
 
@@ -53,8 +62,63 @@ def cycle_length(points: Sequence[Point], order: Sequence[int]) -> float:
     )
 
 
+def subset_layers(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The masks 1 .. 2^n - 1 grouped by popcount p = 1 .. n.
+
+    Entry p - 1 is (masks, pos): the masks with p set bits in ascending order,
+    and pos[r] the positions of the set bits of masks[r], ascending.
+    """
+    masks = np.arange(1 << n)
+    has = np.array([masks >> b & 1 for b in range(n)], dtype=bool).T
+    count = has.sum(axis=1)
+    layers = []
+    for p in range(1, n + 1):
+        ms = masks[count == p]
+        layers.append((ms, (np.flatnonzero(has[ms]) % n).reshape(len(ms), p)))
+    return layers
+
+
+def held_karp(U: Sequence[Point], depot: Point):
+    """Shortest depot-rooted paths over every subset of a nonempty U
+    (Held & Karp 1962), one popcount layer of subsets per numpy step.
+
+    dp[mask, m], the shortest path from the depot through the terminals of
+    mask ending at m, pulls min_j dp[mask ^ (1 << m), j] + d[j, m]. Returns
+    (tour_cost, tour_end, parent): tour_cost[mask] = min_m dp[mask, m] + d0[m]
+    is the optimal closed tour over mask plus the depot, tour_end[mask] the m
+    attaining it, and parent[mask, m] the j attaining dp[mask, m] (-1 for a
+    single terminal). argmin keeps the first of equal values, so both ties go
+    to the smallest index.
+    """
+    n = len(U)
+    d = np.array([[dist(a, b) for b in U] for a in U])  # symmetric, bit for bit
+    d0 = np.array([dist(depot, u) for u in U])
+    dp = np.full((1 << n, n), math.inf)
+    parent = np.full((1 << n, n), -1, dtype=np.int8)
+    dp[1 << np.arange(n), np.arange(n)] = d0
+    for masks, pos in subset_layers(n)[1:]:
+        mask, m = np.repeat(masks, pos.shape[1]), pos.ravel()
+        cand = dp[mask ^ (1 << m)]
+        cand += d[m]
+        j = cand.argmin(axis=1)
+        dp[mask, m] = cand[np.arange(len(m)), j]
+        parent[mask, m] = j
+    dp += d0
+    tour_end = dp.argmin(axis=1)
+    return dp[np.arange(1 << n), tour_end], tour_end, parent
+
+
+def held_karp_path(parent: np.ndarray, mask: int, end: int) -> list[int]:
+    """Visit order of the optimal path over `mask` that ends at `end`."""
+    order = []
+    while end != -1:
+        order.append(end)
+        mask, end = mask ^ (1 << end), int(parent[mask, end])
+    return order[::-1]
+
+
 def tsp_exact(points: Sequence[Point], exact_threshold: int = EXACT_THRESHOLD) -> TspResult:
-    """Optimal tour by Held-Karp dynamic programming over subsets.
+    """Optimal tour by Held-Karp over points[1:], rooted at points[0].
 
     Rejects inputs larger than `exact_threshold` (2^n * n^2 work).
     """
@@ -68,43 +132,11 @@ def tsp_exact(points: Sequence[Point], exact_threshold: int = EXACT_THRESHOLD) -
     if n == 2:
         return TspResult(order=(0, 1), length=2.0 * dist(points[0], points[1]),
                          certified_optimal=True)
-
-    d = [[dist(points[i], points[j]) for j in range(n)] for i in range(n)]
-    # dp[mask][j]: shortest path from 0 through set mask (mask contains 0
-    # and j), ending at j. Index 0 is the fixed cycle start.
-    size = 1 << n
-    inf = math.inf
-    dp = [[inf] * n for _ in range(size)]
-    parent = [[-1] * n for _ in range(size)]
-    dp[1][0] = 0.0
-    for mask in range(1, size):
-        if not mask & 1:
-            continue
-        row = dp[mask]
-        for j in range(n):
-            cj = row[j]
-            if cj == inf:
-                continue
-            dj = d[j]
-            for m in range(1, n):
-                bit = 1 << m
-                if mask & bit:
-                    continue
-                nmask = mask | bit
-                cand = cj + dj[m]
-                if cand < dp[nmask][m]:
-                    dp[nmask][m] = cand
-                    parent[nmask][m] = j
-    full = size - 1
-    best_j = min(range(1, n), key=lambda j: dp[full][j] + d[j][0])
-    length = dp[full][best_j] + d[best_j][0]
-    order = []
-    mask, j = full, best_j
-    while j != -1:
-        order.append(j)
-        mask, j = mask ^ (1 << j), parent[mask][j]
-    order.reverse()
-    return TspResult(order=tuple(order), length=length, certified_optimal=True)
+    tour_cost, tour_end, parent = held_karp(points[1:], points[0])
+    full = (1 << (n - 1)) - 1
+    path = held_karp_path(parent, full, int(tour_end[full]))
+    return TspResult(order=(0, *(i + 1 for i in path)),
+                     length=float(tour_cost[full]), certified_optimal=True)
 
 
 def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
@@ -124,7 +156,7 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
     pts = np.array(points, dtype=float)
     start = seed % n
     tour = _nearest_neighbor(pts, start)
-    tour = _two_opt(pts, tour)
+    tour = _two_opt(pts, tour, _IMPROVE_EPS * max(1.0, float(np.abs(pts).max())))
     order = tuple(int(i) for i in tour)
     return TspResult(order=order, length=cycle_length(points, order),
                      certified_optimal=False)
@@ -148,9 +180,11 @@ def _nearest_neighbor(pts: np.ndarray, start: int) -> np.ndarray:
     return tour
 
 
-def _two_opt(pts: np.ndarray, tour: np.ndarray) -> np.ndarray:
+def _two_opt(pts: np.ndarray, tour: np.ndarray,
+             eps: float = _IMPROVE_EPS) -> np.ndarray:
     """First-improvement 2-opt, scanning edge pairs (i, j) lexicographically
-    with the j-scan vectorized; restarts passes until no move improves.
+    with the j-scan vectorized; restarts passes until no move improves. A
+    move improves if its delta is below -eps.
 
     Invariants between steps, all in current tour order:
       - x[p], y[p] are the coordinates of tour[p], and x[n], y[n] repeat
@@ -184,7 +218,7 @@ def _two_opt(pts: np.ndarray, tour: np.ndarray) -> np.ndarray:
             dn_x, dn_y = x[i + 3 : jmax + 2], y[i + 3 : jmax + 2]
             h_ac = np.hypot(a_x - c_x, a_y - c_y)
             h_bd = np.hypot(b_x - dn_x, b_y - dn_y)
-            hit = (h_ac + h_bd) - e[i] - e[i + 2 : jmax + 1] < -_IMPROVE_EPS
+            hit = (h_ac + h_bd) - e[i] - e[i + 2 : jmax + 1] < -eps
             k = int(hit.argmax())
             if hit[k]:
                 j = i + 2 + k

@@ -189,6 +189,39 @@ def test_golden_rows_bit_identical():
     assert repr(result.best_certified_lb) == "{0: 4.948895499553731, 1: 4.712719678500984}"
 
 
+# n = 14 runs every exact path: Held-Karp T*_R at the 14-point threshold and
+# the group set-partition DP. Recorded with the pure-Python subset DPs.
+GOLDEN_ROWS_EXACT = [
+    "0,14,6,2,sweep,5.03704093353431,-2.424260494191051,-1.158405827253926,"
+    "-3.71753040009891,-1.158405827253926,16.83611178842688,nan,true",
+    "0,14,6,1,itp,4.627325678105276,-2.424260494191051,-1.158405827253926,"
+    "-3.71753040009891,-1.158405827253926,22.58058745910609,nan,true",
+    "1,14,6,2,sweep,4.398467815989088,-1.5970688844848366,-0.5232117138077914,"
+    "-3.0970681026937332,-0.5232117138077914,15.562448146852617,nan,true",
+    "1,14,6,1,itp,4.398467815989088,-1.5970688844848366,-0.5232117138077914,"
+    "-3.0970681026937332,-0.5232117138077914,20.626594430360413,nan,true",
+    "2,14,6,2,sweep,4.572551197875033,-2.806078801928631,-1.663967705790828,"
+    "-4.30270125312394,-1.663967705790828,18.115042941487516,nan,true",
+    "2,14,6,1,itp,4.572551197875033,-2.806078801928631,-1.663967705790828,"
+    "-4.30270125312394,-1.663967705790828,24.420998690622532,nan,true",
+    "3,14,6,2,sweep,4.849275426983122,-2.263159654723752,-1.45798397624759,"
+    "-4.248500240391932,-1.45798397624759,17.8659829845182,nan,true",
+    "3,14,6,1,itp,4.743459079534506,-2.263159654723752,-1.45798397624759,"
+    "-4.248500240391932,-1.45798397624759,23.960393704426675,nan,true",
+]
+
+
+def test_golden_rows_exact_bit_identical():
+    config = ExperimentConfig(n=14, depot=Point(0.5, 0.5), M=2, seeds=(0, 1, 2, 3),
+                              k_fixed=6)
+    result = run_ratio_experiment(config)
+    assert [row.to_csv() for row in result.rows] == GOLDEN_ROWS_EXACT
+    assert repr(result.best_certified_lb) == (
+        "{0: -1.158405827253926, 1: -0.5232117138077914, 2: -1.663967705790828, "
+        "3: -1.45798397624759}"
+    )
+
+
 class TestCsvParsing:
     def test_skips_comments_and_header(self):
         text = "# caveat\n" + CSV_HEADER + "\n"

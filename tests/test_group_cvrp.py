@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sweepcvrp.bruteforce import cvrp_brute_force
-from sweepcvrp.geometry import Instance, Point, dist
+from sweepcvrp.geometry import Instance, Point, dist, tour_length
 from sweepcvrp.group_cvrp import (
     SolveConfig,
     cvrp_exact_small,
@@ -12,7 +12,7 @@ from sweepcvrp.group_cvrp import (
     solve_group,
     split_tour_sequence,
 )
-from sweepcvrp.tsp import tsp_exact
+from sweepcvrp.tsp import held_karp, tsp_exact
 
 from helpers import random_points, solution_is_feasible
 
@@ -138,3 +138,156 @@ class TestSolveGroup:
         U = random_points(np.random.default_rng(101), 6)
         res = solve_group(U, O, 3, SolveConfig(exact_group_threshold=5))
         assert res.method == "heuristic"
+
+
+def _held_karp_reference(U, depot):
+    """The pure-Python push-style Held-Karp over all subsets that held_karp
+    replaced: (tour_cost, tour_end, parent) as nested lists."""
+    n = len(U)
+    size = 1 << n
+    d0 = [dist(depot, u) for u in U]
+    d = [[dist(a, b) for b in U] for a in U]
+    inf = math.inf
+    dp = [[inf] * n for _ in range(size)]
+    parent = [[-1] * n for _ in range(size)]
+    for j in range(n):
+        dp[1 << j][j] = d0[j]
+    for mask in range(1, size):
+        row = dp[mask]
+        for j in range(n):
+            cj = row[j]
+            if cj == inf:
+                continue
+            dj = d[j]
+            for m in range(n):
+                bit = 1 << m
+                if mask & bit:
+                    continue
+                cand = cj + dj[m]
+                nmask = mask | bit
+                if cand < dp[nmask][m]:
+                    dp[nmask][m] = cand
+                    parent[nmask][m] = j
+    tour_cost = [0.0] * size
+    tour_end = [-1] * size
+    for mask in range(1, size):
+        row = dp[mask]
+        best, best_j = inf, -1
+        for j in range(n):
+            if row[j] == inf:
+                continue
+            cand = row[j] + d0[j]
+            if cand < best:
+                best, best_j = cand, j
+        tour_cost[mask] = best
+        tour_end[mask] = best_j
+    return tour_cost, tour_end, parent
+
+
+def _cvrp_exact_small_reference(n, k, hk):
+    """The pure-Python set-partition loop that cvrp_exact_small replaced, on
+    the output `hk` of _held_karp_reference: [(indices, length)] per tour."""
+    tour_cost, tour_end, parent = hk
+    size = 1 << n
+    inf = math.inf
+    part = [inf] * size
+    choice = [0] * size
+    part[0] = 0.0
+    for mask in range(1, size):
+        low = mask & (-mask)
+        rest = mask ^ low
+        sub = rest
+        best, best_s = inf, 0
+        while True:
+            s = sub | low
+            if s.bit_count() <= k:
+                cand = tour_cost[s] + part[mask ^ s]
+                if cand < best:
+                    best, best_s = cand, s
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        part[mask] = best
+        choice[mask] = best_s
+    tours = []
+    mask = size - 1
+    while mask:
+        s = choice[mask]
+        order, j, sm = [], tour_end[s], s
+        while j != -1:
+            order.append(j)
+            sm, j = sm ^ (1 << j), parent[sm][j]
+        tours.append((tuple(reversed(order)), tour_cost[s]))
+        mask ^= s
+    return tours
+
+
+def _split_reference(U, depot, seq, k):
+    """split_tour_sequence before it cached the leg lengths."""
+    n = len(seq)
+    if n == 0:
+        return [], 0.0
+    best_cost = math.inf
+    best_segments = []
+    for r in range(min(k, n)):
+        segments = []
+        if r > 0:
+            segments.append(list(seq[:r]))
+        segments.extend(list(seq[i : i + k]) for i in range(r, n, k))
+        cost = math.fsum(
+            tour_length(depot, [U[i] for i in seg]) for seg in segments
+        )
+        if cost < best_cost:
+            best_cost = cost
+            best_segments = segments
+    return best_segments, best_cost
+
+
+def _group_cases() -> dict[str, tuple[list[Point], Point]]:
+    rng = np.random.default_rng(103)
+
+    def pts(coords):
+        return [Point(float(x), float(y)) for x, y in coords]
+
+    cases = {
+        f"random-{n}": (pts(rng.random((n, 2))), Point(*map(float, rng.uniform(-1, 2, 2))))
+        for n in range(13)
+    }
+    base = rng.random((6, 2))
+    cases["duplicates"] = (pts(np.vstack([base, base[:4]])), Point(0.5, 0.5))
+    t = rng.permutation(10) / 9.0
+    line = np.column_stack([0.2 + 0.5 * t, 0.1 + 0.3 * t])
+    cases["collinear"] = (pts(line), Point(0.2, 0.1))
+    cases["all-equal"] = (pts(np.full((9, 2), 0.375)), Point(0.0, 0.0))
+    # integer lattice around a lattice depot: many equal tour and block sums
+    cases["grid"] = (pts([(i % 4, i // 4) for i in range(11)]), Point(1.0, 1.0))
+    return cases
+
+
+GROUP_CASES = _group_cases()
+
+
+class TestExactSmallReference:
+    @pytest.mark.parametrize("name", list(GROUP_CASES))
+    def test_same_solution_as_reference(self, name):
+        U, depot = GROUP_CASES[name]
+        n = len(U)
+        hk = _held_karp_reference(U, depot)
+        if n:
+            tour_cost, tour_end, parent = held_karp(U, depot)
+            assert tour_cost[1:].tolist() == hk[0][1:]
+            assert tour_end[1:].tolist() == hk[1][1:]
+            assert parent.tolist() == hk[2]
+        for k in range(1, max(n, 1) + 1):
+            sol = cvrp_exact_small(U, depot, k)
+            ref = _cvrp_exact_small_reference(n, k, hk)
+            assert [(t.indices, t.length) for t in sol.tours] == ref, k
+            assert all(type(t.length) is float for t in sol.tours)
+            assert sol.total_cost == math.fsum(length for _, length in ref)
+
+    @pytest.mark.parametrize("name", list(GROUP_CASES))
+    def test_split_same_as_reference(self, name):
+        U, depot = GROUP_CASES[name]
+        seq = np.random.default_rng(len(U)).permutation(len(U)).tolist()
+        for k in range(1, max(len(U), 1) + 1):
+            assert split_tour_sequence(U, depot, seq, k) == _split_reference(U, depot, seq, k)

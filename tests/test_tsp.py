@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sweepcvrp.tsp as tsp
 from sweepcvrp.bruteforce import tsp_brute_force
 from sweepcvrp.geometry import Point, dist
 from sweepcvrp.tsp import (
@@ -229,3 +233,118 @@ class TestTwoOptKernel:
             moved |= not np.array_equal(expected, nn)
         if n >= 17 and name.startswith("random"):
             assert moved  # the comparison covers tours that 2-opt changed
+
+
+def _tsp_exact_reference(points):
+    """The pure-Python push-style Held-Karp that tsp_exact replaced; tsp_exact
+    must return the same order and length, bit for bit."""
+    n = len(points)
+    if n <= 1:
+        return tuple(range(n)), 0.0
+    if n == 2:
+        return (0, 1), 2.0 * dist(points[0], points[1])
+    d = [[dist(points[i], points[j]) for j in range(n)] for i in range(n)]
+    size = 1 << n
+    inf = math.inf
+    dp = [[inf] * n for _ in range(size)]
+    parent = [[-1] * n for _ in range(size)]
+    dp[1][0] = 0.0
+    for mask in range(1, size):
+        if not mask & 1:
+            continue
+        row = dp[mask]
+        for j in range(n):
+            cj = row[j]
+            if cj == inf:
+                continue
+            dj = d[j]
+            for m in range(1, n):
+                bit = 1 << m
+                if mask & bit:
+                    continue
+                nmask = mask | bit
+                cand = cj + dj[m]
+                if cand < dp[nmask][m]:
+                    dp[nmask][m] = cand
+                    parent[nmask][m] = j
+    full = size - 1
+    best_j = min(range(1, n), key=lambda j: dp[full][j] + d[j][0])
+    length = dp[full][best_j] + d[best_j][0]
+    order = []
+    mask, j = full, best_j
+    while j != -1:
+        order.append(j)
+        mask, j = mask ^ (1 << j), parent[mask][j]
+    order.reverse()
+    return tuple(order), length
+
+
+def _as_points(coords) -> list[Point]:
+    return [Point(float(x), float(y)) for x, y in coords]
+
+
+def _exact_cases() -> dict[str, list[Point]]:
+    rng = np.random.default_rng(73)
+    cases = {f"random-{n}": _as_points(rng.random((n, 2))) for n in range(15)}
+    base = rng.random((8, 2))
+    cases["duplicates"] = _as_points(np.vstack([base, base[:5], base[2:3]]))
+    t = rng.permutation(14) / 13.0
+    cases["collinear"] = _as_points(np.column_stack([0.2 + 0.5 * t, 0.1 + 0.3 * t]))
+    cases["all-equal"] = _as_points(np.full((13, 2), 0.375))
+    # integer lattice: many equal path and tour costs
+    cases["grid"] = _as_points([(i % 4, i // 4) for i in range(12)])
+    return cases
+
+
+EXACT_CASES = _exact_cases()
+
+
+class TestExactReference:
+    @pytest.mark.parametrize("name", list(EXACT_CASES))
+    def test_same_tour_as_reference(self, name):
+        pts = EXACT_CASES[name]
+        res = tsp_exact(pts)
+        order, length = _tsp_exact_reference(pts)
+        assert res.order == order
+        assert type(res.length) is float and res.length == length
+
+
+class TestTwoOptScale:
+    @staticmethod
+    def _collinear_far(scale):
+        rng = np.random.default_rng(0)
+        u = rng.normal(size=2)
+        u /= np.hypot(*u)
+        return _as_points(np.outer(rng.random(30) * scale, u))
+
+    def test_threshold_scales_with_coordinates(self, monkeypatch):
+        seen = []
+
+        def spy(pts, tour, eps=_IMPROVE_EPS):
+            seen.append(eps)
+            return tour
+
+        monkeypatch.setattr(tsp, "_two_opt", spy)
+        tsp_heuristic(random_points(np.random.default_rng(79), 20), seed=0)
+        far = self._collinear_far(1e5)
+        tsp_heuristic(far, seed=0)
+        top = max(max(abs(p.x), abs(p.y)) for p in far)
+        assert seen == [_IMPROVE_EPS, _IMPROVE_EPS * top]
+
+    def test_collinear_far_terminates(self):
+        # 30 collinear points at scale 1e5 looped on rounding noise with an
+        # absolute threshold; run it in a child so a hang fails, not stalls
+        code = (
+            "import numpy as np\n"
+            "from sweepcvrp.geometry import Point\n"
+            "from sweepcvrp.tsp import tsp_heuristic\n"
+            "rng = np.random.default_rng(0)\n"
+            "u = rng.normal(size=2)\n"
+            "u /= np.hypot(*u)\n"
+            "pts = np.outer(rng.random(30) * 1e5, u)\n"
+            "res = tsp_heuristic([Point(float(x), float(y)) for x, y in pts], seed=0)\n"
+            "assert sorted(res.order) == list(range(30))\n"
+        )
+        src = os.path.dirname(os.path.dirname(tsp.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
