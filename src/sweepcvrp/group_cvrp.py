@@ -55,13 +55,14 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
     if n == 0:
         return make_solution([])
 
-    tour_cost, tour_end, parent = held_karp(U, depot)
+    layers = subset_layers(n)
+    tour_cost, tour_end, parent = held_karp(U, depot, layers)
     # part[mask]: cheapest partition of mask into blocks of at most k
     # terminals. A block holds the lowest bit of mask and a submask of the
     # other bits, so part pulls from layers of lower popcount only.
     part = np.zeros(1 << n)
     choice = np.zeros(1 << n, dtype=np.int64)
-    for masks, pos in subset_layers(n):
+    for masks, pos in layers:
         p = pos.shape[1]
         # patterns over the p - 1 other bits with at most k - 1 set, in
         # descending order: argmin keeps the first of equal sums, so among

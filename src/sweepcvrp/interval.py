@@ -2,12 +2,33 @@
 
 Every operation returns an interval guaranteed to contain the exact real
 result for any inputs drawn from the input intervals. Rounding discipline:
-operations are evaluated in round-to-nearest and then inflated outward,
-1 ulp per side for +,-,*,/ and squaring (IEEE correct rounding errs by at
-most half an ulp) and 4 ulps per side for sqrt/log/arccos/arcsin (libm is
-assumed faithfully rounded, i.e. below 1 ulp of error; the 4-ulp margin
-covers that assumption with room to spare). This trades a little width for
-portability: no hardware rounding-mode switching is required.
+operations are evaluated in round-to-nearest, the IEEE-754 default that this
+module assumes (it never switches the hardware rounding mode, trading a
+little width for portability), and each result z is then moved outward:
+
+  _dn1(z) = z - max(|z| 2^-52, 2^-1074),  _up1(z) = z + max(|z| 2^-52, 2^-1074)
+
+(after Rump, Zimmermann, Boldo & Melquiond 2009, "Computing predecessor and
+successor in rounding to nearest"). Soundness: let ulp(z) be the spacing of
+binary64 numbers just above |z|. A normal |z| in [2^e, 2^(e+1)) has
+ulp(z) = 2^(e-52) <= |z| 2^-52, and the computed product stays >= 2^(e-52)
+because that power of two is representable and rounding is monotone; a zero
+or subnormal z has ulp(z) = 2^-1074. So the offset is >= ulp(z), the exact
+z - offset is <= z - ulp(z) <= pred(z), and since pred(z) is representable
+the rounded _dn1(z) is <= pred(z); symmetrically _up1(z) >= succ(z). IEEE
+correct rounding of +, -, *, / and squaring leaves the exact result within
+[pred(z), succ(z)], so these bounds enclose it. The offset is also <= 2
+ulp(z), so each bound moves at most two ulps. _dn4/_up4 use four times the
+offset (at least four ulps, at most eight) for sqrt/log/arccos/arcsin,
+whose libm results are assumed faithfully rounded (error below 1 ulp), a 4x
+margin. An upward move that crosses a power of two is rounded on the coarser
+grid above it, which may add one ulp of z to the 4-ulp helpers' eight.
+
+Non-finite values never become finite: inf - inf is NaN, so _dn1(+inf) and
+_up1(-inf) are NaN (an infinite z stays infinite on its outward side). NaN
+propagates through every later operation; v_A1's isfinite test sends such
+lanes to its crude fallback, and the net verifier counts any non-finite
+margin as a failure, so a NaN can never read as a pass.
 
 The working representation is a pair (lo, hi) of binary64 scalars or numpy
 arrays; all `v_*` functions operate elementwise on such pairs, which is what
@@ -25,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,22 +69,33 @@ PI_HI = math.nextafter(math.pi, math.inf)
 
 
 # --- outward rounding helpers -------------------------------------------------
+# _dn1/_up1 move a round-to-nearest result at least one ulp outward and at
+# most two; _dn4/_up4 at least four. The module docstring has the argument.
+
+_ULP_SCALE = 2.0 ** -52  # |x| * 2^-52 >= ulp(x) for every normal x
+_ETA = 2.0 ** -1074      # smallest subnormal: the ulp of zero and subnormals
+
+
+def _offset(x, ulps):
+    # max(|x| * ulps 2^-52, ulps 2^-1074); ulps is a power of two, so both
+    # constants are exact
+    return np.maximum(np.abs(x) * (ulps * _ULP_SCALE), ulps * _ETA)
+
 
 def _dn1(x):
-    return np.nextafter(x, -_INF)
+    return x - _offset(x, 1.0)
 
 
 def _up1(x):
-    return np.nextafter(x, _INF)
+    return x + _offset(x, 1.0)
 
 
 def _dn4(x):
-    # np.spacing(|x|) is at least the local ulp, so this moves >= 4 ulps down
-    return x - 4.0 * np.spacing(np.abs(x))
+    return x - _offset(x, 4.0)
 
 
 def _up4(x):
-    return x + 4.0 * np.spacing(np.abs(x))
+    return x + _offset(x, 4.0)
 
 
 # --- elementwise interval kernel ---------------------------------------------
@@ -244,18 +277,35 @@ def v_A1_unit(h, root):
     return lo, hi
 
 
-def v_B_pair(h):
-    """Disk-segment integrals (B0, B1) over {x <= h}: 0 below h = -1,
-    (pi, 2pi/3) above h = 1, the sector + triangles formula between. Branch
-    hulls keep the enclosure valid when h straddles a boundary."""
+class _Axis(NamedTuple):
+    """The terms of one corner coordinate h that every corner integral over
+    h shares, computed once per batch."""
+
+    h: tuple
+    sq: tuple      # h^2
+    c: tuple       # h clamped to [-1, 1]
+    root: tuple    # sqrt(1 - c^2)
+    asin: tuple    # arcsin c
+    c_root: tuple  # c * root
+    a1: tuple      # A1(c, root)
+    b0: tuple      # disk-segment integrals over {x <= h}
+    b1: tuple
+
+
+def _axis(h) -> _Axis:
+    """Per-axis terms, including the disk-segment integrals (B0, B1) over
+    {x <= h}: 0 below h = -1, (pi, 2pi/3) above h = 1, the sector +
+    triangles formula between. Branch hulls keep the enclosure valid when h
+    straddles a boundary."""
     has_low = h[0] < -1.0
     has_high = h[1] >= 1.0
     has_mid = (h[1] >= -1.0) & (h[0] < 1.0)
 
     c = (np.clip(h[0], -1.0, 1.0), np.clip(h[1], -1.0, 1.0))
     root = v_sqrt(v_sub(_V_ONE, v_sqr(c)))
+    c_root = v_mul(c, root)
     pma = v_sub(V_PI, v_arccos(c))  # pi - arccos h
-    a0 = v_mul(v_mul(c, root), _V_HALF)
+    a0 = v_mul(c_root, _V_HALF)
     a1 = v_A1_unit(c, root)
     b0_mid = v_add(pma, v_add(a0, a0))
     b1_mid = v_add(v_mul(_V_TWO_THIRDS, pma), v_add(a1, a1))
@@ -270,14 +320,16 @@ def v_B_pair(h):
     b1 = _hull_into(b1, has_mid, b1_mid)
     b0 = _hull_into(b0, has_high, V_PI)
     b1 = _hull_into(b1, has_high, _V_TWO_THIRDS_PI)
-    return b0, b1
+    return _Axis(h=h, sq=v_sqr(h), c=c, root=root, asin=v_arcsin(c),
+                 c_root=c_root, a1=a1, b0=b0, b1=b1)
 
 
-def v_C_pair(h1, h2):
-    """Disk-corner integrals (C0, C1) over {x <= h1, y <= h2}: hull over the
-    five-case piecewise formula (outside-disk sign cases via B, the inside
-    case via the sector plus four triangles)."""
-    s = v_add(v_sqr(h1), v_sqr(h2))
+def _corner(p: _Axis, q: _Axis):
+    """Disk-corner integrals (C0, C1) over {x <= p.h, y <= q.h}: hull over
+    the five-case piecewise formula (outside-disk sign cases via B, the
+    inside case via the sector plus four triangles)."""
+    h1, h2 = p.h, q.h
+    s = v_add(p.sq, q.sq)
     outside = s[1] > 1.0
     m_empty = outside & (h1[0] <= 0.0) & (h2[0] <= 0.0)
     m_seg2 = outside & (h1[1] > 0.0) & (h2[0] <= 0.0)
@@ -285,26 +337,13 @@ def v_C_pair(h1, h2):
     m_both = outside & (h1[1] > 0.0) & (h2[1] > 0.0)
     m_in = s[0] <= 1.0
 
-    b0_h1, b1_h1 = v_B_pair(h1)
-    b0_h2, b1_h2 = v_B_pair(h2)
-
     # inside-disk formula on arguments clamped to [-1, 1]
-    c1 = (np.clip(h1[0], -1.0, 1.0), np.clip(h1[1], -1.0, 1.0))
-    c2 = (np.clip(h2[0], -1.0, 1.0), np.clip(h2[1], -1.0, 1.0))
-    root1 = v_sqrt(v_sub(_V_ONE, v_sqr(c1)))
-    root2 = v_sqrt(v_sub(_V_ONE, v_sqr(c2)))
-    ang = v_add(V_HALF_PI, v_add(v_arcsin(c1), v_arcsin(c2)))
+    ang = v_add(V_HALF_PI, v_add(p.asin, q.asin))
     # A0(c1,root1) + A0(c2,root2) + A0(c1,c2) + A0(c2,c1); the last two
     # collapse to c1*c2
-    a0_sum = v_add(
-        v_mul(v_add(v_mul(c1, root1), v_mul(c2, root2)), _V_HALF),
-        v_mul(c1, c2),
-    )
+    a0_sum = v_add(v_mul(v_add(p.c_root, q.c_root), _V_HALF), v_mul(p.c, q.c))
     c0_in = v_add(v_mul(ang, _V_HALF), a0_sum)
-    a1_sum = v_add(
-        v_add(v_A1_unit(c1, root1), v_A1_unit(c2, root2)),
-        v_add(v_A1(c1, c2), v_A1(c2, c1)),
-    )
+    a1_sum = v_add(v_add(p.a1, q.a1), v_add(v_A1(p.c, q.c), v_A1(q.c, p.c)))
     c1_in = v_add(v_mul(ang, _V_THIRD), a1_sum)
 
     shape = np.broadcast(h1[0], h2[0]).shape
@@ -313,28 +352,40 @@ def v_C_pair(h1, h2):
     zero = (np.float64(0.0), np.float64(0.0))
     C0 = _hull_into(C0, m_empty, zero)
     C1 = _hull_into(C1, m_empty, zero)
-    C0 = _hull_into(C0, m_seg2, (b0_h2[0], b0_h2[1]))
-    C1 = _hull_into(C1, m_seg2, (b1_h2[0], b1_h2[1]))
-    C0 = _hull_into(C0, m_seg1, (b0_h1[0], b0_h1[1]))
-    C1 = _hull_into(C1, m_seg1, (b1_h1[0], b1_h1[1]))
-    C0 = _hull_into(C0, m_both, v_sub(v_add(b0_h1, b0_h2), V_PI))
-    C1 = _hull_into(C1, m_both, v_sub(v_add(b1_h1, b1_h2), _V_TWO_THIRDS_PI))
+    C0 = _hull_into(C0, m_seg2, q.b0)
+    C1 = _hull_into(C1, m_seg2, q.b1)
+    C0 = _hull_into(C0, m_seg1, p.b0)
+    C1 = _hull_into(C1, m_seg1, p.b1)
+    C0 = _hull_into(C0, m_both, v_sub(v_add(p.b0, q.b0), V_PI))
+    C1 = _hull_into(C1, m_both, v_sub(v_add(p.b1, q.b1), _V_TWO_THIRDS_PI))
     C0 = _hull_into(C0, m_in, c0_in)
     C1 = _hull_into(C1, m_in, c1_in)
     return C0, C1
 
 
+def v_B_pair(h):
+    """Disk-segment integrals (B0, B1) over {x <= h}."""
+    axis = _axis(h)
+    return axis.b0, axis.b1
+
+
+def v_C_pair(h1, h2):
+    """Disk-corner integrals (C0, C1) over {x <= h1, y <= h2}."""
+    return _corner(_axis(h1), _axis(h2))
+
+
 def v_D_pair(a, b, R):
     """Normalized square-cap integrals (D0, D1): inclusion-exclusion of the
-    four corner terms. R must be a positive interval."""
-    x1 = v_div(v_sub(_V_ONE, a), R)
-    x2 = v_div(v_neg(a), R)
-    y1 = v_div(v_sub(_V_ONE, b), R)
-    y2 = v_div(v_neg(b), R)
-    c0_11, c1_11 = v_C_pair(x1, y1)
-    c0_12, c1_12 = v_C_pair(x1, y2)
-    c0_21, c1_21 = v_C_pair(x2, y1)
-    c0_22, c1_22 = v_C_pair(x2, y2)
+    four corner terms, each coordinate's terms computed once. R must be a
+    positive interval."""
+    x1 = _axis(v_div(v_sub(_V_ONE, a), R))
+    x2 = _axis(v_div(v_neg(a), R))
+    y1 = _axis(v_div(v_sub(_V_ONE, b), R))
+    y2 = _axis(v_div(v_neg(b), R))
+    c0_11, c1_11 = _corner(x1, y1)
+    c0_12, c1_12 = _corner(x1, y2)
+    c0_21, c1_21 = _corner(x2, y1)
+    c0_22, c1_22 = _corner(x2, y2)
     d0 = v_add(v_sub(c0_11, c0_12), v_sub(c0_22, c0_21))
     d1 = v_add(v_sub(c1_11, c1_12), v_sub(c1_22, c1_21))
     return d0, d1

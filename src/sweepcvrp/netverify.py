@@ -58,7 +58,7 @@ _RATIO_31_48 = iv_ratio(31, 48)
 _V_31_48 = (_RATIO_31_48.lo, _RATIO_31_48.hi)
 
 _PROGRESS_EVERY = 100_000
-_BATCH_POINTS = 65536
+_BATCH_POINTS = 16384
 
 
 def grid_coord(index):
@@ -193,10 +193,12 @@ def _scan_rows(args):
     j_idx = np.concatenate(j_parts)
     a, b, m2lo, m3lo = _margins_batch(i_idx, j_idx)
     count = int(i_idx.size)
+    # ndarray.min keeps a NaN; only finite lower bounds that clear both
+    # thresholds pass
     min2 = float(m2lo.min())
     min3 = float(m3lo.min())
-    bad = (m2lo < thr2) | (m3lo < thr3)
-    for idx in np.nonzero(bad)[0]:
+    ok = np.isfinite(m2lo) & np.isfinite(m3lo) & (m2lo >= thr2) & (m3lo >= thr3)
+    for idx in np.flatnonzero(~ok):
         failures.append(
             (int(i_idx[idx]), int(j_idx[idx]), float(a[idx]), float(b[idx]),
              float(m2lo[idx]), float(m3lo[idx]))
@@ -259,8 +261,8 @@ def verify_all(
     try:
         for count, c_min2, c_min3, c_failures in results:
             total += count
-            min2 = min(min2, c_min2)
-            min3 = min(min3, c_min3)
+            min2 = float(np.minimum(min2, c_min2))  # keeps a NaN
+            min3 = float(np.minimum(min3, c_min3))
             failures.extend(c_failures)
             if progress and total >= next_report:
                 print(

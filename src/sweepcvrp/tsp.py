@@ -78,7 +78,7 @@ def subset_layers(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return layers
 
 
-def held_karp(U: Sequence[Point], depot: Point):
+def held_karp(U: Sequence[Point], depot: Point, layers=None):
     """Shortest depot-rooted paths over every subset of a nonempty U
     (Held & Karp 1962), one popcount layer of subsets per numpy step.
 
@@ -88,7 +88,8 @@ def held_karp(U: Sequence[Point], depot: Point):
     is the optimal closed tour over mask plus the depot, tour_end[mask] the m
     attaining it, and parent[mask, m] the j attaining dp[mask, m] (-1 for a
     single terminal). argmin keeps the first of equal values, so both ties go
-    to the smallest index.
+    to the smallest index. `layers` is `subset_layers(len(U))` when the
+    caller has already built it.
     """
     n = len(U)
     d = np.array([[dist(a, b) for b in U] for a in U])  # symmetric, bit for bit
@@ -96,7 +97,9 @@ def held_karp(U: Sequence[Point], depot: Point):
     dp = np.full((1 << n, n), math.inf)
     parent = np.full((1 << n, n), -1, dtype=np.int8)
     dp[1 << np.arange(n), np.arange(n)] = d0
-    for masks, pos in subset_layers(n)[1:]:
+    if layers is None:
+        layers = subset_layers(n)
+    for masks, pos in layers[1:]:
         mask, m = np.repeat(masks, pos.shape[1]), pos.ravel()
         cand = dp[mask ^ (1 << m)]
         cand += d[m]

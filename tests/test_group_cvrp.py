@@ -291,3 +291,23 @@ class TestExactSmallReference:
         seq = np.random.default_rng(len(U)).permutation(len(U)).tolist()
         for k in range(1, max(len(U), 1) + 1):
             assert split_tour_sequence(U, depot, seq, k) == _split_reference(U, depot, seq, k)
+
+
+class TestSubsetLayersOnce:
+    def test_layers_built_once_per_call(self, monkeypatch):
+        from sweepcvrp import group_cvrp, tsp
+
+        calls = []
+        build = tsp.subset_layers
+
+        def counting(n):
+            calls.append(n)
+            return build(n)
+
+        # held_karp reaches subset_layers through tsp's globals, the group DP
+        # through group_cvrp's
+        monkeypatch.setattr(tsp, "subset_layers", counting)
+        monkeypatch.setattr(group_cvrp, "subset_layers", counting)
+        U, depot = GROUP_CASES["random-9"]
+        cvrp_exact_small(U, depot, 3)
+        assert calls == [9]

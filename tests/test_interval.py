@@ -7,7 +7,19 @@ import pytest
 
 from sweepcvrp import closedform
 from sweepcvrp.interval import (
+    V_HALF_PI,
+    V_PI,
     Interval,
+    _V_HALF,
+    _V_ONE,
+    _V_THIRD,
+    _V_TWO_THIRDS,
+    _V_TWO_THIRDS_PI,
+    _dn1,
+    _dn4,
+    _hull_into,
+    _up1,
+    _up4,
     iv_abs,
     iv_add,
     iv_arccos,
@@ -22,8 +34,21 @@ from sweepcvrp.interval import (
     iv_pi,
     iv_ratio,
     iv_sqrt,
+    v_A1,
+    v_A1_unit,
+    v_add,
+    v_arccos,
+    v_arcsin,
     v_B_pair,
+    v_C_pair,
+    v_D_pair,
+    v_div,
     v_g_all,
+    v_mul,
+    v_neg,
+    v_sqr,
+    v_sqrt,
+    v_sub,
 )
 
 mp.mp.prec = 120  # well beyond the 80-bit reference requirement
@@ -297,3 +322,217 @@ class TestIvG:
                 ref = mp_g(aa, bb)
                 for (lo, hi), val in zip((G1, G2, G3), ref):
                     assert mp.mpf(float(lo)) <= val <= mp.mpf(float(hi))
+
+
+# --- outward rounding helpers ---------------------------------------------------
+
+DBL_MAX = np.finfo(np.float64).max
+SMALLEST_NORMAL = 2.0 ** -1022
+MIN_SUBNORMAL = 2.0 ** -1074
+
+
+def _rounding_cases() -> list[float]:
+    vals = [0.0, MIN_SUBNORMAL, 2 * MIN_SUBNORMAL, SMALLEST_NORMAL - MIN_SUBNORMAL,
+            DBL_MAX, math.nextafter(DBL_MAX, 0.0)]
+    # powers of two and their neighbours on both sides of the binade boundary,
+    # from the lowest normal binades (where |x| 2^-52 underflows) to the top
+    for e in (-1074, -1073, -1022, -1021, -1020, -1000, -971, -970, -969,
+              -52, -1, 0, 1, 52, 1000, 1023):
+        p = 2.0 ** e
+        vals += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+        vals += [math.nextafter(math.nextafter(p, 0.0), 0.0), 1.9 * p, 1.5 * p]
+    rng = np.random.default_rng(223)
+    vals += (rng.uniform(1, 2, 400) * 2.0 ** rng.integers(-1074, 1024, 400)).tolist()
+    vals += rng.uniform(-10, 10, 200).tolist()
+    vals = [v for v in vals if math.isfinite(v)]
+    return vals + [-v for v in vals]
+
+
+ROUNDING_CASES = _rounding_cases()
+
+
+class TestOutwardRounding:
+    """_dn1/_up1 move a value at least one binary64 step outward and at most
+    two ulps; _dn4/_up4 at least four ulps and at most eight. The ulp in the
+    upper limit is that of the larger of |x| and |result|: an upward move that
+    crosses a power of two is rounded on the coarser side's grid."""
+
+    @staticmethod
+    def _check(x, r, k, direction):
+        r = float(r)
+        if math.isinf(r):
+            # an infinite bound is sound; it appears only within 2k ulps of
+            # the largest finite value
+            assert r == direction * math.inf
+            assert Fraction(abs(x)) + 2 * k * Fraction(math.ulp(x)) > Fraction(DBL_MAX)
+            return
+        step = math.nextafter(x, direction * math.inf)
+        moved = (Fraction(r) - Fraction(x)) * direction
+        assert (Fraction(r) - Fraction(step)) * direction >= 0, (x, r)
+        assert moved >= k * Fraction(math.ulp(x)), (x, r)
+        assert moved <= 2 * k * Fraction(max(math.ulp(x), math.ulp(r))), (x, r)
+
+    @pytest.mark.parametrize("k, dn, up", [(1, _dn1, _up1), (4, _dn4, _up4)])
+    def test_bounds_on_special_and_random_values(self, k, dn, up):
+        xs = np.array(ROUNDING_CASES)
+        with np.errstate(over="ignore"):  # outward from +-DBL_MAX
+            lo, hi = dn(xs), up(xs)
+            scalars = [(float(dn(x)), float(up(x))) for x in ROUNDING_CASES]
+        for i, x in enumerate(ROUNDING_CASES):
+            self._check(x, lo[i], k, -1)
+            self._check(x, hi[i], k, 1)
+            # scalars take the same path as arrays
+            assert scalars[i] == (lo[i], hi[i])
+
+    def test_at_most_two_ulps_in_lowest_binades(self):
+        # here |x| 2^-52 underflows: the offset must still not pass 2 ulps
+        for x in (1.9 * SMALLEST_NORMAL, 2 * SMALLEST_NORMAL - MIN_SUBNORMAL,
+                  1.9 * 2 * SMALLEST_NORMAL):
+            assert Fraction(x) - Fraction(float(_dn1(x))) <= 2 * Fraction(math.ulp(x))
+            assert Fraction(float(_up1(x))) - Fraction(x) <= 2 * Fraction(math.ulp(x))
+
+    @np.errstate(invalid="ignore")  # inf - inf
+    def test_non_finite_never_becomes_finite(self):
+        for dn, up in ((_dn1, _up1), (_dn4, _up4)):
+            for x in (math.inf, -math.inf, math.nan):
+                assert not math.isfinite(dn(x)) and not math.isfinite(up(x))
+            assert math.isnan(dn(math.inf)) and math.isnan(up(-math.inf))
+            assert dn(-math.inf) == -math.inf and up(math.inf) == math.inf
+
+
+# --- per-axis terms: the corner composition before they were shared -------------
+
+def _v_B_pair_reference(h):
+    has_low = h[0] < -1.0
+    has_high = h[1] >= 1.0
+    has_mid = (h[1] >= -1.0) & (h[0] < 1.0)
+    c = (np.clip(h[0], -1.0, 1.0), np.clip(h[1], -1.0, 1.0))
+    root = v_sqrt(v_sub(_V_ONE, v_sqr(c)))
+    pma = v_sub(V_PI, v_arccos(c))
+    a0 = v_mul(v_mul(c, root), _V_HALF)
+    a1 = v_A1_unit(c, root)
+    b0_mid = v_add(pma, v_add(a0, a0))
+    b1_mid = v_add(v_mul(_V_TWO_THIRDS, pma), v_add(a1, a1))
+    shape = np.broadcast(h[0], h[1]).shape
+    b0 = (np.full(shape, np.inf), np.full(shape, -np.inf))
+    b1 = (np.full(shape, np.inf), np.full(shape, -np.inf))
+    zero = (np.float64(0.0), np.float64(0.0))
+    b0 = _hull_into(b0, has_low, zero)
+    b1 = _hull_into(b1, has_low, zero)
+    b0 = _hull_into(b0, has_mid, b0_mid)
+    b1 = _hull_into(b1, has_mid, b1_mid)
+    b0 = _hull_into(b0, has_high, V_PI)
+    b1 = _hull_into(b1, has_high, _V_TWO_THIRDS_PI)
+    return b0, b1
+
+
+def _v_C_pair_reference(h1, h2):
+    s = v_add(v_sqr(h1), v_sqr(h2))
+    outside = s[1] > 1.0
+    m_empty = outside & (h1[0] <= 0.0) & (h2[0] <= 0.0)
+    m_seg2 = outside & (h1[1] > 0.0) & (h2[0] <= 0.0)
+    m_seg1 = outside & (h1[0] <= 0.0) & (h2[1] > 0.0)
+    m_both = outside & (h1[1] > 0.0) & (h2[1] > 0.0)
+    m_in = s[0] <= 1.0
+    b0_h1, b1_h1 = _v_B_pair_reference(h1)
+    b0_h2, b1_h2 = _v_B_pair_reference(h2)
+    c1 = (np.clip(h1[0], -1.0, 1.0), np.clip(h1[1], -1.0, 1.0))
+    c2 = (np.clip(h2[0], -1.0, 1.0), np.clip(h2[1], -1.0, 1.0))
+    root1 = v_sqrt(v_sub(_V_ONE, v_sqr(c1)))
+    root2 = v_sqrt(v_sub(_V_ONE, v_sqr(c2)))
+    ang = v_add(V_HALF_PI, v_add(v_arcsin(c1), v_arcsin(c2)))
+    a0_sum = v_add(
+        v_mul(v_add(v_mul(c1, root1), v_mul(c2, root2)), _V_HALF),
+        v_mul(c1, c2),
+    )
+    c0_in = v_add(v_mul(ang, _V_HALF), a0_sum)
+    a1_sum = v_add(
+        v_add(v_A1_unit(c1, root1), v_A1_unit(c2, root2)),
+        v_add(v_A1(c1, c2), v_A1(c2, c1)),
+    )
+    c1_in = v_add(v_mul(ang, _V_THIRD), a1_sum)
+    shape = np.broadcast(h1[0], h2[0]).shape
+    C0 = (np.full(shape, np.inf), np.full(shape, -np.inf))
+    C1 = (np.full(shape, np.inf), np.full(shape, -np.inf))
+    zero = (np.float64(0.0), np.float64(0.0))
+    C0 = _hull_into(C0, m_empty, zero)
+    C1 = _hull_into(C1, m_empty, zero)
+    C0 = _hull_into(C0, m_seg2, b0_h2)
+    C1 = _hull_into(C1, m_seg2, b1_h2)
+    C0 = _hull_into(C0, m_seg1, b0_h1)
+    C1 = _hull_into(C1, m_seg1, b1_h1)
+    C0 = _hull_into(C0, m_both, v_sub(v_add(b0_h1, b0_h2), V_PI))
+    C1 = _hull_into(C1, m_both, v_sub(v_add(b1_h1, b1_h2), _V_TWO_THIRDS_PI))
+    C0 = _hull_into(C0, m_in, c0_in)
+    C1 = _hull_into(C1, m_in, c1_in)
+    return C0, C1
+
+
+def _v_D_pair_reference(a, b, R):
+    x1 = v_div(v_sub(_V_ONE, a), R)
+    x2 = v_div(v_neg(a), R)
+    y1 = v_div(v_sub(_V_ONE, b), R)
+    y2 = v_div(v_neg(b), R)
+    c0_11, c1_11 = _v_C_pair_reference(x1, y1)
+    c0_12, c1_12 = _v_C_pair_reference(x1, y2)
+    c0_21, c1_21 = _v_C_pair_reference(x2, y1)
+    c0_22, c1_22 = _v_C_pair_reference(x2, y2)
+    d0 = v_add(v_sub(c0_11, c0_12), v_sub(c0_22, c0_21))
+    d1 = v_add(v_sub(c1_11, c1_12), v_sub(c1_22, c1_21))
+    return d0, d1
+
+
+def _boxes(rng, lo, n, width):
+    """n intervals from lo with widths 0 (degenerate) or up to `width`."""
+    w = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0, width, n))
+    return lo, lo + w
+
+
+def _assert_same_bits(got, ref):
+    for g, r in zip(got, ref):
+        for g_end, r_end in zip(g, r):
+            np.testing.assert_array_equal(g_end, r_end)
+
+
+class TestSharedAxisTerms:
+    """v_D_pair computes each coordinate's terms once; bit for bit it equals
+    the composition that recomputed them per corner."""
+
+    def _inputs(self):
+        rng = np.random.default_rng(227)
+        n = 3000
+        R = _boxes(rng, rng.uniform(0.2, 2.0, n), n, 0.05)
+        a = rng.uniform(-1.5, 2.5, n)
+        b = rng.uniform(-1.5, 2.5, n)
+        # h = (1 - a) / R or -a / R near -1 and 1: straddle the segment
+        # boundaries of B
+        m = n // 4
+        t = rng.choice([-1.0, 1.0], m) * (1 + rng.uniform(-1e-9, 1e-9, m))
+        a[:m] = np.where(rng.random(m) < 0.5, 1 - t * R[0][:m], -t * R[0][:m])
+        # (h1, h2) near the unit circle: straddle the inside-disk boundary
+        theta = rng.uniform(0, 2 * np.pi, m)
+        sl = slice(m, 2 * m)
+        a[sl] = 1 - np.cos(theta) * R[0][sl]
+        b[sl] = -np.sin(theta) * R[0][sl]
+        return _boxes(rng, a, n, 1e-3), _boxes(rng, b, n, 1e-3), R
+
+    def test_d_pair_bit_identical(self):
+        a, b, R = self._inputs()
+        _assert_same_bits(v_D_pair(a, b, R), _v_D_pair_reference(a, b, R))
+
+    def test_wrappers_bit_identical(self):
+        rng = np.random.default_rng(229)
+        n = 2000
+        h1 = _boxes(rng, rng.uniform(-1.6, 1.6, n), n, 0.2)
+        h2 = _boxes(rng, rng.uniform(-1.6, 1.6, n), n, 0.2)
+        _assert_same_bits(v_B_pair(h1), _v_B_pair_reference(h1))
+        _assert_same_bits(v_C_pair(h1, h2), _v_C_pair_reference(h1, h2))
+
+    def test_net_points_bit_identical(self):
+        idx = np.arange(0, 2372, 37, dtype=np.float64)
+        a = 0.5 + 0.002 * idx
+        grid_a, grid_b = np.meshgrid(a, a)
+        aa, bb = grid_a.ravel(), grid_b.ravel()
+        R = v_mul(v_g_all((aa, aa), (bb, bb))[0], (0.75, 0.75))
+        _assert_same_bits(v_D_pair((aa, aa), (bb, bb), R),
+                          _v_D_pair_reference((aa, aa), (bb, bb), R))

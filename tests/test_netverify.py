@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sweepcvrp import closedform
+from sweepcvrp import closedform, netverify
 from sweepcvrp.netverify import (
     FAR_FIELD_DISTANCE,
     GRID_MAX_INDEX,
@@ -180,6 +180,46 @@ class TestVerifyAll:
             verify_all(stride=0)
         with pytest.raises(ValueError):
             verify_all(stride=100, threads=0)
+
+
+class TestNonFiniteMargins:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_margin_fails(self, monkeypatch, tmp_path, bad):
+        real = netverify._margins_batch
+        hit = []
+
+        def patched(i_idx, j_idx):
+            a, b, m2lo, m3lo = real(i_idx, j_idx)
+            if not hit:  # one lane of the first batch
+                m2lo = m2lo.copy()
+                m2lo[1] = bad
+                hit.append((int(i_idx[1]), int(j_idx[1])))
+            return a, b, m2lo, m3lo
+
+        monkeypatch.setattr(netverify, "_margins_batch", patched)
+        path = tmp_path / "report.txt"
+        cert = verify_all(stride=200, report_path=str(path))
+        assert not cert.passed
+        if math.isnan(bad):
+            assert math.isnan(cert.min_margin_g2)
+        _, failures = read_report(open(path, encoding="utf-8"))
+        assert [(i, j) for i, j, *_ in failures] == hit
+
+
+class TestStrideFiveNet:
+    # Recorded with numpy 2.4 on x86-64. Rounding by np.nextafter gave
+    # 0.0025080157707039192 / 0.009656948470191938 (1.9e-15 / 1.3e-15 away),
+    # and a doubled 1-ulp offset moves both by about 6e-15, so the tolerance
+    # catches rounding that got looser or tighter.
+    MIN_G2 = 0.0025080157707019764
+    MIN_G3 = 0.009656948470190605
+
+    def test_passes_with_recorded_minima(self):
+        cert = verify_all(stride=5)
+        assert cert.passed
+        assert cert.points_checked == net_size(5) == 113050
+        assert abs(cert.min_margin_g2 - self.MIN_G2) <= 1e-15
+        assert abs(cert.min_margin_g3 - self.MIN_G3) <= 1e-15
 
 
 class TestMarginsSampledAcrossNet:
