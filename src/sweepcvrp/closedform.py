@@ -113,14 +113,12 @@ def choose_radius(a: float, b: float) -> float:
 
 def g2(a: float, b: float) -> float:
     """E min{d(O,v), R} with R = (3/4) g1(O)."""
-    R = choose_radius(a, b)
-    return R - R ** 3 * fn_D(0, a, b, R) + R ** 3 * fn_D(1, a, b, R)
+    return g_all(a, b)[1]
 
 
 def g3(a: float, b: float) -> float:
     """Measure of the part of the unit square farther than R from O."""
-    R = choose_radius(a, b)
-    return 1.0 - R * R * fn_D(0, a, b, R)
+    return g_all(a, b)[2]
 
 
 def g_all(a: float, b: float) -> tuple[float, float, float, float]:

@@ -15,10 +15,6 @@ import numpy as np
 
 TOL = 1e-9
 
-# n*n distance scans stay exact and fast up to this size; beyond it the
-# diameter switches to convex hull + rotating calipers.
-_DIAMETER_SCAN_LIMIT = 4096
-
 
 class Point(NamedTuple):
     x: float
@@ -154,71 +150,26 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     return lower[:-1] + upper[:-1]
 
 
-def _sq_dist(p: Point, q: Point) -> float:
-    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
-
-
 def diameter(points: Sequence[Point]) -> float:
     """Maximum pairwise distance; 0 for fewer than two points.
 
-    Uses the O(n^2) scan below _DIAMETER_SCAN_LIMIT and convex hull +
-    rotating calipers above. Both paths maximize the same squared-distance
-    expression, so they agree bit-for-bit.
+    The farthest pair of a finite set is a pair of convex hull vertices, so
+    the maximum of dx*dx + dy*dy over hull pairs, one numpy row per vertex,
+    is the all-pairs maximum. Squares are IEEE products, not `**2` (libm
+    `pow`), so D is the same bits for every input size and libm. A point
+    that the rounded orientation test in convex_hull drops lies within
+    rounding of a hull edge; only such a near-duplicate of a hull vertex
+    could move the maximum, by an ulp.
     """
-    n = len(points)
-    if n <= 1:
-        return 0.0
-    if n <= _DIAMETER_SCAN_LIMIT:
-        if n <= 64:
-            best = 0.0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d2 = _sq_dist(points[i], points[j])
-                    if d2 > best:
-                        best = d2
-            return math.sqrt(best)
-        # same per-pair expression, row-vectorized
-        xs = np.array([p.x for p in points])
-        ys = np.array([p.y for p in points])
-        best = 0.0
-        for i in range(n - 1):
-            dx = xs[i + 1 :] - xs[i]
-            dy = ys[i + 1 :] - ys[i]
-            row = float(np.max(dx * dx + dy * dy))
-            if row > best:
-                best = row
-        return math.sqrt(best)
     hull = convex_hull(points)
-    return math.sqrt(_max_sq_dist_calipers(hull))
-
-
-def _max_sq_dist_calipers(hull: Sequence[Point]) -> float:
-    m = len(hull)
-    if m == 1:
-        return 0.0
-    if m == 2:
-        return _sq_dist(hull[0], hull[1])
+    xs = np.array([p.x for p in hull])
+    ys = np.array([p.y for p in hull])
     best = 0.0
-    j = 1
-    for i in range(m):
-        ni = (i + 1) % m
-        # advance the antipodal pointer while the triangle area keeps growing
-        while True:
-            nj = (j + 1) % m
-            cur = abs(_cross(hull[i], hull[ni], hull[j]))
-            nxt = abs(_cross(hull[i], hull[ni], hull[nj]))
-            if nxt > cur:
-                j = nj
-            else:
-                break
-        for q in (hull[j], hull[(j + 1) % m]):
-            d2 = _sq_dist(hull[i], q)
-            if d2 > best:
-                best = d2
-        d2 = _sq_dist(hull[ni], hull[j])
-        if d2 > best:
-            best = d2
-    return best
+    for i in range(len(hull) - 1):
+        dx = xs[i + 1 :] - xs[i]
+        dy = ys[i + 1 :] - ys[i]
+        best = max(best, float(np.max(dx * dx + dy * dy)))
+    return math.sqrt(best)
 
 
 # --- instance text format ----------------------------------------------------

@@ -28,7 +28,6 @@ EXACT_GROUP_THRESHOLD = 12
 
 @dataclass(frozen=True)
 class SolveConfig:
-    exact_group_threshold: int = EXACT_GROUP_THRESHOLD
     tsp_mode: str = "auto"
     seed: int = 0
 
@@ -153,7 +152,7 @@ def solve_group(
     """Exact partition for small groups, tour splitting otherwise."""
     if len(U) == 0:
         return GroupResult(solution=make_solution([]), method="exact")
-    if len(U) <= config.exact_group_threshold:
+    if len(U) <= EXACT_GROUP_THRESHOLD:
         return GroupResult(solution=cvrp_exact_small(U, depot, k), method="exact")
     return GroupResult(
         solution=cvrp_group_heuristic(U, depot, k, config.tsp_mode, config.seed),

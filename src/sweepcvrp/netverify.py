@@ -206,14 +206,14 @@ def _scan_rows(args):
     return count, min2, min3, failures
 
 
-def _row_chunks(stride: int, batch_points: int = _BATCH_POINTS) -> Iterator[list[int]]:
+def _row_chunks(stride: int) -> Iterator[list[int]]:
     chunk: list[int] = []
     size = 0
     for i in range(0, GRID_MAX_INDEX + 1, stride):
         row_len = len(range(i, GRID_MAX_INDEX + 1, stride))
         chunk.append(i)
         size += row_len
-        if size >= batch_points:
+        if size >= _BATCH_POINTS:
             yield chunk
             chunk, size = [], 0
     if chunk:
@@ -226,7 +226,6 @@ def verify_all(
     thresholds: tuple[float, float] = (THRESHOLD_G2, THRESHOLD_G3),
     report_path: str | None = None,
     progress: bool = False,
-    batch_points: int = _BATCH_POINTS,
 ) -> NetCertificate:
     """Run the margin check over the whole (stride-sampled) net.
 
@@ -251,7 +250,7 @@ def verify_all(
     failures: list[tuple[int, int, float, float, float, float]] = []
     next_report = _PROGRESS_EVERY
 
-    tasks = ((rows, stride, thr2, thr3) for rows in _row_chunks(stride, batch_points))
+    tasks = ((rows, stride, thr2, thr3) for rows in _row_chunks(stride))
     if threads == 1:
         results = map(_scan_rows, tasks)
         pool = None

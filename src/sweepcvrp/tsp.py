@@ -120,16 +120,14 @@ def held_karp_path(parent: np.ndarray, mask: int, end: int) -> list[int]:
     return order[::-1]
 
 
-def tsp_exact(points: Sequence[Point], exact_threshold: int = EXACT_THRESHOLD) -> TspResult:
+def tsp_exact(points: Sequence[Point]) -> TspResult:
     """Optimal tour by Held-Karp over points[1:], rooted at points[0].
 
-    Rejects inputs larger than `exact_threshold` (2^n * n^2 work).
+    Rejects inputs larger than EXACT_THRESHOLD (2^n * n^2 work).
     """
     n = len(points)
-    if n > exact_threshold:
-        raise ValueError(
-            f"{n} points exceeds exact threshold {exact_threshold}"
-        )
+    if n > EXACT_THRESHOLD:
+        raise ValueError(f"{n} points exceeds exact threshold {EXACT_THRESHOLD}")
     if n <= 1:
         return TspResult(order=tuple(range(n)), length=0.0, certified_optimal=True)
     if n == 2:
@@ -238,19 +236,18 @@ def _two_opt(pts: np.ndarray, tour: np.ndarray,
     return tour
 
 
-def tsp_dispatch(points: Sequence[Point], mode: str = "auto", seed: int = 0,
-                 exact_threshold: int = EXACT_THRESHOLD) -> TspResult:
+def tsp_dispatch(points: Sequence[Point], mode: str = "auto", seed: int = 0) -> TspResult:
     """Route to the exact or heuristic solver.
 
-    `auto` uses the exact solver iff the input is within the exact
-    threshold. `exact` on an oversize input propagates the solver error.
+    `auto` uses the exact solver iff the input has at most EXACT_THRESHOLD
+    points. `exact` on an oversize input propagates the solver error.
     """
     if mode not in ("exact", "heuristic", "auto"):
         raise ValueError(f"unknown tsp mode: {mode!r}")
     if mode == "exact":
-        return tsp_exact(points, exact_threshold)
+        return tsp_exact(points)
     if mode == "heuristic":
         return tsp_heuristic(points, seed)
-    if len(points) <= exact_threshold:
-        return tsp_exact(points, exact_threshold)
+    if len(points) <= EXACT_THRESHOLD:
+        return tsp_exact(points)
     return tsp_heuristic(points, seed)

@@ -1,0 +1,23 @@
+import os
+import subprocess
+import sys
+
+import sweepcvrp
+
+
+def test_solver_and_verifier_run_without_scipy():
+    # numpy is the only runtime dependency; scipy may be installed but must
+    # not be imported by any module or by a solve or a net check
+    code = (
+        "import sys\n"
+        "import sweepcvrp, sweepcvrp.bruteforce, sweepcvrp.cli\n"
+        "from sweepcvrp import ExperimentConfig, Point, run_ratio_experiment, verify_all\n"
+        "cfg = ExperimentConfig(n=30, depot=Point(0.5, 0.5), M=2, seeds=(0,), k_fixed=5)\n"
+        "assert len(run_ratio_experiment(cfg).rows) == 2\n"
+        "assert verify_all(stride=400).passed\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(sweepcvrp.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -17,7 +17,19 @@ from sweepcvrp.geometry import (
     tour_length,
     write_instance,
 )
-from sweepcvrp.geometry import _max_sq_dist_calipers, _sq_dist
+from sweepcvrp.experiments import gen_instance
+
+
+def _all_pairs_diameter(pts):
+    """sqrt of the largest dx*dx + dy*dy over all pairs, one row at a time."""
+    xs = np.array([p.x for p in pts])
+    ys = np.array([p.y for p in pts])
+    best = 0.0
+    for i in range(len(pts) - 1):
+        dx = xs[i] - xs[i + 1 :]
+        dy = ys[i] - ys[i + 1 :]
+        best = max(best, float((dx * dx + dy * dy).max()))
+    return math.sqrt(best)
 
 
 class TestPolarAngle:
@@ -90,18 +102,26 @@ class TestDiameter:
     def test_345_triangle(self):
         assert diameter([Point(0, 0), Point(3, 4)]) == 5.0
 
-    def test_calipers_matches_scan_exactly(self):
+    def test_matches_all_pairs_scan_exactly(self):
         rng = np.random.default_rng(3)
-        for trial in range(40):
-            n = int(rng.integers(2, 120))
-            pts = [Point(float(x), float(y))
-                   for x, y in rng.uniform(-2, 2, size=(n, 2))]
-            brute = 0.0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    brute = max(brute, _sq_dist(pts[i], pts[j]))
-            hull = convex_hull(pts)
-            assert _max_sq_dist_calipers(hull) == brute
+        sets = [[Point(float(x), float(y))
+                 for x, y in rng.uniform(-2, 2, size=(int(n), 2))]
+                for n in rng.integers(2, 121, size=40)]
+        # both sides of the old 64 and 4096 size switches
+        sets += [[Point(float(x), float(y)) for x, y in rng.uniform(0, 1, size=(n, 2))]
+                 for n in (64, 65, 4100)]
+        pts = [Point(float(x), float(y)) for x, y in rng.uniform(0, 1, size=(25, 2))]
+        sets.append(pts * 3)  # duplicates
+        t = rng.uniform(0, 1, size=50)
+        sets.append([Point(0.1 + 0.3 * float(v), 0.7 - 0.9 * float(v)) for v in t])
+        sets.append([Point(0.3, float(v)) for v in t])  # vertical line
+        sets.append([Point(float(v), 0.3) for v in t] * 2)
+        sets.append([Point(0.25, 0.75)] * 7)
+        # squaring with `**2` (libm pow) put this one 1 ulp off the scan
+        inst = gen_instance(14, 6, Point(0.5, 0.5), 1283)
+        sets.append([*inst.terminals, inst.depot])
+        for pts in sets:
+            assert diameter(pts) == _all_pairs_diameter(pts)
 
     def test_translation_and_permutation_invariance(self):
         rng = np.random.default_rng(5)

@@ -6,7 +6,7 @@ import pytest
 from sweepcvrp.bruteforce import cvrp_brute_force
 from sweepcvrp.geometry import Instance, Point, dist, tour_length
 from sweepcvrp.group_cvrp import (
-    SolveConfig,
+    EXACT_GROUP_THRESHOLD,
     cvrp_exact_small,
     cvrp_group_heuristic,
     solve_group,
@@ -134,10 +134,12 @@ class TestSolveGroup:
         assert res.solution.total_cost == 0.0
         assert res.solution.tours == ()
 
-    def test_threshold_override(self):
-        U = random_points(np.random.default_rng(101), 6)
-        res = solve_group(U, O, 3, SolveConfig(exact_group_threshold=5))
+    def test_threshold_boundary(self):
+        U = random_points(np.random.default_rng(101), EXACT_GROUP_THRESHOLD + 1)
+        assert solve_group(U[:-1], O, 3).method == "exact"
+        res = solve_group(U, O, 3)
         assert res.method == "heuristic"
+        assert solution_is_feasible(_as_instance(U, O, 3), res.solution)
 
 
 def _held_karp_reference(U, depot):

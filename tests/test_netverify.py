@@ -144,8 +144,9 @@ class TestVerifyAll:
         assert cert.lipschitz_slack_g2 > 0
         assert cert.lipschitz_slack_g3 > 0
 
-    def test_impossible_thresholds_fail_fast(self):
-        cert = verify_all(stride=100, thresholds=(1.0, 1.0), batch_points=50)
+    def test_impossible_thresholds_fail_fast(self, monkeypatch):
+        monkeypatch.setattr(netverify, "_BATCH_POINTS", 50)
+        cert = verify_all(stride=100, thresholds=(1.0, 1.0))
         assert not cert.passed
         assert cert.points_checked < net_size(100)  # aborted after first bad chunk
 
