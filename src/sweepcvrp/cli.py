@@ -186,12 +186,6 @@ def _cmd_eval_g(args) -> int:
 
 
 def _cmd_verify_net(args) -> int:
-    if args.stride < 1:
-        print("error: --stride must be >= 1", file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     cert = verify_all(
         stride=args.stride, threads=args.threads,
         report_path=args.report, progress=True,

@@ -80,11 +80,6 @@ def tour_length(depot: Point, points: Sequence[Point]) -> float:
     return total
 
 
-def make_tour(depot: Point, all_points: Sequence[Point], indices: Sequence[int]) -> Tour:
-    pts = [all_points[i] for i in indices]
-    return Tour(indices=tuple(indices), length=tour_length(depot, pts))
-
-
 def make_solution(tours: Iterable[Tour]) -> Solution:
     tours = tuple(tours)
     return Solution(tours=tours, total_cost=math.fsum(t.length for t in tours))
@@ -192,6 +187,8 @@ def read_instance(fp: TextIO) -> Instance:
     if len(header) != 4:
         raise ValueError("instance header must be `n k depot_x depot_y`")
     n, k = int(header[0]), int(header[1])
+    if n < 0:
+        raise ValueError(f"instance header: n must be >= 0, got {n}")
     depot = Point(float(header[2]), float(header[3]))
     terminals = []
     for line_no in range(n):
@@ -199,6 +196,9 @@ def read_instance(fp: TextIO) -> Instance:
         if len(fields) != 2:
             raise ValueError(f"terminal line {line_no + 2}: expected `x y`")
         terminals.append(Point(float(fields[0]), float(fields[1])))
+    for line_no, line in enumerate(fp, start=n + 2):
+        if line.strip():
+            raise ValueError(f"line {line_no}: content after the {n} terminal lines")
     return Instance(terminals=tuple(terminals), depot=depot, capacity=k)
 
 

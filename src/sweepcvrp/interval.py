@@ -31,10 +31,11 @@ lanes to its crude fallback, and the net verifier counts any non-finite
 margin as a failure, so a NaN can never read as a pass.
 
 The working representation is a pair (lo, hi) of binary64 scalars or numpy
-arrays; all `v_*` functions operate elementwise on such pairs, which is what
-lets the net verifier evaluate millions of depot positions in vectorized
-batches. The scalar `Interval` dataclass is a thin facade over the same
-kernels.
+arrays; the `v_*` functions, which operate elementwise on such pairs, do all
+of the arithmetic, so the same code evaluates one depot position or the net
+verifier's vectorized batches of millions. `Interval` is only the result type
+handed to callers (of `iv_g`, `netverify.verify_point` and
+`netverify.lipschitz_slacks`): a checked scalar pair with lo <= hi.
 
 Piecewise formulas (the disk-segment and disk-corner integrals) evaluate
 every branch whose guard can hold somewhere in the input box and return the
@@ -50,18 +51,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "Interval",
-    "iv_point", "iv_add", "iv_sub", "iv_mul", "iv_div", "iv_neg",
-    "iv_min", "iv_max", "iv_abs",
-    "iv_sqrt", "iv_log", "iv_arccos", "iv_arcsin", "iv_pi", "iv_ratio",
-    "iv_g",
-]
+__all__ = ["Interval", "iv_g"]
 
 _INF = np.inf
-
-# domain overshoot tolerated by arccos/arcsin before erroring
-_DOMAIN_SLOP = 1e-12
 
 # two binary64 neighbors of pi (math.pi rounds down from the true value)
 PI_LO = math.pi
@@ -153,20 +145,6 @@ def v_sqr(a):
     return lo, _up1(M * M)
 
 
-def v_min(a, b):
-    return np.minimum(a[0], b[0]), np.minimum(a[1], b[1])
-
-
-def v_max(a, b):
-    return np.maximum(a[0], b[0]), np.maximum(a[1], b[1])
-
-
-def v_abs(a):
-    straddles = (a[0] < 0.0) & (a[1] > 0.0)
-    lo = np.where(straddles, 0.0, np.minimum(np.abs(a[0]), np.abs(a[1])))
-    return lo, np.maximum(np.abs(a[0]), np.abs(a[1]))
-
-
 def v_sqrt(a):
     """Elementwise sqrt; the radicand's lower end is clamped at 0."""
     lo_in = np.maximum(a[0], 0.0)
@@ -194,7 +172,9 @@ def v_arcsin(a):
     return _dn4(np.arcsin(lo_in)), _up4(np.arcsin(hi_in))
 
 
-def _ratio_const(p: int, q: int) -> tuple[float, float]:
+def v_ratio(p: int, q: int) -> tuple[float, float]:
+    """Enclosure of the exact rational p/q: degenerate when p/q is a binary64
+    value, else its two binary64 neighbours."""
     c = p / q
     if Fraction(c) == Fraction(p, q):
         return c, c
@@ -203,11 +183,11 @@ def _ratio_const(p: int, q: int) -> tuple[float, float]:
 
 V_PI = (PI_LO, PI_HI)
 V_HALF_PI = (PI_LO / 2.0, PI_HI / 2.0)  # division by 2 is exact
-_V_HALF = _ratio_const(1, 2)
-_V_THIRD = _ratio_const(1, 3)
-_V_SIXTH = _ratio_const(1, 6)
-_V_TWO_THIRDS = _ratio_const(2, 3)
-_V_THREE_QUARTERS = _ratio_const(3, 4)
+_V_HALF = v_ratio(1, 2)
+_V_THIRD = v_ratio(1, 3)
+_V_SIXTH = v_ratio(1, 6)
+_V_TWO_THIRDS = v_ratio(2, 3)
+_V_THREE_QUARTERS = v_ratio(3, 4)
 _V_ONE = (1.0, 1.0)
 _V_TWO_THIRDS_PI = (_dn1(PI_LO * _V_TWO_THIRDS[0]), _up1(PI_HI * _V_TWO_THIRDS[1]))
 
@@ -363,17 +343,6 @@ def _corner(p: _Axis, q: _Axis):
     return C0, C1
 
 
-def v_B_pair(h):
-    """Disk-segment integrals (B0, B1) over {x <= h}."""
-    axis = _axis(h)
-    return axis.b0, axis.b1
-
-
-def v_C_pair(h1, h2):
-    """Disk-corner integrals (C0, C1) over {x <= h1, y <= h2}."""
-    return _corner(_axis(h1), _axis(h2))
-
-
 def v_D_pair(a, b, R):
     """Normalized square-cap integrals (D0, D1): inclusion-exclusion of the
     four corner terms, each coordinate's terms computed once. R must be a
@@ -417,7 +386,7 @@ def v_g_all(a, b):
     return g1, g2, g3
 
 
-# --- scalar facade -------------------------------------------------------------
+# --- scalar result type --------------------------------------------------------
 
 @dataclass(frozen=True)
 class Interval:
@@ -442,89 +411,9 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-def _wrap(pair) -> Interval:
-    return Interval(float(pair[0]), float(pair[1]))
-
-
-def iv_point(x: float) -> Interval:
-    return Interval(x, x)
-
-
-def iv_ratio(p: int, q: int) -> Interval:
-    """Enclosure of the exact rational p/q."""
-    if q == 0:
-        raise ZeroDivisionError("zero denominator")
-    return _wrap(_ratio_const(p, q))
-
-
-def iv_pi() -> Interval:
-    return Interval(PI_LO, PI_HI)
-
-
-def iv_add(x: Interval, y: Interval) -> Interval:
-    return _wrap(v_add((x.lo, x.hi), (y.lo, y.hi)))
-
-
-def iv_sub(x: Interval, y: Interval) -> Interval:
-    return _wrap(v_sub((x.lo, x.hi), (y.lo, y.hi)))
-
-
-def iv_mul(x: Interval, y: Interval) -> Interval:
-    return _wrap(v_mul((x.lo, x.hi), (y.lo, y.hi)))
-
-
-def iv_div(x: Interval, y: Interval) -> Interval:
-    if y.lo <= 0.0 <= y.hi:
-        raise ZeroDivisionError(f"divisor interval [{y.lo}, {y.hi}] contains zero")
-    return _wrap(v_div((x.lo, x.hi), (y.lo, y.hi)))
-
-
-def iv_neg(x: Interval) -> Interval:
-    return Interval(-x.hi, -x.lo)
-
-
-def iv_min(x: Interval, y: Interval) -> Interval:
-    return _wrap(v_min((x.lo, x.hi), (y.lo, y.hi)))
-
-
-def iv_max(x: Interval, y: Interval) -> Interval:
-    return _wrap(v_max((x.lo, x.hi), (y.lo, y.hi)))
-
-
-def iv_abs(x: Interval) -> Interval:
-    return _wrap(v_abs((x.lo, x.hi)))
-
-
-def iv_sqrt(x: Interval) -> Interval:
-    if x.hi < 0.0:
-        raise ValueError(f"sqrt of negative interval [{x.lo}, {x.hi}]")
-    return _wrap(v_sqrt((x.lo, x.hi)))
-
-
-def iv_log(x: Interval) -> Interval:
-    if x.lo <= 0.0:
-        raise ValueError(f"log of nonpositive interval [{x.lo}, {x.hi}]")
-    return _wrap(v_log((x.lo, x.hi)))
-
-
-def _check_unit_domain(x: Interval, name: str) -> None:
-    if x.lo < -1.0 - _DOMAIN_SLOP or x.hi > 1.0 + _DOMAIN_SLOP:
-        raise ValueError(f"{name} argument [{x.lo}, {x.hi}] outside [-1, 1]")
-
-
-def iv_arccos(x: Interval) -> Interval:
-    _check_unit_domain(x, "arccos")
-    return _wrap(v_arccos((x.lo, x.hi)))
-
-
-def iv_arcsin(x: Interval) -> Interval:
-    _check_unit_domain(x, "arcsin")
-    return _wrap(v_arcsin((x.lo, x.hi)))
-
-
 def iv_g(j: int, a: float, b: float) -> Interval:
     """Enclosure of g_j at the depot (a, b), j in {1, 2, 3}."""
     if j not in (1, 2, 3):
         raise ValueError(f"j must be 1, 2 or 3, got {j}")
-    g1, g2, g3 = v_g_all(v_point(np.float64(a)), v_point(np.float64(b)))
-    return _wrap((g1, g2, g3)[j - 1])
+    g = v_g_all(v_point(np.float64(a)), v_point(np.float64(b)))[j - 1]
+    return Interval(float(g[0]), float(g[1]))

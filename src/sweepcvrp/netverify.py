@@ -34,16 +34,13 @@ import numpy as np
 from .closedform import square_distance
 from .interval import (
     Interval,
-    iv_add,
-    iv_div,
-    iv_mul,
-    iv_point,
-    iv_ratio,
-    iv_sqrt,
-    iv_sub,
+    v_add,
+    v_div,
     v_g_all,
     v_mul,
     v_point,
+    v_ratio,
+    v_sqrt,
     v_sub,
 )
 
@@ -54,8 +51,7 @@ FAR_FIELD_DISTANCE = 3.0 * math.sqrt(2.0)
 THRESHOLD_G2 = 0.0025
 THRESHOLD_G3 = 0.0096
 
-_RATIO_31_48 = iv_ratio(31, 48)
-_V_31_48 = (_RATIO_31_48.lo, _RATIO_31_48.hi)
+_V_31_48 = v_ratio(31, 48)
 
 _PROGRESS_EVERY = 100_000
 _BATCH_POINTS = 16384
@@ -89,18 +85,20 @@ class PointCheck:
     passed: bool
 
 
-def verify_point(
-    a: float, b: float,
-    thresholds: tuple[float, float] = (THRESHOLD_G2, THRESHOLD_G3),
-) -> PointCheck:
+def _margins(a, b):
+    """Enclosures of g2 - (31/48) g1 and g3 - 31/48 at the depots (a, b),
+    binary64 scalars or arrays."""
+    g1, g2, g3 = v_g_all(v_point(a), v_point(b))
+    return v_sub(g2, v_mul(_V_31_48, g1)), v_sub(g3, _V_31_48)
+
+
+def verify_point(a: float, b: float) -> PointCheck:
     """Interval margin check at one depot position: passes iff the interval
-    lower bounds clear both thresholds."""
-    g1, g2, g3 = v_g_all(v_point(np.float64(a)), v_point(np.float64(b)))
-    m2 = v_sub(g2, v_mul(_V_31_48, g1))
-    m3 = v_sub(g3, _V_31_48)
+    lower bounds clear THRESHOLD_G2 and THRESHOLD_G3."""
+    m2, m3 = _margins(np.float64(a), np.float64(b))
     margin2 = Interval(float(m2[0]), float(m2[1]))
     margin3 = Interval(float(m3[0]), float(m3[1]))
-    passed = margin2.lo >= thresholds[0] and margin3.lo >= thresholds[1]
+    passed = margin2.lo >= THRESHOLD_G2 and margin3.lo >= THRESHOLD_G3
     return PointCheck(margin2=margin2, margin3=margin3, passed=passed)
 
 
@@ -111,15 +109,12 @@ def verify_far_field(a: float, b: float) -> bool:
     return square_distance(a, b) >= FAR_FIELD_DISTANCE
 
 
-def verify_depot(
-    a: float, b: float,
-    thresholds: tuple[float, float] = (THRESHOLD_G2, THRESHOLD_G3),
-) -> tuple[bool, str]:
+def verify_depot(a: float, b: float) -> tuple[bool, str]:
     """Check an arbitrary depot: far-field positions pass by the exact
     argument, everything else goes through the interval margins."""
     if verify_far_field(a, b):
         return True, "far-field"
-    return verify_point(a, b, thresholds).passed, "interval"
+    return verify_point(a, b).passed, "interval"
 
 
 @dataclass(frozen=True)
@@ -129,8 +124,8 @@ class NetCertificate:
     min_margin_g3: float
     threshold_g2: float
     threshold_g3: float
-    lipschitz_slack_g2: float  # lower bound of 0.0025 - (79/48) sqrt(2)/1000
-    lipschitz_slack_g3: float  # lower bound of 0.0096 - (3+sqrt(2)) sqrt(2)/1000
+    lipschitz_slack_g2: float  # lower bound of threshold_g2 - (79/48) sqrt(2)/1000
+    lipschitz_slack_g3: float  # lower bound of threshold_g3 - (3+sqrt(2)) sqrt(2)/1000
     passed: bool
     stride: int
     runtime_seconds: float
@@ -152,24 +147,22 @@ class NetCertificate:
 
 
 def lipschitz_slacks() -> tuple[Interval, Interval]:
-    """Rigorous enclosures of the two propagation constants:
-    0.0025 - (79/48)*sqrt(2)/1000 and 0.0096 - (3+sqrt(2))*sqrt(2)/1000.
+    """Rigorous enclosures of the two propagation constants
+    THRESHOLD_G2 - (79/48)*sqrt(2)/1000 and
+    THRESHOLD_G3 - (3+sqrt(2))*sqrt(2)/1000, read at call time.
     Both must be positive for the grid check to extend to the continuum."""
-    sqrt2 = iv_sqrt(iv_point(2.0))
-    step = iv_div(sqrt2, iv_point(1000.0))
-    slack2 = iv_sub(iv_point(THRESHOLD_G2), iv_mul(iv_ratio(79, 48), step))
-    slack3 = iv_sub(
-        iv_point(THRESHOLD_G3), iv_mul(iv_add(iv_point(3.0), sqrt2), step)
-    )
-    return slack2, slack3
+    sqrt2 = v_sqrt(v_point(2.0))
+    step = v_div(sqrt2, v_point(1000.0))
+    slack2 = v_sub(v_point(THRESHOLD_G2), v_mul(v_ratio(79, 48), step))
+    slack3 = v_sub(v_point(THRESHOLD_G3), v_mul(v_add(v_point(3.0), sqrt2), step))
+    return (Interval(float(slack2[0]), float(slack2[1])),
+            Interval(float(slack3[0]), float(slack3[1])))
 
 
 def _margins_batch(i_idx: np.ndarray, j_idx: np.ndarray):
     a = grid_coord(i_idx.astype(np.float64))
     b = grid_coord(j_idx.astype(np.float64))
-    g1, g2, g3 = v_g_all((a, a), (b, b))
-    m2 = v_sub(g2, v_mul(_V_31_48, g1))
-    m3 = v_sub(g3, _V_31_48)
+    m2, m3 = _margins(a, b)
     return a, b, m2[0], m3[0]
 
 
@@ -223,22 +216,22 @@ def _row_chunks(stride: int) -> Iterator[list[int]]:
 def verify_all(
     stride: int = 1,
     threads: int = 1,
-    thresholds: tuple[float, float] = (THRESHOLD_G2, THRESHOLD_G3),
     report_path: str | None = None,
     progress: bool = False,
 ) -> NetCertificate:
     """Run the margin check over the whole (stride-sampled) net.
 
-    Passes iff every point clears both thresholds and both Lipschitz slack
-    constants are positive. Scanning stops at the first chunk containing a
-    failure; the certificate then carries the failing points. At stride=1
-    this is the full 2,814,378-point verification.
+    Passes iff every point clears THRESHOLD_G2 and THRESHOLD_G3 and both
+    Lipschitz slack constants, computed from the same thresholds, are
+    positive. Scanning stops at the first chunk containing a failure; the
+    certificate then carries the failing points. At stride=1 this is the
+    full 2,814,378-point verification.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    thr2, thr3 = thresholds
+    thr2, thr3 = THRESHOLD_G2, THRESHOLD_G3
     start = time.perf_counter()
 
     slack2, slack3 = lipschitz_slacks()

@@ -127,6 +127,12 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["solve", "--input", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--stride", "--threads"])
+def test_verify_net_rejects_nonpositive(flag, capsys):
+    assert main(["verify-net", flag, "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_gen_rejects_bad_capacity(tmp_path):
     assert main(["gen", "--n", "3", "--k", "9",
                  "--output", str(tmp_path / "x.txt")]) == 2

@@ -10,7 +10,6 @@ from sweepcvrp.geometry import (
     convex_hull,
     diameter,
     dist,
-    make_tour,
     polar_angle,
     read_instance,
     sweep_sort,
@@ -162,11 +161,11 @@ class TestTours:
         rng = np.random.default_rng(13)
         depot = Point(0.5, 0.5)
         pts = [Point(float(x), float(y)) for x, y in rng.uniform(0, 1, size=(6, 2))]
-        tour = make_tour(depot, pts, [2, 0, 5])
+        length = tour_length(depot, [pts[2], pts[0], pts[5]])
         expected = (dist(depot, pts[2]) + dist(pts[2], pts[0])
                     + dist(pts[0], pts[5]) + dist(pts[5], depot))
-        assert tour.length == pytest.approx(expected, rel=1e-12)
-        assert tour.length >= 2 * max(dist(depot, pts[i]) for i in (2, 0, 5)) - 1e-9
+        assert length == pytest.approx(expected, rel=1e-12)
+        assert length >= 2 * max(dist(depot, pts[i]) for i in (2, 0, 5)) - 1e-9
 
 
 class TestInstanceIO:
@@ -188,3 +187,14 @@ class TestInstanceIO:
     def test_bad_terminal_line(self):
         with pytest.raises(ValueError):
             read_instance(io.StringIO("1 1 0.0 0.0\n1.0\n"))
+
+    def test_negative_n(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            read_instance(io.StringIO("-5 1 0.5 0.5\n0.1 0.2\n"))
+
+    def test_extra_terminal_line(self):
+        with pytest.raises(ValueError, match="line 3"):
+            read_instance(io.StringIO("1 1 0.5 0.5\n0.1 0.2\n0.3 0.4\n"))
+        # blank lines after the terminals are fine
+        inst = read_instance(io.StringIO("1 1 0.5 0.5\n0.1 0.2\n\n  \n"))
+        assert inst.terminals == (Point(0.1, 0.2),)

@@ -15,37 +15,26 @@ from sweepcvrp.interval import (
     _V_THIRD,
     _V_TWO_THIRDS,
     _V_TWO_THIRDS_PI,
+    _axis,
+    _corner,
     _dn1,
     _dn4,
     _hull_into,
     _up1,
     _up4,
-    iv_abs,
-    iv_add,
-    iv_arccos,
-    iv_arcsin,
-    iv_div,
     iv_g,
-    iv_log,
-    iv_max,
-    iv_min,
-    iv_mul,
-    iv_neg,
-    iv_pi,
-    iv_ratio,
-    iv_sqrt,
     v_A1,
     v_A1_unit,
     v_add,
     v_arccos,
     v_arcsin,
-    v_B_pair,
-    v_C_pair,
     v_D_pair,
     v_div,
     v_g_all,
+    v_log,
     v_mul,
     v_neg,
+    v_ratio,
     v_sqr,
     v_sqrt,
     v_sub,
@@ -111,8 +100,10 @@ def mp_g(a, b):
     return v1, v2, v3
 
 
-def _contains_mp(iv: Interval, value) -> bool:
-    return mp.mpf(iv.lo) <= value <= mp.mpf(iv.hi)
+def _contains_mp(iv, value) -> bool:
+    """iv is an Interval or a kernel pair (lo, hi)."""
+    lo, hi = (iv.lo, iv.hi) if isinstance(iv, Interval) else iv
+    return mp.mpf(float(lo)) <= value <= mp.mpf(float(hi))
 
 
 class TestIntervalType:
@@ -131,58 +122,39 @@ class TestIntervalType:
 
 class TestArithmetic:
     def test_add_example(self):
-        r = iv_add(Interval(1, 2), Interval(3, 4))
-        assert r.lo <= 4.0 and r.hi >= 6.0
+        lo, hi = v_add((1.0, 2.0), (3.0, 4.0))
+        assert lo <= 4.0 and hi >= 6.0
 
     def test_mul_example(self):
-        r = iv_mul(Interval(-1, 2), Interval(3, 3))
-        assert r.lo <= -3.0 and r.hi >= 6.0
+        lo, hi = v_mul((-1.0, 2.0), (3.0, 3.0))
+        assert lo <= -3.0 and hi >= 6.0
 
-    def test_div_by_zero_interval(self):
-        with pytest.raises(ZeroDivisionError):
-            iv_div(Interval(1, 1), Interval(0, 1))
-
-    def test_min_max_abs_neg(self):
-        a, b = Interval(-2, 1), Interval(0, 3)
-        assert iv_min(a, b) == Interval(-2, 1)
-        assert iv_max(a, b) == Interval(0, 3)
-        assert iv_neg(a) == Interval(-1, 2)
-        r = iv_abs(a)
-        assert r.lo == 0.0 and r.hi == 2.0
+    def test_neg(self):
+        assert v_neg((-2.0, 1.0)) == (-1.0, 2.0)
 
     def test_ratio(self):
-        r = iv_ratio(31, 48)
-        assert _contains_mp(r, mp.mpf(31) / 48)
-        assert r.width <= 2 * math.ulp(31 / 48)
-        exact = iv_ratio(3, 4)
-        assert exact.lo == exact.hi == 0.75
+        lo, hi = v_ratio(31, 48)
+        assert _contains_mp((lo, hi), mp.mpf(31) / 48)
+        assert hi - lo <= 2 * math.ulp(31 / 48)
+        assert v_ratio(3, 4) == (0.75, 0.75)
 
 
 class TestTranscendentals:
     def test_sqrt_tight(self):
-        r = iv_sqrt(Interval(4, 4))
-        assert r.contains(2.0)
-        assert r.width <= 8 * math.ulp(2.0)
+        lo, hi = v_sqrt((4.0, 4.0))
+        assert lo <= 2.0 <= hi
+        assert hi - lo <= 8 * math.ulp(2.0)
 
     def test_arccos_contains(self):
-        assert _contains_mp(iv_arccos(Interval(0, 0)), mp.pi / 2)
+        assert _contains_mp(v_arccos((0.0, 0.0)), mp.pi / 2)
 
     def test_log_contains_zero(self):
-        assert iv_log(Interval(1, 1)).contains(0.0)
+        lo, hi = v_log((1.0, 1.0))
+        assert lo <= 0.0 <= hi
 
     def test_pi_enclosure(self):
-        assert _contains_mp(iv_pi(), mp.pi)
-        assert iv_pi().width <= 2 * math.ulp(math.pi)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            iv_sqrt(Interval(-2, -1))
-        with pytest.raises(ValueError):
-            iv_log(Interval(0, 1))
-        with pytest.raises(ValueError):
-            iv_arcsin(Interval(0, 1.1))
-        # overshoot within the 1e-12 clamp tolerance is fine
-        iv_arcsin(Interval(0.0, 1.0 + 1e-13))
+        assert _contains_mp(V_PI, mp.pi)
+        assert V_PI[1] - V_PI[0] <= 2 * math.ulp(math.pi)
 
 
 class TestContainmentFuzz:
@@ -297,13 +269,14 @@ class TestIvG:
     def test_branch_hull_straddles_segment_boundary(self):
         eps = 1e-10
         h = (np.float64(1.0 - eps), np.float64(1.0 + eps))
-        (b0_lo, b0_hi), (b1_lo, b1_hi) = v_B_pair(h)
+        axis = _axis(h)
+        (b0_lo, b0_hi), (b1_lo, b1_hi) = axis.b0, axis.b1
         assert b0_lo <= closedform.fn_B(0, 1.0 - eps) <= b0_hi
         assert b0_lo <= math.pi <= b0_hi
         assert b1_lo <= closedform.fn_B(1, 1.0 - eps) <= b1_hi
         assert b1_lo <= 2 * math.pi / 3 <= b1_hi
         h = (np.float64(-1.0 - eps), np.float64(-1.0 + eps))
-        (b0_lo, b0_hi), _ = v_B_pair(h)
+        b0_lo, b0_hi = _axis(h).b0
         assert b0_lo <= 0.0 <= b0_hi
         assert b0_lo <= closedform.fn_B(0, -1.0 + eps) <= b0_hi
 
@@ -525,8 +498,9 @@ class TestSharedAxisTerms:
         n = 2000
         h1 = _boxes(rng, rng.uniform(-1.6, 1.6, n), n, 0.2)
         h2 = _boxes(rng, rng.uniform(-1.6, 1.6, n), n, 0.2)
-        _assert_same_bits(v_B_pair(h1), _v_B_pair_reference(h1))
-        _assert_same_bits(v_C_pair(h1, h2), _v_C_pair_reference(h1, h2))
+        axis1 = _axis(h1)
+        _assert_same_bits((axis1.b0, axis1.b1), _v_B_pair_reference(h1))
+        _assert_same_bits(_corner(axis1, _axis(h2)), _v_C_pair_reference(h1, h2))
 
     def test_net_points_bit_identical(self):
         idx = np.arange(0, 2372, 37, dtype=np.float64)

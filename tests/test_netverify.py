@@ -89,8 +89,24 @@ class TestVerifyPoint:
         assert check.margin2.mid == pytest.approx(0.01511, abs=5e-5)
         assert check.margin3.mid == pytest.approx(0.09549, abs=5e-5)
 
-    def test_inflated_thresholds_fail(self):
-        assert not verify_point(0.5, 0.5, thresholds=(0.1, 0.2)).passed
+    def test_inflated_thresholds_fail(self, monkeypatch):
+        monkeypatch.setattr(netverify, "THRESHOLD_G2", 0.1)
+        monkeypatch.setattr(netverify, "THRESHOLD_G3", 0.2)
+        assert not verify_point(0.5, 0.5).passed
+
+    def test_matches_batch_lanes_bit_for_bit(self):
+        # verify_point and the net scan share one margin formula
+        rng = np.random.default_rng(233)
+        i_idx = rng.integers(0, GRID_MAX_INDEX + 1, 100)
+        j_idx = rng.integers(i_idx, GRID_MAX_INDEX + 1)
+        a, b, m2lo, m3lo = netverify._margins_batch(i_idx, j_idx)
+        m2, m3 = netverify._margins(a, b)
+        np.testing.assert_array_equal(m2lo, m2[0])
+        np.testing.assert_array_equal(m3lo, m3[0])
+        for k in range(i_idx.size):
+            check = verify_point(grid_coord(int(i_idx[k])), grid_coord(int(j_idx[k])))
+            assert (check.margin2.lo, check.margin2.hi) == (m2[0][k], m2[1][k])
+            assert (check.margin3.lo, check.margin3.hi) == (m3[0][k], m3[1][k])
 
     def test_spot_agreement_with_closedform(self):
         rng = np.random.default_rng(211)
@@ -146,9 +162,23 @@ class TestVerifyAll:
 
     def test_impossible_thresholds_fail_fast(self, monkeypatch):
         monkeypatch.setattr(netverify, "_BATCH_POINTS", 50)
-        cert = verify_all(stride=100, thresholds=(1.0, 1.0))
+        monkeypatch.setattr(netverify, "THRESHOLD_G2", 1.0)
+        monkeypatch.setattr(netverify, "THRESHOLD_G3", 1.0)
+        for threads in (1, 2):
+            cert = verify_all(stride=100, threads=threads)
+            assert not cert.passed
+            assert cert.threshold_g2 == cert.threshold_g3 == 1.0
+            assert cert.points_checked < net_size(100)  # aborted after first bad chunk
+
+    def test_slacks_follow_thresholds(self, monkeypatch):
+        # a threshold below the Lipschitz drift leaves a negative slack, so
+        # the grid check does not extend to the continuum: no pass
+        monkeypatch.setattr(netverify, "THRESHOLD_G2", 0.001)
+        cert = verify_all(stride=200)
+        assert cert.threshold_g2 == 0.001
+        assert cert.lipschitz_slack_g2 < 0.0
+        assert cert.min_margin_g2 >= 0.001
         assert not cert.passed
-        assert cert.points_checked < net_size(100)  # aborted after first bad chunk
 
     def test_deterministic_across_runs_and_threads(self):
         a = verify_all(stride=300)
@@ -165,16 +195,20 @@ class TestVerifyAll:
         assert header["min_margin_g2"] == cert.min_margin_g2
         assert failures == []
 
-    def test_failure_report_lines(self, tmp_path):
-        path = tmp_path / "fail.txt"
-        cert = verify_all(stride=500, thresholds=(1.0, 1.0), report_path=str(path))
-        assert not cert.passed
-        header, failures = read_report(open(path, encoding="utf-8"))
-        assert header["pass"] is False
-        assert failures, "failing points must be listed"
-        i, j, a, b, m2, m3 = failures[0]
-        assert a == grid_coord(i) and b == grid_coord(j)
-        assert m2 < 1.0 or m3 < 1.0
+    def test_failure_report_lines(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(netverify, "THRESHOLD_G2", 1.0)
+        monkeypatch.setattr(netverify, "THRESHOLD_G3", 1.0)
+        for threads in (1, 2):
+            path = tmp_path / f"fail{threads}.txt"
+            cert = verify_all(stride=500, threads=threads, report_path=str(path))
+            assert not cert.passed
+            header, failures = read_report(open(path, encoding="utf-8"))
+            assert header["pass"] is False
+            assert header["threshold_g2"] == header["threshold_g3"] == 1.0
+            assert failures, "failing points must be listed"
+            i, j, a, b, m2, m3 = failures[0]
+            assert a == grid_coord(i) and b == grid_coord(j)
+            assert m2 < 1.0 or m3 < 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
