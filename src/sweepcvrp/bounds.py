@@ -7,7 +7,7 @@ radial cost):
   T*_R   = optimal TSP length over {v : d(depot, v) >= R}   (no depot added)
 
   lower bound:  opt >= T*_R + rad_R - (3 pi / 2) D
-  upper bound:  sweep cost <= factor * (T*_0 + rad_inf + (3 pi / 2) D * ceil(n/(M k)))
+  upper bound:  sweep cost <= T*_0 + rad_inf + (3 pi / 2) D * ceil(n/(M k))
 
 with D the diameter of the terminals plus depot. The lower bound is only a
 valid certificate when T*_R comes from the exact TSP solver: a heuristic
@@ -83,7 +83,7 @@ class BoundsReport:
     local_certified: bool
     D: float
     lower: float
-    upper: float  # approx-factor-1 certificate value
+    upper: float
     M: int
 
     CSV_HEADER = "R,rad_R,local_R,local_certified,D,lower,upper,M"
@@ -145,27 +145,22 @@ class BoundContext:
         local, certified = self.local(R)
         return local + self.radial(R) - 1.5 * math.pi * self.D, certified
 
-    def upper(self, M: int, approx_factor: float = 1.0) -> tuple[float, bool]:
+    def upper(self, M: int) -> tuple[float, bool]:
         """(value, certified) for the sweep-cost upper bound
-        factor * (T*_0 + rad_inf + (3 pi / 2) D ceil(n/(M k))).
+        T*_0 + rad_inf + (3 pi / 2) D ceil(n/(M k)).
 
-        Use factor 1 when the group subproblems are solved exactly. The bound
-        is a certificate only when T*_0 is exact (certified False records the
+        It holds when the group subproblems are solved exactly, and it is a
+        certificate only when T*_0 is exact (certified False records the
         caveat otherwise)."""
         if M < 1:
             raise ValueError(f"M must be >= 1, got {M}")
-        if approx_factor < 1.0:
-            raise ValueError(f"approx_factor must be >= 1, got {approx_factor}")
         t_zero, certified = self.local(0.0)
         groups = math.ceil(self.instance.n / (M * self.instance.capacity))
-        value = approx_factor * (
-            t_zero + self.radial(math.inf) + 1.5 * math.pi * self.D * groups
-        )
+        value = t_zero + self.radial(math.inf) + 1.5 * math.pi * self.D * groups
         return value, certified
 
     def report(self, R: float, M: int) -> BoundsReport:
-        """Every bound ingredient at one R; the upper bound is reported at
-        approx factor 1 (the exact-subsolver certificate)."""
+        """Every bound ingredient at one R."""
         lower, certified = self.lower(R)
         upper, _ = self.upper(M)
         return BoundsReport(
@@ -182,11 +177,10 @@ def lower_bound(
 
 
 def upper_bound_formula(
-    instance: Instance, M: int, approx_factor: float = 1.0,
-    tsp_mode: str = "auto", seed: int = 0,
+    instance: Instance, M: int, tsp_mode: str = "auto", seed: int = 0
 ) -> tuple[float, bool]:
     """BoundContext.upper on a fresh context."""
-    return BoundContext(instance, tsp_mode, seed).upper(M, approx_factor)
+    return BoundContext(instance, tsp_mode, seed).upper(M)
 
 
 def compute_bounds(

@@ -25,6 +25,7 @@ from .group_cvrp import SolveConfig
 from .itp import itp_solve
 from .netverify import verify_all
 from .sweep import sweep_solve
+from .tsp import TSP_MODES
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -91,8 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2, help="group size factor M (sweep)")
     p.add_argument("--input", required=True, help="instance file")
     p.add_argument("--output", help="write the solution as JSON here")
-    p.add_argument("--tsp-mode", choices=("auto", "exact", "heuristic"),
-                   default="auto")
+    p.add_argument("--tsp-mode", choices=TSP_MODES, default="auto")
     p.add_argument("--seed", type=int, default=0, help="heuristic TSP seed")
 
     p = sub.add_parser("bounds", help="lower/upper bound report")
@@ -100,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_parse_r, default="auto",
                    help="clipping radius: number, 'auto' ((3/4) E d) or 'inf'")
     p.add_argument("--m", type=int, default=2, help="group size factor M")
-    p.add_argument("--tsp-mode", choices=("auto", "exact", "heuristic"),
-                   default="auto")
+    p.add_argument("--tsp-mode", choices=TSP_MODES, default="auto")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -128,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list and/or a:b ranges, e.g. 0:20")
     p.add_argument("--algos", default="sweep,itp",
                    help="comma subset of sweep,itp")
-    p.add_argument("--tsp-mode", choices=("auto", "exact", "heuristic"),
-                   default="auto")
+    p.add_argument("--tsp-mode", choices=TSP_MODES, default="auto")
     p.add_argument("--small-instance-mode", action="store_true",
                    help="use the brute-force optimum as ratio denominator")
     p.add_argument("--output", required=True, help="CSV file to write")

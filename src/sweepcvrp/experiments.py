@@ -80,6 +80,8 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo not in _ALGOS:
                 raise ValueError(f"unknown algo {algo!r}")
+        if self.M < 1:
+            raise ValueError(f"M must be >= 1, got {self.M}")
         resolve_k(self.n, self.k_fixed, self.k_alpha)  # validate early
 
     @property

@@ -1,8 +1,6 @@
 """Planar geometry substrate: points, CVRP instances, tours, sweep ordering.
 
-All coordinates are IEEE-754 binary64. Length comparisons throughout the
-package use an absolute tolerance of 1e-9, which is appropriate for data at
-unit-square scale.
+All coordinates are IEEE-754 binary64.
 """
 
 from __future__ import annotations
@@ -12,8 +10,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
-
-TOL = 1e-9
 
 
 class Point(NamedTuple):

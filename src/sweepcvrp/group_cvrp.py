@@ -4,10 +4,10 @@ tour-splitting heuristic otherwise.
 The exact path computes, for every subset of the group, the optimal tour
 through the depot (one run of tsp.held_karp yields all subsets at once, ties
 to the smallest index), then a set-partition DP over capacity-feasible
-blocks, one popcount layer per numpy step; among equal sums the largest
-block wins. The heuristic path computes one TSP tour over the group plus
-depot and cuts it into segments of at most k terminals, choosing the best of
-k rotation offsets.
+blocks, one popcount layer of the cached tsp.subset_layers per numpy step;
+among equal sums the largest block wins. The heuristic path cuts one TSP
+tour over the group plus depot into segments of at most k terminals, taking
+the best of k rotation offsets and the segment sums the search computed.
 
 All solutions returned here use local indices 0..len(U)-1; callers remap.
 """
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, Solution, Tour, dist, make_solution, tour_length
+from .geometry import Point, Solution, Tour, dist, make_solution
 from .tsp import held_karp, held_karp_path, subset_layers, tsp_dispatch
 
 EXACT_GROUP_THRESHOLD = 12
@@ -54,14 +54,13 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
     if n == 0:
         return make_solution([])
 
-    layers = subset_layers(n)
-    tour_cost, tour_end, parent = held_karp(U, depot, layers)
+    tour_cost, tour_end, parent = held_karp(U, depot)
     # part[mask]: cheapest partition of mask into blocks of at most k
     # terminals. A block holds the lowest bit of mask and a submask of the
     # other bits, so part pulls from layers of lower popcount only.
     part = np.zeros(1 << n)
     choice = np.zeros(1 << n, dtype=np.int64)
-    for masks, pos in layers:
+    for masks, pos in subset_layers(n):
         p = pos.shape[1]
         # patterns over the p - 1 other bits with at most k - 1 set, in
         # descending order: argmin keeps the first of equal sums, so among
@@ -87,12 +86,13 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
 
 def split_tour_sequence(
     U: Sequence[Point], depot: Point, seq: Sequence[int], k: int
-) -> tuple[list[list[int]], float]:
+) -> tuple[list[Tour], float]:
     """Cut the cyclic terminal sequence `seq` into consecutive segments of at
     most k terminals, trying the k rotation offsets and keeping the cheapest.
 
-    Returns (segments, total_cost). Offset r puts the first r terminals in a
-    short leading segment; ties prefer the smaller offset.
+    Returns (tours, total_cost): one Tour per segment of the winning offset.
+    Offset r puts the first r terminals in a short leading segment; ties
+    prefer the smaller offset.
     """
     n = len(seq)
     if n == 0:
@@ -111,11 +111,11 @@ def split_tour_sequence(
     best_cost, best_cuts = math.inf, []
     for r in range(min(k, n)):
         starts = ([0] if r else []) + list(range(r, n, k))
-        cuts = list(zip(starts, starts[1:] + [n]))
-        total = math.fsum(cost(a, b) for a, b in cuts)
+        cuts = [(a, b, cost(a, b)) for a, b in zip(starts, starts[1:] + [n])]
+        total = math.fsum(c for _, _, c in cuts)
         if total < best_cost:
             best_cost, best_cuts = total, cuts
-    return [list(seq[a:b]) for a, b in best_cuts], best_cost
+    return [Tour(indices=tuple(seq[a:b]), length=c) for a, b, c in best_cuts], best_cost
 
 
 def cvrp_group_heuristic(
@@ -129,29 +129,18 @@ def cvrp_group_heuristic(
     TSP(U + depot) + (2/k) * sum of depot distances (classical splitting
     inequality; the offset average argument).
     """
-    n = len(U)
-    if n == 0:
-        return make_solution([])
-    if n == 1:
-        return make_solution([Tour(indices=(0,), length=2.0 * dist(depot, U[0]))])
-    points = [depot, *U]
-    res = tsp_dispatch(points, mode=tsp_mode, seed=seed)
+    res = tsp_dispatch([depot, *U], mode=tsp_mode, seed=seed)
     pos = res.order.index(0)  # rotate so the depot leads the cycle
     cycle = res.order[pos + 1 :] + res.order[:pos]
     seq = [i - 1 for i in cycle]  # back to local U indices
-    segments, _ = split_tour_sequence(U, depot, seq, k)
-    return make_solution(
-        Tour(indices=tuple(seg), length=tour_length(depot, [U[i] for i in seg]))
-        for seg in segments
-    )
+    tours, _ = split_tour_sequence(U, depot, seq, k)
+    return make_solution(tours)
 
 
 def solve_group(
     U: Sequence[Point], depot: Point, k: int, config: SolveConfig = SolveConfig()
 ) -> GroupResult:
     """Exact partition for small groups, tour splitting otherwise."""
-    if len(U) == 0:
-        return GroupResult(solution=make_solution([]), method="exact")
     if len(U) <= EXACT_GROUP_THRESHOLD:
         return GroupResult(solution=cvrp_exact_small(U, depot, k), method="exact")
     return GroupResult(

@@ -8,12 +8,13 @@ implicitly (callers include it in the point list when they need it).
 `held_karp` is the one Held-Karp DP of the package: tsp_exact runs it over
 points[1:] rooted at points[0], and the exact group solver in group_cvrp runs
 it over a sweep group rooted at the depot and reads off every subset's tour.
-It fills all subsets of equal popcount in one numpy step. Ties go to the
-smallest index: the smallest predecessor among equal path costs and the
-smallest last terminal among equal tour costs.
+It fills all subsets of equal popcount in one numpy step, over the read-only
+`subset_layers(n)` tables, which are built once per n and shared by both
+callers. Ties go to the smallest index: the smallest predecessor among equal
+path costs and the smallest last terminal among equal tour costs.
 
 Degenerate conventions: 0 or 1 points have tour length 0; two points have
-length 2*d (out and back).
+length 2*d (out and back), which Held-Karp over one terminal gives exactly.
 
 The 2-opt kernel keeps the tour's coordinates and edge lengths in arrays in
 tour order and updates them incrementally on each move, so a step costs two
@@ -25,6 +26,7 @@ each delta is summed in the same order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +36,7 @@ import numpy as np
 from .geometry import Point, dist
 
 EXACT_THRESHOLD = 14
+TSP_MODES = ("auto", "exact", "heuristic")
 
 # strict-improvement threshold for 2-opt at unit coordinate scale; prevents
 # cycling on FP noise. tsp_heuristic scales it by the largest |coordinate|,
@@ -62,11 +65,13 @@ def cycle_length(points: Sequence[Point], order: Sequence[int]) -> float:
     )
 
 
-def subset_layers(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The masks 1 .. 2^n - 1 grouped by popcount p = 1 .. n.
+@functools.cache
+def subset_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The masks 1 .. 2^n - 1 grouped by popcount p = 1 .. n, built once per n.
 
     Entry p - 1 is (masks, pos): the masks with p set bits in ascending order,
-    and pos[r] the positions of the set bits of masks[r], ascending.
+    and pos[r] the positions of the set bits of masks[r], ascending. The
+    arrays are shared between callers and read-only.
     """
     masks = np.arange(1 << n)
     has = np.array([masks >> b & 1 for b in range(n)], dtype=bool).T
@@ -74,11 +79,13 @@ def subset_layers(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     layers = []
     for p in range(1, n + 1):
         ms = masks[count == p]
-        layers.append((ms, (np.flatnonzero(has[ms]) % n).reshape(len(ms), p)))
-    return layers
+        pos = (np.flatnonzero(has[ms]) % n).reshape(len(ms), p)
+        ms.flags.writeable = pos.flags.writeable = False
+        layers.append((ms, pos))
+    return tuple(layers)
 
 
-def held_karp(U: Sequence[Point], depot: Point, layers=None):
+def held_karp(U: Sequence[Point], depot: Point):
     """Shortest depot-rooted paths over every subset of a nonempty U
     (Held & Karp 1962), one popcount layer of subsets per numpy step.
 
@@ -88,8 +95,7 @@ def held_karp(U: Sequence[Point], depot: Point, layers=None):
     is the optimal closed tour over mask plus the depot, tour_end[mask] the m
     attaining it, and parent[mask, m] the j attaining dp[mask, m] (-1 for a
     single terminal). argmin keeps the first of equal values, so both ties go
-    to the smallest index. `layers` is `subset_layers(len(U))` when the
-    caller has already built it.
+    to the smallest index.
     """
     n = len(U)
     d = np.array([[dist(a, b) for b in U] for a in U])  # symmetric, bit for bit
@@ -97,9 +103,7 @@ def held_karp(U: Sequence[Point], depot: Point, layers=None):
     dp = np.full((1 << n, n), math.inf)
     parent = np.full((1 << n, n), -1, dtype=np.int8)
     dp[1 << np.arange(n), np.arange(n)] = d0
-    if layers is None:
-        layers = subset_layers(n)
-    for masks, pos in layers[1:]:
+    for masks, pos in subset_layers(n)[1:]:
         mask, m = np.repeat(masks, pos.shape[1]), pos.ravel()
         cand = dp[mask ^ (1 << m)]
         cand += d[m]
@@ -130,9 +134,6 @@ def tsp_exact(points: Sequence[Point]) -> TspResult:
         raise ValueError(f"{n} points exceeds exact threshold {EXACT_THRESHOLD}")
     if n <= 1:
         return TspResult(order=tuple(range(n)), length=0.0, certified_optimal=True)
-    if n == 2:
-        return TspResult(order=(0, 1), length=2.0 * dist(points[0], points[1]),
-                         certified_optimal=True)
     tour_cost, tour_end, parent = held_karp(points[1:], points[0])
     full = (1 << (n - 1)) - 1
     path = held_karp_path(parent, full, int(tour_end[full]))
@@ -242,7 +243,7 @@ def tsp_dispatch(points: Sequence[Point], mode: str = "auto", seed: int = 0) -> 
     `auto` uses the exact solver iff the input has at most EXACT_THRESHOLD
     points. `exact` on an oversize input propagates the solver error.
     """
-    if mode not in ("exact", "heuristic", "auto"):
+    if mode not in TSP_MODES:
         raise ValueError(f"unknown tsp mode: {mode!r}")
     if mode == "exact":
         return tsp_exact(points)

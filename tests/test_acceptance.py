@@ -119,11 +119,11 @@ def test_criterion_4_sandwich():
             assert value <= opt + 1e-9, (trial, R, value, opt)
         M = int(rng.integers(1, 4))
         sweep_cost = sweep_solve(inst, M).total_cost
-        ub, certified = upper_bound_formula(inst, M, approx_factor=1.0)
+        ub, certified = upper_bound_formula(inst, M)
         assert certified
         assert opt - 1e-9 <= sweep_cost <= ub + 1e-9, (trial, M)
         itp_cost = itp_solve(inst, tsp_mode="exact").total_cost
-        ub1, certified1 = upper_bound_formula(inst, 1, approx_factor=1.0)
+        ub1, certified1 = upper_bound_formula(inst, 1)
         assert certified1
         assert itp_cost <= ub1 + 1e-9, trial
     elapsed = time.perf_counter() - start

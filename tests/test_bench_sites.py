@@ -1,0 +1,41 @@
+"""The benchmark in perfbench/ patches package attributes by name and calls
+package functions positionally; both must keep resolving, or the traced
+benchmark run breaks while every other test passes."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import sweepcvrp
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads
+
+
+def test_every_traced_site_resolves(workloads):
+    missing = [f"{module.__name__}.{name}" for module, name, _ in workloads._SITES
+               if not callable(getattr(module, name, None))]
+    assert missing == []
+
+
+def test_positional_package_calls():
+    inst = sweepcvrp.gen_instance(5, 2, sweepcvrp.Point(0.5, 0.5), 3)
+    value, valid = sweepcvrp.lower_bound(inst, 0.0, "auto", 3)
+    assert valid and isinstance(value, float)
+    itp = sweepcvrp.itp_solve(inst, "auto", 3)
+    sweep = sweepcvrp.sweep_solve(inst, 2, sweepcvrp.SolveConfig(seed=3))
+    for sol in (itp, sweep):
+        assert sorted(i for t in sol.tours for i in t.indices) == list(range(5))
+    U = list(inst.terminals)
+    assert sweepcvrp.cvrp_exact_small(U, inst.depot, 3).total_cost > 0.0
+    assert sweepcvrp.tsp_exact(U).certified_optimal

@@ -148,13 +148,11 @@ class TestUpperBound:
     def test_single_terminal(self):
         inst = Instance(terminals=(Point(1, 0),), depot=Point(0, 0), capacity=1)
         # T*_0 over one point is 0; rad_inf = 2; D = 1
-        value, _ = upper_bound_formula(inst, 1, approx_factor=1.0)
+        value, _ = upper_bound_formula(inst, 1)
         assert value == pytest.approx(2.0 + 1.5 * math.pi, abs=1e-9)
-        value2, _ = upper_bound_formula(inst, 1, approx_factor=2.0)
-        assert value2 == pytest.approx(2 * (2.0 + 1.5 * math.pi), abs=1e-9)
 
     def test_cross_formula(self):
-        value, certified = upper_bound_formula(CROSS, 1, approx_factor=1.0)
+        value, certified = upper_bound_formula(CROSS, 1)
         expected = 4 * math.sqrt(2) + 4.0 + 6 * math.pi  # T*_0 + rad_inf + 3piD/2 * 2
         assert certified
         assert value == pytest.approx(expected, abs=1e-9)
@@ -162,8 +160,6 @@ class TestUpperBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             upper_bound_formula(CROSS, 0)
-        with pytest.raises(ValueError):
-            upper_bound_formula(CROSS, 1, approx_factor=0.5)
 
 
 class TestChooseR:
@@ -227,7 +223,7 @@ class TestBoundContext:
                 assert repr(report.D) == repr(instance_diameter(inst))
                 assert repr(report.lower) == repr(lower_bound(inst, R, "auto", seed)[0])
                 assert repr(report.upper) == repr(
-                    upper_bound_formula(inst, 2, 1.0, "auto", seed)[0])
+                    upper_bound_formula(inst, 2, "auto", seed)[0])
 
     def test_golden_report(self):
         # recorded with the three-pass bound code this context replaced
@@ -260,7 +256,7 @@ class TestBoundContext:
         for R in (0.0, 0.5, math.inf):
             ctx.lower(R)
         ctx.upper(1)
-        ctx.upper(2, 1.5)
+        ctx.upper(2)
         ctx.report(0.0, 2)
         assert sorted(ingredient_calls, key=repr) == sorted([
             ("local_cost", 0.0), ("local_cost", 0.5), ("local_cost", math.inf),
@@ -277,8 +273,6 @@ class TestBoundContext:
         ctx = BoundContext(CROSS)
         with pytest.raises(ValueError, match="M must be"):
             ctx.upper(0)
-        with pytest.raises(ValueError, match="approx_factor"):
-            ctx.upper(1, 0.5)
         with pytest.raises(ValueError, match="R must be"):
             ctx.lower(-1.0)
 

@@ -98,6 +98,14 @@ def test_experiment_k_alpha(tmp_path):
     assert all(r.k == 4 for r in rows)
 
 
+def test_experiment_rejects_m0(tmp_path, capsys):
+    out_file = tmp_path / "rows.csv"
+    assert main(["experiment", "--n", "20", "--k", "4", "--m", "0",
+                 "--algos", "itp", "--output", str(out_file)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_verify_net_failure_exits_1(monkeypatch, capsys):
     import sweepcvrp.cli as cli_mod
     from sweepcvrp.netverify import NetCertificate

@@ -76,6 +76,11 @@ class TestRunRatioExperiment:
         defaults.update(kwargs)
         return ExperimentConfig(**defaults)
 
+    def test_rejects_nonpositive_M(self):
+        for M in (0, -1):
+            with pytest.raises(ValueError, match="M must be >= 1"):
+                self._config(M=M)
+
     def test_schema_and_order(self):
         result = run_ratio_experiment(self._config())
         assert [r.seed for r in result.rows] == [0, 0, 1, 1, 2, 2]

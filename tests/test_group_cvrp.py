@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sweepcvrp.bruteforce import cvrp_brute_force
-from sweepcvrp.geometry import Instance, Point, dist, tour_length
+from sweepcvrp.geometry import Instance, Point, Solution, Tour, dist, tour_length
 from sweepcvrp.group_cvrp import (
     EXACT_GROUP_THRESHOLD,
     cvrp_exact_small,
@@ -12,7 +12,7 @@ from sweepcvrp.group_cvrp import (
     solve_group,
     split_tour_sequence,
 )
-from sweepcvrp.tsp import held_karp, tsp_exact
+from sweepcvrp.tsp import held_karp, subset_layers, tsp_exact
 
 from helpers import random_points, solution_is_feasible
 
@@ -80,6 +80,19 @@ class TestSplitHeuristic:
         sol = cvrp_group_heuristic([u], O, 1)
         assert sol.total_cost == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["auto", "heuristic"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_degenerate_groups(self, mode, k):
+        # the general path gives what the removed n = 0 and n = 1 branches
+        # returned, bit for bit
+        depot, u = Point(0.3, -0.7), Point(0.9, 0.1)
+        empty = Solution(tours=(), total_cost=0.0)
+        one = Tour(indices=(0,), length=2.0 * dist(depot, u))
+        single = Solution(tours=(one,), total_cost=one.length)
+        for seed in (0, 1):
+            assert repr(cvrp_group_heuristic([], depot, k, mode, seed)) == repr(empty)
+            assert repr(cvrp_group_heuristic([u], depot, k, mode, seed)) == repr(single)
+
     def test_cross_splitting_bound(self):
         tsp = tsp_exact([O, *CROSS])
         radial = sum(dist(O, u) for u in CROSS)
@@ -113,8 +126,8 @@ class TestSplitHeuristic:
     def test_offset_search_prefers_single_tour(self):
         # n <= k: offset 0 keeps the tour whole and must win ties
         U = [Point(1, 0), Point(1, 1), Point(0, 1)]
-        segments, _ = split_tour_sequence(U, O, [0, 1, 2], k=5)
-        assert segments == [[0, 1, 2]]
+        tours, _ = split_tour_sequence(U, O, [0, 1, 2], k=5)
+        assert [t.indices for t in tours] == [(0, 1, 2)]
 
 
 class TestSolveGroup:
@@ -131,6 +144,7 @@ class TestSolveGroup:
 
     def test_empty_group(self):
         res = solve_group([], O, 3)
+        assert res.method == "exact"
         assert res.solution.total_cost == 0.0
         assert res.solution.tours == ()
 
@@ -292,24 +306,31 @@ class TestExactSmallReference:
         U, depot = GROUP_CASES[name]
         seq = np.random.default_rng(len(U)).permutation(len(U)).tolist()
         for k in range(1, max(len(U), 1) + 1):
-            assert split_tour_sequence(U, depot, seq, k) == _split_reference(U, depot, seq, k)
+            tours, total = split_tour_sequence(U, depot, seq, k)
+            segments, ref_total = _split_reference(U, depot, seq, k)
+            assert [(t.indices, t.length) for t in tours] == [
+                (tuple(seg), tour_length(depot, [U[i] for i in seg])) for seg in segments
+            ]
+            assert total == ref_total
 
 
 class TestSubsetLayersOnce:
-    def test_layers_built_once_per_call(self, monkeypatch):
-        from sweepcvrp import group_cvrp, tsp
-
-        calls = []
-        build = tsp.subset_layers
-
-        def counting(n):
-            calls.append(n)
-            return build(n)
-
-        # held_karp reaches subset_layers through tsp's globals, the group DP
-        # through group_cvrp's
-        monkeypatch.setattr(tsp, "subset_layers", counting)
-        monkeypatch.setattr(group_cvrp, "subset_layers", counting)
+    def test_layers_built_once_per_call(self):
+        # the group DP and tsp_exact over the same number of terminals share
+        # one table
         U, depot = GROUP_CASES["random-9"]
+        subset_layers.cache_clear()
         cvrp_exact_small(U, depot, 3)
-        assert calls == [9]
+        tsp_exact([depot, *U])
+        info = subset_layers.cache_info()
+        assert info.misses == 1 and info.hits >= 2
+
+    def test_same_object_on_second_call(self):
+        assert subset_layers(7) is subset_layers(7)
+
+    def test_tables_read_only(self):
+        masks, pos = subset_layers(5)[2]
+        with pytest.raises(ValueError):
+            masks[0] = 0
+        with pytest.raises(ValueError):
+            pos[0, 0] = 0

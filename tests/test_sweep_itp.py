@@ -118,7 +118,7 @@ class TestUpperBoundCertificate:
             inst = random_instance(rng, max_n=10, max_k=3)
             for M in (1, 2, 3):
                 sol = sweep_solve(inst, M)
-                ub, certified = upper_bound_formula(inst, M, approx_factor=1.0)
+                ub, certified = upper_bound_formula(inst, M)
                 assert certified
                 assert sol.total_cost <= ub + 1e-9
 
@@ -127,7 +127,7 @@ class TestUpperBoundCertificate:
         for _ in range(25):
             inst = random_instance(rng, max_n=10, max_k=3)
             sol = itp_solve(inst, tsp_mode="exact")
-            ub, certified = upper_bound_formula(inst, 1, approx_factor=1.0)
+            ub, certified = upper_bound_formula(inst, 1)
             assert certified
             assert sol.total_cost <= ub + 1e-9
 
