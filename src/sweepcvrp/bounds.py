@@ -27,12 +27,12 @@ compute_bounds are one-shot wrappers over a fresh context.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import cached_property
 
 from .closedform import choose_radius
-from .geometry import Instance, Point, diameter, dist
-from .tsp import tsp_dispatch
+from .geometry import Instance, Point, diameter, dist, field_text
+from .tsp import check_tsp_mode, tsp_dispatch
 
 
 def radial_cost(instance: Instance, R: float) -> float:
@@ -57,6 +57,7 @@ def local_cost(
     """(T*_R, certified): TSP length over the >=R terminals; certified is
     True iff the exact solver produced it (subsets of size <= 1 are 0 and
     trivially certified)."""
+    check_tsp_mode(tsp_mode)
     subset = local_subset(instance, R)
     if len(subset) <= 1:
         return 0.0, True
@@ -86,27 +87,16 @@ class BoundsReport:
     upper: float
     M: int
 
-    CSV_HEADER = "R,rad_R,local_R,local_certified,D,lower,upper,M"
-
     def to_dict(self) -> dict:
-        return {
-            "R": "inf" if math.isinf(self.R) else self.R,
-            "rad_R": self.rad_R,
-            "local_R": self.local_R,
-            "local_certified": self.local_certified,
-            "D": self.D,
-            "lower": self.lower,
-            "upper": self.upper,
-            "M": self.M,
-        }
+        """The fields by name; JSON has no infinity, so R = inf becomes "inf"
+        (only R can be infinite: Instance rejects non-finite coordinates)."""
+        return {k: "inf" if v == math.inf else v for k, v in asdict(self).items()}
 
     def to_csv_row(self) -> str:
-        r = "inf" if math.isinf(self.R) else repr(self.R)
-        return (
-            f"{r},{self.rad_R!r},{self.local_R!r},"
-            f"{str(self.local_certified).lower()},{self.D!r},"
-            f"{self.lower!r},{self.upper!r},{self.M}"
-        )
+        return ",".join(map(field_text, astuple(self)))
+
+
+BoundsReport.CSV_HEADER = ",".join(f.name for f in fields(BoundsReport))
 
 
 class BoundContext:

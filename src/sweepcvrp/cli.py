@@ -16,6 +16,7 @@ from .bounds import BoundsReport, choose_R, compute_bounds
 from .closedform import g_all
 from .experiments import (
     ExperimentConfig,
+    gen_instance,
     mean_certified_ratio,
     run_ratio_experiment,
     write_csv,
@@ -135,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    from .experiments import gen_instance
-
     instance = gen_instance(args.n, args.k, Point(args.depot_x, args.depot_y),
                             args.seed)
     save_instance(instance, args.output)

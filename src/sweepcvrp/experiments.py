@@ -5,7 +5,8 @@ counter-based generator (numpy's implementation) keyed with the given seed,
 mapped to [0,1) with the standard 53-bit scheme ((word >> 11) * 2^-53),
 x then y per terminal in terminal order.
 
-The experiment runner emits one CSV row per (seed, algorithm):
+The experiment runner emits one CSV row per (seed, algorithm): RatioRow's
+fields in order, as geometry.field_text writes them (bools as true/false):
 
   seed,n,k,M,algo,cost,lb_r0,lb_rstar,lb_rinf,best_lb,ub,ratio,certified
 
@@ -20,7 +21,7 @@ starting with `#` carry caveats and are skipped by the parser.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import TextIO
 
 import numpy as np
@@ -29,12 +30,11 @@ import numpy as np
 # importable from this module: perfbench's traced run wraps them at this site.
 from .bounds import BoundContext, choose_R, lower_bound, upper_bound_formula  # noqa: F401
 from .bruteforce import brute_force_opt
-from .geometry import Instance, Point
+from .geometry import Instance, Point, field_text
 from .group_cvrp import SolveConfig
 from .itp import itp_solve
 from .sweep import sweep_solve
-
-CSV_HEADER = "seed,n,k,M,algo,cost,lb_r0,lb_rstar,lb_rinf,best_lb,ub,ratio,certified"
+from .tsp import check_tsp_mode
 
 _ALGOS = ("sweep", "itp")
 
@@ -77,9 +77,12 @@ class ExperimentConfig:
     small_instance_mode: bool = False  # brute-force opt as ratio denominator
 
     def __post_init__(self) -> None:
+        if not self.algos or len(set(self.algos)) != len(self.algos):
+            raise ValueError(f"algos must be distinct and nonempty, got {self.algos!r}")
         for algo in self.algos:
             if algo not in _ALGOS:
                 raise ValueError(f"unknown algo {algo!r}")
+        check_tsp_mode(self.tsp_mode)
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         resolve_k(self.n, self.k_fixed, self.k_alpha)  # validate early
@@ -106,33 +109,35 @@ class RatioRow:
     certified: bool
 
     def to_csv(self) -> str:
-        return (
-            f"{self.seed},{self.n},{self.k},{self.M},{self.algo},"
-            f"{self.cost!r},{self.lb_r0!r},{self.lb_rstar!r},{self.lb_rinf!r},"
-            f"{self.best_lb!r},{self.ub!r},{self.ratio!r},"
-            f"{str(self.certified).lower()}"
-        )
+        return ",".join(map(field_text, astuple(self)))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(RatioRow))
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+# field annotation (a string under postponed annotations) -> field_text inverse
+_FROM_TEXT = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 
 
 def parse_csv_row(line: str) -> RatioRow:
-    f = line.strip().split(",")
-    if len(f) != 13:
-        raise ValueError(f"expected 13 fields, got {len(f)}: {line!r}")
-    return RatioRow(
-        seed=int(f[0]), n=int(f[1]), k=int(f[2]), M=int(f[3]), algo=f[4],
-        cost=float(f[5]), lb_r0=float(f[6]), lb_rstar=float(f[7]),
-        lb_rinf=float(f[8]), best_lb=float(f[9]), ub=float(f[10]),
-        ratio=float(f[11]), certified=f[12] == "true",
-    )
+    values = line.strip().split(",")
+    columns = fields(RatioRow)
+    if len(values) != len(columns):
+        raise ValueError(f"expected {len(columns)} fields, got {len(values)}: {line!r}")
+    return RatioRow(*(_FROM_TEXT[c.type](v) for c, v in zip(columns, values)))
 
 
 def read_csv(fp: TextIO) -> list[RatioRow]:
     rows = []
     for line in fp:
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == CSV_HEADER:
+        if not line or line.startswith("#") or line == CSV_HEADER:
             continue
         rows.append(parse_csv_row(line))
     return rows
@@ -161,14 +166,10 @@ def run_ratio_experiment(config: ExperimentConfig) -> ExperimentResult:
     for seed in config.seeds:
         instance = gen_instance(config.n, k, config.depot, seed)
         bounds = BoundContext(instance, config.tsp_mode, seed)
-        lbs = {}
-        valid = {}
-        for name, R in (("r0", 0.0), ("rstar", rstar), ("rinf", math.inf)):
-            lbs[name], valid[name] = bounds.lower(R)
-        best_lb = max(lbs.values())
-        certified = all(valid.values())
-        certified_values = [v for name, v in lbs.items() if valid[name]]
-        result.best_certified_lb[seed] = max(certified_values)
+        lbs, valid = zip(*(bounds.lower(R) for R in (0.0, rstar, math.inf)))
+        best_lb = max(lbs)
+        certified = all(valid)
+        result.best_certified_lb[seed] = max(v for v, ok in zip(lbs, valid) if ok)
 
         if config.small_instance_mode:
             denominator = brute_force_opt(instance)
@@ -187,7 +188,7 @@ def run_ratio_experiment(config: ExperimentConfig) -> ExperimentResult:
             ratio = cost / denominator if denominator > 0.0 else math.nan
             result.rows.append(RatioRow(
                 seed=seed, n=config.n, k=k, M=M, algo=algo, cost=cost,
-                lb_r0=lbs["r0"], lb_rstar=lbs["rstar"], lb_rinf=lbs["rinf"],
+                lb_r0=lbs[0], lb_rstar=lbs[1], lb_rinf=lbs[2],
                 best_lb=best_lb, ub=ub, ratio=ratio, certified=certified,
             ))
     return result

@@ -163,11 +163,19 @@ def diameter(points: Sequence[Point]) -> float:
     return math.sqrt(best)
 
 
-# --- instance text format ----------------------------------------------------
+# --- text formats --------------------------------------------------------------
 #
-# Line 1: `n k depot_x depot_y`; lines 2..n+1: `x y` per terminal.
-# Fields are space-separated decimals; floats are written with repr so they
-# round-trip exactly.
+# Instance: line 1 `n k depot_x depot_y`, then `x y` per terminal, space-
+# separated; floats by repr, so they round-trip exactly. Output records
+# (experiment rows, bound reports) write their fields in order by field_text.
+
+
+def field_text(value) -> str:
+    """`true`/`false` for a bool, repr for a float (round-trips, `inf` for
+    infinity), str for anything else."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_instance(instance: Instance, fp: TextIO) -> None:

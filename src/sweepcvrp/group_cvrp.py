@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Point, Solution, Tour, dist, make_solution
-from .tsp import held_karp, held_karp_path, subset_layers, tsp_dispatch
+from .tsp import check_tsp_mode, held_karp, held_karp_path, subset_layers, tsp_dispatch
 
 EXACT_GROUP_THRESHOLD = 12
 
@@ -30,6 +30,9 @@ EXACT_GROUP_THRESHOLD = 12
 class SolveConfig:
     tsp_mode: str = "auto"
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_tsp_mode(self.tsp_mode)
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,8 @@ def split_tour_sequence(
     Offset r puts the first r terminals in a short leading segment; ties
     prefer the smaller offset.
     """
+    if k < 1:
+        raise ValueError(f"capacity must be >= 1, got {k}")
     n = len(seq)
     if n == 0:
         return [], 0.0

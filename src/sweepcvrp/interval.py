@@ -264,10 +264,9 @@ class _Axis(NamedTuple):
     h: tuple
     sq: tuple      # h^2
     c: tuple       # h clamped to [-1, 1]
-    root: tuple    # sqrt(1 - c^2)
     asin: tuple    # arcsin c
-    c_root: tuple  # c * root
-    a1: tuple      # A1(c, root)
+    c_root: tuple  # c * sqrt(1 - c^2)
+    a1: tuple      # A1(c, sqrt(1 - c^2))
     b0: tuple      # disk-segment integrals over {x <= h}
     b1: tuple
 
@@ -300,7 +299,7 @@ def _axis(h) -> _Axis:
     b1 = _hull_into(b1, has_mid, b1_mid)
     b0 = _hull_into(b0, has_high, V_PI)
     b1 = _hull_into(b1, has_high, _V_TWO_THIRDS_PI)
-    return _Axis(h=h, sq=v_sqr(h), c=c, root=root, asin=v_arcsin(c),
+    return _Axis(h=h, sq=v_sqr(h), c=c, asin=v_arcsin(c),
                  c_root=c_root, a1=a1, b0=b0, b1=b1)
 
 

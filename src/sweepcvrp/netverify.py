@@ -25,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 from typing import Iterator, Sequence, TextIO
 
@@ -131,19 +131,12 @@ class NetCertificate:
     runtime_seconds: float
 
     def canonical_dict(self) -> dict:
-        """All verification content; excludes the (nondeterministic) runtime
-        so certificates for the same stride compare bit-identical."""
-        return {
-            "points_checked": self.points_checked,
-            "min_margin_g2": self.min_margin_g2,
-            "min_margin_g3": self.min_margin_g3,
-            "threshold_g2": self.threshold_g2,
-            "threshold_g3": self.threshold_g3,
-            "lipschitz_slack_g2": self.lipschitz_slack_g2,
-            "lipschitz_slack_g3": self.lipschitz_slack_g3,
-            "pass": self.passed,
-            "stride": self.stride,
-        }
+        """The fields in order, `passed` keyed as "pass", without the
+        (nondeterministic) runtime, so certificates for the same stride
+        compare bit-identical."""
+        content = asdict(self)
+        del content["runtime_seconds"]
+        return {"pass" if k == "passed" else k: v for k, v in content.items()}
 
 
 def lipschitz_slacks() -> tuple[Interval, Interval]:
@@ -296,9 +289,8 @@ def write_report(
 ) -> None:
     """Header line with the certificate fields, then one line
     `i j a b margin2_lo margin3_lo` per failing point."""
-    header = {"format": "netverify-report-v1"}
-    header.update(cert.canonical_dict())
-    header["runtime_seconds"] = cert.runtime_seconds
+    header = {"format": "netverify-report-v1", **cert.canonical_dict(),
+              "runtime_seconds": cert.runtime_seconds}
     fp.write(json.dumps(header) + "\n")
     for i, j, a, b, m2, m3 in failures:
         fp.write(f"{i} {j} {a!r} {b!r} {m2!r} {m3!r}\n")
@@ -311,8 +303,6 @@ def read_report(fp: TextIO) -> tuple[dict, list[tuple[int, int, float, float, fl
         parts = line.split()
         if not parts:
             continue
-        failures.append(
-            (int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]),
-             float(parts[4]), float(parts[5]))
-        )
+        i, j, a, b, m2, m3 = parts
+        failures.append((int(i), int(j), float(a), float(b), float(m2), float(m3)))
     return header, failures

@@ -237,14 +237,18 @@ def _two_opt(pts: np.ndarray, tour: np.ndarray,
     return tour
 
 
+def check_tsp_mode(mode: str) -> None:
+    if mode not in TSP_MODES:
+        raise ValueError(f"unknown tsp mode: {mode!r}")
+
+
 def tsp_dispatch(points: Sequence[Point], mode: str = "auto", seed: int = 0) -> TspResult:
     """Route to the exact or heuristic solver.
 
     `auto` uses the exact solver iff the input has at most EXACT_THRESHOLD
     points. `exact` on an oversize input propagates the solver error.
     """
-    if mode not in TSP_MODES:
-        raise ValueError(f"unknown tsp mode: {mode!r}")
+    check_tsp_mode(mode)
     if mode == "exact":
         return tsp_exact(points)
     if mode == "heuristic":

@@ -2,6 +2,7 @@
 package functions positionally; both must keep resolving, or the traced
 benchmark run breaks while every other test passes."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -39,3 +40,26 @@ def test_positional_package_calls():
     U = list(inst.terminals)
     assert sweepcvrp.cvrp_exact_small(U, inst.depot, 3).total_cost > 0.0
     assert sweepcvrp.tsp_exact(U).certified_optimal
+
+
+def test_record_reads():
+    """The keywords and attributes perfbench's checks read off the
+    experiment and certificate records."""
+    config = sweepcvrp.ExperimentConfig(
+        n=5, depot=sweepcvrp.Point(0.5, 0.5), M=2, seeds=(3, 4), k_fixed=2,
+        algos=("sweep", "itp"))
+    result = sweepcvrp.run_ratio_experiment(dataclasses.replace(config, seeds=(3,)))
+    merged = sweepcvrp.experiments.ExperimentResult(caveats=list(result.caveats))
+    merged.rows.extend(result.rows)
+    merged.best_certified_lb.update(result.best_certified_lb)
+    assert [(r.seed, r.algo) for r in merged.rows] == [(3, "sweep"), (3, "itp")]
+    for row in merged.rows:
+        assert row.lb_r0 <= row.cost <= row.ub
+        assert max(row.lb_rstar, row.lb_rinf) <= row.cost
+    assert set(merged.best_certified_lb) == {3}
+
+    cert = sweepcvrp.verify_all(stride=400)
+    assert cert.passed and cert.points_checked == sweepcvrp.netverify.net_size(400)
+    assert cert.min_margin_g2 > 0.0 and cert.min_margin_g3 > 0.0
+    assert cert.lipschitz_slack_g2 > 0.0 and cert.lipschitz_slack_g3 > 0.0
+    assert cert.canonical_dict()["pass"] is True

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -202,6 +203,43 @@ class TestReports:
         assert float(fields[0]) == 0.75
         assert fields[3] == "true"
 
+    # (R, to_dict JSON, to_csv_row) for gen_instance(9, 3, (0.5, 0.5), 7), M = 2,
+    # recorded with the hand-written column lists that field_text replaced
+    GOLDEN_TEXT = [
+        (0.0,
+         '{"R": 0.0, "rad_R": 0.0, "local_R": 2.4426854917134433, '
+         '"local_certified": true, "D": 0.9887748748193407, '
+         '"lower": -2.2168063324664686, "upper": 13.920053859500452, "M": 2}',
+         "0.0,0.0,2.4426854917134433,true,0.9887748748193407,"
+         "-2.2168063324664686,13.920053859500452,2"),
+        (0.25,
+         '{"R": 0.25, "rad_R": 1.4069928408283598, "local_R": 2.318190377063257, '
+         '"local_certified": true, "D": 0.9887748748193407, '
+         '"lower": -0.9343086062882948, "upper": 13.920053859500452, "M": 2}',
+         "0.25,1.4069928408283598,2.318190377063257,true,0.9887748748193407,"
+         "-0.9343086062882948,13.920053859500452,2"),
+        (math.inf,
+         '{"R": "inf", "rad_R": 2.158384719427186, "local_R": 0.0, '
+         '"local_certified": true, "D": 0.9887748748193407, '
+         '"lower": -2.501107104752726, "upper": 13.920053859500452, "M": 2}',
+         "inf,2.158384719427186,0.0,true,0.9887748748193407,"
+         "-2.501107104752726,13.920053859500452,2"),
+        (0,
+         '{"R": 0, "rad_R": 0.0, "local_R": 2.4426854917134433, '
+         '"local_certified": true, "D": 0.9887748748193407, '
+         '"lower": -2.2168063324664686, "upper": 13.920053859500452, "M": 2}',
+         "0,0.0,2.4426854917134433,true,0.9887748748193407,"
+         "-2.2168063324664686,13.920053859500452,2"),
+    ]
+
+    def test_golden_text(self):
+        inst = gen_instance(9, 3, Point(0.5, 0.5), 7)
+        assert BoundsReport.CSV_HEADER == "R,rad_R,local_R,local_certified,D,lower,upper,M"
+        for R, want_json, want_csv in self.GOLDEN_TEXT:
+            report = compute_bounds(inst, R, 2)
+            assert json.dumps(report.to_dict()) == want_json
+            assert report.to_csv_row() == want_csv
+
     def test_lower_le_upper_random(self):
         rng = np.random.default_rng(239)
         for _ in range(20):
@@ -210,6 +248,23 @@ class TestReports:
             report = compute_bounds(inst, R, M=int(rng.integers(1, 4)))
             assert report.local_certified
             assert report.lower <= report.upper + 1e-9
+
+
+class TestTspModeChecked:
+    # one terminal needs no TSP, so the mode is checked before the shortcut
+    ONE = Instance(terminals=(Point(0.2, 0.9),), depot=Point(0.5, 0.5), capacity=1)
+
+    def test_every_entry_point(self):
+        calls = [
+            lambda: compute_bounds(self.ONE, 0.0, 2, tsp_mode="bogus"),
+            lambda: lower_bound(self.ONE, math.inf, "bogus"),
+            lambda: upper_bound_formula(self.ONE, 2, "bogus"),
+            lambda: local_cost(self.ONE, 0.0, "bogus"),
+            lambda: BoundContext(self.ONE, "bogus").local(0.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown tsp mode: 'bogus'"):
+                call()
 
 
 class TestBoundContext:

@@ -7,6 +7,7 @@ from sweepcvrp.closedform import g_all
 from sweepcvrp.experiments import read_csv
 from sweepcvrp.geometry import load_instance
 from sweepcvrp.netverify import net_size, read_report
+from sweepcvrp.tsp import TSP_MODES
 
 
 def test_gen_solve_bounds_pipeline(tmp_path, capsys):
@@ -104,6 +105,24 @@ def test_experiment_rejects_m0(tmp_path, capsys):
                  "--algos", "itp", "--output", str(out_file)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out_file.exists()
+
+
+def test_experiment_rejects_empty_algos(tmp_path, capsys):
+    out_file = tmp_path / "rows.csv"
+    assert main(["experiment", "--n", "20", "--k", "4", "--algos", ",",
+                 "--output", str(out_file)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_tsp_mode_choices_come_from_tsp_modes(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--n", "2", "--k", "1", "--tsp-mode", "bogus",
+              "--output", str(tmp_path / "rows.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert all(mode in err for mode in TSP_MODES)
 
 
 def test_verify_net_failure_exits_1(monkeypatch, capsys):

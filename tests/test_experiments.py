@@ -11,6 +11,7 @@ from sweepcvrp.experiments import (
     ExperimentConfig,
     gen_instance,
     mean_certified_ratio,
+    parse_csv_row,
     read_csv,
     resolve_k,
     run_ratio_experiment,
@@ -80,6 +81,15 @@ class TestRunRatioExperiment:
         for M in (0, -1):
             with pytest.raises(ValueError, match="M must be >= 1"):
                 self._config(M=M)
+
+    def test_rejects_unknown_tsp_mode(self):
+        with pytest.raises(ValueError, match="unknown tsp mode: 'bogus'"):
+            self._config(n=1, k_fixed=1, algos=("sweep",), tsp_mode="bogus")
+
+    def test_rejects_empty_or_repeated_algos(self):
+        for algos in ((), ("sweep", "sweep"), ("itp", "sweep", "itp")):
+            with pytest.raises(ValueError, match="distinct and nonempty"):
+                self._config(algos=algos)
 
     def test_schema_and_order(self):
         result = run_ratio_experiment(self._config())
@@ -235,3 +245,15 @@ class TestCsvParsing:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             read_csv(io.StringIO("1,2,3\n"))
+
+    def test_header_is_field_names(self):
+        assert CSV_HEADER == (
+            "seed,n,k,M,algo,cost,lb_r0,lb_rstar,lb_rinf,best_lb,ub,ratio,certified")
+
+    def test_bool_is_true_or_false(self):
+        row = GOLDEN_ROWS_EXACT[0]
+        assert parse_csv_row(row).certified is True
+        assert parse_csv_row(row[: -len("true")] + "false").certified is False
+        for bad in ("TRUE", "1"):
+            with pytest.raises(ValueError, match="expected true or false"):
+                parse_csv_row(row[: -len("true")] + bad)

@@ -123,6 +123,15 @@ class TestSplitHeuristic:
             e = cvrp_exact_small(U, O, k)
             assert h.total_cost >= e.total_cost - 1e-9
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_rejects_capacity_below_one(self, n, k):
+        U = CROSS[:n]
+        with pytest.raises(ValueError, match=f"capacity must be >= 1, got {k}"):
+            split_tour_sequence(U, O, list(range(n)), k)
+        with pytest.raises(ValueError, match=f"capacity must be >= 1, got {k}"):
+            cvrp_group_heuristic(U, Point(0.5, 0.5), k)
+
     def test_offset_search_prefers_single_tour(self):
         # n <= k: offset 0 keeps the tour whole and must win ties
         U = [Point(1, 0), Point(1, 1), Point(0, 1)]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -209,6 +210,35 @@ class TestVerifyAll:
             i, j, a, b, m2, m3 = failures[0]
             assert a == grid_coord(i) and b == grid_coord(j)
             assert m2 < 1.0 or m3 < 1.0
+
+    # report header lines at stride 200 without runtime_seconds, recorded
+    # with the hand-written canonical_dict
+    GOLDEN_HEADER = (
+        '{"format": "netverify-report-v1", "points_checked": 78, '
+        '"min_margin_g2": 0.008850582128745286, "min_margin_g3": 0.038051045927279474, '
+        '"threshold_g2": %s, "threshold_g3": 0.0096, '
+        '"lipschitz_slack_g2": %s, "lipschitz_slack_g3": 0.0033573593128807004, '
+        '"pass": %s, "stride": 200}'
+    )
+
+    def _report_lines(self, tmp_path):
+        path = tmp_path / "report.txt"
+        cert = verify_all(stride=200, report_path=str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        assert header.pop("runtime_seconds") == cert.runtime_seconds
+        return json.dumps(header), lines[1:]
+
+    def test_golden_report_pass(self, tmp_path):
+        header, failures = self._report_lines(tmp_path)
+        assert header == self.GOLDEN_HEADER % ("0.0025", "0.00017244017859427763", "true")
+        assert failures == []
+
+    def test_golden_report_fail(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(netverify, "THRESHOLD_G2", 0.01)
+        header, failures = self._report_lines(tmp_path)
+        assert header == self.GOLDEN_HEADER % ("0.01", "0.007672440178594276", "false")
+        assert failures == ["0 200 0.5 0.9 0.008850582128745286 0.038051045927279474"]
 
     def test_validation(self):
         with pytest.raises(ValueError):

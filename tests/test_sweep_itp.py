@@ -76,6 +76,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_solve(CROSS_INSTANCE, M=0)
 
+    def test_rejects_unknown_tsp_mode(self):
+        # a 3-terminal instance dispatches no TSP, so only the config can
+        # catch the mode
+        with pytest.raises(ValueError, match="unknown tsp mode: 'bogus'"):
+            sweep_solve(CROSS_INSTANCE, 2, SolveConfig(tsp_mode="bogus"))
+
 
 class TestItp:
     def test_single_terminal(self):
