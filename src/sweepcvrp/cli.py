@@ -60,6 +60,16 @@ def _parse_r(text: str):
     return value
 
 
+def _parse_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _solution_dict(algo: str, solution: Solution) -> dict:
     return {
         "algo": algo,
@@ -106,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("eval-g", help="closed-form g1, g2, g3 at a depot")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--a", type=_parse_finite, required=True)
+    p.add_argument("--b", type=_parse_finite, required=True)
 
     p = sub.add_parser("verify-net", help="run the net verification")
     p.add_argument("--stride", type=int, default=1,

@@ -79,6 +79,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.algos or len(set(self.algos)) != len(self.algos):
             raise ValueError(f"algos must be distinct and nonempty, got {self.algos!r}")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct and nonempty, got {self.seeds!r}")
         for algo in self.algos:
             if algo not in _ALGOS:
                 raise ValueError(f"unknown algo {algo!r}")

@@ -37,9 +37,11 @@ verifier's vectorized batches of millions. `Interval` is only the result type
 handed to callers (of `iv_g`, `netverify.verify_point` and
 `netverify.lipschitz_slacks`): a checked scalar pair with lo <= hi.
 
-Piecewise formulas (the disk-segment and disk-corner integrals) evaluate
-every branch whose guard can hold somewhere in the input box and return the
-hull, so enclosures stay valid across branch boundaries.
+Piecewise formulas (the disk-segment and disk-corner integrals) combine
+their branches by one rule, `_piecewise`: each branch comes with a guard
+that holds on every lane whose input box meets that branch's region, and
+each lane's result is the hull of the branches whose guard holds there. So
+an enclosure stays valid when the box straddles a branch boundary.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["Interval", "iv_g"]
-
-_INF = np.inf
 
 # two binary64 neighbors of pi (math.pi rounds down from the true value)
 PI_LO = math.pi
@@ -189,14 +189,19 @@ _V_SIXTH = v_ratio(1, 6)
 _V_TWO_THIRDS = v_ratio(2, 3)
 _V_THREE_QUARTERS = v_ratio(3, 4)
 _V_ONE = (1.0, 1.0)
+_V_ZERO = (np.float64(0.0), np.float64(0.0))
 _V_TWO_THIRDS_PI = (_dn1(PI_LO * _V_TWO_THIRDS[0]), _up1(PI_HI * _V_TWO_THIRDS[1]))
 
 
-def _hull_into(out, mask, cand):
-    """Merge candidate intervals into the running hull where mask holds."""
-    out_lo = np.where(mask, np.minimum(out[0], cand[0]), out[0])
-    out_hi = np.where(mask, np.maximum(out[1], cand[1]), out[1])
-    return out_lo, out_hi
+def _piecewise(shape, cases):
+    """Lane-wise hull of the branches whose guard holds: start from the empty
+    interval (inf, -inf) and merge each (guard, branch) case in order."""
+    lo = np.full(shape, np.inf)
+    hi = np.full(shape, -np.inf)
+    for guard, branch in cases:
+        lo = np.where(guard, np.minimum(lo, branch[0]), lo)
+        hi = np.where(guard, np.maximum(hi, branch[1]), hi)
+    return lo, hi
 
 
 # --- closed-form kernels -------------------------------------------------------
@@ -274,8 +279,7 @@ class _Axis(NamedTuple):
 def _axis(h) -> _Axis:
     """Per-axis terms, including the disk-segment integrals (B0, B1) over
     {x <= h}: 0 below h = -1, (pi, 2pi/3) above h = 1, the sector +
-    triangles formula between. Branch hulls keep the enclosure valid when h
-    straddles a boundary."""
+    triangles formula between, each combined by _piecewise."""
     has_low = h[0] < -1.0
     has_high = h[1] >= 1.0
     has_mid = (h[1] >= -1.0) & (h[0] < 1.0)
@@ -290,23 +294,18 @@ def _axis(h) -> _Axis:
     b1_mid = v_add(v_mul(_V_TWO_THIRDS, pma), v_add(a1, a1))
 
     shape = np.broadcast(h[0], h[1]).shape
-    b0 = (np.full(shape, _INF), np.full(shape, -_INF))
-    b1 = (np.full(shape, _INF), np.full(shape, -_INF))
-    zero = (np.float64(0.0), np.float64(0.0))
-    b0 = _hull_into(b0, has_low, zero)
-    b1 = _hull_into(b1, has_low, zero)
-    b0 = _hull_into(b0, has_mid, b0_mid)
-    b1 = _hull_into(b1, has_mid, b1_mid)
-    b0 = _hull_into(b0, has_high, V_PI)
-    b1 = _hull_into(b1, has_high, _V_TWO_THIRDS_PI)
+    b0 = _piecewise(shape, ((has_low, _V_ZERO), (has_mid, b0_mid),
+                            (has_high, V_PI)))
+    b1 = _piecewise(shape, ((has_low, _V_ZERO), (has_mid, b1_mid),
+                            (has_high, _V_TWO_THIRDS_PI)))
     return _Axis(h=h, sq=v_sqr(h), c=c, asin=v_arcsin(c),
                  c_root=c_root, a1=a1, b0=b0, b1=b1)
 
 
 def _corner(p: _Axis, q: _Axis):
-    """Disk-corner integrals (C0, C1) over {x <= p.h, y <= q.h}: hull over
-    the five-case piecewise formula (outside-disk sign cases via B, the
-    inside case via the sector plus four triangles)."""
+    """Disk-corner integrals (C0, C1) over {x <= p.h, y <= q.h}: _piecewise
+    over the five cases (outside-disk sign cases via B, the inside case via
+    the sector plus four triangles)."""
     h1, h2 = p.h, q.h
     s = v_add(p.sq, q.sq)
     outside = s[1] > 1.0
@@ -326,19 +325,12 @@ def _corner(p: _Axis, q: _Axis):
     c1_in = v_add(v_mul(ang, _V_THIRD), a1_sum)
 
     shape = np.broadcast(h1[0], h2[0]).shape
-    C0 = (np.full(shape, _INF), np.full(shape, -_INF))
-    C1 = (np.full(shape, _INF), np.full(shape, -_INF))
-    zero = (np.float64(0.0), np.float64(0.0))
-    C0 = _hull_into(C0, m_empty, zero)
-    C1 = _hull_into(C1, m_empty, zero)
-    C0 = _hull_into(C0, m_seg2, q.b0)
-    C1 = _hull_into(C1, m_seg2, q.b1)
-    C0 = _hull_into(C0, m_seg1, p.b0)
-    C1 = _hull_into(C1, m_seg1, p.b1)
-    C0 = _hull_into(C0, m_both, v_sub(v_add(p.b0, q.b0), V_PI))
-    C1 = _hull_into(C1, m_both, v_sub(v_add(p.b1, q.b1), _V_TWO_THIRDS_PI))
-    C0 = _hull_into(C0, m_in, c0_in)
-    C1 = _hull_into(C1, m_in, c1_in)
+    C0 = _piecewise(shape, (
+        (m_empty, _V_ZERO), (m_seg2, q.b0), (m_seg1, p.b0),
+        (m_both, v_sub(v_add(p.b0, q.b0), V_PI)), (m_in, c0_in)))
+    C1 = _piecewise(shape, (
+        (m_empty, _V_ZERO), (m_seg2, q.b1), (m_seg1, p.b1),
+        (m_both, v_sub(v_add(p.b1, q.b1), _V_TWO_THIRDS_PI)), (m_in, c1_in)))
     return C0, C1
 
 

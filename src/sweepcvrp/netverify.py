@@ -13,6 +13,10 @@ worst-case Lipschitz drift over half a grid cell ((79/48) resp. (3+sqrt 2)
 times sqrt(2)/1000) must stay positive, which extends the grid check to the
 whole region.
 
+The net is every pair i <= j of the per-axis indices that `_net_indices`
+gives (every `stride`-th of 0..GRID_MAX_INDEX); `enumerate_net` lists it and
+`verify_all` scans it in chunks of whole rows.
+
 Grid coordinates are produced from integer indices by one multiplication by
 0.002 (itself not exactly representable); the resulting double is wrapped in
 a degenerate interval, so the representation error (~1e-15) is absorbed by
@@ -62,19 +66,26 @@ def grid_coord(index):
     return GRID_BASE + GRID_STEP * index
 
 
+def _net_indices(stride: int) -> range:
+    """Grid indices of the net on each axis: every `stride`-th of
+    0..GRID_MAX_INDEX. The net is every pair i <= j of them."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    return range(0, GRID_MAX_INDEX + 1, stride)
+
+
 def enumerate_net(stride: int = 1) -> Iterator[tuple[float, float]]:
     """Net points (0.5 + 0.002*i, 0.5 + 0.002*j), i <= j, every `stride`-th
     index on both axes. stride=1 yields all 2,814,378 points."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    for i in range(0, GRID_MAX_INDEX + 1, stride):
+    idx = _net_indices(stride)
+    for p, i in enumerate(idx):
         a = grid_coord(i)
-        for j in range(i, GRID_MAX_INDEX + 1, stride):
+        for j in idx[p:]:
             yield (a, grid_coord(j))
 
 
 def net_size(stride: int = 1) -> int:
-    m = len(range(0, GRID_MAX_INDEX + 1, stride))
+    m = len(_net_indices(stride))
     return m * (m + 1) // 2
 
 
@@ -107,14 +118,6 @@ def verify_far_field(a: float, b: float) -> bool:
     where g2 = (3/4) g1 and g3 = 1 hold exactly and no numeric check is
     needed."""
     return square_distance(a, b) >= FAR_FIELD_DISTANCE
-
-
-def verify_depot(a: float, b: float) -> tuple[bool, str]:
-    """Check an arbitrary depot: far-field positions pass by the exact
-    argument, everything else goes through the interval margins."""
-    if verify_far_field(a, b):
-        return True, "far-field"
-    return verify_point(a, b).passed, "interval"
 
 
 @dataclass(frozen=True)
@@ -160,23 +163,14 @@ def _margins_batch(i_idx: np.ndarray, j_idx: np.ndarray):
 
 
 def _scan_rows(args):
-    """Verify all net points of the given rows; returns aggregate minima and
-    any failing points. Worker for both the serial and pooled paths."""
-    rows, stride, thr2, thr3 = args
-    count = 0
-    min2 = math.inf
-    min3 = math.inf
-    failures: list[tuple[int, int, float, float, float, float]] = []
-    i_parts = []
-    j_parts = []
-    for i in rows:
-        js = np.arange(i, GRID_MAX_INDEX + 1, stride, dtype=np.int64)
-        i_parts.append(np.full(js.shape, i, dtype=np.int64))
-        j_parts.append(js)
-    if not i_parts:
-        return count, min2, min3, failures
-    i_idx = np.concatenate(i_parts)
-    j_idx = np.concatenate(j_parts)
+    """Verify all net points of the rows at positions p0..p1-1 of
+    _net_indices(stride); returns aggregate minima and any failing points.
+    Worker for both the serial and pooled paths."""
+    (p0, p1), stride, thr2, thr3 = args
+    idx = np.array(_net_indices(stride), dtype=np.int64)
+    # row p pairs idx[p] with idx[p:]
+    i_idx = np.repeat(idx[p0:p1], idx.size - np.arange(p0, p1))
+    j_idx = np.concatenate([idx[p:] for p in range(p0, p1)])
     a, b, m2lo, m3lo = _margins_batch(i_idx, j_idx)
     count = int(i_idx.size)
     # ndarray.min keeps a NaN; only finite lower bounds that clear both
@@ -184,26 +178,26 @@ def _scan_rows(args):
     min2 = float(m2lo.min())
     min3 = float(m3lo.min())
     ok = np.isfinite(m2lo) & np.isfinite(m3lo) & (m2lo >= thr2) & (m3lo >= thr3)
-    for idx in np.flatnonzero(~ok):
-        failures.append(
-            (int(i_idx[idx]), int(j_idx[idx]), float(a[idx]), float(b[idx]),
-             float(m2lo[idx]), float(m3lo[idx]))
-        )
+    failures = [
+        (int(i_idx[k]), int(j_idx[k]), float(a[k]), float(b[k]),
+         float(m2lo[k]), float(m3lo[k]))
+        for k in np.flatnonzero(~ok)
+    ]
     return count, min2, min3, failures
 
 
-def _row_chunks(stride: int) -> Iterator[list[int]]:
-    chunk: list[int] = []
-    size = 0
-    for i in range(0, GRID_MAX_INDEX + 1, stride):
-        row_len = len(range(i, GRID_MAX_INDEX + 1, stride))
-        chunk.append(i)
-        size += row_len
+def _row_chunks(stride: int) -> Iterator[tuple[int, int]]:
+    """Runs (p0, p1) of row positions in _net_indices(stride); a run closes
+    once its rows hold at least _BATCH_POINTS points."""
+    m = len(_net_indices(stride))
+    p0 = size = 0
+    for p in range(m):
+        size += m - p  # row p pairs position p with positions p..m-1
         if size >= _BATCH_POINTS:
-            yield chunk
-            chunk, size = [], 0
-    if chunk:
-        yield chunk
+            yield p0, p + 1
+            p0, size = p + 1, 0
+    if p0 < m:
+        yield p0, m
 
 
 def verify_all(
@@ -220,8 +214,7 @@ def verify_all(
     certificate then carries the failing points. At stride=1 this is the
     full 2,814,378-point verification.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    points = net_size(stride)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     thr2, thr3 = THRESHOLD_G2, THRESHOLD_G3
@@ -236,7 +229,7 @@ def verify_all(
     failures: list[tuple[int, int, float, float, float, float]] = []
     next_report = _PROGRESS_EVERY
 
-    tasks = ((rows, stride, thr2, thr3) for rows in _row_chunks(stride))
+    tasks = ((run, stride, thr2, thr3) for run in _row_chunks(stride))
     if threads == 1:
         results = map(_scan_rows, tasks)
         pool = None
@@ -251,7 +244,7 @@ def verify_all(
             failures.extend(c_failures)
             if progress and total >= next_report:
                 print(
-                    f"verify-net: {total}/{net_size(stride)} points, "
+                    f"verify-net: {total}/{points} points, "
                     f"min margins {min2:.6f} {min3:.6f}",
                     file=sys.stderr,
                 )
@@ -263,7 +256,7 @@ def verify_all(
             pool.terminate()
             pool.join()
 
-    passed = slacks_ok and not failures and total == net_size(stride)
+    passed = slacks_ok and not failures and total == points
     cert = NetCertificate(
         points_checked=total,
         min_margin_g2=min2,

@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from sweepcvrp.cli import main
+from sweepcvrp.cli import build_parser, main
 from sweepcvrp.closedform import g_all
 from sweepcvrp.experiments import read_csv
 from sweepcvrp.geometry import load_instance
@@ -50,6 +52,17 @@ def test_eval_g_matches_library(capsys):
     got = {line.split()[0]: float(line.split()[1]) for line in lines}
     v1, v2, v3, R = g_all(0.31, 0.77)
     assert got["g1"] == v1 and got["g2"] == v2 and got["g3"] == v3 and got["R"] == R
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_eval_g_rejects_non_finite(flag, value, capsys):
+    values = {"--a": "0.5", "--b": "0.5", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-g", *(f"{k}={v}" for k, v in values.items())])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: must be a finite number" in err
 
 
 def test_verify_net_cli(tmp_path, capsys):
@@ -115,6 +128,14 @@ def test_experiment_rejects_empty_algos(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_experiment_rejects_repeated_seeds(tmp_path, capsys):
+    out_file = tmp_path / "rows.csv"
+    assert main(["experiment", "--n", "5", "--k", "2", "--seeds", "0,0",
+                 "--output", str(out_file)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_tsp_mode_choices_come_from_tsp_modes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "--n", "2", "--k", "1", "--tsp-mode", "bogus",
@@ -163,3 +184,28 @@ def test_verify_net_rejects_nonpositive(flag, capsys):
 def test_gen_rejects_bad_capacity(tmp_path):
     assert main(["gen", "--n", "3", "--k", "9",
                  "--output", str(tmp_path / "x.txt")]) == 2
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of every `sweepcvrp ...` line in the README's sh blocks,
+    with backslash continuations joined and `#` comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in text.split("```sh\n")[1:]:
+        body = block.split("```")[0].replace("\\\n", " ")
+        for line in body.splitlines():
+            words = shlex.split(line, comments=True)
+            if words and words[0] == "sweepcvrp":
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) == 9
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: sweepcvrp {shlex.join(argv)}")

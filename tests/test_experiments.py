@@ -91,6 +91,11 @@ class TestRunRatioExperiment:
             with pytest.raises(ValueError, match="distinct and nonempty"):
                 self._config(algos=algos)
 
+    def test_rejects_empty_or_repeated_seeds(self):
+        for seeds in ((), (0, 0), (1, 2, 1)):
+            with pytest.raises(ValueError, match="seeds must be distinct and nonempty"):
+                self._config(seeds=seeds)
+
     def test_schema_and_order(self):
         result = run_ratio_experiment(self._config())
         assert [r.seed for r in result.rows] == [0, 0, 1, 1, 2, 2]

@@ -19,7 +19,6 @@ from sweepcvrp.interval import (
     _corner,
     _dn1,
     _dn4,
-    _hull_into,
     _up1,
     _up4,
     iv_g,
@@ -374,6 +373,14 @@ class TestOutwardRounding:
 
 
 # --- per-axis terms: the corner composition before they were shared -------------
+
+def _hull_into(out, mask, cand):
+    """Merge candidate intervals into the running hull where mask holds (the
+    branch-merging step of the compositions below, kept here as written)."""
+    out_lo = np.where(mask, np.minimum(out[0], cand[0]), out[0])
+    out_hi = np.where(mask, np.maximum(out[1], cand[1]), out[1])
+    return out_lo, out_hi
+
 
 def _v_B_pair_reference(h):
     has_low = h[0] < -1.0

@@ -7,7 +7,9 @@ import pytest
 from sweepcvrp import closedform, netverify
 from sweepcvrp.netverify import (
     FAR_FIELD_DISTANCE,
+    GRID_BASE,
     GRID_MAX_INDEX,
+    GRID_STEP,
     enumerate_net,
     grid_coord,
     lipschitz_slacks,
@@ -15,7 +17,6 @@ from sweepcvrp.netverify import (
     read_report,
     square_distance,
     verify_all,
-    verify_depot,
     verify_far_field,
     verify_point,
 )
@@ -45,8 +46,11 @@ class TestEnumerateNet:
             assert net_size(stride) == sum(1 for _ in enumerate_net(stride))
 
     def test_stride_validation(self):
-        with pytest.raises(ValueError):
-            list(enumerate_net(stride=0))
+        for stride in (0, -1, -5):
+            with pytest.raises(ValueError, match="stride must be >= 1"):
+                list(enumerate_net(stride=stride))
+            with pytest.raises(ValueError, match="stride must be >= 1"):
+                net_size(stride)
 
 
 class TestNetCoverage:
@@ -132,12 +136,6 @@ class TestFarField:
 
     def test_boundary_exact(self):
         assert verify_far_field(1 + 3 * math.sqrt(2), 0.5)
-
-    def test_routing(self):
-        passed, method = verify_depot(10.0, 10.0)
-        assert passed and method == "far-field"
-        passed, method = verify_depot(0.7, 0.9)
-        assert passed and method == "interval"
 
 
 class TestLipschitzSlacks:
@@ -245,6 +243,42 @@ class TestVerifyAll:
             verify_all(stride=0)
         with pytest.raises(ValueError):
             verify_all(stride=100, threads=0)
+
+
+class TestScanCoversNet:
+    """The certificate's scan visits exactly the points enumerate_net lists,
+    in order, once each, in chunks of whole rows."""
+
+    @pytest.mark.parametrize("stride, batch_points", [
+        (97, None), (250, None), (2371, None), (97, 50),
+    ])
+    def test_scan_matches_enumeration(self, monkeypatch, stride, batch_points):
+        if batch_points is not None:
+            monkeypatch.setattr(netverify, "_BATCH_POINTS", batch_points)
+        real = netverify._margins_batch
+        chunks = []
+
+        def spy(i_idx, j_idx):
+            chunks.append((i_idx.tolist(), j_idx.tolist()))
+            return real(i_idx, j_idx)
+
+        monkeypatch.setattr(netverify, "_margins_batch", spy)
+        assert verify_all(stride=stride).passed
+
+        scanned = [ij for i_idx, j_idx in chunks for ij in zip(i_idx, j_idx)]
+        listed = []
+        for a, b in enumerate_net(stride):
+            i, j = round((a - GRID_BASE) / GRID_STEP), round((b - GRID_BASE) / GRID_STEP)
+            assert (grid_coord(i), grid_coord(j)) == (a, b)
+            listed.append((i, j))
+        assert scanned == listed
+        assert len(set(scanned)) == len(scanned)
+
+        # whole rows: no row index appears in two chunks
+        rows = [set(i_idx) for i_idx, _ in chunks]
+        assert sum(map(len, rows)) == len(set().union(*rows))
+        if batch_points is not None:
+            assert len(chunks) > 1
 
 
 class TestNonFiniteMargins:
