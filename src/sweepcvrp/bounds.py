@@ -35,10 +35,14 @@ from .geometry import Instance, Point, diameter, dist, field_text
 from .tsp import check_tsp_mode, tsp_dispatch
 
 
-def radial_cost(instance: Instance, R: float) -> float:
-    """(2/k) * sum of depot distances clipped at R."""
+def _check_radius(R: float) -> None:
     if R < 0.0 or math.isnan(R):
         raise ValueError(f"R must be >= 0 or inf, got {R}")
+
+
+def radial_cost(instance: Instance, R: float) -> float:
+    """(2/k) * sum of depot distances clipped at R."""
+    _check_radius(R)
     depot = instance.depot
     return (2.0 / instance.capacity) * math.fsum(
         min(dist(depot, v), R) for v in instance.terminals
@@ -57,6 +61,7 @@ def local_cost(
     """(T*_R, certified): TSP length over the >=R terminals; certified is
     True iff the exact solver produced it (subsets of size <= 1 are 0 and
     trivially certified)."""
+    _check_radius(R)
     check_tsp_mode(tsp_mode)
     subset = local_subset(instance, R)
     if len(subset) <= 1:

@@ -11,21 +11,21 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .bounds import BoundsReport, choose_R, compute_bounds
 from .closedform import g_all
 from .experiments import (
+    ALGOS,
     ExperimentConfig,
     gen_instance,
     mean_certified_ratio,
     run_ratio_experiment,
+    solve,
     write_csv,
 )
 from .geometry import Point, Solution, load_instance, save_instance
-from .group_cvrp import SolveConfig
-from .itp import itp_solve
 from .netverify import verify_all
-from .sweep import sweep_solve
 from .tsp import TSP_MODES
 
 
@@ -55,7 +55,7 @@ def _parse_r(text: str):
         raise argparse.ArgumentTypeError(
             f"--r must be a number, 'auto' or 'inf', got {text!r}"
         ) from None
-    if value < 0:
+    if not value >= 0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"--r must be >= 0, got {value}")
     return value
 
@@ -75,10 +75,7 @@ def _solution_dict(algo: str, solution: Solution) -> dict:
         "algo": algo,
         "total_cost": solution.total_cost,
         "num_tours": len(solution.tours),
-        "tours": [
-            {"indices": list(t.indices), "length": t.length}
-            for t in solution.tours
-        ],
+        "tours": [asdict(t) for t in solution.tours],
     }
 
 
@@ -93,13 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a uniform random instance")
     p.add_argument("--n", type=int, required=True, help="number of terminals")
     p.add_argument("--k", type=int, required=True, help="vehicle capacity")
-    p.add_argument("--depot-x", type=float, default=0.5)
-    p.add_argument("--depot-y", type=float, default=0.5)
+    p.add_argument("--depot-x", type=_parse_finite, default=0.5)
+    p.add_argument("--depot-y", type=_parse_finite, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="instance file to write")
 
     p = sub.add_parser("solve", help="solve an instance")
-    p.add_argument("--algo", choices=("sweep", "itp"), default="sweep")
+    p.add_argument("--algo", choices=ALGOS, default="sweep")
     p.add_argument("--m", type=int, default=2, help="group size factor M (sweep)")
     p.add_argument("--input", required=True, help="instance file")
     p.add_argument("--output", help="write the solution as JSON here")
@@ -131,13 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--k", type=int, help="fixed capacity")
     group.add_argument("--k-alpha", type=float,
                        help="capacity rule k = ceil(n^alpha), alpha in [0,1]")
-    p.add_argument("--depot-x", type=float, default=0.5)
-    p.add_argument("--depot-y", type=float, default=0.5)
+    p.add_argument("--depot-x", type=_parse_finite, default=0.5)
+    p.add_argument("--depot-y", type=_parse_finite, default=0.5)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--seeds", type=_parse_seeds, default=(0,),
                    help="comma list and/or a:b ranges, e.g. 0:20")
-    p.add_argument("--algos", default="sweep,itp",
-                   help="comma subset of sweep,itp")
+    p.add_argument("--algos", default=",".join(ALGOS),
+                   help=f"comma subset of {','.join(ALGOS)}")
     p.add_argument("--tsp-mode", choices=TSP_MODES, default="auto")
     p.add_argument("--small-instance-mode", action="store_true",
                    help="use the brute-force optimum as ratio denominator")
@@ -156,11 +153,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.input)
-    if args.algo == "sweep":
-        config = SolveConfig(tsp_mode=args.tsp_mode, seed=args.seed)
-        solution = sweep_solve(instance, args.m, config)
-    else:
-        solution = itp_solve(instance, tsp_mode=args.tsp_mode, seed=args.seed)
+    solution = solve(instance, args.algo, args.m, args.tsp_mode, args.seed)
     payload = _solution_dict(args.algo, solution)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fp:

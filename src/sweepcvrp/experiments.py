@@ -30,13 +30,26 @@ import numpy as np
 # importable from this module: perfbench's traced run wraps them at this site.
 from .bounds import BoundContext, choose_R, lower_bound, upper_bound_formula  # noqa: F401
 from .bruteforce import brute_force_opt
-from .geometry import Instance, Point, field_text
+from .geometry import Instance, Point, Solution, field_text
 from .group_cvrp import SolveConfig
 from .itp import itp_solve
 from .sweep import sweep_solve
 from .tsp import check_tsp_mode
 
-_ALGOS = ("sweep", "itp")
+ALGOS = ("sweep", "itp")
+
+
+def solve(
+    instance: Instance, algo: str, M: int, tsp_mode: str = "auto", seed: int = 0
+) -> Solution:
+    """The solution of the algorithm named `algo` (one of ALGOS): the sweep
+    with group size factor M, or ITP, which ignores M. The solvers are read
+    from this module at call time, so a traced run can replace them here."""
+    if algo == "sweep":
+        return sweep_solve(instance, M, SolveConfig(tsp_mode=tsp_mode, seed=seed))
+    if algo == "itp":
+        return itp_solve(instance, tsp_mode=tsp_mode, seed=seed)
+    raise ValueError(f"unknown algo {algo!r}")
 
 
 def gen_instance(n: int, k: int, depot: Point, seed: int) -> Instance:
@@ -72,7 +85,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     k_fixed: int | None = None
     k_alpha: float | None = None
-    algos: tuple[str, ...] = _ALGOS
+    algos: tuple[str, ...] = ALGOS
     tsp_mode: str = "auto"
     small_instance_mode: bool = False  # brute-force opt as ratio denominator
 
@@ -82,8 +95,10 @@ class ExperimentConfig:
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct and nonempty, got {self.seeds!r}")
         for algo in self.algos:
-            if algo not in _ALGOS:
+            if algo not in ALGOS:
                 raise ValueError(f"unknown algo {algo!r}")
+        if not (math.isfinite(self.depot.x) and math.isfinite(self.depot.y)):
+            raise ValueError(f"non-finite depot: {self.depot}")
         check_tsp_mode(self.tsp_mode)
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
@@ -179,13 +194,8 @@ def run_ratio_experiment(config: ExperimentConfig) -> ExperimentResult:
             denominator = best_lb
 
         for algo in config.algos:
-            if algo == "sweep":
-                solve_cfg = SolveConfig(tsp_mode=config.tsp_mode, seed=seed)
-                cost = sweep_solve(instance, config.M, solve_cfg).total_cost
-                M = config.M
-            else:
-                cost = itp_solve(instance, tsp_mode=config.tsp_mode, seed=seed).total_cost
-                M = 1
+            cost = solve(instance, algo, config.M, config.tsp_mode, seed).total_cost
+            M = 1 if algo == "itp" else config.M  # ITP has no groups: bounded at M = 1
             ub, _ = bounds.upper(M)
             ratio = cost / denominator if denominator > 0.0 else math.nan
             result.rows.append(RatioRow(

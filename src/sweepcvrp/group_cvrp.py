@@ -35,12 +35,6 @@ class SolveConfig:
         check_tsp_mode(self.tsp_mode)
 
 
-@dataclass(frozen=True)
-class GroupResult:
-    solution: Solution
-    method: str  # "exact" or "heuristic"
-
-
 def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
     """Minimum-total-length partition of U into tours of at most k terminals.
 
@@ -144,11 +138,8 @@ def cvrp_group_heuristic(
 
 def solve_group(
     U: Sequence[Point], depot: Point, k: int, config: SolveConfig = SolveConfig()
-) -> GroupResult:
+) -> Solution:
     """Exact partition for small groups, tour splitting otherwise."""
     if len(U) <= EXACT_GROUP_THRESHOLD:
-        return GroupResult(solution=cvrp_exact_small(U, depot, k), method="exact")
-    return GroupResult(
-        solution=cvrp_group_heuristic(U, depot, k, config.tsp_mode, config.seed),
-        method="heuristic",
-    )
+        return cvrp_exact_small(U, depot, k)
+    return cvrp_group_heuristic(U, depot, k, config.tsp_mode, config.seed)

@@ -112,25 +112,22 @@ def v_neg(a):
     return -a[1], -a[0]
 
 
-def v_mul(a, b):
-    p1 = a[0] * b[0]
-    p2 = a[0] * b[1]
-    p3 = a[1] * b[0]
-    p4 = a[1] * b[1]
+def _hull4(p1, p2, p3, p4):
+    """Enclosure of a product or quotient from its four endpoint results
+    (each rounded to nearest): their min and max, moved outward by
+    _dn1/_up1."""
     lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
     hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
     return _dn1(lo), _up1(hi)
 
 
+def v_mul(a, b):
+    return _hull4(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+
+
 def v_div(a, b):
     """Quotient; the divisor must not contain zero (callers guarantee it)."""
-    q1 = a[0] / b[0]
-    q2 = a[0] / b[1]
-    q3 = a[1] / b[0]
-    q4 = a[1] / b[1]
-    lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
-    hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
-    return _dn1(lo), _up1(hi)
+    return _hull4(a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
 
 
 def v_sqr(a):

@@ -103,13 +103,19 @@ def _margins(a, b):
     return v_sub(g2, v_mul(_V_31_48, g1)), v_sub(g3, _V_31_48)
 
 
+def _clears(m2lo, m3lo, thr2, thr3):
+    """The pass rule of a net point, lane-wise: both margin lower ends are
+    finite and clear their thresholds. A NaN or infinite end never passes."""
+    return np.isfinite(m2lo) & np.isfinite(m3lo) & (m2lo >= thr2) & (m3lo >= thr3)
+
+
 def verify_point(a: float, b: float) -> PointCheck:
-    """Interval margin check at one depot position: passes iff the interval
-    lower bounds clear THRESHOLD_G2 and THRESHOLD_G3."""
+    """Interval margin check at one depot position, by the net scan's pass
+    rule against THRESHOLD_G2 and THRESHOLD_G3."""
     m2, m3 = _margins(np.float64(a), np.float64(b))
     margin2 = Interval(float(m2[0]), float(m2[1]))
     margin3 = Interval(float(m3[0]), float(m3[1]))
-    passed = margin2.lo >= THRESHOLD_G2 and margin3.lo >= THRESHOLD_G3
+    passed = bool(_clears(m2[0], m3[0], THRESHOLD_G2, THRESHOLD_G3))
     return PointCheck(margin2=margin2, margin3=margin3, passed=passed)
 
 
@@ -173,11 +179,9 @@ def _scan_rows(args):
     j_idx = np.concatenate([idx[p:] for p in range(p0, p1)])
     a, b, m2lo, m3lo = _margins_batch(i_idx, j_idx)
     count = int(i_idx.size)
-    # ndarray.min keeps a NaN; only finite lower bounds that clear both
-    # thresholds pass
-    min2 = float(m2lo.min())
+    min2 = float(m2lo.min())  # ndarray.min keeps a NaN
     min3 = float(m3lo.min())
-    ok = np.isfinite(m2lo) & np.isfinite(m3lo) & (m2lo >= thr2) & (m3lo >= thr3)
+    ok = _clears(m2lo, m3lo, thr2, thr3)
     failures = [
         (int(i_idx[k]), int(j_idx[k]), float(a[k]), float(b[k]),
          float(m2lo[k]), float(m3lo[k]))
@@ -229,12 +233,12 @@ def verify_all(
     failures: list[tuple[int, int, float, float, float, float]] = []
     next_report = _PROGRESS_EVERY
 
-    tasks = ((run, stride, thr2, thr3) for run in _row_chunks(stride))
+    tasks = [(run, stride, thr2, thr3) for run in _row_chunks(stride)]
     if threads == 1:
         results = map(_scan_rows, tasks)
         pool = None
     else:
-        pool = Pool(processes=threads)
+        pool = Pool(processes=min(threads, len(tasks)))  # one worker per chunk at most
         results = pool.imap(_scan_rows, tasks)
     try:
         for count, c_min2, c_min3, c_failures in results:

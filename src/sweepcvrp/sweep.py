@@ -28,12 +28,9 @@ def sweep_solve(
     tours: list[Tour] = []
     for group in sweep_groups(instance, M):
         U = [instance.terminals[i] for i in group]
-        result = solve_group(U, instance.depot, instance.capacity, config)
-        for local_tour in result.solution.tours:
-            tours.append(
-                Tour(
-                    indices=tuple(group[i] for i in local_tour.indices),
-                    length=local_tour.length,
-                )
-            )
+        solution = solve_group(U, instance.depot, instance.capacity, config)
+        tours.extend(
+            Tour(indices=tuple(group[i] for i in t.indices), length=t.length)
+            for t in solution.tours
+        )
     return make_solution(tours)

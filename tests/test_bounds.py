@@ -52,6 +52,13 @@ class TestRadialCost:
         with pytest.raises(ValueError):
             radial_cost(CROSS, -0.5)
 
+    @pytest.mark.parametrize("R", [math.nan, -1.0, -math.inf])
+    def test_invalid_r_rejected_by_both_costs(self, R):
+        with pytest.raises(ValueError, match="R must be >= 0 or inf"):
+            radial_cost(CROSS, R)
+        with pytest.raises(ValueError, match="R must be >= 0 or inf"):
+            local_cost(CROSS, R)
+
     def test_monotone_and_lipschitz_in_r(self):
         rng = np.random.default_rng(223)
         for _ in range(20):
@@ -330,6 +337,15 @@ class TestBoundContext:
             ctx.upper(0)
         with pytest.raises(ValueError, match="R must be"):
             ctx.lower(-1.0)
+
+    def test_invalid_r_rejected_before_any_tour(self, monkeypatch):
+        import sweepcvrp.bounds as bounds
+
+        tours = []
+        monkeypatch.setattr(bounds, "tsp_dispatch", lambda *a, **kw: tours.append(a))
+        with pytest.raises(ValueError, match="R must be"):
+            BoundContext(CROSS).lower(-1.0)
+        assert tours == []
 
 
 class TestAlgorithmsAgainstBounds:

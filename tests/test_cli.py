@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -6,7 +8,7 @@ import pytest
 
 from sweepcvrp.cli import build_parser, main
 from sweepcvrp.closedform import g_all
-from sweepcvrp.experiments import read_csv
+from sweepcvrp.experiments import ALGOS, read_csv
 from sweepcvrp.geometry import load_instance
 from sweepcvrp.netverify import net_size, read_report
 from sweepcvrp.tsp import TSP_MODES
@@ -46,6 +48,28 @@ def test_gen_solve_bounds_pipeline(tmp_path, capsys):
     assert out[-1].startswith("inf,")
 
 
+# sha256 of the `solve --output` JSON on the `gen --n 200 --k 14 --seed 7`
+# instance, recorded before the solver calls moved behind experiments.solve
+GOLDEN_SOLVE_SHA256 = {
+    ("--algo", "sweep", "--m", "2"):
+        "c66ccd0ca31790689e65be1f375c8d8fb749c44b9decbb3c03d06a5d395991e9",
+    ("--algo", "itp"):
+        "55055e6642e957195bf8a1f6dc99fe6aed5a127faff86674a9d6d82cea4a6b1d",
+}
+
+
+@pytest.mark.parametrize("algo_args", list(GOLDEN_SOLVE_SHA256))
+def test_solve_output_golden(tmp_path, capsys, algo_args):
+    instance_file = tmp_path / "inst.txt"
+    solution_file = tmp_path / "sol.json"
+    assert main(["gen", "--n", "200", "--k", "14", "--seed", "7",
+                 "--output", str(instance_file)]) == 0
+    assert main(["solve", *algo_args, "--input", str(instance_file),
+                 "--output", str(solution_file)]) == 0
+    digest = hashlib.sha256(solution_file.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SOLVE_SHA256[algo_args]
+
+
 def test_eval_g_matches_library(capsys):
     assert main(["eval-g", "--a", "0.31", "--b", "0.77"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -71,7 +95,8 @@ def test_verify_net_cli(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "PASS" in captured.out
-    header, failures = read_report(open(report_file, encoding="utf-8"))
+    with open(report_file, encoding="utf-8") as fp:
+        header, failures = read_report(fp)
     assert header["pass"] is True
     assert header["points_checked"] == net_size(300)
     assert failures == []
@@ -83,8 +108,10 @@ def test_verify_net_threads_match(tmp_path):
     assert main(["verify-net", "--stride", "400", "--report", str(r1)]) == 0
     assert main(["verify-net", "--stride", "400", "--threads", "2",
                  "--report", str(r2)]) == 0
-    h1, f1 = read_report(open(r1, encoding="utf-8"))
-    h2, f2 = read_report(open(r2, encoding="utf-8"))
+    with open(r1, encoding="utf-8") as fp:
+        h1, f1 = read_report(fp)
+    with open(r2, encoding="utf-8") as fp:
+        h2, f2 = read_report(fp)
     h1.pop("runtime_seconds")
     h2.pop("runtime_seconds")
     assert h1 == h2 and f1 == f2
@@ -98,7 +125,8 @@ def test_experiment_cli(tmp_path, capsys):
         "--small-instance-mode", "--output", str(out_file),
     ])
     assert code == 0
-    rows = read_csv(open(out_file, encoding="utf-8"))
+    with open(out_file, encoding="utf-8") as fp:
+        rows = read_csv(fp)
     assert len(rows) == 6  # 3 seeds x 2 algos
     assert all(r.ratio >= 1.0 - 1e-9 for r in rows)
     assert "mean cost / best-certified-lower-bound" in capsys.readouterr().out
@@ -108,7 +136,8 @@ def test_experiment_k_alpha(tmp_path):
     out_file = tmp_path / "rows.csv"
     assert main(["experiment", "--n", "16", "--k-alpha", "0.5",
                  "--seeds", "1", "--output", str(out_file)]) == 0
-    rows = read_csv(open(out_file, encoding="utf-8"))
+    with open(out_file, encoding="utf-8") as fp:
+        rows = read_csv(fp)
     assert all(r.k == 4 for r in rows)
 
 
@@ -144,6 +173,45 @@ def test_tsp_mode_choices_come_from_tsp_modes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid choice: 'bogus'" in err
     assert all(mode in err for mode in TSP_MODES)
+
+
+def _option(command: str, flag: str) -> argparse.Action:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+
+
+def test_algo_choices_come_from_algos(tmp_path, capsys):
+    assert tuple(_option("solve", "--algo").choices) == ALGOS
+    algos = _option("experiment", "--algos")
+    assert algos.default == ",".join(ALGOS)
+    assert ",".join(ALGOS) in algos.help
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--algo", "bogus", "--input", str(tmp_path / "x.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert all(algo in err for algo in ALGOS)
+
+
+def test_bounds_rejects_nan_radius(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--input", "x", "--r", "nan"])
+    assert exc.value.code == 2
+    assert "error: argument --r: --r must be >= 0, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--n", "3", "--k", "1"],
+    ["experiment", "--n", "3", "--k", "1"],
+])
+@pytest.mark.parametrize("flag", ["--depot-x", "--depot-y"])
+def test_depot_rejects_non_finite(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"{flag}=inf", "--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_net_failure_exits_1(monkeypatch, capsys):

@@ -15,9 +15,28 @@ from sweepcvrp.experiments import (
     read_csv,
     resolve_k,
     run_ratio_experiment,
+    solve,
     write_csv,
 )
 from sweepcvrp.geometry import Point, dist
+from sweepcvrp.group_cvrp import SolveConfig
+from sweepcvrp.itp import itp_solve
+from sweepcvrp.sweep import sweep_solve
+
+
+class TestSolve:
+    INST = gen_instance(30, 4, Point(0.3, 0.6), seed=5)
+
+    def test_each_algo_is_its_solver(self):
+        for seed in (0, 3):
+            assert solve(self.INST, "sweep", 2, "heuristic", seed) == sweep_solve(
+                self.INST, 2, SolveConfig(tsp_mode="heuristic", seed=seed))
+            assert solve(self.INST, "itp", 2, "heuristic", seed) == itp_solve(
+                self.INST, tsp_mode="heuristic", seed=seed)
+
+    def test_unknown_algo(self):
+        with pytest.raises(ValueError, match="unknown algo 'bogus'"):
+            solve(self.INST, "bogus", 2)
 
 
 class TestGenInstance:
@@ -81,6 +100,11 @@ class TestRunRatioExperiment:
         for M in (0, -1):
             with pytest.raises(ValueError, match="M must be >= 1"):
                 self._config(M=M)
+
+    @pytest.mark.parametrize("depot", [Point(math.inf, 0.5), Point(0.5, math.nan)])
+    def test_rejects_non_finite_depot(self, depot):
+        with pytest.raises(ValueError, match="non-finite depot"):
+            self._config(depot=depot)
 
     def test_rejects_unknown_tsp_mode(self):
         with pytest.raises(ValueError, match="unknown tsp mode: 'bogus'"):

@@ -142,27 +142,26 @@ class TestSplitHeuristic:
 class TestSolveGroup:
     def test_small_goes_exact(self):
         U = random_points(np.random.default_rng(89), 3)
-        res = solve_group(U, O, 2)
-        assert res.method == "exact"
+        assert solve_group(U, O, 2) == cvrp_exact_small(U, O, 2)
 
     def test_large_goes_heuristic(self):
         U = random_points(np.random.default_rng(97), 40)
-        res = solve_group(U, O, 5)
-        assert res.method == "heuristic"
-        assert solution_is_feasible(_as_instance(U, O, 5), res.solution)
+        sol = solve_group(U, O, 5)
+        assert sol == cvrp_group_heuristic(U, O, 5)
+        assert solution_is_feasible(_as_instance(U, O, 5), sol)
 
     def test_empty_group(self):
-        res = solve_group([], O, 3)
-        assert res.method == "exact"
-        assert res.solution.total_cost == 0.0
-        assert res.solution.tours == ()
+        sol = solve_group([], O, 3)
+        assert sol == cvrp_exact_small([], O, 3)
+        assert sol.total_cost == 0.0
+        assert sol.tours == ()
 
     def test_threshold_boundary(self):
         U = random_points(np.random.default_rng(101), EXACT_GROUP_THRESHOLD + 1)
-        assert solve_group(U[:-1], O, 3).method == "exact"
-        res = solve_group(U, O, 3)
-        assert res.method == "heuristic"
-        assert solution_is_feasible(_as_instance(U, O, 3), res.solution)
+        assert solve_group(U[:-1], O, 3) == cvrp_exact_small(U[:-1], O, 3)
+        sol = solve_group(U, O, 3)
+        assert sol == cvrp_group_heuristic(U, O, 3)
+        assert solution_is_feasible(_as_instance(U, O, 3), sol)
 
 
 def _held_karp_reference(U, depot):

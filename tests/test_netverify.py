@@ -99,6 +99,22 @@ class TestVerifyPoint:
         monkeypatch.setattr(netverify, "THRESHOLD_G3", 0.2)
         assert not verify_point(0.5, 0.5).passed
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_infinite_lower_end_fails(self, monkeypatch, which):
+        # the net scan fails a point whose margin lower end is +inf, and
+        # verify_point follows the same rule
+        real = netverify._margins
+
+        def patched(a, b):
+            margins = list(real(a, b))
+            margins[which] = (np.float64(math.inf), np.float64(math.inf))
+            return tuple(margins)
+
+        monkeypatch.setattr(netverify, "_margins", patched)
+        check = verify_point(0.5, 0.5)
+        assert not check.passed
+        assert (check.margin2, check.margin3)[which].lo == math.inf
+
     def test_matches_batch_lanes_bit_for_bit(self):
         # verify_point and the net scan share one margin formula
         rng = np.random.default_rng(233)
@@ -185,10 +201,37 @@ class TestVerifyAll:
         c = verify_all(stride=300, threads=2)
         assert a.canonical_dict() == b.canonical_dict() == c.canonical_dict()
 
+    def test_one_worker_per_chunk_at_most(self, monkeypatch):
+        started = []
+
+        class InlinePool:
+            """Records the pool size and runs the work in this process."""
+
+            def __init__(self, processes):
+                started.append(processes)
+
+            imap = staticmethod(map)
+
+            def terminate(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(netverify, "Pool", InlinePool)
+        cert = verify_all(stride=50, threads=8)  # the net is one chunk
+        assert started == [1]
+        assert cert.canonical_dict() == verify_all(stride=50).canonical_dict()
+        # at stride 5 only the chunk count matters, so the scan is skipped
+        monkeypatch.setattr(netverify, "_scan_rows", lambda task: (0, 0.0, 0.0, []))
+        verify_all(stride=5, threads=8)
+        assert started == [1, len(list(netverify._row_chunks(5)))] == [1, 7]
+
     def test_report_round_trip(self, tmp_path):
         path = tmp_path / "report.txt"
         cert = verify_all(stride=400, report_path=str(path))
-        header, failures = read_report(open(path, encoding="utf-8"))
+        with open(path, encoding="utf-8") as fp:
+            header, failures = read_report(fp)
         assert header["pass"] is True
         assert header["points_checked"] == cert.points_checked
         assert header["min_margin_g2"] == cert.min_margin_g2
@@ -201,7 +244,8 @@ class TestVerifyAll:
             path = tmp_path / f"fail{threads}.txt"
             cert = verify_all(stride=500, threads=threads, report_path=str(path))
             assert not cert.passed
-            header, failures = read_report(open(path, encoding="utf-8"))
+            with open(path, encoding="utf-8") as fp:
+                header, failures = read_report(fp)
             assert header["pass"] is False
             assert header["threshold_g2"] == header["threshold_g3"] == 1.0
             assert failures, "failing points must be listed"
@@ -301,7 +345,8 @@ class TestNonFiniteMargins:
         assert not cert.passed
         if math.isnan(bad):
             assert math.isnan(cert.min_margin_g2)
-        _, failures = read_report(open(path, encoding="utf-8"))
+        with open(path, encoding="utf-8") as fp:
+            _, failures = read_report(fp)
         assert [(i, j) for i, j, *_ in failures] == hit
 
 

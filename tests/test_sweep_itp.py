@@ -33,7 +33,7 @@ class TestSweep:
         M = math.ceil(inst.n / inst.capacity)  # forces one group
         sol = sweep_solve(inst, M)
         direct = solve_group(list(inst.terminals), inst.depot, inst.capacity)
-        assert sol.total_cost == pytest.approx(direct.solution.total_cost, abs=1e-9)
+        assert sol.total_cost == pytest.approx(direct.total_cost, abs=1e-9)
 
     def test_empty_instance(self):
         inst = Instance(terminals=(), depot=Point(0, 0), capacity=1)
