@@ -30,7 +30,7 @@ import numpy as np
 # importable from this module: perfbench's traced run wraps them at this site.
 from .bounds import BoundContext, choose_R, lower_bound, upper_bound_formula  # noqa: F401
 from .bruteforce import brute_force_opt
-from .geometry import Instance, Point, Solution, field_text
+from .geometry import Instance, Point, Solution, check_feasible, field_text
 from .group_cvrp import SolveConfig
 from .itp import itp_solve
 from .sweep import sweep_solve
@@ -44,12 +44,16 @@ def solve(
 ) -> Solution:
     """The solution of the algorithm named `algo` (one of ALGOS): the sweep
     with group size factor M, or ITP, which ignores M. The solvers are read
-    from this module at call time, so a traced run can replace them here."""
+    from this module at call time, so a traced run can replace them here.
+    Raises ValueError if the solver returns an infeasible solution."""
     if algo == "sweep":
-        return sweep_solve(instance, M, SolveConfig(tsp_mode=tsp_mode, seed=seed))
-    if algo == "itp":
-        return itp_solve(instance, tsp_mode=tsp_mode, seed=seed)
-    raise ValueError(f"unknown algo {algo!r}")
+        solution = sweep_solve(instance, M, SolveConfig(tsp_mode=tsp_mode, seed=seed))
+    elif algo == "itp":
+        solution = itp_solve(instance, tsp_mode=tsp_mode, seed=seed)
+    else:
+        raise ValueError(f"unknown algo {algo!r}")
+    check_feasible(instance, solution)
+    return solution
 
 
 def gen_instance(n: int, k: int, depot: Point, seed: int) -> Instance:

@@ -81,6 +81,27 @@ def make_solution(tours: Iterable[Tour]) -> Solution:
     return Solution(tours=tours, total_cost=math.fsum(t.length for t in tours))
 
 
+def check_feasible(instance: Instance, solution: Solution) -> None:
+    """Raise ValueError unless `solution` is a feasible solution of `instance`:
+    every terminal in exactly one tour, every tour of 1 .. capacity terminals,
+    every tour length that of its route, and the total the sum of the tour
+    lengths (each within a relative or absolute 1e-9)."""
+    if sorted(i for t in solution.tours for i in t.indices) != list(range(instance.n)):
+        raise ValueError("infeasible solution: terminals not visited exactly once")
+    for t in solution.tours:
+        if not 1 <= len(t.indices) <= instance.capacity:
+            raise ValueError(f"infeasible solution: a tour of {len(t.indices)} "
+                             f"terminals, capacity {instance.capacity}")
+        route = tour_length(instance.depot, [instance.terminals[i] for i in t.indices])
+        if not math.isclose(t.length, route, rel_tol=1e-9, abs_tol=1e-9):
+            raise ValueError(f"infeasible solution: tour length {t.length!r} "
+                             f"!= route length {route!r}")
+    total = math.fsum(t.length for t in solution.tours)
+    if not math.isclose(solution.total_cost, total, rel_tol=1e-9, abs_tol=1e-9):
+        raise ValueError(f"infeasible solution: total cost {solution.total_cost!r} "
+                         f"!= sum of tour lengths {total!r}")
+
+
 def polar_angle(p: Point, depot: Point) -> float:
     """Polar angle of p with respect to depot, normalized to [0, 2*pi).
 

@@ -1,9 +1,9 @@
 """Traveling-salesman tours over point sets.
 
 Two solvers: an exact bitmask dynamic program for up to EXACT_THRESHOLD
-points, and a nearest-neighbor + 2-opt heuristic for anything larger. Tours
-are closed cycles over exactly the given points; no depot is added
-implicitly (callers include it in the point list when they need it).
+points, and a neighbour-list local search for anything larger. Tours are
+closed cycles over exactly the given points; no depot is added implicitly
+(callers include it in the point list when they need it).
 
 `held_karp` is the one Held-Karp DP of the package: tsp_exact runs it over
 points[1:] rooted at points[0], and the exact group solver in group_cvrp runs
@@ -16,18 +16,34 @@ path costs and the smallest last terminal among equal tour costs.
 Degenerate conventions: 0 or 1 points have tour length 0; two points have
 length 2*d (out and back), which Held-Karp over one terminal gives exactly.
 
-The 2-opt kernel keeps the tour's coordinates and edge lengths in arrays in
-tour order and updates them incrementally on each move, so a step costs two
-hypot vectors over the candidate edges and no gather. It takes the same
-moves, in the same order, as evaluating every delta from scratch: edge
-lengths are only reversed or recomputed with the same np.hypot call, and
-each delta is summed in the same order.
+The heuristic (Bentley 1992; Johnson & McGeoch 1997) rests on one table,
+`neighbours(pts)`: the K = NEIGHBOURS nearest other points of each point,
+found exactly through a grid and ranked by (squared distance, index).
+Three steps use it:
+  - the nearest-neighbor walk steps to the first unvisited point of the
+    current point's row, and ranks all points only when the whole row is
+    visited; ties go to the smallest index, so the walk is the plain O(n^2)
+    nearest-neighbor tour, bit for bit;
+  - _local_search takes first-improvement 2-opt moves whose new edge at the
+    processed point is shorter than the edge it removes, over the listed
+    neighbours, or over all points when that edge is longer than the K-th
+    neighbour;
+  - its Or-opt moves put a segment of 1-3 points next to a listed neighbour.
+A FIFO queue of points whose edges changed (don't-look bits) drives the
+search. When it runs dry after a move, a confirming pass queues every point
+again, and the search ends only when such a pass moves nothing, so the tour
+is a 2-opt local optimum over all pairs of edges. A move must shorten the
+tour by more than eps, _IMPROVE_EPS scaled by the largest |coordinate|, so
+the search never returns a longer tour than it started from. Everything is
+deterministic in the start point.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,8 +54,12 @@ from .geometry import Point, dist
 EXACT_THRESHOLD = 14
 TSP_MODES = ("auto", "exact", "heuristic")
 
-# strict-improvement threshold for 2-opt at unit coordinate scale; prevents
-# cycling on FP noise. tsp_heuristic scales it by the largest |coordinate|,
+NEIGHBOURS = 10  # listed nearest neighbours per point (K)
+_GRID_LOAD = 4  # points per grid cell, on average
+_QUERY_BLOCK = 64  # points per neighbour query
+
+# strict-improvement threshold of a local-search move at unit coordinate
+# scale; prevents cycling on FP noise. tsp_heuristic scales it by the largest |coordinate|,
 # since an edge length's rounding error grows with the coordinates.
 _IMPROVE_EPS = 1e-12
 
@@ -142,10 +162,9 @@ def tsp_exact(points: Sequence[Point]) -> TspResult:
 
 
 def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
-    """Nearest-neighbor construction from a seed-selected start, then 2-opt.
+    """Nearest-neighbor walk from point `seed % n`, then _local_search.
 
-    2-opt applies the first improving move found and rescans until a full
-    pass finds none, so the result is a 2-opt local optimum and is
+    The result is a 2-opt local optimum over all pairs of edges and is
     deterministic for a given seed.
     """
     n = len(points)
@@ -156,84 +175,313 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
                          certified_optimal=False)
 
     pts = np.array(points, dtype=float)
-    start = seed % n
-    tour = _nearest_neighbor(pts, start)
-    tour = _two_opt(pts, tour, _IMPROVE_EPS * max(1.0, float(np.abs(pts).max())))
-    order = tuple(int(i) for i in tour)
+    nbrs = neighbours(pts)
+    tour = _neighbour_walk(pts, nbrs, seed % n)
+    tour = _local_search(pts, tour, nbrs,
+                         _IMPROVE_EPS * max(1.0, float(np.abs(pts).max())))
+    order = tuple(tour)
     return TspResult(order=order, length=cycle_length(points, order),
                      certified_optimal=False)
 
 
-def _nearest_neighbor(pts: np.ndarray, start: int) -> np.ndarray:
+def neighbours(pts: np.ndarray) -> np.ndarray:
+    """The K = min(NEIGHBOURS, n - 1) nearest other points of each of the n
+    points, as an (n, K) index array whose rows run in (squared distance,
+    index) order.
+
+    The points are bucketed once into a grid of about _GRID_LOAD points per
+    cell, and queried in blocks of at most _QUERY_BLOCK points. A point's
+    candidates are the points in the square of cells within `ring` cells of
+    its own. The point is done when its K-th candidate lies strictly closer
+    than every edge of that square with cells beyond it; otherwise it is
+    queried again with the ring doubled. A squared distance is
+    (x_j - x_i)**2 + (y_j - y_i)**2, the value _neighbour_walk ranks.
+    """
     n = len(pts)
-    visited = np.zeros(n, dtype=bool)
-    tour = np.empty(n, dtype=np.int64)
-    tour[0] = start
-    visited[start] = True
+    K = min(NEIGHBOURS, n - 1)
+    out = np.empty((n, max(K, 0)), dtype=np.int64)
+    if K < 1:
+        return out
+    x, y = pts[:, 0], pts[:, 1]
+    # side x side cells whose inner edges are quantiles of x and of y, so
+    # that clustered points spread over them too: cell (cx, cy) holds the
+    # points with xedge[cx] <= x < xedge[cx + 1], and likewise in y
+    side = max(1, round(math.sqrt(n / _GRID_LOAD)))
+    inner = np.arange(1, side) * n // side
+    xedge, yedge = (np.concatenate([[-math.inf], np.sort(v)[inner], [math.inf]])
+                    for v in (x, y))
+    xy = np.column_stack([np.searchsorted(xedge[1:-1], x, side="right"),
+                          np.searchsorted(yedge[1:-1], y, side="right")])
+    cell = xy[:, 1] * side + xy[:, 0]
+    by_cell = np.argsort(cell, kind="stable")
+    # cell c holds the points by_cell[first[c] : first[c + 1]]
+    first = np.zeros(side * side + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell, minlength=side * side), out=first[1:])
+    # covers the rounding of a point's distance to an edge
+    slack = 1e-14 * float(np.abs(pts).max())
+
+    for b in range(0, n, _QUERY_BLOCK):
+        q = np.arange(b, min(b + _QUERY_BLOCK, n))
+        ring = 1
+        while q.size:
+            # the square's columns x0 .. x1 and rows y0 .. y1; row r of it is
+            # the cell run [x0, x1] of grid row cy + r
+            cx, cy = xy[q, 0], xy[q, 1]
+            x0, x1 = np.maximum(cx - ring, 0), np.minimum(cx + ring, side - 1)
+            y0, y1 = np.maximum(cy - ring, 0), np.minimum(cy + ring, side - 1)
+            rows = cy[:, None] + np.arange(-ring, ring + 1)
+            inside = (rows >= 0) & (rows < side)
+            rows = np.clip(rows, 0, side - 1) * side
+            run_lo = np.where(inside, first[rows + x0[:, None]], 0).ravel()
+            run_len = np.where(inside, first[rows + x1[:, None] + 1], 0).ravel() - run_lo
+            owner = np.repeat(np.arange(len(q)).repeat(2 * ring + 1), run_len)
+            offset = np.cumsum(run_len) - run_len
+            cand = by_cell[np.arange(run_len.sum()) + np.repeat(run_lo - offset, run_len)]
+            other = cand != q[owner]
+            cand, owner = cand[other], owner[other]
+            dx = x[cand] - x[q[owner]]
+            dy = y[cand] - y[q[owner]]
+            # one row per point, padded with (inf, n), ranked by d2, and by
+            # (d2, index) where equal d2 meet among the first K + 1
+            count = np.bincount(owner, minlength=len(q))
+            col = np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+            D = np.full((len(q), max(count.max(), K + 1)), math.inf)
+            C = np.full(D.shape, n)
+            D[owner, col], C[owner, col] = dx * dx + dy * dy, cand
+            row = np.arange(len(q))[:, None]
+            top = np.argsort(D, axis=1)[:, : K + 1]
+            kth = D[row, top]
+            tied = (kth[:, 1:] == kth[:, :-1]).any(axis=1) & (count >= K)
+            if tied.any():
+                top[tied] = np.lexsort((C[tied], D[tied]))[:, : K + 1]
+            # the nearest edge of the square with cells beyond it (outer
+            # edges are infinite)
+            xq, yq = x[q], y[q]
+            gap = np.minimum(np.minimum(xq - xedge[x0], xedge[x1 + 1] - xq),
+                             np.minimum(yq - yedge[y0], yedge[y1 + 1] - yq))
+            gap = np.maximum(gap - slack, 0.0)
+            done = kth[:, K - 1] < gap * gap
+            out[q[done]] = C[row[done], top[done, :K]]
+            q = q[~done]
+            ring *= 2
+    return out
+
+
+def _neighbour_walk(pts: np.ndarray, nbrs: np.ndarray, start: int) -> list[int]:
+    """Nearest-neighbor tour from `start`: each step moves to the closest
+    unvisited point, ties to the smallest index.
+
+    The first unvisited entry of the current point's neighbour row is that
+    point; only when the whole row is visited does the step rank all points.
+    """
+    n, K = nbrs.shape
+    rows = memoryview(nbrs.reshape(-1))
+    seen = bytearray(n)
+    visited = np.frombuffer(seen, dtype=bool)  # a view: follows `seen`
+    x, y = pts[:, 0], pts[:, 1]
+    tour = [start]
+    seen[start] = 1
     cur = start
-    for step in range(1, n):
-        dx = pts[:, 0] - pts[cur, 0]
-        dy = pts[:, 1] - pts[cur, 1]
-        d2 = dx * dx + dy * dy
-        d2[visited] = np.inf
-        cur = int(np.argmin(d2))
-        tour[step] = cur
-        visited[cur] = True
+    for _ in range(n - 1):
+        for nxt in rows[cur * K : (cur + 1) * K]:
+            if not seen[nxt]:
+                break
+        else:
+            dx = x - x[cur]
+            dy = y - y[cur]
+            d2 = dx * dx + dy * dy
+            d2[visited] = np.inf
+            nxt = int(np.argmin(d2))
+        seen[nxt] = 1
+        tour.append(nxt)
+        cur = nxt
     return tour
 
 
-def _two_opt(pts: np.ndarray, tour: np.ndarray,
-             eps: float = _IMPROVE_EPS) -> np.ndarray:
-    """First-improvement 2-opt, scanning edge pairs (i, j) lexicographically
-    with the j-scan vectorized; restarts passes until no move improves. A
-    move improves if its delta is below -eps.
+def _local_search(pts: np.ndarray, tour: Sequence[int], nbrs: np.ndarray,
+                  eps: float) -> list[int]:
+    """First-improvement 2-opt and Or-opt from the cyclic `tour`, driven by a
+    FIFO queue of active points (don't-look bits); returns the new tour.
 
-    Invariants between steps, all in current tour order:
-      - x[p], y[p] are the coordinates of tour[p], and x[n], y[n] repeat
-        position 0 (never moved, since a move reverses i+1..j with i >= 0),
-        so x[1:], y[1:] are the successor coordinates;
-      - e[p] = hypot(x[p] - x[p+1], y[p] - y[p+1]), the length of edge
-        (p, p+1 mod n).
-    A move (i, j) reverses positions i+1..j of tour, x and y and edge lengths
-    i+1..j-1 (hypot(-dx, -dy) == hypot(dx, dy), so they stay exact), and sets
-    e[i], e[j] to the two new edges' lengths, which the scan just computed.
-    The move order and every delta are those of a kernel that recomputes all
-    four edge lengths from the tour at each step, bit for bit: the delta is
-    (h_ac + h_bd) - e[i] - e[j] with the same operands in the same order.
+    Processing point a tries, in order, and applies the first move whose
+    delta is below -eps:
+      - 2-opt on the edge (a, b) to a's successor, then to its predecessor:
+        for each c closer to a than b, in (squared distance, index) order,
+        replace (a, b) and the edge (c, e) on the same side of c by (a, c)
+        and (b, e). These c are a's listed neighbours, or, when (a, b) is
+        longer than a's K-th neighbour, every such point;
+      - Or-opt: a segment of 1-3 points with a at one end moves, forward or
+        reversed, between a listed neighbour c of a and one of c's tour
+        neighbours, with a next to c. c must be closer to a than the
+        segment's removal gain.
+    The endpoints of the changed edges join the queue. When the queue runs
+    dry after a move, a confirming pass queues every point again, so the
+    search ends with a full pass that moves nothing. Every improving 2-opt move has an endpoint
+    whose new edge is shorter than the edge it removes, so the result is a
+    2-opt local optimum over all pairs. Only improving moves are taken, so
+    the result is never longer than `tour`.
+
+    The tour is a position array; a move rewrites the shorter of the two
+    tour arcs that give the same cycle, so a point's successor may become its
+    predecessor. A start tour that is not a permutation of the points raises
+    ValueError.
     """
+    tour = [int(v) for v in tour]
     n = len(tour)
+    if sorted(tour) != list(range(len(pts))):
+        raise ValueError("the start tour is not a permutation of the points")
     if n < 4:
         return tour
-    x = np.append(pts[tour, 0], pts[tour[0], 0])
-    y = np.append(pts[tour, 1], pts[tour[0], 1])
-    e = np.hypot(x[:-1] - x[1:], y[:-1] - y[1:])
-    improved = True
-    while improved:
-        improved = False
-        i = 0
-        while i < n - 2:
-            a_x, a_y = x[i], y[i]
-            b_x, b_y = x[i + 1], y[i + 1]
-            # candidate second edges (j, j+1) for j in i+2 .. jmax
-            jmax = n - 1 if i > 0 else n - 2  # (0, n-1) shares a node
-            c_x, c_y = x[i + 2 : jmax + 1], y[i + 2 : jmax + 1]
-            dn_x, dn_y = x[i + 3 : jmax + 2], y[i + 3 : jmax + 2]
-            h_ac = np.hypot(a_x - c_x, a_y - c_y)
-            h_bd = np.hypot(b_x - dn_x, b_y - dn_y)
-            hit = (h_ac + h_bd) - e[i] - e[i + 2 : jmax + 1] < -eps
-            k = int(hit.argmax())
-            if hit[k]:
-                j = i + 2 + k
-                tour[i + 1 : j + 1] = tour[i + 1 : j + 1][::-1]
-                x[i + 1 : j + 1] = x[i + 1 : j + 1][::-1]
-                y[i + 1 : j + 1] = y[i + 1 : j + 1][::-1]
-                e[i + 1 : j] = e[i + 1 : j][::-1]
-                e[i] = h_ac[k]
-                e[j] = h_bd[k]
-                improved = True
-                # keep scanning from the same i
-            else:
-                i += 1
+    K = nbrs.shape[1]
+    x, y = pts[:, 0], pts[:, 1]
+    xs, ys = x.tolist(), y.tolist()
+    # point a's neighbours and their squared and plain distances sit at
+    # a * K .. a * K + K - 1; memoryviews index as fast as lists, without a
+    # Python object per entry
+    rows = memoryview(nbrs.reshape(-1))
+    d2 = np.square(x[nbrs] - x[:, None]).reshape(-1)
+    d2 += np.square(y[nbrs] - y[:, None]).reshape(-1)
+    row_d2, row_d = memoryview(d2), memoryview(np.sqrt(d2))
+    pos = [0] * n
+    for i, v in enumerate(tour):
+        pos[v] = i
+    hypot = math.hypot
+
+    def d(a: int, b: int) -> float:
+        return hypot(xs[a] - xs[b], ys[a] - ys[b])
+
+    def arc(i: int, m: int) -> list[int]:
+        """The m points from tour position i on."""
+        if i + m <= n:
+            return tour[i : i + m]
+        return tour[i:] + tour[: i + m - n]
+
+    def put(i: int, seq: list[int]) -> None:
+        """Write seq over the arc from tour position i."""
+        wrap = i + len(seq) - n
+        if wrap <= 0:
+            tour[i : i + len(seq)] = seq
+        else:
+            tour[i:] = seq[:-wrap]
+            tour[:wrap] = seq[-wrap:]
+        for k, v in enumerate(seq, i):
+            pos[v] = k if k < n else k - n
+
+    def reverse(u: int, v: int) -> None:
+        """Reverse the path u .. v, or else the rest of the cycle."""
+        i, m = pos[u], (pos[v] - pos[u]) % n + 1
+        if 2 * m > n:
+            i, m = (pos[v] + 1) % n, n - m
+        seq = arc(i, m)
+        seq.reverse()
+        put(i, seq)
+
+    def closer(a: int, b: int) -> Sequence[int]:
+        """The points c with d2(a, c) < d2(a, b), in (d2, index) order."""
+        ex, ey = xs[b] - xs[a], ys[b] - ys[a]
+        lim = ex * ex + ey * ey
+        k = a * K
+        if lim <= row_d2[k + K - 1]:
+            return rows[k : bisect.bisect_left(row_d2, lim, k, k + K)]
+        ex, ey = x - xs[a], y - ys[a]
+        row = ex * ex + ey * ey
+        c = np.flatnonzero(row < lim)
+        return [v for v in c[np.argsort(row[c], kind="stable")].tolist() if v != a]
+
+    def improve(a: int):
+        """Apply the first improving move at a; return the endpoints of the
+        changed edges, or None."""
+        i = pos[a]
+        f1, b1 = tour[(i + 1) % n], tour[i - 1]
+        ax, ay = xs[a], ys[a]
+        e_f = hypot(ax - xs[f1], ay - ys[f1])
+        e_b = hypot(ax - xs[b1], ay - ys[b1])
+        for step, b, ab in ((1, f1, e_f), (-1, b1, e_b)):  # 2-opt
+            bx, by = xs[b], ys[b]
+            for c in closer(a, b):
+                e = tour[(pos[c] + step) % n]
+                if e == a:
+                    continue
+                cx, cy, ex, ey = xs[c], ys[c], xs[e], ys[e]
+                if (hypot(ax - cx, ay - cy) + hypot(bx - ex, by - ey)) - ab \
+                        - hypot(cx - ex, cy - ey) < -eps:
+                    if step == 1:
+                        reverse(b, c)  # a b .. c e -> a c .. b e
+                    else:
+                        reverse(a, e)  # b a .. e c -> b e .. a c
+                    return a, b, c, e
+        # Or-opt: segments of m points with a at one end, as (m, s1, z, p, q)
+        # with s1 the first in tour order, z the other end, p and q the
+        # points around the segment; the gain is what removing it saves
+        segments = [(1, a, a, b1, f1, e_b + e_f - d(b1, f1))]
+        if n >= 5:
+            f2, b2 = tour[(i + 2) % n], tour[i - 2]
+            segments += [(2, a, f1, b1, f2, e_b + d(f1, f2) - d(b1, f2)),
+                         (2, b1, b1, b2, f1, d(b2, b1) + e_f - d(b2, f1))]
+        if n >= 6:
+            f3, b3 = tour[(i + 3) % n], tour[i - 3]
+            segments += [(3, a, f2, b1, f3, e_b + d(f2, f3) - d(b1, f3)),
+                         (3, b2, b2, b3, f1, d(b3, b2) + e_f - d(b3, f1))]
+        k = a * K
+        for m, s1, z, p, q, gain in segments:
+            if gain <= row_d[k]:  # no listed neighbour is close enough
+                continue
+            zx, zy = xs[z], ys[z]
+            first = pos[s1]
+            for t in range(k, k + K):
+                ac = row_d[t]
+                if ac >= gain:
+                    break
+                c = rows[t]
+                j = pos[c]
+                if (j - first) % n < m:
+                    continue
+                cx, cy = xs[c], ys[c]
+                for step in (1, -1):
+                    c2 = tour[(j + step) % n]
+                    if (pos[c2] - first) % n < m:
+                        continue
+                    x2, y2 = xs[c2], ys[c2]
+                    if (ac + hypot(zx - x2, zy - y2) - hypot(cx - x2, cy - y2)) \
+                            - gain < -eps:
+                        if step == 1:  # c a .. z c2
+                            move(s1, m, q, c, a)
+                        else:  # c2 z .. a c
+                            move(s1, m, q, c2, z)
+                        return p, q, a, z, c, c2
+        return None
+
+    def move(s1: int, m: int, q: int, u: int, head: int) -> None:
+        """Move the segment of m points from s1 (followed by q) into the edge
+        from u to its successor, starting with `head`."""
+        seg = arc(pos[s1], m)
+        if seg[0] != head:
+            seg.reverse()
+        gap = (pos[u] - pos[q]) % n + 1  # the points q .. u
+        if 2 * gap + m <= n:  # rewrite s1 .. u as q .. u, seg
+            i = pos[s1]
+            put(i, arc((i + m) % n, gap) + seg)
+        else:  # rewrite succ(u) .. s2 as seg, succ(u) .. p
+            i = (pos[u] + 1) % n
+            put(i, seg + arc(i, n - gap - m))
+
+    queue = deque(tour)
+    queued = bytearray(b"\x01") * n
+    moved = False
+    while queue:
+        a = queue.popleft()
+        queued[a] = 0
+        touched = improve(a)
+        if touched:
+            moved = True
+            for v in touched:
+                if not queued[v]:
+                    queued[v] = 1
+                    queue.append(v)
+        if not queue and moved:  # confirm with a full pass
+            moved = False
+            queue.extend(tour)
+            queued = bytearray(b"\x01") * n
     return tour
 
 

@@ -1,12 +1,11 @@
-"""Shared test utilities: random instance builders and small geometry aids."""
+"""Shared test utilities: random instance builders, and the package's
+feasibility check `check_feasible`, re-exported."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from sweepcvrp.geometry import Instance, Point
+from sweepcvrp.geometry import Instance, Point, check_feasible  # noqa: F401
 
 
 def random_points(rng: np.random.Generator, n: int, lo: float = 0.0,
@@ -22,36 +21,3 @@ def random_instance(rng: np.random.Generator, max_n: int = 10,
     depot = Point(float(rng.uniform(-0.5, 1.5)), float(rng.uniform(-0.5, 1.5)))
     return Instance(terminals=tuple(random_points(rng, n)), depot=depot,
                     capacity=k)
-
-
-def solution_is_feasible(instance: Instance, solution) -> bool:
-    """Every terminal exactly once, every tour within capacity, lengths and
-    total consistent."""
-    seen: list[int] = []
-    for tour in solution.tours:
-        if not 1 <= len(tour.indices) <= instance.capacity:
-            return False
-        seen.extend(tour.indices)
-        pts = [instance.terminals[i] for i in tour.indices]
-        expect = _closed_length(instance.depot, pts)
-        if not math.isclose(tour.length, expect, rel_tol=1e-9, abs_tol=1e-9):
-            return False
-        dmax = max(_dist(instance.depot, p) for p in pts)
-        if tour.length < 2.0 * dmax - 1e-9:
-            return False
-    if sorted(seen) != list(range(instance.n)):
-        return False
-    total = math.fsum(t.length for t in solution.tours)
-    return math.isclose(solution.total_cost, total, rel_tol=1e-9, abs_tol=1e-9)
-
-
-def _dist(p: Point, q: Point) -> float:
-    return math.hypot(p.x - q.x, p.y - q.y)
-
-
-def _closed_length(depot: Point, pts) -> float:
-    if not pts:
-        return 0.0
-    total = _dist(depot, pts[0]) + _dist(pts[-1], depot)
-    total += math.fsum(_dist(a, b) for a, b in zip(pts, pts[1:]))
-    return total

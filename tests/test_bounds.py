@@ -288,12 +288,14 @@ class TestBoundContext:
                     upper_bound_formula(inst, 2, "auto", seed)[0])
 
     def test_golden_report(self):
-        # recorded with the three-pass bound code this context replaced
+        # local_R is a 40-point heuristic tour, so it, lower and upper were
+        # re-recorded with the neighbour-list local search (5.618239171836337,
+        # 0.42734661288444453 and 39.125717301094944 before); D kept its bits
         inst = gen_instance(40, 4, Point(0.3, 0.6), 7)
         assert repr(compute_bounds(inst, 0.0, 2, "auto", 3)) == (
-            "BoundsReport(R=0.0, rad_R=0.0, local_R=5.618239171836337, "
+            "BoundsReport(R=0.0, rad_R=0.0, local_R=5.48287870752764, "
             "local_certified=False, D=1.1015416130881752, "
-            "lower=0.42734661288444453, upper=39.125717301094944, M=2)"
+            "lower=0.2919861485757478, upper=38.99035683678625, M=2)"
         )
 
     @pytest.fixture

@@ -49,12 +49,15 @@ def test_gen_solve_bounds_pipeline(tmp_path, capsys):
 
 
 # sha256 of the `solve --output` JSON on the `gen --n 200 --k 14 --seed 7`
-# instance, recorded before the solver calls moved behind experiments.solve
+# instance, re-recorded with the neighbour-list local search, which changed
+# the heuristic group and ITP tours: sweep cost 21.765739474984564 with 17
+# tours became 21.40458307167746 with 15, ITP 21.55781292564512 with 15
+# tours became 21.25167772959708 with 16
 GOLDEN_SOLVE_SHA256 = {
     ("--algo", "sweep", "--m", "2"):
-        "c66ccd0ca31790689e65be1f375c8d8fb749c44b9decbb3c03d06a5d395991e9",
+        "bf26241332d474afb6c01eb6a195e0a0d304f8f3187a24b7b8911e06b22e08c3",
     ("--algo", "itp"):
-        "55055e6642e957195bf8a1f6dc99fe6aed5a127faff86674a9d6d82cea4a6b1d",
+        "ab2c5341328d6c87623e3065f69691fd04f16d3452579d13e8ead84ac20f7658",
 }
 
 

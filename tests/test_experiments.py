@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import sweepcvrp.experiments as experiments
 import sweepcvrp.tsp as tsp
 from sweepcvrp.closedform import g1
 from sweepcvrp.experiments import (
@@ -18,7 +19,7 @@ from sweepcvrp.experiments import (
     solve,
     write_csv,
 )
-from sweepcvrp.geometry import Point, dist
+from sweepcvrp.geometry import Point, Solution, dist
 from sweepcvrp.group_cvrp import SolveConfig
 from sweepcvrp.itp import itp_solve
 from sweepcvrp.sweep import sweep_solve
@@ -37,6 +38,18 @@ class TestSolve:
     def test_unknown_algo(self):
         with pytest.raises(ValueError, match="unknown algo 'bogus'"):
             solve(self.INST, "bogus", 2)
+
+    @pytest.mark.parametrize("algo, solver",
+                             [("sweep", "sweep_solve"), ("itp", "itp_solve")])
+    def test_infeasible_solution_raises(self, monkeypatch, algo, solver):
+        # a solver that drops a tour: solve raises instead of returning its cost
+        def dropped(*args, **kwargs):
+            sol = sweep_solve(self.INST, 2)
+            return Solution(tours=sol.tours[1:], total_cost=sol.total_cost)
+
+        monkeypatch.setattr(experiments, solver, dropped)
+        with pytest.raises(ValueError, match="infeasible solution"):
+            solve(self.INST, algo, 2)
 
 
 class TestGenInstance:
@@ -211,17 +224,19 @@ class TestBoundReuse:
         assert tours[len(first):] == first
 
 
-# CSV rows recorded with the bound code that built T*_0 once per bound and
-# the 2-opt kernel that recomputed every edge length at every step.
+# CSV rows recorded with the neighbour-list local search (2-opt + Or-opt).
+# Every value that rests on a heuristic tour moved with it: cost (group and
+# ITP tours), lb_r0 and lb_rstar (heuristic T*_R), best_lb, ub (T*_0) and
+# ratio. lb_rinf needs no tour and kept its bits.
 GOLDEN_ROWS = [
-    "0,200,14,2,sweep,22.149507684330793,5.44071358070705,11.008064583644853,"
-    "4.948895499553731,11.008064583644853,73.07938807188144,2.012116436638576,false",
-    "0,200,14,1,itp,21.675018083790828,5.44071358070705,11.008064583644853,"
-    "4.948895499553731,11.008064583644853,116.96223336601591,1.9690126197110362,false",
-    "1,200,14,2,sweep,20.763471612646573,5.4278045481997355,10.07004775168772,"
-    "4.712719678500984,10.07004775168772,70.52170101394807,2.061903987413233,false",
-    "1,200,14,1,itp,20.564196988612903,5.4278045481997355,10.07004775168772,"
-    "4.712719678500984,10.07004775168772,112.78852476502124,2.04211514142685,false",
+    "0,200,14,2,sweep,21.685385141708267,5.233943547315621,10.718144974435742,"
+    "4.948895499553731,10.718144974435742,72.87261803849002,2.02324051348726,false",
+    "0,200,14,1,itp,21.04760529825976,5.233943547315621,10.718144974435742,"
+    "4.948895499553731,10.718144974435742,116.75546333262447,1.963735828211058,false",
+    "1,200,14,2,sweep,20.508056757122215,5.608262794404761,9.92612235466223,"
+    "4.712719678500984,9.92612235466223,70.70215926015311,2.066069309279643,false",
+    "1,200,14,1,itp,20.58245944867454,5.608262794404761,9.92612235466223,"
+    "4.712719678500984,9.92612235466223,112.96898301122626,2.0735649544967685,false",
 ]
 
 
@@ -234,7 +249,10 @@ def test_golden_rows_bit_identical():
 
 
 # n = 14 runs every exact path: Held-Karp T*_R at the 14-point threshold and
-# the group set-partition DP. Recorded with the pure-Python subset DPs.
+# the group set-partition DP. Recorded with the pure-Python subset DPs. The
+# ITP tour has 15 points (depot included), so it is heuristic: the seed-1 ITP
+# cost was re-recorded with the neighbour-list local search (4.398467815989088
+# before). Every sweep row and every lower bound kept its bits.
 GOLDEN_ROWS_EXACT = [
     "0,14,6,2,sweep,5.03704093353431,-2.424260494191051,-1.158405827253926,"
     "-3.71753040009891,-1.158405827253926,16.83611178842688,nan,true",
@@ -242,7 +260,7 @@ GOLDEN_ROWS_EXACT = [
     "-3.71753040009891,-1.158405827253926,22.58058745910609,nan,true",
     "1,14,6,2,sweep,4.398467815989088,-1.5970688844848366,-0.5232117138077914,"
     "-3.0970681026937332,-0.5232117138077914,15.562448146852617,nan,true",
-    "1,14,6,1,itp,4.398467815989088,-1.5970688844848366,-0.5232117138077914,"
+    "1,14,6,1,itp,4.73448066212062,-1.5970688844848366,-0.5232117138077914,"
     "-3.0970681026937332,-0.5232117138077914,20.626594430360413,nan,true",
     "2,14,6,2,sweep,4.572551197875033,-2.806078801928631,-1.663967705790828,"
     "-4.30270125312394,-1.663967705790828,18.115042941487516,nan,true",

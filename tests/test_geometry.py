@@ -7,6 +7,9 @@ import pytest
 from sweepcvrp.geometry import (
     Instance,
     Point,
+    Solution,
+    Tour,
+    check_feasible,
     convex_hull,
     diameter,
     dist,
@@ -198,3 +201,43 @@ class TestInstanceIO:
         # blank lines after the terminals are fine
         inst = read_instance(io.StringIO("1 1 0.5 0.5\n0.1 0.2\n\n  \n"))
         assert inst.terminals == (Point(0.1, 0.2),)
+
+
+class TestCheckFeasible:
+    INST = gen_instance(12, 4, Point(0.3, 0.6), seed=2)
+
+    def _tour(self, indices):
+        pts = [self.INST.terminals[i] for i in indices]
+        return Tour(indices=tuple(indices), length=tour_length(self.INST.depot, pts))
+
+    def _solution(self, *index_lists):
+        tours = tuple(self._tour(ix) for ix in index_lists)
+        return Solution(tours=tours, total_cost=math.fsum(t.length for t in tours))
+
+    def test_feasible_passes(self):
+        check_feasible(self.INST, self._solution(range(0, 4), range(4, 8), range(8, 12)))
+        check_feasible(Instance(terminals=(), depot=Point(0, 0), capacity=1),
+                       Solution(tours=(), total_cost=0.0))
+
+    @pytest.mark.parametrize("corrupt", [
+        "missing", "repeated", "out of range", "over capacity", "empty tour",
+        "tour length", "total cost",
+    ])
+    def test_corrupted_raises(self, corrupt):
+        parts = {
+            "missing": [range(0, 4), range(4, 8), range(8, 11)],
+            "repeated": [range(0, 4), range(4, 8), range(7, 12)],
+            "over capacity": [range(0, 5), range(5, 8), range(8, 12)],
+            "empty tour": [range(0, 4), range(4, 8), range(8, 12), []],
+        }.get(corrupt, [range(0, 4), range(4, 8), range(8, 12)])
+        sol = self._solution(*parts)
+        if corrupt == "out of range":  # terminal 11 renamed 12
+            last = Tour(indices=(8, 9, 10, 12), length=sol.tours[-1].length)
+            sol = Solution(tours=(*sol.tours[:-1], last), total_cost=sol.total_cost)
+        if corrupt == "tour length":
+            bad = Tour(indices=sol.tours[0].indices, length=sol.tours[0].length * 1.001)
+            sol = Solution(tours=(bad, *sol.tours[1:]), total_cost=sol.total_cost)
+        if corrupt == "total cost":
+            sol = Solution(tours=sol.tours, total_cost=sol.total_cost + 1e-6)
+        with pytest.raises(ValueError, match="infeasible solution"):
+            check_feasible(self.INST, sol)

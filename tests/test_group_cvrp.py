@@ -14,7 +14,7 @@ from sweepcvrp.group_cvrp import (
 )
 from sweepcvrp.tsp import held_karp, subset_layers, tsp_exact
 
-from helpers import random_points, solution_is_feasible
+from helpers import check_feasible, random_points
 
 O = Point(0.0, 0.0)
 CROSS = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
@@ -53,7 +53,7 @@ class TestExactSmall:
             assert sol.total_cost == pytest.approx(
                 cvrp_brute_force(U, depot, k), abs=1e-9
             )
-            assert solution_is_feasible(_as_instance(U, depot, k), sol)
+            check_feasible(_as_instance(U, depot, k), sol)
 
     def test_rejects_oversize(self):
         U = random_points(np.random.default_rng(0), 13)
@@ -111,7 +111,7 @@ class TestSplitHeuristic:
             tsp = tsp_exact([depot, *U])
             radial = sum(dist(depot, u) for u in U)
             assert sol.total_cost <= tsp.length + (2.0 / k) * radial + 1e-9
-            assert solution_is_feasible(_as_instance(U, depot, k), sol)
+            check_feasible(_as_instance(U, depot, k), sol)
 
     def test_heuristic_never_beats_exact(self):
         rng = np.random.default_rng(83)
@@ -148,7 +148,7 @@ class TestSolveGroup:
         U = random_points(np.random.default_rng(97), 40)
         sol = solve_group(U, O, 5)
         assert sol == cvrp_group_heuristic(U, O, 5)
-        assert solution_is_feasible(_as_instance(U, O, 5), sol)
+        check_feasible(_as_instance(U, O, 5), sol)
 
     def test_empty_group(self):
         sol = solve_group([], O, 3)
@@ -161,7 +161,7 @@ class TestSolveGroup:
         assert solve_group(U[:-1], O, 3) == cvrp_exact_small(U[:-1], O, 3)
         sol = solve_group(U, O, 3)
         assert sol == cvrp_group_heuristic(U, O, 3)
-        assert solution_is_feasible(_as_instance(U, O, 3), sol)
+        check_feasible(_as_instance(U, O, 3), sol)
 
 
 def _held_karp_reference(U, depot):

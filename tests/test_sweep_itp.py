@@ -11,7 +11,7 @@ from sweepcvrp.itp import itp_solve
 from sweepcvrp.sweep import sweep_groups, sweep_solve
 from sweepcvrp.tsp import tsp_exact
 
-from helpers import random_instance, solution_is_feasible
+from helpers import check_feasible, random_instance
 
 CROSS_INSTANCE = Instance(
     terminals=(Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)),
@@ -25,7 +25,7 @@ class TestSweep:
         sol = sweep_solve(CROSS_INSTANCE, M=1)
         assert sol.total_cost == pytest.approx(2 * (2 + math.sqrt(2)), abs=1e-9)
         assert len(sol.tours) == 2
-        assert solution_is_feasible(CROSS_INSTANCE, sol)
+        check_feasible(CROSS_INSTANCE, sol)
 
     def test_single_group_equals_solve_group(self):
         rng = np.random.default_rng(103)
@@ -63,7 +63,7 @@ class TestSweep:
         for _ in range(20):
             inst = random_instance(rng, max_n=25, max_k=4)
             sol = sweep_solve(inst, M=int(rng.integers(1, 4)))
-            assert solution_is_feasible(inst, sol)
+            check_feasible(inst, sol)
 
     def test_deterministic(self):
         rng = np.random.default_rng(113)
@@ -114,7 +114,7 @@ class TestItp:
             radial = sum(dist(inst.depot, v) for v in inst.terminals)
             bound = tsp.length + (2.0 / inst.capacity) * radial
             assert sol.total_cost <= bound + 1e-9
-            assert solution_is_feasible(inst, sol)
+            check_feasible(inst, sol)
 
 
 class TestUpperBoundCertificate:

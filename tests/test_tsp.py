@@ -11,9 +11,11 @@ from sweepcvrp.bruteforce import tsp_brute_force
 from sweepcvrp.geometry import Point, dist
 from sweepcvrp.tsp import (
     _IMPROVE_EPS,
-    _nearest_neighbor,
-    _two_opt,
+    NEIGHBOURS,
+    _local_search,
+    _neighbour_walk,
     cycle_length,
+    neighbours,
     tsp_dispatch,
     tsp_exact,
     tsp_heuristic,
@@ -161,41 +163,93 @@ class TestDispatch:
             tsp_dispatch([], "fastest")
 
 
-def _two_opt_reference(pts: np.ndarray, tour: np.ndarray) -> np.ndarray:
-    """The 2-opt kernel that rebuilds the tour coordinates and evaluates all
-    four edge lengths at every step; _two_opt must take the same moves."""
+def _nearest_neighbor_reference(pts: np.ndarray, start: int) -> np.ndarray:
+    """The O(n^2) nearest-neighbor construction that _neighbour_walk replaced:
+    each step ranks every point. The walk must return the same tour, bit for
+    bit."""
+    n = len(pts)
+    visited = np.zeros(n, dtype=bool)
+    tour = np.empty(n, dtype=np.int64)
+    tour[0] = start
+    visited[start] = True
+    cur = start
+    for step in range(1, n):
+        dx = pts[:, 0] - pts[cur, 0]
+        dy = pts[:, 1] - pts[cur, 1]
+        d2 = dx * dx + dy * dy
+        d2[visited] = np.inf
+        cur = int(np.argmin(d2))
+        tour[step] = cur
+        visited[cur] = True
+    return tour
+
+
+def _two_opt_reference(pts: np.ndarray, tour: np.ndarray,
+                       eps: float = _IMPROVE_EPS) -> np.ndarray:
+    """The first-improvement 2-opt kernel that _local_search replaced, the
+    quality reference: edge pairs (i, j) scanned lexicographically, with the
+    j-scan vectorized, and passes repeated until none improves."""
     n = len(tour)
     if n < 4:
         return tour
+    x = np.append(pts[tour, 0], pts[tour[0], 0])
+    y = np.append(pts[tour, 1], pts[tour[0], 1])
+    e = np.hypot(x[:-1] - x[1:], y[:-1] - y[1:])  # e[p]: edge (p, p + 1)
     improved = True
     while improved:
         improved = False
         i = 0
         while i < n - 2:
-            tx = pts[tour, 0]
-            ty = pts[tour, 1]
-            a_x, a_y = tx[i], ty[i]
-            b_x, b_y = tx[i + 1], ty[i + 1]
-            d_ab = np.hypot(a_x - b_x, a_y - b_y)
-            jmax = n - 1 if i > 0 else n - 2
-            js = np.arange(i + 2, jmax + 1)
-            c_x, c_y = tx[js], ty[js]
-            nx = np.where(js + 1 < n, js + 1, 0)
-            dn_x, dn_y = tx[nx], ty[nx]
-            delta = (
-                np.hypot(a_x - c_x, a_y - c_y)
-                + np.hypot(b_x - dn_x, b_y - dn_y)
-                - d_ab
-                - np.hypot(c_x - dn_x, c_y - dn_y)
-            )
-            hits = np.nonzero(delta < -_IMPROVE_EPS)[0]
-            if hits.size:
-                j = int(js[hits[0]])
+            jmax = n - 1 if i > 0 else n - 2  # (0, n-1) shares a node
+            h_ac = np.hypot(x[i] - x[i + 2 : jmax + 1], y[i] - y[i + 2 : jmax + 1])
+            h_bd = np.hypot(x[i + 1] - x[i + 3 : jmax + 2],
+                            y[i + 1] - y[i + 3 : jmax + 2])
+            hit = (h_ac + h_bd) - e[i] - e[i + 2 : jmax + 1] < -eps
+            k = int(hit.argmax())
+            if hit[k]:
+                j = i + 2 + k
                 tour[i + 1 : j + 1] = tour[i + 1 : j + 1][::-1]
+                x[i + 1 : j + 1] = x[i + 1 : j + 1][::-1]
+                y[i + 1 : j + 1] = y[i + 1 : j + 1][::-1]
+                e[i + 1 : j] = e[i + 1 : j][::-1]
+                e[i], e[j] = h_ac[k], h_bd[k]
                 improved = True
             else:
                 i += 1
     return tour
+
+
+def _neighbours_brute_force(pts: np.ndarray) -> np.ndarray:
+    n = len(pts)
+    K = max(min(NEIGHBOURS, n - 1), 0)
+    rows = []
+    for i in range(n):
+        dx = pts[:, 0] - pts[i, 0]
+        dy = pts[:, 1] - pts[i, 1]
+        ranked = np.lexsort((np.arange(n), dx * dx + dy * dy))
+        rows.append([j for j in ranked if j != i][:K])
+    return np.array(rows, dtype=np.int64).reshape(n, K)
+
+
+def _best_2opt_delta(pts: np.ndarray, order) -> float:
+    """The smallest length change of any 2-opt move on the cyclic tour, over
+    all pairs of non-adjacent edges."""
+    p = pts[np.asarray(order)]
+    q = np.roll(p, -1, axis=0)  # q[i] follows p[i]
+    n = len(p)
+    i, j = np.triu_indices(n, 2)
+    keep = ~((i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+
+    def d(a, b):
+        return np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+
+    delta = d(p[i], p[j]) + d(q[i], q[j]) - d(p[i], q[i]) - d(p[j], q[j])
+    return float(delta.min()) if delta.size else 0.0
+
+
+def _length(pts: np.ndarray, order) -> float:
+    return cycle_length(_as_points(pts), [int(v) for v in order])
 
 
 def _kernel_cases() -> dict[str, np.ndarray]:
@@ -213,6 +267,8 @@ def _kernel_cases() -> dict[str, np.ndarray]:
     u = far.normal(size=2)
     u /= np.hypot(*u)
     cases["collinear-far"] = np.outer(far.random(30) * 1e4, u)
+    # a dense cluster and a few far points: the grid query widens its ring
+    cases["clusters"] = np.vstack([0.01 * rng.random((40, 2)), 5 + rng.random((5, 2))])
     return cases
 
 
@@ -220,19 +276,74 @@ KERNEL_CASES = _kernel_cases()
 
 
 class TestTwoOptKernel:
+    """neighbours, the nearest-neighbor walk and _local_search against brute
+    force and the reference kernels they replaced."""
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_neighbours_match_brute_force(self, name):
+        pts = KERNEL_CASES[name]
+        assert np.array_equal(neighbours(pts), _neighbours_brute_force(pts))
+
+    @pytest.mark.parametrize("n", range(NEIGHBOURS + 3))
+    def test_neighbours_of_few_points(self, n):
+        # up to n = K + 1 every row lists all other points
+        pts = np.random.default_rng(n).random((n, 2))
+        assert np.array_equal(neighbours(pts), _neighbours_brute_force(pts))
+
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_same_tours_as_reference(self, name):
+        # the walk's start tours are the reference nearest-neighbor tours
         pts = KERNEL_CASES[name]
         n = len(pts)
-        moved = False
+        nbrs = neighbours(pts)
+        ranked_all = False
+        for start in range(n) if n <= 64 else (0, 1, n // 2, n - 1):
+            expected = _nearest_neighbor_reference(pts, start).tolist()
+            assert _neighbour_walk(pts, nbrs, start) == expected, start
+            ranked_all |= any(b not in nbrs[a] for a, b in zip(expected, expected[1:]))
+        if n > 20:
+            assert ranked_all  # some step found its whole row visited
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_local_optimum(self, name):
+        pts = KERNEL_CASES[name]
+        n = len(pts)
+        nbrs = neighbours(pts)
+        scale = max(1.0, float(np.abs(pts).max()))
         for start in sorted({0, 1, n // 2, n - 1}):
-            nn = _nearest_neighbor(pts, start)
-            expected = _two_opt_reference(pts, nn.copy())
-            got = _two_opt(pts, nn.copy())
-            assert np.array_equal(got, expected), start
-            moved |= not np.array_equal(expected, nn)
-        if n >= 17 and name.startswith("random"):
-            assert moved  # the comparison covers tours that 2-opt changed
+            walk = _neighbour_walk(pts, nbrs, start)
+            tour = _local_search(pts, walk, nbrs, _IMPROVE_EPS * scale)
+            assert sorted(tour) == list(range(n))
+            assert _best_2opt_delta(pts, tour) >= -1e-9 * scale
+            assert _length(pts, tour) <= _length(pts, walk)
+
+    def test_mean_length_at_most_reference(self):
+        rng = np.random.default_rng(83)
+        new, old = [], []
+        for trial in range(20):
+            pts = rng.random((300, 2))
+            new.append(tsp_heuristic(_as_points(pts), seed=trial).length)
+            ref = _two_opt_reference(pts, _nearest_neighbor_reference(pts, trial))
+            old.append(_length(pts, ref))
+        assert np.mean(new) <= np.mean(old)
+
+    def test_never_longer_than_start_tour(self):
+        rng = np.random.default_rng(89)
+        for n in (4, 5, 6, 7, 30, 200):
+            pts = rng.random((n, 2))
+            nbrs = neighbours(pts)
+            local_optimum = _two_opt_reference(pts, _nearest_neighbor_reference(pts, 0))
+            for start in (rng.permutation(n).tolist(), local_optimum.tolist()):
+                tour = _local_search(pts, start, nbrs, _IMPROVE_EPS)
+                assert sorted(tour) == list(range(n))
+                assert _best_2opt_delta(pts, tour) >= -1e-9
+                assert _length(pts, tour) <= _length(pts, start)
+
+    @pytest.mark.parametrize("start", [[0, 1, 2, 2, 4], [0, 1, 2, 3], [0, 1, 2, 3, 5]])
+    def test_rejects_non_permutation(self, start):
+        pts = np.random.default_rng(97).random((5, 2))
+        with pytest.raises(ValueError, match="not a permutation"):
+            _local_search(pts, start, neighbours(pts), _IMPROVE_EPS)
 
 
 def _tsp_exact_reference(points):
@@ -320,11 +431,11 @@ class TestTwoOptScale:
     def test_threshold_scales_with_coordinates(self, monkeypatch):
         seen = []
 
-        def spy(pts, tour, eps=_IMPROVE_EPS):
+        def spy(pts, tour, nbrs, eps):
             seen.append(eps)
             return tour
 
-        monkeypatch.setattr(tsp, "_two_opt", spy)
+        monkeypatch.setattr(tsp, "_local_search", spy)
         tsp_heuristic(random_points(np.random.default_rng(79), 20), seed=0)
         far = self._collinear_far(1e5)
         tsp_heuristic(far, seed=0)
