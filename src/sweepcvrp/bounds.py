@@ -10,8 +10,9 @@ radial cost):
   upper bound:  sweep cost <= T*_0 + rad_inf + (3 pi / 2) D * ceil(n/(M k))
 
 with D the diameter of the terminals plus depot. The lower bound is only a
-valid certificate when T*_R comes from the exact TSP solver: a heuristic
-tour overestimates T*_R, so such values are flagged rather than trusted.
+valid certificate when T*_R comes from a provably optimal tour (the exact
+solver, or any tour over at most 3 locations): a heuristic tour
+overestimates T*_R, so such values are flagged rather than trusted.
 
 math.inf is the distinguished "unclipped" R value; the set {d >= inf} is
 empty and T*_inf = 0 exactly.
@@ -32,7 +33,7 @@ from functools import cached_property
 
 from .closedform import choose_radius
 from .geometry import Instance, Point, diameter, dist, field_text
-from .tsp import check_tsp_mode, tsp_dispatch
+from .tsp import tsp_dispatch
 
 
 def _check_radius(R: float) -> None:
@@ -58,15 +59,10 @@ def local_subset(instance: Instance, R: float) -> list[int]:
 def local_cost(
     instance: Instance, R: float, tsp_mode: str = "auto", seed: int = 0
 ) -> tuple[float, bool]:
-    """(T*_R, certified): TSP length over the >=R terminals; certified is
-    True iff the exact solver produced it (subsets of size <= 1 are 0 and
-    trivially certified)."""
+    """(T*_R, certified): the length of tsp_dispatch's tour over the >=R
+    terminals, certified iff that tour is provably optimal."""
     _check_radius(R)
-    check_tsp_mode(tsp_mode)
-    subset = local_subset(instance, R)
-    if len(subset) <= 1:
-        return 0.0, True
-    points = [instance.terminals[i] for i in subset]
+    points = [instance.terminals[i] for i in local_subset(instance, R)]
     result = tsp_dispatch(points, mode=tsp_mode, seed=seed)
     return result.length, result.certified_optimal
 

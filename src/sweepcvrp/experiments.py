@@ -11,8 +11,8 @@ fields in order, as geometry.field_text writes them (bools as true/false):
   seed,n,k,M,algo,cost,lb_r0,lb_rstar,lb_rinf,best_lb,ub,ratio,certified
 
 Lower bounds are evaluated at R = 0, R = (3/4) E d(depot, v) and R = inf;
-best_lb is the largest of the three. `certified` is false whenever a
-heuristic TSP entered any of the lower bounds, which makes the ratio
+best_lb is the largest of the three. `certified` is false whenever a tour
+not proven optimal entered any of the lower bounds, which makes the ratio
 indicative rather than a certificate. In small-instance mode the ratio
 denominator is the brute-force optimum instead of best_lb. Comment lines
 starting with `#` carry caveats and are skipped by the parser.

@@ -129,9 +129,7 @@ def cvrp_group_heuristic(
     inequality; the offset average argument).
     """
     res = tsp_dispatch([depot, *U], mode=tsp_mode, seed=seed)
-    pos = res.order.index(0)  # rotate so the depot leads the cycle
-    cycle = res.order[pos + 1 :] + res.order[:pos]
-    seq = [i - 1 for i in cycle]  # back to local U indices
+    seq = [i - 1 for i in res.order[1:]]  # the depot leads; back to U indices
     tours, _ = split_tour_sequence(U, depot, seq, k)
     return make_solution(tours)
 

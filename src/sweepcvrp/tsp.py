@@ -1,9 +1,10 @@
 """Traveling-salesman tours over point sets.
 
-Two solvers: an exact bitmask dynamic program for up to EXACT_THRESHOLD
-points, and a neighbour-list local search for anything larger. Tours are
-closed cycles over exactly the given points; no depot is added implicitly
-(callers include it in the point list when they need it).
+tsp_dispatch(points, mode, seed) returns a closed cycle over exactly the
+given points, starting at point 0, certified exactly when it is provably
+optimal; no depot is added implicitly (callers put it first). Of the two
+TSP_MODES, `auto` runs the exact solver on up to EXACT_THRESHOLD points and
+`heuristic` never does. Only tsp_exact raises above EXACT_THRESHOLD.
 
 `held_karp` is the one Held-Karp DP of the package: tsp_exact runs it over
 points[1:] rooted at points[0], and the exact group solver in group_cvrp runs
@@ -14,9 +15,12 @@ callers. Ties go to the smallest index: the smallest predecessor among equal
 path costs and the smallest last terminal among equal tour costs.
 
 Degenerate conventions: 0 or 1 points have tour length 0; two points have
-length 2*d (out and back), which Held-Karp over one terminal gives exactly.
+length 2*d (out and back), which Held-Karp over one terminal gives exactly;
+every cyclic order of at most 3 points has the same length.
 
-The heuristic (Bentley 1992; Johnson & McGeoch 1997) rests on one table,
+The heuristic tours the distinct locations, numbered by first occurrence,
+and emits each location's points consecutively, in index order. Its search
+(Bentley 1992; Johnson & McGeoch 1997) rests on one table,
 `neighbours(pts)`: the K = NEIGHBOURS nearest other points of each point,
 found exactly through a grid and ranked by (squared distance, index).
 Three steps use it:
@@ -33,9 +37,9 @@ A FIFO queue of points whose edges changed (don't-look bits) drives the
 search. When it runs dry after a move, a confirming pass queues every point
 again, and the search ends only when such a pass moves nothing, so the tour
 is a 2-opt local optimum over all pairs of edges. A move must shorten the
-tour by more than eps, _IMPROVE_EPS scaled by the largest |coordinate|, so
-the search never returns a longer tour than it started from. Everything is
-deterministic in the start point.
+tour by more than _move_eps(pts), _IMPROVE_EPS scaled by the largest
+|coordinate|, so the search never returns a longer tour than it started
+from. Everything is deterministic in the start point.
 """
 
 from __future__ import annotations
@@ -52,24 +56,23 @@ import numpy as np
 from .geometry import Point, dist
 
 EXACT_THRESHOLD = 14
-TSP_MODES = ("auto", "exact", "heuristic")
+TSP_MODES = ("auto", "heuristic")
 
 NEIGHBOURS = 10  # listed nearest neighbours per point (K)
 _GRID_LOAD = 4  # points per grid cell, on average
 _QUERY_BLOCK = 64  # points per neighbour query
 
 # strict-improvement threshold of a local-search move at unit coordinate
-# scale; prevents cycling on FP noise. tsp_heuristic scales it by the largest |coordinate|,
-# since an edge length's rounding error grows with the coordinates.
+# scale; prevents cycling on FP noise. _move_eps scales it by the largest
+# |coordinate|, since an edge length's rounding error grows with it.
 _IMPROVE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class TspResult:
-    """A cyclic visit order over the input indices and its length.
-
-    `certified_optimal` is set only by the exact solver.
-    """
+    """A cyclic visit order over the input indices, starting at 0, and its
+    length; `certified_optimal` is set exactly when the cycle is provably
+    optimal."""
 
     order: tuple[int, ...]
     length: float
@@ -162,26 +165,39 @@ def tsp_exact(points: Sequence[Point]) -> TspResult:
 
 
 def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
-    """Nearest-neighbor walk from point `seed % n`, then _local_search.
-
-    The result is a 2-opt local optimum over all pairs of edges and is
-    deterministic for a given seed.
-    """
-    n = len(points)
-    if n <= 1:
-        return TspResult(order=tuple(range(n)), length=0.0, certified_optimal=False)
-    if n == 2:
-        return TspResult(order=(0, 1), length=2.0 * dist(points[0], points[1]),
-                         certified_optimal=False)
-
-    pts = np.array(points, dtype=float)
-    nbrs = neighbours(pts)
-    tour = _neighbour_walk(pts, nbrs, seed % n)
-    tour = _local_search(pts, tour, nbrs,
-                         _IMPROVE_EPS * max(1.0, float(np.abs(pts).max())))
-    order = tuple(tour)
+    """Nearest-neighbor walk from the location of point `seed % n`, then
+    _local_search, over the distinct locations; each location's points follow
+    one another in index order. A tour over at most 3 locations is optimal
+    and certified; a longer one is a 2-opt local optimum over all pairs of
+    edges. The result is deterministic for a given seed."""
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    first, loc = _locations(pts)
+    m = len(first)
+    if m <= 3:
+        tour = list(range(m))
+    else:
+        sites = pts[first]
+        nbrs = neighbours(sites)
+        walk = _neighbour_walk(sites, nbrs, int(loc[seed % len(pts)]))
+        tour = _local_search(sites, walk, nbrs)
+    where = np.empty(m, dtype=np.int64)
+    where[tour] = np.arange(m)
+    order = tuple(np.argsort(where[loc], kind="stable").tolist())
     return TspResult(order=order, length=cycle_length(points, order),
-                     certified_optimal=False)
+                     certified_optimal=m <= 3)
+
+
+def _locations(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, loc): the distinct locations numbered by first occurrence, with
+    first[l] the smallest index at location l and loc[i] the location of
+    point i. Distinct points give first = loc = 0 .. n - 1."""
+    key = np.lexsort((pts[:, 1], pts[:, 0]))  # stable: equal points by index
+    new = np.ones(len(pts), dtype=bool)
+    new[1:] = (pts[key[1:]] != pts[key[:-1]]).any(axis=1)
+    first = np.sort(key[new])  # each location's smallest index, ascending
+    loc = np.empty(len(pts), dtype=np.int64)
+    loc[key] = np.searchsorted(first, key[new])[np.cumsum(new) - 1]
+    return first, loc
 
 
 def neighbours(pts: np.ndarray) -> np.ndarray:
@@ -298,13 +314,17 @@ def _neighbour_walk(pts: np.ndarray, nbrs: np.ndarray, start: int) -> list[int]:
     return tour
 
 
-def _local_search(pts: np.ndarray, tour: Sequence[int], nbrs: np.ndarray,
-                  eps: float) -> list[int]:
+def _move_eps(pts: np.ndarray) -> float:
+    """The amount by which a local-search move must shorten the tour."""
+    return _IMPROVE_EPS * max(1.0, float(np.abs(pts).max()))
+
+
+def _local_search(pts: np.ndarray, tour: Sequence[int], nbrs: np.ndarray) -> list[int]:
     """First-improvement 2-opt and Or-opt from the cyclic `tour`, driven by a
-    FIFO queue of active points (don't-look bits); returns the new tour.
+    FIFO queue of active points (don't-look bits); returns the tour from point 0.
 
     Processing point a tries, in order, and applies the first move whose
-    delta is below -eps:
+    delta is below -eps = -_move_eps(pts):
       - 2-opt on the edge (a, b) to a's successor, then to its predecessor:
         for each c closer to a than b, in (squared distance, index) order,
         replace (a, b) and the edge (c, e) on the same side of c by (a, c)
@@ -331,7 +351,9 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], nbrs: np.ndarray,
     if sorted(tour) != list(range(len(pts))):
         raise ValueError("the start tour is not a permutation of the points")
     if n < 4:
-        return tour
+        i = tour.index(0) if n else 0
+        return tour[i:] + tour[:i]
+    eps = _move_eps(pts)
     K = nbrs.shape[1]
     x, y = pts[:, 0], pts[:, 1]
     xs, ys = x.tolist(), y.tolist()
@@ -482,7 +504,7 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], nbrs: np.ndarray,
             moved = False
             queue.extend(tour)
             queued = bytearray(b"\x01") * n
-    return tour
+    return tour[pos[0]:] + tour[: pos[0]]
 
 
 def check_tsp_mode(mode: str) -> None:
@@ -491,16 +513,11 @@ def check_tsp_mode(mode: str) -> None:
 
 
 def tsp_dispatch(points: Sequence[Point], mode: str = "auto", seed: int = 0) -> TspResult:
-    """Route to the exact or heuristic solver.
-
-    `auto` uses the exact solver iff the input has at most EXACT_THRESHOLD
-    points. `exact` on an oversize input propagates the solver error.
-    """
+    """A cycle over `points` that starts at point 0, certified exactly when it
+    is provably optimal: the exact solver iff `mode` is `auto` and there are
+    at most EXACT_THRESHOLD points, the heuristic otherwise. An unknown mode
+    raises ValueError, also on an empty input."""
     check_tsp_mode(mode)
-    if mode == "exact":
-        return tsp_exact(points)
-    if mode == "heuristic":
-        return tsp_heuristic(points, seed)
-    if len(points) <= EXACT_THRESHOLD:
+    if mode == "auto" and len(points) <= EXACT_THRESHOLD:
         return tsp_exact(points)
     return tsp_heuristic(points, seed)

@@ -114,7 +114,7 @@ def test_criterion_4_sandwich():
         ]
         assert len(radii) == 7
         for R in radii:
-            value, valid = lower_bound(inst, R, tsp_mode="exact")
+            value, valid = lower_bound(inst, R)
             assert valid
             assert value <= opt + 1e-9, (trial, R, value, opt)
         M = int(rng.integers(1, 4))
@@ -122,7 +122,7 @@ def test_criterion_4_sandwich():
         ub, certified = upper_bound_formula(inst, M)
         assert certified
         assert opt - 1e-9 <= sweep_cost <= ub + 1e-9, (trial, M)
-        itp_cost = itp_solve(inst, tsp_mode="exact").total_cost
+        itp_cost = itp_solve(inst).total_cost
         ub1, certified1 = upper_bound_formula(inst, 1)
         assert certified1
         assert itp_cost <= ub1 + 1e-9, trial

@@ -104,7 +104,7 @@ class TestLocalCost:
         inst = random_instance(rng, max_n=8, max_k=2, min_n=5)
         value, certified = local_cost(inst, 0.0, tsp_mode="heuristic")
         assert not certified
-        exact_value, _ = local_cost(inst, 0.0, tsp_mode="exact")
+        exact_value, _ = local_cost(inst, 0.0)
         assert value >= exact_value - 1e-9
 
 
@@ -134,6 +134,15 @@ class TestLowerBound:
         _, valid = lower_bound(inst, 0.0, tsp_mode="heuristic")
         assert not valid
 
+    def test_heuristic_valid_on_three_terminals(self):
+        # every tour over at most 3 points is optimal, whichever solver made it
+        terminals = tuple(Point(x, y) for x, y in
+                          [(0.5, 0.6), (0.55, 0.5), (0.9, 0.9), (0.1, 0.95), (0.95, 0.1)])
+        inst = Instance(terminals=terminals, depot=Point(0.5, 0.5), capacity=2)
+        assert local_subset(inst, 0.3) == [2, 3, 4]
+        assert lower_bound(inst, 0.3, "heuristic", 0) == (-1.8094722639466454, True)
+        assert lower_bound(inst, 0.3) == (-1.8094722639466454, True)
+
     def test_sandwich_against_bruteforce(self):
         rng = np.random.default_rng(233)
         for _ in range(30):
@@ -142,7 +151,7 @@ class TestLowerBound:
             rstar = choose_R(inst.depot)
             radii = [0.0, rstar, math.inf] + list(rng.uniform(0, 3, size=5))
             for R in radii:
-                value, valid = lower_bound(inst, R, tsp_mode="exact")
+                value, valid = lower_bound(inst, R)
                 assert valid
                 assert value <= opt + 1e-9
 
@@ -258,7 +267,7 @@ class TestReports:
 
 
 class TestTspModeChecked:
-    # one terminal needs no TSP, so the mode is checked before the shortcut
+    # tsp_dispatch checks the mode on every subset, the empty one included
     ONE = Instance(terminals=(Point(0.2, 0.9),), depot=Point(0.5, 0.5), capacity=1)
 
     def test_every_entry_point(self):
@@ -360,7 +369,7 @@ class TestAlgorithmsAgainstBounds:
                 assert certified
                 assert sweep_solve(inst, M).total_cost <= ub + 1e-9
             ub1, _ = upper_bound_formula(inst, 1)
-            assert itp_solve(inst, tsp_mode="exact").total_cost <= ub1 + 1e-9
+            assert itp_solve(inst).total_cost <= ub1 + 1e-9
 
     def test_instance_diameter_includes_depot(self):
         inst = Instance(terminals=(Point(0, 0),), depot=Point(5, 0), capacity=1)

@@ -124,7 +124,7 @@ def test_experiment_cli(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
     code = main([
         "experiment", "--n", "9", "--k", "3", "--m", "1",
-        "--seeds", "0:3", "--tsp-mode", "exact",
+        "--seeds", "0:3",
         "--small-instance-mode", "--output", str(out_file),
     ])
     assert code == 0
@@ -176,6 +176,51 @@ def test_tsp_mode_choices_come_from_tsp_modes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid choice: 'bogus'" in err
     assert all(mode in err for mode in TSP_MODES)
+
+
+def test_exact_is_not_a_tsp_mode(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--n", "9", "--k", "3", "--tsp-mode", "exact",
+              "--output", str(tmp_path / "rows.csv")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'exact'" in capsys.readouterr().err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("computed before the output path was checked")
+
+
+@pytest.mark.parametrize("command, computes", [
+    (["experiment", "--n", "2000", "--k", "45", "--seeds", "0:2", "--output"],
+     "run_ratio_experiment"),
+    (["verify-net", "--stride", "1", "--report"], "verify_all"),
+    (["solve", "--input", "INSTANCE", "--output"], "solve"),
+])
+def test_unwritable_output_fails_before_computing(tmp_path, monkeypatch, capsys,
+                                                  command, computes):
+    import sweepcvrp.cli as cli_mod
+
+    instance_file = tmp_path / "inst.txt"
+    assert main(["gen", "--n", "5", "--k", "2", "--output", str(instance_file)]) == 0
+    monkeypatch.setattr(cli_mod, computes, _never)
+    argv = [str(instance_file) if w == "INSTANCE" else w for w in command]
+    assert main([*argv, str(tmp_path / "missing" / "out.txt")]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["solve", "--m", "0", "--input", "INSTANCE"], "--output"),
+    (["verify-net", "--stride", "0"], "--report"),
+    (["verify-net", "--threads", "0"], "--report"),
+])
+def test_failed_command_leaves_no_output(tmp_path, capsys, command, flag):
+    instance_file = tmp_path / "inst.txt"
+    assert main(["gen", "--n", "5", "--k", "2", "--output", str(instance_file)]) == 0
+    out_file = tmp_path / "out.txt"
+    argv = [str(instance_file) if w == "INSTANCE" else w for w in command]
+    assert main([*argv, flag, str(out_file)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 def _option(command: str, flag: str) -> argparse.Action:

@@ -104,7 +104,6 @@ class TestRunRatioExperiment:
     def _config(self, **kwargs):
         defaults = dict(
             n=8, depot=Point(0.5, 0.5), M=2, seeds=(0, 1, 2), k_fixed=2,
-            tsp_mode="exact",
         )
         defaults.update(kwargs)
         return ExperimentConfig(**defaults)

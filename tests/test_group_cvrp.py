@@ -70,7 +70,7 @@ class TestSplitHeuristic:
     def test_whole_group_fits_one_tour(self):
         rng = np.random.default_rng(73)
         U = random_points(rng, 6)
-        sol = cvrp_group_heuristic(U, O, k=6, tsp_mode="exact")
+        sol = cvrp_group_heuristic(U, O, k=6)
         assert len(sol.tours) == 1
         tsp = tsp_exact([O, *U])
         assert sol.total_cost == pytest.approx(tsp.length, abs=1e-9)
@@ -96,7 +96,7 @@ class TestSplitHeuristic:
     def test_cross_splitting_bound(self):
         tsp = tsp_exact([O, *CROSS])
         radial = sum(dist(O, u) for u in CROSS)
-        sol = cvrp_group_heuristic(CROSS, O, k=2, tsp_mode="exact")
+        sol = cvrp_group_heuristic(CROSS, O, k=2)
         assert sol.total_cost <= tsp.length + (2.0 / 2.0) * radial + 1e-9
         assert all(len(t.indices) <= 2 for t in sol.tours)
 
@@ -107,7 +107,7 @@ class TestSplitHeuristic:
             k = int(rng.integers(1, n + 1))
             U = random_points(rng, n)
             depot = Point(float(rng.uniform(-1, 2)), float(rng.uniform(-1, 2)))
-            sol = cvrp_group_heuristic(U, depot, k, tsp_mode="exact")
+            sol = cvrp_group_heuristic(U, depot, k)
             tsp = tsp_exact([depot, *U])
             radial = sum(dist(depot, u) for u in U)
             assert sol.total_cost <= tsp.length + (2.0 / k) * radial + 1e-9
@@ -119,7 +119,7 @@ class TestSplitHeuristic:
             n = int(rng.integers(1, 10))
             k = int(rng.integers(1, n + 1))
             U = random_points(rng, n)
-            h = cvrp_group_heuristic(U, O, k, tsp_mode="exact")
+            h = cvrp_group_heuristic(U, O, k)
             e = cvrp_exact_small(U, O, k)
             assert h.total_cost >= e.total_cost - 1e-9
 

@@ -94,7 +94,7 @@ class TestItp:
         pts = tuple(Point(float(x), float(y))
                     for x, y in rng.uniform(0, 1, size=(6, 2)))
         inst = Instance(terminals=pts, depot=Point(0.5, 0.5), capacity=6)
-        sol = itp_solve(inst, tsp_mode="exact")
+        sol = itp_solve(inst)
         tsp = tsp_exact([inst.depot, *pts])
         assert len(sol.tours) == 1
         assert sol.total_cost == pytest.approx(tsp.length, abs=1e-9)
@@ -102,14 +102,14 @@ class TestItp:
     def test_cross_bound(self):
         tsp = tsp_exact([CROSS_INSTANCE.depot, *CROSS_INSTANCE.terminals])
         radial = sum(dist(CROSS_INSTANCE.depot, v) for v in CROSS_INSTANCE.terminals)
-        sol = itp_solve(CROSS_INSTANCE, tsp_mode="exact")
+        sol = itp_solve(CROSS_INSTANCE)
         assert sol.total_cost <= tsp.length + radial + 1e-9  # (2/k) = 1 here
 
     def test_splitting_inequality_random(self):
         rng = np.random.default_rng(131)
         for _ in range(20):
             inst = random_instance(rng, max_n=12, max_k=4)
-            sol = itp_solve(inst, tsp_mode="exact")
+            sol = itp_solve(inst)
             tsp = tsp_exact([inst.depot, *inst.terminals])
             radial = sum(dist(inst.depot, v) for v in inst.terminals)
             bound = tsp.length + (2.0 / inst.capacity) * radial
@@ -132,7 +132,7 @@ class TestUpperBoundCertificate:
         rng = np.random.default_rng(139)
         for _ in range(25):
             inst = random_instance(rng, max_n=10, max_k=3)
-            sol = itp_solve(inst, tsp_mode="exact")
+            sol = itp_solve(inst)
             ub, certified = upper_bound_formula(inst, 1)
             assert certified
             assert sol.total_cost <= ub + 1e-9

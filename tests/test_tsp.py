@@ -11,7 +11,9 @@ from sweepcvrp.bruteforce import tsp_brute_force
 from sweepcvrp.geometry import Point, dist
 from sweepcvrp.tsp import (
     _IMPROVE_EPS,
+    EXACT_THRESHOLD,
     NEIGHBOURS,
+    TSP_MODES,
     _local_search,
     _neighbour_walk,
     cycle_length,
@@ -153,14 +155,79 @@ class TestDispatch:
         pts = random_points(np.random.default_rng(61), 100)
         assert not tsp_dispatch(pts, "auto").certified_optimal
 
-    def test_exact_oversize_errors(self):
-        pts = random_points(np.random.default_rng(67), 100)
-        with pytest.raises(ValueError, match="exceeds exact threshold"):
-            tsp_dispatch(pts, "exact")
-
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown tsp mode"):
             tsp_dispatch([], "fastest")
+
+    def test_exact_is_not_a_mode(self):
+        # a caller that wants an optimal tour or an error calls tsp_exact
+        pts = random_points(np.random.default_rng(67), 5)
+        with pytest.raises(ValueError, match="unknown tsp mode"):
+            tsp_dispatch(pts, "exact")
+
+
+class TestContract:
+    """tsp_dispatch returns a cycle that starts at point 0, certified exactly
+    when it is provably optimal."""
+
+    @pytest.mark.parametrize("mode", TSP_MODES)
+    def test_starts_at_zero_certified_iff_optimal(self, mode):
+        rng = np.random.default_rng(101)
+        for n in (*range(21), 300):
+            pts = random_points(rng, n)
+            res = tsp_dispatch(pts, mode, seed=n)
+            assert sorted(res.order) == list(range(n)), n
+            assert res.order[:1] == (0,)[:n], n
+            optimal = (mode == "auto" and n <= EXACT_THRESHOLD) or n <= 3
+            assert res.certified_optimal == optimal, n
+
+    def test_local_search_of_few_points_starts_at_zero(self):
+        pts = np.random.default_rng(103).random((3, 2))
+        assert _local_search(pts, [2, 0, 1], neighbours(pts)) == [0, 1, 2]
+        assert _local_search(pts[:0], [], neighbours(pts[:0])) == []
+
+
+class TestColocated:
+    """The heuristic solves over the distinct locations and emits each
+    location's points consecutively, in index order."""
+
+    def test_many_copies_of_few_sites(self, monkeypatch):
+        sites = np.random.default_rng(0).random((10, 2))
+        pts = _as_points(np.repeat(sites, 500, axis=0))
+        seen = []
+        real = tsp.neighbours
+        monkeypatch.setattr(tsp, "neighbours", lambda p: seen.append(len(p)) or real(p))
+        res = tsp_heuristic(pts, seed=0)
+        assert seen == [10]
+        # the kernel before the neighbour-list search gave 3.3083 here
+        assert res.length <= 3.3083
+        blocks = np.array(res.order).reshape(10, 500)
+        assert (blocks == blocks[:, :1] + np.arange(500)).all()
+        assert res.order[0] == 0 and not res.certified_optimal
+
+    def test_at_most_three_locations_certified(self):
+        a, b, c = Point(0, 0), Point(3, 0), Point(0, 4)
+        res = tsp_heuristic([a, b, a, c, b], seed=4)
+        assert res.order == (0, 2, 1, 4, 3)
+        assert res.length == 12.0 and res.certified_optimal
+        res = tsp_heuristic([a] * 9, seed=2)
+        assert res.order == tuple(range(9)) and res.length == 0.0
+        assert res.certified_optimal
+
+    def test_copies_follow_their_location(self):
+        # copies join the tour of the distinct points, next to their first
+        # occurrence, and the walk starts at the location of point seed % n
+        rng = np.random.default_rng(107)
+        base = random_points(rng, 20)
+        pts = base + [base[i] for i in (3, 3, 17, 0)]
+        for seed, base_seed in ((0, 0), (21, 3), (23, 0)):
+            res = tsp_heuristic(pts, seed)
+            ref = tsp_heuristic(base, base_seed)
+            order = list(res.order)
+            assert [v for v in order if v < 20] == list(ref.order)
+            for i, j in ((3, 20), (20, 21), (17, 22), (0, 23)):
+                assert order.index(j) == order.index(i) + 1
+            assert res.length == ref.length
 
 
 def _nearest_neighbor_reference(pts: np.ndarray, start: int) -> np.ndarray:
@@ -312,7 +379,7 @@ class TestTwoOptKernel:
         scale = max(1.0, float(np.abs(pts).max()))
         for start in sorted({0, 1, n // 2, n - 1}):
             walk = _neighbour_walk(pts, nbrs, start)
-            tour = _local_search(pts, walk, nbrs, _IMPROVE_EPS * scale)
+            tour = _local_search(pts, walk, nbrs)
             assert sorted(tour) == list(range(n))
             assert _best_2opt_delta(pts, tour) >= -1e-9 * scale
             assert _length(pts, tour) <= _length(pts, walk)
@@ -334,8 +401,8 @@ class TestTwoOptKernel:
             nbrs = neighbours(pts)
             local_optimum = _two_opt_reference(pts, _nearest_neighbor_reference(pts, 0))
             for start in (rng.permutation(n).tolist(), local_optimum.tolist()):
-                tour = _local_search(pts, start, nbrs, _IMPROVE_EPS)
-                assert sorted(tour) == list(range(n))
+                tour = _local_search(pts, start, nbrs)
+                assert sorted(tour) == list(range(n)) and tour[0] == 0
                 assert _best_2opt_delta(pts, tour) >= -1e-9
                 assert _length(pts, tour) <= _length(pts, start)
 
@@ -343,7 +410,7 @@ class TestTwoOptKernel:
     def test_rejects_non_permutation(self, start):
         pts = np.random.default_rng(97).random((5, 2))
         with pytest.raises(ValueError, match="not a permutation"):
-            _local_search(pts, start, neighbours(pts), _IMPROVE_EPS)
+            _local_search(pts, start, neighbours(pts))
 
 
 def _tsp_exact_reference(points):
@@ -431,11 +498,12 @@ class TestTwoOptScale:
     def test_threshold_scales_with_coordinates(self, monkeypatch):
         seen = []
 
-        def spy(pts, tour, nbrs, eps):
-            seen.append(eps)
-            return tour
+        def spy(pts):
+            seen.append(move_eps(pts))
+            return seen[-1]
 
-        monkeypatch.setattr(tsp, "_local_search", spy)
+        move_eps = tsp._move_eps
+        monkeypatch.setattr(tsp, "_move_eps", spy)
         tsp_heuristic(random_points(np.random.default_rng(79), 20), seed=0)
         far = self._collinear_far(1e5)
         tsp_heuristic(far, seed=0)
