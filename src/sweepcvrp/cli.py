@@ -8,10 +8,8 @@ Exit codes: 0 success / certificate pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -26,7 +24,7 @@ from .experiments import (
     solve,
     write_csv,
 )
-from .geometry import Point, Solution, load_instance, save_instance
+from .geometry import Point, Solution, load_instance, output_file, save_instance
 from .netverify import verify_all
 from .tsp import TSP_MODES
 
@@ -70,22 +68,6 @@ def _parse_finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
-
-
-@contextlib.contextmanager
-def _output(path: str | None):
-    """Create (or empty) the output file at `path` before the command
-    computes, so that a path that cannot be written fails at once rather than
-    after the run; remove it if the command fails, so that only a finished
-    run leaves the file."""
-    if path is not None:
-        open(path, "w", encoding="utf-8").close()
-    try:
-        yield
-    except BaseException:
-        if path is not None:
-            os.remove(path)
-        raise
 
 
 def _solution_dict(algo: str, solution: Solution) -> dict:
@@ -171,12 +153,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.input)
-    with _output(args.output):
+    with output_file(args.output) as fp:
         solution = solve(instance, args.algo, args.m, args.tsp_mode, args.seed)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fp:
-                json.dump(_solution_dict(args.algo, solution), fp)
-                fp.write("\n")
+        if fp is not None:
+            json.dump(_solution_dict(args.algo, solution), fp)
+            fp.write("\n")
     print(f"{args.algo}: cost {solution.total_cost!r} "
           f"with {len(solution.tours)} tours")
     return 0
@@ -204,11 +185,10 @@ def _cmd_eval_g(args) -> int:
 
 
 def _cmd_verify_net(args) -> int:
-    with _output(args.report):
-        cert = verify_all(
-            stride=args.stride, threads=args.threads,
-            report_path=args.report, progress=True,
-        )
+    cert = verify_all(
+        stride=args.stride, threads=args.threads,
+        report_path=args.report, progress=True,
+    )
     status = "PASS" if cert.passed else "FAIL"
     print(
         f"verify-net {status}: {cert.points_checked} points at stride "
@@ -234,10 +214,9 @@ def _cmd_experiment(args) -> int:
         tsp_mode=args.tsp_mode,
         small_instance_mode=args.small_instance_mode,
     )
-    with _output(args.output):
+    with output_file(args.output) as fp:
         result = run_ratio_experiment(config)
-        with open(args.output, "w", encoding="utf-8") as fp:
-            write_csv(result, fp)
+        write_csv(result, fp)
     for algo in algos:
         mean = mean_certified_ratio(result, algo)
         print(f"{algo}: mean cost / best-certified-lower-bound over "

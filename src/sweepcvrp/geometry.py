@@ -1,13 +1,18 @@
-"""Planar geometry substrate: points, CVRP instances, tours, sweep ordering.
+"""Planar geometry substrate: points, CVRP instances, tours, sweep ordering,
+and the file I/O for instances and command outputs.
 
 All coordinates are IEEE-754 binary64.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import os
+import stat
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -235,3 +240,33 @@ def load_instance(path: str) -> Instance:
 def save_instance(instance: Instance, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fp:
         write_instance(instance, fp)
+
+
+@contextlib.contextmanager
+def output_file(path: str | None) -> Iterator[TextIO | None]:
+    """Open `path` for a long computation's output before it starts.
+
+    A path that cannot be opened for writing raises here, before any work.
+    Opening does not change a file that is already there. The block writes
+    to the yielded buffer; if it completes, the buffer replaces the file's
+    content. If it raises (an interrupt too), a file that was already there
+    keeps its bytes, and a file that this call created is removed. A `None`
+    path yields `None`.
+    """
+    if path is None:
+        yield None
+        return
+    created = not os.path.lexists(path)
+    fp = open(path, "a", encoding="utf-8")
+    buffer = io.StringIO()
+    try:
+        yield buffer
+    except BaseException:
+        fp.close()
+        if created and os.path.isfile(path):
+            os.remove(path)
+        raise
+    with fp:
+        if stat.S_ISREG(os.fstat(fp.fileno()).st_mode):
+            fp.truncate(0)  # devices such as /dev/null cannot be truncated
+        fp.write(buffer.getvalue())

@@ -36,6 +36,7 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from .closedform import square_distance
+from .geometry import output_file
 from .interval import (
     Interval,
     v_add,
@@ -216,7 +217,9 @@ def verify_all(
     Lipschitz slack constants, computed from the same thresholds, are
     positive. Scanning stops at the first chunk containing a failure; the
     certificate then carries the failing points. At stride=1 this is the
-    full 2,814,378-point verification.
+    full 2,814,378-point verification. `report_path` is opened before the
+    scan (`geometry.output_file`), so a path that cannot be written raises
+    before any point is checked.
     """
     points = net_size(stride)
     if threads < 1:
@@ -224,58 +227,58 @@ def verify_all(
     thr2, thr3 = THRESHOLD_G2, THRESHOLD_G3
     start = time.perf_counter()
 
-    slack2, slack3 = lipschitz_slacks()
-    slacks_ok = slack2.lo > 0.0 and slack3.lo > 0.0
+    with output_file(report_path) as report:
+        slack2, slack3 = lipschitz_slacks()
+        slacks_ok = slack2.lo > 0.0 and slack3.lo > 0.0
 
-    total = 0
-    min2 = math.inf
-    min3 = math.inf
-    failures: list[tuple[int, int, float, float, float, float]] = []
-    next_report = _PROGRESS_EVERY
+        total = 0
+        min2 = math.inf
+        min3 = math.inf
+        failures: list[tuple[int, int, float, float, float, float]] = []
+        next_report = _PROGRESS_EVERY
 
-    tasks = [(run, stride, thr2, thr3) for run in _row_chunks(stride)]
-    if threads == 1:
-        results = map(_scan_rows, tasks)
-        pool = None
-    else:
-        pool = Pool(processes=min(threads, len(tasks)))  # one worker per chunk at most
-        results = pool.imap(_scan_rows, tasks)
-    try:
-        for count, c_min2, c_min3, c_failures in results:
-            total += count
-            min2 = float(np.minimum(min2, c_min2))  # keeps a NaN
-            min3 = float(np.minimum(min3, c_min3))
-            failures.extend(c_failures)
-            if progress and total >= next_report:
-                print(
-                    f"verify-net: {total}/{points} points, "
-                    f"min margins {min2:.6f} {min3:.6f}",
-                    file=sys.stderr,
-                )
-                next_report = (total // _PROGRESS_EVERY + 1) * _PROGRESS_EVERY
-            if c_failures:
-                break  # fail fast; the certificate carries the evidence
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        tasks = [(run, stride, thr2, thr3) for run in _row_chunks(stride)]
+        if threads == 1:
+            results = map(_scan_rows, tasks)
+            pool = None
+        else:
+            pool = Pool(processes=min(threads, len(tasks)))  # one worker per chunk at most
+            results = pool.imap(_scan_rows, tasks)
+        try:
+            for count, c_min2, c_min3, c_failures in results:
+                total += count
+                min2 = float(np.minimum(min2, c_min2))  # keeps a NaN
+                min3 = float(np.minimum(min3, c_min3))
+                failures.extend(c_failures)
+                if progress and total >= next_report:
+                    print(
+                        f"verify-net: {total}/{points} points, "
+                        f"min margins {min2:.6f} {min3:.6f}",
+                        file=sys.stderr,
+                    )
+                    next_report = (total // _PROGRESS_EVERY + 1) * _PROGRESS_EVERY
+                if c_failures:
+                    break  # fail fast; the certificate carries the evidence
+        finally:
+            if pool is not None:
+                pool.terminate()
+                pool.join()
 
-    passed = slacks_ok and not failures and total == points
-    cert = NetCertificate(
-        points_checked=total,
-        min_margin_g2=min2,
-        min_margin_g3=min3,
-        threshold_g2=thr2,
-        threshold_g3=thr3,
-        lipschitz_slack_g2=slack2.lo,
-        lipschitz_slack_g3=slack3.lo,
-        passed=passed,
-        stride=stride,
-        runtime_seconds=time.perf_counter() - start,
-    )
-    if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as fp:
-            write_report(cert, failures, fp)
+        passed = slacks_ok and not failures and total == points
+        cert = NetCertificate(
+            points_checked=total,
+            min_margin_g2=min2,
+            min_margin_g3=min3,
+            threshold_g2=thr2,
+            threshold_g3=thr3,
+            lipschitz_slack_g2=slack2.lo,
+            lipschitz_slack_g3=slack3.lo,
+            passed=passed,
+            stride=stride,
+            runtime_seconds=time.perf_counter() - start,
+        )
+        if report is not None:
+            write_report(cert, failures, report)
     return cert
 
 

@@ -192,17 +192,15 @@ def _never(*args, **kwargs):
 
 @pytest.mark.parametrize("command, computes", [
     (["experiment", "--n", "2000", "--k", "45", "--seeds", "0:2", "--output"],
-     "run_ratio_experiment"),
-    (["verify-net", "--stride", "1", "--report"], "verify_all"),
-    (["solve", "--input", "INSTANCE", "--output"], "solve"),
+     "sweepcvrp.cli.run_ratio_experiment"),
+    (["verify-net", "--stride", "1", "--report"], "sweepcvrp.netverify._scan_rows"),
+    (["solve", "--input", "INSTANCE", "--output"], "sweepcvrp.cli.solve"),
 ])
 def test_unwritable_output_fails_before_computing(tmp_path, monkeypatch, capsys,
                                                   command, computes):
-    import sweepcvrp.cli as cli_mod
-
     instance_file = tmp_path / "inst.txt"
     assert main(["gen", "--n", "5", "--k", "2", "--output", str(instance_file)]) == 0
-    monkeypatch.setattr(cli_mod, computes, _never)
+    monkeypatch.setattr(computes, _never)
     argv = [str(instance_file) if w == "INSTANCE" else w for w in command]
     assert main([*argv, str(tmp_path / "missing" / "out.txt")]) == 2
     assert "No such file or directory" in capsys.readouterr().err
@@ -221,6 +219,48 @@ def test_failed_command_leaves_no_output(tmp_path, capsys, command, flag):
     assert main([*argv, flag, str(out_file)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out_file.exists()
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("command, flag, patch", [
+    (["solve", "--m", "0", "--input", "INSTANCE"], "--output", None),
+    (["solve", "--input", "INSTANCE"], "--output", "sweepcvrp.cli.solve"),
+    (["verify-net", "--stride", "0"], "--report", None),
+    (["verify-net", "--stride", "200"], "--report", "sweepcvrp.netverify._scan_rows"),
+    (["experiment", "--n", "20", "--k", "4", "--m", "0"], "--output", None),
+    (["experiment", "--n", "20", "--k", "4"], "--output",
+     "sweepcvrp.cli.run_ratio_experiment"),
+], ids=["solve-invalid", "solve-interrupted", "verify-net-invalid",
+        "verify-net-interrupted", "experiment-invalid", "experiment-interrupted"])
+def test_failed_command_keeps_existing_output(tmp_path, monkeypatch, capsys,
+                                              command, flag, patch):
+    instance_file = tmp_path / "inst.txt"
+    assert main(["gen", "--n", "5", "--k", "2", "--output", str(instance_file)]) == 0
+    out_file = tmp_path / "out.txt"
+    old = b"results of an earlier run\n\x00\xff\n"
+    out_file.write_bytes(old)
+    argv = [str(instance_file) if w == "INSTANCE" else w for w in command]
+    if patch is None:
+        assert main([*argv, flag, str(out_file)]) == 2
+    else:  # interrupted while computing
+        monkeypatch.setattr(patch, _interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, flag, str(out_file)])
+    assert out_file.read_bytes() == old
+
+
+def test_solve_replaces_existing_output(tmp_path, capsys):
+    instance_file = tmp_path / "inst.txt"
+    assert main(["gen", "--n", "9", "--k", "3", "--output", str(instance_file)]) == 0
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    reused.write_text("x" * 100_000)
+    for out_file in (fresh, reused):
+        assert main(["solve", "--input", str(instance_file),
+                     "--output", str(out_file)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
 
 
 def _option(command: str, flag: str) -> argparse.Action:

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sweepcvrp.geometry import (
     convex_hull,
     diameter,
     dist,
+    output_file,
     polar_angle,
     read_instance,
     sweep_sort,
@@ -201,6 +203,63 @@ class TestInstanceIO:
         # blank lines after the terminals are fine
         inst = read_instance(io.StringIO("1 1 0.5 0.5\n0.1 0.2\n\n  \n"))
         assert inst.terminals == (Point(0.1, 0.2),)
+
+
+
+class TestOutputFile:
+    OLD = b"old results\n\x00\xff kept byte for byte\n"
+
+    def test_unopenable_path_raises_before_the_block(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with output_file(str(tmp_path / "missing" / "out.txt")):
+                pytest.fail("the block ran before the path was checked")
+
+    def test_success_replaces_existing_content(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(self.OLD)
+        with output_file(str(path)) as fp:
+            assert path.read_bytes() == self.OLD  # opening changes nothing
+            fp.write("new\n")
+        assert path.read_text() == "new\n"
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_failure_keeps_existing_file(self, tmp_path, exc):
+        path = tmp_path / "out.txt"
+        path.write_bytes(self.OLD)
+        with pytest.raises(exc):
+            with output_file(str(path)) as fp:
+                fp.write("partial")
+                raise exc()
+        assert path.read_bytes() == self.OLD
+
+    def test_failure_keeps_symlink_and_target(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_bytes(self.OLD)
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        with pytest.raises(ValueError):
+            with output_file(str(link)):
+                raise ValueError
+        assert link.is_symlink() and target.read_bytes() == self.OLD
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_failure_removes_created_file(self, tmp_path, exc):
+        path = tmp_path / "out.txt"
+        with pytest.raises(exc):
+            with output_file(str(path)) as fp:
+                assert path.exists()
+                fp.write("partial")
+                raise exc()
+        assert not path.exists()
+
+    def test_device_is_written_without_truncation(self):
+        with output_file(os.devnull) as fp:
+            fp.write("discarded\n")
+        assert os.path.exists(os.devnull)
+
+    def test_none_path(self):
+        with output_file(None) as fp:
+            assert fp is None
 
 
 class TestCheckFeasible:

@@ -227,6 +227,26 @@ class TestVerifyAll:
         verify_all(stride=5, threads=8)
         assert started == [1, len(list(netverify._row_chunks(5)))] == [1, 7]
 
+    def test_report_path_checked_before_scan(self, tmp_path, monkeypatch):
+        def never(task):
+            raise AssertionError("scanned before the report path was checked")
+
+        monkeypatch.setattr(netverify, "_scan_rows", never)
+        with pytest.raises(FileNotFoundError):
+            verify_all(stride=20, report_path=str(tmp_path / "missing" / "r.txt"))
+
+    def test_failed_scan_keeps_existing_report(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"previous report\n")
+
+        def broken(task):
+            raise RuntimeError("scan failed")
+
+        monkeypatch.setattr(netverify, "_scan_rows", broken)
+        with pytest.raises(RuntimeError):
+            verify_all(stride=200, report_path=str(path))
+        assert path.read_bytes() == b"previous report\n"
+
     def test_report_round_trip(self, tmp_path):
         path = tmp_path / "report.txt"
         cert = verify_all(stride=400, report_path=str(path))
