@@ -25,18 +25,20 @@ from .experiments import (
     write_csv,
 )
 from .geometry import Point, Solution, load_instance, output_file, save_instance
-from .netverify import verify_all
+from .netverify import verify_all, write_report
 from .tsp import TSP_MODES
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    """Comma-separated seeds, with `a:b` ranges (half-open)."""
+    """Comma-separated seeds, with `a:b` ranges (half-open, nonempty)."""
     seeds: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if ":" in part:
-            lo, hi = part.split(":")
-            seeds.extend(range(int(lo), int(hi)))
+            lo, hi = map(int, part.split(":"))
+            if hi <= lo:
+                raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+            seeds.extend(range(lo, hi))
         elif part:
             seeds.append(int(part))
     if not seeds:
@@ -185,10 +187,10 @@ def _cmd_eval_g(args) -> int:
 
 
 def _cmd_verify_net(args) -> int:
-    cert = verify_all(
-        stride=args.stride, threads=args.threads,
-        report_path=args.report, progress=True,
-    )
+    with output_file(args.report) as fp:
+        cert = verify_all(stride=args.stride, threads=args.threads, progress=True)
+        if fp is not None:
+            write_report(cert, fp)
     status = "PASS" if cert.passed else "FAIL"
     print(
         f"verify-net {status}: {cert.points_checked} points at stride "

@@ -30,7 +30,8 @@ import numpy as np
 # importable from this module: perfbench's traced run wraps them at this site.
 from .bounds import BoundContext, choose_R, lower_bound, upper_bound_formula  # noqa: F401
 from .bruteforce import brute_force_opt
-from .geometry import Instance, Point, Solution, check_feasible, field_text
+from .geometry import (Instance, Point, Solution, check_coordinates, check_feasible,
+                       field_text)
 from .group_cvrp import SolveConfig
 from .itp import itp_solve
 from .sweep import sweep_solve
@@ -98,11 +99,12 @@ class ExperimentConfig:
             raise ValueError(f"algos must be distinct and nonempty, got {self.algos!r}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct and nonempty, got {self.seeds!r}")
+        if not all(0 <= seed < 2 ** 128 for seed in self.seeds):  # Philox keys
+            raise ValueError(f"seeds must be in 0 .. 2**128 - 1, got {self.seeds!r}")
         for algo in self.algos:
             if algo not in ALGOS:
                 raise ValueError(f"unknown algo {algo!r}")
-        if not (math.isfinite(self.depot.x) and math.isfinite(self.depot.y)):
-            raise ValueError(f"non-finite depot: {self.depot}")
+        check_coordinates([self.depot], "depot")
         check_tsp_mode(self.tsp_mode)
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")

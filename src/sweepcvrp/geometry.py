@@ -26,12 +26,30 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
+# the largest |coordinate|: a squared coordinate difference is then at most
+# 4e300, and a squared distance at most 8e300, both finite
+MAX_COORD = 1e150
+
+
+def check_coordinates(points, what: str = "coordinate") -> None:
+    """Raise ValueError, naming the first bad point a `what`, unless every
+    coordinate of `points` (x, y pairs) is finite with |c| <= MAX_COORD."""
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    ok = (np.abs(xy) <= MAX_COORD).all(axis=1)  # NaN fails too
+    if not ok.all():
+        p = Point(*xy[ok.argmin()].tolist())
+        kind = "too large" if all(map(math.isfinite, p)) else "non-finite"
+        raise ValueError(f"{kind} {what}: {p}; coordinates must be finite "
+                         f"with |c| <= {MAX_COORD:g}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A unit-demand CVRP instance: terminals, a depot, and a capacity.
 
     The terminal list is ordered (indices are meaningful) and may contain
-    duplicate coordinates. Capacity must satisfy 1 <= k <= max(n, 1).
+    duplicate coordinates. Capacity must satisfy 1 <= k <= max(n, 1), and
+    the coordinates must pass check_coordinates.
     """
 
     terminals: tuple[Point, ...]
@@ -46,9 +64,7 @@ class Instance:
             raise ValueError(
                 f"capacity {self.capacity} exceeds max(n, 1) = {max(n, 1)}"
             )
-        for p in (self.depot, *self.terminals):
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise ValueError(f"non-finite coordinate: {p}")
+        check_coordinates((self.depot, *self.terminals))
 
     @property
     def n(self) -> int:

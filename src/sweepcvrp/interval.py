@@ -37,6 +37,10 @@ verifier's vectorized batches of millions. `Interval` is only the result type
 handed to callers (of `iv_g`, `netverify.verify_point` and
 `netverify.lipschitz_slacks`): a checked scalar pair with lo <= hi.
 
+The triangle integral A1 has one kernel, v_A1. Its callers compute each
+hypotenuse once (v_hyp) and share it between a mirrored pair A1(p, q),
+A1(q, p), or pass None on the unit circle, where it is exactly 1.
+
 Piecewise formulas (the disk-segment and disk-corner integrals) combine
 their branches by one rule, `_piecewise`: each branch comes with a guard
 that holds on every lane whose input box meets that branch's region, and
@@ -46,6 +50,7 @@ an enclosure stays valid when the box straddles a branch boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,59 +208,39 @@ def _piecewise(shape, cases):
 
 # --- closed-form kernels -------------------------------------------------------
 
-def _va_crude(a, b, hyp_hi):
-    """Fallback enclosure for the triangle integral: |A1| <= area * max
-    radius = (|a| |b| / 2) * hyp. Used where the log form is unusable
-    (intervals straddling a = 0, or inflation pushing the log argument
-    nonpositive)."""
-    amax = np.maximum(np.abs(a[0]), np.abs(a[1]))
-    bmax = np.maximum(np.abs(b[0]), np.abs(b[1]))
-    w = _up1(_up1(amax * bmax) * 0.5)
-    w = _up1(w * hyp_hi)
-    return -w, w
+def v_hyp(a, b):
+    """Enclosure of sqrt(a^2 + b^2), the hypotenuse that v_A1 takes."""
+    return v_sqrt(v_add(v_sqr(a), v_sqr(b)))
 
 
-def v_A1(a, b):
+def v_A1(a, b, hyp):
     """Triangle integral of sqrt(x^2+y^2) over (0,0),(a,0),(a,b):
-    a^3/6 * log(b/|a| + sqrt(1+b^2/a^2)) + ab/6 * sqrt(a^2+b^2),
-    odd in a, with exact zero at a = 0."""
-    hyp = v_sqrt(v_add(v_sqr(a), v_sqr(b)))
+    a^3/6 * log((b + hyp)/|a|) + ab/6 * hyp, hyp = sqrt(a^2+b^2), odd in a,
+    with exact zero at a = 0. `hyp` is the caller's v_hyp(a, b), which a
+    mirrored pair A1(a, b), A1(b, a) shares; on the disk pattern
+    (h, sqrt(1-h^2)) it is exactly 1, and the caller passes None."""
+    unit = hyp is None
     # reduce to a > 0 via oddness; sign-straddling lanes use the fallback
     negate = a[1] <= 0.0
     ap = (np.where(negate, -a[1], a[0]), np.where(negate, -a[0], a[1]))
     with np.errstate(all="ignore"):
         # log((b + hyp) / a); the cubic factor tames the cancellation for
         # very negative b
-        num = v_add(b, hyp)
-        larg = v_div(num, ap)
+        larg = v_div(v_add(b, _V_ONE if unit else hyp), ap)
         lg = v_log(larg)
         cube = v_mul(v_sqr(ap), ap)
         t1 = v_mul(v_mul(cube, _V_SIXTH), lg)
-        t2 = v_mul(v_mul(v_mul(ap, b), _V_SIXTH), hyp)
-        val = v_add(t1, t2)
+        t2 = v_mul(v_mul(ap, b), _V_SIXTH)
+        val = v_add(t1, t2 if unit else v_mul(t2, hyp))
     good = (ap[0] > 0.0) & (larg[0] > 0.0) & np.isfinite(val[0]) & np.isfinite(val[1])
-    crude = _va_crude(a, b, hyp[1])
-    lo = np.where(good, np.where(negate, -val[1], val[0]), crude[0])
-    hi = np.where(good, np.where(negate, -val[0], val[1]), crude[1])
-    return lo, hi
-
-
-def v_A1_unit(h, root):
-    """v_A1 specialized to the disk pattern (h, sqrt(1-h^2)), where the
-    hypotenuse is exactly 1: h^3/6 * log((1+root)/|h|) + h*root/6."""
-    negate = h[1] <= 0.0
-    hp = (np.where(negate, -h[1], h[0]), np.where(negate, -h[0], h[1]))
-    with np.errstate(all="ignore"):
-        larg = v_div(v_add(_V_ONE, root), hp)
-        lg = v_log(larg)
-        cube = v_mul(v_sqr(hp), hp)
-        t1 = v_mul(v_mul(cube, _V_SIXTH), lg)
-        t2 = v_mul(v_mul(hp, root), _V_SIXTH)
-        val = v_add(t1, t2)
-    good = (hp[0] > 0.0) & (larg[0] > 0.0) & np.isfinite(val[0]) & np.isfinite(val[1])
-    crude = _va_crude(h, root, _V_ONE[1])
-    lo = np.where(good, np.where(negate, -val[1], val[0]), crude[0])
-    hi = np.where(good, np.where(negate, -val[0], val[1]), crude[1])
+    # fallback where the log form is unusable (a straddles 0, or inflation
+    # pushes the log argument nonpositive): |A1| <= area * max radius
+    amax = np.maximum(np.abs(a[0]), np.abs(a[1]))
+    bmax = np.maximum(np.abs(b[0]), np.abs(b[1]))
+    w = _up1(_up1(amax * bmax) * 0.5)
+    w = _up1(w * (1.0 if unit else hyp[1]))
+    lo = np.where(good, np.where(negate, -val[1], val[0]), -w)
+    hi = np.where(good, np.where(negate, -val[0], val[1]), w)
     return lo, hi
 
 
@@ -286,7 +271,7 @@ def _axis(h) -> _Axis:
     c_root = v_mul(c, root)
     pma = v_sub(V_PI, v_arccos(c))  # pi - arccos h
     a0 = v_mul(c_root, _V_HALF)
-    a1 = v_A1_unit(c, root)
+    a1 = v_A1(c, root, None)
     b0_mid = v_add(pma, v_add(a0, a0))
     b1_mid = v_add(v_mul(_V_TWO_THIRDS, pma), v_add(a1, a1))
 
@@ -318,7 +303,8 @@ def _corner(p: _Axis, q: _Axis):
     # collapse to c1*c2
     a0_sum = v_add(v_mul(v_add(p.c_root, q.c_root), _V_HALF), v_mul(p.c, q.c))
     c0_in = v_add(v_mul(ang, _V_HALF), a0_sum)
-    a1_sum = v_add(v_add(p.a1, q.a1), v_add(v_A1(p.c, q.c), v_A1(q.c, p.c)))
+    hyp = v_hyp(p.c, q.c)
+    a1_sum = v_add(v_add(p.a1, q.a1), v_add(v_A1(p.c, q.c, hyp), v_A1(q.c, p.c, hyp)))
     c1_in = v_add(v_mul(ang, _V_THIRD), a1_sum)
 
     shape = np.broadcast(h1[0], h2[0]).shape
@@ -349,16 +335,15 @@ def v_D_pair(a, b, R):
 
 
 def v_g1(a, b):
-    """Expected depot-to-uniform-point distance: eight triangle terms."""
+    """Expected depot-to-uniform-point distance: eight triangle terms, in
+    four mirrored pairs that each share a hypotenuse."""
     one_m_a = v_sub(_V_ONE, a)
     one_m_b = v_sub(_V_ONE, b)
-    total = v_A1(a, b)
-    for (p, q) in (
-        (b, a), (b, one_m_a), (one_m_a, b), (one_m_a, one_m_b),
-        (one_m_b, one_m_a), (one_m_b, a), (a, one_m_b),
-    ):
-        total = v_add(total, v_A1(p, q))
-    return total
+    terms = []
+    for p, q in ((a, b), (b, one_m_a), (one_m_a, one_m_b), (one_m_b, a)):
+        hyp = v_hyp(p, q)
+        terms += [v_A1(p, q, hyp), v_A1(q, p, hyp)]
+    return functools.reduce(v_add, terms)
 
 
 def v_g_all(a, b):

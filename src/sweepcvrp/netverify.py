@@ -31,12 +31,11 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from multiprocessing import Pool
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
 from .closedform import square_distance
-from .geometry import output_file
 from .interval import (
     Interval,
     v_add,
@@ -139,13 +138,16 @@ class NetCertificate:
     passed: bool
     stride: int
     runtime_seconds: float
+    # the points that failed, as (i, j, a, b, margin2_lo, margin3_lo)
+    failures: tuple[tuple[int, int, float, float, float, float], ...] = ()
 
     def canonical_dict(self) -> dict:
         """The fields in order, `passed` keyed as "pass", without the
         (nondeterministic) runtime, so certificates for the same stride
-        compare bit-identical."""
+        compare bit-identical, and without the failing points, which a
+        report lists on lines of their own."""
         content = asdict(self)
-        del content["runtime_seconds"]
+        del content["runtime_seconds"], content["failures"]
         return {"pass" if k == "passed" else k: v for k, v in content.items()}
 
 
@@ -205,21 +207,15 @@ def _row_chunks(stride: int) -> Iterator[tuple[int, int]]:
         yield p0, m
 
 
-def verify_all(
-    stride: int = 1,
-    threads: int = 1,
-    report_path: str | None = None,
-    progress: bool = False,
-) -> NetCertificate:
+def verify_all(stride: int = 1, threads: int = 1, progress: bool = False) -> NetCertificate:
     """Run the margin check over the whole (stride-sampled) net.
 
     Passes iff every point clears THRESHOLD_G2 and THRESHOLD_G3 and both
     Lipschitz slack constants, computed from the same thresholds, are
     positive. Scanning stops at the first chunk containing a failure; the
-    certificate then carries the failing points. At stride=1 this is the
-    full 2,814,378-point verification. `report_path` is opened before the
-    scan (`geometry.output_file`), so a path that cannot be written raises
-    before any point is checked.
+    certificate then carries the failing points in `failures`. At stride=1
+    this is the full 2,814,378-point verification. No file is written:
+    `write_report` writes a certificate out.
     """
     points = net_size(stride)
     if threads < 1:
@@ -227,72 +223,64 @@ def verify_all(
     thr2, thr3 = THRESHOLD_G2, THRESHOLD_G3
     start = time.perf_counter()
 
-    with output_file(report_path) as report:
-        slack2, slack3 = lipschitz_slacks()
-        slacks_ok = slack2.lo > 0.0 and slack3.lo > 0.0
+    slack2, slack3 = lipschitz_slacks()
+    slacks_ok = slack2.lo > 0.0 and slack3.lo > 0.0
 
-        total = 0
-        min2 = math.inf
-        min3 = math.inf
-        failures: list[tuple[int, int, float, float, float, float]] = []
-        next_report = _PROGRESS_EVERY
+    total = 0
+    min2 = math.inf
+    min3 = math.inf
+    failures: list[tuple[int, int, float, float, float, float]] = []
+    next_report = _PROGRESS_EVERY
 
-        tasks = [(run, stride, thr2, thr3) for run in _row_chunks(stride)]
-        if threads == 1:
-            results = map(_scan_rows, tasks)
-            pool = None
-        else:
-            pool = Pool(processes=min(threads, len(tasks)))  # one worker per chunk at most
-            results = pool.imap(_scan_rows, tasks)
-        try:
-            for count, c_min2, c_min3, c_failures in results:
-                total += count
-                min2 = float(np.minimum(min2, c_min2))  # keeps a NaN
-                min3 = float(np.minimum(min3, c_min3))
-                failures.extend(c_failures)
-                if progress and total >= next_report:
-                    print(
-                        f"verify-net: {total}/{points} points, "
-                        f"min margins {min2:.6f} {min3:.6f}",
-                        file=sys.stderr,
-                    )
-                    next_report = (total // _PROGRESS_EVERY + 1) * _PROGRESS_EVERY
-                if c_failures:
-                    break  # fail fast; the certificate carries the evidence
-        finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
+    tasks = [(run, stride, thr2, thr3) for run in _row_chunks(stride)]
+    if threads == 1:
+        results = map(_scan_rows, tasks)
+        pool = None
+    else:
+        pool = Pool(processes=min(threads, len(tasks)))  # one worker per chunk at most
+        results = pool.imap(_scan_rows, tasks)
+    try:
+        for count, c_min2, c_min3, c_failures in results:
+            total += count
+            min2 = float(np.minimum(min2, c_min2))  # keeps a NaN
+            min3 = float(np.minimum(min3, c_min3))
+            failures.extend(c_failures)
+            if progress and total >= next_report:
+                print(
+                    f"verify-net: {total}/{points} points, "
+                    f"min margins {min2:.6f} {min3:.6f}",
+                    file=sys.stderr,
+                )
+                next_report = (total // _PROGRESS_EVERY + 1) * _PROGRESS_EVERY
+            if c_failures:
+                break  # fail fast; the certificate carries the evidence
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
-        passed = slacks_ok and not failures and total == points
-        cert = NetCertificate(
-            points_checked=total,
-            min_margin_g2=min2,
-            min_margin_g3=min3,
-            threshold_g2=thr2,
-            threshold_g3=thr3,
-            lipschitz_slack_g2=slack2.lo,
-            lipschitz_slack_g3=slack3.lo,
-            passed=passed,
-            stride=stride,
-            runtime_seconds=time.perf_counter() - start,
-        )
-        if report is not None:
-            write_report(cert, failures, report)
-    return cert
+    return NetCertificate(
+        points_checked=total,
+        min_margin_g2=min2,
+        min_margin_g3=min3,
+        threshold_g2=thr2,
+        threshold_g3=thr3,
+        lipschitz_slack_g2=slack2.lo,
+        lipschitz_slack_g3=slack3.lo,
+        passed=slacks_ok and not failures and total == points,
+        stride=stride,
+        runtime_seconds=time.perf_counter() - start,
+        failures=tuple(failures),
+    )
 
 
-def write_report(
-    cert: NetCertificate,
-    failures: Sequence[tuple[int, int, float, float, float, float]],
-    fp: TextIO,
-) -> None:
+def write_report(cert: NetCertificate, fp: TextIO) -> None:
     """Header line with the certificate fields, then one line
-    `i j a b margin2_lo margin3_lo` per failing point."""
+    `i j a b margin2_lo margin3_lo` per failing point of `cert.failures`."""
     header = {"format": "netverify-report-v1", **cert.canonical_dict(),
               "runtime_seconds": cert.runtime_seconds}
     fp.write(json.dumps(header) + "\n")
-    for i, j, a, b, m2, m3 in failures:
+    for i, j, a, b, m2, m3 in cert.failures:
         fp.write(f"{i} {j} {a!r} {b!r} {m2!r} {m3!r}\n")
 
 

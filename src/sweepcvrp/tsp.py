@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, dist
+from .geometry import Point, check_coordinates, dist
 
 EXACT_THRESHOLD = 14
 TSP_MODES = ("auto", "heuristic")
@@ -169,8 +169,10 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
     _local_search, over the distinct locations; each location's points follow
     one another in index order. A tour over at most 3 locations is optimal
     and certified; a longer one is a 2-opt local optimum over all pairs of
-    edges. The result is deterministic for a given seed."""
+    edges. The result is deterministic for a given seed. A coordinate that
+    fails geometry.check_coordinates raises ValueError."""
     pts = np.array(points, dtype=float).reshape(-1, 2)
+    check_coordinates(pts)
     first, loc = _locations(pts)
     m = len(first)
     if m <= 3:
@@ -219,20 +221,24 @@ def neighbours(pts: np.ndarray) -> np.ndarray:
     if K < 1:
         return out
     x, y = pts[:, 0], pts[:, 1]
-    # side x side cells whose inner edges are quantiles of x and of y, so
-    # that clustered points spread over them too: cell (cx, cy) holds the
-    # points with xedge[cx] <= x < xedge[cx + 1], and likewise in y
+    # nx x ny cells whose inner edges are the distinct quantiles of x and of
+    # y, so that clustered points spread over them too, and no column or row
+    # has zero width (a point on its edge would be at gap 0 until the ring
+    # spanned the axis): cell (cx, cy) holds the points with
+    # xedge[cx] <= x < xedge[cx + 1], and likewise in y
     side = max(1, round(math.sqrt(n / _GRID_LOAD)))
     inner = np.arange(1, side) * n // side
     xedge, yedge = (np.concatenate([[-math.inf], np.sort(v)[inner], [math.inf]])
                     for v in (x, y))
+    xedge, yedge = (e[np.append(True, e[1:] > e[:-1])] for e in (xedge, yedge))
+    nx, ny = len(xedge) - 1, len(yedge) - 1
     xy = np.column_stack([np.searchsorted(xedge[1:-1], x, side="right"),
                           np.searchsorted(yedge[1:-1], y, side="right")])
-    cell = xy[:, 1] * side + xy[:, 0]
+    cell = xy[:, 1] * nx + xy[:, 0]
     by_cell = np.argsort(cell, kind="stable")
     # cell c holds the points by_cell[first[c] : first[c + 1]]
-    first = np.zeros(side * side + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cell, minlength=side * side), out=first[1:])
+    first = np.zeros(nx * ny + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell, minlength=nx * ny), out=first[1:])
     # covers the rounding of a point's distance to an edge
     slack = 1e-14 * float(np.abs(pts).max())
 
@@ -243,11 +249,11 @@ def neighbours(pts: np.ndarray) -> np.ndarray:
             # the square's columns x0 .. x1 and rows y0 .. y1; row r of it is
             # the cell run [x0, x1] of grid row cy + r
             cx, cy = xy[q, 0], xy[q, 1]
-            x0, x1 = np.maximum(cx - ring, 0), np.minimum(cx + ring, side - 1)
-            y0, y1 = np.maximum(cy - ring, 0), np.minimum(cy + ring, side - 1)
+            x0, x1 = np.maximum(cx - ring, 0), np.minimum(cx + ring, nx - 1)
+            y0, y1 = np.maximum(cy - ring, 0), np.minimum(cy + ring, ny - 1)
             rows = cy[:, None] + np.arange(-ring, ring + 1)
-            inside = (rows >= 0) & (rows < side)
-            rows = np.clip(rows, 0, side - 1) * side
+            inside = (rows >= 0) & (rows < ny)
+            rows = np.clip(rows, 0, ny - 1) * nx
             run_lo = np.where(inside, first[rows + x0[:, None]], 0).ravel()
             run_len = np.where(inside, first[rows + x1[:, None] + 1], 0).ravel() - run_lo
             owner = np.repeat(np.arange(len(q)).repeat(2 * ring + 1), run_len)

@@ -1,11 +1,27 @@
-"""Shared test utilities: random instance builders, and the package's
-feasibility check `check_feasible`, re-exported."""
+"""Shared test utilities: random instance builders, a child-process runner,
+and the package's feasibility check `check_feasible`, re-exported."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
+import sweepcvrp
 from sweepcvrp.geometry import Instance, Point, check_feasible  # noqa: F401
+
+# a child interpreter imports the package from the same source tree
+_CHILD_ENV = {**os.environ,
+              "PYTHONPATH": os.path.dirname(os.path.dirname(sweepcvrp.__file__))}
+
+
+def run_in_child(code: str, timeout: float) -> None:
+    """Run `code` in a fresh interpreter; a failure or a hang (killed after
+    `timeout` seconds) fails the calling test instead of stalling it."""
+    subprocess.run([sys.executable, "-c", code], env=_CHILD_ENV, check=True,
+                   timeout=timeout)
 
 
 def random_points(rng: np.random.Generator, n: int, lo: float = 0.0,

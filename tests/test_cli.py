@@ -4,8 +4,10 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from helpers import run_in_child
 from sweepcvrp.cli import build_parser, main
 from sweepcvrp.closedform import g_all
 from sweepcvrp.experiments import ALGOS, read_csv
@@ -300,6 +302,49 @@ def test_depot_rejects_non_finite(tmp_path, capsys, command, flag):
     assert exc.value.code == 2
     assert f"error: argument {flag}: must be a finite number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds", ["0,1,2,-1", "0:2,340282366920938463463374607431768211456"])
+def test_out_of_range_seed_fails_before_any_instance(tmp_path, monkeypatch, capsys, seeds):
+    monkeypatch.setattr("sweepcvrp.experiments.gen_instance", _never)
+    out_file = tmp_path / "rows.csv"
+    assert main(["experiment", "--n", "2000", "--k", "45", f"--seeds={seeds}",
+                 "--output", str(out_file)]) == 2
+    assert "seeds must be in 0 .. 2**128 - 1" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("seeds", ["3:1", "0:2,3:1", "2:2"])
+def test_seeds_reject_empty_range(tmp_path, capsys, seeds):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--n", "20", "--k", "4", f"--seeds={seeds}",
+              "--output", str(tmp_path / "rows.csv")])
+    assert exc.value.code == 2
+    assert "empty seed range" in capsys.readouterr().err
+
+
+def test_far_coordinate_instance_exits_2(tmp_path):
+    # a terminal at x = 1e160 hung `solve` and `bounds` in the heuristic TSP
+    # (20 terminals), or printed an infinite diameter (10 terminals)
+    pts = np.random.default_rng(0).random((20, 2)).tolist()
+    pts[5][0] = 1e160
+    paths = []
+    for n in (20, 10):
+        paths.append(str(tmp_path / f"far{n}.txt"))
+        Path(paths[-1]).write_text(f"{n} 4 0.5 0.5\n"
+                                   + "".join(f"{x!r} {y!r}\n" for x, y in pts[:n]))
+    code = (
+        "import contextlib, io\n"
+        "from sweepcvrp.cli import main\n"
+        f"for path in {paths!r}:\n"
+        "    for argv in (['solve', '--algo', 'itp', '--input', path],\n"
+        "                 ['bounds', '--input', path, '--r', '0']):\n"
+        "        err = io.StringIO()\n"
+        "        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert main(argv) == 2, argv\n"
+        "        assert 'too large coordinate' in err.getvalue(), err.getvalue()\n"
+    )
+    run_in_child(code, timeout=20)
 
 
 def test_verify_net_failure_exits_1(monkeypatch, capsys):

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
-
-import sweepcvrp
+from helpers import run_in_child
 
 
 def test_solver_and_verifier_run_without_scipy():
@@ -18,6 +14,4 @@ def test_solver_and_verifier_run_without_scipy():
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
-    src = os.path.dirname(os.path.dirname(sweepcvrp.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    run_in_child(code, timeout=120)

@@ -118,6 +118,16 @@ class TestRunRatioExperiment:
         with pytest.raises(ValueError, match="non-finite depot"):
             self._config(depot=depot)
 
+    def test_rejects_too_large_depot(self):
+        with pytest.raises(ValueError, match="too large depot"):
+            self._config(depot=Point(1e160, 0.5))
+
+    def test_rejects_out_of_range_seeds(self):
+        for seeds in ((0, -1), (2 ** 128,)):
+            with pytest.raises(ValueError, match=r"seeds must be in 0 \.\. 2\*\*128 - 1"):
+                self._config(seeds=seeds)
+        self._config(seeds=(0, 2 ** 128 - 1))
+
     def test_rejects_unknown_tsp_mode(self):
         with pytest.raises(ValueError, match="unknown tsp mode: 'bogus'"):
             self._config(n=1, k_fixed=1, algos=("sweep",), tsp_mode="bogus")

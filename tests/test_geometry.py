@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sweepcvrp.geometry import (
+    MAX_COORD,
     Instance,
     Point,
     Solution,
@@ -156,6 +157,16 @@ class TestInstanceValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Instance(terminals=(Point(math.nan, 0),), depot=Point(0, 0), capacity=1)
+
+    def test_coordinate_bound(self):
+        # beyond MAX_COORD a squared coordinate difference can overflow
+        Instance(terminals=(Point(MAX_COORD, -MAX_COORD),), depot=Point(0, 0), capacity=1)
+        for bad in (math.nextafter(MAX_COORD, math.inf), -1e160, math.inf, math.nan):
+            kind = "non-finite" if not math.isfinite(bad) else "too large"
+            with pytest.raises(ValueError, match=f"{kind} coordinate: Point"):
+                Instance(terminals=(Point(0, bad),), depot=Point(0, 0), capacity=1)
+            with pytest.raises(ValueError, match=f"{kind} coordinate: Point"):
+                Instance(terminals=(), depot=Point(bad, 0), capacity=1)
 
 
 class TestTours:

@@ -12,6 +12,7 @@ from sweepcvrp.interval import (
     Interval,
     _V_HALF,
     _V_ONE,
+    _V_SIXTH,
     _V_THIRD,
     _V_TWO_THIRDS,
     _V_TWO_THIRDS_PI,
@@ -23,13 +24,14 @@ from sweepcvrp.interval import (
     _up4,
     iv_g,
     v_A1,
-    v_A1_unit,
     v_add,
     v_arccos,
     v_arcsin,
     v_D_pair,
     v_div,
+    v_g1,
     v_g_all,
+    v_hyp,
     v_log,
     v_mul,
     v_neg,
@@ -372,6 +374,68 @@ class TestOutwardRounding:
             assert dn(-math.inf) == -math.inf and up(math.inf) == math.inf
 
 
+# --- the triangle kernels before they shared a hypotenuse ------------------------
+
+def _va_crude(a, b, hyp_hi):
+    """Their common fallback: |A1| <= (|a| |b| / 2) * hyp."""
+    amax = np.maximum(np.abs(a[0]), np.abs(a[1]))
+    bmax = np.maximum(np.abs(b[0]), np.abs(b[1]))
+    w = _up1(_up1(amax * bmax) * 0.5)
+    w = _up1(w * hyp_hi)
+    return -w, w
+
+
+def _v_A1_reference(a, b):
+    """The general triangle kernel as it was, computing its own hypotenuse."""
+    hyp = v_sqrt(v_add(v_sqr(a), v_sqr(b)))
+    negate = a[1] <= 0.0
+    ap = (np.where(negate, -a[1], a[0]), np.where(negate, -a[0], a[1]))
+    with np.errstate(all="ignore"):
+        num = v_add(b, hyp)
+        larg = v_div(num, ap)
+        lg = v_log(larg)
+        cube = v_mul(v_sqr(ap), ap)
+        t1 = v_mul(v_mul(cube, _V_SIXTH), lg)
+        t2 = v_mul(v_mul(v_mul(ap, b), _V_SIXTH), hyp)
+        val = v_add(t1, t2)
+    good = (ap[0] > 0.0) & (larg[0] > 0.0) & np.isfinite(val[0]) & np.isfinite(val[1])
+    crude = _va_crude(a, b, hyp[1])
+    lo = np.where(good, np.where(negate, -val[1], val[0]), crude[0])
+    hi = np.where(good, np.where(negate, -val[0], val[1]), crude[1])
+    return lo, hi
+
+
+def _v_A1_unit_reference(h, root):
+    """The disk-pattern kernel as it was: h^3/6 log((1+root)/|h|) + h root/6."""
+    negate = h[1] <= 0.0
+    hp = (np.where(negate, -h[1], h[0]), np.where(negate, -h[0], h[1]))
+    with np.errstate(all="ignore"):
+        larg = v_div(v_add(_V_ONE, root), hp)
+        lg = v_log(larg)
+        cube = v_mul(v_sqr(hp), hp)
+        t1 = v_mul(v_mul(cube, _V_SIXTH), lg)
+        t2 = v_mul(v_mul(hp, root), _V_SIXTH)
+        val = v_add(t1, t2)
+    good = (hp[0] > 0.0) & (larg[0] > 0.0) & np.isfinite(val[0]) & np.isfinite(val[1])
+    crude = _va_crude(h, root, _V_ONE[1])
+    lo = np.where(good, np.where(negate, -val[1], val[0]), crude[0])
+    hi = np.where(good, np.where(negate, -val[0], val[1]), crude[1])
+    return lo, hi
+
+
+def _v_g1_reference(a, b):
+    """g1 as the sum of eight independent triangle calls, in the same order."""
+    one_m_a = v_sub(_V_ONE, a)
+    one_m_b = v_sub(_V_ONE, b)
+    total = _v_A1_reference(a, b)
+    for (p, q) in (
+        (b, a), (b, one_m_a), (one_m_a, b), (one_m_a, one_m_b),
+        (one_m_b, one_m_a), (one_m_b, a), (a, one_m_b),
+    ):
+        total = v_add(total, _v_A1_reference(p, q))
+    return total
+
+
 # --- per-axis terms: the corner composition before they were shared -------------
 
 def _hull_into(out, mask, cand):
@@ -390,7 +454,7 @@ def _v_B_pair_reference(h):
     root = v_sqrt(v_sub(_V_ONE, v_sqr(c)))
     pma = v_sub(V_PI, v_arccos(c))
     a0 = v_mul(v_mul(c, root), _V_HALF)
-    a1 = v_A1_unit(c, root)
+    a1 = _v_A1_unit_reference(c, root)
     b0_mid = v_add(pma, v_add(a0, a0))
     b1_mid = v_add(v_mul(_V_TWO_THIRDS, pma), v_add(a1, a1))
     shape = np.broadcast(h[0], h[1]).shape
@@ -427,8 +491,8 @@ def _v_C_pair_reference(h1, h2):
     )
     c0_in = v_add(v_mul(ang, _V_HALF), a0_sum)
     a1_sum = v_add(
-        v_add(v_A1_unit(c1, root1), v_A1_unit(c2, root2)),
-        v_add(v_A1(c1, c2), v_A1(c2, c1)),
+        v_add(_v_A1_unit_reference(c1, root1), _v_A1_unit_reference(c2, root2)),
+        v_add(_v_A1_reference(c1, c2), _v_A1_reference(c2, c1)),
     )
     c1_in = v_add(v_mul(ang, _V_THIRD), a1_sum)
     shape = np.broadcast(h1[0], h2[0]).shape
@@ -517,3 +581,53 @@ class TestSharedAxisTerms:
         R = v_mul(v_g_all((aa, aa), (bb, bb))[0], (0.75, 0.75))
         _assert_same_bits(v_D_pair((aa, aa), (bb, bb), R),
                           _v_D_pair_reference((aa, aa), (bb, bb), R))
+
+
+class TestOneTriangleKernel:
+    """v_A1 with a caller's hypotenuse, or None on the disk pattern, equals
+    bit for bit the two kernels it replaced, each of which computed its own."""
+
+    @staticmethod
+    def _mixed_boxes(rng, n, lo, hi):
+        """Degenerate, narrow, wide and sign-straddling boxes, and boxes
+        around 0."""
+        start = rng.uniform(lo, hi, n)
+        width = rng.choice([0.0, 1e-12, 1e-3, 0.5, 3.0], n)
+        start[: n // 8] = -width[: n // 8] * rng.random(n // 8)  # straddle 0
+        start[n // 8 : n // 4] = 0.0
+        return start, start + width
+
+    def test_general_kernel_bit_identical(self):
+        rng = np.random.default_rng(233)
+        n = 20000
+        a = self._mixed_boxes(rng, n, -3.0, 4.0)
+        b = self._mixed_boxes(rng, n, -3.0, 4.0)
+        perm = rng.permutation(n)  # special lanes of b apart from a's
+        b = (b[0][perm], b[1][perm])
+        hyp = v_hyp(a, b)
+        _assert_same_bits((v_A1(a, b, hyp), v_A1(b, a, hyp)),
+                          (_v_A1_reference(a, b), _v_A1_reference(b, a)))
+
+    def test_unit_kernel_bit_identical(self):
+        rng = np.random.default_rng(239)
+        n = 20000
+        h = self._mixed_boxes(rng, n, -1.2, 1.2)
+        # |h| within a few ulps of 1, and boxes straddling +-1
+        m = n // 4
+        sign = rng.choice([-1.0, 1.0], m)
+        near = sign * (1.0 - rng.integers(0, 8, m) * 2.0 ** -53)
+        wide = rng.choice([0.0, 2.0 ** -52, 1e-9], m)
+        h = (np.concatenate([h[0][m:], near - wide]),
+             np.concatenate([h[1][m:], near + wide]))
+        c = (np.clip(h[0], -1.0, 1.0), np.clip(h[1], -1.0, 1.0))
+        root = v_sqrt(v_sub(_V_ONE, v_sqr(c)))
+        _assert_same_bits((v_A1(c, root, None),), (_v_A1_unit_reference(c, root),))
+
+    def test_g1_bit_identical(self):
+        rng = np.random.default_rng(241)
+        n = 20000
+        a = self._mixed_boxes(rng, n, -3.0, 4.0)
+        b = self._mixed_boxes(rng, n, -3.0, 4.0)
+        perm = rng.permutation(n)  # special lanes of b apart from a's
+        b = (b[0][perm], b[1][perm])
+        _assert_same_bits((v_g1(a, b),), (_v_g1_reference(a, b),))

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -19,7 +20,14 @@ from sweepcvrp.netverify import (
     verify_all,
     verify_far_field,
     verify_point,
+    write_report,
 )
+
+
+def _report_text(cert) -> str:
+    fp = io.StringIO()
+    write_report(cert, fp)
+    return fp.getvalue()
 
 
 class TestEnumerateNet:
@@ -227,48 +235,25 @@ class TestVerifyAll:
         verify_all(stride=5, threads=8)
         assert started == [1, len(list(netverify._row_chunks(5)))] == [1, 7]
 
-    def test_report_path_checked_before_scan(self, tmp_path, monkeypatch):
-        def never(task):
-            raise AssertionError("scanned before the report path was checked")
-
-        monkeypatch.setattr(netverify, "_scan_rows", never)
-        with pytest.raises(FileNotFoundError):
-            verify_all(stride=20, report_path=str(tmp_path / "missing" / "r.txt"))
-
-    def test_failed_scan_keeps_existing_report(self, tmp_path, monkeypatch):
-        path = tmp_path / "report.txt"
-        path.write_bytes(b"previous report\n")
-
-        def broken(task):
-            raise RuntimeError("scan failed")
-
-        monkeypatch.setattr(netverify, "_scan_rows", broken)
-        with pytest.raises(RuntimeError):
-            verify_all(stride=200, report_path=str(path))
-        assert path.read_bytes() == b"previous report\n"
-
-    def test_report_round_trip(self, tmp_path):
-        path = tmp_path / "report.txt"
-        cert = verify_all(stride=400, report_path=str(path))
-        with open(path, encoding="utf-8") as fp:
-            header, failures = read_report(fp)
+    def test_report_round_trip(self):
+        cert = verify_all(stride=400)
+        header, failures = read_report(io.StringIO(_report_text(cert)))
         assert header["pass"] is True
         assert header["points_checked"] == cert.points_checked
         assert header["min_margin_g2"] == cert.min_margin_g2
-        assert failures == []
+        assert failures == [] and cert.failures == ()
 
-    def test_failure_report_lines(self, tmp_path, monkeypatch):
+    def test_failure_report_lines(self, monkeypatch):
         monkeypatch.setattr(netverify, "THRESHOLD_G2", 1.0)
         monkeypatch.setattr(netverify, "THRESHOLD_G3", 1.0)
         for threads in (1, 2):
-            path = tmp_path / f"fail{threads}.txt"
-            cert = verify_all(stride=500, threads=threads, report_path=str(path))
+            cert = verify_all(stride=500, threads=threads)
             assert not cert.passed
-            with open(path, encoding="utf-8") as fp:
-                header, failures = read_report(fp)
+            header, failures = read_report(io.StringIO(_report_text(cert)))
             assert header["pass"] is False
             assert header["threshold_g2"] == header["threshold_g3"] == 1.0
             assert failures, "failing points must be listed"
+            assert failures == list(cert.failures)
             i, j, a, b, m2, m3 = failures[0]
             assert a == grid_coord(i) and b == grid_coord(j)
             assert m2 < 1.0 or m3 < 1.0
@@ -283,22 +268,21 @@ class TestVerifyAll:
         '"pass": %s, "stride": 200}'
     )
 
-    def _report_lines(self, tmp_path):
-        path = tmp_path / "report.txt"
-        cert = verify_all(stride=200, report_path=str(path))
-        lines = path.read_text(encoding="utf-8").splitlines()
+    def _report_lines(self):
+        cert = verify_all(stride=200)
+        lines = _report_text(cert).splitlines()
         header = json.loads(lines[0])
         assert header.pop("runtime_seconds") == cert.runtime_seconds
         return json.dumps(header), lines[1:]
 
-    def test_golden_report_pass(self, tmp_path):
-        header, failures = self._report_lines(tmp_path)
+    def test_golden_report_pass(self):
+        header, failures = self._report_lines()
         assert header == self.GOLDEN_HEADER % ("0.0025", "0.00017244017859427763", "true")
         assert failures == []
 
-    def test_golden_report_fail(self, tmp_path, monkeypatch):
+    def test_golden_report_fail(self, monkeypatch):
         monkeypatch.setattr(netverify, "THRESHOLD_G2", 0.01)
-        header, failures = self._report_lines(tmp_path)
+        header, failures = self._report_lines()
         assert header == self.GOLDEN_HEADER % ("0.01", "0.007672440178594276", "false")
         assert failures == ["0 200 0.5 0.9 0.008850582128745286 0.038051045927279474"]
 
@@ -347,7 +331,7 @@ class TestScanCoversNet:
 
 class TestNonFiniteMargins:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_margin_fails(self, monkeypatch, tmp_path, bad):
+    def test_non_finite_margin_fails(self, monkeypatch, bad):
         real = netverify._margins_batch
         hit = []
 
@@ -360,14 +344,13 @@ class TestNonFiniteMargins:
             return a, b, m2lo, m3lo
 
         monkeypatch.setattr(netverify, "_margins_batch", patched)
-        path = tmp_path / "report.txt"
-        cert = verify_all(stride=200, report_path=str(path))
+        cert = verify_all(stride=200)
         assert not cert.passed
         if math.isnan(bad):
             assert math.isnan(cert.min_margin_g2)
-        with open(path, encoding="utf-8") as fp:
-            _, failures = read_report(fp)
+        _, failures = read_report(io.StringIO(_report_text(cert)))
         assert [(i, j) for i, j, *_ in failures] == hit
+        assert [(i, j) for i, j, *_ in cert.failures] == hit
 
 
 class TestStrideFiveNet:

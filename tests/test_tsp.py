@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -23,7 +20,7 @@ from sweepcvrp.tsp import (
     tsp_heuristic,
 )
 
-from helpers import random_points
+from helpers import random_points, run_in_child
 
 SQUARE = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
 
@@ -336,6 +333,10 @@ def _kernel_cases() -> dict[str, np.ndarray]:
     cases["collinear-far"] = np.outer(far.random(30) * 1e4, u)
     # a dense cluster and a few far points: the grid query widens its ring
     cases["clusters"] = np.vstack([0.01 * rng.random((40, 2)), 5 + rng.random((5, 2))])
+    # one x value, and two: repeated x quantiles, once zero-width grid columns
+    cases["vertical-line"] = np.column_stack([np.full(200, 0.3), rng.random(200)])
+    cases["two-columns"] = np.column_stack([rng.choice([0.25, 0.75], 200),
+                                            rng.random(200)])
     return cases
 
 
@@ -524,6 +525,37 @@ class TestTwoOptScale:
             "res = tsp_heuristic([Point(float(x), float(y)) for x, y in pts], seed=0)\n"
             "assert sorted(res.order) == list(range(30))\n"
         )
-        src = os.path.dirname(os.path.dirname(tsp.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+        run_in_child(code, timeout=60)
+
+    def test_out_of_range_coordinates_raise(self):
+        # squared differences of coordinates beyond 1e150 overflow, and the
+        # neighbour query looped forever on the infinite distances
+        code = (
+            "import math\n"
+            "import numpy as np\n"
+            "from sweepcvrp.geometry import Point\n"
+            "from sweepcvrp.tsp import tsp_heuristic\n"
+            "pts = [Point(*p) for p in np.random.default_rng(0).random((20, 2)).tolist()]\n"
+            "tsp_heuristic([*pts[:5], Point(1e150, 0.5), *pts[6:]])\n"
+            "for bad in (1e160, -1e160, math.inf, math.nan):\n"
+            "    try:\n"
+            "        tsp_heuristic([*pts[:5], Point(bad, 0.5), *pts[6:]])\n"
+            "    except ValueError as exc:\n"
+            "        assert 'coordinates must be finite with |c| <= 1e+150' in str(exc)\n"
+            "    else:\n"
+            "        raise AssertionError(bad)\n"
+        )
+        run_in_child(code, timeout=20)
+
+    def test_vertical_line_is_fast(self):
+        # 10,000 points with one x value took 33 s when repeated quantiles
+        # made zero-width grid columns
+        code = (
+            "import numpy as np\n"
+            "from sweepcvrp.tsp import neighbours\n"
+            "y = np.random.default_rng(0).random(10000)\n"
+            "nbrs = neighbours(np.column_stack([np.full(10000, 0.3), y]))\n"
+            "rank = np.argsort(np.argsort(y))\n"
+            "assert (np.abs(rank[nbrs] - rank[:, None]) <= 10).all()\n"
+        )
+        run_in_child(code, timeout=10)
