@@ -46,6 +46,19 @@ their branches by one rule, `_piecewise`: each branch comes with a guard
 that holds on every lane whose input box meets that branch's region, and
 each lane's result is the hull of the branches whose guard holds there. So
 an enclosure stays valid when the box straddles a branch boundary.
+
+A computed branch is evaluated lazily: only on the lanes where its guard
+holds (compressed, evaluated, scattered back), and not at all when it holds
+on none. Its value on any other lane could not enter the hull, and the
+kernel is elementwise, so the result equals evaluating every branch on
+every lane bit for bit (the tests pin this against the eager composition;
+soundness does not rest on it, as every evaluation is an enclosure). Each
+lane set is the guard of the branch that reads the terms, never an
+inequality derived by hand. That is why a corner's inside-disk branch
+computes its chord terms (c sqrt(1 - c^2) and the unit-circle A1) itself,
+on its own lanes, instead of reading them from the axis's segment branch:
+its guard s[0] <= 1 can hold where the axis's guard -1 <= h < 1 does not
+(h = 1 + 2^-52 with the other coordinate 0 rounds s[0] down to exactly 1).
 """
 
 from __future__ import annotations
@@ -195,15 +208,31 @@ _V_ZERO = (np.float64(0.0), np.float64(0.0))
 _V_TWO_THIRDS_PI = (_dn1(PI_LO * _V_TWO_THIRDS[0]), _up1(PI_HI * _V_TWO_THIRDS[1]))
 
 
-def _piecewise(shape, cases):
-    """Lane-wise hull of the branches whose guard holds: start from the empty
-    interval (inf, -inf) and merge each (guard, branch) case in order."""
-    lo = np.full(shape, np.inf)
-    hi = np.full(shape, -np.inf)
+def _piecewise(shape, outputs, cases):
+    """Lane-wise hull of the branches whose guard holds, for `outputs`
+    intervals at once. Each case is (guard, branch), the guard a boolean array
+    of the batch's shape. A branch is either a tuple of intervals, one per
+    output (constants, or lanes computed already), or a function that
+    computes that tuple on the guard's lanes only: it is called with `take`,
+    which maps an interval of the batch's shape to those lanes (a 0-d end
+    passes unchanged, so constants broadcast), and it is not called at all
+    when the guard holds on no lane. Every output starts as the empty
+    interval (inf, -inf), and each case is merged into it in order."""
+    size = math.prod(shape)
+    outs = [(np.full(size, np.inf), np.full(size, -np.inf)) for _ in range(outputs)]
     for guard, branch in cases:
-        lo = np.where(guard, np.minimum(lo, branch[0]), lo)
-        hi = np.where(guard, np.maximum(hi, branch[1]), hi)
-    return lo, hi
+        lanes = np.flatnonzero(np.broadcast_to(guard, shape))
+        if lanes.size == 0:
+            continue
+
+        def take(iv, lanes=lanes):
+            return tuple(x if np.ndim(x) == 0 else x.reshape(-1)[lanes] for x in iv)
+
+        values = branch(take) if callable(branch) else tuple(map(take, branch))
+        for (lo, hi), (v_lo, v_hi) in zip(outs, values):
+            lo[lanes] = np.minimum(lo[lanes], v_lo)
+            hi[lanes] = np.maximum(hi[lanes], v_hi)
+    return tuple((lo.reshape(shape), hi.reshape(shape)) for lo, hi in outs)
 
 
 # --- closed-form kernels -------------------------------------------------------
@@ -244,6 +273,13 @@ def v_A1(a, b, hyp):
     return lo, hi
 
 
+def _chord(c):
+    """Terms of the chord x = c of the unit circle, c in [-1, 1]:
+    (c sqrt(1 - c^2), A1(c, sqrt(1 - c^2)))."""
+    root = v_sqrt(v_sub(_V_ONE, v_sqr(c)))
+    return v_mul(c, root), v_A1(c, root, None)
+
+
 class _Axis(NamedTuple):
     """The terms of one corner coordinate h that every corner integral over
     h shares, computed once per batch."""
@@ -251,9 +287,6 @@ class _Axis(NamedTuple):
     h: tuple
     sq: tuple      # h^2
     c: tuple       # h clamped to [-1, 1]
-    asin: tuple    # arcsin c
-    c_root: tuple  # c * sqrt(1 - c^2)
-    a1: tuple      # A1(c, sqrt(1 - c^2))
     b0: tuple      # disk-segment integrals over {x <= h}
     b1: tuple
 
@@ -261,27 +294,24 @@ class _Axis(NamedTuple):
 def _axis(h) -> _Axis:
     """Per-axis terms, including the disk-segment integrals (B0, B1) over
     {x <= h}: 0 below h = -1, (pi, 2pi/3) above h = 1, the sector +
-    triangles formula between, each combined by _piecewise."""
+    triangles formula between, combined by _piecewise."""
     has_low = h[0] < -1.0
     has_high = h[1] >= 1.0
     has_mid = (h[1] >= -1.0) & (h[0] < 1.0)
-
     c = (np.clip(h[0], -1.0, 1.0), np.clip(h[1], -1.0, 1.0))
-    root = v_sqrt(v_sub(_V_ONE, v_sqr(c)))
-    c_root = v_mul(c, root)
-    pma = v_sub(V_PI, v_arccos(c))  # pi - arccos h
-    a0 = v_mul(c_root, _V_HALF)
-    a1 = v_A1(c, root, None)
-    b0_mid = v_add(pma, v_add(a0, a0))
-    b1_mid = v_add(v_mul(_V_TWO_THIRDS, pma), v_add(a1, a1))
+
+    def mid(take):
+        cm = take(c)
+        c_root, a1 = _chord(cm)
+        pma = v_sub(V_PI, v_arccos(cm))  # pi - arccos h
+        a0 = v_mul(c_root, _V_HALF)
+        return (v_add(pma, v_add(a0, a0)),
+                v_add(v_mul(_V_TWO_THIRDS, pma), v_add(a1, a1)))
 
     shape = np.broadcast(h[0], h[1]).shape
-    b0 = _piecewise(shape, ((has_low, _V_ZERO), (has_mid, b0_mid),
-                            (has_high, V_PI)))
-    b1 = _piecewise(shape, ((has_low, _V_ZERO), (has_mid, b1_mid),
-                            (has_high, _V_TWO_THIRDS_PI)))
-    return _Axis(h=h, sq=v_sqr(h), c=c, asin=v_arcsin(c),
-                 c_root=c_root, a1=a1, b0=b0, b1=b1)
+    b0, b1 = _piecewise(shape, 2, ((has_low, (_V_ZERO, _V_ZERO)), (has_mid, mid),
+                                   (has_high, (V_PI, _V_TWO_THIRDS_PI))))
+    return _Axis(h=h, sq=v_sqr(h), c=c, b0=b0, b1=b1)
 
 
 def _corner(p: _Axis, q: _Axis):
@@ -297,24 +327,28 @@ def _corner(p: _Axis, q: _Axis):
     m_both = outside & (h1[1] > 0.0) & (h2[1] > 0.0)
     m_in = s[0] <= 1.0
 
-    # inside-disk formula on arguments clamped to [-1, 1]
-    ang = v_add(V_HALF_PI, v_add(p.asin, q.asin))
-    # A0(c1,root1) + A0(c2,root2) + A0(c1,c2) + A0(c2,c1); the last two
-    # collapse to c1*c2
-    a0_sum = v_add(v_mul(v_add(p.c_root, q.c_root), _V_HALF), v_mul(p.c, q.c))
-    c0_in = v_add(v_mul(ang, _V_HALF), a0_sum)
-    hyp = v_hyp(p.c, q.c)
-    a1_sum = v_add(v_add(p.a1, q.a1), v_add(v_A1(p.c, q.c, hyp), v_A1(q.c, p.c, hyp)))
-    c1_in = v_add(v_mul(ang, _V_THIRD), a1_sum)
+    def both(take):
+        return (v_sub(v_add(take(p.b0), take(q.b0)), V_PI),
+                v_sub(v_add(take(p.b1), take(q.b1)), _V_TWO_THIRDS_PI))
+
+    def inside(take):
+        # on arguments clamped to [-1, 1]; the chord terms are computed on
+        # this branch's own lanes (the module docstring says why)
+        c1, c2 = take(p.c), take(q.c)
+        (c_root1, a1_1), (c_root2, a1_2) = _chord(c1), _chord(c2)
+        ang = v_add(V_HALF_PI, v_add(v_arcsin(c1), v_arcsin(c2)))
+        # A0(c1,root1) + A0(c2,root2) + A0(c1,c2) + A0(c2,c1); the last two
+        # collapse to c1*c2
+        a0_sum = v_add(v_mul(v_add(c_root1, c_root2), _V_HALF), v_mul(c1, c2))
+        hyp = v_hyp(c1, c2)
+        a1_sum = v_add(v_add(a1_1, a1_2), v_add(v_A1(c1, c2, hyp), v_A1(c2, c1, hyp)))
+        return (v_add(v_mul(ang, _V_HALF), a0_sum),
+                v_add(v_mul(ang, _V_THIRD), a1_sum))
 
     shape = np.broadcast(h1[0], h2[0]).shape
-    C0 = _piecewise(shape, (
-        (m_empty, _V_ZERO), (m_seg2, q.b0), (m_seg1, p.b0),
-        (m_both, v_sub(v_add(p.b0, q.b0), V_PI)), (m_in, c0_in)))
-    C1 = _piecewise(shape, (
-        (m_empty, _V_ZERO), (m_seg2, q.b1), (m_seg1, p.b1),
-        (m_both, v_sub(v_add(p.b1, q.b1), _V_TWO_THIRDS_PI)), (m_in, c1_in)))
-    return C0, C1
+    return _piecewise(shape, 2, (
+        (m_empty, (_V_ZERO, _V_ZERO)), (m_seg2, (q.b0, q.b1)),
+        (m_seg1, (p.b0, p.b1)), (m_both, both), (m_in, inside)))
 
 
 def v_D_pair(a, b, R):

@@ -131,6 +131,9 @@ class NetCertificate:
     points_checked: int
     min_margin_g2: float  # smallest interval lower bound of g2 - (31/48) g1
     min_margin_g3: float
+    # grid indices (i, j) of the first point in scan order with that margin
+    min_margin_g2_at: tuple[int, int]
+    min_margin_g3_at: tuple[int, int]
     threshold_g2: float
     threshold_g3: float
     lipschitz_slack_g2: float  # lower bound of threshold_g2 - (79/48) sqrt(2)/1000
@@ -171,10 +174,17 @@ def _margins_batch(i_idx: np.ndarray, j_idx: np.ndarray):
     return a, b, m2[0], m3[0]
 
 
+def _first_min(values) -> int:
+    """Position of the smallest value, the first one on ties; a NaN counts
+    as smallest, as ndarray.min keeps it."""
+    return int(np.argmin(values))
+
+
 def _scan_rows(args):
     """Verify all net points of the rows at positions p0..p1-1 of
-    _net_indices(stride); returns aggregate minima and any failing points.
-    Worker for both the serial and pooled paths."""
+    _net_indices(stride); returns the point count, each margin's minimum as
+    (value, i, j) and any failing points. Worker for both the serial and
+    pooled paths."""
     (p0, p1), stride, thr2, thr3 = args
     idx = np.array(_net_indices(stride), dtype=np.int64)
     # row p pairs idx[p] with idx[p:]
@@ -182,15 +192,17 @@ def _scan_rows(args):
     j_idx = np.concatenate([idx[p:] for p in range(p0, p1)])
     a, b, m2lo, m3lo = _margins_batch(i_idx, j_idx)
     count = int(i_idx.size)
-    min2 = float(m2lo.min())  # ndarray.min keeps a NaN
-    min3 = float(m3lo.min())
+    minima = []
+    for m in (m2lo, m3lo):
+        k = _first_min(m)
+        minima.append((float(m[k]), int(i_idx[k]), int(j_idx[k])))
     ok = _clears(m2lo, m3lo, thr2, thr3)
     failures = [
         (int(i_idx[k]), int(j_idx[k]), float(a[k]), float(b[k]),
          float(m2lo[k]), float(m3lo[k]))
         for k in np.flatnonzero(~ok)
     ]
-    return count, min2, min3, failures
+    return count, tuple(minima), failures
 
 
 def _row_chunks(stride: int) -> Iterator[tuple[int, int]]:
@@ -205,6 +217,14 @@ def _row_chunks(stride: int) -> Iterator[tuple[int, int]]:
             p0, size = p + 1, 0
     if p0 < m:
         yield p0, m
+
+
+def _net_minima(minima):
+    """Each margin's (value, i, j) minimum over the chunks' minima, the
+    first in scan order on ties: chunks arrive in scan order whatever the
+    thread count, so the point does not depend on it."""
+    return tuple(column[_first_min([value for value, _, _ in column])]
+                 for column in zip(*minima))
 
 
 def verify_all(stride: int = 1, threads: int = 1, progress: bool = False) -> NetCertificate:
@@ -227,8 +247,7 @@ def verify_all(stride: int = 1, threads: int = 1, progress: bool = False) -> Net
     slacks_ok = slack2.lo > 0.0 and slack3.lo > 0.0
 
     total = 0
-    min2 = math.inf
-    min3 = math.inf
+    minima = []  # per chunk, in scan order: ((min2, i, j), (min3, i, j))
     failures: list[tuple[int, int, float, float, float, float]] = []
     next_report = _PROGRESS_EVERY
 
@@ -240,12 +259,12 @@ def verify_all(stride: int = 1, threads: int = 1, progress: bool = False) -> Net
         pool = Pool(processes=min(threads, len(tasks)))  # one worker per chunk at most
         results = pool.imap(_scan_rows, tasks)
     try:
-        for count, c_min2, c_min3, c_failures in results:
+        for count, c_minima, c_failures in results:
             total += count
-            min2 = float(np.minimum(min2, c_min2))  # keeps a NaN
-            min3 = float(np.minimum(min3, c_min3))
+            minima.append(c_minima)
             failures.extend(c_failures)
             if progress and total >= next_report:
+                (min2, *_), (min3, *_) = _net_minima(minima)
                 print(
                     f"verify-net: {total}/{points} points, "
                     f"min margins {min2:.6f} {min3:.6f}",
@@ -259,10 +278,13 @@ def verify_all(stride: int = 1, threads: int = 1, progress: bool = False) -> Net
             pool.terminate()
             pool.join()
 
+    (min2, *at2), (min3, *at3) = _net_minima(minima)
     return NetCertificate(
         points_checked=total,
         min_margin_g2=min2,
         min_margin_g3=min3,
+        min_margin_g2_at=tuple(at2),
+        min_margin_g3_at=tuple(at3),
         threshold_g2=thr2,
         threshold_g3=thr3,
         lipschitz_slack_g2=slack2.lo,
@@ -274,11 +296,20 @@ def verify_all(stride: int = 1, threads: int = 1, progress: bool = False) -> Net
     )
 
 
+def platform_facts() -> dict:
+    """The numpy build the kernel ran on: its version and the SIMD
+    extensions it was built for and found on this CPU."""
+    return {"numpy": np.__version__,
+            "simd": np.show_config(mode="dicts")["SIMD Extensions"]}
+
+
 def write_report(cert: NetCertificate, fp: TextIO) -> None:
-    """Header line with the certificate fields, then one line
-    `i j a b margin2_lo margin3_lo` per failing point of `cert.failures`."""
-    header = {"format": "netverify-report-v1", **cert.canonical_dict(),
-              "runtime_seconds": cert.runtime_seconds}
+    """Header line with the certificate fields, the runtime and the
+    platform, then one line `i j a b margin2_lo margin3_lo` per failing
+    point of `cert.failures`."""
+    header = {"format": "netverify-report-v2", **cert.canonical_dict(),
+              "runtime_seconds": cert.runtime_seconds,
+              "platform": platform_facts()}
     fp.write(json.dumps(header) + "\n")
     for i, j, a, b, m2, m3 in cert.failures:
         fp.write(f"{i} {j} {a!r} {b!r} {m2!r} {m3!r}\n")

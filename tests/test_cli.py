@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -81,6 +82,21 @@ def test_eval_g_matches_library(capsys):
     got = {line.split()[0]: float(line.split()[1]) for line in lines}
     v1, v2, v3, R = g_all(0.31, 0.77)
     assert got["g1"] == v1 and got["g2"] == v2 and got["g3"] == v3 and got["R"] == R
+
+
+def test_far_depot_radius(tmp_path, capsys):
+    # g1 lost everything to cancellation here: eval-g printed g1 0.0 and
+    # `bounds --r auto` exited 2 with "R must be > 0"
+    assert main(["eval-g", "--a", "1e100", "--b", "0.5"]) == 0
+    got = {k: float(v) for k, v in
+           (line.split() for line in capsys.readouterr().out.splitlines())}
+    assert got["g1"] == pytest.approx(1e100, rel=1e-12)
+    assert got["R"] == 0.75 * got["g1"] and got["g3"] == 1.0
+    instance_file = tmp_path / "far_depot.txt"
+    instance_file.write_text("3 2 1e100 0.5\n0.1 0.2\n0.5 0.9\n0.8 0.4\n")
+    assert main(["bounds", "--input", str(instance_file), "--r", "auto"]) == 0
+    R = json.loads(capsys.readouterr().out)["R"]
+    assert math.isfinite(R) and R == pytest.approx(0.75e100, rel=1e-12)
 
 
 @pytest.mark.parametrize("flag", ["--a", "--b"])
@@ -353,6 +369,7 @@ def test_verify_net_failure_exits_1(monkeypatch, capsys):
 
     failed = NetCertificate(
         points_checked=10, min_margin_g2=-0.1, min_margin_g3=0.2,
+        min_margin_g2_at=(0, 3), min_margin_g3_at=(1, 1),
         threshold_g2=0.0025, threshold_g3=0.0096,
         lipschitz_slack_g2=1e-4, lipschitz_slack_g3=3e-3,
         passed=False, stride=1, runtime_seconds=0.1,

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from test_interval import mp_g
 
 from sweepcvrp.closedform import (
     choose_radius,
@@ -179,3 +180,34 @@ class TestG:
             assert abs(g1(a2, b2) - g1(a, b)) <= d + 1e-9
             assert abs(g2(a2, b2) - g2(a, b)) <= d + 1e-9
             assert abs(g3(a2, b2) - g3(a, b)) <= lip3 * d + 1e-9
+
+
+class TestFarDepots:
+    """Far from the square the eight cubic triangle terms of g1 cancel; g1
+    stays accurate to 1e-12 relative up to the 1e150 coordinate bound."""
+
+    @pytest.mark.parametrize("a, b", [
+        (1e3, 0.5), (1e10, 0.5), (1e100, 0.5), (1e149, 0.5),
+        (-1e10, 1e10), (0.5, -1e149), (-1e149, 1e149), (9.0, 0.5), (-7.0, -0.5),
+    ])
+    def test_matches_high_precision_reference(self, a, b):
+        # the reference cancels too, so it needs 2 log10|O| digits more
+        digits = 30 + 2 * max(0, round(math.log10(max(abs(a), abs(b)))))
+        with mp.workdps(digits):
+            ref = mp_g(a, b)
+        v1, v2, v3, R = g_all(a, b)
+        assert abs(v1 - ref[0]) <= 1e-12 * ref[0]
+        assert abs(v2 - ref[1]) <= 1e-12 * ref[1]
+        assert v3 == 1.0 and R == 0.75 * v1 > 0.0
+
+    def test_net_points_keep_the_closed_form(self):
+        # every net point lies within distance 6 of the square, so g1 there
+        # is still the sum of the eight triangle terms, bit for bit
+        grid = [0.5 + 0.002 * i for i in range(0, 2372, 79)] + [5.242]
+        for a in grid:
+            for b in grid:
+                terms = (fn_A(1, a, b), fn_A(1, b, a), fn_A(1, b, 1.0 - a),
+                         fn_A(1, 1.0 - a, b), fn_A(1, 1.0 - a, 1.0 - b),
+                         fn_A(1, 1.0 - b, 1.0 - a), fn_A(1, 1.0 - b, a),
+                         fn_A(1, a, 1.0 - b))
+                assert g1(a, b) == math.fsum(terms)

@@ -631,3 +631,120 @@ class TestOneTriangleKernel:
         perm = rng.permutation(n)  # special lanes of b apart from a's
         b = (b[0][perm], b[1][perm])
         _assert_same_bits((v_g1(a, b),), (_v_g1_reference(a, b),))
+
+
+def _axis_reference(h):
+    """The _axis fields as the eager composition computes them."""
+    b0, b1 = _v_B_pair_reference(h)
+    c = (np.clip(h[0], -1.0, 1.0), np.clip(h[1], -1.0, 1.0))
+    return {"h": h, "sq": v_sqr(h), "c": c, "b0": b0, "b1": b1}
+
+
+def _has_mid(h):
+    return (h[1] >= -1.0) & (h[0] < 1.0)
+
+
+def _inside(h1, h2):
+    return v_add(v_sqr(h1), v_sqr(h2))[0] <= 1.0
+
+
+class TestLazyBranches:
+    """_piecewise evaluates a branch only on the lanes where its guard holds;
+    bit for bit, _axis, _corner and v_D_pair equal the eager compositions,
+    on batches where a branch has no lane, every lane, or lanes that only
+    one of two guards selects, and on 0-d inputs."""
+
+    @staticmethod
+    def _assert_axis_and_corner(h1, h2):
+        axes = []
+        for h in (h1, h2):
+            axis = _axis(h)
+            ref = _axis_reference(h)
+            assert tuple(axis._asdict()) == tuple(ref)
+            _assert_same_bits(tuple(axis), tuple(ref.values()))
+            axes.append(axis)
+        _assert_same_bits(_corner(*axes), _v_C_pair_reference(h1, h2))
+
+    def test_no_lane_inside_the_disk(self):
+        rng = np.random.default_rng(251)
+        n = 2000
+        sign = rng.choice([-1.0, 1.0], (2, n))
+        h1 = _boxes(rng, sign[0] * rng.uniform(1.2, 3.0, n), n, 0.1)
+        h2 = _boxes(rng, sign[1] * rng.uniform(-1.5, 3.0, n), n, 0.1)
+        assert not _inside(h1, h2).any()
+        self._assert_axis_and_corner(h1, h2)
+
+    def test_every_lane_inside_the_disk(self):
+        rng = np.random.default_rng(257)
+        n = 2000
+        h1 = _boxes(rng, rng.uniform(-0.6, 0.5, n), n, 0.1)
+        h2 = _boxes(rng, rng.uniform(-0.6, 0.5, n), n, 0.1)
+        assert _inside(h1, h2).all() and _has_mid(h1).all() and _has_mid(h2).all()
+        self._assert_axis_and_corner(h1, h2)
+
+    def test_inside_lanes_without_a_mid_segment(self):
+        # h lo = 1 + 2^-52 rounds s[0] down to exactly 1.0: the corner's
+        # inside guard holds where the axis's has_mid does not
+        one_up = math.nextafter(1.0, 2.0)
+        h1 = (np.array([one_up, one_up, 0.3]), np.array([one_up, 1.5, 0.4]))
+        h2 = (np.array([0.0, -1e-20, 0.2]), np.array([0.0, 1e-20, 0.2]))
+        assert list(_inside(h1, h2) & ~_has_mid(h1)) == [True, True, False]
+        self._assert_axis_and_corner(h1, h2)
+        # the same lanes reached through v_D_pair: x1 = (1 - a) / R with
+        # a = -k 2^-52, y1 = 0
+        k = np.arange(-4.0, 5.0)
+        a = (-k * 2.0 ** -52,) * 2
+        b = (np.ones_like(k),) * 2
+        R = (np.ones_like(k),) * 2
+        x1 = v_div(v_sub(_V_ONE, a), R)
+        y1 = v_div(v_sub(_V_ONE, b), R)
+        assert (_inside(x1, y1) & ~_has_mid(x1)).any()
+        _assert_same_bits(v_D_pair(a, b, R), _v_D_pair_reference(a, b, R))
+
+    def test_scalar_inputs(self):
+        rng = np.random.default_rng(263)
+        n = 64
+        a = _boxes(rng, rng.uniform(-1.5, 2.5, n), n, 1e-3)
+        b = _boxes(rng, rng.uniform(-1.5, 2.5, n), n, 1e-3)
+        R = _boxes(rng, rng.uniform(0.2, 2.0, n), n, 0.05)
+        batch = v_D_pair(a, b, R)
+        h1 = v_div(v_sub(_V_ONE, a), R)
+        h2 = v_div(v_neg(b), R)
+        for k in range(n):
+            a_k, b_k, R_k = (a[0][k], a[1][k]), (b[0][k], b[1][k]), (R[0][k], R[1][k])
+            got = v_D_pair(a_k, b_k, R_k)
+            _assert_same_bits(got, _v_D_pair_reference(a_k, b_k, R_k))
+            _assert_same_bits(got, [(d[0][k], d[1][k]) for d in batch])
+            self._assert_axis_and_corner((h1[0][k], h1[1][k]), (h2[0][k], h2[1][k]))
+
+    def test_v_A1_sees_only_the_lanes_that_need_it(self, monkeypatch):
+        # one stride-5 chunk of the net: v_g1 needs all lanes 8 times, each
+        # axis's segment terms its has_mid lanes once, and each corner's
+        # inside branch its inside lanes 4 times; every branch on every lane
+        # would be 8 + 4 + 16 = 28 times all lanes
+        from sweepcvrp import interval, netverify
+
+        p0, p1 = next(netverify._row_chunks(5))
+        idx = np.array(netverify._net_indices(5), dtype=np.float64)
+        i = np.repeat(idx[p0:p1], idx.size - np.arange(p0, p1))
+        j = np.concatenate([idx[p:] for p in range(p0, p1)])
+        a = (netverify.grid_coord(i),) * 2
+        b = (netverify.grid_coord(j),) * 2
+        R = v_mul(v_g1(a, b), (0.75, 0.75))
+        xs = (v_div(v_sub(_V_ONE, a), R), v_div(v_neg(a), R))
+        ys = (v_div(v_sub(_V_ONE, b), R), v_div(v_neg(b), R))
+        mid = sum(int(_has_mid(h).sum()) for h in xs + ys)
+        inside = sum(int(_inside(x, y).sum()) for x in xs for y in ys)
+        assert mid > 0 and inside > 0
+        need = 8 * i.size + mid + 4 * inside
+
+        real = interval.v_A1
+        lanes = []
+
+        def counting(p, q, hyp):
+            lanes.append(np.broadcast(*p, *q).size)
+            return real(p, q, hyp)
+
+        monkeypatch.setattr(interval, "v_A1", counting)
+        v_g_all(a, b)
+        assert sum(lanes) <= need < 28 * i.size

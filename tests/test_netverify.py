@@ -2,10 +2,13 @@ import io
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from test_interval import _contains_mp, mp_g
 
 from sweepcvrp import closedform, netverify
+from sweepcvrp.interval import iv_g
 from sweepcvrp.netverify import (
     FAR_FIELD_DISTANCE,
     GRID_BASE,
@@ -231,7 +234,8 @@ class TestVerifyAll:
         assert started == [1]
         assert cert.canonical_dict() == verify_all(stride=50).canonical_dict()
         # at stride 5 only the chunk count matters, so the scan is skipped
-        monkeypatch.setattr(netverify, "_scan_rows", lambda task: (0, 0.0, 0.0, []))
+        monkeypatch.setattr(netverify, "_scan_rows",
+                            lambda task: (0, ((0.0, 0, 0), (0.0, 0, 0)), []))
         verify_all(stride=5, threads=8)
         assert started == [1, len(list(netverify._row_chunks(5)))] == [1, 7]
 
@@ -258,11 +262,12 @@ class TestVerifyAll:
             assert a == grid_coord(i) and b == grid_coord(j)
             assert m2 < 1.0 or m3 < 1.0
 
-    # report header lines at stride 200 without runtime_seconds, recorded
-    # with the hand-written canonical_dict
+    # report header lines at stride 200 without runtime_seconds and the
+    # platform block, recorded with the hand-written canonical_dict
     GOLDEN_HEADER = (
-        '{"format": "netverify-report-v1", "points_checked": 78, '
+        '{"format": "netverify-report-v2", "points_checked": 78, '
         '"min_margin_g2": 0.008850582128745286, "min_margin_g3": 0.038051045927279474, '
+        '"min_margin_g2_at": [0, 200], "min_margin_g3_at": [0, 200], '
         '"threshold_g2": %s, "threshold_g3": 0.0096, '
         '"lipschitz_slack_g2": %s, "lipschitz_slack_g3": 0.0033573593128807004, '
         '"pass": %s, "stride": 200}'
@@ -273,6 +278,7 @@ class TestVerifyAll:
         lines = _report_text(cert).splitlines()
         header = json.loads(lines[0])
         assert header.pop("runtime_seconds") == cert.runtime_seconds
+        assert header.pop("platform") == netverify.platform_facts()
         return json.dumps(header), lines[1:]
 
     def test_golden_report_pass(self):
@@ -375,3 +381,59 @@ class TestMarginsSampledAcrossNet:
         for a, b in enumerate_net(stride=97):
             check = verify_point(a, b)
             assert check.passed, (a, b, check)
+
+
+class TestTightPoints:
+    """The certificate names the grid point of each minimum margin: the
+    first in scan order, whatever the chunking and thread count."""
+
+    def test_same_point_for_every_thread_count(self, monkeypatch):
+        monkeypatch.setattr(netverify, "_BATCH_POINTS", 50)
+        certs = [verify_all(stride=40, threads=threads) for threads in (1, 2)]
+        assert certs[0].canonical_dict() == certs[1].canonical_dict()
+        assert len(list(netverify._row_chunks(40))) > 1
+        cert = certs[0]
+        for (i, j), minimum, which in ((cert.min_margin_g2_at, cert.min_margin_g2, 0),
+                                       (cert.min_margin_g3_at, cert.min_margin_g3, 1)):
+            check = verify_point(grid_coord(i), grid_coord(j))
+            assert (check.margin2, check.margin3)[which].lo == minimum
+
+    def test_ties_take_the_first_point_in_scan_order(self, monkeypatch):
+        monkeypatch.setattr(netverify, "_BATCH_POINTS", 50)
+
+        def flat(i_idx, j_idx):
+            a, b = grid_coord(i_idx * 1.0), grid_coord(j_idx * 1.0)
+            return a, b, np.full(a.shape, 0.5), np.full(a.shape, 0.5)
+
+        monkeypatch.setattr(netverify, "_margins_batch", flat)
+        cert = verify_all(stride=40)
+        assert cert.min_margin_g2_at == cert.min_margin_g3_at == (0, 0)
+        assert cert.min_margin_g2 == cert.min_margin_g3 == 0.5
+
+
+class TestStrideOneTightPoints:
+    """The two stride-1 minima, recorded from `verify-net --stride 1` (a
+    full run is not part of the test), checked against a 50-digit mpmath
+    evaluation of g1, g2 and g3."""
+
+    MIN_G2, MIN_G2_AT = 0.002507241705795082, (140, 141)
+    MIN_G3, MIN_G3_AT = 0.009655428732367464, (104, 105)
+
+    @pytest.mark.parametrize("at, which", [(MIN_G2_AT, 0), (MIN_G3_AT, 1)])
+    def test_enclosures_contain_mpmath_values(self, at, which):
+        a, b = grid_coord(at[0]), grid_coord(at[1])
+        check = verify_point(a, b)
+        recorded = (self.MIN_G2, self.MIN_G3)[which]
+        # the same tolerance as the stride-5 minima: rounding, not libm, moves it
+        assert abs((check.margin2, check.margin3)[which].lo - recorded) <= 1e-15
+        with mp.workdps(50):
+            g = mp_g(a, b)
+            margins = (g[1] - mp.mpf(31) / 48 * g[0], g[2] - mp.mpf(31) / 48)
+            for j in (1, 2, 3):
+                assert _contains_mp(iv_g(j, a, b), g[j - 1])
+            assert _contains_mp(check.margin2, margins[0])
+            assert _contains_mp(check.margin3, margins[1])
+            if which == 0:
+                # the g2 headroom: how far the tightest point clears 0.0025
+                headroom = margins[0] - mp.mpf("0.0025")
+                assert abs(headroom - mp.mpf("7.2417e-6")) < mp.mpf("1e-10")
