@@ -35,7 +35,9 @@ arrays; the `v_*` functions, which operate elementwise on such pairs, do all
 of the arithmetic, so the same code evaluates one depot position or the net
 verifier's vectorized batches of millions. `Interval` is only the result type
 handed to callers (of `iv_g`, `netverify.verify_point` and
-`netverify.lipschitz_slacks`): a checked scalar pair with lo <= hi.
+`netverify.lipschitz_slacks`): a checked scalar pair with lo <= hi. The two
+depot entry points build it through `enclosure`, which turns a pair with a
+NaN end into the whole real line, a valid if useless enclosure.
 
 The triangle integral A1 has one kernel, v_A1. Its callers compute each
 hypotenuse once (v_hyp) and share it between a mirrored pair A1(p, q),
@@ -70,6 +72,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+
+from .geometry import check_coordinates
 
 __all__ = ["Interval", "iv_g"]
 
@@ -419,8 +423,28 @@ class Interval:
 
 
 def iv_g(j: int, a: float, b: float) -> Interval:
-    """Enclosure of g_j at the depot (a, b), j in {1, 2, 3}."""
+    """Enclosure of g_j at the depot (a, b), j in {1, 2, 3}. A depot that
+    fails geometry.check_coordinates raises ValueError.
+
+    The enclosure is tight near the unit square, where the net lies. Far
+    from it the cubic triangle terms cancel, and it widens with the distance
+    until it overflows to the whole real line: at distance 1e10 the g1
+    enclosure is about 1e20 wide, and the g2 one is infinite from about
+    1e40. For far depots use netverify.verify_far_field, which needs no
+    numeric check, and the closedform values."""
     if j not in (1, 2, 3):
         raise ValueError(f"j must be 1, 2 or 3, got {j}")
-    g = v_g_all(v_point(np.float64(a)), v_point(np.float64(b)))[j - 1]
-    return Interval(float(g[0]), float(g[1]))
+    check_coordinates([(a, b)], "depot")
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = v_g_all(v_point(np.float64(a)), v_point(np.float64(b)))[j - 1]
+    return enclosure(g)
+
+
+def enclosure(v) -> Interval:
+    """The Interval of a 0-d enclosure v = (lo, hi). An end that overflow
+    made NaN (inf - inf, 0 * inf) carries no bound, so the enclosure widens
+    to the whole real line."""
+    lo, hi = float(v[0]), float(v[1])
+    if math.isnan(lo) or math.isnan(hi):
+        return Interval(-math.inf, math.inf)
+    return Interval(lo, hi)

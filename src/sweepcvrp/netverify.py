@@ -36,8 +36,10 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .closedform import square_distance
+from .geometry import check_coordinates
 from .interval import (
     Interval,
+    enclosure,
     v_add,
     v_div,
     v_g_all,
@@ -111,12 +113,14 @@ def _clears(m2lo, m3lo, thr2, thr3):
 
 def verify_point(a: float, b: float) -> PointCheck:
     """Interval margin check at one depot position, by the net scan's pass
-    rule against THRESHOLD_G2 and THRESHOLD_G3."""
-    m2, m3 = _margins(np.float64(a), np.float64(b))
-    margin2 = Interval(float(m2[0]), float(m2[1]))
-    margin3 = Interval(float(m3[0]), float(m3[1]))
+    rule against THRESHOLD_G2 and THRESHOLD_G3. A depot that fails
+    geometry.check_coordinates raises ValueError; far from the square the
+    margins widen until the point fails (see interval.iv_g)."""
+    check_coordinates([(a, b)], "depot")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2, m3 = _margins(np.float64(a), np.float64(b))
     passed = bool(_clears(m2[0], m3[0], THRESHOLD_G2, THRESHOLD_G3))
-    return PointCheck(margin2=margin2, margin3=margin3, passed=passed)
+    return PointCheck(margin2=enclosure(m2), margin3=enclosure(m3), passed=passed)
 
 
 def verify_far_field(a: float, b: float) -> bool:

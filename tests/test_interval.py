@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -235,6 +236,28 @@ class TestIvG:
     def test_invalid_j(self):
         with pytest.raises(ValueError):
             iv_g(4, 0.5, 0.5)
+
+    def test_far_depot_encloses_closedform(self):
+        # wide (about 1e20 at distance 1e10), but an enclosure
+        for a, b in ((1e10, 0.5), (0.5, -1e10)):
+            assert iv_g(1, a, b).contains(closedform.g1(a, b))
+
+    @pytest.mark.parametrize("a, b", [(1e150, 0.5), (-1e150, 0.5), (0.5, 1e150),
+                                      (1e103, 1e103), (-1e150, -1e150)])
+    def test_far_depot_without_warning(self, a, b):
+        # overflow inside v_g_all may neither warn nor leave a NaN end
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in (1, 2, 3):
+                g = iv_g(j, a, b)
+                assert g.lo <= g.hi
+        assert iv_g(2, a, b) == Interval(-math.inf, math.inf)
+
+    @pytest.mark.parametrize("bad", [1e160, -1e160, math.nan, math.inf])
+    def test_out_of_range_depot_raises(self, bad):
+        for a, b in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError, match="depot.*finite with"):
+                iv_g(2, a, b)
 
     def test_contains_high_precision_reference(self):
         rng = np.random.default_rng(191)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -163,6 +164,19 @@ class TestFarField:
 
     def test_boundary_exact(self):
         assert verify_far_field(1 + 3 * math.sqrt(2), 0.5)
+
+    @pytest.mark.parametrize("a, b", [(1e150, 0.5), (-1e150, 0.5), (1e103, 1e103)])
+    def test_far_depot_fails_without_warning(self, a, b):
+        # the interval check is no use there; verify_far_field is
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check = verify_point(a, b)
+        assert not check.passed and verify_far_field(a, b)
+
+    @pytest.mark.parametrize("bad", [1e160, math.nan])
+    def test_out_of_range_depot_raises(self, bad):
+        with pytest.raises(ValueError, match="depot.*finite with"):
+            verify_point(bad, 0.5)
 
 
 class TestLipschitzSlacks:

@@ -1,4 +1,7 @@
+import bisect
 import math
+from collections import deque
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from sweepcvrp.tsp import (
     NEIGHBOURS,
     TSP_MODES,
     _local_search,
+    _move_eps,
     _neighbour_walk,
     cycle_length,
     neighbours,
@@ -283,6 +287,233 @@ def _two_opt_reference(pts: np.ndarray, tour: np.ndarray,
     return tour
 
 
+# The _local_search kernel before its inner loop was made leaner, kept
+# verbatim as the reference: _local_search must take the same moves in the
+# same order and so return the same tour, bit for bit.
+def _local_search_reference(pts: np.ndarray, tour: Sequence[int],
+                            nbrs: np.ndarray) -> list[int]:
+    """First-improvement 2-opt and Or-opt from the cyclic `tour`, driven by a
+    FIFO queue of active points (don't-look bits); returns the tour from point 0.
+
+    Processing point a tries, in order, and applies the first move whose
+    delta is below -eps = -_move_eps(pts):
+      - 2-opt on the edge (a, b) to a's successor, then to its predecessor:
+        for each c closer to a than b, in (squared distance, index) order,
+        replace (a, b) and the edge (c, e) on the same side of c by (a, c)
+        and (b, e). These c are a's listed neighbours, or, when (a, b) is
+        longer than a's K-th neighbour, every such point;
+      - Or-opt: a segment of 1-3 points with a at one end moves, forward or
+        reversed, between a listed neighbour c of a and one of c's tour
+        neighbours, with a next to c. c must be closer to a than the
+        segment's removal gain.
+    The endpoints of the changed edges join the queue. When the queue runs
+    dry after a move, a confirming pass queues every point again, so the
+    search ends with a full pass that moves nothing. Every improving 2-opt move has an endpoint
+    whose new edge is shorter than the edge it removes, so the result is a
+    2-opt local optimum over all pairs. Only improving moves are taken, so
+    the result is never longer than `tour`.
+
+    The tour is a position array; a move rewrites the shorter of the two
+    tour arcs that give the same cycle, so a point's successor may become its
+    predecessor. A start tour that is not a permutation of the points raises
+    ValueError.
+    """
+    tour = [int(v) for v in tour]
+    n = len(tour)
+    if sorted(tour) != list(range(len(pts))):
+        raise ValueError("the start tour is not a permutation of the points")
+    if n < 4:
+        i = tour.index(0) if n else 0
+        return tour[i:] + tour[:i]
+    eps = _move_eps(pts)
+    K = nbrs.shape[1]
+    x, y = pts[:, 0], pts[:, 1]
+    xs, ys = x.tolist(), y.tolist()
+    # point a's neighbours and their squared and plain distances sit at
+    # a * K .. a * K + K - 1; memoryviews index as fast as lists, without a
+    # Python object per entry
+    rows = memoryview(nbrs.reshape(-1))
+    d2 = np.square(x[nbrs] - x[:, None]).reshape(-1)
+    d2 += np.square(y[nbrs] - y[:, None]).reshape(-1)
+    row_d2, row_d = memoryview(d2), memoryview(np.sqrt(d2))
+    pos = [0] * n
+    for i, v in enumerate(tour):
+        pos[v] = i
+    hypot = math.hypot
+
+    def d(a: int, b: int) -> float:
+        return hypot(xs[a] - xs[b], ys[a] - ys[b])
+
+    def arc(i: int, m: int) -> list[int]:
+        """The m points from tour position i on."""
+        if i + m <= n:
+            return tour[i : i + m]
+        return tour[i:] + tour[: i + m - n]
+
+    def put(i: int, seq: list[int]) -> None:
+        """Write seq over the arc from tour position i."""
+        wrap = i + len(seq) - n
+        if wrap <= 0:
+            tour[i : i + len(seq)] = seq
+        else:
+            tour[i:] = seq[:-wrap]
+            tour[:wrap] = seq[-wrap:]
+        for k, v in enumerate(seq, i):
+            pos[v] = k if k < n else k - n
+
+    def reverse(u: int, v: int) -> None:
+        """Reverse the path u .. v, or else the rest of the cycle."""
+        i, m = pos[u], (pos[v] - pos[u]) % n + 1
+        if 2 * m > n:
+            i, m = (pos[v] + 1) % n, n - m
+        seq = arc(i, m)
+        seq.reverse()
+        put(i, seq)
+
+    def closer(a: int, b: int) -> Sequence[int]:
+        """The points c with d2(a, c) < d2(a, b), in (d2, index) order."""
+        ex, ey = xs[b] - xs[a], ys[b] - ys[a]
+        lim = ex * ex + ey * ey
+        k = a * K
+        if lim <= row_d2[k + K - 1]:
+            return rows[k : bisect.bisect_left(row_d2, lim, k, k + K)]
+        ex, ey = x - xs[a], y - ys[a]
+        row = ex * ex + ey * ey
+        c = np.flatnonzero(row < lim)
+        return [v for v in c[np.argsort(row[c], kind="stable")].tolist() if v != a]
+
+    def improve(a: int):
+        """Apply the first improving move at a; return the endpoints of the
+        changed edges, or None."""
+        i = pos[a]
+        f1, b1 = tour[(i + 1) % n], tour[i - 1]
+        ax, ay = xs[a], ys[a]
+        e_f = hypot(ax - xs[f1], ay - ys[f1])
+        e_b = hypot(ax - xs[b1], ay - ys[b1])
+        for step, b, ab in ((1, f1, e_f), (-1, b1, e_b)):  # 2-opt
+            bx, by = xs[b], ys[b]
+            for c in closer(a, b):
+                e = tour[(pos[c] + step) % n]
+                if e == a:
+                    continue
+                cx, cy, ex, ey = xs[c], ys[c], xs[e], ys[e]
+                if (hypot(ax - cx, ay - cy) + hypot(bx - ex, by - ey)) - ab \
+                        - hypot(cx - ex, cy - ey) < -eps:
+                    if step == 1:
+                        reverse(b, c)  # a b .. c e -> a c .. b e
+                    else:
+                        reverse(a, e)  # b a .. e c -> b e .. a c
+                    return a, b, c, e
+        # Or-opt: segments of m points with a at one end, as (m, s1, z, p, q)
+        # with s1 the first in tour order, z the other end, p and q the
+        # points around the segment; the gain is what removing it saves
+        segments = [(1, a, a, b1, f1, e_b + e_f - d(b1, f1))]
+        if n >= 5:
+            f2, b2 = tour[(i + 2) % n], tour[i - 2]
+            segments += [(2, a, f1, b1, f2, e_b + d(f1, f2) - d(b1, f2)),
+                         (2, b1, b1, b2, f1, d(b2, b1) + e_f - d(b2, f1))]
+        if n >= 6:
+            f3, b3 = tour[(i + 3) % n], tour[i - 3]
+            segments += [(3, a, f2, b1, f3, e_b + d(f2, f3) - d(b1, f3)),
+                         (3, b2, b2, b3, f1, d(b3, b2) + e_f - d(b3, f1))]
+        k = a * K
+        for m, s1, z, p, q, gain in segments:
+            if gain <= row_d[k]:  # no listed neighbour is close enough
+                continue
+            zx, zy = xs[z], ys[z]
+            first = pos[s1]
+            for t in range(k, k + K):
+                ac = row_d[t]
+                if ac >= gain:
+                    break
+                c = rows[t]
+                j = pos[c]
+                if (j - first) % n < m:
+                    continue
+                cx, cy = xs[c], ys[c]
+                for step in (1, -1):
+                    c2 = tour[(j + step) % n]
+                    if (pos[c2] - first) % n < m:
+                        continue
+                    x2, y2 = xs[c2], ys[c2]
+                    if (ac + hypot(zx - x2, zy - y2) - hypot(cx - x2, cy - y2)) \
+                            - gain < -eps:
+                        if step == 1:  # c a .. z c2
+                            move(s1, m, q, c, a)
+                        else:  # c2 z .. a c
+                            move(s1, m, q, c2, z)
+                        return p, q, a, z, c, c2
+        return None
+
+    def move(s1: int, m: int, q: int, u: int, head: int) -> None:
+        """Move the segment of m points from s1 (followed by q) into the edge
+        from u to its successor, starting with `head`."""
+        seg = arc(pos[s1], m)
+        if seg[0] != head:
+            seg.reverse()
+        gap = (pos[u] - pos[q]) % n + 1  # the points q .. u
+        if 2 * gap + m <= n:  # rewrite s1 .. u as q .. u, seg
+            i = pos[s1]
+            put(i, arc((i + m) % n, gap) + seg)
+        else:  # rewrite succ(u) .. s2 as seg, succ(u) .. p
+            i = (pos[u] + 1) % n
+            put(i, seg + arc(i, n - gap - m))
+
+    queue = deque(tour)
+    queued = bytearray(b"\x01") * n
+    moved = False
+    while queue:
+        a = queue.popleft()
+        queued[a] = 0
+        touched = improve(a)
+        if touched:
+            moved = True
+            for v in touched:
+                if not queued[v]:
+                    queued[v] = 1
+                    queue.append(v)
+        if not queue and moved:  # confirm with a full pass
+            moved = False
+            queue.extend(tour)
+            queued = bytearray(b"\x01") * n
+    return tour[pos[0]:] + tour[: pos[0]]
+
+
+class _LoggingEps(float):
+    """A move threshold that logs the bits of every delta compared with its
+    negation: as a float subclass, `delta < -eps` calls (-eps).__gt__(delta)
+    first."""
+
+    def __new__(cls, value: float, log: list[str]):
+        e = super().__new__(cls, value)
+        e.log = log
+        return e
+
+    def __neg__(self) -> "_LoggingEps":
+        return _LoggingEps(-float(self), self.log)
+
+    def __gt__(self, delta: float) -> bool:
+        self.log.append(delta.hex())
+        return float.__gt__(self, delta)
+
+
+def _runs_with_deltas(pts: np.ndarray, start: list[int], nbrs: np.ndarray):
+    """(tour, deltas) of _local_search_reference, then of _local_search, from
+    `start`; deltas are the bits of every move delta the search compared with
+    the threshold, in order. Equal deltas pin every sum's order, although no
+    decision sits within rounding of the threshold on these inputs."""
+    value = _move_eps(pts)
+    runs = []
+    for kernel in (_local_search_reference, _local_search):
+        log: list[str] = []
+        eps = _LoggingEps(value, log)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tsp, "_move_eps", lambda p: eps)  # read by _local_search
+            mp.setitem(globals(), "_move_eps", lambda p: eps)  # by the reference
+            runs.append((kernel(pts, start, nbrs), log))
+    return runs
+
+
 def _neighbours_brute_force(pts: np.ndarray) -> np.ndarray:
     n = len(pts)
     K = max(min(NEIGHBOURS, n - 1), 0)
@@ -324,9 +555,9 @@ def _kernel_cases() -> dict[str, np.ndarray]:
     t = rng.permutation(25) / 24.0
     cases["collinear"] = np.column_stack([0.2 + 0.5 * t, 0.1 + 0.3 * t])
     cases["all-equal"] = np.full((9, 2), 0.375)
-    # Collinear at coordinate scale 1e4: the rounding noise of an edge length
-    # is near _IMPROVE_EPS, so which moves are taken depends on the last bit
-    # of every delta.
+    # Collinear at coordinate scale 1e4: every 2-opt delta that is zero in
+    # exact arithmetic carries rounding noise (about 1e-12), which the move
+    # threshold, scaled by _move_eps to about 1e-8, must absorb.
     far = np.random.default_rng(1)
     u = far.normal(size=2)
     u /= np.hypot(*u)
@@ -351,6 +582,40 @@ class TestTwoOptKernel:
     def test_neighbours_match_brute_force(self, name):
         pts = KERNEL_CASES[name]
         assert np.array_equal(neighbours(pts), _neighbours_brute_force(pts))
+
+    @pytest.mark.parametrize("block", [1, 7, 256, 10**6])
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_neighbours_independent_of_block(self, name, block, monkeypatch):
+        # a point's row does not depend on which points share its query
+        monkeypatch.setattr(tsp, "_QUERY_BLOCK", block)
+        pts = KERNEL_CASES[name]
+        assert np.array_equal(neighbours(pts), _neighbours_brute_force(pts))
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_same_moves_as_reference(self, name):
+        pts = KERNEL_CASES[name]
+        n = len(pts)
+        nbrs = neighbours(pts)
+        starts = [_neighbour_walk(pts, nbrs, s) for s in sorted({0, 1, n // 2, n - 1})]
+        starts.append(np.random.default_rng(n).permutation(n).tolist())
+        for start in starts:
+            (ref, ref_deltas), (tour, deltas) = _runs_with_deltas(pts, start, nbrs)
+            assert tour == ref, start
+            assert deltas == ref_deltas, start
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_same_moves_as_reference_few_points(self, n):
+        # Or-opt tries segments of 2 points from n = 5 and of 3 from n = 6
+        rng = np.random.default_rng(100 + n)
+        moved = 0
+        for _ in range(40):
+            pts = rng.random((n, 2))
+            nbrs = neighbours(pts)
+            start = rng.permutation(n).tolist()
+            (ref, ref_deltas), (tour, deltas) = _runs_with_deltas(pts, start, nbrs)
+            assert tour == ref and deltas == ref_deltas, pts
+            moved += tour != start[start.index(0):] + start[: start.index(0)]
+        assert moved  # the comparison covers tours that the search changed
 
     @pytest.mark.parametrize("n", range(NEIGHBOURS + 3))
     def test_neighbours_of_few_points(self, n):
