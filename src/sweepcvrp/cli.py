@@ -24,7 +24,7 @@ from .experiments import (
     solve,
     write_csv,
 )
-from .geometry import Point, Solution, load_instance, output_file, save_instance
+from .geometry import Point, Solution, load_instance, output_file, write_instance
 from .netverify import verify_all, write_report
 from .tsp import TSP_MODES
 
@@ -90,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a uniform random instance")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--n", type=int, required=True, help="number of terminals")
     p.add_argument("--k", type=int, required=True, help="vehicle capacity")
     p.add_argument("--depot-x", type=_parse_finite, default=0.5)
@@ -98,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="instance file to write")
 
     p = sub.add_parser("solve", help="solve an instance")
+    p.set_defaults(run=_cmd_solve)
     p.add_argument("--algo", choices=ALGOS, default="sweep")
     p.add_argument("--m", type=int, default=2, help="group size factor M (sweep)")
     p.add_argument("--input", required=True, help="instance file")
@@ -106,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="heuristic TSP seed")
 
     p = sub.add_parser("bounds", help="lower/upper bound report")
+    p.set_defaults(run=_cmd_bounds)
     p.add_argument("--input", required=True, help="instance file")
     p.add_argument("--r", type=_parse_r, default="auto",
                    help="clipping radius: number, 'auto' ((3/4) E d) or 'inf'")
@@ -115,16 +118,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("eval-g", help="closed-form g1, g2, g3 at a depot")
+    p.set_defaults(run=_cmd_eval_g)
     p.add_argument("--a", type=_parse_finite, required=True)
     p.add_argument("--b", type=_parse_finite, required=True)
 
     p = sub.add_parser("verify-net", help="run the net verification")
+    p.set_defaults(run=_cmd_verify_net)
     p.add_argument("--stride", type=int, default=1,
                    help="check every stride-th grid index (1 = full net)")
     p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument("--report", help="write the machine-readable report here")
 
     p = sub.add_parser("experiment", help="ratio experiment over seeds")
+    p.set_defaults(run=_cmd_experiment)
     p.add_argument("--n", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="fixed capacity")
@@ -145,9 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    instance = gen_instance(args.n, args.k, Point(args.depot_x, args.depot_y),
-                            args.seed)
-    save_instance(instance, args.output)
+    with output_file(args.output) as fp:
+        instance = gen_instance(args.n, args.k, Point(args.depot_x, args.depot_y),
+                                args.seed)
+        write_instance(instance, fp)
     print(f"wrote {args.n} terminals (k={args.k}, seed={args.seed}) "
           f"to {args.output}")
     return 0
@@ -227,21 +234,11 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "solve": _cmd_solve,
-    "bounds": _cmd_bounds,
-    "eval-g": _cmd_eval_g,
-    "verify-net": _cmd_verify_net,
-    "experiment": _cmd_experiment,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -183,26 +183,46 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     return lower[:-1] + upper[:-1]
 
 
+def unit_scale(xy: np.ndarray) -> tuple[np.ndarray, int]:
+    """(xy * 2**-e, e) for the e that puts the largest |coordinate| in
+    [0.5, 1), and e = 0 when every coordinate is 0 or there is none.
+
+    A power of two scales exactly (bar a coordinate below about 2**-1022
+    times the largest), so what is computed from the result does not depend
+    on the input's power-of-two scale, and squared coordinate differences
+    stay clear of overflow and, unless points differ only in such tiny
+    coordinates, of underflow. Coordinates whose largest is already in
+    [0.5, 1) come back unchanged.
+    """
+    top = float(np.abs(xy).max()) if xy.size else 0.0
+    e = math.frexp(top)[1]
+    return np.ldexp(xy, -e), e
+
+
 def diameter(points: Sequence[Point]) -> float:
     """Maximum pairwise distance; 0 for fewer than two points.
 
     The farthest pair of a finite set is a pair of convex hull vertices, so
     the maximum of dx*dx + dy*dy over hull pairs, one numpy row per vertex,
-    is the all-pairs maximum. Squares are IEEE products, not `**2` (libm
-    `pow`), so D is the same bits for every input size and libm. A point
-    that the rounded orientation test in convex_hull drops lies within
-    rounding of a hull edge; only such a near-duplicate of a hull vertex
-    could move the maximum, by an ulp.
+    is the all-pairs maximum. The points go to unit scale (unit_scale)
+    before the hull, and the root comes back, so D is exact at every
+    coordinate scale, where products of raw coordinates of 1e-200 would
+    underflow to 0; scaling the points by a power of two scales D by it,
+    bit for bit. Squares are IEEE products, not `**2` (libm `pow`), so D is
+    the same bits for every input size and libm. A point that the rounded
+    orientation test in convex_hull drops lies within rounding of a hull
+    edge; only such a near-duplicate of a hull vertex could move the
+    maximum, by an ulp.
     """
-    hull = convex_hull(points)
-    xs = np.array([p.x for p in hull])
-    ys = np.array([p.y for p in hull])
+    xy, e = unit_scale(np.array(points, dtype=float).reshape(-1, 2))
+    hull = np.array(convex_hull([Point(*p) for p in xy.tolist()])).reshape(-1, 2)
+    xs, ys = hull[:, 0], hull[:, 1]
     best = 0.0
     for i in range(len(hull) - 1):
         dx = xs[i + 1 :] - xs[i]
         dy = ys[i + 1 :] - ys[i]
         best = max(best, float(np.max(dx * dx + dy * dy)))
-    return math.sqrt(best)
+    return math.ldexp(math.sqrt(best), e)
 
 
 # --- text formats --------------------------------------------------------------

@@ -14,8 +14,9 @@ times sqrt(2)/1000) must stay positive, which extends the grid check to the
 whole region.
 
 The net is every pair i <= j of the per-axis indices that `_net_indices`
-gives (every `stride`-th of 0..GRID_MAX_INDEX); `enumerate_net` lists it and
-`verify_all` scans it in chunks of whole rows.
+gives (every `stride`-th of 0..GRID_MAX_INDEX); `enumerate_net` lists it
+row by row, and `verify_all` scans it in that order, _BATCH_POINTS points a
+chunk.
 
 Grid coordinates are produced from integer indices by one multiplication by
 0.002 (itself not exactly representable); the resulting double is wrapped in
@@ -184,16 +185,24 @@ def _first_min(values) -> int:
     return int(np.argmin(values))
 
 
-def _scan_rows(args):
-    """Verify all net points of the rows at positions p0..p1-1 of
-    _net_indices(stride); returns the point count, each margin's minimum as
-    (value, i, j) and any failing points. Worker for both the serial and
-    pooled paths."""
-    (p0, p1), stride, thr2, thr3 = args
+def _scan_pairs(stride: int, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices (i, j) of the net points at scan positions t0..t1-1.
+    Row p of the m = len(idx) indices idx = _net_indices(stride) pairs
+    idx[p] with idx[p:] and starts at position p*m - p(p-1)/2."""
     idx = np.array(_net_indices(stride), dtype=np.int64)
-    # row p pairs idx[p] with idx[p:]
-    i_idx = np.repeat(idx[p0:p1], idx.size - np.arange(p0, p1))
-    j_idx = np.concatenate([idx[p:] for p in range(p0, p1)])
+    p = np.arange(idx.size)
+    starts = p * idx.size - p * (p - 1) // 2
+    t = np.arange(t0, t1)
+    row = np.searchsorted(starts, t, side="right") - 1
+    return idx[row], idx[row + t - starts[row]]
+
+
+def _scan_rows(args):
+    """Verify the net points at scan positions t0..t1-1; returns the point
+    count, each margin's minimum as (value, i, j) and any failing points.
+    Worker for both the serial and pooled paths."""
+    (t0, t1), stride, thr2, thr3 = args
+    i_idx, j_idx = _scan_pairs(stride, t0, t1)
     a, b, m2lo, m3lo = _margins_batch(i_idx, j_idx)
     count = int(i_idx.size)
     minima = []
@@ -209,20 +218,6 @@ def _scan_rows(args):
     return count, tuple(minima), failures
 
 
-def _row_chunks(stride: int) -> Iterator[tuple[int, int]]:
-    """Runs (p0, p1) of row positions in _net_indices(stride); a run closes
-    once its rows hold at least _BATCH_POINTS points."""
-    m = len(_net_indices(stride))
-    p0 = size = 0
-    for p in range(m):
-        size += m - p  # row p pairs position p with positions p..m-1
-        if size >= _BATCH_POINTS:
-            yield p0, p + 1
-            p0, size = p + 1, 0
-    if p0 < m:
-        yield p0, m
-
-
 def _net_minima(minima):
     """Each margin's (value, i, j) minimum over the chunks' minima, the
     first in scan order on ties: chunks arrive in scan order whatever the
@@ -236,10 +231,11 @@ def verify_all(stride: int = 1, threads: int = 1, progress: bool = False) -> Net
 
     Passes iff every point clears THRESHOLD_G2 and THRESHOLD_G3 and both
     Lipschitz slack constants, computed from the same thresholds, are
-    positive. Scanning stops at the first chunk containing a failure; the
-    certificate then carries the failing points in `failures`. At stride=1
-    this is the full 2,814,378-point verification. No file is written:
-    `write_report` writes a certificate out.
+    positive. The scan runs in chunks of _BATCH_POINTS consecutive scan
+    positions, the last one shorter, and stops after the first chunk that
+    contains a failure; the certificate then carries the failing points in
+    `failures`. At stride=1 this is the full 2,814,378-point verification.
+    No file is written: `write_report` writes a certificate out.
     """
     points = net_size(stride)
     if threads < 1:
@@ -255,7 +251,8 @@ def verify_all(stride: int = 1, threads: int = 1, progress: bool = False) -> Net
     failures: list[tuple[int, int, float, float, float, float]] = []
     next_report = _PROGRESS_EVERY
 
-    tasks = [(run, stride, thr2, thr3) for run in _row_chunks(stride)]
+    tasks = [((t0, min(t0 + _BATCH_POINTS, points)), stride, thr2, thr3)
+             for t0 in range(0, points, _BATCH_POINTS)]
     if threads == 1:
         results = map(_scan_rows, tasks)
         pool = None

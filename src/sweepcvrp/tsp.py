@@ -40,6 +40,13 @@ is a 2-opt local optimum over all pairs of edges. A move must shorten the
 tour by more than _move_eps(pts), _IMPROVE_EPS scaled by the largest
 |coordinate|, so the search never returns a longer tour than it started
 from. Everything is deterministic in the start point.
+
+tsp_heuristic runs all three steps on its distinct locations scaled by the
+power of two that puts the largest |coordinate| in [0.5, 1)
+(geometry.unit_scale), so its tour does not change when the points are
+scaled by a power of two: squared distances do not underflow for
+coordinates as small as 1e-200, and the move threshold is _IMPROVE_EPS at
+that scale.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, check_coordinates, dist
+from .geometry import Point, check_coordinates, dist, unit_scale
 
 EXACT_THRESHOLD = 14
 TSP_MODES = ("auto", "heuristic")
@@ -172,8 +179,9 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
     _local_search, over the distinct locations; each location's points follow
     one another in index order. A tour over at most 3 locations is optimal
     and certified; a longer one is a 2-opt local optimum over all pairs of
-    edges. The result is deterministic for a given seed. A coordinate that
-    fails geometry.check_coordinates raises ValueError."""
+    edges. The result is deterministic for a given seed, and the same for
+    the points scaled by a power of two. A coordinate that fails
+    geometry.check_coordinates raises ValueError."""
     pts = np.array(points, dtype=float).reshape(-1, 2)
     check_coordinates(pts)
     first, loc = _locations(pts)
@@ -181,7 +189,7 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
     if m <= 3:
         tour = list(range(m))
     else:
-        sites = pts[first]
+        sites, _ = unit_scale(pts[first])
         nbrs = neighbours(sites)
         walk = _neighbour_walk(sites, nbrs, int(loc[seed % len(pts)]))
         tour = _local_search(sites, walk, nbrs)

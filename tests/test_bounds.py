@@ -155,6 +155,22 @@ class TestLowerBound:
                 assert valid
                 assert value <= opt + 1e-9
 
+    def test_sandwich_at_tiny_scale(self):
+        # at 1e-200 the squared distances in D underflowed to 0, and 8 of
+        # these 160 certified lower bounds exceeded the optimum
+        rng = np.random.default_rng(987)
+        for _ in range(40):
+            inst = random_instance(rng, max_n=8, max_k=3, min_n=2)
+            tiny = Instance(
+                terminals=tuple(Point(p.x * 1e-200, p.y * 1e-200) for p in inst.terminals),
+                depot=Point(inst.depot.x * 1e-200, inst.depot.y * 1e-200),
+                capacity=inst.capacity)
+            opt = brute_force_opt(tiny)
+            for R in rng.uniform(0, 3, size=4) * 1e-200:
+                value, valid = lower_bound(tiny, float(R))
+                assert valid
+                assert value <= opt * (1 + 1e-9)
+
 
 class TestUpperBound:
     def test_empty_instance(self):

@@ -213,6 +213,7 @@ def _never(*args, **kwargs):
      "sweepcvrp.cli.run_ratio_experiment"),
     (["verify-net", "--stride", "1", "--report"], "sweepcvrp.netverify._scan_rows"),
     (["solve", "--input", "INSTANCE", "--output"], "sweepcvrp.cli.solve"),
+    (["gen", "--n", "5", "--k", "2", "--output"], "sweepcvrp.cli.gen_instance"),
 ])
 def test_unwritable_output_fails_before_computing(tmp_path, monkeypatch, capsys,
                                                   command, computes):

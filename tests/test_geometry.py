@@ -25,6 +25,10 @@ from sweepcvrp.geometry import (
 from sweepcvrp.experiments import gen_instance
 
 
+def _points(xy):
+    return [Point(float(x), float(y)) for x, y in xy]
+
+
 def _all_pairs_diameter(pts):
     """sqrt of the largest dx*dx + dy*dy over all pairs, one row at a time."""
     xs = np.array([p.x for p in pts])
@@ -127,6 +131,17 @@ class TestDiameter:
         sets.append([*inst.terminals, inst.depot])
         for pts in sets:
             assert diameter(pts) == _all_pairs_diameter(pts)
+
+    def test_exact_at_every_scale(self):
+        # products of raw coordinates underflow: 1e-200 gave 0, 1e-160 lost
+        # bits, and at 2**-900 the hull lost vertices
+        assert diameter([Point(0, 0), Point(1e-200, 0)]) == 1e-200
+        assert diameter([Point(0, 0), Point(0, 1e-160)]) == 1e-160
+        rng = np.random.default_rng(7)
+        xy = rng.uniform(-2, 2, size=(30, 2))
+        d = diameter(_points(xy))
+        for e in (-900, -560, -200, 30, 400):
+            assert diameter(_points(np.ldexp(xy, e))) == math.ldexp(d, e)
 
     def test_translation_and_permutation_invariance(self):
         rng = np.random.default_rng(5)

@@ -747,10 +747,7 @@ class TestLazyBranches:
         # would be 8 + 4 + 16 = 28 times all lanes
         from sweepcvrp import interval, netverify
 
-        p0, p1 = next(netverify._row_chunks(5))
-        idx = np.array(netverify._net_indices(5), dtype=np.float64)
-        i = np.repeat(idx[p0:p1], idx.size - np.arange(p0, p1))
-        j = np.concatenate([idx[p:] for p in range(p0, p1)])
+        i, j = netverify._scan_pairs(5, 0, netverify._BATCH_POINTS)
         a = (netverify.grid_coord(i),) * 2
         b = (netverify.grid_coord(j),) * 2
         R = v_mul(v_g1(a, b), (0.75, 0.75))

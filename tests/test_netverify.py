@@ -251,7 +251,8 @@ class TestVerifyAll:
         monkeypatch.setattr(netverify, "_scan_rows",
                             lambda task: (0, ((0.0, 0, 0), (0.0, 0, 0)), []))
         verify_all(stride=5, threads=8)
-        assert started == [1, len(list(netverify._row_chunks(5)))] == [1, 7]
+        chunks = math.ceil(net_size(5) / netverify._BATCH_POINTS)
+        assert started == [1, chunks] == [1, 7]
 
     def test_report_round_trip(self):
         cert = verify_all(stride=400)
@@ -315,7 +316,8 @@ class TestVerifyAll:
 
 class TestScanCoversNet:
     """The certificate's scan visits exactly the points enumerate_net lists,
-    in order, once each, in chunks of whole rows."""
+    in order, once each, in chunks of exactly _BATCH_POINTS points, the last
+    one shorter."""
 
     @pytest.mark.parametrize("stride, batch_points", [
         (97, None), (250, None), (2371, None), (97, 50),
@@ -342,9 +344,9 @@ class TestScanCoversNet:
         assert scanned == listed
         assert len(set(scanned)) == len(scanned)
 
-        # whole rows: no row index appears in two chunks
-        rows = [set(i_idx) for i_idx, _ in chunks]
-        assert sum(map(len, rows)) == len(set().union(*rows))
+        sizes = [len(i_idx) for i_idx, _ in chunks]
+        assert sizes[:-1] == [netverify._BATCH_POINTS] * (len(sizes) - 1)
+        assert 0 < sizes[-1] <= netverify._BATCH_POINTS
         if batch_points is not None:
             assert len(chunks) > 1
 
@@ -405,7 +407,7 @@ class TestTightPoints:
         monkeypatch.setattr(netverify, "_BATCH_POINTS", 50)
         certs = [verify_all(stride=40, threads=threads) for threads in (1, 2)]
         assert certs[0].canonical_dict() == certs[1].canonical_dict()
-        assert len(list(netverify._row_chunks(40))) > 1
+        assert net_size(40) > netverify._BATCH_POINTS  # more than one chunk
         cert = certs[0]
         for (i, j), minimum, which in ((cert.min_margin_g2_at, cert.min_margin_g2, 0),
                                        (cert.min_margin_g3_at, cert.min_margin_g3, 1)):

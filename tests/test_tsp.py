@@ -759,9 +759,12 @@ class TestTwoOptScale:
         rng = np.random.default_rng(0)
         u = rng.normal(size=2)
         u /= np.hypot(*u)
-        return _as_points(np.outer(rng.random(30) * scale, u))
+        return np.outer(rng.random(30) * scale, u)
 
     def test_threshold_scales_with_coordinates(self, monkeypatch):
+        # the search sees the sites at unit scale, so its threshold is
+        # _IMPROVE_EPS there, follows the points' power of two, and leaves
+        # the tour as it is at every power-of-two scale
         seen = []
 
         def spy(pts):
@@ -770,11 +773,24 @@ class TestTwoOptScale:
 
         move_eps = tsp._move_eps
         monkeypatch.setattr(tsp, "_move_eps", spy)
-        tsp_heuristic(random_points(np.random.default_rng(79), 20), seed=0)
-        far = self._collinear_far(1e5)
-        tsp_heuristic(far, seed=0)
-        top = max(max(abs(p.x), abs(p.y)) for p in far)
-        assert seen == [_IMPROVE_EPS, _IMPROVE_EPS * top]
+        for pts in (np.random.default_rng(79).random((300, 2)), self._collinear_far(1e5)):
+            base = tsp_heuristic(_as_points(pts), seed=0).order
+            for e in (-560, -200, 30, 400):
+                assert tsp_heuristic(_as_points(np.ldexp(pts, e)), seed=0).order == base
+        assert seen == [_IMPROVE_EPS] * 10
+
+    def test_tiny_coordinates_are_fast(self):
+        # at 1e-170 the squared distances underflowed to 0, and the
+        # neighbour query took 8 s over 5,000 points
+        code = (
+            "import numpy as np\n"
+            "from sweepcvrp.geometry import Point\n"
+            "from sweepcvrp.tsp import tsp_heuristic\n"
+            "xy = np.random.default_rng(0).random((5000, 2)) * 1e-170\n"
+            "res = tsp_heuristic([Point(*p) for p in xy.tolist()])\n"
+            "assert sorted(res.order) == list(range(5000))\n"
+        )
+        run_in_child(code, timeout=5)
 
     def test_collinear_far_terminates(self):
         # 30 collinear points at scale 1e5 looped on rounding noise with an
