@@ -165,22 +165,26 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     """Convex hull in counterclockwise order (Andrew's monotone chain).
 
     Collinear points on the hull boundary are dropped. Degenerate inputs
-    (all points equal or collinear) yield hulls of size 1 or 2.
+    (all points equal or collinear) yield hulls of size 1 or 2. The
+    orientation tests run on the points at unit scale (unit_scale), where
+    their products neither underflow nor overflow, and the hull lists the
+    caller's own points.
     """
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    # the exponent of unit_scale, in Python: 0 for points already at unit
+    # scale, such as diameter's, which then need no copy
+    e = math.frexp(max(max(abs(x), abs(y)) for x, y in pts))[1]
+    at = pts if e == 0 else [Point(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in pts]
+    lower: list[int] = []
+    upper: list[int] = []
+    for chain, ids in ((lower, range(len(pts))), (upper, range(len(pts) - 1, -1, -1))):
+        for i in ids:
+            while len(chain) >= 2 and _cross(at[chain[-2]], at[chain[-1]], at[i]) <= 0:
+                chain.pop()
+            chain.append(i)
+    return [pts[i] for i in lower[:-1] + upper[:-1]]
 
 
 def unit_scale(xy: np.ndarray) -> tuple[np.ndarray, int]:

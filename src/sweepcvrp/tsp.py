@@ -20,18 +20,22 @@ every cyclic order of at most 3 points has the same length.
 
 The heuristic tours the distinct locations, numbered by first occurrence,
 and emits each location's points consecutively, in index order. Its search
-(Bentley 1992; Johnson & McGeoch 1997) rests on one table,
-`neighbours(pts)`: the K = NEIGHBOURS nearest other points of each point,
-found exactly through a grid and ranked by (squared distance, index).
-Three steps use it:
+(Bentley 1992; Johnson & McGeoch 1997) rests on one neighbour index per
+point set, _NeighbourIndex. Its table, `neighbours(pts)`, lists the K =
+NEIGHBOURS nearest other points of each point, ranked by (squared distance,
+index); up to _DENSE_MAX points it comes from one distance matrix, above it
+exactly through a grid. Its query closer(a, lim) lists every point closer
+than a limit in the same order. Three steps use the index:
   - the nearest-neighbor walk steps to the first unvisited point of the
     current point's row, and ranks all points only when the whole row is
     visited; ties go to the smallest index, so the walk is the plain O(n^2)
     nearest-neighbor tour, bit for bit;
   - _local_search takes first-improvement 2-opt moves whose new edge at the
     processed point is shorter than the edge it removes, over the listed
-    neighbours, or over all points when that edge is longer than the K-th
-    neighbour;
+    neighbours, or over closer(a, lim) when that edge is longer than the
+    K-th neighbour: the listed ones first, then the rest, found by the
+    distance matrix or, on the grid path, by a pass over all points that
+    runs only when no listed neighbour decided the step;
   - its Or-opt moves put a segment of 1-3 points next to a listed neighbour.
 A FIFO queue of points whose edges changed (don't-look bits) drives the
 search. When it runs dry after a move, a confirming pass queues every point
@@ -56,7 +60,7 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +75,13 @@ _GRID_LOAD = 4  # points per grid cell, on average
 # grow with it. At n = 1000, 192 takes 5.5 ms against 8 ms for 64, for
 # 0.6 MB more peak RSS; 256 is no faster and costs 1.0 MB
 _QUERY_BLOCK = 192
+# up to this many points, the neighbour index works from one distance matrix
+# instead of the grid. Measured on a shared 2-vCPU Xeon, index build dense
+# against grid: 0.09 vs 0.38 ms at 15 points, 0.24 vs 0.82 at 65, 0.45 vs
+# 1.15 at 128, 1.08 vs 1.31 at 160, 2.2 vs 2.0 at 256; a whole tsp_heuristic
+# is faster dense up to 128 points (4.6 vs 5.0 ms) and slower from 160
+# (6.3 vs 5.9), where sorting a matrix row costs more than the grid's pass
+_DENSE_MAX = 128
 
 # strict-improvement threshold of a local-search move at unit coordinate
 # scale; prevents cycling on FP noise. _move_eps scales it by the largest
@@ -190,9 +201,9 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
         tour = list(range(m))
     else:
         sites, _ = unit_scale(pts[first])
-        nbrs = neighbours(sites)
-        walk = _neighbour_walk(sites, nbrs, int(loc[seed % len(pts)]))
-        tour = _local_search(sites, walk, nbrs)
+        index = _NeighbourIndex(sites)
+        walk = _neighbour_walk(sites, index.table, int(loc[seed % len(pts)]))
+        tour = _local_search(sites, walk, index)
     where = np.empty(m, dtype=np.int64)
     where[tour] = np.arange(m)
     order = tuple(np.argsort(where[loc], kind="stable").tolist())
@@ -216,15 +227,106 @@ def _locations(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def neighbours(pts: np.ndarray) -> np.ndarray:
     """The K = min(NEIGHBOURS, n - 1) nearest other points of each of the n
     points, as an (n, K) index array whose rows run in (squared distance,
-    index) order.
+    index) order: the table of _NeighbourIndex(pts)."""
+    return _NeighbourIndex(pts).table
+
+
+class _NeighbourIndex:
+    """One point set's neighbour table and the query closer(a, lim).
+
+    `table` is the (n, K) array of neighbours(pts), and `d2` its squared
+    distances, flat: row a sits at a * K .. a * K + K - 1, as it does in
+    the memoryviews `rows` and `row_d2` of both. A squared distance is
+    (x_j - x_i)**2 + (y_j - y_i)**2, the value _neighbour_walk ranks, so
+    every query ranks the points as the walk and the search do.
+
+    Up to _DENSE_MAX points (the dense path), one n x n matrix of squared
+    distances, with the diagonal set to inf, gives both: each row's K + 1
+    smallest entries by argpartition, ranked by (d2, index), or the whole row
+    by a stable sort where the K-th and (K + 1)-th are equal, since then an
+    equal entry beyond them may have the smaller index. Above it (the grid
+    path), _grid_table builds the table.
+    """
+
+    def __init__(self, pts: np.ndarray):
+        n = len(pts)
+        self._x, self._y = x, y = pts[:, 0], pts[:, 1]
+        if n <= _DENSE_MAX:
+            D = np.square(x - x[:, None])
+            D += np.square(y - y[:, None])
+            np.fill_diagonal(D, math.inf)
+            self._matrix = D
+            self._sorted: list = [None] * n
+            self.table, self.d2 = _dense_table(D)
+        else:
+            self._matrix = None
+            self.table = _grid_table(pts)
+            self.d2 = np.square(x[self.table] - x[:, None]).reshape(-1)
+            self.d2 += np.square(y[self.table] - y[:, None]).reshape(-1)
+        self._K = self.table.shape[1]
+        self.rows = memoryview(self.table.reshape(-1))
+        self.row_d2 = memoryview(self.d2)
+
+    def closer(self, a: int, lim: float) -> Iterable[int]:
+        """The points c != a with d2(a, c) < lim, in (d2, index) order.
+
+        The dense path bisects a's whole row of the matrix, sorted the first
+        time it is asked for. The grid path yields a's listed neighbours
+        closer than lim; when lim exceeds the K-th of them, it ranks all
+        points for the rest, and only once the caller iterates that far.
+        """
+        if self._matrix is not None:
+            order, d2 = self._sorted[a] or self._sort_row(a)
+            return order[: bisect.bisect_left(d2, lim)]
+        return self._closer_grid(a, lim)
+
+    def _sort_row(self, a: int) -> tuple[list[int], list[float]]:
+        row = self._matrix[a]
+        order = np.argsort(row, kind="stable")[:-1]  # a itself, at inf, last
+        self._sorted[a] = order.tolist(), row[order].tolist()
+        return self._sorted[a]
+
+    def _closer_grid(self, a: int, lim: float) -> Iterator[int]:
+        K = self._K
+        k = a * K
+        end = bisect.bisect_left(self.row_d2, lim, k, k + K)
+        yield from self.rows[k:end]
+        if end == k + K:  # lim is beyond the K-th listed d2
+            ex, ey = self._x - self._x[a], self._y - self._y[a]
+            row = ex * ex + ey * ey
+            row[a] = math.inf
+            c = np.flatnonzero(row < lim)
+            yield from c[np.argsort(row[c], kind="stable")][K:].tolist()
+
+
+def _dense_table(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbour table and its flat squared distances from the
+    squared-distance matrix D, whose diagonal is inf (see _NeighbourIndex)."""
+    n = len(D)
+    K = min(NEIGHBOURS, n - 1)
+    if K < 1:
+        return np.empty((n, 0), dtype=np.int64), np.empty(0)
+    row = np.arange(n)[:, None]
+    top = np.argpartition(D, K, axis=1)[:, : K + 1]
+    d2 = D[row, top]
+    rank = np.lexsort((top, d2))
+    top, d2 = top[row, rank], d2[row, rank]
+    tied = d2[:, K - 1] == d2[:, K]
+    if tied.any():
+        top[tied] = np.argsort(D[tied], axis=1, kind="stable")[:, : K + 1]
+        d2[tied] = D[row[tied], top[tied]]
+    return np.ascontiguousarray(top[:, :K]), d2[:, :K].reshape(-1)
+
+
+def _grid_table(pts: np.ndarray) -> np.ndarray:
+    """The neighbour table through a grid (see _NeighbourIndex).
 
     The points are bucketed once into a grid of about _GRID_LOAD points per
     cell, and queried in blocks of at most _QUERY_BLOCK points. A point's
     candidates are the points in the square of cells within `ring` cells of
     its own. The point is done when its K-th candidate lies strictly closer
     than every edge of that square with cells beyond it; otherwise it is
-    queried again with the ring doubled. A squared distance is
-    (x_j - x_i)**2 + (y_j - y_i)**2, the value _neighbour_walk ranks.
+    queried again with the ring doubled.
     """
     n = len(pts)
     K = min(NEIGHBOURS, n - 1)
@@ -336,9 +438,10 @@ def _move_eps(pts: np.ndarray) -> float:
     return _IMPROVE_EPS * max(1.0, float(np.abs(pts).max()))
 
 
-def _local_search(pts: np.ndarray, tour: Sequence[int], nbrs: np.ndarray) -> list[int]:
+def _local_search(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex) -> list[int]:
     """First-improvement 2-opt and Or-opt from the cyclic `tour`, driven by a
-    FIFO queue of active points (don't-look bits); returns the tour from point 0.
+    FIFO queue of active points (don't-look bits), over `index`, the
+    _NeighbourIndex of pts; returns the tour from point 0.
 
     Processing point a tries, in order, and applies the first move whose
     delta is below -eps = -_move_eps(pts):
@@ -346,7 +449,9 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], nbrs: np.ndarray) -> lis
         for each c closer to a than b, in (squared distance, index) order,
         replace (a, b) and the edge (c, e) on the same side of c by (a, c)
         and (b, e). These c are a's listed neighbours, or, when (a, b) is
-        longer than a's K-th neighbour, every such point;
+        longer than a's K-th neighbour, every such point: index.closer,
+        whose grid path ranks the points beyond the listed ones only when
+        none of those gives a move;
       - Or-opt: a segment of 1-3 points with a at one end moves, forward or
         reversed, between a listed neighbour c of a and one of c's tour
         neighbours, with a next to c. c must be closer to a than the
@@ -371,16 +476,13 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], nbrs: np.ndarray) -> lis
         i = tour.index(0) if n else 0
         return tour[i:] + tour[:i]
     eps = _move_eps(pts)
-    K = nbrs.shape[1]
-    x, y = pts[:, 0], pts[:, 1]
-    xs, ys = x.tolist(), y.tolist()
+    K = index.table.shape[1]
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     # point a's neighbours and their squared and plain distances sit at
     # a * K .. a * K + K - 1; memoryviews index as fast as lists, without a
     # Python object per entry
-    rows = memoryview(nbrs.reshape(-1))
-    d2 = np.square(x[nbrs] - x[:, None]).reshape(-1)
-    d2 += np.square(y[nbrs] - y[:, None]).reshape(-1)
-    row_d2, row_d = memoryview(d2), memoryview(np.sqrt(d2))
+    rows, row_d2, row_d = index.rows, index.row_d2, memoryview(np.sqrt(index.d2))
+    closer = index.closer
     pos = [0] * n
     for i, v in enumerate(tour):
         pos[v] = i
@@ -415,14 +517,6 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], nbrs: np.ndarray) -> lis
         seq.reverse()
         put(i, seq)
 
-    def closer_all(a: int, lim: float) -> list[int]:
-        """The points c with d2(a, c) < lim, in (d2, index) order, over all
-        points: the case where lim exceeds a's K-th listed neighbour."""
-        ex, ey = x - xs[a], y - ys[a]
-        row = ex * ex + ey * ey
-        c = np.flatnonzero(row < lim)
-        return [v for v in c[np.argsort(row[c], kind="stable")].tolist() if v != a]
-
     def improve(a: int):
         """Apply the first improving move at a; return the endpoints of the
         changed edges, or None."""
@@ -439,7 +533,7 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], nbrs: np.ndarray) -> lis
         ex, ey = fx - ax, fy - ay
         lim = ex * ex + ey * ey
         for c in (rows[k : bisect_left(row_d2, lim, k, k + K)] if lim <= kth
-                  else closer_all(a, lim)):
+                  else closer(a, lim)):
             e = tour[pos[c] + 1 - n]
             if e == a:
                 continue
@@ -453,7 +547,7 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], nbrs: np.ndarray) -> lis
         ex, ey = bx - ax, by - ay
         lim = ex * ex + ey * ey
         for c in (rows[k : bisect_left(row_d2, lim, k, k + K)] if lim <= kth
-                  else closer_all(a, lim)):
+                  else closer(a, lim)):
             e = tour[pos[c] - 1]
             if e == a:
                 continue

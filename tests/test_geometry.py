@@ -158,6 +158,25 @@ class TestDiameter:
         assert diameter(line) == pytest.approx(5 * math.sqrt(5), abs=1e-12)
 
 
+class TestConvexHull:
+    def test_same_vertices_at_every_scale(self):
+        # orientation products of raw coordinates underflow: at 1e-200 and
+        # 2**-600 the hull kept 2 of its 8 vertices
+        xy = np.random.default_rng(7).random((30, 2))
+        hull = convex_hull(_points(xy))
+        index = {p: i for i, p in enumerate(_points(xy))}
+        assert len(hull) == 8
+        for scale in (1e-200, 2.0 ** -600, 2.0 ** 400):
+            pts = _points(xy * scale)
+            scaled = convex_hull(pts)
+            assert [pts.index(p) for p in scaled] == [index[p] for p in hull]
+            assert all(type(p) is Point for p in scaled)
+
+    def test_tiny_triangle_keeps_its_corners(self):
+        pts = [Point(1e-300, 0.0), Point(0.0, 1e-300), Point(0.0, 0.0), Point(2e-301, 3e-301)]
+        assert convex_hull(pts) == [Point(0.0, 0.0), Point(1e-300, 0.0), Point(0.0, 1e-300)]
+
+
 class TestInstanceValidation:
     def test_capacity_lower(self):
         with pytest.raises(ValueError):

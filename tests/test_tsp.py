@@ -17,6 +17,7 @@ from sweepcvrp.tsp import (
     _local_search,
     _move_eps,
     _neighbour_walk,
+    _NeighbourIndex,
     cycle_length,
     neighbours,
     tsp_dispatch,
@@ -184,8 +185,8 @@ class TestContract:
 
     def test_local_search_of_few_points_starts_at_zero(self):
         pts = np.random.default_rng(103).random((3, 2))
-        assert _local_search(pts, [2, 0, 1], neighbours(pts)) == [0, 1, 2]
-        assert _local_search(pts[:0], [], neighbours(pts[:0])) == []
+        assert _local_search(pts, [2, 0, 1], _NeighbourIndex(pts)) == [0, 1, 2]
+        assert _local_search(pts[:0], [], _NeighbourIndex(pts[:0])) == []
 
 
 class TestColocated:
@@ -196,8 +197,8 @@ class TestColocated:
         sites = np.random.default_rng(0).random((10, 2))
         pts = _as_points(np.repeat(sites, 500, axis=0))
         seen = []
-        real = tsp.neighbours
-        monkeypatch.setattr(tsp, "neighbours", lambda p: seen.append(len(p)) or real(p))
+        real = tsp._NeighbourIndex
+        monkeypatch.setattr(tsp, "_NeighbourIndex", lambda p: seen.append(len(p)) or real(p))
         res = tsp_heuristic(pts, seed=0)
         assert seen == [10]
         # the kernel before the neighbour-list search gave 3.3083 here
@@ -498,20 +499,41 @@ class _LoggingEps(float):
 
 
 def _runs_with_deltas(pts: np.ndarray, start: list[int], nbrs: np.ndarray):
-    """(tour, deltas) of _local_search_reference, then of _local_search, from
+    """(tour, deltas) of _local_search_reference over the table `nbrs`, then
+    of _local_search over the index of `pts`, whose table it is, from
     `start`; deltas are the bits of every move delta the search compared with
     the threshold, in order. Equal deltas pin every sum's order, although no
     decision sits within rounding of the threshold on these inputs."""
     value = _move_eps(pts)
+    index = _NeighbourIndex(pts)
+    assert np.array_equal(index.table, nbrs)
     runs = []
-    for kernel in (_local_search_reference, _local_search):
+    for kernel, arg in ((_local_search_reference, nbrs), (_local_search, index)):
         log: list[str] = []
         eps = _LoggingEps(value, log)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tsp, "_move_eps", lambda p: eps)  # read by _local_search
             mp.setitem(globals(), "_move_eps", lambda p: eps)  # by the reference
-            runs.append((kernel(pts, start, nbrs), log))
+            runs.append((kernel(pts, start, arg), log))
     return runs
+
+
+def _closer_all_reference(pts: np.ndarray, a: int, lim: float) -> list[int]:
+    """The all-points query of _local_search before the neighbour index,
+    kept verbatim as the reference for _NeighbourIndex.closer."""
+    x, y = pts[:, 0], pts[:, 1]
+    xs = x.tolist()
+    ys = y.tolist()
+
+    def closer_all(a: int, lim: float) -> list[int]:
+        """The points c with d2(a, c) < lim, in (d2, index) order, over all
+        points: the case where lim exceeds a's K-th listed neighbour."""
+        ex, ey = x - xs[a], y - ys[a]
+        row = ex * ex + ey * ey
+        c = np.flatnonzero(row < lim)
+        return [v for v in c[np.argsort(row[c], kind="stable")].tolist() if v != a]
+
+    return closer_all(a, lim)
 
 
 def _neighbours_brute_force(pts: np.ndarray) -> np.ndarray:
@@ -568,6 +590,11 @@ def _kernel_cases() -> dict[str, np.ndarray]:
     cases["vertical-line"] = np.column_stack([np.full(200, 0.3), rng.random(200)])
     cases["two-columns"] = np.column_stack([rng.choice([0.25, 0.75], 200),
                                             rng.random(200)])
+    # a 12 x 12 integer lattice at scale 1/16, where squared distances are
+    # exact, in shuffled index order: the 9th to 12th nearest of an inner
+    # point are equally far, so equal d2 straddle the K-th column
+    lattice = np.stack(np.meshgrid(np.arange(12), np.arange(12)), axis=-1) / 16
+    cases["lattice"] = np.random.default_rng(12).permutation(lattice.reshape(-1, 2))
     return cases
 
 
@@ -587,9 +614,61 @@ class TestTwoOptKernel:
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_neighbours_independent_of_block(self, name, block, monkeypatch):
         # a point's row does not depend on which points share its query
+        monkeypatch.setattr(tsp, "_DENSE_MAX", 0)  # the grid path
         monkeypatch.setattr(tsp, "_QUERY_BLOCK", block)
         pts = KERNEL_CASES[name]
         assert np.array_equal(neighbours(pts), _neighbours_brute_force(pts))
+
+    @pytest.mark.parametrize("dense_max", [0, 10**6])  # the grid, the dense path
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_index_table_on_both_paths(self, name, dense_max, monkeypatch):
+        monkeypatch.setattr(tsp, "_DENSE_MAX", dense_max)
+        pts = KERNEL_CASES[name]
+        index = _NeighbourIndex(pts)
+        nbrs = _neighbours_brute_force(pts)
+        assert np.array_equal(index.table, nbrs)
+        # the squared distances that _local_search computed from the table
+        x, y = pts[:, 0], pts[:, 1]
+        d2 = np.square(x[nbrs] - x[:, None]).reshape(-1)
+        d2 += np.square(y[nbrs] - y[:, None]).reshape(-1)
+        assert index.d2.tobytes() == d2.tobytes()
+
+    @pytest.mark.parametrize("dense_max", [0, 10**6])
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_closer_matches_reference(self, name, dense_max, monkeypatch):
+        # at lims between a point's nearest and farthest d2, and at each
+        # listed d2, where `<` must leave the equal entries out
+        monkeypatch.setattr(tsp, "_DENSE_MAX", dense_max)
+        pts = KERNEL_CASES[name]
+        n = len(pts)
+        index = _NeighbourIndex(pts)
+        K = index.table.shape[1]
+        rng = np.random.default_rng(n)
+        for a in range(n) if n <= 64 else rng.choice(n, 40, replace=False):
+            a = int(a)
+            d2 = np.square(pts[:, 0] - pts[a, 0]) + np.square(pts[:, 1] - pts[a, 1])
+            d2 = np.sort(np.delete(d2, a))
+            lims = [*rng.uniform(d2[0], d2[-1], 6), *index.d2[a * K : a * K + K],
+                    np.nextafter(d2[-1], math.inf)]
+            for lim in map(float, lims):
+                assert list(index.closer(a, lim)) == _closer_all_reference(pts, a, lim)
+
+    def test_lattice_ties_straddle_kth(self):
+        pts = KERNEL_CASES["lattice"]
+        K = NEIGHBOURS
+        d2 = np.square(pts[:, None, 0] - pts[:, 0]) + np.square(pts[:, None, 1] - pts[:, 1])
+        d2 = np.sort(d2, axis=1)[:, 1:]  # each point's own 0 first
+        assert (d2[:, K - 1] == d2[:, K]).any()
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_same_tour_on_both_paths(self, name, monkeypatch):
+        pts = KERNEL_CASES[name]
+        start = np.random.default_rng(len(pts)).permutation(len(pts)).tolist()
+        tours = []
+        for dense_max in (0, 10**6):
+            monkeypatch.setattr(tsp, "_DENSE_MAX", dense_max)
+            tours.append(_local_search(pts, start, _NeighbourIndex(pts)))
+        assert tours[0] == tours[1]
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_same_moves_as_reference(self, name):
@@ -645,7 +724,7 @@ class TestTwoOptKernel:
         scale = max(1.0, float(np.abs(pts).max()))
         for start in sorted({0, 1, n // 2, n - 1}):
             walk = _neighbour_walk(pts, nbrs, start)
-            tour = _local_search(pts, walk, nbrs)
+            tour = _local_search(pts, walk, _NeighbourIndex(pts))
             assert sorted(tour) == list(range(n))
             assert _best_2opt_delta(pts, tour) >= -1e-9 * scale
             assert _length(pts, tour) <= _length(pts, walk)
@@ -667,7 +746,7 @@ class TestTwoOptKernel:
             nbrs = neighbours(pts)
             local_optimum = _two_opt_reference(pts, _nearest_neighbor_reference(pts, 0))
             for start in (rng.permutation(n).tolist(), local_optimum.tolist()):
-                tour = _local_search(pts, start, nbrs)
+                tour = _local_search(pts, start, _NeighbourIndex(pts))
                 assert sorted(tour) == list(range(n)) and tour[0] == 0
                 assert _best_2opt_delta(pts, tour) >= -1e-9
                 assert _length(pts, tour) <= _length(pts, start)
@@ -676,7 +755,7 @@ class TestTwoOptKernel:
     def test_rejects_non_permutation(self, start):
         pts = np.random.default_rng(97).random((5, 2))
         with pytest.raises(ValueError, match="not a permutation"):
-            _local_search(pts, start, neighbours(pts))
+            _local_search(pts, start, _NeighbourIndex(pts))
 
 
 def _tsp_exact_reference(points):
