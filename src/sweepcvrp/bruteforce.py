@@ -35,28 +35,18 @@ def tsp_brute_force(points: Sequence[Point]) -> float:
     return best
 
 
-def iter_partitions(items: Sequence[int], max_block: int):
-    """All set partitions of `items` into blocks of size <= max_block.
-    The first remaining item anchors each block, so every partition appears
-    exactly once."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for size in range(0, min(max_block - 1, len(rest)) + 1):
-        for combo in itertools.combinations(rest, size):
-            chosen = set(combo)
-            block = (first, *combo)
-            remaining = [x for x in rest if x not in chosen]
-            for sub in iter_partitions(remaining, max_block):
-                yield [block, *sub]
-
-
 def cvrp_brute_force(U: Sequence[Point], depot: Point, k: int) -> float:
     """Optimal CVRP value by enumerating every partition into blocks of at
     most k terminals, each served by a brute-force TSP tour through the
-    depot."""
+    depot.
+
+    The first remaining terminal anchors each block, so every partition is
+    built exactly once; larger blocks come first, so a low total is found
+    early. A partial partition whose block costs already sum
+    (math.fsum) to at least the best total found is dropped: costs are >= 0
+    and a correctly rounded sum never falls when terms are added, so no
+    completion of it could be cheaper, and the value is that of the full
+    enumeration."""
     n = len(U)
     if n > _MAX_BRUTE_CVRP:
         raise ValueError(f"{n} points is too many for brute-force CVRP")
@@ -75,10 +65,25 @@ def cvrp_brute_force(U: Sequence[Point], depot: Point, k: int) -> float:
         return cached
 
     best = math.inf
-    for partition in iter_partitions(range(n), k):
-        total = math.fsum(cost_of(block) for block in partition)
-        if total < best:
+    costs: list[float] = []
+
+    def extend(items: list[int]) -> None:
+        nonlocal best
+        total = math.fsum(costs)
+        if total >= best:
+            return
+        if not items:
             best = total
+            return
+        first, rest = items[0], items[1:]
+        for size in range(min(k - 1, len(rest)), -1, -1):
+            for combo in itertools.combinations(rest, size):
+                chosen = set(combo)
+                costs.append(cost_of((first, *combo)))
+                extend([x for x in rest if x not in chosen])
+                costs.pop()
+
+    extend(list(range(n)))
     return best
 
 

@@ -30,6 +30,17 @@ propagates through every later operation; v_A1's isfinite test sends such
 lanes to its crude fallback, and the net verifier counts any non-finite
 margin as a failure, so a NaN can never read as a pass.
 
+The helpers allocate little: on a batch (float64 arrays of one shape, see
+_batch) a step writes into an array that it, or the v_* function that called
+it, has just made, and never into an argument; v_point hands one array to
+both ends, and the net scan passes exactly that. The outward step computes
+|z| 2^-52, the max with 2^-1074 and the final -/+ in the array np.abs
+allocated, _hull4 reduces v_mul's and v_div's four endpoint results into two
+of them, and v_sqr, v_sqrt, v_log, v_arccos and v_arcsin reuse their own
+temporaries. Python floats, 0-d values and operands that broadcast take the
+plain expressions. The operations and their order are the same either way,
+so every result keeps its bits and the argument above is unchanged.
+
 The working representation is a pair (lo, hi) of binary64 scalars or numpy
 arrays; the `v_*` functions, which operate elementwise on such pairs, do all
 of the arithmetic, so the same code evaluates one depot position or the net
@@ -88,28 +99,71 @@ PI_HI = math.nextafter(math.pi, math.inf)
 
 _ULP_SCALE = 2.0 ** -52  # |x| * 2^-52 >= ulp(x) for every normal x
 _ETA = 2.0 ** -1074      # smallest subnormal: the ulp of zero and subnormals
+_F64 = np.dtype(np.float64)
 
 
-def _offset(x, ulps):
-    # max(|x| * ulps 2^-52, ulps 2^-1074); ulps is a power of two, so both
-    # constants are exact
-    return np.maximum(np.abs(x) * (ulps * _ULP_SCALE), ulps * _ETA)
+def _batch(*xs) -> bool:
+    """Whether the helpers may compute in buffers of their own: every x is a
+    float64 numpy array with at least one dimension, all of one shape.
+    Python floats, 0-d values and operands that broadcast against each other
+    take the plain expressions."""
+    x0 = xs[0]
+    if type(x0) is not np.ndarray or x0.dtype is not _F64 or not x0.ndim:
+        return False
+    return all(type(x) is np.ndarray and x.dtype is _F64 and x.shape == x0.shape
+               for x in xs[1:])
 
 
-def _dn1(x):
-    return x - _offset(x, 1.0)
+def _offset(x, ulps, out=None):
+    """max(|x| ulps 2^-52, ulps 2^-1074); ulps is a power of two, so both
+    constants are exact. On a batch the three steps run in `out` (a float64
+    array of x's shape that is not x) or in the array np.abs allocates."""
+    if out is None and not _batch(x):
+        return np.maximum(np.abs(x) * (ulps * _ULP_SCALE), ulps * _ETA)
+    out = np.abs(x, out=out)
+    np.multiply(out, ulps * _ULP_SCALE, out=out)
+    return np.maximum(out, ulps * _ETA, out=out)
 
 
-def _up1(x):
-    return x + _offset(x, 1.0)
+def _dn(x, ulps, out=None):
+    # an array offset is this call's own (or the caller's `out`), so the
+    # result may go into it
+    off = _offset(x, ulps, out)
+    return np.subtract(x, off, out=off) if type(off) is np.ndarray else x - off
 
 
-def _dn4(x):
-    return x - _offset(x, 4.0)
+def _up(x, ulps, out=None):
+    off = _offset(x, ulps, out)
+    return np.add(x, off, out=off) if type(off) is np.ndarray else x + off
 
 
-def _up4(x):
-    return x + _offset(x, 4.0)
+def _dn1(x, out=None):
+    return _dn(x, 1.0, out)
+
+
+def _up1(x, out=None):
+    return _up(x, 1.0, out)
+
+
+def _dn4(x, out=None):
+    return _dn(x, 4.0, out)
+
+
+def _up4(x, out=None):
+    return _up(x, 4.0, out)
+
+
+def _outward(lo, hi, ulps):
+    """(_dn(lo, ulps), _up(hi, ulps)) for a lo and hi that the caller has
+    just made; on a batch, _up works in lo's array once _dn has read it."""
+    down = _dn(lo, ulps)
+    return down, _up(hi, ulps, lo if _batch(lo, hi) else None)
+
+
+def _mine(x):
+    """The `out` for an elementwise step on x, an array the caller has just
+    made: x itself on a batch, else None (the step allocates)."""
+    return x if _batch(x) else None
 
 
 # --- elementwise interval kernel ---------------------------------------------
@@ -123,11 +177,11 @@ def v_point(x):
 
 
 def v_add(a, b):
-    return _dn1(a[0] + b[0]), _up1(a[1] + b[1])
+    return _outward(a[0] + b[0], a[1] + b[1], 1.0)
 
 
 def v_sub(a, b):
-    return _dn1(a[0] - b[1]), _up1(a[1] - b[0])
+    return _outward(a[0] - b[1], a[1] - b[0], 1.0)
 
 
 def v_neg(a):
@@ -137,10 +191,17 @@ def v_neg(a):
 def _hull4(p1, p2, p3, p4):
     """Enclosure of a product or quotient from its four endpoint results
     (each rounded to nearest): their min and max, moved outward by
-    _dn1/_up1."""
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return _dn1(lo), _up1(hi)
+    _dn1/_up1. The results are v_mul's or v_div's own arrays; on a batch the
+    min and max are reduced into them, with one array more."""
+    if not _batch(p1, p2, p3, p4):
+        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+        return _dn1(lo), _up1(hi)
+    lo = np.minimum(p1, p2)
+    hi = np.maximum(p1, p2, out=p1)
+    np.minimum(lo, np.minimum(p3, p4, out=p2), out=lo)
+    np.maximum(hi, np.maximum(p3, p4, out=p3), out=hi)
+    return _dn1(lo, out=p2), _up1(hi, out=p3)
 
 
 def v_mul(a, b):
@@ -155,40 +216,52 @@ def v_div(a, b):
 def v_sqr(a):
     """Elementwise square; tighter than v_mul(a, a) for sign-straddling
     inputs since x*x never goes negative."""
-    alo_abs = np.abs(a[0])
-    ahi_abs = np.abs(a[1])
-    m = np.minimum(alo_abs, ahi_abs)
-    M = np.maximum(alo_abs, ahi_abs)
     straddles = (a[0] < 0.0) & (a[1] > 0.0)
-    lo = np.where(straddles, 0.0, np.maximum(0.0, _dn1(m * m)))
-    return lo, _up1(M * M)
+    if not _batch(*a):
+        alo_abs = np.abs(a[0])
+        ahi_abs = np.abs(a[1])
+        m = np.minimum(alo_abs, ahi_abs)
+        M = np.maximum(alo_abs, ahi_abs)
+        lo = np.where(straddles, 0.0, np.maximum(0.0, _dn1(m * m)))
+        return lo, _up1(M * M)
+    t = np.abs(a[0])
+    M = np.abs(a[1])
+    m = np.minimum(t, M)
+    np.maximum(t, M, out=M)
+    lo = np.maximum(0.0, _dn1(np.multiply(m, m, out=m), out=t), out=t)
+    np.copyto(lo, 0.0, where=straddles)
+    return lo, _up1(np.multiply(M, M, out=M), out=m)
 
 
 def v_sqrt(a):
     """Elementwise sqrt; the radicand's lower end is clamped at 0."""
     lo_in = np.maximum(a[0], 0.0)
     hi_in = np.maximum(a[1], 0.0)
-    return np.maximum(0.0, _dn4(np.sqrt(lo_in))), _up4(np.sqrt(hi_in))
+    lo, hi = _outward(np.sqrt(lo_in, out=_mine(lo_in)),
+                      np.sqrt(hi_in, out=_mine(hi_in)), 4.0)
+    return np.maximum(0.0, lo, out=_mine(lo)), hi
 
 
 def v_log(a):
     # increasing; domain a[0] > 0 is the caller's responsibility in the
     # masked kernels (lanes violating it are discarded via fallbacks)
-    return _dn4(np.log(a[0])), _up4(np.log(a[1]))
+    return _outward(np.log(a[0]), np.log(a[1]), 4.0)
 
 
 def v_arccos(a):
     # decreasing; inputs clamped to [-1, 1]
     lo_in = np.clip(a[0], -1.0, 1.0)
     hi_in = np.clip(a[1], -1.0, 1.0)
-    return _dn4(np.arccos(hi_in)), _up4(np.arccos(lo_in))
+    return _outward(np.arccos(hi_in, out=_mine(hi_in)),
+                    np.arccos(lo_in, out=_mine(lo_in)), 4.0)
 
 
 def v_arcsin(a):
     # increasing; inputs clamped to [-1, 1]
     lo_in = np.clip(a[0], -1.0, 1.0)
     hi_in = np.clip(a[1], -1.0, 1.0)
-    return _dn4(np.arcsin(lo_in)), _up4(np.arcsin(hi_in))
+    return _outward(np.arcsin(lo_in, out=_mine(lo_in)),
+                    np.arcsin(hi_in, out=_mine(hi_in)), 4.0)
 
 
 def v_ratio(p: int, q: int) -> tuple[float, float]:

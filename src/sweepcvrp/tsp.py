@@ -41,9 +41,10 @@ A FIFO queue of points whose edges changed (don't-look bits) drives the
 search. When it runs dry after a move, a confirming pass queues every point
 again, and the search ends only when such a pass moves nothing, so the tour
 is a 2-opt local optimum over all pairs of edges. A move must shorten the
-tour by more than _move_eps(pts), _IMPROVE_EPS scaled by the largest
-|coordinate|, so the search never returns a longer tour than it started
-from. Everything is deterministic in the start point.
+tour by more than _move_eps(pts), _IMPROVE_EPS scaled by the power of two
+of the largest |coordinate|, so the search never returns a longer tour than
+it started from, and points scaled by a power of two get the same moves.
+Everything is deterministic in the start point.
 
 tsp_heuristic runs all three steps on its distinct locations scaled by the
 power of two that puts the largest |coordinate| in [0.5, 1)
@@ -84,8 +85,9 @@ _QUERY_BLOCK = 192
 _DENSE_MAX = 128
 
 # strict-improvement threshold of a local-search move at unit coordinate
-# scale; prevents cycling on FP noise. _move_eps scales it by the largest
-# |coordinate|, since an edge length's rounding error grows with it.
+# scale; prevents cycling on FP noise. _move_eps scales it by the power of
+# two of the largest |coordinate|, since an edge length's rounding error
+# grows with it.
 _IMPROVE_EPS = 1e-12
 
 
@@ -434,8 +436,12 @@ def _neighbour_walk(pts: np.ndarray, nbrs: np.ndarray, start: int) -> list[int]:
 
 
 def _move_eps(pts: np.ndarray) -> float:
-    """The amount by which a local-search move must shorten the tour."""
-    return _IMPROVE_EPS * max(1.0, float(np.abs(pts).max()))
+    """The amount by which a local-search move must shorten the tour:
+    _IMPROVE_EPS times 2**e, for the e that geometry.unit_scale takes from
+    the largest |coordinate|. Scaling the points by a power of two scales
+    every delta and the threshold alike, and on unit-scaled points (e = 0)
+    it is _IMPROVE_EPS itself."""
+    return math.ldexp(_IMPROVE_EPS, math.frexp(float(np.abs(pts).max()))[1])
 
 
 def _local_search(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex) -> list[int]:

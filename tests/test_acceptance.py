@@ -5,6 +5,7 @@ Environment switches for the full-scale variants (defaults are CI-sized):
   RUN_FULL_OBS=1   criterion 8 at n=5000, 20 seeds
 """
 
+import itertools
 import math
 import os
 import time
@@ -98,26 +99,33 @@ def test_criterion_3_monte_carlo_oracle():
     )
 
 
-def test_criterion_4_sandwich():
-    start = time.perf_counter()
+def _sandwich_cases():
+    """Criterion 4's 200 instances, each with its four random radii and its
+    M, drawn in the order the test has always drawn them."""
     rng = np.random.default_rng(987)
-    instances = 200
-    for trial in range(instances):
+    for _ in range(200):
         n = int(rng.integers(1, 11))
         k = int(rng.integers(1, min(3, n) + 1))
         depot = Point(float(rng.uniform(-0.5, 1.5)), float(rng.uniform(-0.5, 1.5)))
         inst = Instance(terminals=tuple(random_points(rng, n)), depot=depot,
                         capacity=k)
+        radii = [float(r) for r in rng.uniform(0.0, 3.0, size=4)]
+        yield inst, radii, int(rng.integers(1, 4))
+
+
+def test_criterion_4_sandwich():
+    start = time.perf_counter()
+    instances = 0
+    for trial, (inst, random_radii, M) in enumerate(_sandwich_cases()):
+        instances += 1
+        depot = inst.depot
         opt = brute_force_opt(inst)
-        radii = [0.0, choose_R(depot), math.inf] + [
-            float(r) for r in rng.uniform(0.0, 3.0, size=4)
-        ]
+        radii = [0.0, choose_R(depot), math.inf] + random_radii
         assert len(radii) == 7
         for R in radii:
             value, valid = lower_bound(inst, R)
             assert valid
             assert value <= opt + 1e-9, (trial, R, value, opt)
-        M = int(rng.integers(1, 4))
         sweep_cost = sweep_solve(inst, M).total_cost
         ub, certified = upper_bound_formula(inst, M)
         assert certified
@@ -126,12 +134,65 @@ def test_criterion_4_sandwich():
         ub1, certified1 = upper_bound_formula(inst, 1)
         assert certified1
         assert itp_cost <= ub1 + 1e-9, trial
+    assert instances == 200
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     print(
         f"\nACCEPTANCE 4 (sandwich, {instances} instances x 7 radii): PASS — "
         f"lower <= opt <= sweep <= upper and itp <= upper; {elapsed:.1f}s"
     )
+
+
+# The partition oracle before it dropped partial partitions, kept verbatim as
+# the reference: the pruned search must return the same value.
+def _iter_partitions_reference(items, max_block: int):
+    """All set partitions of `items` into blocks of size <= max_block.
+    The first remaining item anchors each block, so every partition appears
+    exactly once."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for size in range(0, min(max_block - 1, len(rest)) + 1):
+        for combo in itertools.combinations(rest, size):
+            chosen = set(combo)
+            block = (first, *combo)
+            remaining = [x for x in rest if x not in chosen]
+            for sub in _iter_partitions_reference(remaining, max_block):
+                yield [block, *sub]
+
+
+def _cvrp_brute_force_reference(U, depot: Point, k: int) -> float:
+    """Optimal CVRP value by enumerating every partition into blocks of at
+    most k terminals, each served by a brute-force TSP tour through the
+    depot."""
+    n = len(U)
+    if n == 0:
+        return 0.0
+    block_cost: dict[frozenset[int], float] = {}
+
+    def cost_of(block: tuple[int, ...]) -> float:
+        key = frozenset(block)
+        cached = block_cost.get(key)
+        if cached is None:
+            cached = tsp_brute_force([depot, *(U[i] for i in block)])
+            block_cost[key] = cached
+        return cached
+
+    best = math.inf
+    for partition in _iter_partitions_reference(range(n), k):
+        total = math.fsum(cost_of(block) for block in partition)
+        if total < best:
+            best = total
+    return best
+
+
+def test_criterion_4_pruned_oracle_equals_full_enumeration():
+    for trial, (inst, _, _) in enumerate(_sandwich_cases()):
+        U = list(inst.terminals)
+        assert (cvrp_brute_force(U, inst.depot, inst.capacity)
+                == _cvrp_brute_force_reference(U, inst.depot, inst.capacity)), trial
 
 
 def test_criterion_5_lipschitz():

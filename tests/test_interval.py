@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 
 from sweepcvrp import closedform
 from sweepcvrp.interval import (
+    _ETA,
+    _ULP_SCALE,
     V_HALF_PI,
     V_PI,
     Interval,
@@ -21,6 +24,7 @@ from sweepcvrp.interval import (
     _corner,
     _dn1,
     _dn4,
+    _hull4,
     _up1,
     _up4,
     iv_g,
@@ -36,6 +40,7 @@ from sweepcvrp.interval import (
     v_log,
     v_mul,
     v_neg,
+    v_point,
     v_ratio,
     v_sqr,
     v_sqrt,
@@ -395,6 +400,244 @@ class TestOutwardRounding:
                 assert not math.isfinite(dn(x)) and not math.isfinite(up(x))
             assert math.isnan(dn(math.inf)) and math.isnan(up(-math.inf))
             assert dn(-math.inf) == -math.inf and up(math.inf) == math.inf
+
+
+# --- the helpers before they computed in buffers of their own -------------------
+# Kept verbatim as the reference: the helpers, and every v_* built on them,
+# must give the same bits on batches, on scalars and on mixed shapes.
+
+def _offset_reference(x, ulps):
+    # max(|x| * ulps 2^-52, ulps 2^-1074); ulps is a power of two, so both
+    # constants are exact
+    return np.maximum(np.abs(x) * (ulps * _ULP_SCALE), ulps * _ETA)
+
+
+def _dn1_reference(x):
+    return x - _offset_reference(x, 1.0)
+
+
+def _up1_reference(x):
+    return x + _offset_reference(x, 1.0)
+
+
+def _dn4_reference(x):
+    return x - _offset_reference(x, 4.0)
+
+
+def _up4_reference(x):
+    return x + _offset_reference(x, 4.0)
+
+
+def _v_add_reference(a, b):
+    return _dn1_reference(a[0] + b[0]), _up1_reference(a[1] + b[1])
+
+
+def _v_sub_reference(a, b):
+    return _dn1_reference(a[0] - b[1]), _up1_reference(a[1] - b[0])
+
+
+def _hull4_reference(p1, p2, p3, p4):
+    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    return _dn1_reference(lo), _up1_reference(hi)
+
+
+def _v_mul_reference(a, b):
+    return _hull4_reference(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+
+
+def _v_div_reference(a, b):
+    return _hull4_reference(a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+
+
+def _v_sqr_reference(a):
+    alo_abs = np.abs(a[0])
+    ahi_abs = np.abs(a[1])
+    m = np.minimum(alo_abs, ahi_abs)
+    M = np.maximum(alo_abs, ahi_abs)
+    straddles = (a[0] < 0.0) & (a[1] > 0.0)
+    lo = np.where(straddles, 0.0, np.maximum(0.0, _dn1_reference(m * m)))
+    return lo, _up1_reference(M * M)
+
+
+def _v_sqrt_reference(a):
+    lo_in = np.maximum(a[0], 0.0)
+    hi_in = np.maximum(a[1], 0.0)
+    return (np.maximum(0.0, _dn4_reference(np.sqrt(lo_in))),
+            _up4_reference(np.sqrt(hi_in)))
+
+
+def _v_log_reference(a):
+    return _dn4_reference(np.log(a[0])), _up4_reference(np.log(a[1]))
+
+
+def _v_arccos_reference(a):
+    lo_in = np.clip(a[0], -1.0, 1.0)
+    hi_in = np.clip(a[1], -1.0, 1.0)
+    return _dn4_reference(np.arccos(hi_in)), _up4_reference(np.arccos(lo_in))
+
+
+def _v_arcsin_reference(a):
+    lo_in = np.clip(a[0], -1.0, 1.0)
+    hi_in = np.clip(a[1], -1.0, 1.0)
+    return _dn4_reference(np.arcsin(lo_in)), _up4_reference(np.arcsin(hi_in))
+
+
+HELPERS = [(_dn1, _dn1_reference), (_up1, _up1_reference),
+           (_dn4, _dn4_reference), (_up4, _up4_reference)]
+UNARY = [(v_sqr, _v_sqr_reference), (v_sqrt, _v_sqrt_reference),
+         (v_log, _v_log_reference), (v_arccos, _v_arccos_reference),
+         (v_arcsin, _v_arcsin_reference)]
+BINARY = [(v_add, _v_add_reference), (v_sub, _v_sub_reference),
+          (v_mul, _v_mul_reference), (v_div, _v_div_reference)]
+
+
+def _bits(value):
+    """Type, shape and binary64 bits of a result: NaN payloads, signed
+    zeros and the scalar-or-array kind all count."""
+    return (type(value), np.shape(value),
+            np.asarray(value, dtype=np.float64).view(np.uint64).tolist())
+
+
+def _assert_bits(got, ref):
+    assert [_bits(v) for v in got] == [_bits(v) for v in ref]
+
+
+def _outcome(f, *args):
+    """The bits of f(*args), or the error it raised (Python floats raise
+    ZeroDivisionError where numpy divides by zero)."""
+    try:
+        return [_bits(v) for v in f(*args)]
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+def _ends(result):
+    """The arrays and scalars of a nested tuple of intervals."""
+    if isinstance(result, (tuple, list)):
+        for part in result:
+            yield from _ends(part)
+    else:
+        yield result
+
+
+SPECIAL_CASES = np.array(ROUNDING_CASES + [math.inf, -math.inf, math.nan])
+
+
+def _case_intervals(seed):
+    """Pairs of special and random values, in both orders, NaN included:
+    the helpers are elementwise, so every pairing must keep its bits."""
+    rng = np.random.default_rng(seed)
+    return tuple((rng.permutation(SPECIAL_CASES), rng.permutation(SPECIAL_CASES))
+                 for _ in range(2))
+
+
+class TestInPlaceHelpers:
+    """The helpers compute in buffers of their own and never write into an
+    argument; bit for bit they equal the out-of-place reference above."""
+
+    @np.errstate(all="ignore")
+    def test_helpers_bit_identical(self):
+        xs = SPECIAL_CASES
+        for fast, ref in HELPERS:
+            _assert_bits([fast(xs)], [ref(xs)])
+            out = np.empty_like(xs)
+            assert fast(xs, out=out) is out
+            _assert_bits([out], [ref(xs)])
+            for x in xs.tolist():
+                for scalar in (x, np.float64(x), np.array(x)):
+                    _assert_bits([fast(scalar)], [ref(scalar)])
+
+    @np.errstate(all="ignore")
+    def test_hull_bit_identical(self):
+        rng = np.random.default_rng(269)
+        ps = [rng.permutation(SPECIAL_CASES) for _ in range(4)]
+        ref = _hull4_reference(*ps)
+        _assert_bits(_hull4(*(p.copy() for p in ps)), ref)
+        _assert_bits(_hull4(*(p[:, None].copy() for p in ps)),
+                     [r[:, None] for r in ref])
+
+    @np.errstate(all="ignore")
+    def test_kernel_bit_identical_on_special_values(self):
+        a, b = _case_intervals(271)
+        for fast, ref in UNARY:
+            _assert_bits(fast(a), ref(a))
+        for fast, ref in BINARY:
+            _assert_bits(fast(a, b), ref(a, b))
+
+    @np.errstate(all="ignore")
+    def test_kernel_bit_identical_on_scalars(self):
+        a, b = _case_intervals(277)
+        lanes = np.random.default_rng(281).choice(SPECIAL_CASES.size, 150, replace=False)
+        for k in lanes.tolist():
+            for kind in (float, np.float64, np.array):
+                a_k = tuple(kind(x[k]) for x in a)
+                b_k = tuple(kind(x[k]) for x in b)
+                for fast, ref in UNARY:
+                    _assert_bits(fast(a_k), ref(a_k))
+                for fast, ref in BINARY:
+                    assert _outcome(fast, a_k, b_k) == _outcome(ref, a_k, b_k)
+
+    @np.errstate(all="ignore")
+    def test_kernel_bit_identical_on_mixed_shapes(self):
+        rng = np.random.default_rng(283)
+        lo = rng.uniform(-2.0, 2.0, 500)
+        arr = (lo, lo + rng.uniform(0.0, 1.0, 500))
+        col = (arr[0][:20, None], arr[1][:20, None])
+        row = (arr[0][None, :30], arr[1][None, :30])
+        # an array times Python-float constants, as in v_mul(cube, _V_SIXTH);
+        # numpy scalars; a 0-d end beside an array end; broadcasting shapes
+        others = [_V_SIXTH, _V_ONE, V_PI, (np.float64(0.5), np.float64(0.75)),
+                  (np.float64(-0.5), arr[1])]
+        pairs = [(arr, o) for o in others] + [(o, arr) for o in others]
+        for x, y in pairs + [(col, row), (row, col)]:
+            for fast, ref in BINARY:
+                _assert_bits(fast(x, y), ref(x, y))
+        for a in ((np.float64(-0.25), arr[1]), (arr[0], np.float64(0.5)), col, _V_HALF):
+            for fast, ref in UNARY:
+                _assert_bits(fast(a), ref(a))
+
+    @np.errstate(all="ignore")
+    def test_no_input_is_written(self):
+        rng = np.random.default_rng(293)
+        n = 3000
+        x = rng.uniform(-2.0, 3.0, n)
+        a = _boxes(rng, rng.uniform(-1.5, 2.5, n), n, 0.5)
+        b = _boxes(rng, rng.uniform(0.2, 2.5, n), n, 0.5)
+        pairs = [v_point(x), a, b]
+        before = [[end.copy() for end in iv] for iv in pairs]
+        calls = [(f, (iv,)) for f, _ in UNARY for iv in pairs]
+        calls += [(f, (p, q)) for f, _ in BINARY for p in pairs for q in pairs]
+        calls += [(v_neg, (a,)), (v_hyp, (a, b)), (v_A1, (a, b, v_hyp(a, b))),
+                  (v_A1, (v_point(x), b, None)), (v_D_pair, (a, b, b)),
+                  (v_g1, (a, b)), (v_g_all, (v_point(x), b))]
+        for f, args in calls:
+            result = f(*args)
+            for iv, saved in zip(pairs, before):
+                for end, copy in zip(iv, saved):
+                    np.testing.assert_array_equal(end.view(np.uint64), copy.view(np.uint64))
+            for out_end in _ends(result):
+                for end in _ends(pairs):
+                    assert not np.shares_memory(out_end, end), f.__name__
+
+    @pytest.mark.parametrize("f, args, arrays", [
+        (v_mul, 2, 5), (v_div, 2, 5), (v_add, 2, 3), (v_sub, 2, 3), (v_sqr, 1, 3),
+        (v_sqrt, 1, 3), (v_log, 1, 3), (v_arccos, 1, 3), (v_arcsin, 1, 3)])
+    def test_allocations_per_call(self, f, args, arrays):
+        # the out-of-place helpers held 9 arrays at once in v_mul and v_div,
+        # 8 in v_sqr and 4 to 6 in the others
+        rng = np.random.default_rng(307)
+        n = 100_000
+        iv = (rng.uniform(0.1, 0.5, n), rng.uniform(0.5, 0.9, n))
+        tracemalloc.start()
+        try:
+            result = f(*(iv,) * args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del result
+        # v_sqr's three boolean masks add 3/8 of an array
+        assert peak <= (arrays + 0.5) * iv[0].nbytes
 
 
 # --- the triangle kernels before they shared a hypotenuse ------------------------

@@ -579,7 +579,7 @@ def _kernel_cases() -> dict[str, np.ndarray]:
     cases["all-equal"] = np.full((9, 2), 0.375)
     # Collinear at coordinate scale 1e4: every 2-opt delta that is zero in
     # exact arithmetic carries rounding noise (about 1e-12), which the move
-    # threshold, scaled by _move_eps to about 1e-8, must absorb.
+    # threshold, scaled by _move_eps to 2^14 * 1e-12 (about 1.6e-8), must absorb.
     far = np.random.default_rng(1)
     u = far.normal(size=2)
     u /= np.hypot(*u)
@@ -857,6 +857,21 @@ class TestTwoOptScale:
             for e in (-560, -200, 30, 400):
                 assert tsp_heuristic(_as_points(np.ldexp(pts, e)), seed=0).order == base
         assert seen == [_IMPROVE_EPS] * 10
+
+    def test_direct_search_follows_a_power_of_two(self):
+        # _local_search on raw sites at 2^-200 takes the moves it takes at
+        # unit scale; a threshold floored at 1e-12 there took none and
+        # returned the start walk
+        pts = np.random.default_rng(83).random((300, 2))
+        tours = []
+        for e in (0, -200):
+            sites = np.ldexp(pts, e)
+            index = _NeighbourIndex(sites)
+            walk = _neighbour_walk(sites, index.table, 0)
+            tours.append((walk, _local_search(sites, walk, index)))
+        assert tours[1] == tours[0]
+        assert tours[0][1] != tours[0][0]
+        assert _move_eps(np.ldexp(pts, -200)) == math.ldexp(_IMPROVE_EPS, -200)
 
     def test_tiny_coordinates_are_fast(self):
         # at 1e-170 the squared distances underflowed to 0, and the
