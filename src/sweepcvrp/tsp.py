@@ -9,10 +9,14 @@ TSP_MODES, `auto` runs the exact solver on up to EXACT_THRESHOLD points and
 `held_karp` is the one Held-Karp DP of the package: tsp_exact runs it over
 points[1:] rooted at points[0], and the exact group solver in group_cvrp runs
 it over a sweep group rooted at the depot and reads off every subset's tour.
-It fills all subsets of equal popcount in one numpy step, over the read-only
-`subset_layers(n)` tables, which are built once per n and shared by both
-callers. Ties go to the smallest index: the smallest predecessor among equal
-path costs and the smallest last terminal among equal tour costs.
+It fills the subsets of one popcount at a time, in n numpy steps (one per
+predecessor j) over the read-only per-size tables `held_karp_layers(n)`,
+which are built once per n from `subset_layers(n)`, hold masks in int16
+(`mask_dtype`), and are shared by both callers. It keeps no predecessor
+table: held_karp_path recovers each step of a path from the costs, as the
+first argmin of the same sums the DP minimised, so ties go to the smallest
+index: the smallest predecessor among equal path costs and the smallest
+last terminal among equal tour costs.
 
 Degenerate conventions: 0 or 1 points have tour length 0; two points have
 length 2*d (out and back), which Held-Karp over one terminal gives exactly;
@@ -61,7 +65,7 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,42 +135,98 @@ def subset_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(layers)
 
 
-def held_karp(U: Sequence[Point], depot: Point):
-    """Shortest depot-rooted paths over every subset of a nonempty U
-    (Held & Karp 1962), one popcount layer of subsets per numpy step.
+def mask_dtype(n: int) -> type:
+    """The narrowest signed integer type that holds every mask of n bits, so
+    that the cached per-size tables stay compact (int16 up to n = 15)."""
+    for t in (np.int16, np.int32, np.int64):
+        if (1 << n) - 1 <= np.iinfo(t).max:
+            return t
+    raise ValueError(f"masks of {n} bits do not fit in int64")
 
-    dp[mask, m], the shortest path from the depot through the terminals of
-    mask ending at m, pulls min_j dp[mask ^ (1 << m), j] + d[j, m]. Returns
-    (tour_cost, tour_end, parent): tour_cost[mask] = min_m dp[mask, m] + d0[m]
-    is the optimal closed tour over mask plus the depot, tour_end[mask] the m
-    attaining it, and parent[mask, m] the j attaining dp[mask, m] (-1 for a
-    single terminal). argmin keeps the first of equal values, so both ties go
-    to the smallest index.
+
+@functools.cache
+def held_karp_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Held-Karp's pull tables for popcount p = 2 .. n, built once per n.
+
+    Entry p - 2 is (masks, prev), both of shape (n, C(n - 1, p - 1)) in
+    mask_dtype(n): row m of masks holds the masks with p set bits that
+    contain bit m, ascending, and row m of prev the same masks without bit
+    m. The arrays are shared between callers and read-only.
+    """
+    bits = np.arange(n)[:, None]
+    layers = []
+    for ms, _ in subset_layers(n)[1:]:
+        masks = np.broadcast_to(ms, (n, len(ms)))[ms >> bits & 1 == 1].reshape(n, -1)
+        prev = (masks ^ 1 << bits).astype(mask_dtype(n))
+        masks = masks.astype(mask_dtype(n))
+        masks.flags.writeable = prev.flags.writeable = False
+        layers.append((masks, prev))
+    return tuple(layers)
+
+
+class HeldKarp(NamedTuple):
+    """held_karp's tables over n terminals: tour_cost[mask], the optimal
+    closed tour over mask plus the depot (inf at mask 0); dp[m, mask], the
+    shortest depot-rooted path through mask ending at m (inf unless m is in
+    mask); and the distances d between terminals and d0 from the depot."""
+
+    tour_cost: np.ndarray
+    dp: np.ndarray
+    d: np.ndarray
+    d0: np.ndarray
+
+
+def held_karp(U: Sequence[Point], depot: Point) -> HeldKarp:
+    """Shortest depot-rooted paths over every subset of a nonempty U
+    (Held & Karp 1962), one popcount layer of subsets at a time.
+
+    dp[m, mask], the shortest path from the depot through the terminals of
+    mask ending at m, pulls min_j dp[j, mask ^ (1 << m)] + d[j, m]. Each
+    layer takes that minimum over j in n steps, each step over every (m,
+    mask) of the layer at once through the cached held_karp_layers(n), in
+    blocks of at most n * C(n - 1, p - 1) entries. The tables keep no
+    predecessor: held_karp_last recovers one from dp on demand.
     """
     n = len(U)
     d = np.array([[dist(a, b) for b in U] for a in U])  # symmetric, bit for bit
     d0 = np.array([dist(depot, u) for u in U])
-    dp = np.full((1 << n, n), math.inf)
-    parent = np.full((1 << n, n), -1, dtype=np.int8)
-    dp[1 << np.arange(n), np.arange(n)] = d0
-    for masks, pos in subset_layers(n)[1:]:
-        mask, m = np.repeat(masks, pos.shape[1]), pos.ravel()
-        cand = dp[mask ^ (1 << m)]
-        cand += d[m]
-        j = cand.argmin(axis=1)
-        dp[mask, m] = cand[np.arange(len(m)), j]
-        parent[mask, m] = j
-    dp += d0
-    tour_end = dp.argmin(axis=1)
-    return dp[np.arange(1 << n), tour_end], tour_end, parent
+    dp = np.full((n, 1 << n), math.inf)
+    ends = np.arange(n)
+    dp[ends, 1 << ends] = d0
+    for masks, prev in held_karp_layers(n):
+        prev = prev.astype(np.intp)  # take would convert it at every step
+        best = dp[0].take(prev)
+        best += d[0][:, None]
+        cand = np.empty_like(best)
+        for j in range(1, n):
+            dp[j].take(prev, out=cand, mode="clip")
+            cand += d[j][:, None]
+            np.minimum(best, cand, out=best)
+        dp[ends[:, None], masks] = best
+    tour_cost = dp[0] + d0[0]
+    cand = np.empty_like(tour_cost)
+    for m in range(1, n):
+        np.add(dp[m], d0[m], out=cand)
+        np.minimum(tour_cost, cand, out=tour_cost)
+    return HeldKarp(tour_cost, dp, d, d0)
 
 
-def held_karp_path(parent: np.ndarray, mask: int, end: int) -> list[int]:
-    """Visit order of the optimal path over `mask` that ends at `end`."""
-    order = []
-    while end != -1:
-        order.append(end)
-        mask, end = mask ^ (1 << end), int(parent[mask, end])
+def held_karp_last(hk: HeldKarp, mask: int, to: int) -> int:
+    """The last terminal of the optimal path over `mask` that goes on to
+    terminal `to`, or to the depot when `to` is -1: the first argmin over j
+    of dp[j, mask] + d[to, j] (of dp[j, mask] + d0[j]), so ties go to the
+    smallest index."""
+    return int(np.argmin(hk.dp[:, mask] + (hk.d0 if to < 0 else hk.d[to])))
+
+
+def held_karp_path(hk: HeldKarp, mask: int) -> list[int]:
+    """Visit order of the optimal closed tour over `mask` plus the depot,
+    recovered backwards from the depot one held_karp_last at a time."""
+    order, to = [], -1
+    while mask:
+        to = held_karp_last(hk, mask, to)
+        order.append(to)
+        mask ^= 1 << to
     return order[::-1]
 
 
@@ -180,11 +240,10 @@ def tsp_exact(points: Sequence[Point]) -> TspResult:
         raise ValueError(f"{n} points exceeds exact threshold {EXACT_THRESHOLD}")
     if n <= 1:
         return TspResult(order=tuple(range(n)), length=0.0, certified_optimal=True)
-    tour_cost, tour_end, parent = held_karp(points[1:], points[0])
+    hk = held_karp(points[1:], points[0])
     full = (1 << (n - 1)) - 1
-    path = held_karp_path(parent, full, int(tour_end[full]))
-    return TspResult(order=(0, *(i + 1 for i in path)),
-                     length=float(tour_cost[full]), certified_optimal=True)
+    return TspResult(order=(0, *(i + 1 for i in held_karp_path(hk, full))),
+                     length=float(hk.tour_cost[full]), certified_optimal=True)
 
 
 def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:

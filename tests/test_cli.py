@@ -76,6 +76,26 @@ def test_solve_output_golden(tmp_path, capsys, algo_args):
     assert digest == GOLDEN_SOLVE_SHA256[algo_args]
 
 
+# sha256 of the `solve --output` JSON on the `gen --n 200 --k 6 --seed 7`
+# instance with `--algo sweep --m 2`: every sweep group holds 12 terminals,
+# so every group is solved by the exact set-partition DP over Held-Karp.
+# Recorded before the Held-Karp and partition tables were cached per size.
+GOLDEN_SOLVE_EXACT_SHA256 = "c9c862ae2078b920b1deebc26232868a06a30e639d84c4436afb0bc167d77c56"
+
+
+def test_solve_output_golden_exact_groups(tmp_path):
+    instance_file = tmp_path / "inst.txt"
+    solution_file = tmp_path / "sol.json"
+    assert main(["gen", "--n", "200", "--k", "6", "--seed", "7",
+                 "--output", str(instance_file)]) == 0
+    assert main(["solve", "--algo", "sweep", "--m", "2", "--input", str(instance_file),
+                 "--output", str(solution_file)]) == 0
+    solution = json.loads(solution_file.read_text())
+    assert all(len(tour["indices"]) <= 6 for tour in solution["tours"])
+    digest = hashlib.sha256(solution_file.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SOLVE_EXACT_SHA256
+
+
 def test_eval_g_matches_library(capsys):
     assert main(["eval-g", "--a", "0.31", "--b", "0.77"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

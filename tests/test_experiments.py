@@ -293,6 +293,40 @@ def test_golden_rows_exact_bit_identical():
     )
 
 
+# The same runs at a far depot, recorded before the Held-Karp and partition
+# tables were cached per size: here too the sweep groups (12 terminals) and
+# every T*_R are exact.
+GOLDEN_ROWS_EXACT_FAR = [
+    "0,14,6,2,sweep,23.328912350510127,-15.098338300398048,-2.682775444762317,"
+    "-2.036601551269513,-2.036601551269513,56.539274055877264,nan,true",
+    "0,14,6,1,itp,22.94428714435668,-15.098338300398048,-2.682775444762317,"
+    "-2.036601551269513,-2.036601551269513,74.95782753276347,nan,true",
+    "1,14,6,2,sweep,23.02741233914618,-15.05495263313024,-2.639389777494511,"
+    "-2.0261134826510023,-2.0261134826510023,57.00705401283156,nan,true",
+    "1,14,6,1,itp,22.667521908023893,-15.05495263313024,-2.639389777494511,"
+    "-2.0261134826510023,-2.0261134826510023,75.52908404498476,nan,true",
+    "2,14,6,2,sweep,23.811084742958187,-15.67632183566342,-3.260758980027692,"
+    "-2.2241118522697505,-2.2241118522697505,58.80436144354607,nan,true",
+    "2,14,6,1,itp,23.676146480943576,-15.67632183566342,-3.260758980027692,"
+    "-2.2241118522697505,-2.2241118522697505,77.98056022641589,nan,true",
+    "3,14,6,2,sweep,23.419429769071616,-15.917416457602634,-3.501853601966907,"
+    "-3.3220360230941246,-3.3220360230941246,59.75521761045266,nan,true",
+    "3,14,6,1,itp,22.75941231177911,-15.917416457602634,-3.501853601966907,"
+    "-3.3220360230941246,-3.3220360230941246,79.50388513324,nan,true",
+]
+
+
+def test_golden_rows_exact_far_depot_bit_identical():
+    config = ExperimentConfig(n=14, depot=Point(3.0, -2.0), M=2, seeds=(0, 1, 2, 3),
+                              k_fixed=6)
+    result = run_ratio_experiment(config)
+    assert [row.to_csv() for row in result.rows] == GOLDEN_ROWS_EXACT_FAR
+    assert repr(result.best_certified_lb) == (
+        "{0: -2.036601551269513, 1: -2.0261134826510023, 2: -2.2241118522697505, "
+        "3: -3.3220360230941246}"
+    )
+
+
 class TestCsvParsing:
     def test_skips_comments_and_header(self):
         text = "# caveat\n" + CSV_HEADER + "\n"

@@ -1,18 +1,26 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import sweepcvrp.tsp as tsp_module
+
 from sweepcvrp.bruteforce import cvrp_brute_force
-from sweepcvrp.geometry import Instance, Point, Solution, Tour, dist, tour_length
+from sweepcvrp.geometry import (
+    Instance, Point, Solution, Tour, dist, make_solution, tour_length,
+)
 from sweepcvrp.group_cvrp import (
     EXACT_GROUP_THRESHOLD,
     cvrp_exact_small,
     cvrp_group_heuristic,
+    partition_layers,
     solve_group,
     split_tour_sequence,
 )
-from sweepcvrp.tsp import held_karp, subset_layers, tsp_exact
+from sweepcvrp.tsp import (
+    held_karp, held_karp_last, held_karp_layers, mask_dtype, subset_layers, tsp_exact,
+)
 
 from helpers import check_feasible, random_points
 
@@ -246,6 +254,83 @@ def _cvrp_exact_small_reference(n, k, hk):
     return tours
 
 
+def _held_karp_numpy_reference(U, depot):
+    """The numpy held_karp before its per-size pull tables, verbatim:
+    (tour_cost, tour_end, parent) over the mask-major dp."""
+    n = len(U)
+    d = np.array([[dist(a, b) for b in U] for a in U])  # symmetric, bit for bit
+    d0 = np.array([dist(depot, u) for u in U])
+    dp = np.full((1 << n, n), math.inf)
+    parent = np.full((1 << n, n), -1, dtype=np.int8)
+    dp[1 << np.arange(n), np.arange(n)] = d0
+    for masks, pos in subset_layers(n)[1:]:
+        mask, m = np.repeat(masks, pos.shape[1]), pos.ravel()
+        cand = dp[mask ^ (1 << m)]
+        cand += d[m]
+        j = cand.argmin(axis=1)
+        dp[mask, m] = cand[np.arange(len(m)), j]
+        parent[mask, m] = j
+    dp += d0
+    tour_end = dp.argmin(axis=1)
+    return dp[np.arange(1 << n), tour_end], tour_end, parent
+
+
+def _held_karp_path_numpy_reference(parent, mask, end):
+    order = []
+    while end != -1:
+        order.append(end)
+        mask, end = mask ^ (1 << end), int(parent[mask, end])
+    return order[::-1]
+
+
+def _cvrp_exact_small_numpy_reference(U, depot, k):
+    """cvrp_exact_small before its cached partition tables, verbatim: it
+    built every layer's blocks by a matmul on each call and kept the winning
+    block of every mask."""
+    n = len(U)
+    if n == 0:
+        return make_solution([])
+    tour_cost, tour_end, parent = _held_karp_numpy_reference(U, depot)
+    part = np.zeros(1 << n)
+    choice = np.zeros(1 << n, dtype=np.int64)
+    for masks, pos in subset_layers(n):
+        p = pos.shape[1]
+        t = np.arange((1 << (p - 1)) - 1, -1, -1)
+        t_bits = (t[:, None] >> np.arange(p - 1)) & 1
+        t_bits = t_bits[t_bits.sum(axis=1) < k]
+        blocks = ((1 << pos[:, 1:]) @ t_bits.T) | (1 << pos[:, :1])
+        cand = tour_cost[blocks] + part[masks[:, None] ^ blocks]
+        rows, best = np.arange(len(masks)), cand.argmin(axis=1)
+        part[masks] = cand[rows, best]
+        choice[masks] = blocks[rows, best]
+
+    tours = []
+    mask = (1 << n) - 1
+    while mask:
+        s = int(choice[mask])
+        order = _held_karp_path_numpy_reference(parent, s, int(tour_end[s]))
+        tours.append(Tour(indices=tuple(order), length=float(tour_cost[s])))
+        mask ^= s
+    return make_solution(tours)
+
+
+def _assert_same_held_karp(U, depot, tour_cost, tour_end, parent):
+    """held_karp gives the reference's tour costs bit for bit, and recovers
+    the reference's tour end of every mask and its predecessor of every
+    (mask, end) with end in mask."""
+    n = len(U)
+    hk = held_karp(U, depot)
+    ref = np.array(tour_cost, dtype=float)
+    np.testing.assert_array_equal(hk.tour_cost[1:].view(np.uint64), ref[1:].view(np.uint64))
+    for mask in range(1, 1 << n):
+        assert held_karp_last(hk, mask, -1) == tour_end[mask], mask
+        for end in range(n):
+            if mask >> end & 1 and mask != 1 << end:
+                assert held_karp_last(hk, mask ^ 1 << end, end) == parent[mask][end], (mask, end)
+            elif mask >> end & 1:
+                assert parent[mask][end] == -1
+
+
 def _split_reference(U, depot, seq, k):
     """split_tour_sequence before it cached the leg lengths."""
     n = len(seq)
@@ -298,16 +383,34 @@ class TestExactSmallReference:
         n = len(U)
         hk = _held_karp_reference(U, depot)
         if n:
-            tour_cost, tour_end, parent = held_karp(U, depot)
-            assert tour_cost[1:].tolist() == hk[0][1:]
-            assert tour_end[1:].tolist() == hk[1][1:]
-            assert parent.tolist() == hk[2]
+            _assert_same_held_karp(U, depot, *hk)
         for k in range(1, max(n, 1) + 1):
             sol = cvrp_exact_small(U, depot, k)
             ref = _cvrp_exact_small_reference(n, k, hk)
             assert [(t.indices, t.length) for t in sol.tours] == ref, k
             assert all(type(t.length) is float for t in sol.tours)
             assert sol.total_cost == math.fsum(length for _, length in ref)
+
+    @pytest.mark.parametrize("name", list(GROUP_CASES) + [f"uniform-{n}" for n in range(1, 14)])
+    def test_same_as_numpy_reference(self, name):
+        # the per-call numpy kernel that the cached per-size tables replaced.
+        # On GROUP_CASES, test_same_solution_as_reference already checks
+        # held_karp against the pure-Python reference
+        if name in GROUP_CASES:
+            U, depot = GROUP_CASES[name]
+        else:
+            n = int(name.split("-")[1])
+            U, depot = random_points(np.random.default_rng(109 + n), n), Point(0.25, -0.5)
+        n = len(U)
+        if n and name not in GROUP_CASES:
+            tour_cost, tour_end, parent = _held_karp_numpy_reference(U, depot)
+            _assert_same_held_karp(U, depot, tour_cost.tolist(), tour_end.tolist(),
+                                   parent.tolist())
+            assert np.isinf(held_karp(U, depot).tour_cost[0]) and np.isinf(tour_cost[0])
+        if n <= EXACT_GROUP_THRESHOLD:
+            for k in range(1, max(n, 1) + 1):
+                sol = cvrp_exact_small(U, depot, k)
+                assert repr(sol) == repr(_cvrp_exact_small_numpy_reference(U, depot, k)), k
 
     @pytest.mark.parametrize("name", list(GROUP_CASES))
     def test_split_same_as_reference(self, name):
@@ -322,23 +425,86 @@ class TestExactSmallReference:
             assert total == ref_total
 
 
+def _clear_table_caches():
+    for cached in (subset_layers, held_karp_layers, partition_layers):
+        cached.cache_clear()
+
+
 class TestSubsetLayersOnce:
     def test_layers_built_once_per_call(self):
-        # the group DP and tsp_exact over the same number of terminals share
-        # one table
+        # each per-size table is built once per n (the partition tables once
+        # per (n, min(k, n))), and the group DP and tsp_exact over the same
+        # number of terminals read one Held-Karp table
         U, depot = GROUP_CASES["random-9"]
-        subset_layers.cache_clear()
+        _clear_table_caches()
+        for k in (3, 3, 9, 12):
+            cvrp_exact_small(U, depot, k)
+        tsp_exact([depot, *U])
+        tsp_exact([depot, *U[:5]])
+        assert subset_layers.cache_info().misses == 2  # n = 9 and n = 5
+        assert held_karp_layers.cache_info().misses == 2
+        assert held_karp_layers.cache_info().hits == 4
+        info = partition_layers.cache_info()
+        assert info.misses == 2 and info.hits == 2  # (9, 3) and (9, 9)
+
+    def test_one_table_serves_both_callers(self, monkeypatch):
+        U, depot = GROUP_CASES["random-7"]
+        seen = []
+
+        def spy(n):
+            seen.append((n, held_karp_layers(n)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(tsp_module, "held_karp_layers", spy)
         cvrp_exact_small(U, depot, 3)
         tsp_exact([depot, *U])
-        info = subset_layers.cache_info()
-        assert info.misses == 1 and info.hits >= 2
+        assert [n for n, _ in seen] == [7, 7] and seen[0][1] is seen[1][1]
 
     def test_same_object_on_second_call(self):
         assert subset_layers(7) is subset_layers(7)
+        assert held_karp_layers(7) is held_karp_layers(7)
+        assert partition_layers(7, 3) is partition_layers(7, 3)
 
     def test_tables_read_only(self):
-        masks, pos = subset_layers(5)[2]
-        with pytest.raises(ValueError):
-            masks[0] = 0
-        with pytest.raises(ValueError):
-            pos[0, 0] = 0
+        for table in subset_layers(5)[2] + held_karp_layers(5)[1] + partition_layers(5, 2)[2]:
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0
+
+    def test_tables_are_compact(self):
+        # every mask of up to 15 bits fits in int16, the largest tables
+        # (13 terminals for tsp_exact, 12 for the group DP) included
+        for n in (1, 12, 13):
+            for masks, prev in held_karp_layers(n):
+                assert masks.dtype == prev.dtype == np.int16
+        for k in (1, 6, 12):
+            for _, blocks, rest in partition_layers(12, k):
+                assert blocks.dtype == rest.dtype == np.int16
+
+    def test_wider_masks_get_a_wider_dtype(self):
+        # no table is built: mask_dtype alone decides
+        assert mask_dtype(15) is np.int16
+        assert mask_dtype(16) is np.int32 and mask_dtype(31) is np.int32
+        assert mask_dtype(32) is np.int64 and mask_dtype(63) is np.int64
+        with pytest.raises(ValueError, match="64 bits"):
+            mask_dtype(64)
+
+
+class TestExactMemory:
+    # tracemalloc peaks of one call from cold caches, the tables it builds
+    # included. The kernel before the per-size tables peaked at 3,643,584
+    # bytes (tsp_exact) and 2,503,328 (cvrp_exact_small) per call even with
+    # its tables cached; int64 partition tables alone would hold 3.8 MB
+    @pytest.mark.parametrize("call, bound", [
+        (lambda P: tsp_exact(P), 3_643_584),
+        (lambda P: cvrp_exact_small(P[:12], Point(0.5, 0.5), 6), 2_503_328),
+    ], ids=["tsp_exact-14", "cvrp_exact_small-12-k6"])
+    def test_peak_per_call(self, call, bound):
+        P = random_points(np.random.default_rng(5), 14)
+        _clear_table_caches()
+        tracemalloc.start()
+        try:
+            call(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
