@@ -44,7 +44,14 @@ than a limit in the same order. Three steps use the index:
 A FIFO queue of points whose edges changed (don't-look bits) drives the
 search. When it runs dry after a move, a confirming pass queues every point
 again, and the search ends only when such a pass moves nothing, so the tour
-is a 2-opt local optimum over all pairs of edges. A move must shorten the
+is a 2-opt local optimum over all pairs of edges. On the grid path (above
+_DENSE_MAX points) one numpy screen, _screen, certifies most of that pass:
+it evaluates every move improve could try at every point, with the gates
+that go through hypot widened by eps/2, more than the two hypot
+implementations can differ, so an unflagged point provably has no move.
+The pass then visits only the flagged points, and at its first move queues
+the rest of the pass as the full pass would have; the moves, and so every
+tour, stay the same bit for bit. A move must shorten the
 tour by more than _move_eps(pts), _IMPROVE_EPS scaled by the power of two
 of the largest |coordinate|, so the search never returns a longer tour than
 it started from, and points scaled by a power of two get the same moves.
@@ -503,6 +510,115 @@ def _move_eps(pts: np.ndarray) -> float:
     return math.ldexp(_IMPROVE_EPS, math.frexp(float(np.abs(pts).max()))[1])
 
 
+def _screen(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex,
+            eps: float) -> np.ndarray:
+    """One flag per point of the cyclic `tour` (indexed by point): False
+    proves that _local_search's improve(a) finds no move at a on this tour.
+
+    It evaluates every candidate move that improve can try, in numpy, over
+    tour-order arrays, with improve's rules: 2-opt on both sides over the
+    listed neighbours with d2 < lim, skipping e == a; the five Or-opt
+    segments, with their membership tests and both insertion steps, segments
+    of 2 and 3 points only from n = 5 and 6. A point whose tour edge is
+    longer than its K-th neighbour is flagged outright (the closer() path).
+    The candidate (point, neighbour) pairs are compressed by np.nonzero
+    before any hypot per pair.
+
+    Every term reads what improve reads: np.hypot where it calls math.hypot,
+    the index's sqrt(d2) where it reads row_d, so the integer gates and the
+    d2 < lim and lim > kth gates are exact, bit for bit. The gates that go
+    through hypot (the move deltas, gain > near and ac < gain) are widened
+    by eps/2, in the direction that flags more. Both hypots are within 1 ulp,
+    so they differ by at most 2 ulp per term. With every |coordinate| below
+    2^e (eps = _move_eps(pts) = 1e-12 * 2^e), each term is below 2^(e + 2),
+    and a delta has at most five hypot terms and five roundings of sums
+    below 2^(e + 4): the two evaluations differ by under 3e-14 * 2^e,
+    against eps/2 = 5e-13 * 2^e. So a move that improve takes (delta <
+    -eps) reads below -eps/2 here, at every power-of-two scale down to
+    coordinates near 1e-300, where eps/2 meets the subnormal spacing.
+    """
+    n = len(tour)
+    K = index.table.shape[1]
+    T = np.asarray(tour)
+    at = np.empty(n, dtype=np.intp)  # the tour position of each point
+    at[T] = np.arange(n)
+    # by tour position, wrapped by W on both sides: position i, for
+    # -W <= i < n + W, sits at W + i
+    W = 4
+    wrap = np.concatenate((T[n - W :], T, T[:W]))
+    xw, yw = pts[wrap, 0], pts[wrap, 1]
+
+    def at_offset(v: np.ndarray, s: int) -> np.ndarray:
+        """v[W + i + s] for the positions i = 0 .. n - 1, as a view."""
+        return v[W + s : W + s + n]
+
+    def skip(s: int) -> np.ndarray:
+        """The distances from each wrapped position to the one s later,
+        wrapped alike."""
+        return np.hypot(xw[:-s] - xw[s:], yw[:-s] - yw[s:])
+
+    def hyp(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The distances between the positions i and j, each in -W .. n + W."""
+        return np.hypot(xw[W + i] - xw[W + j], yw[W + i] - yw[W + j])
+
+    def pairs(row: np.ndarray, lim: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(a, f, j): the entries row[a, t] < lim[j, a], with f = a * K + t,
+        compressed first against each point's largest lim."""
+        f = np.flatnonzero(row < lim.max(axis=0)[:, None])
+        a = f // K
+        j, p = np.nonzero(row.reshape(-1)[f] < lim[:, a])
+        return a[p], f[p], j
+
+    E = skip(1)  # E[W + i]: the tour edge (i, i + 1)
+    table = index.table.reshape(-1)
+    D2 = index.d2.reshape(n, K)  # by point, as the table
+    half = eps / 2
+
+    # 2-opt on (a, f1) with e after c (side 0), and on (b1, a) with e before
+    # c (side 1); a lim beyond the K-th listed d2 takes the closer() path
+    x, y = at_offset(xw, 0), at_offset(yw, 0)
+    lim = np.empty((2, n))
+    for side, s in enumerate((1, -1)):
+        ex, ey = at_offset(xw, s) - x, at_offset(yw, s) - y
+        lim[side] = ex * ex + ey * ey
+    lim = lim[:, at]  # by point
+    flag = (lim > D2[:, K - 1]).any(axis=0)
+    a, f, side = pairs(D2, lim)
+    step = 1 - 2 * side
+    i, c = at[a], at[table[f]]  # as tour positions
+    e = c + step
+    # (a, b) is the edge at i - side, (c, e) the one at c - side
+    delta = (hyp(i, c) + hyp(i + step, e)) - E[W + i - side] - E[W + c - side]
+    flag[a[(delta < -half) & (e % n != i)]] = True
+
+    # Or-opt: the segments of m points, as (m, s1, z) with s1 the offset of
+    # the segment's first position from a's and z that of its other end,
+    # each with its gain; gain > near holds wherever some ac < gain does,
+    # since row_d ascends
+    segments = np.array([(1, 0, 0), (2, 0, 1), (2, -1, -1), (3, 0, 2), (3, -2, -2)])
+    S2, S3, S4 = skip(2), skip(3), skip(4)
+    gain = np.array([
+        (at_offset(E, -1) + at_offset(E, 0)) - at_offset(S2, -1),
+        (at_offset(E, -1) + at_offset(E, 1)) - at_offset(S3, -1),
+        (at_offset(E, -2) + at_offset(E, 0)) - at_offset(S3, -2),
+        (at_offset(E, -1) + at_offset(E, 2)) - at_offset(S4, -1),
+        (at_offset(E, -3) + at_offset(E, 0)) - at_offset(S4, -3),
+    ][: 1 if n < 5 else 3 if n < 6 else 5])[:, at]  # by point
+    row_d = np.sqrt(index.d2)
+    a, f, s = pairs(row_d.reshape(n, K), gain + half)
+    m, s1, z = segments[s].T
+    i = at[a]
+    first = i + s1
+    ac, g = row_d[f], gain[s, a]
+    c = at[table[f]]
+    out = (c - first) % n >= m
+    for step in (1, -1):  # c2 after c, then before it; (c, c2) is the edge at min(c, c2)
+        c2 = c + step
+        delta = ((ac + hyp(i + z, c2)) - E[W + c + min(step, 0)]) - g
+        flag[a[(delta < -half) & out & ((c2 - first) % n >= m)]] = True
+    return flag
+
+
 def _local_search(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex) -> list[int]:
     """First-improvement 2-opt and Or-opt from the cyclic `tour`, driven by a
     FIFO queue of active points (don't-look bits), over `index`, the
@@ -523,10 +639,22 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex) 
         segment's removal gain.
     The endpoints of the changed edges join the queue. When the queue runs
     dry after a move, a confirming pass queues every point again, so the
-    search ends with a full pass that moves nothing. Every improving 2-opt move has an endpoint
-    whose new edge is shorter than the edge it removes, so the result is a
-    2-opt local optimum over all pairs. Only improving moves are taken, so
-    the result is never longer than `tour`.
+    search ends with a full pass that moves nothing. Every improving 2-opt
+    move has an endpoint whose new edge is shorter than the edge it removes,
+    so the result is a 2-opt local optimum over all pairs. Only improving
+    moves are taken, so the result is never longer than `tour`.
+
+    Above _DENSE_MAX points a confirming pass snapshots the tour and calls
+    improve only at the points _screen flags, in snapshot order. An
+    unflagged point provably has no move: the screen mirrors improve's
+    gates, exactly where they compare the same bits and widened by eps/2
+    where they go through hypot, which covers the at most 3e-14 * 2^e by
+    which numpy's and math's hypot can move a delta (see _screen). Until
+    the pass's first move the tour is the snapshot, so the calls skipped
+    before it would have moved nothing and changed nothing. At that move the
+    queue becomes what the full pass would have held: the rest of the
+    snapshot, queued, then the touched points. If no flagged point moves,
+    the search ends. Every move, and so the tour, is the same bit for bit.
 
     The tour is a position array; a move rewrites the shorter of the two
     tour arcs that give the same cycle, so a point's successor may become its
@@ -700,20 +828,32 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex) 
     queue = deque(tour)
     queued = bytearray(b"\x01") * n
     moved = False
+    snap = None  # the tour at the start of a screened confirming pass
     while queue:
         a = queue.popleft()
         queued[a] = 0
         touched = improve(a)
         if touched:
             moved = True
+            if snap is not None:  # the pass's first move: queue as a full pass
+                rest = snap[snap.index(a) + 1 :]
+                queue = deque(rest)
+                queued = bytearray(n)
+                np.frombuffer(queued, dtype=bool)[rest] = True
+                snap = None
             for v in touched:
                 if not queued[v]:
                     queued[v] = 1
                     queue.append(v)
         if not queue and moved:  # confirm with a full pass
             moved = False
-            queue.extend(tour)
-            queued = bytearray(b"\x01") * n
+            if n > _DENSE_MAX:  # only at the points the screen flags
+                snap = tour.copy()
+                order = np.array(snap)
+                queue = deque(order[_screen(pts, order, index, eps)[order]].tolist())
+            else:
+                queue.extend(tour)
+                queued = bytearray(b"\x01") * n
     return tour[pos[0]:] + tour[: pos[0]]
 
 

@@ -1,4 +1,5 @@
 import bisect
+import functools
 import math
 from collections import deque
 from typing import Sequence
@@ -18,6 +19,7 @@ from sweepcvrp.tsp import (
     _move_eps,
     _neighbour_walk,
     _NeighbourIndex,
+    _screen,
     cycle_length,
     neighbours,
     tsp_dispatch,
@@ -498,24 +500,139 @@ class _LoggingEps(float):
         return float.__gt__(self, delta)
 
 
+def _logging_deque(log: list) -> type:
+    """A deque that logs ("call", a) for each point a it hands out: both
+    kernels call improve(a) once per popleft, so the entries split the delta
+    log into calls."""
+
+    class LoggingDeque(deque):
+        def popleft(self):
+            a = super().popleft()
+            log.append(("call", a))
+            return a
+
+    return LoggingDeque
+
+
+def _logged_run(kernel, pts: np.ndarray, start: list[int], arg):
+    """(tour, calls) of kernel(pts, start, arg), _local_search_reference or
+    _local_search. calls lists each improve call as (a, deltas): the point,
+    and the bits of every move delta the call compared with the threshold,
+    in order. Equal deltas pin every sum's order, although no decision sits
+    within rounding of the threshold on these inputs."""
+    log: list = []
+    eps = _LoggingEps(_move_eps(pts), log)
+    queue = _logging_deque(log)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tsp, "_move_eps", lambda p: eps)  # read by _local_search
+        mp.setitem(globals(), "_move_eps", lambda p: eps)  # by the reference
+        mp.setattr(tsp, "deque", queue)
+        mp.setitem(globals(), "deque", queue)
+        tour = kernel(pts, start, arg)
+    calls: list = []
+    for entry in log:
+        if isinstance(entry, tuple):
+            calls.append((entry[1], []))
+        else:
+            calls[-1][1].append(entry)
+    return tour, [(a, tuple(deltas)) for a, deltas in calls]
+
+
 def _runs_with_deltas(pts: np.ndarray, start: list[int], nbrs: np.ndarray):
-    """(tour, deltas) of _local_search_reference over the table `nbrs`, then
-    of _local_search over the index of `pts`, whose table it is, from
-    `start`; deltas are the bits of every move delta the search compared with
-    the threshold, in order. Equal deltas pin every sum's order, although no
-    decision sits within rounding of the threshold on these inputs."""
-    value = _move_eps(pts)
+    """The _logged_run of _local_search_reference over the table `nbrs`,
+    then of _local_search over the index of `pts`, whose table it is."""
     index = _NeighbourIndex(pts)
     assert np.array_equal(index.table, nbrs)
-    runs = []
-    for kernel, arg in ((_local_search_reference, nbrs), (_local_search, index)):
-        log: list[str] = []
-        eps = _LoggingEps(value, log)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tsp, "_move_eps", lambda p: eps)  # read by _local_search
-            mp.setitem(globals(), "_move_eps", lambda p: eps)  # by the reference
-            runs.append((kernel(pts, start, arg), log))
-    return runs
+    return [_logged_run(_local_search_reference, pts, start, nbrs),
+            _logged_run(_local_search, pts, start, index)]
+
+
+def _assert_same_moves(ref_calls: list, calls: list, eps: float) -> int:
+    """calls is ref_calls with only whole move-free calls left out, so both
+    searches took the same moves, with the same delta bits, in the same
+    order; returns the number left out."""
+    def moves(cs):
+        return [d for _, deltas in cs for d in deltas if float.fromhex(d) < -eps]
+
+    assert moves(calls) == moves(ref_calls)
+    j = 0
+    for call in ref_calls:
+        if j < len(calls) and call == calls[j]:
+            j += 1
+        else:  # left out: it must have moved nothing
+            assert not moves([call]), call
+    assert j == len(calls)
+    return len(ref_calls) - len(calls)
+
+
+def _best_moves(pts: np.ndarray, tour: list[int], nbrs: np.ndarray):
+    """(best, best_np): for each point a, the smallest delta of the moves
+    that improve can try at a on the cyclic `tour`, by the reference
+    kernel's rules and with math.hypot, and the delta of that same move with
+    np.hypot for every math.hypot; inf where it tries none. A point has a
+    move exactly when best < -eps, whatever the order of the tries. A point
+    whose 2-opt would rank all points (a tour edge longer than its K-th
+    neighbour) gets -inf: the screen must flag it outright."""
+    n, K = nbrs.shape
+    x, y = pts[:, 0], pts[:, 1]
+    xs, ys = x.tolist(), y.tolist()
+    d2 = np.square(x[nbrs] - x[:, None]) + np.square(y[nbrs] - y[:, None])
+    rows, row_d, row_d2 = nbrs.tolist(), np.sqrt(d2).tolist(), d2.tolist()
+    pos = [0] * n
+    for i, v in enumerate(tour):
+        pos[v] = i
+
+    def math_d(a, b):
+        return math.hypot(xs[a] - xs[b], ys[a] - ys[b])
+
+    def np_d(a, b):
+        return float(np.hypot(xs[a] - xs[b], ys[a] - ys[b]))
+
+    best, best_np = np.full(n, math.inf), np.full(n, math.inf)
+    for a in range(n):
+        i = pos[a]
+        f1, b1, f2, b2, f3, b3 = (tour[(i + s) % n] for s in (1, -1, 2, -2, 3, -3))
+        tries = []  # (delta with math.hypot, the delta as a function of d)
+        lims = []
+        for b in (f1, b1):
+            ex, ey = xs[b] - xs[a], ys[b] - ys[a]
+            lims.append(ex * ex + ey * ey)
+        if max(lims) > row_d2[a][K - 1]:
+            best[a] = best_np[a] = -math.inf
+            continue
+        for (step, b), lim in zip(((1, f1), (-1, b1)), lims):  # 2-opt
+            for c in (c for c, v in zip(rows[a], row_d2[a]) if v < lim):
+                e = tour[(pos[c] + step) % n]
+                if e != a:
+                    def delta(d, b=b, c=c, e=e):
+                        return (d(a, c) + d(b, e)) - d(a, b) - d(c, e)
+                    tries.append((delta(math_d), delta))
+        # Or-opt: (m, s1, z, gain) as in the reference
+        segments = [(1, a, a, lambda d: d(b1, a) + d(a, f1) - d(b1, f1))]
+        if n >= 5:
+            segments += [(2, a, f1, lambda d: d(b1, a) + d(f1, f2) - d(b1, f2)),
+                         (2, b1, b1, lambda d: d(b2, b1) + d(a, f1) - d(b2, f1))]
+        if n >= 6:
+            segments += [(3, a, f2, lambda d: d(b1, a) + d(f2, f3) - d(b1, f3)),
+                         (3, b2, b2, lambda d: d(b3, b2) + d(a, f1) - d(b3, f1))]
+        for m, s1, z, gain in segments:
+            first = pos[s1]
+            g = gain(math_d)
+            for ac, c in zip(row_d[a], rows[a]):
+                if ac >= g:
+                    break
+                if (pos[c] - first) % n < m:
+                    continue
+                for step in (1, -1):
+                    c2 = tour[(pos[c] + step) % n]
+                    if (pos[c2] - first) % n >= m:
+                        def delta(d, ac=ac, c=c, c2=c2, z=z, gain=gain):
+                            return ((ac + d(z, c2)) - d(c, c2)) - gain(d)
+                        tries.append((((ac + math_d(z, c2)) - math_d(c, c2)) - g, delta))
+        if tries:
+            best[a], delta = min(tries, key=lambda t: t[0])
+            best_np[a] = delta(np_d)
+    return best, best_np
 
 
 def _closer_all_reference(pts: np.ndarray, a: int, lim: float) -> list[int]:
@@ -678,23 +795,36 @@ class TestTwoOptKernel:
         starts = [_neighbour_walk(pts, nbrs, s) for s in sorted({0, 1, n // 2, n - 1})]
         starts.append(np.random.default_rng(n).permutation(n).tolist())
         for start in starts:
-            (ref, ref_deltas), (tour, deltas) = _runs_with_deltas(pts, start, nbrs)
+            (ref, ref_calls), (tour, calls) = _runs_with_deltas(pts, start, nbrs)
             assert tour == ref, start
-            assert deltas == ref_deltas, start
+            if n > tsp._DENSE_MAX:  # screened: skipped calls log no deltas
+                _assert_same_moves(ref_calls, calls, _move_eps(pts))
+            else:
+                assert calls == ref_calls, start
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_same_moves_as_reference_few_points(self, n):
-        # Or-opt tries segments of 2 points from n = 5 and of 3 from n = 6
+        # Or-opt tries segments of 2 points from n = 5 and of 3 from n = 6;
+        # each search runs plain, and every other one again with every
+        # confirming pass screened
         rng = np.random.default_rng(100 + n)
-        moved = 0
-        for _ in range(40):
+        moved = skipped = 0
+        for trial in range(40):
             pts = rng.random((n, 2))
             nbrs = neighbours(pts)
             start = rng.permutation(n).tolist()
-            (ref, ref_deltas), (tour, deltas) = _runs_with_deltas(pts, start, nbrs)
-            assert tour == ref and deltas == ref_deltas, pts
+            (ref, ref_calls), (tour, calls) = _runs_with_deltas(pts, start, nbrs)
+            assert tour == ref and calls == ref_calls, pts
             moved += tour != start[start.index(0):] + start[: start.index(0)]
+            if trial % 2:
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tsp, "_DENSE_MAX", 0)
+                screened, calls = _logged_run(_local_search, pts, start, _NeighbourIndex(pts))
+            assert screened == ref, pts
+            skipped += _assert_same_moves(ref_calls, calls, _move_eps(pts))
         assert moved  # the comparison covers tours that the search changed
+        assert skipped  # and searches whose screen skipped calls
 
     @pytest.mark.parametrize("n", range(NEIGHBOURS + 3))
     def test_neighbours_of_few_points(self, n):
@@ -756,6 +886,102 @@ class TestTwoOptKernel:
         pts = np.random.default_rng(97).random((5, 2))
         with pytest.raises(ValueError, match="not a permutation"):
             _local_search(pts, start, _NeighbourIndex(pts))
+
+
+# the screen's checks, as (index path, power of two, tours): the grid path
+# on all three tours at unit scale; on the walk, the dense path, and the
+# grid path at 2^-600, where every squared distance underflows, so row_d is
+# 0 where hypot is not, and at 2^-200 and 2^200
+SCREEN_RUNS = [(0, 0, 3), (10**6, 0, 1), (0, -600, 1), (0, -200, 1), (0, 200, 1)]
+
+
+@functools.cache
+def _screen_tours(name: str) -> tuple[tuple[int, ...], ...]:
+    """Tours of a kernel case to screen: the nearest-neighbor walk from point
+    0, a random tour, and the local optimum from the walk with one point in
+    ten swapped with its successor, which leaves moves among listed
+    neighbours, where the screen does its work."""
+    pts = KERNEL_CASES[name]
+    n = len(pts)
+    index = _NeighbourIndex(pts)
+    walk = _neighbour_walk(pts, index.table, 0)
+    rng = np.random.default_rng(n)
+    swapped = _local_search(pts, walk, index)
+    for i in rng.choice(n - 1, max(1, n // 10), replace=False):
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    return tuple(walk), tuple(rng.permutation(n).tolist()), tuple(swapped)
+
+
+@functools.cache
+def _screen_oracle(name: str, e: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_best_moves on tour k of _screen_tours(name), over the kernel case
+    scaled by 2^e; the table is the same on both index paths."""
+    pts = np.ldexp(KERNEL_CASES[name], e)
+    return _best_moves(pts, list(_screen_tours(name)[k]), neighbours(pts))
+
+
+class TestScreen:
+    """_screen's False flag proves that improve finds no move at a point, and
+    the confirming pass it drives takes the reference kernel's moves."""
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_unflagged_points_have_no_move(self, name, monkeypatch):
+        for dense_max, e, tours in SCREEN_RUNS:
+            monkeypatch.setattr(tsp, "_DENSE_MAX", dense_max)
+            pts = np.ldexp(KERNEL_CASES[name], e)
+            index = _NeighbourIndex(pts)
+            eps = _move_eps(pts)
+            for k, tour in enumerate(map(list, _screen_tours(name)[:tours])):
+                best, _ = _screen_oracle(name, e, k)
+                flags = _screen(pts, tour, index, eps)
+                assert not (best[~flags] < -eps).any(), (dense_max, e)
+
+    def test_flags_moves_at_the_threshold(self):
+        # with eps one ulp short of a move's |delta|, improve takes that move
+        # and the screen must flag it: at the first two such points of each
+        # tour, and at every move that np.hypot reads shallower than
+        # math.hypot, which only the eps/2 widening flags
+        shallow = 0
+        for name, pts in KERNEL_CASES.items():
+            index = _NeighbourIndex(pts)
+            for k, tour in enumerate(map(list, _screen_tours(name))):
+                best, best_np = _screen_oracle(name, 0, k)
+                probe = np.isfinite(best) & (best <= -_move_eps(pts))
+                for a in np.flatnonzero(probe & ((np.cumsum(probe) <= 2) | (best_np > best))):
+                    eps = float(np.nextafter(-best[a], 0))
+                    flags = _screen(pts, tour, index, eps)
+                    assert flags[a] and not (best[~flags] < -eps).any(), (name, a)
+                    shallow += best_np[a] > best[a]
+        assert shallow >= 3
+
+    def test_few_flags_at_a_local_optimum(self):
+        pts = KERNEL_CASES["random-300"]
+        index = _NeighbourIndex(pts)
+        tour = _local_search(pts, _neighbour_walk(pts, index.table, 0), index)
+        flags = _screen(pts, tour, index, _move_eps(pts))
+        assert flags.sum() < 0.1 * len(pts)
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_screened_search_takes_the_reference_moves(self, name, monkeypatch):
+        # every confirming pass screened: the reference's tour, and its log
+        # with whole move-free calls left out; with every point flagged, the
+        # reference's log bit for bit
+        monkeypatch.setattr(tsp, "_DENSE_MAX", 0)
+        pts = KERNEL_CASES[name]
+        index = _NeighbourIndex(pts)
+        eps = _move_eps(pts)
+        def flag_all(pts, tour, index, eps):
+            return np.ones(len(tour), dtype=bool)
+
+        walk, _, swapped = map(list, _screen_tours(name))
+        for start in (walk, swapped):
+            ref, ref_calls = _logged_run(_local_search_reference, pts, start, index.table)
+            tour, calls = _logged_run(_local_search, pts, start, index)
+            assert tour == ref, start
+            _assert_same_moves(ref_calls, calls, eps)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tsp, "_screen", flag_all)
+                assert _logged_run(_local_search, pts, start, index) == (ref, ref_calls)
 
 
 def _tsp_exact_reference(points):
