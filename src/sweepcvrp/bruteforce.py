@@ -35,6 +35,17 @@ def tsp_brute_force(points: Sequence[Point]) -> float:
     return best
 
 
+def check_cvrp_size(n: int, k: int) -> None:
+    """Raise ValueError unless cvrp_brute_force takes n terminals at capacity
+    k: at most _MAX_BRUTE_CVRP of them, in blocks that fit tsp_brute_force
+    together with the depot."""
+    if n > _MAX_BRUTE_CVRP:
+        raise ValueError(f"{n} points is too many for brute-force CVRP")
+    if min(k, n) + 1 > _MAX_BRUTE_TSP:
+        raise ValueError(f"blocks of {min(k, n)} terminals and the depot are too "
+                         f"many for brute-force TSP")
+
+
 def cvrp_brute_force(U: Sequence[Point], depot: Point, k: int) -> float:
     """Optimal CVRP value by enumerating every partition into blocks of at
     most k terminals, each served by a brute-force TSP tour through the
@@ -48,8 +59,7 @@ def cvrp_brute_force(U: Sequence[Point], depot: Point, k: int) -> float:
     completion of it could be cheaper, and the value is that of the full
     enumeration."""
     n = len(U)
-    if n > _MAX_BRUTE_CVRP:
-        raise ValueError(f"{n} points is too many for brute-force CVRP")
+    check_cvrp_size(n, k)
     if k < 1:
         raise ValueError(f"capacity must be >= 1, got {k}")
     if n == 0:

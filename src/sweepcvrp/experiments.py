@@ -29,7 +29,7 @@ import numpy as np
 # lower_bound and upper_bound_formula are not called here any more, but stay
 # importable from this module: perfbench's traced run wraps them at this site.
 from .bounds import BoundContext, choose_R, lower_bound, upper_bound_formula  # noqa: F401
-from .bruteforce import brute_force_opt
+from .bruteforce import brute_force_opt, check_cvrp_size
 from .geometry import (Instance, Point, Solution, check_coordinates, check_feasible,
                        field_text)
 from .group_cvrp import SolveConfig
@@ -46,7 +46,10 @@ def solve(
     """The solution of the algorithm named `algo` (one of ALGOS): the sweep
     with group size factor M, or ITP, which ignores M. The solvers are read
     from this module at call time, so a traced run can replace them here.
-    Raises ValueError if the solver returns an infeasible solution."""
+    Raises ValueError if M < 1, for every algo, or if the solver returns an
+    infeasible solution."""
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
     if algo == "sweep":
         solution = sweep_solve(instance, M, SolveConfig(tsp_mode=tsp_mode, seed=seed))
     elif algo == "itp":
@@ -109,6 +112,8 @@ class ExperimentConfig:
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         resolve_k(self.n, self.k_fixed, self.k_alpha)  # validate early
+        if self.small_instance_mode:
+            check_cvrp_size(self.n, self.k)
 
     @property
     def k(self) -> int:

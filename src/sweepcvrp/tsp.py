@@ -25,36 +25,37 @@ every cyclic order of at most 3 points has the same length.
 The heuristic tours the distinct locations, numbered by first occurrence,
 and emits each location's points consecutively, in index order. Its search
 (Bentley 1992; Johnson & McGeoch 1997) rests on one neighbour index per
-point set, _NeighbourIndex. Its table, `neighbours(pts)`, lists the K =
-NEIGHBOURS nearest other points of each point, ranked by (squared distance,
-index); up to _DENSE_MAX points it comes from one distance matrix, above it
-exactly through a grid. Its query closer(a, lim) lists every point closer
-than a limit in the same order. Three steps use the index:
+point set, _NeighbourIndex. Its table lists the K = NEIGHBOURS nearest
+other points of each point, ranked by (squared distance, index): up to
+_DENSE_MAX points the first K columns of one distance matrix sorted row by
+row, above it exactly through a grid. Its query row(a) gives a's squared
+distances to every point, and closer(a, lim) lists every point closer than
+a limit in the table's order. Three steps use the index:
   - the nearest-neighbor walk steps to the first unvisited point of the
-    current point's row, and ranks all points only when the whole row is
+    current point's row, and ranks row(a) only when the whole row is
     visited; ties go to the smallest index, so the walk is the plain O(n^2)
     nearest-neighbor tour, bit for bit;
   - _local_search takes first-improvement 2-opt moves whose new edge at the
     processed point is shorter than the edge it removes, over the listed
     neighbours, or over closer(a, lim) when that edge is longer than the
-    K-th neighbour: the listed ones first, then the rest, found by the
-    distance matrix or, on the grid path, by a pass over all points that
-    runs only when no listed neighbour decided the step;
+    K-th neighbour: the listed ones first, then the rest, a slice of the
+    sorted row or, on the grid path, row(a) ranked only when no listed
+    neighbour decided the step;
   - its Or-opt moves put a segment of 1-3 points next to a listed neighbour.
 A FIFO queue of points whose edges changed (don't-look bits) drives the
 search. When it runs dry after a move, a confirming pass queues every point
 again, and the search ends only when such a pass moves nothing, so the tour
 is a 2-opt local optimum over all pairs of edges. On the grid path (above
-_DENSE_MAX points) one numpy screen, _screen, certifies most of that pass:
-it evaluates every move improve could try at every point, with the gates
-that go through hypot widened by eps/2, more than the two hypot
-implementations can differ, so an unflagged point provably has no move.
-The pass then visits only the flagged points, and at its first move queues
-the rest of the pass as the full pass would have; the moves, and so every
-tour, stay the same bit for bit. A move must shorten the
-tour by more than _move_eps(pts), _IMPROVE_EPS scaled by the power of two
-of the largest |coordinate|, so the search never returns a longer tour than
-it started from, and points scaled by a power of two get the same moves.
+_DENSE_MAX points) one numpy screen, _screen, clears most points of that
+pass at its start: it evaluates every move improve could try at every
+point, with the gates that go through hypot widened by eps/2, more than the
+two hypot implementations can differ, so a cleared point provably has no
+move. The pass skips the cleared points until its first move, which drops
+the verdicts; the moves, and so every tour, stay the same bit for bit. A
+move must shorten the tour by more than _move_eps(pts), _IMPROVE_EPS scaled
+by the power of two of the largest |coordinate|, so the search never
+returns a longer tour than it started from, and points scaled by a power of
+two get the same moves.
 Everything is deterministic in the start point.
 
 tsp_heuristic runs all three steps on its distinct locations scaled by the
@@ -88,11 +89,12 @@ _GRID_LOAD = 4  # points per grid cell, on average
 # 0.6 MB more peak RSS; 256 is no faster and costs 1.0 MB
 _QUERY_BLOCK = 192
 # up to this many points, the neighbour index works from one distance matrix
-# instead of the grid. Measured on a shared 2-vCPU Xeon, index build dense
-# against grid: 0.09 vs 0.38 ms at 15 points, 0.24 vs 0.82 at 65, 0.45 vs
-# 1.15 at 128, 1.08 vs 1.31 at 160, 2.2 vs 2.0 at 256; a whole tsp_heuristic
-# is faster dense up to 128 points (4.6 vs 5.0 ms) and slower from 160
-# (6.3 vs 5.9), where sorting a matrix row costs more than the grid's pass
+# instead of the grid. Measured on a shared 2-vCPU Xeon (medians of 9 rounds
+# over 10 random sets), index build dense against grid: 0.03 vs 0.17 ms at
+# 15 points, 0.10 vs 0.42 at 65, 0.24 vs 0.61 at 128, 0.54 vs 0.65 at 160,
+# 1.55 vs 1.18 at 256; a whole tsp_heuristic is faster dense up to 128
+# points (3.2 vs 3.5 ms), even at 160 (3.6 vs 3.6) and slower at 256 (6.7 vs
+# 6.1), where sorting the whole matrix costs more than the grid's build
 _DENSE_MAX = 128
 
 # strict-improvement threshold of a local-search move at unit coordinate
@@ -270,7 +272,7 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
     else:
         sites, _ = unit_scale(pts[first])
         index = _NeighbourIndex(sites)
-        walk = _neighbour_walk(sites, index.table, int(loc[seed % len(pts)]))
+        walk = _neighbour_walk(index, int(loc[seed % len(pts)]))
         tour = _local_search(sites, walk, index)
     where = np.empty(m, dtype=np.int64)
     where[tour] = np.arange(m)
@@ -292,67 +294,77 @@ def _locations(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, loc
 
 
-def neighbours(pts: np.ndarray) -> np.ndarray:
-    """The K = min(NEIGHBOURS, n - 1) nearest other points of each of the n
-    points, as an (n, K) index array whose rows run in (squared distance,
-    index) order: the table of _NeighbourIndex(pts)."""
-    return _NeighbourIndex(pts).table
-
-
 class _NeighbourIndex:
-    """One point set's neighbour table and the query closer(a, lim).
+    """One point set's neighbour table and the queries row(a) and
+    closer(a, lim).
 
-    `table` is the (n, K) array of neighbours(pts), and `d2` its squared
-    distances, flat: row a sits at a * K .. a * K + K - 1, as it does in
-    the memoryviews `rows` and `row_d2` of both. A squared distance is
-    (x_j - x_i)**2 + (y_j - y_i)**2, the value _neighbour_walk ranks, so
-    every query ranks the points as the walk and the search do.
+    `table` is the (n, K) array of the K = min(NEIGHBOURS, n - 1) nearest
+    other points of each point, ranked by (squared distance, index), and
+    `d2` its squared distances, flat: row a sits at a * K .. a * K + K - 1,
+    as it does in the memoryviews `rows`, `row_d2` and `row_d` (the plain
+    distances, sqrt(d2)). A squared distance is (x_j - x_i)**2 +
+    (y_j - y_i)**2, the value row(a) holds, so every query ranks the points
+    as the walk and the search do.
 
     Up to _DENSE_MAX points (the dense path), one n x n matrix of squared
-    distances, with the diagonal set to inf, gives both: each row's K + 1
-    smallest entries by argpartition, ranked by (d2, index), or the whole row
-    by a stable sort where the K-th and (K + 1)-th are equal, since then an
-    equal entry beyond them may have the smaller index. Above it (the grid
-    path), _grid_table builds the table.
+    distances, with the diagonal set to inf, is sorted once, row by row:
+    np.argsort, then a stable re-sort of every row that holds equal entries,
+    so each row runs in (d2, index) order. The table is its first K
+    columns. Above it (the grid path), _grid_table builds the table.
     """
 
     def __init__(self, pts: np.ndarray):
         n = len(pts)
+        K = max(min(NEIGHBOURS, n - 1), 0)
         self._x, self._y = x, y = pts[:, 0], pts[:, 1]
         if n <= _DENSE_MAX:
             D = np.square(x - x[:, None])
             D += np.square(y - y[:, None])
             np.fill_diagonal(D, math.inf)
+            order = np.argsort(D, axis=1)
+            d2 = np.sort(D, axis=1)
+            tied = (d2[:, 1:] == d2[:, :-1]).any(axis=1)
+            order[tied] = np.argsort(D[tied], axis=1, kind="stable")
             self._matrix = D
-            self._sorted: list = [None] * n
-            self.table, self.d2 = _dense_table(D)
+            # a's row of the sort sits at a * n .. a * n + n - 1, a itself
+            # (at inf) last
+            self._all = memoryview(order.reshape(-1))
+            self._all_d2 = memoryview(d2.reshape(-1))
+            self.table = np.ascontiguousarray(order[:, :K])
+            self.d2 = d2[:, :K].reshape(-1)
         else:
             self._matrix = None
             self.table = _grid_table(pts)
             self.d2 = np.square(x[self.table] - x[:, None]).reshape(-1)
             self.d2 += np.square(y[self.table] - y[:, None]).reshape(-1)
-        self._K = self.table.shape[1]
+        self._K = K
         self.rows = memoryview(self.table.reshape(-1))
         self.row_d2 = memoryview(self.d2)
+        self.row_d = memoryview(np.sqrt(self.d2))
+
+    def row(self, a: int) -> np.ndarray:
+        """a's squared distances to every point, inf at a itself; a new
+        array."""
+        if self._matrix is not None:
+            return self._matrix[a].copy()
+        ex, ey = self._x - self._x[a], self._y - self._y[a]
+        row = ex * ex + ey * ey
+        row[a] = math.inf
+        return row
 
     def closer(self, a: int, lim: float) -> Iterable[int]:
         """The points c != a with d2(a, c) < lim, in (d2, index) order.
 
-        The dense path bisects a's whole row of the matrix, sorted the first
-        time it is asked for. The grid path yields a's listed neighbours
-        closer than lim; when lim exceeds the K-th of them, it ranks all
-        points for the rest, and only once the caller iterates that far.
+        The dense path slices a's row of the sort where lim bisects it. The
+        grid path yields a's listed neighbours closer than lim; when lim
+        exceeds the K-th of them, it ranks row(a) for the rest, and only
+        once the caller iterates that far.
         """
         if self._matrix is not None:
-            order, d2 = self._sorted[a] or self._sort_row(a)
-            return order[: bisect.bisect_left(d2, lim)]
+            n = len(self._matrix)
+            k = a * n
+            return self._all[k : bisect.bisect_left(self._all_d2, lim, k, k + n)]
         return self._closer_grid(a, lim)
-
-    def _sort_row(self, a: int) -> tuple[list[int], list[float]]:
-        row = self._matrix[a]
-        order = np.argsort(row, kind="stable")[:-1]  # a itself, at inf, last
-        self._sorted[a] = order.tolist(), row[order].tolist()
-        return self._sorted[a]
 
     def _closer_grid(self, a: int, lim: float) -> Iterator[int]:
         K = self._K
@@ -360,30 +372,9 @@ class _NeighbourIndex:
         end = bisect.bisect_left(self.row_d2, lim, k, k + K)
         yield from self.rows[k:end]
         if end == k + K:  # lim is beyond the K-th listed d2
-            ex, ey = self._x - self._x[a], self._y - self._y[a]
-            row = ex * ex + ey * ey
-            row[a] = math.inf
+            row = self.row(a)
             c = np.flatnonzero(row < lim)
             yield from c[np.argsort(row[c], kind="stable")][K:].tolist()
-
-
-def _dense_table(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The neighbour table and its flat squared distances from the
-    squared-distance matrix D, whose diagonal is inf (see _NeighbourIndex)."""
-    n = len(D)
-    K = min(NEIGHBOURS, n - 1)
-    if K < 1:
-        return np.empty((n, 0), dtype=np.int64), np.empty(0)
-    row = np.arange(n)[:, None]
-    top = np.argpartition(D, K, axis=1)[:, : K + 1]
-    d2 = D[row, top]
-    rank = np.lexsort((top, d2))
-    top, d2 = top[row, rank], d2[row, rank]
-    tied = d2[:, K - 1] == d2[:, K]
-    if tied.any():
-        top[tied] = np.argsort(D[tied], axis=1, kind="stable")[:, : K + 1]
-        d2[tied] = D[row[tied], top[tied]]
-    return np.ascontiguousarray(top[:, :K]), d2[:, :K].reshape(-1)
 
 
 def _grid_table(pts: np.ndarray) -> np.ndarray:
@@ -470,18 +461,18 @@ def _grid_table(pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neighbour_walk(pts: np.ndarray, nbrs: np.ndarray, start: int) -> list[int]:
-    """Nearest-neighbor tour from `start`: each step moves to the closest
-    unvisited point, ties to the smallest index.
+def _neighbour_walk(index: _NeighbourIndex, start: int) -> list[int]:
+    """Nearest-neighbor tour from `start` over the points of `index`: each
+    step moves to the closest unvisited point, ties to the smallest index.
 
     The first unvisited entry of the current point's neighbour row is that
-    point; only when the whole row is visited does the step rank all points.
+    point; only when the whole row is visited does the step rank all points,
+    by index.row.
     """
-    n, K = nbrs.shape
-    rows = memoryview(nbrs.reshape(-1))
+    n, K = index.table.shape
+    rows = index.rows
     seen = bytearray(n)
     visited = np.frombuffer(seen, dtype=bool)  # a view: follows `seen`
-    x, y = pts[:, 0], pts[:, 1]
     tour = [start]
     seen[start] = 1
     cur = start
@@ -490,9 +481,7 @@ def _neighbour_walk(pts: np.ndarray, nbrs: np.ndarray, start: int) -> list[int]:
             if not seen[nxt]:
                 break
         else:
-            dx = x - x[cur]
-            dy = y - y[cur]
-            d2 = dx * dx + dy * dy
+            d2 = index.row(cur)
             d2[visited] = np.inf
             nxt = int(np.argmin(d2))
         seen[nxt] = 1
@@ -525,7 +514,7 @@ def _screen(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex,
     before any hypot per pair.
 
     Every term reads what improve reads: np.hypot where it calls math.hypot,
-    the index's sqrt(d2) where it reads row_d, so the integer gates and the
+    the index's row_d where improve does, so the integer gates and the
     d2 < lim and lim > kth gates are exact, bit for bit. The gates that go
     through hypot (the move deltas, gain > near and ac < gain) are widened
     by eps/2, in the direction that flags more. Both hypots are within 1 ulp,
@@ -604,7 +593,7 @@ def _screen(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex,
         (at_offset(E, -1) + at_offset(E, 2)) - at_offset(S4, -1),
         (at_offset(E, -3) + at_offset(E, 0)) - at_offset(S4, -3),
     ][: 1 if n < 5 else 3 if n < 6 else 5])[:, at]  # by point
-    row_d = np.sqrt(index.d2)
+    row_d = np.asarray(index.row_d)
     a, f, s = pairs(row_d.reshape(n, K), gain + half)
     m, s1, z = segments[s].T
     i = at[a]
@@ -644,17 +633,15 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex) 
     so the result is a 2-opt local optimum over all pairs. Only improving
     moves are taken, so the result is never longer than `tour`.
 
-    Above _DENSE_MAX points a confirming pass snapshots the tour and calls
-    improve only at the points _screen flags, in snapshot order. An
-    unflagged point provably has no move: the screen mirrors improve's
-    gates, exactly where they compare the same bits and widened by eps/2
-    where they go through hypot, which covers the at most 3e-14 * 2^e by
-    which numpy's and math's hypot can move a delta (see _screen). Until
-    the pass's first move the tour is the snapshot, so the calls skipped
-    before it would have moved nothing and changed nothing. At that move the
-    queue becomes what the full pass would have held: the rest of the
-    snapshot, queued, then the touched points. If no flagged point moves,
-    the search ends. Every move, and so the tour, is the same bit for bit.
+    Above _DENSE_MAX points a confirming pass is that full pass, with
+    _screen run once at its start: while no move has changed the tour the
+    screen saw, the pass skips the points the screen cleared, and its first
+    move drops the verdicts. A cleared point provably has no move: the
+    screen mirrors improve's gates, exactly where they compare the same bits
+    and widened by eps/2 where they go through hypot, which covers the at
+    most 3e-14 * 2^e by which numpy's and math's hypot can move a delta (see
+    _screen). A skipped call would have moved nothing and changed nothing,
+    so the queue, every move, and so the tour, are the same bit for bit.
 
     The tour is a position array; a move rewrites the shorter of the two
     tour arcs that give the same cycle, so a point's successor may become its
@@ -672,9 +659,9 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex) 
     K = index.table.shape[1]
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     # point a's neighbours and their squared and plain distances sit at
-    # a * K .. a * K + K - 1; memoryviews index as fast as lists, without a
-    # Python object per entry
-    rows, row_d2, row_d = index.rows, index.row_d2, memoryview(np.sqrt(index.d2))
+    # a * K .. a * K + K - 1 of the index's memoryviews, which index as fast
+    # as lists, without a Python object per entry
+    rows, row_d2, row_d = index.rows, index.row_d2, index.row_d
     closer = index.closer
     pos = [0] * n
     for i, v in enumerate(tour):
@@ -828,32 +815,25 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex) 
     queue = deque(tour)
     queued = bytearray(b"\x01") * n
     moved = False
-    snap = None  # the tour at the start of a screened confirming pass
+    # cleared[a]: the screen proved that a has no move, on a tour no move
+    # has changed since
+    cleared = no_verdict = bytes(n)
     while queue:
         a = queue.popleft()
         queued[a] = 0
-        touched = improve(a)
+        touched = None if cleared[a] else improve(a)
         if touched:
-            moved = True
-            if snap is not None:  # the pass's first move: queue as a full pass
-                rest = snap[snap.index(a) + 1 :]
-                queue = deque(rest)
-                queued = bytearray(n)
-                np.frombuffer(queued, dtype=bool)[rest] = True
-                snap = None
+            moved, cleared = True, no_verdict
             for v in touched:
                 if not queued[v]:
                     queued[v] = 1
                     queue.append(v)
         if not queue and moved:  # confirm with a full pass
             moved = False
-            if n > _DENSE_MAX:  # only at the points the screen flags
-                snap = tour.copy()
-                order = np.array(snap)
-                queue = deque(order[_screen(pts, order, index, eps)[order]].tolist())
-            else:
-                queue.extend(tour)
-                queued = bytearray(b"\x01") * n
+            queue.extend(tour)
+            queued = bytearray(b"\x01") * n
+            if n > _DENSE_MAX:
+                cleared = (~_screen(pts, tour, index, eps)).tobytes()
     return tour[pos[0]:] + tour[: pos[0]]
 
 

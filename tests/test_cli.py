@@ -190,6 +190,26 @@ def test_experiment_rejects_m0(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("algo", ALGOS)
+def test_solve_rejects_nonpositive_m(tmp_path, capsys, algo):
+    # `solve --algo itp --m -5` exited 0, while the sweep exited 2
+    instance_file = tmp_path / "inst.txt"
+    out_file = tmp_path / "sol.json"
+    assert main(["gen", "--n", "10", "--k", "3", "--output", str(instance_file)]) == 0
+    assert main(["solve", "--algo", algo, "--m", "-5", "--input", str(instance_file),
+                 "--output", str(out_file)]) == 2
+    assert "M must be >= 1" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_experiment_small_instance_mode_rejects_large_n(tmp_path, capsys):
+    out_file = tmp_path / "rows.csv"
+    assert main(["experiment", "--n", "12", "--k", "3", "--small-instance-mode",
+                 "--output", str(out_file)]) == 2
+    assert "12 points is too many for brute-force CVRP" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_experiment_rejects_empty_algos(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
     assert main(["experiment", "--n", "20", "--k", "4", "--algos", ",",

@@ -39,6 +39,13 @@ class TestSolve:
         with pytest.raises(ValueError, match="unknown algo 'bogus'"):
             solve(self.INST, "bogus", 2)
 
+    @pytest.mark.parametrize("algo", experiments.ALGOS)
+    def test_rejects_nonpositive_M_for_every_algo(self, algo):
+        # ITP ignores M, but accepted M = -5 where the sweep raised
+        for M in (0, -5):
+            with pytest.raises(ValueError, match="M must be >= 1"):
+                solve(self.INST, algo, M)
+
     @pytest.mark.parametrize("algo, solver",
                              [("sweep", "sweep_solve"), ("itp", "itp_solve")])
     def test_infeasible_solution_raises(self, monkeypatch, algo, solver):
@@ -151,6 +158,22 @@ class TestRunRatioExperiment:
             assert row.best_lb == max(row.lb_r0, row.lb_rstar, row.lb_rinf)
             assert row.cost <= row.ub + 1e-9
             assert row.certified
+
+    @pytest.mark.parametrize("n, k", [(12, 3), (10, 10)])
+    def test_small_instance_mode_rejects_sizes_beyond_brute_force(self, monkeypatch,
+                                                                  n, k):
+        # both computed the first seed's three bounds, then failed in the
+        # brute-force CVRP, (10, 10) in its TSP over a block of 10 terminals
+        # and the depot; the config now raises before any bound
+        def never(*args, **kwargs):
+            raise AssertionError("a bound was computed")
+
+        monkeypatch.setattr(experiments, "BoundContext", never)
+        monkeypatch.setattr(experiments, "brute_force_opt", never)
+        with pytest.raises(ValueError, match="too many for brute-force"):
+            run_ratio_experiment(self._config(n=n, k_fixed=k, small_instance_mode=True))
+        self._config(n=n, k_fixed=k)  # without the mode, the size is not limited
+        self._config(n=10, k_fixed=9, small_instance_mode=True)
 
     def test_small_instance_mode_ratio_at_least_one(self):
         result = run_ratio_experiment(self._config(small_instance_mode=True))

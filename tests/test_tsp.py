@@ -21,7 +21,6 @@ from sweepcvrp.tsp import (
     _NeighbourIndex,
     _screen,
     cycle_length,
-    neighbours,
     tsp_dispatch,
     tsp_exact,
     tsp_heuristic,
@@ -501,9 +500,10 @@ class _LoggingEps(float):
 
 
 def _logging_deque(log: list) -> type:
-    """A deque that logs ("call", a) for each point a it hands out: both
-    kernels call improve(a) once per popleft, so the entries split the delta
-    log into calls."""
+    """A deque that logs ("call", a) for each point a it hands out: the
+    reference calls improve(a) once per popleft, and _local_search does too
+    unless the screen cleared a, so the entries split the delta log into
+    calls, a cleared one with no deltas."""
 
     class LoggingDeque(deque):
         def popleft(self):
@@ -548,21 +548,19 @@ def _runs_with_deltas(pts: np.ndarray, start: list[int], nbrs: np.ndarray):
 
 
 def _assert_same_moves(ref_calls: list, calls: list, eps: float) -> int:
-    """calls is ref_calls with only whole move-free calls left out, so both
-    searches took the same moves, with the same delta bits, in the same
-    order; returns the number left out."""
-    def moves(cs):
-        return [d for _, deltas in cs for d in deltas if float.fromhex(d) < -eps]
-
-    assert moves(calls) == moves(ref_calls)
-    j = 0
-    for call in ref_calls:
-        if j < len(calls) and call == calls[j]:
-            j += 1
-        else:  # left out: it must have moved nothing
-            assert not moves([call]), call
-    assert j == len(calls)
-    return len(ref_calls) - len(calls)
+    """Position by position, the screened search handed out the reference's
+    points, and each of its calls is the reference's, delta bits and all,
+    or a cleared call that logged no deltas where the reference's moved
+    nothing; returns the number of cleared calls whose reference logged
+    deltas."""
+    assert [a for a, _ in calls] == [a for a, _ in ref_calls]
+    cleared = 0
+    for ref, call in zip(ref_calls, calls):
+        if call != ref:
+            assert call[1] == (), (ref, call)
+            assert all(float.fromhex(d) >= -eps for d in ref[1]), ref
+            cleared += 1
+    return cleared
 
 
 def _best_moves(pts: np.ndarray, tour: list[int], nbrs: np.ndarray):
@@ -719,13 +717,13 @@ KERNEL_CASES = _kernel_cases()
 
 
 class TestTwoOptKernel:
-    """neighbours, the nearest-neighbor walk and _local_search against brute
-    force and the reference kernels they replaced."""
+    """The neighbour table, the nearest-neighbor walk and _local_search
+    against brute force and the reference kernels they replaced."""
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_neighbours_match_brute_force(self, name):
         pts = KERNEL_CASES[name]
-        assert np.array_equal(neighbours(pts), _neighbours_brute_force(pts))
+        assert np.array_equal(_NeighbourIndex(pts).table, _neighbours_brute_force(pts))
 
     @pytest.mark.parametrize("block", [1, 7, 256, 10**6])
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
@@ -734,7 +732,7 @@ class TestTwoOptKernel:
         monkeypatch.setattr(tsp, "_DENSE_MAX", 0)  # the grid path
         monkeypatch.setattr(tsp, "_QUERY_BLOCK", block)
         pts = KERNEL_CASES[name]
-        assert np.array_equal(neighbours(pts), _neighbours_brute_force(pts))
+        assert np.array_equal(_NeighbourIndex(pts).table, _neighbours_brute_force(pts))
 
     @pytest.mark.parametrize("dense_max", [0, 10**6])  # the grid, the dense path
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
@@ -791,13 +789,14 @@ class TestTwoOptKernel:
     def test_same_moves_as_reference(self, name):
         pts = KERNEL_CASES[name]
         n = len(pts)
-        nbrs = neighbours(pts)
-        starts = [_neighbour_walk(pts, nbrs, s) for s in sorted({0, 1, n // 2, n - 1})]
+        index = _NeighbourIndex(pts)
+        nbrs = index.table
+        starts = [_neighbour_walk(index, s) for s in sorted({0, 1, n // 2, n - 1})]
         starts.append(np.random.default_rng(n).permutation(n).tolist())
         for start in starts:
             (ref, ref_calls), (tour, calls) = _runs_with_deltas(pts, start, nbrs)
             assert tour == ref, start
-            if n > tsp._DENSE_MAX:  # screened: skipped calls log no deltas
+            if n > tsp._DENSE_MAX:  # screened: cleared calls log no deltas
                 _assert_same_moves(ref_calls, calls, _move_eps(pts))
             else:
                 assert calls == ref_calls, start
@@ -808,10 +807,10 @@ class TestTwoOptKernel:
         # each search runs plain, and every other one again with every
         # confirming pass screened
         rng = np.random.default_rng(100 + n)
-        moved = skipped = 0
+        moved = cleared = 0
         for trial in range(40):
             pts = rng.random((n, 2))
-            nbrs = neighbours(pts)
+            nbrs = _NeighbourIndex(pts).table
             start = rng.permutation(n).tolist()
             (ref, ref_calls), (tour, calls) = _runs_with_deltas(pts, start, nbrs)
             assert tour == ref and calls == ref_calls, pts
@@ -822,26 +821,27 @@ class TestTwoOptKernel:
                 mp.setattr(tsp, "_DENSE_MAX", 0)
                 screened, calls = _logged_run(_local_search, pts, start, _NeighbourIndex(pts))
             assert screened == ref, pts
-            skipped += _assert_same_moves(ref_calls, calls, _move_eps(pts))
+            cleared += _assert_same_moves(ref_calls, calls, _move_eps(pts))
         assert moved  # the comparison covers tours that the search changed
-        assert skipped  # and searches whose screen skipped calls
+        assert cleared  # and searches whose screen cleared calls
 
     @pytest.mark.parametrize("n", range(NEIGHBOURS + 3))
     def test_neighbours_of_few_points(self, n):
         # up to n = K + 1 every row lists all other points
         pts = np.random.default_rng(n).random((n, 2))
-        assert np.array_equal(neighbours(pts), _neighbours_brute_force(pts))
+        assert np.array_equal(_NeighbourIndex(pts).table, _neighbours_brute_force(pts))
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_same_tours_as_reference(self, name):
         # the walk's start tours are the reference nearest-neighbor tours
         pts = KERNEL_CASES[name]
         n = len(pts)
-        nbrs = neighbours(pts)
+        index = _NeighbourIndex(pts)
+        nbrs = index.table
         ranked_all = False
         for start in range(n) if n <= 64 else (0, 1, n // 2, n - 1):
             expected = _nearest_neighbor_reference(pts, start).tolist()
-            assert _neighbour_walk(pts, nbrs, start) == expected, start
+            assert _neighbour_walk(index, start) == expected, start
             ranked_all |= any(b not in nbrs[a] for a, b in zip(expected, expected[1:]))
         if n > 20:
             assert ranked_all  # some step found its whole row visited
@@ -850,11 +850,11 @@ class TestTwoOptKernel:
     def test_local_optimum(self, name):
         pts = KERNEL_CASES[name]
         n = len(pts)
-        nbrs = neighbours(pts)
+        index = _NeighbourIndex(pts)
         scale = max(1.0, float(np.abs(pts).max()))
         for start in sorted({0, 1, n // 2, n - 1}):
-            walk = _neighbour_walk(pts, nbrs, start)
-            tour = _local_search(pts, walk, _NeighbourIndex(pts))
+            walk = _neighbour_walk(index, start)
+            tour = _local_search(pts, walk, index)
             assert sorted(tour) == list(range(n))
             assert _best_2opt_delta(pts, tour) >= -1e-9 * scale
             assert _length(pts, tour) <= _length(pts, walk)
@@ -873,10 +873,10 @@ class TestTwoOptKernel:
         rng = np.random.default_rng(89)
         for n in (4, 5, 6, 7, 30, 200):
             pts = rng.random((n, 2))
-            nbrs = neighbours(pts)
+            index = _NeighbourIndex(pts)
             local_optimum = _two_opt_reference(pts, _nearest_neighbor_reference(pts, 0))
             for start in (rng.permutation(n).tolist(), local_optimum.tolist()):
-                tour = _local_search(pts, start, _NeighbourIndex(pts))
+                tour = _local_search(pts, start, index)
                 assert sorted(tour) == list(range(n)) and tour[0] == 0
                 assert _best_2opt_delta(pts, tour) >= -1e-9
                 assert _length(pts, tour) <= _length(pts, start)
@@ -904,7 +904,7 @@ def _screen_tours(name: str) -> tuple[tuple[int, ...], ...]:
     pts = KERNEL_CASES[name]
     n = len(pts)
     index = _NeighbourIndex(pts)
-    walk = _neighbour_walk(pts, index.table, 0)
+    walk = _neighbour_walk(index, 0)
     rng = np.random.default_rng(n)
     swapped = _local_search(pts, walk, index)
     for i in rng.choice(n - 1, max(1, n // 10), replace=False):
@@ -917,7 +917,7 @@ def _screen_oracle(name: str, e: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """_best_moves on tour k of _screen_tours(name), over the kernel case
     scaled by 2^e; the table is the same on both index paths."""
     pts = np.ldexp(KERNEL_CASES[name], e)
-    return _best_moves(pts, list(_screen_tours(name)[k]), neighbours(pts))
+    return _best_moves(pts, list(_screen_tours(name)[k]), _NeighbourIndex(pts).table)
 
 
 class TestScreen:
@@ -957,15 +957,15 @@ class TestScreen:
     def test_few_flags_at_a_local_optimum(self):
         pts = KERNEL_CASES["random-300"]
         index = _NeighbourIndex(pts)
-        tour = _local_search(pts, _neighbour_walk(pts, index.table, 0), index)
+        tour = _local_search(pts, _neighbour_walk(index, 0), index)
         flags = _screen(pts, tour, index, _move_eps(pts))
         assert flags.sum() < 0.1 * len(pts)
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_screened_search_takes_the_reference_moves(self, name, monkeypatch):
         # every confirming pass screened: the reference's tour, and its log
-        # with whole move-free calls left out; with every point flagged, the
-        # reference's log bit for bit
+        # call by call, with cleared calls empty where the reference's moved
+        # nothing; with every point flagged, the reference's log bit for bit
         monkeypatch.setattr(tsp, "_DENSE_MAX", 0)
         pts = KERNEL_CASES[name]
         index = _NeighbourIndex(pts)
@@ -1093,7 +1093,7 @@ class TestTwoOptScale:
         for e in (0, -200):
             sites = np.ldexp(pts, e)
             index = _NeighbourIndex(sites)
-            walk = _neighbour_walk(sites, index.table, 0)
+            walk = _neighbour_walk(index, 0)
             tours.append((walk, _local_search(sites, walk, index)))
         assert tours[1] == tours[0]
         assert tours[0][1] != tours[0][0]
@@ -1153,9 +1153,9 @@ class TestTwoOptScale:
         # made zero-width grid columns
         code = (
             "import numpy as np\n"
-            "from sweepcvrp.tsp import neighbours\n"
+            "from sweepcvrp.tsp import _NeighbourIndex\n"
             "y = np.random.default_rng(0).random(10000)\n"
-            "nbrs = neighbours(np.column_stack([np.full(10000, 0.3), y]))\n"
+            "nbrs = _NeighbourIndex(np.column_stack([np.full(10000, 0.3), y])).table\n"
             "rank = np.argsort(np.argsort(y))\n"
             "assert (np.abs(rank[nbrs] - rank[:, None]) <= 10).all()\n"
         )
