@@ -111,6 +111,8 @@ class ExperimentConfig:
         check_tsp_mode(self.tsp_mode)
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
         resolve_k(self.n, self.k_fixed, self.k_alpha)  # validate early
         if self.small_instance_mode:
             check_cvrp_size(self.n, self.k)

@@ -12,7 +12,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -74,7 +74,8 @@ class Instance:
 @dataclass(frozen=True)
 class Tour:
     """One depot-rooted tour. `indices` are instance terminal indices in
-    visit order; `length` is depot -> first -> ... -> last -> depot."""
+    visit order; `length` is tour_length of the route depot -> first -> ...
+    -> last -> depot, bit for bit."""
 
     indices: tuple[int, ...]
     length: float
@@ -82,8 +83,14 @@ class Tour:
 
 @dataclass(frozen=True)
 class Solution:
+    """A solution is its tours; its cost follows from them."""
+
     tours: tuple[Tour, ...]
-    total_cost: float
+
+    @property
+    def total_cost(self) -> float:
+        """math.fsum of the tour lengths, in tour order."""
+        return math.fsum(t.length for t in self.tours)
 
 
 def tour_length(depot: Point, points: Sequence[Point]) -> float:
@@ -97,16 +104,10 @@ def tour_length(depot: Point, points: Sequence[Point]) -> float:
     return total
 
 
-def make_solution(tours: Iterable[Tour]) -> Solution:
-    tours = tuple(tours)
-    return Solution(tours=tours, total_cost=math.fsum(t.length for t in tours))
-
-
 def check_feasible(instance: Instance, solution: Solution) -> None:
     """Raise ValueError unless `solution` is a feasible solution of `instance`:
     every terminal in exactly one tour, every tour of 1 .. capacity terminals,
-    every tour length that of its route, and the total the sum of the tour
-    lengths (each within a relative or absolute 1e-9)."""
+    and every tour length exactly tour_length of its route."""
     if sorted(i for t in solution.tours for i in t.indices) != list(range(instance.n)):
         raise ValueError("infeasible solution: terminals not visited exactly once")
     for t in solution.tours:
@@ -114,13 +115,9 @@ def check_feasible(instance: Instance, solution: Solution) -> None:
             raise ValueError(f"infeasible solution: a tour of {len(t.indices)} "
                              f"terminals, capacity {instance.capacity}")
         route = tour_length(instance.depot, [instance.terminals[i] for i in t.indices])
-        if not math.isclose(t.length, route, rel_tol=1e-9, abs_tol=1e-9):
+        if t.length != route:
             raise ValueError(f"infeasible solution: tour length {t.length!r} "
                              f"!= route length {route!r}")
-    total = math.fsum(t.length for t in solution.tours)
-    if not math.isclose(solution.total_cost, total, rel_tol=1e-9, abs_tol=1e-9):
-        raise ValueError(f"infeasible solution: total cost {solution.total_cost!r} "
-                         f"!= sum of tour lengths {total!r}")
 
 
 def polar_angle(p: Point, depot: Point) -> float:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, Solution, Tour, dist, make_solution
+from .geometry import Point, Solution, Tour, dist
 from .tsp import (
     check_tsp_mode, held_karp, held_karp_path, mask_dtype, subset_layers, tsp_dispatch,
 )
@@ -86,7 +86,7 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
     if k < 1:
         raise ValueError(f"capacity must be >= 1, got {k}")
     if n == 0:
-        return make_solution([])
+        return Solution(())
 
     hk = held_karp(U, depot)
     layers = partition_layers(n, min(k, n))
@@ -109,27 +109,30 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
         masks, blocks, rest = layers[mask.bit_count() - 1]
         r = int(np.searchsorted(masks, mask))
         s = int(blocks[r, np.argmin(hk.tour_cost[blocks[r]] + part[rest[r]])])
+        # tour_cost[s] sums the path's legs from the depot in order, as
+        # tour_length does
         tours.append(Tour(indices=tuple(held_karp_path(hk, s)),
                           length=float(hk.tour_cost[s])))
         mask ^= s
-    return make_solution(tours)
+    return Solution(tuple(tours))
 
 
 def split_tour_sequence(
     U: Sequence[Point], depot: Point, seq: Sequence[int], k: int
-) -> tuple[list[Tour], float]:
+) -> list[Tour]:
     """Cut the cyclic terminal sequence `seq` into consecutive segments of at
-    most k terminals, trying the k rotation offsets and keeping the cheapest.
+    most k terminals, trying the k rotation offsets and keeping the cheapest
+    by the fsum of its segment lengths.
 
-    Returns (tours, total_cost): one Tour per segment of the winning offset.
-    Offset r puts the first r terminals in a short leading segment; ties
-    prefer the smaller offset.
+    Returns one Tour per segment of the winning offset. Offset r puts the
+    first r terminals in a short leading segment; ties prefer the smaller
+    offset.
     """
     if k < 1:
         raise ValueError(f"capacity must be >= 1, got {k}")
     n = len(seq)
     if n == 0:
-        return [], 0.0
+        return []
     pts = [U[i] for i in seq]
     dep = [dist(depot, p) for p in pts]
     legs = [dist(a, b) for a, b in zip(pts, pts[1:])]
@@ -148,7 +151,7 @@ def split_tour_sequence(
         total = math.fsum(c for _, _, c in cuts)
         if total < best_cost:
             best_cost, best_cuts = total, cuts
-    return [Tour(indices=tuple(seq[a:b]), length=c) for a, b, c in best_cuts], best_cost
+    return [Tour(indices=tuple(seq[a:b]), length=c) for a, b, c in best_cuts]
 
 
 def cvrp_group_heuristic(
@@ -164,8 +167,7 @@ def cvrp_group_heuristic(
     """
     res = tsp_dispatch([depot, *U], mode=tsp_mode, seed=seed)
     seq = [i - 1 for i in res.order[1:]]  # the depot leads; back to U indices
-    tours, _ = split_tour_sequence(U, depot, seq, k)
-    return make_solution(tours)
+    return Solution(tuple(split_tour_sequence(U, depot, seq, k)))
 
 
 def solve_group(

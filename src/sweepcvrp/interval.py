@@ -18,11 +18,12 @@ z - offset is <= z - ulp(z) <= pred(z), and since pred(z) is representable
 the rounded _dn1(z) is <= pred(z); symmetrically _up1(z) >= succ(z). IEEE
 correct rounding of +, -, *, / and squaring leaves the exact result within
 [pred(z), succ(z)], so these bounds enclose it. The offset is also <= 2
-ulp(z), so each bound moves at most two ulps. _dn4/_up4 use four times the
-offset (at least four ulps, at most eight) for sqrt/log/arccos/arcsin,
-whose libm results are assumed faithfully rounded (error below 1 ulp), a 4x
-margin. An upward move that crosses a power of two is rounded on the coarser
-grid above it, which may add one ulp of z to the 4-ulp helpers' eight.
+ulp(z), so each bound moves at most two ulps. v_sqrt, v_log, v_arccos and
+v_arcsin move their results by _outward(lo, hi, 4.0), four times the offset
+(at least four ulps, at most eight), since their libm results are assumed
+faithfully rounded (error below 1 ulp), a 4x margin. An upward move that
+crosses a power of two is rounded on the coarser grid above it, which may
+add one ulp of z to the 4-ulp step's eight.
 
 Non-finite values never become finite: inf - inf is NaN, so _dn1(+inf) and
 _up1(-inf) are NaN (an infinite z stays infinite on its outward side). NaN
@@ -95,7 +96,8 @@ PI_HI = math.nextafter(math.pi, math.inf)
 
 # --- outward rounding helpers -------------------------------------------------
 # _dn1/_up1 move a round-to-nearest result at least one ulp outward and at
-# most two; _dn4/_up4 at least four. The module docstring has the argument.
+# most two; _dn/_up with ulps = 4.0 at least four. The module docstring has
+# the argument.
 
 _ULP_SCALE = 2.0 ** -52  # |x| * 2^-52 >= ulp(x) for every normal x
 _ETA = 2.0 ** -1074      # smallest subnormal: the ulp of zero and subnormals
@@ -143,14 +145,6 @@ def _dn1(x, out=None):
 
 def _up1(x, out=None):
     return _up(x, 1.0, out)
-
-
-def _dn4(x, out=None):
-    return _dn(x, 4.0, out)
-
-
-def _up4(x, out=None):
-    return _up(x, 4.0, out)
 
 
 def _outward(lo, hi, ulps):

@@ -8,7 +8,7 @@ re-balancing or post-exchange between adjacent tours.
 
 from __future__ import annotations
 
-from .geometry import Instance, Solution, Tour, make_solution, sweep_sort
+from .geometry import Instance, Solution, Tour, sweep_sort
 from .group_cvrp import SolveConfig, solve_group
 
 
@@ -33,4 +33,4 @@ def sweep_solve(
             Tour(indices=tuple(group[i] for i in t.indices), length=t.length)
             for t in solution.tours
         )
-    return make_solution(tours)
+    return Solution(tuple(tours))

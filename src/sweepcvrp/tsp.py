@@ -309,8 +309,9 @@ class _NeighbourIndex:
     Up to _DENSE_MAX points (the dense path), one n x n matrix of squared
     distances, with the diagonal set to inf, is sorted once, row by row:
     np.argsort, then a stable re-sort of every row that holds equal entries,
-    so each row runs in (d2, index) order. The table is its first K
-    columns. Above it (the grid path), _grid_table builds the table.
+    so each row runs in (d2, index) order; the sort is kept, the matrix is
+    not. The table is its first K columns. Above it (the grid path),
+    _grid_table builds the table and `_all` is None.
     """
 
     def __init__(self, pts: np.ndarray):
@@ -325,7 +326,6 @@ class _NeighbourIndex:
             d2 = np.sort(D, axis=1)
             tied = (d2[:, 1:] == d2[:, :-1]).any(axis=1)
             order[tied] = np.argsort(D[tied], axis=1, kind="stable")
-            self._matrix = D
             # a's row of the sort sits at a * n .. a * n + n - 1, a itself
             # (at inf) last
             self._all = memoryview(order.reshape(-1))
@@ -333,7 +333,7 @@ class _NeighbourIndex:
             self.table = np.ascontiguousarray(order[:, :K])
             self.d2 = d2[:, :K].reshape(-1)
         else:
-            self._matrix = None
+            self._all = None
             self.table = _grid_table(pts)
             self.d2 = np.square(x[self.table] - x[:, None]).reshape(-1)
             self.d2 += np.square(y[self.table] - y[:, None]).reshape(-1)
@@ -345,8 +345,6 @@ class _NeighbourIndex:
     def row(self, a: int) -> np.ndarray:
         """a's squared distances to every point, inf at a itself; a new
         array."""
-        if self._matrix is not None:
-            return self._matrix[a].copy()
         ex, ey = self._x - self._x[a], self._y - self._y[a]
         row = ex * ex + ey * ey
         row[a] = math.inf
@@ -360,8 +358,8 @@ class _NeighbourIndex:
         exceeds the K-th of them, it ranks row(a) for the rest, and only
         once the caller iterates that far.
         """
-        if self._matrix is not None:
-            n = len(self._matrix)
+        if self._all is not None:
+            n = len(self._x)
             k = a * n
             return self._all[k : bisect.bisect_left(self._all_d2, lim, k, k + n)]
         return self._closer_grid(a, lim)

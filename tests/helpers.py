@@ -3,6 +3,7 @@ and the package's feasibility check `check_feasible`, re-exported."""
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -37,3 +38,16 @@ def random_instance(rng: np.random.Generator, max_n: int = 10,
     depot = Point(float(rng.uniform(-0.5, 1.5)), float(rng.uniform(-0.5, 1.5)))
     return Instance(terminals=tuple(random_points(rng, n)), depot=depot,
                     capacity=k)
+
+
+# powers of two, 2**e, at which the package must behave alike
+SCALE_EXPONENTS = (-600, -40, 0, 400)
+
+
+def scaled_instance(instance: Instance, e: int) -> Instance:
+    """`instance` with every coordinate times 2**e, exactly."""
+    def at(p: Point) -> Point:
+        return Point(math.ldexp(p.x, e), math.ldexp(p.y, e))
+
+    return Instance(terminals=tuple(map(at, instance.terminals)),
+                    depot=at(instance.depot), capacity=instance.capacity)

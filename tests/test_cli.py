@@ -210,6 +210,13 @@ def test_experiment_small_instance_mode_rejects_large_n(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_experiment_rejects_negative_n(tmp_path, capsys):
+    out_file = tmp_path / "rows.csv"
+    assert main(["experiment", "--n", "-3", "--k", "1", "--output", str(out_file)]) == 2
+    assert "n must be >= 0, got -3" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_experiment_rejects_empty_algos(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
     assert main(["experiment", "--n", "20", "--k", "4", "--algos", ",",

@@ -19,10 +19,12 @@ from sweepcvrp.experiments import (
     solve,
     write_csv,
 )
-from sweepcvrp.geometry import Point, Solution, dist
-from sweepcvrp.group_cvrp import SolveConfig
+from sweepcvrp.geometry import Point, Solution, dist, tour_length
+from sweepcvrp.group_cvrp import EXACT_GROUP_THRESHOLD, SolveConfig
 from sweepcvrp.itp import itp_solve
-from sweepcvrp.sweep import sweep_solve
+from sweepcvrp.sweep import sweep_groups, sweep_solve
+
+from helpers import SCALE_EXPONENTS, random_instance, scaled_instance
 
 
 class TestSolve:
@@ -39,6 +41,21 @@ class TestSolve:
         with pytest.raises(ValueError, match="unknown algo 'bogus'"):
             solve(self.INST, "bogus", 2)
 
+    @pytest.mark.parametrize("e", SCALE_EXPONENTS)
+    def test_tour_lengths_are_their_routes(self, e):
+        # exact groups, split groups and ITP alike: every tour's length is
+        # tour_length of its route, bit for bit, at every power-of-two scale
+        rng = np.random.default_rng(131)
+        group_sizes = set()
+        for _ in range(8):
+            inst = scaled_instance(random_instance(rng, max_n=60, max_k=8, min_n=20), e)
+            for algo, M in (("sweep", 1), ("sweep", 3), ("itp", 1)):
+                for t in solve(inst, algo, M).tours:
+                    route = [inst.terminals[i] for i in t.indices]
+                    assert t.length == tour_length(inst.depot, route)
+                group_sizes.update(map(len, sweep_groups(inst, M)))
+        assert min(group_sizes) <= EXACT_GROUP_THRESHOLD < max(group_sizes)
+
     @pytest.mark.parametrize("algo", experiments.ALGOS)
     def test_rejects_nonpositive_M_for_every_algo(self, algo):
         # ITP ignores M, but accepted M = -5 where the sweep raised
@@ -52,7 +69,7 @@ class TestSolve:
         # a solver that drops a tour: solve raises instead of returning its cost
         def dropped(*args, **kwargs):
             sol = sweep_solve(self.INST, 2)
-            return Solution(tours=sol.tours[1:], total_cost=sol.total_cost)
+            return Solution(tours=sol.tours[1:])
 
         monkeypatch.setattr(experiments, solver, dropped)
         with pytest.raises(ValueError, match="infeasible solution"):
@@ -174,6 +191,14 @@ class TestRunRatioExperiment:
             run_ratio_experiment(self._config(n=n, k_fixed=k, small_instance_mode=True))
         self._config(n=n, k_fixed=k)  # without the mode, the size is not limited
         self._config(n=10, k_fixed=9, small_instance_mode=True)
+
+    def test_rejects_negative_n(self):
+        # both constructed, and the run failed only in gen_instance, after
+        # choose_R
+        for k in (dict(k_fixed=1), dict(k_fixed=None, k_alpha=0.5)):
+            with pytest.raises(ValueError, match="n must be >= 0, got -3"):
+                self._config(n=-3, **k)
+        self._config(n=0, k_fixed=1)
 
     def test_small_instance_mode_ratio_at_least_one(self):
         result = run_ratio_experiment(self._config(small_instance_mode=True))

@@ -24,6 +24,8 @@ from sweepcvrp.geometry import (
 )
 from sweepcvrp.experiments import gen_instance
 
+from helpers import SCALE_EXPONENTS, scaled_instance
+
 
 def _points(xy):
     return [Point(float(x), float(y)) for x, y in xy]
@@ -310,38 +312,42 @@ class TestOutputFile:
 class TestCheckFeasible:
     INST = gen_instance(12, 4, Point(0.3, 0.6), seed=2)
 
-    def _tour(self, indices):
-        pts = [self.INST.terminals[i] for i in indices]
-        return Tour(indices=tuple(indices), length=tour_length(self.INST.depot, pts))
-
-    def _solution(self, *index_lists):
-        tours = tuple(self._tour(ix) for ix in index_lists)
-        return Solution(tours=tours, total_cost=math.fsum(t.length for t in tours))
+    @staticmethod
+    def _solution(inst, *index_lists):
+        return Solution(tours=tuple(
+            Tour(indices=tuple(ix), length=tour_length(inst.depot,
+                                                       [inst.terminals[i] for i in ix]))
+            for ix in index_lists))
 
     def test_feasible_passes(self):
-        check_feasible(self.INST, self._solution(range(0, 4), range(4, 8), range(8, 12)))
-        check_feasible(Instance(terminals=(), depot=Point(0, 0), capacity=1),
-                       Solution(tours=(), total_cost=0.0))
+        for e in SCALE_EXPONENTS:
+            inst = scaled_instance(self.INST, e)
+            check_feasible(inst, self._solution(inst, range(0, 4), range(4, 8), range(8, 12)))
+        check_feasible(Instance(terminals=(), depot=Point(0, 0), capacity=1), Solution(()))
 
     @pytest.mark.parametrize("corrupt", [
         "missing", "repeated", "out of range", "over capacity", "empty tour",
-        "tour length", "total cost",
+        "tour length", "zero length",
     ])
     def test_corrupted_raises(self, corrupt):
+        # at every scale in SCALE_EXPONENTS: the check compares tour lengths
+        # exactly, where an absolute tolerance let a x1.001 length and a zero
+        # length pass at 2**-600 and 2**-40
         parts = {
             "missing": [range(0, 4), range(4, 8), range(8, 11)],
             "repeated": [range(0, 4), range(4, 8), range(7, 12)],
             "over capacity": [range(0, 5), range(5, 8), range(8, 12)],
             "empty tour": [range(0, 4), range(4, 8), range(8, 12), []],
         }.get(corrupt, [range(0, 4), range(4, 8), range(8, 12)])
-        sol = self._solution(*parts)
-        if corrupt == "out of range":  # terminal 11 renamed 12
-            last = Tour(indices=(8, 9, 10, 12), length=sol.tours[-1].length)
-            sol = Solution(tours=(*sol.tours[:-1], last), total_cost=sol.total_cost)
-        if corrupt == "tour length":
-            bad = Tour(indices=sol.tours[0].indices, length=sol.tours[0].length * 1.001)
-            sol = Solution(tours=(bad, *sol.tours[1:]), total_cost=sol.total_cost)
-        if corrupt == "total cost":
-            sol = Solution(tours=sol.tours, total_cost=sol.total_cost + 1e-6)
-        with pytest.raises(ValueError, match="infeasible solution"):
-            check_feasible(self.INST, sol)
+        for e in SCALE_EXPONENTS:
+            inst = scaled_instance(self.INST, e)
+            tours = self._solution(inst, *parts).tours
+            first = tours[0]
+            if corrupt == "out of range":  # terminal 11 renamed 12
+                tours = (*tours[:-1], Tour(indices=(8, 9, 10, 12), length=tours[-1].length))
+            if corrupt == "tour length":
+                tours = (Tour(indices=first.indices, length=first.length * 1.001), *tours[1:])
+            if corrupt == "zero length":
+                tours = (Tour(indices=first.indices, length=0.0), *tours[1:])
+            with pytest.raises(ValueError, match="infeasible solution"):
+                check_feasible(inst, Solution(tours))

@@ -8,7 +8,7 @@ import sweepcvrp.tsp as tsp_module
 
 from sweepcvrp.bruteforce import cvrp_brute_force
 from sweepcvrp.geometry import (
-    Instance, Point, Solution, Tour, dist, make_solution, tour_length,
+    Instance, Point, Solution, Tour, dist, tour_length,
 )
 from sweepcvrp.group_cvrp import (
     EXACT_GROUP_THRESHOLD,
@@ -94,9 +94,9 @@ class TestSplitHeuristic:
         # the general path gives what the removed n = 0 and n = 1 branches
         # returned, bit for bit
         depot, u = Point(0.3, -0.7), Point(0.9, 0.1)
-        empty = Solution(tours=(), total_cost=0.0)
+        empty = Solution(tours=())
         one = Tour(indices=(0,), length=2.0 * dist(depot, u))
-        single = Solution(tours=(one,), total_cost=one.length)
+        single = Solution(tours=(one,))
         for seed in (0, 1):
             assert repr(cvrp_group_heuristic([], depot, k, mode, seed)) == repr(empty)
             assert repr(cvrp_group_heuristic([u], depot, k, mode, seed)) == repr(single)
@@ -143,7 +143,7 @@ class TestSplitHeuristic:
     def test_offset_search_prefers_single_tour(self):
         # n <= k: offset 0 keeps the tour whole and must win ties
         U = [Point(1, 0), Point(1, 1), Point(0, 1)]
-        tours, _ = split_tour_sequence(U, O, [0, 1, 2], k=5)
+        tours = split_tour_sequence(U, O, [0, 1, 2], k=5)
         assert [t.indices for t in tours] == [(0, 1, 2)]
 
 
@@ -289,7 +289,7 @@ def _cvrp_exact_small_numpy_reference(U, depot, k):
     block of every mask."""
     n = len(U)
     if n == 0:
-        return make_solution([])
+        return Solution(())
     tour_cost, tour_end, parent = _held_karp_numpy_reference(U, depot)
     part = np.zeros(1 << n)
     choice = np.zeros(1 << n, dtype=np.int64)
@@ -311,7 +311,7 @@ def _cvrp_exact_small_numpy_reference(U, depot, k):
         order = _held_karp_path_numpy_reference(parent, s, int(tour_end[s]))
         tours.append(Tour(indices=tuple(order), length=float(tour_cost[s])))
         mask ^= s
-    return make_solution(tours)
+    return Solution(tuple(tours))
 
 
 def _assert_same_held_karp(U, depot, tour_cost, tour_end, parent):
@@ -417,12 +417,12 @@ class TestExactSmallReference:
         U, depot = GROUP_CASES[name]
         seq = np.random.default_rng(len(U)).permutation(len(U)).tolist()
         for k in range(1, max(len(U), 1) + 1):
-            tours, total = split_tour_sequence(U, depot, seq, k)
+            tours = split_tour_sequence(U, depot, seq, k)
             segments, ref_total = _split_reference(U, depot, seq, k)
             assert [(t.indices, t.length) for t in tours] == [
                 (tuple(seg), tour_length(depot, [U[i] for i in seg])) for seg in segments
             ]
-            assert total == ref_total
+            assert math.fsum(t.length for t in tours) == ref_total
 
 
 def _clear_table_caches():

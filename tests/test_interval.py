@@ -22,11 +22,11 @@ from sweepcvrp.interval import (
     _V_TWO_THIRDS_PI,
     _axis,
     _corner,
+    _dn,
     _dn1,
-    _dn4,
     _hull4,
+    _up,
     _up1,
-    _up4,
     iv_g,
     v_A1,
     v_add,
@@ -331,6 +331,15 @@ class TestIvG:
 DBL_MAX = np.finfo(np.float64).max
 SMALLEST_NORMAL = 2.0 ** -1022
 MIN_SUBNORMAL = 2.0 ** -1074
+
+
+# the 4-ulp outward step that v_sqrt, v_log, v_arccos and v_arcsin take
+def _dn4(x, out=None):
+    return _dn(x, 4.0, out)
+
+
+def _up4(x, out=None):
+    return _up(x, 4.0, out)
 
 
 def _rounding_cases() -> list[float]:

@@ -748,6 +748,19 @@ class TestTwoOptKernel:
         d2 += np.square(y[nbrs] - y[:, None]).reshape(-1)
         assert index.d2.tobytes() == d2.tobytes()
 
+    def test_row_is_the_dense_matrix_row(self):
+        # row(a) computes what the dense path's distance matrix held, which
+        # the index no longer keeps, bit for bit
+        rng = np.random.default_rng(137)
+        for _ in range(20):
+            pts = rng.random((int(rng.integers(4, 129)), 2))
+            x, y = pts[:, 0], pts[:, 1]
+            D = np.square(x - x[:, None])
+            D += np.square(y - y[:, None])
+            np.fill_diagonal(D, math.inf)
+            index = _NeighbourIndex(pts)
+            assert all(index.row(a).tobytes() == D[a].tobytes() for a in range(len(pts)))
+
     @pytest.mark.parametrize("dense_max", [0, 10**6])
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_closer_matches_reference(self, name, dense_max, monkeypatch):
