@@ -66,7 +66,7 @@ def gen_instance(n: int, k: int, depot: Point, seed: int) -> Instance:
         raise ValueError(f"n must be >= 0, got {n}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     coords = rng.random((n, 2))
-    terminals = tuple(Point(float(x), float(y)) for x, y in coords)
+    terminals = tuple(map(Point._make, coords.tolist()))
     return Instance(terminals=terminals, depot=depot, capacity=k)
 
 

@@ -1,13 +1,19 @@
 """Planar geometry substrate: points, CVRP instances, tours, sweep ordering,
 and the file I/O for instances and command outputs.
 
-All coordinates are IEEE-754 binary64.
+All coordinates are IEEE-754 binary64. A point set is read through one
+conversion rule, as_xy: an ndarray is reshaped to (x, y) rows, and any other
+sequence must hold only (x, y) pairs, such as Points or tuples. Each
+coordinate converts as np.asarray(..., dtype=float) converts it, so strings
+such as "1.5" are read as numbers and None as NaN; an entry that is not a
+pair raises ValueError instead of being regrouped with its neighbours.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import math
 import os
 import stat
@@ -31,10 +37,27 @@ def dist(p: Point, q: Point) -> float:
 MAX_COORD = 1e150
 
 
+def as_xy(points) -> np.ndarray:
+    """The points as an (n, 2) float array: an ndarray reshaped to (x, y)
+    rows, any other sequence converted by one np.fromiter over its pairs.
+    A sequence entry that is not an (x, y) pair raises ValueError."""
+    if isinstance(points, np.ndarray):
+        return np.asarray(points, dtype=float).reshape(-1, 2)
+    try:
+        pairs = set(map(len, points)) <= {2}
+    except TypeError:  # an entry without a length, such as a bare number
+        pairs = False
+    if not pairs:
+        raise ValueError("points must be (x, y) pairs")
+    return np.fromiter(itertools.chain.from_iterable(points), dtype=float,
+                       count=2 * len(points)).reshape(-1, 2)
+
+
 def check_coordinates(points, what: str = "coordinate") -> None:
-    """Raise ValueError, naming the first bad point a `what`, unless every
-    coordinate of `points` (x, y pairs) is finite with |c| <= MAX_COORD."""
-    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    """Raise ValueError, naming the first bad point a `what`, unless
+    `points` are (x, y) pairs (as_xy) whose every coordinate is finite with
+    |c| <= MAX_COORD."""
+    xy = as_xy(points)
     ok = (np.abs(xy) <= MAX_COORD).all(axis=1)  # NaN fails too
     if not ok.all():
         p = Point(*xy[ok.argmin()].tolist())
@@ -215,8 +238,8 @@ def diameter(points: Sequence[Point]) -> float:
     edge; only such a near-duplicate of a hull vertex could move the
     maximum, by an ulp.
     """
-    xy, e = unit_scale(np.array(points, dtype=float).reshape(-1, 2))
-    hull = np.array(convex_hull([Point(*p) for p in xy.tolist()])).reshape(-1, 2)
+    xy, e = unit_scale(as_xy(points))
+    hull = as_xy(convex_hull(list(map(Point._make, xy.tolist()))))
     xs, ys = hull[:, 0], hull[:, 1]
     best = 0.0
     for i in range(len(hull) - 1):

@@ -80,7 +80,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -260,9 +259,11 @@ def v_arcsin(a):
 
 def v_ratio(p: int, q: int) -> tuple[float, float]:
     """Enclosure of the exact rational p/q: degenerate when p/q is a binary64
-    value, else its two binary64 neighbours."""
+    value, else its two binary64 neighbours. c = p/q is exact iff its own
+    ratio num/den (den > 0) has num * q == p * den."""
     c = p / q
-    if Fraction(c) == Fraction(p, q):
+    num, den = c.as_integer_ratio()
+    if num * q == p * den:
         return c, c
     return math.nextafter(c, -math.inf), math.nextafter(c, math.inf)
 

@@ -31,7 +31,6 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass
-from multiprocessing import Pool
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -257,6 +256,8 @@ def verify_all(stride: int = 1, threads: int = 1, progress: bool = False) -> Net
         results = map(_scan_rows, tasks)
         pool = None
     else:
+        from multiprocessing import Pool  # loaded only when a pool runs
+
         pool = Pool(processes=min(threads, len(tasks)))  # one worker per chunk at most
         results = pool.imap(_scan_rows, tasks)
     try:

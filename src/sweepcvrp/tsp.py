@@ -77,7 +77,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Point, check_coordinates, dist, unit_scale
+from .geometry import Point, as_xy, check_coordinates, unit_scale
 
 EXACT_THRESHOLD = 14
 TSP_MODES = ("auto", "heuristic")
@@ -115,13 +115,20 @@ class TspResult:
     certified_optimal: bool
 
 
+def _hypots(dx: np.ndarray, dy: np.ndarray) -> list[float]:
+    """math.hypot of each pair of coordinate differences: the bits that
+    geometry.dist gives, which np.hypot need not."""
+    return list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()))
+
+
 def cycle_length(points: Sequence[Point], order: Sequence[int]) -> float:
-    n = len(order)
-    if n <= 1:
+    """math.fsum of the edge lengths of the closed cycle `order` over
+    `points` (as_xy), each edge geometry.dist of its ends, bit for bit."""
+    if len(order) <= 1:
         return 0.0
-    return math.fsum(
-        dist(points[order[i]], points[order[(i + 1) % n]]) for i in range(n)
-    )
+    xy = as_xy(points)[list(order)]
+    step = xy - np.concatenate((xy[1:], xy[:1]))
+    return math.fsum(_hypots(step[:, 0], step[:, 1]))
 
 
 @functools.cache
@@ -197,8 +204,12 @@ def held_karp(U: Sequence[Point], depot: Point) -> HeldKarp:
     predecessor: held_karp_last recovers one from dp on demand.
     """
     n = len(U)
-    d = np.array([[dist(a, b) for b in U] for a in U])  # symmetric, bit for bit
-    d0 = np.array([dist(depot, u) for u in U])
+    xy = as_xy((depot, *U))  # row 0 is the depot
+    step = xy[:, None] - xy
+    # hypot ignores the signs of the IEEE differences: d is symmetric, bit
+    # for bit, and d0 is geometry.dist from the depot
+    h = np.array(_hypots(step[..., 0], step[..., 1])).reshape(n + 1, n + 1)
+    d, d0 = h[1:, 1:], h[0, 1:]
     dp = np.full((n, 1 << n), math.inf)
     ends = np.arange(n)
     dp[ends, 1 << ends] = d0
@@ -263,7 +274,7 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
     edges. The result is deterministic for a given seed, and the same for
     the points scaled by a power of two. A coordinate that fails
     geometry.check_coordinates raises ValueError."""
-    pts = np.array(points, dtype=float).reshape(-1, 2)
+    pts = as_xy(points)
     check_coordinates(pts)
     first, loc = _locations(pts)
     m = len(first)
@@ -277,7 +288,7 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
     where = np.empty(m, dtype=np.int64)
     where[tour] = np.arange(m)
     order = tuple(np.argsort(where[loc], kind="stable").tolist())
-    return TspResult(order=order, length=cycle_length(points, order),
+    return TspResult(order=order, length=cycle_length(pts, order),
                      certified_optimal=m <= 3)
 
 

@@ -13,5 +13,9 @@ def test_solver_and_verifier_run_without_scipy():
         "assert verify_all(stride=400).passed\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
+        # a pool is imported only when verify-net runs one, and v_ratio
+        # decides exactness without fractions (or the decimal it loads)
+        "loaded = [m for m in ('multiprocessing', 'fractions') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
     run_in_child(code, timeout=120)

@@ -11,6 +11,8 @@ from sweepcvrp.geometry import (
     Point,
     Solution,
     Tour,
+    as_xy,
+    check_coordinates,
     check_feasible,
     convex_hull,
     diameter,
@@ -23,6 +25,7 @@ from sweepcvrp.geometry import (
     write_instance,
 )
 from sweepcvrp.experiments import gen_instance
+from sweepcvrp.tsp import tsp_heuristic
 
 from helpers import SCALE_EXPONENTS, scaled_instance
 
@@ -203,6 +206,44 @@ class TestInstanceValidation:
                 Instance(terminals=(Point(0, bad),), depot=Point(0, 0), capacity=1)
             with pytest.raises(ValueError, match=f"{kind} coordinate: Point"):
                 Instance(terminals=(), depot=Point(bad, 0), capacity=1)
+
+
+class TestPointForms:
+    """Every point set is read through geometry.as_xy: (x, y) pairs only."""
+
+    NON_PAIRS = {
+        "one number": [(0.0, 1.0), (2.0,)],
+        "three numbers": [(0.0, 0.0, 1.0), (3.0, 4.0, 0.0)],
+        "four numbers": [(0.0, 1.0, 2.0, 3.0)],
+        "ragged": [(0.0, 1.0), (2.0, 3.0, 4.0), (5.0,)],
+        "bare numbers": [0.0, 1.0],
+    }
+
+    @pytest.mark.parametrize("name", list(NON_PAIRS))
+    def test_non_pairs_raise(self, name):
+        points = self.NON_PAIRS[name]
+        for check in (as_xy, check_coordinates, diameter, tsp_heuristic):
+            with pytest.raises(ValueError, match=r"\(x, y\) pairs"):
+                check(points)
+        with pytest.raises(ValueError, match=r"\(x, y\) pairs"):
+            Instance(terminals=tuple(points), depot=Point(0.5, 0.5), capacity=1)
+
+    def test_pair_forms_agree(self):
+        xy = np.random.default_rng(7).random((9, 2))
+        forms = (xy, xy.tolist(), [tuple(p) for p in xy.tolist()], _points(xy), list(xy))
+        for form in forms:
+            got = as_xy(form)
+            assert got.dtype == np.float64 and got.shape == (9, 2)
+            assert np.array_equal(got, xy)
+        assert as_xy([]).shape == as_xy(np.empty(0)).shape == (0, 2)
+
+    def test_values_as_asarray_gives_them(self):
+        for points in ([("1.5", "2")], [(None, 1.0)], [(True, False)], [(1, 2**60 + 1)]):
+            assert np.array_equal(as_xy(points), np.asarray(points, dtype=float),
+                                  equal_nan=True)
+
+    def test_ndarray_keeps_its_reshape(self):
+        assert np.array_equal(as_xy(np.arange(4)), [[0.0, 1.0], [2.0, 3.0]])
 
 
 class TestTours:

@@ -145,6 +145,25 @@ class TestArithmetic:
         assert hi - lo <= 2 * math.ulp(31 / 48)
         assert v_ratio(3, 4) == (0.75, 0.75)
 
+    def test_ratio_against_fraction(self):
+        # exact p/q gives a degenerate enclosure, any other its two neighbours
+        exact = 0
+        for p in range(-40, 41):
+            for q in (*range(-40, 0), *range(1, 41)):
+                lo, hi = v_ratio(p, q)
+                c = p / q
+                if Fraction(c) == Fraction(p, q):
+                    exact += 1
+                    assert (lo, hi) == (c, c), (p, q)
+                else:
+                    assert (lo, hi) == (math.nextafter(c, -math.inf),
+                                        math.nextafter(c, math.inf)), (p, q)
+                    assert Fraction(lo) < Fraction(p, q) < Fraction(hi), (p, q)
+        assert 0 < exact < 81 * 80
+        big = 2**60 + 1  # not a binary64 value, so big/1 is inexact
+        assert v_ratio(big, 1)[0] < v_ratio(big, 1)[1]
+        assert v_ratio(2**60, 2) == (2.0**59, 2.0**59)
+
 
 class TestTranscendentals:
     def test_sqrt_tight(self):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import multiprocessing
 import warnings
 
 import mpmath as mp
@@ -243,7 +244,7 @@ class TestVerifyAll:
             def join(self):
                 pass
 
-        monkeypatch.setattr(netverify, "Pool", InlinePool)
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
         cert = verify_all(stride=50, threads=8)  # the net is one chunk
         assert started == [1]
         assert cert.canonical_dict() == verify_all(stride=50).canonical_dict()

@@ -190,6 +190,26 @@ class TestContract:
         assert _local_search(pts[:0], [], _NeighbourIndex(pts[:0])) == []
 
 
+class TestTuples:
+    """Plain (x, y) tuples are points: both solvers read the converted array."""
+
+    @pytest.mark.parametrize("n", (2, 5, 14, 15, 129))
+    def test_tuples_and_points_agree(self, n):
+        pts = random_points(np.random.default_rng(n), n)
+        tuples = [(p.x, p.y) for p in pts]
+        solvers = [tsp_heuristic, tsp_dispatch] + [tsp_exact] * (n <= EXACT_THRESHOLD)
+        for solve in solvers:
+            assert solve(tuples) == solve(pts), solve.__name__
+
+    def test_cycle_length_reads_any_pair_form(self):
+        pts = random_points(np.random.default_rng(5), 7)
+        order = (0, 3, 1, 6, 2, 5, 4)
+        want = math.fsum(dist(pts[order[i - 1]], pts[order[i]]) for i in range(7))
+        xy = np.array(pts)
+        assert cycle_length(pts, order) == cycle_length(xy, order) == want
+        assert cycle_length(xy.tolist(), list(order)) == want
+
+
 class TestColocated:
     """The heuristic solves over the distinct locations and emits each
     location's points consecutively, in index order."""
