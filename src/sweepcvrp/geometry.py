@@ -188,8 +188,10 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     (all points equal or collinear) yield hulls of size 1 or 2. The
     orientation tests run on the points at unit scale (unit_scale), where
     their products neither underflow nor overflow, and the hull lists the
-    caller's own points.
+    caller's own points. A coordinate that fails check_coordinates raises
+    ValueError: NaN has no order to sort by.
     """
+    check_coordinates(points)
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
@@ -236,9 +238,12 @@ def diameter(points: Sequence[Point]) -> float:
     the same bits for every input size and libm. A point that the rounded
     orientation test in convex_hull drops lies within rounding of a hull
     edge; only such a near-duplicate of a hull vertex could move the
-    maximum, by an ulp.
+    maximum, by an ulp. A coordinate that fails check_coordinates raises
+    ValueError.
     """
-    xy, e = unit_scale(as_xy(points))
+    xy = as_xy(points)
+    check_coordinates(xy)
+    xy, e = unit_scale(xy)
     hull = as_xy(convex_hull(list(map(Point._make, xy.tolist()))))
     xs, ys = hull[:, 0], hull[:, 1]
     best = 0.0

@@ -1,16 +1,18 @@
 """CVRP on a single sweep group: exact set-partition DP for small groups,
 tour-splitting heuristic otherwise.
 
-The exact path computes, for every subset of the group, the optimal tour
-through the depot (one run of tsp.held_karp yields all subsets at once, ties
-to the smallest index), then a set-partition DP over capacity-feasible
-blocks, one popcount layer at a time over the read-only `partition_layers`
-tables, built once per (n, min(k, n)) in int16. The DP keeps each subset's
-cost only; the way back finds the winning block of each mask on its path
-as the first argmin over that mask's row, whose blocks are in descending
-order, so among equal sums the largest block wins. The heuristic path cuts one TSP
-tour over the group plus depot into segments of at most k terminals, taking
-the best of k rotation offsets and the segment sums the search computed.
+The exact path computes, for every subset of at most k terminals of the
+group, the optimal tour through the depot (one run of tsp.held_karp, stopped
+at k terminals, yields them all at once, ties to the smallest index), then a
+set-partition DP over those capacity-feasible blocks, which reads no larger
+subset's tour, one popcount layer at a time over the read-only
+`partition_layers` tables, built once per (n, min(k, n)) in int16. The DP
+keeps each subset's cost only; the way back finds the winning block of each
+mask on its path as the first argmin over that mask's row, whose blocks are
+in descending order, so among equal sums the largest block wins. The
+heuristic path cuts one TSP tour over the group plus depot into segments of
+at most k terminals, taking the best of k rotation offsets and the segment
+sums the search computed.
 
 All solutions returned here use local indices 0..len(U)-1; callers remap.
 """
@@ -75,8 +77,10 @@ def partition_layers(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.n
 def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
     """Minimum-total-length partition of U into tours of at most k terminals.
 
-    Subset DP: optimal single-tour cost per feasible subset, then a
-    set-partition DP over those subsets. Rejects |U| > EXACT_GROUP_THRESHOLD.
+    Subset DP: optimal single-tour cost per subset of at most k terminals,
+    then a set-partition DP over those subsets. Rejects |U| >
+    EXACT_GROUP_THRESHOLD, and a coordinate that fails
+    geometry.check_coordinates (held_karp raises ValueError).
     """
     n = len(U)
     if n > EXACT_GROUP_THRESHOLD:
@@ -88,8 +92,9 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
     if n == 0:
         return Solution(())
 
-    hk = held_karp(U, depot)
-    layers = partition_layers(n, min(k, n))
+    k = min(k, n)
+    hk = held_karp(U, depot, k)  # no tour of more than k terminals is read
+    layers = partition_layers(n, k)
     # part[mask]: cheapest partition of mask into blocks of at most k
     # terminals. A block holds the lowest bit of mask and a submask of the
     # other bits, so part pulls from layers of lower popcount only.

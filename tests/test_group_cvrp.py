@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sweepcvrp.group_cvrp as group_module
 import sweepcvrp.tsp as tsp_module
 
 from sweepcvrp.bruteforce import cvrp_brute_force
@@ -423,6 +424,86 @@ class TestExactSmallReference:
                 (tuple(seg), tour_length(depot, [U[i] for i in seg])) for seg in segments
             ]
             assert math.fsum(t.length for t in tours) == ref_total
+
+
+def _held_karp_cases() -> dict[str, tuple[list[Point], Point]]:
+    """Random, co-located and collinear terminal sets of every size 1 .. 13,
+    each with a depot."""
+    rng = np.random.default_rng(113)
+    cases = {}
+    for n in range(1, 14):
+        cases[f"random-{n}"] = (random_points(rng, n), Point(*rng.uniform(-1, 2, 2).tolist()))
+        sites = random_points(rng, max(1, n // 3))
+        # terminals on a few sites, the depot on one of them: many equal sums
+        cases[f"co-located-{n}"] = ([sites[i % len(sites)] for i in range(n)], sites[0])
+        t = (rng.permutation(n) / max(n - 1, 1)).tolist()
+        cases[f"collinear-{n}"] = ([Point(0.2 + 0.5 * v, 0.1 + 0.3 * v) for v in t],
+                                   Point(0.45, 0.25))
+    return cases
+
+
+HELD_KARP_CASES = _held_karp_cases()
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint64)
+
+
+def _popcounts(n: int) -> np.ndarray:
+    return np.array([m.bit_count() for m in range(1 << n)])
+
+
+class TestHeldKarpSize:
+    @pytest.mark.parametrize("name", list(HELD_KARP_CASES))
+    def test_stops_at_size_with_the_same_bits(self, name):
+        # every mask of at most `size` terminals gets the full run's bits, in
+        # tour_cost and in every dp row; every larger mask stays inf
+        U, depot = HELD_KARP_CASES[name]
+        n = len(U)
+        full = held_karp(U, depot)
+        for size in range(1, n + 1):
+            hk = held_karp(U, depot, size)
+            low = _popcounts(n) <= size
+            np.testing.assert_array_equal(_bits(hk.tour_cost[low]), _bits(full.tour_cost[low]))
+            np.testing.assert_array_equal(_bits(hk.dp[:, low]), _bits(full.dp[:, low]))
+            assert np.isposinf(hk.tour_cost[~low]).all() and np.isposinf(hk.dp[:, ~low]).all()
+            assert np.array_equal(hk.d, full.d) and np.array_equal(hk.d0, full.d0)
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40], ids=["one-column", "one-block"])
+    def test_block_size_moves_no_bit(self, budget, monkeypatch):
+        # one mask column per gather block, and one block per layer, give
+        # the bits of the default blocks, which split the larger layers
+        assert tsp_module._GATHER_ENTRIES // 13**2 < math.comb(12, 6)
+        names = [f"{kind}-{n}" for n in (1, 2, 5, 9, 13)
+                 for kind in ("random", "co-located", "collinear")]
+        expected = {}
+        for name in names:
+            U, depot = HELD_KARP_CASES[name]
+            expected[name] = held_karp(U, depot), tsp_exact([depot, *U])
+        monkeypatch.setattr(tsp_module, "_GATHER_ENTRIES", budget)
+        for name in names:
+            U, depot = HELD_KARP_CASES[name]
+            ref, tour = expected[name]
+            for size in (None, (len(U) + 1) // 2):
+                hk = held_karp(U, depot, size)
+                low = _popcounts(len(U)) <= (size or len(U))
+                np.testing.assert_array_equal(_bits(hk.tour_cost[low]), _bits(ref.tour_cost[low]))
+                np.testing.assert_array_equal(_bits(hk.dp[:, low]), _bits(ref.dp[:, low]))
+            assert tsp_exact([depot, *U]) == tour
+
+    def test_group_dp_stops_at_k(self, monkeypatch):
+        # cvrp_exact_small asks held_karp for min(k, n) terminals and no more
+        seen = []
+
+        def spy(U, depot, size=None):
+            seen.append((len(U), size))
+            return held_karp(U, depot, size)
+
+        monkeypatch.setattr(group_module, "held_karp", spy)
+        U, depot = GROUP_CASES["random-9"]
+        for k in (1, 3, 9, 12):
+            cvrp_exact_small(U, depot, k)
+        assert seen == [(9, 1), (9, 3), (9, 9), (9, 9)]
 
 
 def _clear_table_caches():

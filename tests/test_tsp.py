@@ -1193,3 +1193,42 @@ class TestTwoOptScale:
             "assert (np.abs(rank[nbrs] - rank[:, None]) <= 10).all()\n"
         )
         run_in_child(code, timeout=10)
+
+
+class TestExactCoordinates:
+    def test_out_of_range_coordinates_raise(self):
+        # on a NaN, held_karp_path toggled a mask forever and the exact
+        # solvers never returned; diameter and convex_hull returned a number
+        # that depended on the interpreter. One child runs every call, so a
+        # hang fails in seconds instead of stalling the suite
+        code = (
+            "import math\n"
+            "from sweepcvrp.geometry import MAX_COORD, Point, convex_hull, diameter\n"
+            "from sweepcvrp.group_cvrp import cvrp_exact_small\n"
+            "from sweepcvrp.tsp import tsp_dispatch, tsp_exact\n"
+            "calls = {\n"
+            "    'tsp_exact': tsp_exact,\n"
+            "    'tsp_dispatch': lambda P: tsp_dispatch(P, mode='auto'),\n"
+            "    'cvrp_exact_small': lambda P: cvrp_exact_small(P[1:], P[0], 2),\n"
+            "    'diameter': diameter,\n"
+            "    'convex_hull': convex_hull,\n"
+            "}\n"
+            "good = [Point(0.5, 0.5), Point(0.0, 0.0), Point(1.0, 1.0), Point(0.25, 0.75)]\n"
+            "for call in calls.values():\n"
+            "    call(good)\n"
+            "    call([*good[:2], Point(MAX_COORD, -MAX_COORD), *good[3:]])\n"
+            "bads = (math.nan, math.inf, -math.inf, math.nextafter(MAX_COORD, math.inf), -1e160)\n"
+            "for name, call in calls.items():\n"
+            "    for bad in bads:\n"
+            "        # the root (tsp) or depot (group DP) first, then a terminal\n"
+            "        for at in (0, 2):\n"
+            "            for p in (Point(bad, 0.5), Point(0.5, bad)):\n"
+            "                try:\n"
+            "                    call([*good[:at], p, *good[at + 1:]])\n"
+            "                except ValueError as exc:\n"
+            "                    assert 'coordinates must be finite with |c| <= 1e+150' \\\n"
+            "                        in str(exc), (name, exc)\n"
+            "                else:\n"
+            "                    raise AssertionError((name, bad, at, p))\n"
+        )
+        run_in_child(code, timeout=20)
