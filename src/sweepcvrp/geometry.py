@@ -7,6 +7,7 @@ sequence must hold only (x, y) pairs, such as Points or tuples. Each
 coordinate converts as np.asarray(..., dtype=float) converts it, so strings
 such as "1.5" are read as numbers and None as NaN; an entry that is not a
 pair raises ValueError instead of being regrouped with its neighbours.
+Readers convert and check in one call, check_coordinates, at every size.
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ def as_xy(points) -> np.ndarray:
                        count=2 * len(points)).reshape(-1, 2)
 
 
-def check_coordinates(points, what: str = "coordinate") -> None:
-    """Raise ValueError, naming the first bad point a `what`, unless
-    `points` are (x, y) pairs (as_xy) whose every coordinate is finite with
-    |c| <= MAX_COORD."""
+def check_coordinates(points, what: str = "coordinate") -> np.ndarray:
+    """as_xy(points) if every coordinate is finite with |c| <= MAX_COORD;
+    else raise ValueError, naming the first bad point a `what`."""
     xy = as_xy(points)
     ok = (np.abs(xy) <= MAX_COORD).all(axis=1)  # NaN fails too
     if not ok.all():
@@ -64,6 +64,7 @@ def check_coordinates(points, what: str = "coordinate") -> None:
         kind = "too large" if all(map(math.isfinite, p)) else "non-finite"
         raise ValueError(f"{kind} {what}: {p}; coordinates must be finite "
                          f"with |c| <= {MAX_COORD:g}")
+    return xy
 
 
 @dataclass(frozen=True)
@@ -177,28 +178,24 @@ def sweep_sort(instance: Instance) -> list[int]:
     )
 
 
-def _cross(o: Point, a: Point, b: Point) -> float:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def convex_hull(points: Sequence[Point]) -> list[Point]:
+def convex_hull(points) -> list[Point]:
     """Convex hull in counterclockwise order (Andrew's monotone chain).
 
     Collinear points on the hull boundary are dropped. Degenerate inputs
-    (all points equal or collinear) yield hulls of size 1 or 2. The
-    orientation tests run on the points at unit scale (unit_scale), where
-    their products neither underflow nor overflow, and the hull lists the
-    caller's own points. A coordinate that fails check_coordinates raises
-    ValueError: NaN has no order to sort by.
+    (all points equal or collinear) yield hulls of size 1 or 2. The hull
+    lists the points, in any pair form, as float Points; a coordinate that
+    fails check_coordinates raises ValueError (NaN has no order to sort by).
+    The orientation tests run on the points at unit scale (unit_scale),
+    where their products neither underflow nor overflow.
     """
-    check_coordinates(points)
-    pts = sorted(set(points))
+    pts = sorted(set(map(Point._make, check_coordinates(points).tolist())))
     if len(pts) <= 2:
         return pts
-    # the exponent of unit_scale, in Python: 0 for points already at unit
-    # scale, such as diameter's, which then need no copy
-    e = math.frexp(max(max(abs(x), abs(y)) for x, y in pts))[1]
-    at = pts if e == 0 else [Point(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in pts]
+    at = unit_scale(as_xy(pts))[0].tolist()
     lower: list[int] = []
     upper: list[int] = []
     for chain, ids in ((lower, range(len(pts))), (upper, range(len(pts) - 1, -1, -1))):
@@ -210,8 +207,9 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
 
 
 def unit_scale(xy: np.ndarray) -> tuple[np.ndarray, int]:
-    """(xy * 2**-e, e) for the e that puts the largest |coordinate| in
-    [0.5, 1), and e = 0 when every coordinate is 0 or there is none.
+    """(xy * 2**-e, e) for e the power of two of the largest |coordinate|,
+    which puts it in [0.5, 1), and e = 0 when every coordinate is 0 or there
+    is none: the package's one rule for that exponent.
 
     A power of two scales exactly (bar a coordinate below about 2**-1022
     times the largest), so what is computed from the result does not depend
@@ -225,26 +223,23 @@ def unit_scale(xy: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(xy, -e), e
 
 
-def diameter(points: Sequence[Point]) -> float:
+def diameter(points) -> float:
     """Maximum pairwise distance; 0 for fewer than two points.
 
     The farthest pair of a finite set is a pair of convex hull vertices, so
     the maximum of dx*dx + dy*dy over hull pairs, one numpy row per vertex,
-    is the all-pairs maximum. The points go to unit scale (unit_scale)
-    before the hull, and the root comes back, so D is exact at every
-    coordinate scale, where products of raw coordinates of 1e-200 would
-    underflow to 0; scaling the points by a power of two scales D by it,
-    bit for bit. Squares are IEEE products, not `**2` (libm `pow`), so D is
-    the same bits for every input size and libm. A point that the rounded
-    orientation test in convex_hull drops lies within rounding of a hull
-    edge; only such a near-duplicate of a hull vertex could move the
-    maximum, by an ulp. A coordinate that fails check_coordinates raises
-    ValueError.
+    is the all-pairs maximum. The hull (convex_hull checks the points) goes
+    to unit scale (unit_scale) and the root comes back, so D is exact where
+    products of raw coordinates of 1e-200 would underflow to 0, and scaling
+    the points by a power of two scales D by it, bit for bit. The hull's
+    largest |coordinate| is the set's unless the rounded orientation test
+    drops a point within rounding of a hull edge; then the two scales differ
+    by a power of two, which scales every square exactly unless it is
+    subnormal, so D keeps its bits. Only such a near-duplicate of a hull
+    vertex could move the maximum, by an ulp. Squares are IEEE products, not
+    `**2` (libm `pow`), so D is the same bits for every input size and libm.
     """
-    xy = as_xy(points)
-    check_coordinates(xy)
-    xy, e = unit_scale(xy)
-    hull = as_xy(convex_hull(list(map(Point._make, xy.tolist()))))
+    hull, e = unit_scale(as_xy(convex_hull(points)))
     xs, ys = hull[:, 0], hull[:, 1]
     best = 0.0
     for i in range(len(hull) - 1):

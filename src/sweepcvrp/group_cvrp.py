@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, Solution, Tour, dist
+from .geometry import Point, Solution, Tour, check_coordinates, dist
 from .tsp import (
     check_tsp_mode, held_karp, held_karp_path, mask_dtype, subset_layers, tsp_dispatch,
 )
@@ -80,7 +80,7 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
     Subset DP: optimal single-tour cost per subset of at most k terminals,
     then a set-partition DP over those subsets. Rejects |U| >
     EXACT_GROUP_THRESHOLD, and a coordinate that fails
-    geometry.check_coordinates (held_karp raises ValueError).
+    geometry.check_coordinates (ValueError), the depot's too when U is empty.
     """
     n = len(U)
     if n > EXACT_GROUP_THRESHOLD:
@@ -90,6 +90,7 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
     if k < 1:
         raise ValueError(f"capacity must be >= 1, got {k}")
     if n == 0:
+        check_coordinates([depot], "depot")
         return Solution(())
 
     k = min(k, n)
@@ -136,8 +137,6 @@ def split_tour_sequence(
     if k < 1:
         raise ValueError(f"capacity must be >= 1, got {k}")
     n = len(seq)
-    if n == 0:
-        return []
     pts = [U[i] for i in seq]
     dep = [dist(depot, p) for p in pts]
     legs = [dist(a, b) for a, b in zip(pts, pts[1:])]

@@ -16,11 +16,11 @@ predecessor j at once, through the read-only per-size tables
 hold masks in int16 (`mask_dtype`), and are shared by both callers. Every
 candidate is the IEEE sum dp + d and a minimum is exact, so the block size
 moves no bit. A coordinate that fails geometry.check_coordinates raises
-ValueError in held_karp, as in tsp_heuristic. It keeps no predecessor
-table: held_karp_path recovers each step of a path from the costs, as the
-first argmin of the same sums the DP minimised, so ties go to the smallest
-index: the smallest predecessor among equal path costs and the smallest
-last terminal among equal tour costs.
+ValueError in held_karp, as in tsp_heuristic and in tsp_exact below two
+points. It keeps no predecessor table: held_karp_path recovers each step of
+a path from the costs, as the first argmin of the same sums the DP
+minimised, so ties go to the smallest index: the smallest predecessor among
+equal path costs and the smallest last terminal among equal tour costs.
 
 Degenerate conventions: 0 or 1 points have tour length 0; two points have
 length 2*d (out and back), which Held-Karp over one terminal gives exactly;
@@ -57,9 +57,9 @@ two hypot implementations can differ, so a cleared point provably has no
 move. The pass skips the cleared points until its first move, which drops
 the verdicts; the moves, and so every tour, stay the same bit for bit. A
 move must shorten the tour by more than _move_eps(pts), _IMPROVE_EPS scaled
-by the power of two of the largest |coordinate|, so the search never
-returns a longer tour than it started from, and points scaled by a power of
-two get the same moves.
+by the power of two of the largest |coordinate| (geometry.unit_scale), so
+the search never returns a longer tour than it started from, and points
+scaled by a power of two get the same moves.
 Everything is deterministic in the start point.
 
 tsp_heuristic runs all three steps on its distinct locations scaled by the
@@ -137,8 +137,6 @@ def _hypots(dx: np.ndarray, dy: np.ndarray) -> list[float]:
 def cycle_length(points: Sequence[Point], order: Sequence[int]) -> float:
     """math.fsum of the edge lengths of the closed cycle `order` over
     `points` (as_xy), each edge geometry.dist of its ends, bit for bit."""
-    if len(order) <= 1:
-        return 0.0
     xy = as_xy(points)[list(order)]
     step = xy - np.concatenate((xy[1:], xy[:1]))
     return math.fsum(_hypots(step[:, 0], step[:, 1]))
@@ -223,8 +221,7 @@ def held_karp(U: Sequence[Point], depot: Point, size: int | None = None) -> Held
     raises ValueError.
     """
     n = len(U)
-    xy = as_xy((depot, *U))  # row 0 is the depot
-    check_coordinates(xy)
+    xy = check_coordinates((depot, *U))  # row 0 is the depot
     step = xy[:, None] - xy
     # hypot ignores the signs of the IEEE differences: d is symmetric, bit
     # for bit, and d0 is geometry.dist from the depot
@@ -269,14 +266,14 @@ def held_karp_path(hk: HeldKarp, mask: int) -> list[int]:
 def tsp_exact(points: Sequence[Point]) -> TspResult:
     """Optimal tour by Held-Karp over points[1:], rooted at points[0].
 
-    Rejects inputs larger than EXACT_THRESHOLD (2^n * n^2 work), and, from
-    two points on, a coordinate that fails geometry.check_coordinates
-    (held_karp raises ValueError).
+    Rejects inputs larger than EXACT_THRESHOLD (2^n * n^2 work), and a
+    coordinate that fails geometry.check_coordinates (ValueError).
     """
     n = len(points)
     if n > EXACT_THRESHOLD:
         raise ValueError(f"{n} points exceeds exact threshold {EXACT_THRESHOLD}")
     if n <= 1:
+        check_coordinates(points)
         return TspResult(order=tuple(range(n)), length=0.0, certified_optimal=True)
     hk = held_karp(points[1:], points[0])
     full = (1 << (n - 1)) - 1
@@ -292,8 +289,7 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
     edges. The result is deterministic for a given seed, and the same for
     the points scaled by a power of two. A coordinate that fails
     geometry.check_coordinates raises ValueError."""
-    pts = as_xy(points)
-    check_coordinates(pts)
+    pts = check_coordinates(points)
     first, loc = _locations(pts)
     m = len(first)
     if m <= 3:
@@ -523,7 +519,7 @@ def _move_eps(pts: np.ndarray) -> float:
     the largest |coordinate|. Scaling the points by a power of two scales
     every delta and the threshold alike, and on unit-scaled points (e = 0)
     it is _IMPROVE_EPS itself."""
-    return math.ldexp(_IMPROVE_EPS, math.frexp(float(np.abs(pts).max()))[1])
+    return math.ldexp(_IMPROVE_EPS, unit_scale(pts)[1])
 
 
 def _screen(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex,
@@ -874,7 +870,7 @@ def tsp_dispatch(points: Sequence[Point], mode: str = "auto", seed: int = 0) -> 
     is provably optimal: the exact solver iff `mode` is `auto` and there are
     at most EXACT_THRESHOLD points, the heuristic otherwise. An unknown mode
     raises ValueError, also on an empty input, and so does a coordinate that
-    fails geometry.check_coordinates on either path, from two points on."""
+    fails geometry.check_coordinates on either path, at every size."""
     check_tsp_mode(mode)
     if mode == "auto" and len(points) <= EXACT_THRESHOLD:
         return tsp_exact(points)

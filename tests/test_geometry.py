@@ -222,7 +222,7 @@ class TestPointForms:
     @pytest.mark.parametrize("name", list(NON_PAIRS))
     def test_non_pairs_raise(self, name):
         points = self.NON_PAIRS[name]
-        for check in (as_xy, check_coordinates, diameter, tsp_heuristic):
+        for check in (as_xy, check_coordinates, convex_hull, diameter, tsp_heuristic):
             with pytest.raises(ValueError, match=r"\(x, y\) pairs"):
                 check(points)
         with pytest.raises(ValueError, match=r"\(x, y\) pairs"):
@@ -235,6 +235,9 @@ class TestPointForms:
             got = as_xy(form)
             assert got.dtype == np.float64 and got.shape == (9, 2)
             assert np.array_equal(got, xy)
+            hull = convex_hull(form)
+            assert hull == convex_hull(_points(xy))
+            assert all(type(p) is Point and type(p.x) is type(p.y) is float for p in hull)
         assert as_xy([]).shape == as_xy(np.empty(0)).shape == (0, 2)
 
     def test_values_as_asarray_gives_them(self):

@@ -141,6 +141,10 @@ class TestSplitHeuristic:
         with pytest.raises(ValueError, match=f"capacity must be >= 1, got {k}"):
             cvrp_group_heuristic(U, Point(0.5, 0.5), k)
 
+    def test_empty_sequence_has_no_tour(self):
+        for k in (1, 5):
+            assert split_tour_sequence([], O, [], k) == []
+
     def test_offset_search_prefers_single_tour(self):
         # n <= k: offset 0 keeps the tour whole and must win ties
         U = [Point(1, 0), Point(1, 1), Point(0, 1)]

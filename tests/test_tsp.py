@@ -209,6 +209,13 @@ class TestTuples:
         assert cycle_length(pts, order) == cycle_length(xy, order) == want
         assert cycle_length(xy.tolist(), list(order)) == want
 
+    def test_cycle_length_of_no_edge_is_zero(self):
+        # 0 points sum no edge and 1 point one edge of length hypot(0, 0)
+        p = Point(0.25, -3.0)
+        for points, order in (([], ()), ([p], (0,)), ([p, Point(1.0, 2.0)], [1])):
+            for form in (points, [tuple(q) for q in points], np.array(points).reshape(-1, 2)):
+                assert repr(cycle_length(form, order)) == "0.0"
+
 
 class TestColocated:
     """The heuristic solves over the distinct locations and emits each
@@ -1218,17 +1225,30 @@ class TestExactCoordinates:
             "    call(good)\n"
             "    call([*good[:2], Point(MAX_COORD, -MAX_COORD), *good[3:]])\n"
             "bads = (math.nan, math.inf, -math.inf, math.nextafter(MAX_COORD, math.inf), -1e160)\n"
+            "def must_raise(name, call, arg):\n"
+            "    try:\n"
+            "        call(arg)\n"
+            "    except ValueError as exc:\n"
+            "        assert 'coordinates must be finite with |c| <= 1e+150' in str(exc), (name, exc)\n"
+            "    else:\n"
+            "        raise AssertionError((name, arg))\n"
             "for name, call in calls.items():\n"
             "    for bad in bads:\n"
             "        # the root (tsp) or depot (group DP) first, then a terminal\n"
             "        for at in (0, 2):\n"
             "            for p in (Point(bad, 0.5), Point(0.5, bad)):\n"
-            "                try:\n"
-            "                    call([*good[:at], p, *good[at + 1:]])\n"
-            "                except ValueError as exc:\n"
-            "                    assert 'coordinates must be finite with |c| <= 1e+150' \\\n"
-            "                        in str(exc), (name, exc)\n"
-            "                else:\n"
-            "                    raise AssertionError((name, bad, at, p))\n"
+            "                must_raise(name, call, [*good[:at], p, *good[at + 1:]])\n"
+            "# the root alone and the depot alone: the size-0/1 branches check too\n"
+            "alone = {\n"
+            "    'tsp_exact': lambda p: tsp_exact([p]),\n"
+            "    'tsp_dispatch auto': lambda p: tsp_dispatch([p], mode='auto'),\n"
+            "    'tsp_dispatch heuristic': lambda p: tsp_dispatch([p], mode='heuristic'),\n"
+            "    'cvrp_exact_small': lambda p: cvrp_exact_small([], p, 1),\n"
+            "}\n"
+            "for name, call in alone.items():\n"
+            "    call(Point(MAX_COORD, -MAX_COORD))\n"
+            "    for bad in bads:\n"
+            "        for p in (Point(bad, 0.5), Point(0.5, bad)):\n"
+            "            must_raise(name, call, p)\n"
         )
         run_in_child(code, timeout=20)
