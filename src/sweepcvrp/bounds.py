@@ -74,7 +74,7 @@ def instance_diameter(instance: Instance) -> float:
 def choose_R(depot: Point) -> float:
     """The analysis radius R = (3/4) E d(depot, v) for v uniform on the unit
     square (depot coordinates interpreted in unit-square units)."""
-    return choose_radius(depot.x, depot.y)
+    return choose_radius(depot[0], depot[1])
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,10 @@ class BoundContext:
         return value, certified
 
     def report(self, R: float, M: int) -> BoundsReport:
-        """Every bound ingredient at one R."""
-        lower, certified = self.lower(R)
+        """Every bound ingredient at one R; R and M are checked before any tour."""
+        _check_radius(R)
         upper, _ = self.upper(M)
+        lower, certified = self.lower(R)
         return BoundsReport(
             R=R, rad_R=self.radial(R), local_R=self.local(R)[0],
             local_certified=certified, D=self.D, lower=lower, upper=upper, M=M,

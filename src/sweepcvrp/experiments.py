@@ -65,9 +65,7 @@ def gen_instance(n: int, k: int, depot: Point, seed: int) -> Instance:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    coords = rng.random((n, 2))
-    terminals = tuple(map(Point._make, coords.tolist()))
-    return Instance(terminals=terminals, depot=depot, capacity=k)
+    return Instance(terminals=rng.random((n, 2)), depot=depot, capacity=k)
 
 
 def resolve_k(n: int, k_fixed: int | None = None, k_alpha: float | None = None) -> int:
@@ -107,7 +105,8 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo not in ALGOS:
                 raise ValueError(f"unknown algo {algo!r}")
-        check_coordinates([self.depot], "depot")
+        (depot,) = check_coordinates([self.depot], "depot").tolist()
+        object.__setattr__(self, "depot", Point._make(depot))
         check_tsp_mode(self.tsp_mode)
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")

@@ -1,13 +1,16 @@
 """Planar geometry substrate: points, CVRP instances, tours, sweep ordering,
 and the file I/O for instances and command outputs.
 
-All coordinates are IEEE-754 binary64. A point set is read through one
-conversion rule, as_xy: an ndarray is reshaped to (x, y) rows, and any other
-sequence must hold only (x, y) pairs, such as Points or tuples. Each
-coordinate converts as np.asarray(..., dtype=float) converts it, so strings
-such as "1.5" are read as numbers and None as NaN; an entry that is not a
-pair raises ValueError instead of being regrouped with its neighbours.
-Readers convert and check in one call, check_coordinates, at every size.
+All coordinates are IEEE-754 binary64. A point is any (x, y) pair, read by
+index, and the distance of two points is dist, which is math.dist: math.hypot
+of the coordinate differences. A point set is read through one conversion
+rule, as_xy: an ndarray is reshaped to (x, y) rows, and any other sequence
+must hold only (x, y) pairs, such as Points or tuples. Each coordinate
+converts as np.asarray(..., dtype=float) converts it, so strings such as
+"1.5" are read as numbers and None as NaN; an entry that is not a pair
+raises ValueError instead of being regrouped with its neighbours. Readers
+convert and check in one call, check_coordinates, at every size; an Instance
+keeps the float Points it returns.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import contextlib
 import io
 import itertools
 import math
+import operator
 import os
 import stat
 from dataclasses import dataclass
@@ -29,8 +33,7 @@ class Point(NamedTuple):
     y: float
 
 
-def dist(p: Point, q: Point) -> float:
-    return math.hypot(p.x - q.x, p.y - q.y)
+dist = math.dist
 
 
 # the largest |coordinate|: a squared coordinate difference is then at most
@@ -72,8 +75,9 @@ class Instance:
     """A unit-demand CVRP instance: terminals, a depot, and a capacity.
 
     The terminal list is ordered (indices are meaningful) and may contain
-    duplicate coordinates. Capacity must satisfy 1 <= k <= max(n, 1), and
-    the coordinates must pass check_coordinates.
+    duplicate coordinates. The depot and terminals, in any pair form, must
+    pass check_coordinates (the depot first) and are kept as float Points;
+    the capacity must be an integer (operator.index) with 1 <= k <= max(n, 1).
     """
 
     terminals: tuple[Point, ...]
@@ -81,14 +85,20 @@ class Instance:
     capacity: int
 
     def __post_init__(self) -> None:
-        n = len(self.terminals)
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if self.capacity > max(n, 1):
-            raise ValueError(
-                f"capacity {self.capacity} exceeds max(n, 1) = {max(n, 1)}"
-            )
-        check_coordinates((self.depot, *self.terminals))
+        try:
+            k = operator.index(self.capacity)
+        except TypeError:
+            raise ValueError(f"capacity must be an int, got {self.capacity!r}") from None
+        (depot,) = check_coordinates([self.depot]).tolist()
+        terminals = tuple(map(Point._make, check_coordinates(self.terminals).tolist()))
+        n = len(terminals)
+        if k < 1:
+            raise ValueError(f"capacity must be >= 1, got {k}")
+        if k > max(n, 1):
+            raise ValueError(f"capacity {k} exceeds max(n, 1) = {max(n, 1)}")
+        object.__setattr__(self, "capacity", k)
+        object.__setattr__(self, "depot", Point._make(depot))
+        object.__setattr__(self, "terminals", terminals)
 
     @property
     def n(self) -> int:
@@ -119,12 +129,10 @@ class Solution:
 
 def tour_length(depot: Point, points: Sequence[Point]) -> float:
     """Length of the closed tour depot -> points (in order) -> depot."""
-    if not points:
-        return 0.0
-    total = dist(depot, points[0])
-    for a, b in zip(points, points[1:]):
+    route = [depot, *points, depot]
+    total = 0.0
+    for a, b in zip(route, route[1:]):
         total += dist(a, b)
-    total += dist(points[-1], depot)
     return total
 
 
@@ -151,9 +159,9 @@ def polar_angle(p: Point, depot: Point) -> float:
     first); any consistent choice preserves the contiguous-group structure
     the sweep relies on.
     """
-    if p.x == depot.x and p.y == depot.y:
+    if p[0] == depot[0] and p[1] == depot[1]:
         return 0.0
-    angle = math.atan2(p.y - depot.y, p.x - depot.x)
+    angle = math.atan2(p[1] - depot[1], p[0] - depot[0])
     if angle < 0.0:
         angle += 2.0 * math.pi
     if angle >= 2.0 * math.pi:  # guard against rounding at the wrap

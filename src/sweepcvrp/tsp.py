@@ -81,7 +81,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Point, as_xy, check_coordinates, unit_scale
+from .geometry import Point, as_xy, check_coordinates, dist, unit_scale
 
 EXACT_THRESHOLD = 14
 TSP_MODES = ("auto", "heuristic")
@@ -128,18 +128,11 @@ class TspResult:
     certified_optimal: bool
 
 
-def _hypots(dx: np.ndarray, dy: np.ndarray) -> list[float]:
-    """math.hypot of each pair of coordinate differences: the bits that
-    geometry.dist gives, which np.hypot need not."""
-    return list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()))
-
-
 def cycle_length(points: Sequence[Point], order: Sequence[int]) -> float:
     """math.fsum of the edge lengths of the closed cycle `order` over
-    `points` (as_xy), each edge geometry.dist of its ends, bit for bit."""
-    xy = as_xy(points)[list(order)]
-    step = xy - np.concatenate((xy[1:], xy[:1]))
-    return math.fsum(_hypots(step[:, 0], step[:, 1]))
+    `points` (as_xy), each edge geometry.dist of its ends."""
+    xy = as_xy(points)[list(order)].tolist()
+    return math.fsum(map(dist, xy, xy[1:] + xy[:1]))
 
 
 @functools.cache
@@ -221,11 +214,9 @@ def held_karp(U: Sequence[Point], depot: Point, size: int | None = None) -> Held
     raises ValueError.
     """
     n = len(U)
-    xy = check_coordinates((depot, *U))  # row 0 is the depot
-    step = xy[:, None] - xy
-    # hypot ignores the signs of the IEEE differences: d is symmetric, bit
-    # for bit, and d0 is geometry.dist from the depot
-    h = np.array(_hypots(step[..., 0], step[..., 1])).reshape(n + 1, n + 1)
+    xy = check_coordinates((depot, *U)).tolist()  # row 0 is the depot
+    # dist drops the signs of the differences: d is symmetric, bit for bit
+    h = np.array([[dist(p, q) for q in xy] for p in xy])
     d, d0 = h[1:, 1:], h[0, 1:]
     dp = np.full((n, 1 << n), math.inf)
     ends = np.arange(n)

@@ -365,6 +365,15 @@ class TestBoundContext:
         with pytest.raises(ValueError, match="R must be"):
             ctx.lower(-1.0)
 
+    def test_invalid_m_rejected_before_any_tour(self, ingredient_calls):
+        inst = gen_instance(40, 4, Point(0.3, 0.6), 7)
+        for R in (0.0, 0.25, math.inf):
+            with pytest.raises(ValueError, match="M must be"):
+                compute_bounds(inst, R, 0)
+        with pytest.raises(ValueError, match="R must be"):
+            compute_bounds(inst, -1.0, 2)
+        assert [c for c in ingredient_calls if c[0] == "local_cost"] == []
+
     def test_invalid_r_rejected_before_any_tour(self, monkeypatch):
         import sweepcvrp.bounds as bounds
 

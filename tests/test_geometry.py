@@ -24,7 +24,11 @@ from sweepcvrp.geometry import (
     tour_length,
     write_instance,
 )
-from sweepcvrp.experiments import gen_instance
+from sweepcvrp.bounds import choose_R, compute_bounds
+from sweepcvrp.bruteforce import cvrp_brute_force, tsp_brute_force
+from sweepcvrp.experiments import ExperimentConfig, gen_instance, run_ratio_experiment, solve
+from sweepcvrp.group_cvrp import (SolveConfig, cvrp_group_heuristic, solve_group,
+                                  split_tour_sequence)
 from sweepcvrp.tsp import tsp_heuristic
 
 from helpers import SCALE_EXPONENTS, scaled_instance
@@ -197,6 +201,15 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             Instance(terminals=(Point(math.nan, 0),), depot=Point(0, 0), capacity=1)
 
+    def test_capacity_is_an_integer(self):
+        terminals = tuple(_points(np.random.default_rng(3).random((6, 2))))
+        for bad in (4.5, 4.0, np.float64(4.0), "4", None):
+            with pytest.raises(ValueError, match="capacity must be an int"):
+                Instance(terminals=terminals, depot=Point(0.5, 0.5), capacity=bad)
+        for k in (np.int64(4), np.int8(4), 4):
+            inst = Instance(terminals=terminals, depot=Point(0.5, 0.5), capacity=k)
+            assert type(inst.capacity) is int and inst.capacity == 4
+
     def test_coordinate_bound(self):
         # beyond MAX_COORD a squared coordinate difference can overflow
         Instance(terminals=(Point(MAX_COORD, -MAX_COORD),), depot=Point(0, 0), capacity=1)
@@ -247,6 +260,84 @@ class TestPointForms:
 
     def test_ndarray_keeps_its_reshape(self):
         assert np.array_equal(as_xy(np.arange(4)), [[0.0, 1.0], [2.0, 3.0]])
+
+    @staticmethod
+    def _forms(points):
+        """`points` (a list of float Points) in every pair form, by name."""
+        xy = np.array(points)
+        return {
+            "tuples": [tuple(p) for p in points],
+            "lists": [list(p) for p in points],
+            "ndarray": xy,
+            "ndarray rows": list(xy),
+            "np.float64 Points": [Point(np.float64(x), np.float64(y)) for x, y in points],
+            "strings": [(repr(x), repr(y)) for x, y in points],
+        }
+
+    @staticmethod
+    def _text(instance):
+        buf = io.StringIO()
+        write_instance(instance, buf)
+        return buf.getvalue()
+
+    def test_instance_holds_float_points_of_any_pair_form(self):
+        # k = 7: groups of 7 (M = 1) take the exact group path, of 14 (M = 2)
+        # the tour split; ITP tours all 31 points heuristically
+        base = gen_instance(30, 7, Point(0.4, 0.55), 3)
+        R = choose_R(base.depot)
+        want = {M: solve(base, "sweep", M) for M in (1, 2)}
+        want_itp = solve(base, "itp", 1)
+        want_bounds = repr(compute_bounds(base, R, 2))
+        terminals = self._forms(list(base.terminals))
+        depots = self._forms([base.depot])
+        for name in terminals:
+            inst = Instance(terminals=terminals[name], depot=depots[name][0], capacity=7)
+            assert inst == base, name
+            assert all(type(p) is Point and type(p.x) is type(p.y) is float
+                       for p in (inst.depot, *inst.terminals)), name
+            for M in (1, 2):
+                got = solve(inst, "sweep", M)
+                assert got == want[M] and got.total_cost.hex() == want[M].total_cost.hex()
+                check_feasible(inst, got)
+            assert solve(inst, "itp", 1) == want_itp, name
+            assert repr(compute_bounds(inst, choose_R(inst.depot), 2)) == want_bounds
+            assert sweep_sort(inst) == sweep_sort(base), name
+            assert self._text(inst) == self._text(base), name
+            assert read_instance(io.StringIO(self._text(inst))) == base, name
+
+    def test_experiment_config_holds_a_float_depot(self):
+        def rows(depot):
+            config = ExperimentConfig(n=20, depot=depot, M=2, seeds=(0, 1), k_fixed=4)
+            assert type(config.depot) is Point and type(config.depot.x) is float
+            return [row.to_csv() for row in run_ratio_experiment(config).rows]
+
+        want = rows(Point(0.5, 0.5))
+        for depot in ((0.5, 0.5), [0.5, 0.5], np.array([0.5, 0.5]),
+                      Point(np.float64(0.5), np.float64(0.5)), ("0.5", "0.5")):
+            assert rows(depot) == want, depot
+
+    def test_single_points_are_pairs(self):
+        rng = np.random.default_rng(29)
+        depot = Point(0.3, 0.7)
+        for n in (5, 8, 16):  # solve_group's exact path up to 12 terminals
+            U = _points(rng.random((n, 2)))
+            tuples, tdepot = [tuple(p) for p in U], tuple(depot)
+            seq = list(rng.permutation(n))
+            assert tour_length(tdepot, tuples).hex() == tour_length(depot, U).hex()
+            assert split_tour_sequence(tuples, tdepot, seq, 3) == \
+                split_tour_sequence(U, depot, seq, 3)
+            assert cvrp_group_heuristic(tuples, tdepot, 3) == \
+                cvrp_group_heuristic(U, depot, 3)
+            assert solve_group(tuples, tdepot, 3, SolveConfig()) == \
+                solve_group(U, depot, 3, SolveConfig())
+            assert [polar_angle(p, tdepot) for p in tuples] == \
+                [polar_angle(p, depot) for p in U]
+            assert [dist(tdepot, p) for p in tuples] == [dist(depot, p) for p in U]
+        U = _points(rng.random((6, 2)))
+        tuples = [tuple(p) for p in U]
+        assert tsp_brute_force(tuples) == tsp_brute_force(U)
+        assert cvrp_brute_force(tuples, tuple(depot), 2) == cvrp_brute_force(U, depot, 2)
+        assert choose_R((0.3, 0.7)) == choose_R([0.3, 0.7]) == choose_R(depot)
 
 
 class TestTours:

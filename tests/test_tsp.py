@@ -1,5 +1,6 @@
 import bisect
 import functools
+import itertools
 import math
 from collections import deque
 from typing import Sequence
@@ -9,7 +10,7 @@ import pytest
 
 import sweepcvrp.tsp as tsp
 from sweepcvrp.bruteforce import tsp_brute_force
-from sweepcvrp.geometry import Point, dist
+from sweepcvrp.geometry import Point, as_xy, check_coordinates, dist
 from sweepcvrp.tsp import (
     _IMPROVE_EPS,
     EXACT_THRESHOLD,
@@ -26,7 +27,7 @@ from sweepcvrp.tsp import (
     tsp_heuristic,
 )
 
-from helpers import random_points, run_in_child
+from helpers import SCALE_EXPONENTS, random_points, run_in_child
 
 SQUARE = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
 
@@ -215,6 +216,67 @@ class TestTuples:
         for points, order in (([], ()), ([p], (0,)), ([p, Point(1.0, 2.0)], [1])):
             for form in (points, [tuple(q) for q in points], np.array(points).reshape(-1, 2)):
                 assert repr(cycle_length(form, order)) == "0.0"
+
+
+def _dist_reference(p: Point, q: Point) -> float:
+    """The former body of geometry.dist."""
+    return math.hypot(p.x - q.x, p.y - q.y)
+
+
+def _hypots_reference(dx: np.ndarray, dy: np.ndarray) -> list[float]:
+    """The former tsp._hypots: math.hypot of each pair of differences."""
+    return list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()))
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestDistanceRule:
+    """dist is math.dist: the bits of math.hypot of Point differences, and of
+    math.hypot over numpy difference arrays, which cycle_length and
+    held_karp's d and d0 were computed by."""
+
+    TINY = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 2.2250738585072014e-308)
+
+    def _sets(self):
+        rng = np.random.default_rng(2027)
+        sets = [rng.random((n, 2)) * 2 - 1 for n in (2, 5, 9, 14)]
+        sets.append(np.repeat(rng.random((3, 2)), 3, axis=0))  # co-located
+        sets.append(np.outer(rng.random(8), [0.6, -0.8]) + 0.25)  # collinear
+        # subnormal differences and signed zeros
+        sets.append(np.array(list(itertools.product(self.TINY[:4], repeat=2))))
+        sets.append(rng.choice(self.TINY, size=(12, 2)))
+        return [np.ldexp(xy, e) for xy in sets for e in SCALE_EXPONENTS]
+
+    def test_dist_is_the_former_rule(self):
+        for xy in self._sets():
+            pts = _as_points(xy)
+            for (p, a), (q, b) in itertools.product(zip(pts, xy), repeat=2):
+                want = _dist_reference(p, q).hex()
+                assert dist(p, q).hex() == dist(a, b).hex() == dist(tuple(p), list(q)).hex() \
+                    == want
+
+    def test_cycle_length_is_the_former_rule(self):
+        rng = np.random.default_rng(31)
+        # an edge out and back sums to exactly twice its length: no rounding
+        # of the sum can hide a one-ulp difference in it
+        pairs = list(rng.random((2000, 2, 2)) * 2 - 1)
+        for xy in self._sets() + pairs:
+            for order in (range(len(xy)), rng.permutation(len(xy))):
+                at = as_xy(xy)[list(order)]
+                step = at - np.concatenate((at[1:], at[:1]))
+                want = math.fsum(_hypots_reference(step[:, 0], step[:, 1]))
+                assert cycle_length(_as_points(xy), order).hex() == want.hex()
+
+    def test_held_karp_distances_are_the_former_rule(self):
+        for xy in self._sets():
+            pts = _as_points(xy)
+            hk = tsp.held_karp(pts[1:], pts[0], 1)
+            at = check_coordinates(pts)
+            step = at[:, None] - at
+            h = np.array(_hypots_reference(step[..., 0], step[..., 1])).reshape(len(at), -1)
+            assert _bits(hk.d) == _bits(h[1:, 1:]) and _bits(hk.d0) == _bits(h[0, 1:])
 
 
 class TestColocated:
