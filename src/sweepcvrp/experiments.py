@@ -21,6 +21,7 @@ starting with `#` carry caveats and are skipped by the parser.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import astuple, dataclass, field, fields
 from typing import TextIO
 
@@ -69,11 +70,14 @@ def gen_instance(n: int, k: int, depot: Point, seed: int) -> Instance:
 
 
 def resolve_k(n: int, k_fixed: int | None = None, k_alpha: float | None = None) -> int:
-    """Fixed capacity, or k = ceil(n^alpha) for alpha in [0, 1]."""
+    """Fixed integer capacity, or k = ceil(n^alpha) for alpha in [0, 1]."""
     if (k_fixed is None) == (k_alpha is None):
         raise ValueError("specify exactly one of k_fixed, k_alpha")
     if k_fixed is not None:
-        k = k_fixed
+        try:
+            k = operator.index(k_fixed)
+        except TypeError:
+            raise ValueError(f"k_fixed must be an int, got {k_fixed!r}") from None
     else:
         if not 0.0 <= k_alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {k_alpha}")

@@ -10,7 +10,9 @@ converts as np.asarray(..., dtype=float) converts it, so strings such as
 "1.5" are read as numbers and None as NaN; an entry that is not a pair
 raises ValueError instead of being regrouped with its neighbours. Readers
 convert and check in one call, check_coordinates, at every size; an Instance
-keeps the float Points it returns.
+keeps the float Points it returns. A closed walk's length is the math.fsum
+of dist over its edges (tour_length; tsp.cycle_length): correctly rounded, so
+no edge order, direction, start or solver moves a bit.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class Instance:
 class Tour:
     """One depot-rooted tour. `indices` are instance terminal indices in
     visit order; `length` is tour_length of the route depot -> first -> ...
-    -> last -> depot, bit for bit."""
+    -> last -> depot, bit for bit, the same for the reversed order."""
 
     indices: tuple[int, ...]
     length: float
@@ -128,12 +130,9 @@ class Solution:
 
 
 def tour_length(depot: Point, points: Sequence[Point]) -> float:
-    """Length of the closed tour depot -> points (in order) -> depot."""
-    route = [depot, *points, depot]
-    total = 0.0
-    for a, b in zip(route, route[1:]):
-        total += dist(a, b)
-    return total
+    """Length of the closed tour depot -> points -> depot (the length rule)."""
+    route = [depot, *points]
+    return math.fsum(map(dist, route, route[1:] + route[:1]))
 
 
 def check_feasible(instance: Instance, solution: Solution) -> None:
@@ -287,17 +286,16 @@ def read_instance(fp: TextIO) -> Instance:
     n, k = int(header[0]), int(header[1])
     if n < 0:
         raise ValueError(f"instance header: n must be >= 0, got {n}")
-    depot = Point(float(header[2]), float(header[3]))
     terminals = []
     for line_no in range(n):
         fields = fp.readline().split()
         if len(fields) != 2:
             raise ValueError(f"terminal line {line_no + 2}: expected `x y`")
-        terminals.append(Point(float(fields[0]), float(fields[1])))
+        terminals.append(fields)
     for line_no, line in enumerate(fp, start=n + 2):
         if line.strip():
             raise ValueError(f"line {line_no}: content after the {n} terminal lines")
-    return Instance(terminals=tuple(terminals), depot=depot, capacity=k)
+    return Instance(terminals=terminals, depot=header[2:], capacity=k)
 
 
 def load_instance(path: str) -> Instance:

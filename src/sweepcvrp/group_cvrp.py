@@ -11,8 +11,8 @@ keeps each subset's cost only; the way back finds the winning block of each
 mask on its path as the first argmin over that mask's row, whose blocks are
 in descending order, so among equal sums the largest block wins. The
 heuristic path cuts one TSP tour over the group plus depot into segments of
-at most k terminals, taking the best of k rotation offsets and the segment
-sums the search computed.
+at most k terminals, taking the best of k rotation offsets. The DP's sums only
+choose: every Tour's length is geometry.tour_length of its route.
 
 All solutions returned here use local indices 0..len(U)-1; callers remap.
 """
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, Solution, Tour, check_coordinates, dist
+from .geometry import Point, Solution, Tour, check_coordinates, dist, tour_length
 from .tsp import (
     check_tsp_mode, held_karp, held_karp_path, mask_dtype, subset_layers, tsp_dispatch,
 )
@@ -115,10 +115,8 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
         masks, blocks, rest = layers[mask.bit_count() - 1]
         r = int(np.searchsorted(masks, mask))
         s = int(blocks[r, np.argmin(hk.tour_cost[blocks[r]] + part[rest[r]])])
-        # tour_cost[s] sums the path's legs from the depot in order, as
-        # tour_length does
-        tours.append(Tour(indices=tuple(held_karp_path(hk, s)),
-                          length=float(hk.tour_cost[s])))
+        path = held_karp_path(hk, s)
+        tours.append(Tour(tuple(path), tour_length(depot, [U[i] for i in path])))
         mask ^= s
     return Solution(tuple(tours))
 
@@ -130,9 +128,9 @@ def split_tour_sequence(
     most k terminals, trying the k rotation offsets and keeping the cheapest
     by the fsum of its segment lengths.
 
-    Returns one Tour per segment of the winning offset. Offset r puts the
-    first r terminals in a short leading segment; ties prefer the smaller
-    offset.
+    Returns one Tour per segment of the winning offset, of length the fsum
+    of the segment's edges (tour_length). Offset r puts the first r terminals
+    in a short leading segment; ties prefer the smaller offset.
     """
     if k < 1:
         raise ValueError(f"capacity must be >= 1, got {k}")
@@ -140,18 +138,11 @@ def split_tour_sequence(
     pts = [U[i] for i in seq]
     dep = [dist(depot, p) for p in pts]
     legs = [dist(a, b) for a, b in zip(pts, pts[1:])]
-
-    def cost(a: int, b: int) -> float:
-        # tour_length of seq[a:b], summed in the same order
-        total = dep[a]
-        for leg in legs[a : b - 1]:
-            total += leg
-        return total + dep[b - 1]
-
     best_cost, best_cuts = math.inf, []
     for r in range(min(k, n)):
         starts = ([0] if r else []) + list(range(r, n, k))
-        cuts = [(a, b, cost(a, b)) for a, b in zip(starts, starts[1:] + [n])]
+        cuts = [(a, b, math.fsum([dep[a], *legs[a : b - 1], dep[b - 1]]))
+                for a, b in zip(starts, starts[1:] + [n])]
         total = math.fsum(c for _, _, c in cuts)
         if total < best_cost:
             best_cost, best_cuts = total, cuts

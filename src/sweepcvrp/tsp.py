@@ -21,10 +21,9 @@ points. It keeps no predecessor table: held_karp_path recovers each step of
 a path from the costs, as the first argmin of the same sums the DP
 minimised, so ties go to the smallest index: the smallest predecessor among
 equal path costs and the smallest last terminal among equal tour costs.
-
-Degenerate conventions: 0 or 1 points have tour length 0; two points have
-length 2*d (out and back), which Held-Karp over one terminal gives exactly;
-every cyclic order of at most 3 points has the same length.
+Those sums only choose: a length is cycle_length of the order (geometry's
+length rule), 0 for 0 or 1 points, 2*d out and back for two, and the same
+for every cyclic order of at most 3 points.
 
 The heuristic tours the distinct locations, numbered by first occurrence,
 and emits each location's points consecutively, in index order. Its search
@@ -129,8 +128,8 @@ class TspResult:
 
 
 def cycle_length(points: Sequence[Point], order: Sequence[int]) -> float:
-    """math.fsum of the edge lengths of the closed cycle `order` over
-    `points` (as_xy), each edge geometry.dist of its ends."""
+    """geometry.tour_length's rule over the as_xy rows of `points`: math.fsum
+    of dist over the edges of the closed cycle `order`, 0.0 when it is empty."""
     xy = as_xy(points)[list(order)].tolist()
     return math.fsum(map(dist, xy, xy[1:] + xy[:1]))
 
@@ -267,9 +266,8 @@ def tsp_exact(points: Sequence[Point]) -> TspResult:
         check_coordinates(points)
         return TspResult(order=tuple(range(n)), length=0.0, certified_optimal=True)
     hk = held_karp(points[1:], points[0])
-    full = (1 << (n - 1)) - 1
-    return TspResult(order=(0, *(i + 1 for i in held_karp_path(hk, full))),
-                     length=float(hk.tour_cost[full]), certified_optimal=True)
+    order = (0, *(i + 1 for i in held_karp_path(hk, (1 << (n - 1)) - 1)))
+    return TspResult(order, cycle_length(points, order), certified_optimal=True)
 
 
 def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:

@@ -1,5 +1,6 @@
 """Shared test utilities: random instance builders, a child-process runner,
-and the package's feasibility check `check_feasible`, re-exported."""
+checks of the length rule, and the package's feasibility check
+`check_feasible`, re-exported."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 
 import sweepcvrp
-from sweepcvrp.geometry import Instance, Point, check_feasible  # noqa: F401
+from sweepcvrp.geometry import Instance, Point, check_feasible, dist  # noqa: F401
 
 # a child interpreter imports the package from the same source tree
 _CHILD_ENV = {**os.environ,
@@ -51,3 +52,17 @@ def scaled_instance(instance: Instance, e: int) -> Instance:
 
     return Instance(terminals=tuple(map(at, instance.terminals)),
                     depot=at(instance.depot), capacity=instance.capacity)
+
+
+def shuffled_edge_sum(rng: np.random.Generator, route) -> float:
+    """math.fsum of the closed route's edges (geometry.dist), taken in a
+    random order: the length rule, read independently of the edge order."""
+    edges = [dist(a, b) for a, b in zip(route, [*route[1:], *route[:1]])]
+    return math.fsum(rng.permutation(edges).tolist())
+
+
+def within_ulps(value: float, reference: float, m: int) -> bool:
+    """|value - reference| is at most m ulps of the larger: a correctly
+    rounded sum of m nonnegative terms lies that close to their IEEE sum in
+    any order."""
+    return abs(value - reference) <= m * math.ulp(max(abs(value), abs(reference)))

@@ -236,7 +236,11 @@ class TestReports:
         assert fields[3] == "true"
 
     # (R, to_dict JSON, to_csv_row) for gen_instance(9, 3, (0.5, 0.5), 7), M = 2,
-    # recorded with the hand-written column lists that field_text replaced
+    # recorded with the hand-written column lists that field_text replaced.
+    # At R = 0.25 the exact T*_R (local_R) and so `lower` were re-recorded
+    # when tsp_exact began to report the fsum of its cycle's edges instead of
+    # its DP's left-to-right sum: 2.318190377063257 and -0.9343086062882948
+    # before, the same tour
     GOLDEN_TEXT = [
         (0.0,
          '{"R": 0.0, "rad_R": 0.0, "local_R": 2.4426854917134433, '
@@ -245,11 +249,11 @@ class TestReports:
          "0.0,0.0,2.4426854917134433,true,0.9887748748193407,"
          "-2.2168063324664686,13.920053859500452,2"),
         (0.25,
-         '{"R": 0.25, "rad_R": 1.4069928408283598, "local_R": 2.318190377063257, '
+         '{"R": 0.25, "rad_R": 1.4069928408283598, "local_R": 2.3181903770632566, '
          '"local_certified": true, "D": 0.9887748748193407, '
-         '"lower": -0.9343086062882948, "upper": 13.920053859500452, "M": 2}',
-         "0.25,1.4069928408283598,2.318190377063257,true,0.9887748748193407,"
-         "-0.9343086062882948,13.920053859500452,2"),
+         '"lower": -0.9343086062882957, "upper": 13.920053859500452, "M": 2}',
+         "0.25,1.4069928408283598,2.3181903770632566,true,0.9887748748193407,"
+         "-0.9343086062882957,13.920053859500452,2"),
         (math.inf,
          '{"R": "inf", "rad_R": 2.158384719427186, "local_R": 0.0, '
          '"local_certified": true, "D": 0.9887748748193407, '

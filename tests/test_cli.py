@@ -55,12 +55,14 @@ def test_gen_solve_bounds_pipeline(tmp_path, capsys):
 # instance, re-recorded with the neighbour-list local search, which changed
 # the heuristic group and ITP tours: sweep cost 21.765739474984564 with 17
 # tours became 21.40458307167746 with 15, ITP 21.55781292564512 with 15
-# tours became 21.25167772959708 with 16
+# tours became 21.25167772959708 with 16. Re-recorded again when every tour
+# length became the fsum of its edges: the same tours, some lengths an ulp or
+# a few apart, and ITP cost 21.251677729597084
 GOLDEN_SOLVE_SHA256 = {
     ("--algo", "sweep", "--m", "2"):
-        "bf26241332d474afb6c01eb6a195e0a0d304f8f3187a24b7b8911e06b22e08c3",
+        "2c0d4863b4a7248df6d0789ca5f4419e9549590d2c6758adcf242321bb07a7f6",
     ("--algo", "itp"):
-        "ab2c5341328d6c87623e3065f69691fd04f16d3452579d13e8ead84ac20f7658",
+        "f61a3a8d22540923a41056ecb594f00344c5ed63b6da94d6a1487f488cd457c5",
 }
 
 
@@ -79,8 +81,10 @@ def test_solve_output_golden(tmp_path, capsys, algo_args):
 # sha256 of the `solve --output` JSON on the `gen --n 200 --k 6 --seed 7`
 # instance with `--algo sweep --m 2`: every sweep group holds 12 terminals,
 # so every group is solved by the exact set-partition DP over Held-Karp.
-# Recorded before the Held-Karp and partition tables were cached per size.
-GOLDEN_SOLVE_EXACT_SHA256 = "c9c862ae2078b920b1deebc26232868a06a30e639d84c4436afb0bc167d77c56"
+# Recorded before the Held-Karp and partition tables were cached per size;
+# re-recorded when each tour length became the fsum of its edges, not the
+# DP's path sum (the same tours and the same cost, 35.10412075992645).
+GOLDEN_SOLVE_EXACT_SHA256 = "49b5e859f80a78758e8124f09d70da71173a2177c0736fa18fdc84b04ee2f43c"
 
 
 def test_solve_output_golden_exact_groups(tmp_path):

@@ -156,6 +156,15 @@ class TestRunRatioExperiment:
         with pytest.raises(ValueError, match="unknown tsp mode: 'bogus'"):
             self._config(n=1, k_fixed=1, algos=("sweep",), tsp_mode="bogus")
 
+    def test_k_fixed_is_an_integer(self):
+        # 4.5 built a config with k = 4.5, and the run failed only at its
+        # first instance
+        for bad in (4.5, 4.0, "4"):
+            with pytest.raises(ValueError, match="k_fixed must be an int"):
+                self._config(k_fixed=bad)
+        config = self._config(k_fixed=np.int64(4))
+        assert type(config.k) is int and config.k == 4
+
     def test_rejects_empty_or_repeated_algos(self):
         for algos in ((), ("sweep", "sweep"), ("itp", "sweep", "itp")):
             with pytest.raises(ValueError, match="distinct and nonempty"):
@@ -309,24 +318,27 @@ def test_golden_rows_bit_identical():
 # the group set-partition DP. Recorded with the pure-Python subset DPs. The
 # ITP tour has 15 points (depot included), so it is heuristic: the seed-1 ITP
 # cost was re-recorded with the neighbour-list local search (4.398467815989088
-# before). Every sweep row and every lower bound kept its bits.
+# before). Every sweep row and every lower bound kept its bits then. With the
+# length rule (each length the fsum of its edges, same tours) the exact T*_R
+# moved lb_r0, lb_rstar and best_lb by a few ulps, ub with T*_0, and the costs
+# with the split and group-DP tour lengths; lb_rinf kept its bits.
 GOLDEN_ROWS_EXACT = [
-    "0,14,6,2,sweep,5.03704093353431,-2.424260494191051,-1.158405827253926,"
+    "0,14,6,2,sweep,5.03704093353431,-2.4242604941910506,-1.158405827253926,"
     "-3.71753040009891,-1.158405827253926,16.83611178842688,nan,true",
-    "0,14,6,1,itp,4.627325678105276,-2.424260494191051,-1.158405827253926,"
+    "0,14,6,1,itp,4.627325678105276,-2.4242604941910506,-1.158405827253926,"
     "-3.71753040009891,-1.158405827253926,22.58058745910609,nan,true",
-    "1,14,6,2,sweep,4.398467815989088,-1.5970688844848366,-0.5232117138077914,"
-    "-3.0970681026937332,-0.5232117138077914,15.562448146852617,nan,true",
-    "1,14,6,1,itp,4.73448066212062,-1.5970688844848366,-0.5232117138077914,"
-    "-3.0970681026937332,-0.5232117138077914,20.626594430360413,nan,true",
-    "2,14,6,2,sweep,4.572551197875033,-2.806078801928631,-1.663967705790828,"
+    "1,14,6,2,sweep,4.398467815989088,-1.5970688844848362,-0.5232117138077905,"
+    "-3.0970681026937332,-0.5232117138077905,15.562448146852617,nan,true",
+    "1,14,6,1,itp,4.73448066212062,-1.5970688844848362,-0.5232117138077905,"
+    "-3.0970681026937332,-0.5232117138077905,20.626594430360417,nan,true",
+    "2,14,6,2,sweep,4.572551197875033,-2.8060788019286305,-1.663967705790828,"
     "-4.30270125312394,-1.663967705790828,18.115042941487516,nan,true",
-    "2,14,6,1,itp,4.572551197875033,-2.806078801928631,-1.663967705790828,"
-    "-4.30270125312394,-1.663967705790828,24.420998690622532,nan,true",
-    "3,14,6,2,sweep,4.849275426983122,-2.263159654723752,-1.45798397624759,"
-    "-4.248500240391932,-1.45798397624759,17.8659829845182,nan,true",
-    "3,14,6,1,itp,4.743459079534506,-2.263159654723752,-1.45798397624759,"
-    "-4.248500240391932,-1.45798397624759,23.960393704426675,nan,true",
+    "2,14,6,1,itp,4.572551197875033,-2.8060788019286305,-1.663967705790828,"
+    "-4.30270125312394,-1.663967705790828,24.420998690622536,nan,true",
+    "3,14,6,2,sweep,4.849275426983122,-2.2631596547237516,-1.457983976247589,"
+    "-4.248500240391932,-1.457983976247589,17.865982984518205,nan,true",
+    "3,14,6,1,itp,4.743459079534506,-2.2631596547237516,-1.457983976247589,"
+    "-4.248500240391932,-1.457983976247589,23.960393704426675,nan,true",
 ]
 
 
@@ -336,30 +348,31 @@ def test_golden_rows_exact_bit_identical():
     result = run_ratio_experiment(config)
     assert [row.to_csv() for row in result.rows] == GOLDEN_ROWS_EXACT
     assert repr(result.best_certified_lb) == (
-        "{0: -1.158405827253926, 1: -0.5232117138077914, 2: -1.663967705790828, "
-        "3: -1.45798397624759}"
+        "{0: -1.158405827253926, 1: -0.5232117138077905, 2: -1.663967705790828, "
+        "3: -1.457983976247589}"
     )
 
 
 # The same runs at a far depot, recorded before the Held-Karp and partition
 # tables were cached per size: here too the sweep groups (12 terminals) and
-# every T*_R are exact.
+# every T*_R are exact. Re-recorded for the length rule, as above: lb_r0,
+# lb_rstar and three costs moved by a few ulps, with the same tours.
 GOLDEN_ROWS_EXACT_FAR = [
-    "0,14,6,2,sweep,23.328912350510127,-15.098338300398048,-2.682775444762317,"
+    "0,14,6,2,sweep,23.328912350510127,-15.098338300398046,-2.682775444762317,"
     "-2.036601551269513,-2.036601551269513,56.539274055877264,nan,true",
-    "0,14,6,1,itp,22.94428714435668,-15.098338300398048,-2.682775444762317,"
+    "0,14,6,1,itp,22.944287144356682,-15.098338300398046,-2.682775444762317,"
     "-2.036601551269513,-2.036601551269513,74.95782753276347,nan,true",
-    "1,14,6,2,sweep,23.02741233914618,-15.05495263313024,-2.639389777494511,"
+    "1,14,6,2,sweep,23.027412339146185,-15.05495263313024,-2.639389777494511,"
     "-2.0261134826510023,-2.0261134826510023,57.00705401283156,nan,true",
     "1,14,6,1,itp,22.667521908023893,-15.05495263313024,-2.639389777494511,"
     "-2.0261134826510023,-2.0261134826510023,75.52908404498476,nan,true",
-    "2,14,6,2,sweep,23.811084742958187,-15.67632183566342,-3.260758980027692,"
+    "2,14,6,2,sweep,23.811084742958187,-15.676321835663419,-3.260758980027692,"
     "-2.2241118522697505,-2.2241118522697505,58.80436144354607,nan,true",
-    "2,14,6,1,itp,23.676146480943576,-15.67632183566342,-3.260758980027692,"
+    "2,14,6,1,itp,23.676146480943576,-15.676321835663419,-3.260758980027692,"
     "-2.2241118522697505,-2.2241118522697505,77.98056022641589,nan,true",
-    "3,14,6,2,sweep,23.419429769071616,-15.917416457602634,-3.501853601966907,"
+    "3,14,6,2,sweep,23.419429769071616,-15.917416457602634,-3.5018536019669035,"
     "-3.3220360230941246,-3.3220360230941246,59.75521761045266,nan,true",
-    "3,14,6,1,itp,22.75941231177911,-15.917416457602634,-3.501853601966907,"
+    "3,14,6,1,itp,22.75941231177911,-15.917416457602634,-3.5018536019669035,"
     "-3.3220360230941246,-3.3220360230941246,79.50388513324,nan,true",
 ]
 

@@ -31,7 +31,7 @@ from sweepcvrp.group_cvrp import (SolveConfig, cvrp_group_heuristic, solve_group
                                   split_tour_sequence)
 from sweepcvrp.tsp import tsp_heuristic
 
-from helpers import SCALE_EXPONENTS, scaled_instance
+from helpers import SCALE_EXPONENTS, random_points, scaled_instance, shuffled_edge_sum
 
 
 def _points(xy):
@@ -355,6 +355,23 @@ class TestTours:
         assert length >= 2 * max(dist(depot, pts[i]) for i in (2, 0, 5)) - 1e-9
 
 
+    def test_tour_length_is_the_same_either_way(self):
+        # the fsum of the route's edges: a left-to-right sum from the depot
+        # differed from the same route reversed
+        rng = np.random.default_rng(131)
+        t = rng.random(12)
+        routes = [random_points(rng, int(rng.integers(2, 15))) for _ in range(40)]
+        routes.append(_points(np.column_stack([0.1 + 0.7 * t, 0.2 + 0.3 * t])))
+        routes.append(_points(rng.random((4, 2))) * 3)  # duplicates
+        for r in routes:
+            for e in SCALE_EXPONENTS:
+                inst = scaled_instance(Instance(terminals=r, depot=(0.5, 0.5), capacity=1), e)
+                route = list(inst.terminals)
+                assert tour_length(inst.depot, route) == tour_length(inst.depot, route[::-1])
+                assert tour_length(inst.depot, route) == shuffled_edge_sum(
+                    rng, [inst.depot, *route])
+
+
 class TestInstanceIO:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(17)
@@ -366,6 +383,25 @@ class TestInstanceIO:
         buf.seek(0)
         back = read_instance(buf)
         assert back == inst
+
+    def test_file_form_reads_back_and_each_fault_raises(self):
+        # each coordinate is converted once, by Instance, from its token
+        inst = gen_instance(50, 5, Point(0.25, 1 / 3), seed=3)
+        buf = io.StringIO()
+        write_instance(inst, buf)
+        text = buf.getvalue()
+        assert read_instance(io.StringIO(text)) == inst
+        lines = text.splitlines(keepends=True)
+        faults = [
+            (0, "50 5 0.5 abc\n", "could not convert string to float: 'abc'"),
+            (4, "0.1 abc\n", "could not convert string to float: 'abc'"),
+            (7, "nan 0.5\n", r"non-finite coordinate: Point\(x=nan, y=0.5\)"),
+            (9, "0.1 0.2 0.3\n", "terminal line 10: expected `x y`"),
+        ]
+        for at, line, message in faults:
+            bad = "".join(lines[:at] + [line] + lines[at + 1 :])
+            with pytest.raises(ValueError, match=message):
+                read_instance(io.StringIO(bad))
 
     def test_bad_header(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from sweepcvrp.tsp import (
     held_karp, held_karp_last, held_karp_layers, mask_dtype, subset_layers, tsp_exact,
 )
 
-from helpers import check_feasible, random_points
+from helpers import check_feasible, random_points, shuffled_edge_sum, within_ulps
 
 O = Point(0.0, 0.0)
 CROSS = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
@@ -319,6 +319,16 @@ def _cvrp_exact_small_numpy_reference(U, depot, k):
     return Solution(tuple(tours))
 
 
+def _assert_same_tours(U, depot, sol, ref):
+    """sol has the reference's tours, (indices, length) pairs, in order: the
+    same indices, and lengths of the length rule, tour_length of the route,
+    within an ulp per edge of the reference's DP sums."""
+    assert [t.indices for t in sol.tours] == [indices for indices, _ in ref]
+    for t, (indices, length) in zip(sol.tours, ref):
+        assert t.length == tour_length(depot, [U[i] for i in indices])
+        assert within_ulps(t.length, length, len(indices) + 1)
+
+
 def _assert_same_held_karp(U, depot, tour_cost, tour_end, parent):
     """held_karp gives the reference's tour costs bit for bit, and recovers
     the reference's tour end of every mask and its predecessor of every
@@ -392,9 +402,10 @@ class TestExactSmallReference:
         for k in range(1, max(n, 1) + 1):
             sol = cvrp_exact_small(U, depot, k)
             ref = _cvrp_exact_small_reference(n, k, hk)
-            assert [(t.indices, t.length) for t in sol.tours] == ref, k
+            _assert_same_tours(U, depot, sol, ref)
             assert all(type(t.length) is float for t in sol.tours)
-            assert sol.total_cost == math.fsum(length for _, length in ref)
+            assert within_ulps(sol.total_cost, math.fsum(length for _, length in ref),
+                               n + len(ref))
 
     @pytest.mark.parametrize("name", list(GROUP_CASES) + [f"uniform-{n}" for n in range(1, 14)])
     def test_same_as_numpy_reference(self, name):
@@ -414,8 +425,9 @@ class TestExactSmallReference:
             assert np.isinf(held_karp(U, depot).tour_cost[0]) and np.isinf(tour_cost[0])
         if n <= EXACT_GROUP_THRESHOLD:
             for k in range(1, max(n, 1) + 1):
-                sol = cvrp_exact_small(U, depot, k)
-                assert repr(sol) == repr(_cvrp_exact_small_numpy_reference(U, depot, k)), k
+                ref = _cvrp_exact_small_numpy_reference(U, depot, k)
+                _assert_same_tours(U, depot, cvrp_exact_small(U, depot, k),
+                                   [(t.indices, t.length) for t in ref.tours])
 
     @pytest.mark.parametrize("name", list(GROUP_CASES))
     def test_split_same_as_reference(self, name):
@@ -428,6 +440,24 @@ class TestExactSmallReference:
                 (tuple(seg), tour_length(depot, [U[i] for i in seg])) for seg in segments
             ]
             assert math.fsum(t.length for t in tours) == ref_total
+
+
+class TestLengthRule:
+    def test_tour_lengths_are_edge_sums_in_any_order(self):
+        # every emitted length is the fsum of its route's edges, so no edge
+        # order (a DP's, a split's, the reverse) moves a bit. Both paths
+        # summed from the depot left to right before
+        rng = np.random.default_rng(149)
+        cases = [*GROUP_CASES.values(), (random_points(rng, 300), Point(0.5, 0.5))]
+        for U, depot in cases:
+            seq = rng.permutation(len(U)).tolist()
+            for k in (*range(1, min(len(U), EXACT_GROUP_THRESHOLD) + 1), 17, 40):
+                tours = list(split_tour_sequence(U, depot, seq, k))
+                if len(U) <= EXACT_GROUP_THRESHOLD and k <= max(len(U), 1):
+                    tours += cvrp_exact_small(U, depot, k).tours
+                for t in tours:
+                    route = [depot, *(U[i] for i in t.indices)]
+                    assert t.length == shuffled_edge_sum(rng, route), (k, t)
 
 
 def _held_karp_cases() -> dict[str, tuple[list[Point], Point]]:

@@ -27,7 +27,7 @@ from sweepcvrp.tsp import (
     tsp_heuristic,
 )
 
-from helpers import SCALE_EXPONENTS, random_points, run_in_child
+from helpers import SCALE_EXPONENTS, random_points, run_in_child, within_ulps
 
 SQUARE = [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
 
@@ -1157,7 +1157,36 @@ class TestExactReference:
         res = tsp_exact(pts)
         order, length = _tsp_exact_reference(pts)
         assert res.order == order
-        assert type(res.length) is float and res.length == length
+        # the length is its cycle's, within an ulp per edge of the DP's sum
+        assert type(res.length) is float and res.length == cycle_length(pts, order)
+        assert within_ulps(res.length, length, len(pts))
+
+
+class TestLengthRule:
+    def test_three_points_one_length_on_both_paths(self):
+        # both paths certify the one cycle over 3 points; the exact path
+        # reported its DP's left-to-right sum, which differed from the
+        # heuristic's fsum on 366 of these 2,000 sets
+        rng = np.random.default_rng(137)
+        for _ in range(2000):
+            pts = random_points(rng, 3)
+            auto, heuristic = tsp_dispatch(pts, "auto"), tsp_dispatch(pts, "heuristic")
+            assert auto.certified_optimal and heuristic.certified_optimal
+            assert auto.length == heuristic.length, pts
+
+    @pytest.mark.parametrize("n", range(2, EXACT_THRESHOLD + 1))
+    def test_exact_length_from_any_start_either_way(self, n):
+        rng = np.random.default_rng(151 + n)
+        t = rng.permutation(n) / (n - 1)
+        sets = [random_points(rng, n) for _ in range(3)]
+        sets.append([Point(0.2 + 0.5 * v, 0.1 + 0.3 * v) for v in t.tolist()])
+        sets.append([sets[0][i % max(1, n // 3)] for i in range(n)])  # duplicates
+        for pts in sets:
+            res = tsp_exact(pts)
+            order = list(res.order)
+            for s in range(n):
+                turn = order[s:] + order[:s]
+                assert res.length == cycle_length(pts, turn) == cycle_length(pts, turn[::-1])
 
 
 class TestTwoOptScale:
