@@ -14,6 +14,15 @@ valid certificate when T*_R comes from a provably optimal tour (the exact
 solver, or any tour over at most 3 locations): a heuristic tour
 overestimates T*_R, so such values are flagged rather than trusted.
 
+T*_R is the length of tsp_dispatch's tour over those terminals, with one
+exception. At R = 0, where tsp_dispatch would return an uncertified tour
+(above its exact threshold, or in heuristic mode, over more than 3
+locations), T*_0 is the ITP tour of the same instance, mode and seed with
+the depot shortcut: the cycle through ITP's routes in route order, which is
+ITP's tour over the depot and the terminals with the depot left out. It is
+an upper estimate of the optimal T*_0 only, flagged uncertified like any
+heuristic tour, and it saves touring the terminals a second time.
+
 math.inf is the distinguished "unclipped" R value; the set {d >= inf} is
 empty and T*_inf = 0 exactly.
 
@@ -32,8 +41,9 @@ from dataclasses import asdict, astuple, dataclass, fields
 from functools import cached_property
 
 from .closedform import choose_radius
-from .geometry import Instance, Point, diameter, dist, field_text
-from .tsp import tsp_dispatch
+from .geometry import Instance, Point, Solution, diameter, dist, field_text
+from .itp import itp_solve
+from .tsp import cycle_length, dispatch_certified, tsp_dispatch
 
 
 def _check_radius(R: float) -> None:
@@ -57,12 +67,23 @@ def local_subset(instance: Instance, R: float) -> list[int]:
 
 
 def local_cost(
-    instance: Instance, R: float, tsp_mode: str = "auto", seed: int = 0
+    instance: Instance, R: float, tsp_mode: str = "auto", seed: int = 0,
+    itp: Solution | None = None,
 ) -> tuple[float, bool]:
     """(T*_R, certified): the length of tsp_dispatch's tour over the >=R
-    terminals, certified iff that tour is provably optimal."""
+    terminals, certified iff that tour is provably optimal. At R = 0, where
+    that tour would be uncertified, it is instead cycle_length of `itp`'s
+    routes concatenated in route order, uncertified: `itp` is ITP's solution
+    of this instance, mode and seed, solved here when None."""
     _check_radius(R)
     points = [instance.terminals[i] for i in local_subset(instance, R)]
+    if R == 0.0 and not dispatch_certified(points, tsp_mode):
+        if itp is None:
+            itp = itp_solve(instance, tsp_mode, seed)
+        order = [i for tour in itp.tours for i in tour.indices]
+        if sorted(order) != list(range(instance.n)):
+            raise ValueError("itp must visit every terminal exactly once")
+        return cycle_length(points, order), False
     result = tsp_dispatch(points, mode=tsp_mode, seed=seed)
     return result.length, result.certified_optimal
 
@@ -104,13 +125,19 @@ class BoundContext:
     """The bound ingredients of one instance, each computed at most once.
 
     Values come from local_cost, radial_cost and instance_diameter, so every
-    bound equals, bit for bit, what the one-shot functions return.
+    bound equals, bit for bit, what the one-shot functions return. `itp`, if
+    given, is ITP's solution of the same instance, tsp_mode and seed; where
+    T*_0 is taken from ITP's tour (see the module docstring: an uncertified
+    upper estimate), the context reads it from `itp`, and without it solves
+    ITP itself on first need.
     """
 
-    def __init__(self, instance: Instance, tsp_mode: str = "auto", seed: int = 0):
+    def __init__(self, instance: Instance, tsp_mode: str = "auto", seed: int = 0,
+                 itp: Solution | None = None):
         self.instance = instance
         self.tsp_mode = tsp_mode
         self.seed = seed
+        self.itp = itp
         self._local: dict[float, tuple[float, bool]] = {}
         self._radial: dict[float, float] = {}
 
@@ -121,7 +148,8 @@ class BoundContext:
     def local(self, R: float) -> tuple[float, bool]:
         """(T*_R, certified), as local_cost."""
         if R not in self._local:
-            self._local[R] = local_cost(self.instance, R, self.tsp_mode, self.seed)
+            self._local[R] = local_cost(self.instance, R, self.tsp_mode, self.seed,
+                                        self.itp)
         return self._local[R]
 
     def radial(self, R: float) -> float:

@@ -198,7 +198,10 @@ def run_ratio_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     for seed in config.seeds:
         instance = gen_instance(config.n, k, config.depot, seed)
-        bounds = BoundContext(instance, config.tsp_mode, seed)
+        solutions = {algo: solve(instance, algo, config.M, config.tsp_mode, seed)
+                     for algo in config.algos}
+        # T*_0 may be ITP's tour with the depot shortcut (see bounds)
+        bounds = BoundContext(instance, config.tsp_mode, seed, solutions.get("itp"))
         lbs, valid = zip(*(bounds.lower(R) for R in (0.0, rstar, math.inf)))
         best_lb = max(lbs)
         certified = all(valid)
@@ -209,8 +212,8 @@ def run_ratio_experiment(config: ExperimentConfig) -> ExperimentResult:
         else:
             denominator = best_lb
 
-        for algo in config.algos:
-            cost = solve(instance, algo, config.M, config.tsp_mode, seed).total_cost
+        for algo, solution in solutions.items():
+            cost = solution.total_cost
             M = 1 if algo == "itp" else config.M  # ITP has no groups: bounded at M = 1
             ub, _ = bounds.upper(M)
             ratio = cost / denominator if denominator > 0.0 else math.nan

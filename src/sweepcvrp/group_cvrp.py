@@ -12,7 +12,8 @@ mask on its path as the first argmin over that mask's row, whose blocks are
 in descending order, so among equal sums the largest block wins. The
 heuristic path cuts one TSP tour over the group plus depot into segments of
 at most k terminals, taking the best of k rotation offsets. The DP's sums only
-choose: every Tour's length is geometry.tour_length of its route.
+choose: every Tour's length is the fsum of its route's edges,
+geometry.tour_length bit for bit.
 
 All solutions returned here use local indices 0..len(U)-1; callers remap.
 """
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, Solution, Tour, check_coordinates, dist, tour_length
+from .geometry import Point, Solution, Tour, check_coordinates, dist
 from .tsp import (
     check_tsp_mode, held_karp, held_karp_path, mask_dtype, subset_layers, tsp_dispatch,
 )
@@ -116,7 +117,10 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
         r = int(np.searchsorted(masks, mask))
         s = int(blocks[r, np.argmin(hk.tour_cost[blocks[r]] + part[rest[r]])])
         path = held_karp_path(hk, s)
-        tours.append(Tour(tuple(path), tour_length(depot, [U[i] for i in path])))
+        # the route's edges from held_karp's distances, dist of its rows:
+        # tour_length of the route, bit for bit, with U read only there
+        edges = [hk.d0[path[0]], *hk.d[path[:-1], path[1:]].tolist(), hk.d0[path[-1]]]
+        tours.append(Tour(tuple(path), math.fsum(edges)))
         mask ^= s
     return Solution(tuple(tours))
 
@@ -130,13 +134,15 @@ def split_tour_sequence(
 
     Returns one Tour per segment of the winning offset, of length the fsum
     of the segment's edges (tour_length). Offset r puts the first r terminals
-    in a short leading segment; ties prefer the smaller offset.
+    in a short leading segment; ties prefer the smaller offset. The depot
+    and U are read once, through geometry.check_coordinates (ValueError).
     """
     if k < 1:
         raise ValueError(f"capacity must be >= 1, got {k}")
     n = len(seq)
-    pts = [U[i] for i in seq]
-    dep = [dist(depot, p) for p in pts]
+    xy = check_coordinates((depot, *U)).tolist()  # row 0 is the depot
+    pts = [xy[i + 1] for i in seq]
+    dep = [dist(xy[0], p) for p in pts]
     legs = [dist(a, b) for a, b in zip(pts, pts[1:])]
     best_cost, best_cuts = math.inf, []
     for r in range(min(k, n)):

@@ -84,6 +84,8 @@ from .geometry import Point, as_xy, check_coordinates, dist, unit_scale
 
 EXACT_THRESHOLD = 14
 TSP_MODES = ("auto", "heuristic")
+# every cycle over at most this many distinct locations is optimal
+CERTAIN_LOCATIONS = 3
 
 NEIGHBOURS = 10  # listed nearest neighbours per point (K)
 _GRID_LOAD = 4  # points per grid cell, on average
@@ -281,7 +283,7 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
     pts = check_coordinates(points)
     first, loc = _locations(pts)
     m = len(first)
-    if m <= 3:
+    if m <= CERTAIN_LOCATIONS:
         tour = list(range(m))
     else:
         sites, _ = unit_scale(pts[first])
@@ -292,7 +294,7 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
     where[tour] = np.arange(m)
     order = tuple(np.argsort(where[loc], kind="stable").tolist())
     return TspResult(order=order, length=cycle_length(pts, order),
-                     certified_optimal=m <= 3)
+                     certified_optimal=m <= CERTAIN_LOCATIONS)
 
 
 def _locations(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -864,3 +866,13 @@ def tsp_dispatch(points: Sequence[Point], mode: str = "auto", seed: int = 0) -> 
     if mode == "auto" and len(points) <= EXACT_THRESHOLD:
         return tsp_exact(points)
     return tsp_heuristic(points, seed)
+
+
+def dispatch_certified(points: Sequence[Point], mode: str = "auto") -> bool:
+    """Whether tsp_dispatch(points, mode) returns a certified tour, decided
+    without touring: the exact path, or at most CERTAIN_LOCATIONS distinct
+    locations. Raises ValueError as tsp_dispatch does."""
+    check_tsp_mode(mode)
+    xy = check_coordinates(points)
+    return (mode == "auto" and len(xy) <= EXACT_THRESHOLD
+            or len(_locations(xy)[0]) <= CERTAIN_LOCATIONS)

@@ -17,12 +17,13 @@ from sweepcvrp.bounds import (
     upper_bound_formula,
 )
 from sweepcvrp.bruteforce import brute_force_opt
-from sweepcvrp.experiments import gen_instance
-from sweepcvrp.geometry import Instance, Point
+from sweepcvrp.experiments import ExperimentConfig, gen_instance, run_ratio_experiment
+from sweepcvrp.geometry import Instance, Point, Solution
 from sweepcvrp.itp import itp_solve
 from sweepcvrp.sweep import sweep_solve
+from sweepcvrp.tsp import cycle_length, tsp_dispatch
 
-from helpers import random_instance
+from helpers import random_instance, scaled_instance
 
 CROSS = Instance(
     terminals=(Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)),
@@ -319,12 +320,15 @@ class TestBoundContext:
     def test_golden_report(self):
         # local_R is a 40-point heuristic tour, so it, lower and upper were
         # re-recorded with the neighbour-list local search (5.618239171836337,
-        # 0.42734661288444453 and 39.125717301094944 before); D kept its bits
+        # 0.42734661288444453 and 39.125717301094944 before), and again when
+        # the heuristic T*_0 became ITP's tour with the depot shortcut
+        # (5.48287870752764, 0.2919861485757478 and 38.99035683678625 before,
+        # a separate tour over the terminals); D kept its bits
         inst = gen_instance(40, 4, Point(0.3, 0.6), 7)
         assert repr(compute_bounds(inst, 0.0, 2, "auto", 3)) == (
-            "BoundsReport(R=0.0, rad_R=0.0, local_R=5.48287870752764, "
+            "BoundsReport(R=0.0, rad_R=0.0, local_R=5.399649709213074, "
             "local_certified=False, D=1.1015416130881752, "
-            "lower=0.2919861485757478, upper=38.99035683678625, M=2)"
+            "lower=0.20875715026118158, upper=38.90712783847168, M=2)"
         )
 
     @pytest.fixture
@@ -386,6 +390,112 @@ class TestBoundContext:
         with pytest.raises(ValueError, match="R must be"):
             BoundContext(CROSS).lower(-1.0)
         assert tours == []
+
+
+def _itp_order(solution) -> list[int]:
+    """ITP's routes concatenated in route order: its tour without the depot."""
+    return [i for tour in solution.tours for i in tour.indices]
+
+
+class TestShortcutT0:
+    """Where tsp_dispatch over the terminals is uncertified, T*_0 is the
+    cycle through ITP's routes; elsewhere it is tsp_dispatch's tour."""
+
+    @staticmethod
+    def cases():
+        """(instance, mode, whether tsp_dispatch certifies the terminals)."""
+        depot = Point(0.4, 0.55)
+        for n in (0, 1, 2, 3, 4, 14, 15, 40):
+            inst = gen_instance(n, min(3, max(n, 1)), depot, n)
+            yield inst, "auto", n <= 14
+            yield inst, "heuristic", n <= 3
+        # co-located terminals: at most 3 locations are certified in
+        # heuristic mode above the exact threshold too
+        for places in ([(0.1, 0.2)], [(0.1, 0.2), (0.9, 0.3), (0.5, 1.0)],
+                       [(0.1, 0.2), (0.9, 0.3), (0.5, 1.0), (0.2, 0.8)]):
+            terminals = tuple(Point(*places[i % len(places)]) for i in range(20))
+            inst = Instance(terminals=terminals, depot=depot, capacity=4)
+            yield inst, "heuristic", len(places) <= 3
+            yield inst, "auto", len(places) <= 3
+
+    def test_rule(self):
+        for inst, mode, certifies in self.cases():
+            for e in (-40, 0, 40):
+                scaled = scaled_instance(inst, e)
+                for seed in (0, 5):
+                    got = local_cost(scaled, 0.0, mode, seed)
+                    want = tsp_dispatch(list(scaled.terminals), mode, seed)
+                    assert want.certified_optimal == certifies
+                    if certifies:
+                        assert got == (want.length, True)
+                    else:
+                        order = _itp_order(itp_solve(scaled, mode, seed))
+                        assert got == (cycle_length(scaled.terminals, order), False)
+                    assert got[0] == math.ldexp(local_cost(inst, 0.0, mode, seed)[0], e)
+
+    def test_only_at_zero(self):
+        # a radius below every depot distance keeps every terminal, and
+        # tsp_dispatch's tour
+        inst = gen_instance(40, 4, Point(3.0, -2.0), 2)
+        assert local_subset(inst, 1.0) == list(range(40))
+        want = tsp_dispatch(list(inst.terminals), "auto", 2)
+        assert local_cost(inst, 1.0, "auto", 2) == (want.length, False)
+
+    def test_given_itp_is_read(self, monkeypatch):
+        import sweepcvrp.bounds as bounds
+
+        inst = gen_instance(40, 4, Point(0.5, 0.5), 1)
+        itp = itp_solve(inst, "auto", 1)
+        solved = []
+        monkeypatch.setattr(bounds, "itp_solve", lambda *a: solved.append(a) or itp)
+        value = local_cost(inst, 0.0, "auto", 1, itp)
+        assert solved == []
+        assert value == local_cost(inst, 0.0, "auto", 1)
+        assert solved == [(inst, "auto", 1)]
+
+    def test_itp_must_cover_the_terminals(self):
+        inst = gen_instance(40, 4, Point(0.5, 0.5), 1)
+        itp = itp_solve(inst)
+        short = Solution(itp.tours[1:])
+        with pytest.raises(ValueError, match="every terminal exactly once"):
+            local_cost(inst, 0.0, itp=short)
+        with pytest.raises(ValueError, match="every terminal exactly once"):
+            BoundContext(gen_instance(41, 4, Point(0.5, 0.5), 1), itp=itp).upper(1)
+
+    def test_context_with_and_without_itp_agree(self, monkeypatch):
+        import sweepcvrp.bounds as bounds
+
+        solved = []
+        real = bounds.itp_solve
+        monkeypatch.setattr(bounds, "itp_solve",
+                            lambda *a: solved.append(a) or real(*a))
+        for n, mode, seed in ((15, "auto", 0), (60, "auto", 3), (60, "heuristic", 4),
+                              (200, "heuristic", 1), (9, "auto", 2)):
+            inst = gen_instance(n, 5, Point(0.5, 0.5), seed)
+            given = BoundContext(inst, mode, seed, itp_solve(inst, mode, seed))
+            fresh = BoundContext(inst, mode, seed)
+            for R in (0.0, choose_R(inst.depot), math.inf):
+                assert repr(given.report(R, 2)) == repr(fresh.report(R, 2))
+                assert given.lower(R) == fresh.lower(R)
+            assert given.upper(1) == fresh.upper(1)
+        # only the contexts without a solution solved ITP, once each, and
+        # only where T*_0 is ITP's tour
+        assert [a[1:] for a in solved] == [("auto", 0), ("auto", 3), ("heuristic", 4),
+                                           ("heuristic", 1)]
+
+    @pytest.mark.parametrize("n, k", [(60, 5), (200, 14)])
+    @pytest.mark.parametrize("mode", ["auto", "heuristic"])
+    def test_one_shot_functions_equal_experiment_rows(self, n, k, mode):
+        config = ExperimentConfig(n=n, depot=Point(0.5, 0.5), M=2, seeds=(0, 1),
+                                  k_fixed=k, tsp_mode=mode)
+        rows = run_ratio_experiment(config).rows
+        assert len(rows) == 4
+        for row in rows:
+            inst = gen_instance(n, k, config.depot, row.seed)
+            assert repr(lower_bound(inst, 0.0, mode, row.seed)[0]) == repr(row.lb_r0)
+            assert repr(upper_bound_formula(inst, row.M, mode, row.seed)[0]) == repr(row.ub)
+            report = compute_bounds(inst, 0.0, row.M, mode, row.seed)
+            assert repr((report.lower, report.upper)) == repr((row.lb_r0, row.ub))
 
 
 class TestAlgorithmsAgainstBounds:

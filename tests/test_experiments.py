@@ -6,6 +6,7 @@ import pytest
 
 import sweepcvrp.experiments as experiments
 import sweepcvrp.tsp as tsp
+from sweepcvrp.bounds import instance_diameter
 from sweepcvrp.closedform import g1
 from sweepcvrp.experiments import (
     CSV_HEADER,
@@ -269,40 +270,68 @@ class TestRunRatioExperiment:
 
 
 class TestBoundReuse:
-    def test_full_terminal_set_toured_once_per_call(self, monkeypatch):
+    @staticmethod
+    def counted(monkeypatch, name):
+        """The point sets of every call to tsp.`name`, in call order."""
         tours = []
-        real = tsp.tsp_heuristic
+        real = getattr(tsp, name)
 
-        def counted(points, seed=0):
+        def counted(points, *args):
             tours.append(frozenset(points))
-            return real(points, seed)
+            return real(points, *args)
 
-        monkeypatch.setattr(tsp, "tsp_heuristic", counted)
+        monkeypatch.setattr(tsp, name, counted)
+        return tours
+
+    def test_full_terminal_set_toured_once_per_call(self, monkeypatch):
+        tours = self.counted(monkeypatch, "tsp_heuristic")
         config = ExperimentConfig(n=60, depot=Point(0.5, 0.5), M=2, seeds=(4,),
                                   k_fixed=5)
         terminals = frozenset(gen_instance(60, 5, config.depot, 4).terminals)
         run_ratio_experiment(config)
         first = list(tours)
-        # T*_0 serves lb_r0 and both upper bounds
-        assert first.count(terminals) == 1
+        # ITP's tour over the depot and the terminals serves ITP's cost,
+        # lb_r0 and both upper bounds: no point set is toured twice, and the
+        # terminals alone are never toured
+        assert len(first) >= 2 and len(set(first)) == len(first)
+        assert terminals not in first
+        assert first.count(terminals | {config.depot}) == 1
         # nothing is cached across calls
         run_ratio_experiment(config)
         assert tours[len(first):] == first
+
+    def test_exact_t0_at_the_threshold(self, monkeypatch):
+        tours = self.counted(monkeypatch, "tsp_exact")
+        config = ExperimentConfig(n=14, depot=Point(0.5, 0.5), M=2, seeds=(3,),
+                                  k_fixed=6)
+        instance = gen_instance(14, 6, config.depot, 3)
+        result = run_ratio_experiment(config)
+        assert tours.count(frozenset(instance.terminals)) == 1
+        t_zero = tsp.tsp_exact(list(instance.terminals)).length
+        D = instance_diameter(instance)
+        for row in result.rows:
+            assert row.certified
+            assert row.lb_r0 == t_zero + 0.0 - 1.5 * math.pi * D
 
 
 # CSV rows recorded with the neighbour-list local search (2-opt + Or-opt).
 # Every value that rests on a heuristic tour moved with it: cost (group and
 # ITP tours), lb_r0 and lb_rstar (heuristic T*_R), best_lb, ub (T*_0) and
-# ratio. lb_rinf needs no tour and kept its bits.
+# ratio. lb_rinf needs no tour and kept its bits. lb_r0 and ub were
+# re-recorded when the heuristic T*_0 became ITP's tour with the depot
+# shortcut instead of a second tour over the terminals (lb_r0 was
+# 5.233943547315621 and 5.608262794404761, ub 72.87261803849002,
+# 116.75546333262447, 70.70215926015311 and 112.96898301122626); lb_rstar
+# is the largest bound here, so best_lb and ratio kept their bits.
 GOLDEN_ROWS = [
-    "0,200,14,2,sweep,21.685385141708267,5.233943547315621,10.718144974435742,"
-    "4.948895499553731,10.718144974435742,72.87261803849002,2.02324051348726,false",
-    "0,200,14,1,itp,21.04760529825976,5.233943547315621,10.718144974435742,"
-    "4.948895499553731,10.718144974435742,116.75546333262447,1.963735828211058,false",
-    "1,200,14,2,sweep,20.508056757122215,5.608262794404761,9.92612235466223,"
-    "4.712719678500984,9.92612235466223,70.70215926015311,2.066069309279643,false",
-    "1,200,14,1,itp,20.58245944867454,5.608262794404761,9.92612235466223,"
-    "4.712719678500984,9.92612235466223,112.96898301122626,2.0735649544967685,false",
+    "0,200,14,2,sweep,21.685385141708267,4.964727090181817,10.718144974435742,"
+    "4.948895499553731,10.718144974435742,72.60340158135621,2.02324051348726,false",
+    "0,200,14,1,itp,21.04760529825976,4.964727090181817,10.718144974435742,"
+    "4.948895499553731,10.718144974435742,116.48624687549068,1.963735828211058,false",
+    "1,200,14,2,sweep,20.508056757122215,4.9679851209060955,9.92612235466223,"
+    "4.712719678500984,9.92612235466223,70.06188158665444,2.066069309279643,false",
+    "1,200,14,1,itp,20.58245944867454,4.9679851209060955,9.92612235466223,"
+    "4.712719678500984,9.92612235466223,112.3287053377276,2.0735649544967685,false",
 ]
 
 

@@ -346,25 +346,33 @@ def _assert_same_held_karp(U, depot, tour_cost, tour_end, parent):
                 assert parent[mask][end] == -1
 
 
+def _route_length(depot, points):
+    """The closed route's length, summed here and not by the package: the
+    math.fsum of math.hypot of the coordinate differences of its edges."""
+    route = [depot, *points]
+    return math.fsum(math.hypot(b[0] - a[0], b[1] - a[1])
+                     for a, b in zip(route, route[1:] + route[:1]))
+
+
 def _split_reference(U, depot, seq, k):
-    """split_tour_sequence before it cached the leg lengths."""
+    """split_tour_sequence before it cached the leg lengths, with its own edge
+    sum: (segments, their lengths, the fsum of the lengths)."""
     n = len(seq)
     if n == 0:
-        return [], 0.0
+        return [], [], 0.0
     best_cost = math.inf
-    best_segments = []
+    best = [], []
     for r in range(min(k, n)):
         segments = []
         if r > 0:
             segments.append(list(seq[:r]))
         segments.extend(list(seq[i : i + k]) for i in range(r, n, k))
-        cost = math.fsum(
-            tour_length(depot, [U[i] for i in seg]) for seg in segments
-        )
+        lengths = [_route_length(depot, [U[i] for i in seg]) for seg in segments]
+        cost = math.fsum(lengths)
         if cost < best_cost:
             best_cost = cost
-            best_segments = segments
-    return best_segments, best_cost
+            best = segments, lengths
+    return (*best, best_cost)
 
 
 def _group_cases() -> dict[str, tuple[list[Point], Point]]:
@@ -435,9 +443,9 @@ class TestExactSmallReference:
         seq = np.random.default_rng(len(U)).permutation(len(U)).tolist()
         for k in range(1, max(len(U), 1) + 1):
             tours = split_tour_sequence(U, depot, seq, k)
-            segments, ref_total = _split_reference(U, depot, seq, k)
+            segments, lengths, ref_total = _split_reference(U, depot, seq, k)
             assert [(t.indices, t.length) for t in tours] == [
-                (tuple(seg), tour_length(depot, [U[i] for i in seg])) for seg in segments
+                (tuple(seg), length) for seg, length in zip(segments, lengths)
             ]
             assert math.fsum(t.length for t in tours) == ref_total
 
@@ -458,6 +466,40 @@ class TestLengthRule:
                 for t in tours:
                     route = [depot, *(U[i] for i in t.indices)]
                     assert t.length == shuffled_edge_sum(rng, route), (k, t)
+
+
+class TestPairForms:
+    # both solvers read U once through geometry.check_coordinates; numeric
+    # strings raised TypeError in split_tour_sequence and cvrp_exact_small
+    @staticmethod
+    def forms(U, depot):
+        """(name, U, depot) in every accepted pair form."""
+        yield "strings", [(repr(x), repr(y)) for x, y in U], (repr(depot.x), repr(depot.y))
+        yield "lists", [[x, y] for x, y in U], [depot.x, depot.y]
+        yield "ndarray rows", list(np.array(U, dtype=float)), np.array(depot)
+        yield "ndarray", np.array(U, dtype=float).reshape(-1, 2), depot
+
+    def test_every_pair_form_gives_the_point_form(self):
+        rng = np.random.default_rng(157)
+        depot = Point(0.25, -0.5)
+        for n in (0, 1, 5, 12, 40):
+            U = random_points(rng, n)
+            seq = rng.permutation(n).tolist()
+            for k in (1, 3, 5):
+                split = split_tour_sequence(U, depot, seq, k)
+                exact = cvrp_exact_small(U, depot, k) if n <= EXACT_GROUP_THRESHOLD else None
+                for name, U2, depot2 in self.forms(U, depot):
+                    assert repr(split_tour_sequence(U2, depot2, seq, k)) == repr(split), name
+                    if exact is not None:
+                        assert repr(cvrp_exact_small(U2, depot2, k)) == repr(exact), name
+
+    @pytest.mark.parametrize("U", [[0.1, 0.2], [(0.1, 0.2, 0.3)], [(0.1,), (0.2,)],
+                                   [Point(0.1, 0.2), (0.3, 0.4, 0.5)]])
+    def test_a_non_pair_raises(self, U):
+        with pytest.raises(ValueError, match="pairs"):
+            split_tour_sequence(U, O, list(range(len(U))), 2)
+        with pytest.raises(ValueError, match="pairs"):
+            cvrp_exact_small(U, O, 2)
 
 
 def _held_karp_cases() -> dict[str, tuple[list[Point], Point]]:
