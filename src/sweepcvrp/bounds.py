@@ -41,7 +41,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 from functools import cached_property
 
 from .closedform import choose_radius
-from .geometry import Instance, Point, Solution, diameter, dist, field_text
+from .geometry import Instance, Point, Solution, check_int, diameter, dist, field_text
 from .itp import itp_solve
 from .tsp import cycle_length, dispatch_certified, tsp_dispatch
 
@@ -171,16 +171,16 @@ class BoundContext:
         It holds when the group subproblems are solved exactly, and it is a
         certificate only when T*_0 is exact (certified False records the
         caveat otherwise)."""
-        if M < 1:
-            raise ValueError(f"M must be >= 1, got {M}")
+        block = check_int(M, "M", 1) * self.instance.capacity
         t_zero, certified = self.local(0.0)
-        groups = math.ceil(self.instance.n / (M * self.instance.capacity))
+        groups = math.ceil(self.instance.n / block)
         value = t_zero + self.radial(math.inf) + 1.5 * math.pi * self.D * groups
         return value, certified
 
     def report(self, R: float, M: int) -> BoundsReport:
         """Every bound ingredient at one R; R and M are checked before any tour."""
         _check_radius(R)
+        M = check_int(M, "M", 1)
         upper, _ = self.upper(M)
         lower, certified = self.lower(R)
         return BoundsReport(

@@ -21,7 +21,6 @@ starting with `#` carry caveats and are skipped by the parser.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import astuple, dataclass, field, fields
 from typing import TextIO
 
@@ -32,7 +31,7 @@ import numpy as np
 from .bounds import BoundContext, choose_R, lower_bound, upper_bound_formula  # noqa: F401
 from .bruteforce import brute_force_opt, check_cvrp_size
 from .geometry import (Instance, Point, Solution, check_coordinates, check_feasible,
-                       field_text)
+                       check_int, field_text)
 from .group_cvrp import SolveConfig
 from .itp import itp_solve
 from .sweep import sweep_solve
@@ -47,10 +46,9 @@ def solve(
     """The solution of the algorithm named `algo` (one of ALGOS): the sweep
     with group size factor M, or ITP, which ignores M. The solvers are read
     from this module at call time, so a traced run can replace them here.
-    Raises ValueError if M < 1, for every algo, or if the solver returns an
-    infeasible solution."""
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    Raises ValueError if M fails check_int with least 1, for every algo, or
+    if the solver returns an infeasible solution."""
+    M = check_int(M, "M", 1)
     if algo == "sweep":
         solution = sweep_solve(instance, M, SolveConfig(tsp_mode=tsp_mode, seed=seed))
     elif algo == "itp":
@@ -63,8 +61,7 @@ def solve(
 
 def gen_instance(n: int, k: int, depot: Point, seed: int) -> Instance:
     """n i.i.d. uniform terminals on the unit square; deterministic in seed."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n, seed = check_int(n, "n", 0), check_int(seed, "seed")
     rng = np.random.Generator(np.random.Philox(key=seed))
     return Instance(terminals=rng.random((n, 2)), depot=depot, capacity=k)
 
@@ -74,10 +71,7 @@ def resolve_k(n: int, k_fixed: int | None = None, k_alpha: float | None = None) 
     if (k_fixed is None) == (k_alpha is None):
         raise ValueError("specify exactly one of k_fixed, k_alpha")
     if k_fixed is not None:
-        try:
-            k = operator.index(k_fixed)
-        except TypeError:
-            raise ValueError(f"k_fixed must be an int, got {k_fixed!r}") from None
+        k = check_int(k_fixed, "k_fixed")
     else:
         if not 0.0 <= k_alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {k_alpha}")
@@ -102,20 +96,20 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.algos or len(set(self.algos)) != len(self.algos):
             raise ValueError(f"algos must be distinct and nonempty, got {self.algos!r}")
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+        seeds = tuple(check_int(seed, "seed") for seed in self.seeds)
+        if not seeds or len(set(seeds)) != len(seeds):
             raise ValueError(f"seeds must be distinct and nonempty, got {self.seeds!r}")
-        if not all(0 <= seed < 2 ** 128 for seed in self.seeds):  # Philox keys
+        if not all(0 <= seed < 2 ** 128 for seed in seeds):  # Philox keys
             raise ValueError(f"seeds must be in 0 .. 2**128 - 1, got {self.seeds!r}")
+        object.__setattr__(self, "seeds", seeds)
         for algo in self.algos:
             if algo not in ALGOS:
                 raise ValueError(f"unknown algo {algo!r}")
         (depot,) = check_coordinates([self.depot], "depot").tolist()
         object.__setattr__(self, "depot", Point._make(depot))
         check_tsp_mode(self.tsp_mode)
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+        object.__setattr__(self, "M", check_int(self.M, "M", 1))
+        object.__setattr__(self, "n", check_int(self.n, "n", 0))
         resolve_k(self.n, self.k_fixed, self.k_alpha)  # validate early
         if self.small_instance_mode:
             check_cvrp_size(self.n, self.k)

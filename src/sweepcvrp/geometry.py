@@ -10,9 +10,12 @@ converts as np.asarray(..., dtype=float) converts it, so strings such as
 "1.5" are read as numbers and None as NaN; an entry that is not a pair
 raises ValueError instead of being regrouped with its neighbours. Readers
 convert and check in one call, check_coordinates, at every size; an Instance
-keeps the float Points it returns. A closed walk's length is the math.fsum
-of dist over its edges (tour_length; tsp.cycle_length): correctly rounded, so
-no edge order, direction, start or solver moves a bit.
+keeps the float Points it returns. Every count, capacity and seed is read by
+one integer rule, check_int: a bool or a numpy integer becomes a plain int,
+and a float, a string, None or a value below the caller's least raises
+ValueError. A closed walk's length is the math.fsum of dist over its edges
+(tour_length; tsp.cycle_length): correctly rounded, so no edge order,
+direction, start or solver moves a bit.
 """
 
 from __future__ import annotations
@@ -72,6 +75,18 @@ def check_coordinates(points, what: str = "coordinate") -> np.ndarray:
     return xy
 
 
+def check_int(value, what: str, least: int | None = None) -> int:
+    """`value` as a plain int by operator.index; ValueError, naming it a `what`,
+    for a value without __index__ (a float, a string, None) or below `least`."""
+    try:
+        v = int(operator.index(value))
+    except TypeError:
+        raise ValueError(f"{what} must be an int, got {value!r}") from None
+    if least is not None and v < least:
+        raise ValueError(f"{what} must be >= {least}, got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class Instance:
     """A unit-demand CVRP instance: terminals, a depot, and a capacity.
@@ -79,7 +94,7 @@ class Instance:
     The terminal list is ordered (indices are meaningful) and may contain
     duplicate coordinates. The depot and terminals, in any pair form, must
     pass check_coordinates (the depot first) and are kept as float Points;
-    the capacity must be an integer (operator.index) with 1 <= k <= max(n, 1).
+    the capacity is read by check_int and must satisfy 1 <= k <= max(n, 1).
     """
 
     terminals: tuple[Point, ...]
@@ -87,15 +102,10 @@ class Instance:
     capacity: int
 
     def __post_init__(self) -> None:
-        try:
-            k = operator.index(self.capacity)
-        except TypeError:
-            raise ValueError(f"capacity must be an int, got {self.capacity!r}") from None
+        k = check_int(self.capacity, "capacity", 1)
         (depot,) = check_coordinates([self.depot]).tolist()
         terminals = tuple(map(Point._make, check_coordinates(self.terminals).tolist()))
         n = len(terminals)
-        if k < 1:
-            raise ValueError(f"capacity must be >= 1, got {k}")
         if k > max(n, 1):
             raise ValueError(f"capacity {k} exceeds max(n, 1) = {max(n, 1)}")
         object.__setattr__(self, "capacity", k)
@@ -283,9 +293,7 @@ def read_instance(fp: TextIO) -> Instance:
     header = fp.readline().split()
     if len(header) != 4:
         raise ValueError("instance header must be `n k depot_x depot_y`")
-    n, k = int(header[0]), int(header[1])
-    if n < 0:
-        raise ValueError(f"instance header: n must be >= 0, got {n}")
+    n, k = check_int(int(header[0]), "instance header: n", 0), int(header[1])
     terminals = []
     for line_no in range(n):
         fields = fp.readline().split()

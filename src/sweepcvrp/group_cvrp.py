@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, Solution, Tour, check_coordinates, dist
+from .geometry import Point, Solution, Tour, check_coordinates, check_int, dist
 from .tsp import (
     check_tsp_mode, held_karp, held_karp_path, mask_dtype, subset_layers, tsp_dispatch,
 )
@@ -47,6 +47,7 @@ class SolveConfig:
 
     def __post_init__(self) -> None:
         check_tsp_mode(self.tsp_mode)
+        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
 
 
 @functools.cache
@@ -79,17 +80,16 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
     """Minimum-total-length partition of U into tours of at most k terminals.
 
     Subset DP: optimal single-tour cost per subset of at most k terminals,
-    then a set-partition DP over those subsets. Rejects |U| >
-    EXACT_GROUP_THRESHOLD, and a coordinate that fails
-    geometry.check_coordinates (ValueError), the depot's too when U is empty.
+    then a set-partition DP over those subsets. Raises ValueError for |U| >
+    EXACT_GROUP_THRESHOLD, a k that fails geometry.check_int and a coordinate
+    that fails geometry.check_coordinates, the depot's too when U is empty.
     """
     n = len(U)
     if n > EXACT_GROUP_THRESHOLD:
         raise ValueError(
             f"{n} points exceeds exact group threshold {EXACT_GROUP_THRESHOLD}"
         )
-    if k < 1:
-        raise ValueError(f"capacity must be >= 1, got {k}")
+    k = check_int(k, "capacity", 1)
     if n == 0:
         check_coordinates([depot], "depot")
         return Solution(())
@@ -135,10 +135,9 @@ def split_tour_sequence(
     Returns one Tour per segment of the winning offset, of length the fsum
     of the segment's edges (tour_length). Offset r puts the first r terminals
     in a short leading segment; ties prefer the smaller offset. The depot
-    and U are read once, through geometry.check_coordinates (ValueError).
+    and U are read once by check_coordinates, k by check_int (ValueError).
     """
-    if k < 1:
-        raise ValueError(f"capacity must be >= 1, got {k}")
+    k = check_int(k, "capacity", 1)
     n = len(seq)
     xy = check_coordinates((depot, *U)).tolist()  # row 0 is the depot
     pts = [xy[i + 1] for i in seq]

@@ -36,7 +36,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .closedform import square_distance
-from .geometry import check_coordinates
+from .geometry import check_coordinates, check_int
 from .interval import (
     Interval,
     enclosure,
@@ -69,11 +69,9 @@ def grid_coord(index):
 
 
 def _net_indices(stride: int) -> range:
-    """Grid indices of the net on each axis: every `stride`-th of
+    """Grid indices of the net on each axis: every `stride`-th (check_int) of
     0..GRID_MAX_INDEX. The net is every pair i <= j of them."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    return range(0, GRID_MAX_INDEX + 1, stride)
+    return range(0, GRID_MAX_INDEX + 1, check_int(stride, "stride", 1))
 
 
 def enumerate_net(stride: int = 1) -> Iterator[tuple[float, float]]:
@@ -236,9 +234,9 @@ def verify_all(stride: int = 1, threads: int = 1, progress: bool = False) -> Net
     `failures`. At stride=1 this is the full 2,814,378-point verification.
     No file is written: `write_report` writes a certificate out.
     """
+    stride = _net_indices(stride).step  # the checked int
     points = net_size(stride)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = check_int(threads, "threads", 1)
     thr2, thr3 = THRESHOLD_G2, THRESHOLD_G3
     start = time.perf_counter()
 

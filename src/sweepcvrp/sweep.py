@@ -8,16 +8,14 @@ re-balancing or post-exchange between adjacent tours.
 
 from __future__ import annotations
 
-from .geometry import Instance, Solution, Tour, sweep_sort
+from .geometry import Instance, Solution, Tour, check_int, sweep_sort
 from .group_cvrp import SolveConfig, solve_group
 
 
 def sweep_groups(instance: Instance, M: int) -> list[list[int]]:
     """Consecutive blocks of M*k terminal indices in sweep order."""
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    block = check_int(M, "M", 1) * instance.capacity
     order = sweep_sort(instance)
-    block = M * instance.capacity
     return [order[i : i + block] for i in range(0, len(order), block)]
 
 

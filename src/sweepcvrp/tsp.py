@@ -80,7 +80,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Point, as_xy, check_coordinates, dist, unit_scale
+from .geometry import Point, as_xy, check_coordinates, check_int, dist, unit_scale
 
 EXACT_THRESHOLD = 14
 TSP_MODES = ("auto", "heuristic")
@@ -211,10 +211,11 @@ def held_karp(U: Sequence[Point], depot: Point, size: int | None = None) -> Held
     add of d[j, m], one min over j, each block at most _GATHER_ENTRIES
     candidates. dp and tour_cost stay inf on the masks of more than `size`
     terminals. The tables keep no predecessor: held_karp_last recovers one
-    from dp on demand. A coordinate that fails geometry.check_coordinates
-    raises ValueError.
+    from dp on demand. An empty U, or a size or coordinate that fails
+    geometry.check_int or check_coordinates, raises ValueError.
     """
-    n = len(U)
+    n = check_int(len(U), "|U|", 1)
+    size = n if size is None else check_int(size, "size", 1)
     xy = check_coordinates((depot, *U)).tolist()  # row 0 is the depot
     # dist drops the signs of the differences: d is symmetric, bit for bit
     h = np.array([[dist(p, q) for q in xy] for p in xy])
@@ -223,7 +224,7 @@ def held_karp(U: Sequence[Point], depot: Point, size: int | None = None) -> Held
     ends = np.arange(n)
     dp[ends, 1 << ends] = d0
     cols = max(1, _GATHER_ENTRIES // (n * n))
-    for masks, prev in held_karp_layers(n)[: (n if size is None else size) - 1]:
+    for masks, prev in held_karp_layers(n)[: size - 1]:
         for c in range(0, masks.shape[1], cols):
             cand = dp.take(prev[:, c : c + cols], axis=1)  # [j, m, r]: dp[j, prev[m, r]]
             cand += d[:, :, None]
@@ -278,8 +279,9 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
     one another in index order. A tour over at most 3 locations is optimal
     and certified; a longer one is a 2-opt local optimum over all pairs of
     edges. The result is deterministic for a given seed, and the same for
-    the points scaled by a power of two. A coordinate that fails
-    geometry.check_coordinates raises ValueError."""
+    the points scaled by a power of two. A coordinate or seed that fails
+    geometry.check_coordinates or check_int raises ValueError."""
+    seed = check_int(seed, "seed")
     pts = check_coordinates(points)
     first, loc = _locations(pts)
     m = len(first)
@@ -859,10 +861,11 @@ def check_tsp_mode(mode: str) -> None:
 def tsp_dispatch(points: Sequence[Point], mode: str = "auto", seed: int = 0) -> TspResult:
     """A cycle over `points` that starts at point 0, certified exactly when it
     is provably optimal: the exact solver iff `mode` is `auto` and there are
-    at most EXACT_THRESHOLD points, the heuristic otherwise. An unknown mode
-    raises ValueError, also on an empty input, and so does a coordinate that
-    fails geometry.check_coordinates on either path, at every size."""
+    at most EXACT_THRESHOLD points, the heuristic otherwise. An unknown mode,
+    a seed or a coordinate that fails geometry.check_int or check_coordinates
+    raises ValueError on either path, at every size, also on an empty input."""
     check_tsp_mode(mode)
+    seed = check_int(seed, "seed")
     if mode == "auto" and len(points) <= EXACT_THRESHOLD:
         return tsp_exact(points)
     return tsp_heuristic(points, seed)

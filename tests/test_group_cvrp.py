@@ -567,6 +567,30 @@ class TestHeldKarpSize:
                 np.testing.assert_array_equal(_bits(hk.dp[:, low]), _bits(ref.dp[:, low]))
             assert tsp_exact([depot, *U]) == tour
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_rejects_size_below_one(self, size):
+        # size = 0 sliced held_karp_layers(n)[:-1] and filled every layer
+        # but the last: at n = 3 the 2-terminal tours came out finite
+        U, depot = HELD_KARP_CASES["random-3"]
+        with pytest.raises(ValueError, match=f"size must be >= 1, got {size}"):
+            held_karp(U, depot, size)
+
+    def test_size_is_an_int(self):
+        # 2.5 raised TypeError in the slice
+        U, depot = HELD_KARP_CASES["random-5"]
+        for bad in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match=f"size must be an int, got {bad!r}"):
+                held_karp(U, depot, bad)
+        for size, same in ((np.int64(2), 2), (True, 1)):
+            hk, ref = held_karp(U, depot, size), held_karp(U, depot, same)
+            np.testing.assert_array_equal(_bits(hk.tour_cost), _bits(ref.tour_cost))
+
+    def test_rejects_empty_U(self):
+        # an empty U raised ZeroDivisionError computing the block width
+        for size in (None, 1):
+            with pytest.raises(ValueError, match=r"\|U\| must be >= 1, got 0"):
+                held_karp([], O, size)
+
     def test_group_dp_stops_at_k(self, monkeypatch):
         # cvrp_exact_small asks held_karp for min(k, n) terminals and no more
         seen = []
