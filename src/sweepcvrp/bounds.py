@@ -26,12 +26,12 @@ heuristic tour, and it saves touring the terminals a second time.
 math.inf is the distinguished "unclipped" R value; the set {d >= inf} is
 empty and T*_inf = 0 exactly.
 
-BoundContext assembles the bounds of one instance for one (tsp_mode, seed):
-it computes D once and each rad_R and (T*_R, certified) the first time R is
-asked for, so T*_0 serves lb_r0 and every upper bound. Its scope is that one
-instance: callers make a fresh context per instance and drop it afterwards,
-and nothing is cached across contexts. lower_bound, upper_bound_formula and
-compute_bounds are one-shot wrappers over a fresh context.
+BoundContext assembles the Bound(value, certified) records of one instance
+for one (tsp_mode, seed): it computes D once and each rad_R and T*_R the
+first time R is asked for, so T*_0 serves lower_bounds(R*)'s lb_r0 and every
+upper bound. Its scope is that one instance: callers make a fresh context
+per instance and drop it afterwards, and nothing is cached across contexts.
+lower_bound, upper_bound_formula and compute_bounds are one-shot wrappers.
 """
 
 from __future__ import annotations
@@ -39,11 +39,17 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 from .closedform import choose_radius
 from .geometry import Instance, Point, Solution, check_int, diameter, dist, field_text
 from .itp import itp_solve
 from .tsp import cycle_length, dispatch_certified, tsp_dispatch
+
+
+class Bound(NamedTuple):
+    value: float
+    certified: bool  # the value is a proof, not an estimate
 
 
 def _check_radius(R: float) -> None:
@@ -69,8 +75,8 @@ def local_subset(instance: Instance, R: float) -> list[int]:
 def local_cost(
     instance: Instance, R: float, tsp_mode: str = "auto", seed: int = 0,
     itp: Solution | None = None,
-) -> tuple[float, bool]:
-    """(T*_R, certified): the length of tsp_dispatch's tour over the >=R
+) -> Bound:
+    """Bound(T*_R, certified): the length of tsp_dispatch's tour over the >=R
     terminals, certified iff that tour is provably optimal. At R = 0, where
     that tour would be uncertified, it is instead cycle_length of `itp`'s
     routes concatenated in route order, uncertified: `itp` is ITP's solution
@@ -83,9 +89,9 @@ def local_cost(
         order = [i for tour in itp.tours for i in tour.indices]
         if sorted(order) != list(range(instance.n)):
             raise ValueError("itp must visit every terminal exactly once")
-        return cycle_length(points, order), False
+        return Bound(cycle_length(points, order), False)
     result = tsp_dispatch(points, mode=tsp_mode, seed=seed)
-    return result.length, result.certified_optimal
+    return Bound(result.length, result.certified_optimal)
 
 
 def instance_diameter(instance: Instance) -> float:
@@ -138,15 +144,15 @@ class BoundContext:
         self.tsp_mode = tsp_mode
         self.seed = seed
         self.itp = itp
-        self._local: dict[float, tuple[float, bool]] = {}
+        self._local: dict[float, Bound] = {}
         self._radial: dict[float, float] = {}
 
     @cached_property
     def D(self) -> float:
         return instance_diameter(self.instance)
 
-    def local(self, R: float) -> tuple[float, bool]:
-        """(T*_R, certified), as local_cost."""
+    def local(self, R: float) -> Bound:
+        """T*_R, as local_cost."""
         if R not in self._local:
             self._local[R] = local_cost(self.instance, R, self.tsp_mode, self.seed,
                                         self.itp)
@@ -157,15 +163,19 @@ class BoundContext:
             self._radial[R] = radial_cost(self.instance, R)
         return self._radial[R]
 
-    def lower(self, R: float) -> tuple[float, bool]:
-        """(value, valid): value = T*_R + rad_R - (3 pi / 2) D. Valid only
-        with a certified T*_R; lower bounds may be vacuous (negative) and
-        that is fine."""
+    def lower(self, R: float) -> Bound:
+        """T*_R + rad_R - (3 pi / 2) D, certified only with a certified
+        T*_R; lower bounds may be vacuous (negative) and that is fine."""
         local, certified = self.local(R)
-        return local + self.radial(R) - 1.5 * math.pi * self.D, certified
+        return Bound(local + self.radial(R) - 1.5 * math.pi * self.D, certified)
 
-    def upper(self, M: int) -> tuple[float, bool]:
-        """(value, certified) for the sweep-cost upper bound
+    def lower_bounds(self, rstar: float) -> dict[str, Bound]:
+        """The lower bounds at R = 0, rstar and inf, by RatioRow column."""
+        return {"lb_r0": self.lower(0.0), "lb_rstar": self.lower(rstar),
+                "lb_rinf": self.lower(math.inf)}
+
+    def upper(self, M: int) -> Bound:
+        """The sweep-cost upper bound
         T*_0 + rad_inf + (3 pi / 2) D ceil(n/(M k)).
 
         It holds when the group subproblems are solved exactly, and it is a
@@ -175,30 +185,30 @@ class BoundContext:
         t_zero, certified = self.local(0.0)
         groups = math.ceil(self.instance.n / block)
         value = t_zero + self.radial(math.inf) + 1.5 * math.pi * self.D * groups
-        return value, certified
+        return Bound(value, certified)
 
     def report(self, R: float, M: int) -> BoundsReport:
         """Every bound ingredient at one R; R and M are checked before any tour."""
         _check_radius(R)
         M = check_int(M, "M", 1)
-        upper, _ = self.upper(M)
+        upper = self.upper(M).value
         lower, certified = self.lower(R)
         return BoundsReport(
-            R=R, rad_R=self.radial(R), local_R=self.local(R)[0],
+            R=R, rad_R=self.radial(R), local_R=self.local(R).value,
             local_certified=certified, D=self.D, lower=lower, upper=upper, M=M,
         )
 
 
 def lower_bound(
     instance: Instance, R: float, tsp_mode: str = "auto", seed: int = 0
-) -> tuple[float, bool]:
+) -> Bound:
     """BoundContext.lower on a fresh context."""
     return BoundContext(instance, tsp_mode, seed).lower(R)
 
 
 def upper_bound_formula(
     instance: Instance, M: int, tsp_mode: str = "auto", seed: int = 0
-) -> tuple[float, bool]:
+) -> Bound:
     """BoundContext.upper on a fresh context."""
     return BoundContext(instance, tsp_mode, seed).upper(M)
 

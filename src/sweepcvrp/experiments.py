@@ -8,14 +8,16 @@ x then y per terminal in terminal order.
 The experiment runner emits one CSV row per (seed, algorithm): RatioRow's
 fields in order, as geometry.field_text writes them (bools as true/false):
 
-  seed,n,k,M,algo,cost,lb_r0,lb_rstar,lb_rinf,best_lb,ub,ratio,certified
+  seed,n,k,M,algo,cost,lb_r0,lb_rstar,lb_rinf,best_lb,ub,ratio,certified,
+  best_certified_lb,certified_ratio
 
-Lower bounds are evaluated at R = 0, R = (3/4) E d(depot, v) and R = inf;
-best_lb is the largest of the three. `certified` is false whenever a tour
-not proven optimal entered any of the lower bounds, which makes the ratio
-indicative rather than a certificate. In small-instance mode the ratio
-denominator is the brute-force optimum instead of best_lb. Comment lines
-starting with `#` carry caveats and are skipped by the parser.
+The lb_* columns are BoundContext.lower_bounds' Bound values at R = 0,
+(3/4) E d(depot, v) and inf: best_lb is the largest, best_certified_lb the
+largest certified one (R = inf always is). `certified` is false when a tour
+not proven optimal entered any lb_*: `ratio` = cost / best_lb is then
+indicative, while certified_ratio = cost / best_certified_lb is a proof.
+A ratio is nan at a denominator <= 0; small-instance mode divides `ratio` by
+the brute-force optimum. Comment lines (`#`) are caveats the parser skips.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ class RatioRow:
     ub: float
     ratio: float
     certified: bool
+    best_certified_lb: float
+    certified_ratio: float
 
     def to_csv(self) -> str:
         return ",".join(map(field_text, astuple(self)))
@@ -173,9 +177,16 @@ def read_csv(fp: TextIO) -> list[RatioRow]:
 @dataclass
 class ExperimentResult:
     rows: list[RatioRow] = field(default_factory=list)
-    # per-seed largest lower bound among the certified ones (R=inf always is)
-    best_certified_lb: dict[int, float] = field(default_factory=dict)
     caveats: list[str] = field(default_factory=list)
+
+    @property
+    def best_certified_lb(self) -> dict[int, float]:
+        """{seed: best_certified_lb} of the rows; perfbench reads it until ROADMAP item 10."""
+        return {row.seed: row.best_certified_lb for row in self.rows}
+
+
+def _ratio(cost: float, lb: float) -> float:
+    return cost / lb if lb > 0.0 else math.nan
 
 
 def run_ratio_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -196,10 +207,10 @@ def run_ratio_experiment(config: ExperimentConfig) -> ExperimentResult:
                      for algo in config.algos}
         # T*_0 may be ITP's tour with the depot shortcut (see bounds)
         bounds = BoundContext(instance, config.tsp_mode, seed, solutions.get("itp"))
-        lbs, valid = zip(*(bounds.lower(R) for R in (0.0, rstar, math.inf)))
-        best_lb = max(lbs)
-        certified = all(valid)
-        result.best_certified_lb[seed] = max(v for v, ok in zip(lbs, valid) if ok)
+        lbs = bounds.lower_bounds(rstar)
+        best_lb = max(b.value for b in lbs.values())
+        certified = all(b.certified for b in lbs.values())
+        best_certified_lb = max(b.value for b in lbs.values() if b.certified)
 
         if config.small_instance_mode:
             denominator = brute_force_opt(instance)
@@ -209,12 +220,12 @@ def run_ratio_experiment(config: ExperimentConfig) -> ExperimentResult:
         for algo, solution in solutions.items():
             cost = solution.total_cost
             M = 1 if algo == "itp" else config.M  # ITP has no groups: bounded at M = 1
-            ub, _ = bounds.upper(M)
-            ratio = cost / denominator if denominator > 0.0 else math.nan
             result.rows.append(RatioRow(
                 seed=seed, n=config.n, k=k, M=M, algo=algo, cost=cost,
-                lb_r0=lbs[0], lb_rstar=lbs[1], lb_rinf=lbs[2],
-                best_lb=best_lb, ub=ub, ratio=ratio, certified=certified,
+                **{name: b.value for name, b in lbs.items()}, best_lb=best_lb,
+                ub=bounds.upper(M).value, ratio=_ratio(cost, denominator),
+                certified=certified, best_certified_lb=best_certified_lb,
+                certified_ratio=_ratio(cost, best_certified_lb),
             ))
     return result
 
@@ -228,12 +239,9 @@ def write_csv(result: ExperimentResult, fp: TextIO) -> None:
 
 
 def mean_certified_ratio(result: ExperimentResult, algo: str = "sweep") -> float:
-    """Mean of cost / best-certified-lower-bound over seeds, for one algo."""
-    ratios = [
-        row.cost / result.best_certified_lb[row.seed]
-        for row in result.rows
-        if row.algo == algo and result.best_certified_lb[row.seed] > 0.0
-    ]
+    """Mean of the rows' certified_ratio over seeds, for one algo, nan left out."""
+    ratios = [row.certified_ratio for row in result.rows
+              if row.algo == algo and not math.isnan(row.certified_ratio)]
     if not ratios:
         return math.nan
     return math.fsum(ratios) / len(ratios)

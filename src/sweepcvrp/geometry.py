@@ -293,7 +293,14 @@ def read_instance(fp: TextIO) -> Instance:
     header = fp.readline().split()
     if len(header) != 4:
         raise ValueError("instance header must be `n k depot_x depot_y`")
-    n, k = check_int(int(header[0]), "instance header: n", 0), int(header[1])
+    counts = []
+    for name, token in zip("nk", header):
+        try:
+            counts.append(int(token))
+        except ValueError:
+            raise ValueError(f"line 1: instance header {name} must be an int, "
+                             f"got {token!r}") from None
+    n, k = check_int(counts[0], "line 1: instance header n", 0), counts[1]
     terminals = []
     for line_no in range(n):
         fields = fp.readline().split()

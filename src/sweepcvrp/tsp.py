@@ -211,11 +211,13 @@ def held_karp(U: Sequence[Point], depot: Point, size: int | None = None) -> Held
     add of d[j, m], one min over j, each block at most _GATHER_ENTRIES
     candidates. dp and tour_cost stay inf on the masks of more than `size`
     terminals. The tables keep no predecessor: held_karp_last recovers one
-    from dp on demand. An empty U, or a size or coordinate that fails
-    geometry.check_int or check_coordinates, raises ValueError.
+    from dp on demand. An empty U, a size above len(U), and a size or
+    coordinate failing geometry.check_int or check_coordinates raise ValueError.
     """
     n = check_int(len(U), "|U|", 1)
     size = n if size is None else check_int(size, "size", 1)
+    if size > n:
+        raise ValueError(f"size must be <= |U| = {n}, got {size}")
     xy = check_coordinates((depot, *U)).tolist()  # row 0 is the depot
     # dist drops the signs of the differences: d is symmetric, bit for bit
     h = np.array([[dist(p, q) for q in xy] for p in xy])

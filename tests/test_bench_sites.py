@@ -57,6 +57,7 @@ def test_record_reads():
         assert row.lb_r0 <= row.cost <= row.ub
         assert max(row.lb_rstar, row.lb_rinf) <= row.cost
     assert set(merged.best_certified_lb) == {3}
+    assert merged.best_certified_lb == {r.seed: r.best_certified_lb for r in merged.rows}
 
     cert = sweepcvrp.verify_all(stride=400)
     assert cert.passed and cert.points_checked == sweepcvrp.netverify.net_size(400)

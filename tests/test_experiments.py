@@ -1,16 +1,20 @@
+import dataclasses
 import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sweepcvrp.experiments as experiments
 import sweepcvrp.tsp as tsp
-from sweepcvrp.bounds import instance_diameter
+from sweepcvrp.bounds import BoundContext, choose_R, instance_diameter
 from sweepcvrp.closedform import g1
 from sweepcvrp.experiments import (
     CSV_HEADER,
     ExperimentConfig,
+    RatioRow,
     gen_instance,
     mean_certified_ratio,
     parse_csv_row,
@@ -322,16 +326,22 @@ class TestBoundReuse:
 # shortcut instead of a second tour over the terminals (lb_r0 was
 # 5.233943547315621 and 5.608262794404761, ub 72.87261803849002,
 # 116.75546333262447, 70.70215926015311 and 112.96898301122626); lb_rstar
-# is the largest bound here, so best_lb and ratio kept their bits.
+# is the largest bound here, so best_lb and ratio kept their bits. Each row
+# was extended, not changed, when the CSV gained best_certified_lb and
+# certified_ratio: its first 13 fields kept their bits.
 GOLDEN_ROWS = [
     "0,200,14,2,sweep,21.685385141708267,4.964727090181817,10.718144974435742,"
-    "4.948895499553731,10.718144974435742,72.60340158135621,2.02324051348726,false",
+    "4.948895499553731,10.718144974435742,72.60340158135621,2.02324051348726,false,"
+    "4.948895499553731,4.381863618592019",
     "0,200,14,1,itp,21.04760529825976,4.964727090181817,10.718144974435742,"
-    "4.948895499553731,10.718144974435742,116.48624687549068,1.963735828211058,false",
+    "4.948895499553731,10.718144974435742,116.48624687549068,1.963735828211058,false,"
+    "4.948895499553731,4.252990450123212",
     "1,200,14,2,sweep,20.508056757122215,4.9679851209060955,9.92612235466223,"
-    "4.712719678500984,9.92612235466223,70.06188158665444,2.066069309279643,false",
+    "4.712719678500984,9.92612235466223,70.06188158665444,2.066069309279643,false,"
+    "4.712719678500984,4.351639426100004",
     "1,200,14,1,itp,20.58245944867454,4.9679851209060955,9.92612235466223,"
-    "4.712719678500984,9.92612235466223,112.3287053377276,2.0735649544967685,false",
+    "4.712719678500984,9.92612235466223,112.3287053377276,2.0735649544967685,false,"
+    "4.712719678500984,4.367427059701837",
 ]
 
 
@@ -350,24 +360,33 @@ def test_golden_rows_bit_identical():
 # before). Every sweep row and every lower bound kept its bits then. With the
 # length rule (each length the fsum of its edges, same tours) the exact T*_R
 # moved lb_r0, lb_rstar and best_lb by a few ulps, ub with T*_0, and the costs
-# with the split and group-DP tour lengths; lb_rinf kept its bits.
+# with the split and group-DP tour lengths; lb_rinf kept its bits. Extended
+# with best_certified_lb and certified_ratio (nan: every bound is vacuous).
 GOLDEN_ROWS_EXACT = [
     "0,14,6,2,sweep,5.03704093353431,-2.4242604941910506,-1.158405827253926,"
-    "-3.71753040009891,-1.158405827253926,16.83611178842688,nan,true",
+    "-3.71753040009891,-1.158405827253926,16.83611178842688,nan,true,"
+    "-1.158405827253926,nan",
     "0,14,6,1,itp,4.627325678105276,-2.4242604941910506,-1.158405827253926,"
-    "-3.71753040009891,-1.158405827253926,22.58058745910609,nan,true",
+    "-3.71753040009891,-1.158405827253926,22.58058745910609,nan,true,"
+    "-1.158405827253926,nan",
     "1,14,6,2,sweep,4.398467815989088,-1.5970688844848362,-0.5232117138077905,"
-    "-3.0970681026937332,-0.5232117138077905,15.562448146852617,nan,true",
+    "-3.0970681026937332,-0.5232117138077905,15.562448146852617,nan,true,"
+    "-0.5232117138077905,nan",
     "1,14,6,1,itp,4.73448066212062,-1.5970688844848362,-0.5232117138077905,"
-    "-3.0970681026937332,-0.5232117138077905,20.626594430360417,nan,true",
+    "-3.0970681026937332,-0.5232117138077905,20.626594430360417,nan,true,"
+    "-0.5232117138077905,nan",
     "2,14,6,2,sweep,4.572551197875033,-2.8060788019286305,-1.663967705790828,"
-    "-4.30270125312394,-1.663967705790828,18.115042941487516,nan,true",
+    "-4.30270125312394,-1.663967705790828,18.115042941487516,nan,true,"
+    "-1.663967705790828,nan",
     "2,14,6,1,itp,4.572551197875033,-2.8060788019286305,-1.663967705790828,"
-    "-4.30270125312394,-1.663967705790828,24.420998690622536,nan,true",
+    "-4.30270125312394,-1.663967705790828,24.420998690622536,nan,true,"
+    "-1.663967705790828,nan",
     "3,14,6,2,sweep,4.849275426983122,-2.2631596547237516,-1.457983976247589,"
-    "-4.248500240391932,-1.457983976247589,17.865982984518205,nan,true",
+    "-4.248500240391932,-1.457983976247589,17.865982984518205,nan,true,"
+    "-1.457983976247589,nan",
     "3,14,6,1,itp,4.743459079534506,-2.2631596547237516,-1.457983976247589,"
-    "-4.248500240391932,-1.457983976247589,23.960393704426675,nan,true",
+    "-4.248500240391932,-1.457983976247589,23.960393704426675,nan,true,"
+    "-1.457983976247589,nan",
 ]
 
 
@@ -385,24 +404,33 @@ def test_golden_rows_exact_bit_identical():
 # The same runs at a far depot, recorded before the Held-Karp and partition
 # tables were cached per size: here too the sweep groups (12 terminals) and
 # every T*_R are exact. Re-recorded for the length rule, as above: lb_r0,
-# lb_rstar and three costs moved by a few ulps, with the same tours.
+# lb_rstar and three costs moved by a few ulps, with the same tours. Extended
+# with the two certified columns, as above.
 GOLDEN_ROWS_EXACT_FAR = [
     "0,14,6,2,sweep,23.328912350510127,-15.098338300398046,-2.682775444762317,"
-    "-2.036601551269513,-2.036601551269513,56.539274055877264,nan,true",
+    "-2.036601551269513,-2.036601551269513,56.539274055877264,nan,true,"
+    "-2.036601551269513,nan",
     "0,14,6,1,itp,22.944287144356682,-15.098338300398046,-2.682775444762317,"
-    "-2.036601551269513,-2.036601551269513,74.95782753276347,nan,true",
+    "-2.036601551269513,-2.036601551269513,74.95782753276347,nan,true,"
+    "-2.036601551269513,nan",
     "1,14,6,2,sweep,23.027412339146185,-15.05495263313024,-2.639389777494511,"
-    "-2.0261134826510023,-2.0261134826510023,57.00705401283156,nan,true",
+    "-2.0261134826510023,-2.0261134826510023,57.00705401283156,nan,true,"
+    "-2.0261134826510023,nan",
     "1,14,6,1,itp,22.667521908023893,-15.05495263313024,-2.639389777494511,"
-    "-2.0261134826510023,-2.0261134826510023,75.52908404498476,nan,true",
+    "-2.0261134826510023,-2.0261134826510023,75.52908404498476,nan,true,"
+    "-2.0261134826510023,nan",
     "2,14,6,2,sweep,23.811084742958187,-15.676321835663419,-3.260758980027692,"
-    "-2.2241118522697505,-2.2241118522697505,58.80436144354607,nan,true",
+    "-2.2241118522697505,-2.2241118522697505,58.80436144354607,nan,true,"
+    "-2.2241118522697505,nan",
     "2,14,6,1,itp,23.676146480943576,-15.676321835663419,-3.260758980027692,"
-    "-2.2241118522697505,-2.2241118522697505,77.98056022641589,nan,true",
+    "-2.2241118522697505,-2.2241118522697505,77.98056022641589,nan,true,"
+    "-2.2241118522697505,nan",
     "3,14,6,2,sweep,23.419429769071616,-15.917416457602634,-3.5018536019669035,"
-    "-3.3220360230941246,-3.3220360230941246,59.75521761045266,nan,true",
+    "-3.3220360230941246,-3.3220360230941246,59.75521761045266,nan,true,"
+    "-3.3220360230941246,nan",
     "3,14,6,1,itp,22.75941231177911,-15.917416457602634,-3.5018536019669035,"
-    "-3.3220360230941246,-3.3220360230941246,79.50388513324,nan,true",
+    "-3.3220360230941246,-3.3220360230941246,79.50388513324,nan,true,"
+    "-3.3220360230941246,nan",
 ]
 
 
@@ -417,6 +445,94 @@ def test_golden_rows_exact_far_depot_bit_identical():
     )
 
 
+# The three golden runs and one in heuristic mode, where only lb_rinf is
+# certified.
+CERTIFIED_COLUMN_RUNS = {
+    "golden": dict(n=200, depot=Point(0.5, 0.5), seeds=(0, 1), k_fixed=14),
+    "golden-exact": dict(n=14, depot=Point(0.5, 0.5), seeds=(0, 1, 2, 3), k_fixed=6),
+    "golden-exact-far": dict(n=14, depot=Point(3.0, -2.0), seeds=(0, 1, 2, 3),
+                             k_fixed=6),
+    "heuristic": dict(n=200, depot=Point(0.5, 0.5), seeds=(0, 1), k_fixed=14,
+                      tsp_mode="heuristic"),
+}
+
+
+@pytest.fixture(scope="module", params=list(CERTIFIED_COLUMN_RUNS))
+def certified_run(request):
+    config = ExperimentConfig(M=2, **CERTIFIED_COLUMN_RUNS[request.param])
+    return config, run_ratio_experiment(config)
+
+
+def _side_dict(config):
+    """{seed: best certified lower bound} as run_ratio_experiment kept it
+    before the rows carried it: the reference for the column."""
+    rstar = choose_R(config.depot)
+    side = {}
+    for seed in config.seeds:
+        bounds = BoundContext(gen_instance(config.n, config.k, config.depot, seed),
+                              config.tsp_mode, seed)
+        lbs, valid = zip(*(bounds.lower(R) for R in (0.0, rstar, math.inf)))
+        side[seed] = max(v for v, ok in zip(lbs, valid) if ok)
+    return side
+
+
+def _side_dict_mean(result, side, algo):
+    """mean_certified_ratio's formula over the side dict, before the column."""
+    ratios = [row.cost / side[row.seed] for row in result.rows
+              if row.algo == algo and side[row.seed] > 0.0]
+    if not ratios:
+        return math.nan
+    return math.fsum(ratios) / len(ratios)
+
+
+class TestCertifiedColumns:
+    def test_best_certified_lb_is_the_certified_maximum(self, certified_run):
+        config, result = certified_run
+        side = _side_dict(config)
+        for row in result.rows:
+            bounds = BoundContext(gen_instance(row.n, row.k, config.depot, row.seed),
+                                  config.tsp_mode, row.seed).lower_bounds(
+                                      choose_R(config.depot))
+            assert [b.value for b in bounds.values()] == [
+                row.lb_r0, row.lb_rstar, row.lb_rinf]
+            want = max(b.value for b in bounds.values() if b.certified)
+            assert repr(row.best_certified_lb) == repr(want) == repr(side[row.seed])
+        assert repr(result.best_certified_lb) == repr(side)
+
+    def test_certified_ratio_is_the_ratio_helper(self, certified_run):
+        _, result = certified_run
+        for row in result.rows:
+            want = experiments._ratio(row.cost, row.best_certified_lb)
+            assert repr(row.certified_ratio) == repr(want)
+            assert math.isnan(want) == (row.best_certified_lb <= 0.0)
+
+    def test_csv_round_trip(self, certified_run):
+        _, result = certified_run
+        buf = io.StringIO()
+        write_csv(result, buf)
+        back = read_csv(io.StringIO(buf.getvalue()))
+        assert [row.to_csv() for row in back] == [row.to_csv() for row in result.rows]
+
+    def test_mean_is_the_side_dict_formula(self, certified_run):
+        config, result = certified_run
+        side = _side_dict(config)
+        for algo in config.algos:
+            assert repr(mean_certified_ratio(result, algo)) == repr(
+                _side_dict_mean(result, side, algo))
+
+
+def test_every_lower_bound_is_a_column():
+    """A bound added to lower_bounds without its column (or the reverse)
+    fails here; the bound tuples are not unpacked by hand any more."""
+    inst = gen_instance(20, 4, Point(0.5, 0.5), 0)
+    names = list(BoundContext(inst).lower_bounds(choose_R(inst.depot)))
+    assert names == [f.name for f in dataclasses.fields(RatioRow)
+                     if f.name.startswith("lb_")]
+    src = Path(experiments.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py"))
+            if re.search(r"zip\(\*.*(lower|upper|local|bound)", p.read_text())] == []
+
+
 class TestCsvParsing:
     def test_skips_comments_and_header(self):
         text = "# caveat\n" + CSV_HEADER + "\n"
@@ -426,14 +542,26 @@ class TestCsvParsing:
         with pytest.raises(ValueError):
             read_csv(io.StringIO("1,2,3\n"))
 
+    def test_rejects_the_13_column_format(self):
+        # a CSV written before best_certified_lb and certified_ratio
+        old = ",".join(GOLDEN_ROWS[0].split(",")[:13])
+        with pytest.raises(ValueError, match="expected 15 fields, got 13"):
+            read_csv(io.StringIO(old + "\n"))
+
     def test_header_is_field_names(self):
         assert CSV_HEADER == (
-            "seed,n,k,M,algo,cost,lb_r0,lb_rstar,lb_rinf,best_lb,ub,ratio,certified")
+            "seed,n,k,M,algo,cost,lb_r0,lb_rstar,lb_rinf,best_lb,ub,ratio,certified,"
+            "best_certified_lb,certified_ratio")
 
     def test_bool_is_true_or_false(self):
-        row = GOLDEN_ROWS_EXACT[0]
-        assert parse_csv_row(row).certified is True
-        assert parse_csv_row(row[: -len("true")] + "false").certified is False
+        values = GOLDEN_ROWS_EXACT[0].split(",")
+        assert values[12] == "true"  # certified
+
+        def with_certified(text):
+            return ",".join(values[:12] + [text] + values[13:])
+
+        assert parse_csv_row(with_certified("true")).certified is True
+        assert parse_csv_row(with_certified("false")).certified is False
         for bad in ("TRUE", "1"):
             with pytest.raises(ValueError, match="expected true or false"):
-                parse_csv_row(row[: -len("true")] + bad)
+                parse_csv_row(with_certified(bad))

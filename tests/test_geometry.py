@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -406,6 +407,14 @@ class TestInstanceIO:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             read_instance(io.StringIO("1 2 3\n"))
+        # each raised `invalid literal for int() with base 10: ...`, naming
+        # neither the line nor the field
+        for header, name, token in (("2.5 1 0.5 0.5", "n", "2.5"),
+                                    ("1 x 0.5 0.5", "k", "x"),
+                                    ("1 1.0 0.5 0.5", "k", "1.0")):
+            message = f"line 1: instance header {name} must be an int, got {token!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read_instance(io.StringIO(header + "\n0.1 0.2\n"))
 
     def test_bad_terminal_line(self):
         with pytest.raises(ValueError):

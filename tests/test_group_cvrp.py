@@ -585,6 +585,14 @@ class TestHeldKarpSize:
             hk, ref = held_karp(U, depot, size), held_karp(U, depot, same)
             np.testing.assert_array_equal(_bits(hk.tour_cost), _bits(ref.tour_cost))
 
+    @pytest.mark.parametrize("size", [3, 7])
+    def test_rejects_size_above_len_U(self, size):
+        # 7 filled every layer, as size=None does, against the docstring's
+        # 1 <= size <= len(U)
+        with pytest.raises(ValueError, match=f"size must be <= \\|U\\| = 2, got {size}"):
+            held_karp([(0, 0), (1, 1)], (0.5, 0.5), size)
+        assert held_karp([(0, 0), (1, 1)], (0.5, 0.5), 2).tour_cost.shape == (4,)
+
     def test_rejects_empty_U(self):
         # an empty U raised ZeroDivisionError computing the block width
         for size in (None, 1):
