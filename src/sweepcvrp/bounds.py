@@ -14,35 +14,36 @@ valid certificate when T*_R comes from a provably optimal tour (the exact
 solver, or any tour over at most 3 locations): a heuristic tour
 overestimates T*_R, so such values are flagged rather than trusted.
 
-T*_R is the length of tsp_dispatch's tour over those terminals, with one
-exception. At R = 0, where tsp_dispatch would return an uncertified tour
-(above its exact threshold, or in heuristic mode, over more than 3
-locations), T*_0 is the ITP tour of the same instance, mode and seed with
-the depot shortcut: the cycle through ITP's routes in route order, which is
-ITP's tour over the depot and the terminals with the depot left out. It is
-an upper estimate of the optimal T*_0 only, flagged uncertified like any
-heuristic tour, and it saves touring the terminals a second time.
+T*_R depends on R only through its point set, so it is decided and cached
+by that set: R = 0, or any R up to the nearest depot distance, gives one
+T*_R. It is tsp_dispatch's tour over the set, except where the set is every
+terminal and that tour would be uncertified (above the exact threshold, or
+in heuristic mode, over more than 3 locations). There T*_R is ITP's tour of
+the same instance, mode and seed with the depot left out (its routes joined
+in route order): an upper estimate only, flagged uncertified like any
+heuristic tour, that saves touring the terminals a second time.
 
 math.inf is the distinguished "unclipped" R value; the set {d >= inf} is
 empty and T*_inf = 0 exactly.
 
 BoundContext assembles the Bound(value, certified) records of one instance
-for one (tsp_mode, seed): it computes D once and each rad_R and T*_R the
-first time R is asked for, so T*_0 serves lower_bounds(R*)'s lb_r0 and every
-upper bound. Its scope is that one instance: callers make a fresh context
-per instance and drop it afterwards, and nothing is cached across contexts.
+for one (tsp_mode, seed): D once, each rad_R once per R and each T*_R once
+per point set, so T*_0 serves lb_r0, every upper bound, and lb_rstar where
+R* keeps every terminal. Callers make a fresh context per instance and drop
+it afterwards; nothing is cached across contexts.
 lower_bound, upper_bound_formula and compute_bounds are one-shot wrappers.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
 from .closedform import choose_radius
-from .geometry import Instance, Point, Solution, check_int, diameter, dist, field_text
+from .geometry import Instance, Point, Solution, as_xy, check_int, diameter, field_text
 from .itp import itp_solve
 from .tsp import cycle_length, dispatch_certified, tsp_dispatch
 
@@ -52,24 +53,25 @@ class Bound(NamedTuple):
     certified: bool  # the value is a proof, not an estimate
 
 
-def _check_radius(R: float) -> None:
+def _check_radius(R: float) -> float:
+    if not isinstance(R, numbers.Real):
+        raise ValueError(f"R must be a real number, got {R!r}")
+    R = float(R)
     if R < 0.0 or math.isnan(R):
         raise ValueError(f"R must be >= 0 or inf, got {R}")
+    return R
 
 
 def radial_cost(instance: Instance, R: float) -> float:
     """(2/k) * sum of depot distances clipped at R."""
-    _check_radius(R)
-    depot = instance.depot
-    return (2.0 / instance.capacity) * math.fsum(
-        min(dist(depot, v), R) for v in instance.terminals
-    )
+    R = _check_radius(R)
+    return (2.0 / instance.capacity) * math.fsum(min(d, R) for d in instance.depot_distances)
 
 
 def local_subset(instance: Instance, R: float) -> list[int]:
-    """Indices of terminals at distance >= R from the depot."""
-    depot = instance.depot
-    return [i for i, v in enumerate(instance.terminals) if dist(depot, v) >= R]
+    """Indices of terminals at distance >= R from the depot; R is checked."""
+    R = _check_radius(R)
+    return [i for i, d in enumerate(instance.depot_distances) if d >= R]
 
 
 def local_cost(
@@ -77,19 +79,19 @@ def local_cost(
     itp: Solution | None = None,
 ) -> Bound:
     """Bound(T*_R, certified): the length of tsp_dispatch's tour over the >=R
-    terminals, certified iff that tour is provably optimal. At R = 0, where
-    that tour would be uncertified, it is instead cycle_length of `itp`'s
-    routes concatenated in route order, uncertified: `itp` is ITP's solution
-    of this instance, mode and seed, solved here when None."""
-    _check_radius(R)
+    terminals, certified iff that tour is provably optimal. Where that set is
+    every terminal (R = 0, or any R up to the nearest depot distance) and the
+    tour would be uncertified, it is instead cycle_length of `itp`'s routes
+    concatenated in route order, uncertified: `itp` is ITP's solution of
+    this instance, mode and seed, solved here when None."""
     points = [instance.terminals[i] for i in local_subset(instance, R)]
-    if R == 0.0 and not dispatch_certified(points, tsp_mode):
+    if len(points) == instance.n and not dispatch_certified(xy := as_xy(points), tsp_mode):
         if itp is None:
             itp = itp_solve(instance, tsp_mode, seed)
         order = [i for tour in itp.tours for i in tour.indices]
         if sorted(order) != list(range(instance.n)):
             raise ValueError("itp must visit every terminal exactly once")
-        return Bound(cycle_length(points, order), False)
+        return Bound(cycle_length(xy, order), False)
     result = tsp_dispatch(points, mode=tsp_mode, seed=seed)
     return Bound(result.length, result.certified_optimal)
 
@@ -128,14 +130,14 @@ BoundsReport.CSV_HEADER = ",".join(f.name for f in fields(BoundsReport))
 
 
 class BoundContext:
-    """The bound ingredients of one instance, each computed at most once.
+    """The bound ingredients of one instance: D once, rad_R per R, T*_R per point set.
 
     Values come from local_cost, radial_cost and instance_diameter, so every
     bound equals, bit for bit, what the one-shot functions return. `itp`, if
     given, is ITP's solution of the same instance, tsp_mode and seed; where
-    T*_0 is taken from ITP's tour (see the module docstring: an uncertified
-    upper estimate), the context reads it from `itp`, and without it solves
-    ITP itself on first need.
+    T*_R over every terminal is ITP's tour (see the module docstring: an
+    uncertified upper estimate), the context reads it from `itp`, and
+    without it solves ITP itself on first need.
     """
 
     def __init__(self, instance: Instance, tsp_mode: str = "auto", seed: int = 0,
@@ -144,7 +146,7 @@ class BoundContext:
         self.tsp_mode = tsp_mode
         self.seed = seed
         self.itp = itp
-        self._local: dict[float, Bound] = {}
+        self._local: dict[int, Bound] = {}  # by the size of the >=R set
         self._radial: dict[float, float] = {}
 
     @cached_property
@@ -152,13 +154,15 @@ class BoundContext:
         return instance_diameter(self.instance)
 
     def local(self, R: float) -> Bound:
-        """T*_R, as local_cost."""
-        if R not in self._local:
-            self._local[R] = local_cost(self.instance, R, self.tsp_mode, self.seed,
-                                        self.itp)
-        return self._local[R]
+        """T*_R, as local_cost, once per >=R set: the sets nest, so a size names one."""
+        size = len(local_subset(self.instance, R))
+        if size not in self._local:
+            self._local[size] = local_cost(self.instance, R, self.tsp_mode, self.seed,
+                                           self.itp)
+        return self._local[size]
 
     def radial(self, R: float) -> float:
+        R = _check_radius(R)
         if R not in self._radial:
             self._radial[R] = radial_cost(self.instance, R)
         return self._radial[R]
@@ -189,7 +193,7 @@ class BoundContext:
 
     def report(self, R: float, M: int) -> BoundsReport:
         """Every bound ingredient at one R; R and M are checked before any tour."""
-        _check_radius(R)
+        R = _check_radius(R)
         M = check_int(M, "M", 1)
         upper = self.upper(M).value
         lower, certified = self.lower(R)

@@ -15,7 +15,8 @@ one integer rule, check_int: a bool or a numpy integer becomes a plain int,
 and a float, a string, None or a value below the caller's least raises
 ValueError. A closed walk's length is the math.fsum of dist over its edges
 (tour_length; tsp.cycle_length): correctly rounded, so no edge order,
-direction, start or solver moves a bit.
+direction, start or solver moves a bit. Each terminal's depot distance is
+computed once, in one place: Instance.depot_distances.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import operator
 import os
 import stat
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -116,6 +118,11 @@ class Instance:
     def n(self) -> int:
         return len(self.terminals)
 
+    @cached_property
+    def depot_distances(self) -> tuple[float, ...]:
+        """dist(depot, v) per terminal, in order: the one place it is computed."""
+        return tuple(dist(self.depot, v) for v in self.terminals)
+
 
 @dataclass(frozen=True)
 class Tour:
@@ -184,15 +191,9 @@ def sweep_sort(instance: Instance) -> list[int]:
     Ties broken by nondecreasing distance to the depot, then by original
     index (the sort is stable by construction of the key).
     """
-    depot = instance.depot
-    return sorted(
-        range(instance.n),
-        key=lambda i: (
-            polar_angle(instance.terminals[i], depot),
-            dist(depot, instance.terminals[i]),
-            i,
-        ),
-    )
+    depot, d = instance.depot, instance.depot_distances
+    return sorted(range(instance.n),
+                  key=lambda i: (polar_angle(instance.terminals[i], depot), d[i], i))
 
 
 def _cross(o, a, b) -> float:

@@ -1,5 +1,8 @@
 import json
 import math
+from dataclasses import asdict
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from sweepcvrp.experiments import ExperimentConfig, gen_instance, run_ratio_expe
 from sweepcvrp.geometry import Instance, Point, Solution
 from sweepcvrp.itp import itp_solve
 from sweepcvrp.sweep import sweep_solve
-from sweepcvrp.tsp import cycle_length, tsp_dispatch
+from sweepcvrp.tsp import cycle_length, tsp_dispatch, tsp_exact
 
 from helpers import random_instance, scaled_instance
 
@@ -241,7 +244,8 @@ class TestReports:
     # At R = 0.25 the exact T*_R (local_R) and so `lower` were re-recorded
     # when tsp_exact began to report the fsum of its cycle's edges instead of
     # its DP's left-to-right sum: 2.318190377063257 and -0.9343086062882948
-    # before, the same tour
+    # before, the same tour. The R = int 0 row was re-recorded when every R
+    # became a plain float ("R": 0 and a leading `0,` before, the same bits)
     GOLDEN_TEXT = [
         (0.0,
          '{"R": 0.0, "rad_R": 0.0, "local_R": 2.4426854917134433, '
@@ -262,10 +266,10 @@ class TestReports:
          "inf,2.158384719427186,0.0,true,0.9887748748193407,"
          "-2.501107104752726,13.920053859500452,2"),
         (0,
-         '{"R": 0, "rad_R": 0.0, "local_R": 2.4426854917134433, '
+         '{"R": 0.0, "rad_R": 0.0, "local_R": 2.4426854917134433, '
          '"local_certified": true, "D": 0.9887748748193407, '
          '"lower": -2.2168063324664686, "upper": 13.920053859500452, "M": 2}',
-         "0,0.0,2.4426854917134433,true,0.9887748748193407,"
+         "0.0,0.0,2.4426854917134433,true,0.9887748748193407,"
          "-2.2168063324664686,13.920053859500452,2"),
     ]
 
@@ -285,6 +289,56 @@ class TestReports:
             report = compute_bounds(inst, R, M=int(rng.integers(1, 4)))
             assert report.local_certified
             assert report.lower <= report.upper + 1e-9
+
+
+class TestRadiusRule:
+    """Any numbers.Real R >= 0 is read as a plain float; anything else raises
+    before any tour."""
+
+    INST = gen_instance(9, 3, Point(0.5, 0.5), 7)
+
+    @staticmethod
+    def parse_row(row: str) -> BoundsReport:
+        R, rad_R, local_R, certified, D, lower, upper, M = row.split(",")
+        assert certified in ("true", "false")
+        return BoundsReport(float(R), float(rad_R), float(local_R), certified == "true",
+                            float(D), float(lower), float(upper), int(M))
+
+    @pytest.mark.parametrize("R", [np.float64(0.3), np.float32(0.3), 1, True,
+                                   Fraction(3, 10)], ids=repr)
+    def test_real_r_is_a_plain_float(self, R):
+        report = compute_bounds(self.INST, R, 2)
+        assert type(report.R) is float and report.R == float(R)
+        assert report == compute_bounds(self.INST, float(R), 2)
+        assert self.parse_row(report.to_csv_row()) == report
+        assert json.loads(json.dumps(report.to_dict())) == asdict(report)
+        ctx = BoundContext(self.INST)
+        assert ctx.lower(R) == ctx.lower(float(R))
+        assert ctx.radial(R) == radial_cost(self.INST, float(R))
+        assert local_subset(self.INST, R) == local_subset(self.INST, float(R))
+
+    @pytest.mark.parametrize("R", ["0.5", None, 1 + 0j], ids=repr)
+    def test_non_real_r_rejected_before_any_tour(self, monkeypatch, R):
+        import sweepcvrp.bounds as bounds
+
+        tours = []
+        monkeypatch.setattr(bounds, "tsp_dispatch", lambda *a, **kw: tours.append(a))
+        calls = [
+            lambda: radial_cost(CROSS, R), lambda: local_subset(CROSS, R),
+            lambda: local_cost(CROSS, R), lambda: lower_bound(CROSS, R),
+            lambda: compute_bounds(CROSS, R, 2), lambda: BoundContext(CROSS).local(R),
+            lambda: BoundContext(CROSS).radial(R), lambda: BoundContext(CROSS).lower(R),
+            lambda: BoundContext(CROSS).report(R, 2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="R must be a real number, got "):
+                call()
+        assert tours == []
+
+    @pytest.mark.parametrize("R", [math.nan, -1.0, np.float64(-0.5), -math.inf])
+    def test_subset_checks_r(self, R):
+        with pytest.raises(ValueError, match="R must be >= 0 or inf"):
+            local_subset(CROSS, R)
 
 
 class TestTspModeChecked:
@@ -349,6 +403,8 @@ class TestBoundContext:
         return calls
 
     def test_each_ingredient_computed_once(self, ingredient_calls):
+        # T*_R once per point set: every CROSS terminal is at distance 1, so
+        # R = 0 and R = 0.5 keep the same set (one local_cost for both)
         ctx = BoundContext(CROSS)
         for R in (0.0, 0.5, math.inf):
             ctx.lower(R)
@@ -356,7 +412,7 @@ class TestBoundContext:
         ctx.upper(2)
         ctx.report(0.0, 2)
         assert sorted(ingredient_calls, key=repr) == sorted([
-            ("local_cost", 0.0), ("local_cost", 0.5), ("local_cost", math.inf),
+            ("local_cost", 0.0), ("local_cost", math.inf),
             ("radial_cost", 0.0), ("radial_cost", 0.5), ("radial_cost", math.inf),
             ("instance_diameter", None),
         ], key=repr)
@@ -390,6 +446,14 @@ class TestBoundContext:
         with pytest.raises(ValueError, match="R must be"):
             BoundContext(CROSS).lower(-1.0)
         assert tours == []
+
+    def test_cached_sets_do_not_admit_an_invalid_r(self):
+        ctx = BoundContext(CROSS)
+        ctx.local(0.0)
+        ctx.local(math.inf)
+        for R in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="R must be >= 0 or inf"):
+                ctx.local(R)
 
 
 def _itp_order(solution) -> list[int]:
@@ -433,13 +497,41 @@ class TestShortcutT0:
                         assert got == (cycle_length(scaled.terminals, order), False)
                     assert got[0] == math.ldexp(local_cost(inst, 0.0, mode, seed)[0], e)
 
-    def test_only_at_zero(self):
-        # a radius below every depot distance keeps every terminal, and
-        # tsp_dispatch's tour
-        inst = gen_instance(40, 4, Point(3.0, -2.0), 2)
-        assert local_subset(inst, 1.0) == list(range(40))
-        want = tsp_dispatch(list(inst.terminals), "auto", 2)
-        assert local_cost(inst, 1.0, "auto", 2) == (want.length, False)
+    def test_decided_by_the_point_set(self):
+        # at a far depot R* keeps every terminal, so R = 0, R* and the least
+        # depot distance name one set and one T*_R: ITP's cycle above the
+        # exact threshold (where tsp_dispatch's own tour is another length),
+        # the exact tour over every terminal at or below it
+        depot = Point(3.0, -2.0)
+        inst = gen_instance(200, 14, depot, 0)
+        radii = (0.0, choose_R(depot), min(inst.depot_distances))
+        assert all(local_subset(inst, R) == list(range(200)) for R in radii)
+        order = _itp_order(itp_solve(inst, "auto", 0))
+        want = (cycle_length(inst.terminals, order), False)
+        assert tsp_dispatch(list(inst.terminals), "auto", 0).length != want[0]
+        for R in radii:
+            assert local_cost(inst, R, "auto", 0) == want
+        assert local_subset(inst, math.nextafter(radii[2], math.inf)) != list(range(200))
+        small = gen_instance(12, 3, depot, 0)
+        exact = tsp_exact(list(small.terminals))
+        for R in (0.0, choose_R(depot), min(small.depot_distances)):
+            assert local_cost(small, R, "auto", 0) == (exact.length, True)
+
+    @pytest.mark.parametrize("n, k", [(200, 14), (12, 3)])
+    def test_each_point_set_toured_once(self, monkeypatch, n, k):
+        import sweepcvrp.tsp as tsp
+
+        toured = Counter()
+        for name in ("tsp_heuristic", "tsp_exact"):
+            def spy(points, *args, _real=getattr(tsp, name), **kwargs):
+                toured[frozenset(points)] += 1  # the set, as perfbench keys it
+                return _real(points, *args, **kwargs)
+
+            monkeypatch.setattr(tsp, name, spy)
+        config = ExperimentConfig(n=n, depot=Point(3.0, -2.0), M=2, seeds=(0,),
+                                  k_fixed=k)
+        run_ratio_experiment(config)
+        assert toured and {s: c for s, c in toured.items() if s and c > 1} == {}
 
     def test_given_itp_is_read(self, monkeypatch):
         import sweepcvrp.bounds as bounds

@@ -1,11 +1,14 @@
+import ast
 import io
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sweepcvrp.geometry
 from sweepcvrp.geometry import (
     MAX_COORD,
     Instance,
@@ -105,6 +108,81 @@ class TestSweepSort:
             assert sorted(order) == list(range(n))
             angles = [polar_angle(pts[i], inst.depot) for i in order]
             assert all(a <= b for a, b in zip(angles, angles[1:]))
+
+
+def _old_sweep_sort(instance):
+    """sweep_sort as it was before Instance.depot_distances, verbatim: the
+    reference order."""
+    depot = instance.depot
+    return sorted(
+        range(instance.n),
+        key=lambda i: (
+            polar_angle(instance.terminals[i], depot),
+            dist(depot, instance.terminals[i]),
+            i,
+        ),
+    )
+
+
+class TestDepotDistances:
+    """Instance.depot_distances is the one home of a terminal's depot distance."""
+
+    def test_bits_in_every_form_and_scale(self):
+        base = gen_instance(40, 4, Point(0.4, 0.55), 3)
+        for e in SCALE_EXPONENTS:
+            inst = scaled_instance(base, e)
+            xy = np.array(inst.terminals)
+            forms = {"Point": (inst.terminals, inst.depot),
+                     "tuple": (tuple(map(tuple, inst.terminals)), tuple(inst.depot)),
+                     "ndarray": (xy, np.array(inst.depot))}
+            for name, (terminals, depot) in forms.items():
+                built = Instance(terminals=terminals, depot=depot, capacity=4)
+                got = built.depot_distances
+                assert type(got) is tuple and len(got) == 40, name
+                assert all(type(d) is float for d in got), name
+                assert [d.hex() for d in got] == \
+                    [dist(depot, v).hex() for v in terminals], (name, e)
+                assert [d.hex() for d in got] == \
+                    [dist(built.depot, v).hex() for v in built.terminals], (name, e)
+                assert built.depot_distances is got  # computed once
+
+    def test_empty(self):
+        assert Instance(terminals=(), depot=Point(0, 0), capacity=1).depot_distances == ()
+
+    def test_sweep_sort_keeps_the_old_order(self):
+        rng = np.random.default_rng(31)
+        cases = []
+        for _ in range(30):
+            n = int(rng.integers(1, 60))
+            cases.append((_points(rng.uniform(-1, 1, size=(n, 2))),
+                          Point(*map(float, rng.uniform(-0.5, 0.5, size=2)))))
+        # co-located terminals, and terminals on one ray at several radii
+        places = _points(rng.random((4, 2)))
+        cases.append(([places[i % 4] for i in range(30)], Point(0.5, 0.5)))
+        cases.append(([Point(0.1 * i, 0.1 * i) for i in (3, 1, 2, 1, 3)], Point(0, 0)))
+        # the depot on a terminal, alone and among copies
+        pts = _points(rng.random((20, 2)))
+        cases.append((pts, pts[7]))
+        cases.append(([pts[0], *pts[:5], pts[0]], pts[0]))
+        for terminals, depot in cases:
+            inst = Instance(terminals=tuple(terminals), depot=depot, capacity=1)
+            assert sweep_sort(inst) == _old_sweep_sort(inst)
+
+    def test_one_home(self):
+        """bounds does not import dist, and geometry computes a depot
+        distance only in Instance.depot_distances."""
+        src = Path(sweepcvrp.geometry.__file__).resolve().parent
+        tree = ast.parse((src / "bounds.py").read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert "dist" not in imported
+        geometry = (src / "geometry.py").read_text(encoding="utf-8")
+        assert geometry.count("dist(self.depot") == 1
+        home = re.search(r"\n    def depot_distances\(.*?\n(?=\n)", geometry, re.S)
+        assert "dist(self.depot" in home.group(0)
+        rest = geometry.replace(home.group(0), "")
+        assert not re.search(r"dist\((self\.|instance\.)?depot", rest)
 
 
 class TestDiameter:
