@@ -54,10 +54,15 @@ class Bound(NamedTuple):
 
 
 def _check_radius(R: float) -> float:
+    """R as a float, for any numbers.Real R >= 0; one beyond the float range
+    reads as inf (it clips nothing, and its >=R set is empty)."""
     if not isinstance(R, numbers.Real):
         raise ValueError(f"R must be a real number, got {R!r}")
-    R = float(R)
-    if R < 0.0 or math.isnan(R):
+    try:
+        R = float(R)
+    except OverflowError:
+        R = math.inf if R > 0 else -math.inf
+    if not R >= 0.0:  # also rejects nan
         raise ValueError(f"R must be >= 0 or inf, got {R}")
     return R
 

@@ -2,14 +2,13 @@
 
 Subcommands: gen, solve, bounds, eval-g, verify-net, experiment.
 Exit codes: 0 success / certificate pass, 1 verification failure,
-2 usage error (argparse's default).
+2 usage error (argparse's, or a ValueError or OSError that main reports).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -24,7 +23,9 @@ from .experiments import (
     solve,
     write_csv,
 )
-from .geometry import Point, Solution, load_instance, output_file, write_instance
+from .geometry import (
+    Point, Solution, check_coordinates, load_instance, output_file, write_instance,
+)
 from .netverify import verify_all, write_report
 from .tsp import TSP_MODES
 
@@ -47,29 +48,15 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def _parse_r(text: str):
+    """'auto', or the radius as a float; bounds._check_radius judges its value."""
     if text == "auto":
         return "auto"
-    if text == "inf":
-        return math.inf
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--r must be a number, 'auto' or 'inf', got {text!r}"
         ) from None
-    if not value >= 0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"--r must be >= 0, got {value}")
-    return value
-
-
-def _parse_finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
 
 
 def _solution_dict(algo: str, solution: Solution) -> dict:
@@ -93,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_gen)
     p.add_argument("--n", type=int, required=True, help="number of terminals")
     p.add_argument("--k", type=int, required=True, help="vehicle capacity")
-    p.add_argument("--depot-x", type=_parse_finite, default=0.5)
-    p.add_argument("--depot-y", type=_parse_finite, default=0.5)
+    p.add_argument("--depot-x", type=float, default=0.5)
+    p.add_argument("--depot-y", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="instance file to write")
 
@@ -119,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-g", help="closed-form g1, g2, g3 at a depot")
     p.set_defaults(run=_cmd_eval_g)
-    p.add_argument("--a", type=_parse_finite, required=True)
-    p.add_argument("--b", type=_parse_finite, required=True)
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--b", type=float, required=True)
 
     p = sub.add_parser("verify-net", help="run the net verification")
     p.set_defaults(run=_cmd_verify_net)
@@ -136,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--k", type=int, help="fixed capacity")
     group.add_argument("--k-alpha", type=float,
                        help="capacity rule k = ceil(n^alpha), alpha in [0,1]")
-    p.add_argument("--depot-x", type=_parse_finite, default=0.5)
-    p.add_argument("--depot-y", type=_parse_finite, default=0.5)
+    p.add_argument("--depot-x", type=float, default=0.5)
+    p.add_argument("--depot-y", type=float, default=0.5)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--seeds", type=_parse_seeds, default=(0,),
                    help="comma list and/or a:b ranges, e.g. 0:20")
@@ -185,6 +172,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_eval_g(args) -> int:
+    check_coordinates([(args.a, args.b)], "depot")
     v1, v2, v3, R = g_all(args.a, args.b)
     print(f"g1 {v1!r}")
     print(f"g2 {v2!r}")

@@ -63,7 +63,7 @@ def solve(
 
 def gen_instance(n: int, k: int, depot: Point, seed: int) -> Instance:
     """n i.i.d. uniform terminals on the unit square; deterministic in seed."""
-    n, seed = check_int(n, "n", 0), check_int(seed, "seed")
+    n, seed = check_int(n, "n", 0), check_int(seed, "seed", 0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     return Instance(terminals=rng.random((n, 2)), depot=depot, capacity=k)
 

@@ -105,7 +105,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         k = check_int(self.capacity, "capacity", 1)
-        (depot,) = check_coordinates([self.depot]).tolist()
+        (depot,) = check_coordinates([self.depot], "depot").tolist()
         terminals = tuple(map(Point._make, check_coordinates(self.terminals).tolist()))
         n = len(terminals)
         if k > max(n, 1):

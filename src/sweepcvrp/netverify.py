@@ -124,7 +124,8 @@ def verify_point(a: float, b: float) -> PointCheck:
 def verify_far_field(a: float, b: float) -> bool:
     """True iff the depot is at distance >= 3*sqrt(2) from the unit square,
     where g2 = (3/4) g1 and g3 = 1 hold exactly and no numeric check is
-    needed."""
+    needed. A depot that fails geometry.check_coordinates raises ValueError."""
+    check_coordinates([(a, b)], "depot")
     return square_distance(a, b) >= FAR_FIELD_DISTANCE
 
 

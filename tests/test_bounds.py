@@ -335,6 +335,40 @@ class TestRadiusRule:
                 call()
         assert tours == []
 
+    @pytest.mark.parametrize("R", [10**400, Fraction(10**400, 3)],
+                             ids=["10**400", "Fraction(10**400, 3)"])
+    def test_r_beyond_float_range_reads_as_inf(self, R):
+        # it clips nothing and its >=R set is empty, as at R = inf
+        inf = math.inf
+        assert local_subset(self.INST, R) == local_subset(self.INST, inf) == []
+        assert radial_cost(self.INST, R) == radial_cost(self.INST, inf)
+        assert local_cost(self.INST, R) == local_cost(self.INST, inf)
+        assert lower_bound(self.INST, R) == lower_bound(self.INST, inf)
+        report = compute_bounds(self.INST, R, 2)
+        assert report.R == inf and report == compute_bounds(self.INST, inf, 2)
+        assert BoundContext(self.INST).local(R) == BoundContext(self.INST).local(inf)
+        assert BoundContext(self.INST).radial(R) == BoundContext(self.INST).radial(inf)
+        assert BoundContext(self.INST).lower(R) == BoundContext(self.INST).lower(inf)
+        assert BoundContext(self.INST).report(R, 2) == report
+
+    def test_negative_r_beyond_float_range_rejected_before_any_tour(self, monkeypatch):
+        import sweepcvrp.bounds as bounds
+
+        R = -10**400
+        tours = []
+        monkeypatch.setattr(bounds, "tsp_dispatch", lambda *a, **kw: tours.append(a))
+        calls = [
+            lambda: radial_cost(CROSS, R), lambda: local_subset(CROSS, R),
+            lambda: local_cost(CROSS, R), lambda: lower_bound(CROSS, R),
+            lambda: compute_bounds(CROSS, R, 2), lambda: BoundContext(CROSS).local(R),
+            lambda: BoundContext(CROSS).radial(R), lambda: BoundContext(CROSS).lower(R),
+            lambda: BoundContext(CROSS).report(R, 2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="R must be >= 0 or inf"):
+                call()
+        assert tours == []
+
     @pytest.mark.parametrize("R", [math.nan, -1.0, np.float64(-0.5), -math.inf])
     def test_subset_checks_r(self, R):
         with pytest.raises(ValueError, match="R must be >= 0 or inf"):

@@ -127,11 +127,9 @@ def test_far_depot_radius(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_eval_g_rejects_non_finite(flag, value, capsys):
     values = {"--a": "0.5", "--b": "0.5", flag: value}
-    with pytest.raises(SystemExit) as exc:
-        main(["eval-g", *(f"{k}={v}" for k, v in values.items())])
-    assert exc.value.code == 2
+    assert main(["eval-g", *(f"{k}={v}" for k, v in values.items())]) == 2
     err = capsys.readouterr().err
-    assert f"error: argument {flag}: must be a finite number" in err
+    assert "error: non-finite depot: Point" in err
 
 
 def test_verify_net_cli(tmp_path, capsys):
@@ -352,11 +350,70 @@ def test_algo_choices_come_from_algos(tmp_path, capsys):
     assert all(algo in err for algo in ALGOS)
 
 
-def test_bounds_rejects_nan_radius(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--input", "x", "--r", "nan"])
-    assert exc.value.code == 2
-    assert "error: argument --r: --r must be >= 0, got nan" in capsys.readouterr().err
+def test_bounds_rejects_nan_radius(tmp_path, capsys):
+    # the instance file is read before R is checked
+    instance_file = tmp_path / "inst.txt"
+    instance_file.write_text("3 2 0.5 0.5\n0.1 0.2\n0.5 0.9\n0.8 0.4\n")
+    assert main(["bounds", "--input", str(instance_file), "--r", "nan"]) == 2
+    assert "error: R must be >= 0 or inf, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", ["-inf", "-1e400"])
+def test_bounds_rejects_negative_radius(tmp_path, capsys, r):
+    instance_file = tmp_path / "inst.txt"
+    instance_file.write_text("3 2 0.5 0.5\n0.1 0.2\n0.5 0.9\n0.8 0.4\n")
+    assert main(["bounds", "--input", str(instance_file), f"--r={r}"]) == 2
+    assert "error: R must be >= 0 or inf, got -inf" in capsys.readouterr().err
+
+
+def test_bounds_radius_beyond_float_range_is_inf(tmp_path, capsys):
+    instance_file = tmp_path / "inst.txt"
+    instance_file.write_text("3 2 0.5 0.5\n0.1 0.2\n0.5 0.9\n0.8 0.4\n")
+    out = {}
+    for r in ("inf", "1e400"):
+        for fmt in ("json", "csv"):
+            assert main(["bounds", "--input", str(instance_file), "--r", r,
+                         "--format", fmt]) == 0
+            out[r, fmt] = capsys.readouterr().out
+    assert out["1e400", "json"] == out["inf", "json"]
+    assert out["1e400", "csv"] == out["inf", "csv"]
+    assert json.loads(out["1e400", "json"])["R"] == "inf"
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+@pytest.mark.parametrize("value", ["1e160", "-1e160", "1e200"])
+def test_eval_g_rejects_out_of_range_depot(flag, value, capsys):
+    # iv_g refuses these depots, so eval-g does not print values for them
+    values = {"--a": "0.5", "--b": "0.5", flag: value}
+    assert main(["eval-g", *(f"{k}={v}" for k, v in values.items())]) == 2
+    captured = capsys.readouterr()
+    assert "error: too large depot: Point" in captured.err and captured.out == ""
+
+
+def test_eval_g_accepts_the_coordinate_bound(capsys):
+    assert main(["eval-g", "--a=1e150", "--b=-1e150"]) == 0
+    got = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert got == {k: repr(v) for k, v in zip(("g1", "g2", "g3", "R"),
+                                               g_all(1e150, -1e150))}
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e160"])
+@pytest.mark.parametrize("command", [
+    ["gen", "--n", "3", "--k", "1"],
+    ["experiment", "--n", "3", "--k", "1"],
+])
+@pytest.mark.parametrize("flag", ["--depot-x", "--depot-y"])
+def test_depot_rejects_out_of_range(tmp_path, capsys, command, flag, value):
+    assert main([*command, f"{flag}={value}", "--output", str(tmp_path / "out")]) == 2
+    assert " depot: Point" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_rejects_negative_seed(tmp_path, capsys):
+    assert main(["gen", "--n", "3", "--k", "1", "--seed", "-1",
+                 "--output", str(tmp_path / "out")]) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -365,10 +422,8 @@ def test_bounds_rejects_nan_radius(capsys):
 ])
 @pytest.mark.parametrize("flag", ["--depot-x", "--depot-y"])
 def test_depot_rejects_non_finite(tmp_path, capsys, command, flag):
-    with pytest.raises(SystemExit) as exc:
-        main([*command, f"{flag}=inf", "--output", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    assert f"error: argument {flag}: must be a finite number" in capsys.readouterr().err
+    assert main([*command, f"{flag}=inf", "--output", str(tmp_path / "out")]) == 2
+    assert "error: non-finite depot: Point" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -435,9 +490,10 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing --input
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--input", "x", "--r", "-3"])
-    assert exc.value.code == 2
+    # a bad value is the package's ValueError, which main turns into exit 2
+    instance_file = tmp_path / "inst.txt"
+    instance_file.write_text("3 2 0.5 0.5\n0.1 0.2\n0.5 0.9\n0.8 0.4\n")
+    assert main(["bounds", "--input", str(instance_file), "--r", "-3"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2

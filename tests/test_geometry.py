@@ -296,7 +296,7 @@ class TestInstanceValidation:
             kind = "non-finite" if not math.isfinite(bad) else "too large"
             with pytest.raises(ValueError, match=f"{kind} coordinate: Point"):
                 Instance(terminals=(Point(0, bad),), depot=Point(0, 0), capacity=1)
-            with pytest.raises(ValueError, match=f"{kind} coordinate: Point"):
+            with pytest.raises(ValueError, match=f"{kind} depot: Point"):
                 Instance(terminals=(), depot=Point(bad, 0), capacity=1)
 
 

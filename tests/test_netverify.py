@@ -174,6 +174,13 @@ class TestFarField:
             check = verify_point(a, b)
         assert not check.passed and verify_far_field(a, b)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e160, -1e160])
+    def test_far_field_reads_the_depot_by_the_coordinate_rule(self, bad):
+        # an infinite depot is not a far-field proof: it is no depot at all
+        for a, b in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError, match="depot: Point.*finite with"):
+                verify_far_field(a, b)
+
     @pytest.mark.parametrize("bad", [1e160, math.nan])
     def test_out_of_range_depot_raises(self, bad):
         with pytest.raises(ValueError, match="depot.*finite with"):
