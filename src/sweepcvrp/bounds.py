@@ -29,8 +29,13 @@ empty and T*_inf = 0 exactly.
 BoundContext assembles the Bound(value, certified) records of one instance
 for one (tsp_mode, seed): D once, each rad_R once per R and each T*_R once
 per point set, so T*_0 serves lb_r0, every upper bound, and lb_rstar where
-R* keeps every terminal. Callers make a fresh context per instance and drop
-it afterwards; nothing is cached across contexts.
+R* keeps every terminal. Where T*_0 is exact, the context keeps the one
+Held-Karp table it is read from, held_karp(terminals[1:], terminals[0]) as
+tsp_exact builds it, and reads from it every T*_R whose set holds terminal
+0 (tsp.held_karp_tour): tsp_exact over that set, bit for bit, without a
+second table. A set without terminal 0 keeps tsp_dispatch. Callers make a
+fresh context per instance and drop it afterwards; nothing is cached across
+contexts.
 lower_bound, upper_bound_formula and compute_bounds are one-shot wrappers.
 """
 
@@ -45,7 +50,10 @@ from typing import NamedTuple
 from .closedform import choose_radius
 from .geometry import Instance, Point, Solution, as_xy, check_int, diameter, field_text
 from .itp import itp_solve
-from .tsp import cycle_length, dispatch_certified, tsp_dispatch
+from .tsp import (
+    HeldKarp, cycle_length, dispatch_certified, dispatch_exact, held_karp, held_karp_tour,
+    tsp_dispatch,
+)
 
 
 class Bound(NamedTuple):
@@ -81,15 +89,22 @@ def local_subset(instance: Instance, R: float) -> list[int]:
 
 def local_cost(
     instance: Instance, R: float, tsp_mode: str = "auto", seed: int = 0,
-    itp: Solution | None = None,
+    itp: Solution | None = None, table: HeldKarp | None = None,
 ) -> Bound:
     """Bound(T*_R, certified): the length of tsp_dispatch's tour over the >=R
     terminals, certified iff that tour is provably optimal. Where that set is
     every terminal (R = 0, or any R up to the nearest depot distance) and the
     tour would be uncertified, it is instead cycle_length of `itp`'s routes
     concatenated in route order, uncertified: `itp` is ITP's solution of
-    this instance, mode and seed, solved here when None."""
-    points = [instance.terminals[i] for i in local_subset(instance, R)]
+    this instance, mode and seed, solved here when None. `table`, if given,
+    is BoundContext.table of this instance and mode; a set that holds
+    terminal 0 is then read from it by tsp.held_karp_tour, tsp_dispatch's
+    tour bit for bit."""
+    subset = local_subset(instance, R)
+    if table is not None and subset[:1] == [0]:
+        mask = sum(1 << (i - 1) for i in subset[1:])
+        return Bound(held_karp_tour(instance.terminals, table, mask).length, True)
+    points = [instance.terminals[i] for i in subset]
     if len(points) == instance.n and not dispatch_certified(xy := as_xy(points), tsp_mode):
         if itp is None:
             itp = itp_solve(instance, tsp_mode, seed)
@@ -138,7 +153,10 @@ class BoundContext:
     """The bound ingredients of one instance: D once, rad_R per R, T*_R per point set.
 
     Values come from local_cost, radial_cost and instance_diameter, so every
-    bound equals, bit for bit, what the one-shot functions return. `itp`, if
+    bound equals, bit for bit, what the one-shot functions return. On the
+    exact path the context keeps `table`, T*_0's Held-Karp table, and hands
+    it to local_cost for every set that holds terminal 0, so one table
+    serves T*_0, lb_rstar and every other such T*_R. `itp`, if
     given, is ITP's solution of the same instance, tsp_mode and seed; where
     T*_R over every terminal is ITP's tour (see the module docstring: an
     uncertified upper estimate), the context reads it from `itp`, and
@@ -158,13 +176,26 @@ class BoundContext:
     def D(self) -> float:
         return instance_diameter(self.instance)
 
+    @cached_property
+    def table(self) -> HeldKarp | None:
+        """held_karp(terminals[1:], terminals[0]), the table tsp_exact reads
+        T*_0 from, built on first need; None where tsp_dispatch over the
+        terminals is not tsp_exact's Held-Karp (heuristic mode, above
+        EXACT_THRESHOLD, or fewer than 2 terminals)."""
+        terminals = self.instance.terminals
+        if len(terminals) < 2 or not dispatch_exact(len(terminals), self.tsp_mode):
+            return None
+        return held_karp(terminals[1:], terminals[0])
+
     def local(self, R: float) -> Bound:
-        """T*_R, as local_cost, once per >=R set: the sets nest, so a size names one."""
-        size = len(local_subset(self.instance, R))
-        if size not in self._local:
-            self._local[size] = local_cost(self.instance, R, self.tsp_mode, self.seed,
-                                           self.itp)
-        return self._local[size]
+        """T*_R, as local_cost, once per >=R set: the sets nest, so a size
+        names one. A set that holds terminal 0 is read from `table`."""
+        subset = local_subset(self.instance, R)
+        if len(subset) not in self._local:
+            table = self.table if subset[:1] == [0] else None
+            self._local[len(subset)] = local_cost(self.instance, R, self.tsp_mode,
+                                                  self.seed, self.itp, table)
+        return self._local[len(subset)]
 
     def radial(self, R: float) -> float:
         R = _check_radius(R)

@@ -61,9 +61,19 @@ def solve(
     return solution
 
 
+def check_seed(seed: int) -> int:
+    """An instance seed as a plain int: a Philox key, 0 .. 2**128 - 1, read
+    by check_int; ValueError naming the seed otherwise."""
+    seed = check_int(seed, "seed", 0)
+    if seed >= 2 ** 128:
+        raise ValueError(f"seed must be < 2**128, got {seed}")
+    return seed
+
+
 def gen_instance(n: int, k: int, depot: Point, seed: int) -> Instance:
-    """n i.i.d. uniform terminals on the unit square; deterministic in seed."""
-    n, seed = check_int(n, "n", 0), check_int(seed, "seed", 0)
+    """n i.i.d. uniform terminals on the unit square; deterministic in seed
+    (check_seed)."""
+    n, seed = check_int(n, "n", 0), check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     return Instance(terminals=rng.random((n, 2)), depot=depot, capacity=k)
 
@@ -101,8 +111,12 @@ class ExperimentConfig:
         seeds = tuple(check_int(seed, "seed") for seed in self.seeds)
         if not seeds or len(set(seeds)) != len(seeds):
             raise ValueError(f"seeds must be distinct and nonempty, got {self.seeds!r}")
-        if not all(0 <= seed < 2 ** 128 for seed in seeds):  # Philox keys
-            raise ValueError(f"seeds must be in 0 .. 2**128 - 1, got {self.seeds!r}")
+        for seed in seeds:
+            try:
+                check_seed(seed)
+            except ValueError as exc:
+                raise ValueError(f"seeds must be in 0 .. 2**128 - 1, got {self.seeds!r}: "
+                                 f"{exc}") from None
         object.__setattr__(self, "seeds", seeds)
         for algo in self.algos:
             if algo not in ALGOS:

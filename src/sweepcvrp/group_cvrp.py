@@ -6,10 +6,16 @@ group, the optimal tour through the depot (one run of tsp.held_karp, stopped
 at k terminals, yields them all at once, ties to the smallest index), then a
 set-partition DP over those capacity-feasible blocks, which reads no larger
 subset's tour, one popcount layer at a time over the read-only
-`partition_layers` tables, built once per (n, min(k, n)) in int16. The DP
-keeps each subset's cost only; the way back finds the winning block of each
-mask on its path as the first argmin over that mask's row, whose blocks are
-in descending order, so among equal sums the largest block wins. The
+`partition_layers` tables, built once per (n, min(k, n)) in int16. Those
+tables hold only the masks the DP can reach from the whole group: a mask M
+is reached iff popcount(M) >= n - low(M) * k, with low(M) its lowest bit:
+every block removed on the way to M is anchored at a bit below low(M), one
+block per bit, and any M within the bound is reached that way (the proof in
+full is in partition_layers). They keep a third of the (mask, block) pairs
+at n = 12, k = 6 and under a fifth at k <= 3. The DP keeps each subset's cost
+only; the way back finds the winning block of each mask on its path as the
+first argmin over that mask's row, whose blocks are in descending order, so
+among equal sums the largest block wins. The
 heuristic path cuts one TSP tour over the group plus depot into segments of
 at most k terminals, taking the best of k rotation offsets. The DP's sums only
 choose: every Tour's length is the fsum of its route's edges,
@@ -35,8 +41,9 @@ from .tsp import (
 EXACT_GROUP_THRESHOLD = 12
 # (mask, block) pairs per step of the set-partition DP: its float64
 # temporaries stay at 64 KB each, in cache. At 12 terminals and k = 6 (238,592
-# pairs) the DP took 1.2 ms per call in steps of 8192, 1.6 ms in whole layers
-# (a shared 2-vCPU Xeon)
+# pairs, before the tables kept only reachable masks; 79,575 since) the DP
+# took 1.2 ms per call in steps of 8192, 1.6 ms in whole layers (a shared
+# 2-vCPU Xeon)
 _BLOCK_ENTRIES = 8192
 
 
@@ -55,16 +62,35 @@ def partition_layers(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.n
     """The set-partition DP's tables for popcount p = 1 .. n, built once per
     (n, k) with k <= n.
 
-    Entry p - 1 is (masks, blocks, rest): masks is tsp.subset_layers(n)'s
-    layer, and row r of blocks lists the blocks that part[masks[r]] pulls
-    from. Each holds the lowest bit of masks[r] and a pattern over its p - 1
+    Entry p - 1 is (masks, blocks, rest): masks holds the masks of
+    tsp.subset_layers(n)'s layer that the DP reaches from the whole group,
+    and row r of blocks lists the blocks that part[masks[r]] pulls from.
+    Each holds the lowest bit of masks[r] and a pattern over its p - 1
     other bits with at most k - 1 set, the patterns in descending order;
     rest = masks[r] ^ blocks. blocks and rest are in tsp.mask_dtype(n); all
     arrays are shared between callers and read-only.
+
+    A mask M != 0 is reached from the whole group iff popcount(M) >=
+    n - low(M) * k, where low(M) is its lowest bit (pos[:, 0]):
+      - each DP step removes one block that holds the current lowest bit, so
+        every block removed on the way to M has its smallest bit below
+        low(M). At most low(M) blocks do, each of at most k bits, so
+        n - popcount(M) <= low(M) * k;
+      - conversely, a mask that meets the bound is reached by anchoring one
+        block at each bit below low(M) and giving those blocks the bits
+        outside M, at most k to each.
+    The rest of a reached mask is reached (it lost at most k bits and its
+    lowest bit rose by at least one), so the DP of a kept mask reads only
+    kept rests and the way back reads only kept rows: every value read, and
+    every tour, keeps its bits. part stays 0 on the masks left out, and
+    nothing reads it there.
     """
     layers = []
     for masks, pos in subset_layers(n):
         p = pos.shape[1]
+        reachable = pos[:, 0] * k >= n - p
+        masks, pos = masks[reachable], pos[reachable]
+        masks.flags.writeable = False
         t = np.arange((1 << (p - 1)) - 1, -1, -1)
         t_bits = (t[:, None] >> np.arange(p - 1)) & 1
         t_bits = t_bits[t_bits.sum(axis=1) < k]

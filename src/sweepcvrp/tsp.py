@@ -23,7 +23,10 @@ minimised, so ties go to the smallest index: the smallest predecessor among
 equal path costs and the smallest last terminal among equal tour costs.
 Those sums only choose: a length is cycle_length of the order (geometry's
 length rule), 0 for 0 or 1 points, 2*d out and back for two, and the same
-for every cyclic order of at most 3 points.
+for every cyclic order of at most 3 points. held_karp_tour is the one
+reading of a rooted tour from such a table: tsp_exact reads its whole set,
+and bounds.BoundContext reads from T*_0's table every T*_R over a set that
+holds terminal 0.
 
 The heuristic tours the distinct locations, numbered by first occurrence,
 and emits each location's points consecutively, in index order. Its search
@@ -258,8 +261,26 @@ def held_karp_path(hk: HeldKarp, mask: int) -> list[int]:
     return order[::-1]
 
 
+def held_karp_tour(points: Sequence[Point], hk: HeldKarp, mask: int) -> TspResult:
+    """The optimal cycle over points[0] and the points i + 1 of the set bits i
+    of `mask`, read from hk = held_karp(points[1:], points[0]): its order
+    numbers the points as `points` does, from 0, and its length is
+    cycle_length's.
+
+    Over every point (mask 2^(n-1) - 1) it is tsp_exact. Over a subset S that
+    holds points[0], it is tsp_exact(S) bit for bit: held_karp over S fills
+    the same finite dp entries from the same distances, the entries outside S
+    are inf and never a minimum, and held_karp_path's first argmin meets the
+    same candidates in the same index order, so the order, and hence the
+    length, is the same.
+    """
+    order = (0, *(i + 1 for i in held_karp_path(hk, mask)))
+    return TspResult(order, cycle_length(points, order), certified_optimal=True)
+
+
 def tsp_exact(points: Sequence[Point]) -> TspResult:
-    """Optimal tour by Held-Karp over points[1:], rooted at points[0].
+    """Optimal tour by Held-Karp over points[1:], rooted at points[0]
+    (held_karp_tour over every point).
 
     Rejects inputs larger than EXACT_THRESHOLD (2^n * n^2 work), and a
     coordinate that fails geometry.check_coordinates (ValueError).
@@ -270,9 +291,7 @@ def tsp_exact(points: Sequence[Point]) -> TspResult:
     if n <= 1:
         check_coordinates(points)
         return TspResult(order=tuple(range(n)), length=0.0, certified_optimal=True)
-    hk = held_karp(points[1:], points[0])
-    order = (0, *(i + 1 for i in held_karp_path(hk, (1 << (n - 1)) - 1)))
-    return TspResult(order, cycle_length(points, order), certified_optimal=True)
+    return held_karp_tour(points, held_karp(points[1:], points[0]), (1 << (n - 1)) - 1)
 
 
 def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
@@ -868,9 +887,14 @@ def tsp_dispatch(points: Sequence[Point], mode: str = "auto", seed: int = 0) -> 
     raises ValueError on either path, at every size, also on an empty input."""
     check_tsp_mode(mode)
     seed = check_int(seed, "seed")
-    if mode == "auto" and len(points) <= EXACT_THRESHOLD:
+    if dispatch_exact(len(points), mode):
         return tsp_exact(points)
     return tsp_heuristic(points, seed)
+
+
+def dispatch_exact(n: int, mode: str) -> bool:
+    """Whether tsp_dispatch runs tsp_exact over n points in `mode`."""
+    return mode == "auto" and n <= EXACT_THRESHOLD
 
 
 def dispatch_certified(points: Sequence[Point], mode: str = "auto") -> bool:
@@ -879,5 +903,4 @@ def dispatch_certified(points: Sequence[Point], mode: str = "auto") -> bool:
     locations. Raises ValueError as tsp_dispatch does."""
     check_tsp_mode(mode)
     xy = check_coordinates(points)
-    return (mode == "auto" and len(xy) <= EXACT_THRESHOLD
-            or len(_locations(xy)[0]) <= CERTAIN_LOCATIONS)
+    return dispatch_exact(len(xy), mode) or len(_locations(xy)[0]) <= CERTAIN_LOCATIONS

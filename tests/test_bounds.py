@@ -490,6 +490,85 @@ class TestBoundContext:
                 ctx.local(R)
 
 
+def _shared_table_instances():
+    """Random, lattice and duplicate instances of 2 .. 14 terminals."""
+    rng = np.random.default_rng(34)
+    for n in range(2, 15):
+        yield gen_instance(n, 1, Point(*map(float, rng.uniform(-0.5, 1.5, 2))), n)
+        lattice = rng.integers(0, 4, (n, 2))
+        yield Instance(terminals=tuple(Point(float(x), float(y)) for x, y in lattice),
+                       depot=Point(1.0, 2.0), capacity=1)
+        base = rng.random((max(1, n // 3), 2))
+        yield Instance(terminals=tuple(Point(*map(float, base[i % len(base)]))
+                                       for i in range(n)),
+                       depot=Point(0.5, 0.5), capacity=1)
+
+
+class TestSharedTable:
+    """BoundContext reads every exact T*_R whose >=R set holds terminal 0
+    from the one Held-Karp table of T*_0."""
+
+    def test_every_set_is_tsp_dispatch(self):
+        sets = Counter()
+        for inst in _shared_table_instances():
+            ctx = BoundContext(inst)
+            for R in (0.0, *sorted(set(inst.depot_distances)), math.inf):
+                subset = local_subset(inst, R)
+                want = tsp_dispatch([inst.terminals[i] for i in subset])
+                got = ctx.local(R)
+                assert repr(got.value) == repr(want.length) and got.certified
+                assert repr(local_cost(inst, R).value) == repr(want.length)
+                sets[subset[:1] == [0], len(subset) >= 2] += 1
+        # both kinds of set, and more than a trivial tour of each
+        assert min(sets[True, True], sets[False, True]) >= 50
+
+    @staticmethod
+    def _spy(monkeypatch):
+        import sweepcvrp.bounds as bounds
+        import sweepcvrp.tsp as tsp
+
+        calls = []
+
+        def spy(U, depot, size=None, _real=tsp.held_karp):
+            calls.append(len(U))
+            return _real(U, depot, size)
+
+        monkeypatch.setattr(bounds, "held_karp", spy)
+        monkeypatch.setattr(tsp, "held_karp", spy)
+        return calls
+
+    @staticmethod
+    def _every_bound(inst):
+        ctx = BoundContext(inst)
+        for R in (0.0, choose_R(inst.depot), *inst.depot_distances, math.inf):
+            ctx.lower(R)
+        ctx.upper(2)
+        return ctx
+
+    def test_one_table_where_every_set_holds_terminal_0(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        inst = gen_instance(12, 3, Point(0.5, 0.5), 4)
+        far_first = sorted(range(12), key=lambda i: -inst.depot_distances[i])
+        inst = Instance(terminals=tuple(inst.terminals[i] for i in far_first),
+                        depot=inst.depot, capacity=3)
+        ctx = self._every_bound(inst)
+        assert calls == [11] and ctx.table is not None
+
+    def test_other_sets_keep_their_own_table(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        inst = gen_instance(12, 3, Point(0.5, 0.5), 4)
+        d = inst.depot_distances
+        without_0 = {sum(e >= r for e in d) for r in d if r > d[0]}
+        self._every_bound(inst)
+        assert calls[0] == 11
+        assert sorted(calls[1:]) == sorted(size - 1 for size in without_0 if size >= 2)
+
+    @pytest.mark.parametrize("n, mode", [(0, "auto"), (1, "auto"), (15, "auto"),
+                                         (5, "heuristic")])
+    def test_no_table_off_the_exact_path(self, n, mode):
+        assert BoundContext(gen_instance(n, 1, Point(0.5, 0.5), n), mode).table is None
+
+
 def _itp_order(solution) -> list[int]:
     """ITP's routes concatenated in route order: its tour without the depot."""
     return [i for tour in solution.tours for i in tour.indices]

@@ -416,6 +416,14 @@ def test_gen_rejects_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_gen_rejects_seed_beyond_philox_keys(tmp_path, capsys):
+    # numpy's "key must be positive and less than 2**128." before
+    assert main(["gen", "--n", "3", "--k", "1", "--seed", str(2 ** 128),
+                 "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: seed must be < 2**128, got {2 ** 128}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["gen", "--n", "3", "--k", "1"],
     ["experiment", "--n", "3", "--k", "1"],

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sweepcvrp.bounds as bounds_module
 import sweepcvrp.experiments as experiments
 import sweepcvrp.tsp as tsp
 from sweepcvrp.bounds import BoundContext, choose_R, instance_diameter
@@ -157,6 +158,21 @@ class TestRunRatioExperiment:
                 self._config(seeds=seeds)
         self._config(seeds=(0, 2 ** 128 - 1))
 
+    def test_seed_range_has_one_home(self, monkeypatch):
+        # gen_instance's check_seed reads every seed of a config, and its
+        # message names the seed that failed
+        for seed, message in ((-1, "seed must be >= 0, got -1"),
+                              (2 ** 128, f"seed must be < 2\\*\\*128, got {2 ** 128}")):
+            with pytest.raises(ValueError, match=message):
+                gen_instance(3, 1, Point(0.5, 0.5), seed)
+            with pytest.raises(ValueError, match=message):
+                self._config(seeds=(0, seed))
+        assert gen_instance(1, 1, Point(0.5, 0.5), 2 ** 128 - 1).n == 1
+        seen = []
+        monkeypatch.setattr(experiments, "check_seed", lambda s: seen.append(s) or s)
+        self._config(seeds=(4, 2, 9))
+        assert seen == [4, 2, 9]
+
     def test_rejects_unknown_tsp_mode(self):
         with pytest.raises(ValueError, match="unknown tsp mode: 'bogus'"):
             self._config(n=1, k_fixed=1, algos=("sweep",), tsp_mode="bogus")
@@ -306,11 +322,24 @@ class TestBoundReuse:
 
     def test_exact_t0_at_the_threshold(self, monkeypatch):
         tours = self.counted(monkeypatch, "tsp_exact")
+        tables = []
+
+        def held_karp(U, depot, size=None, _real=tsp.held_karp):
+            tables.append((tuple(U), depot))
+            return _real(U, depot, size)
+
+        monkeypatch.setattr(bounds_module, "held_karp", held_karp)
+        monkeypatch.setattr(tsp, "held_karp", held_karp)
         config = ExperimentConfig(n=14, depot=Point(0.5, 0.5), M=2, seeds=(3,),
                                   k_fixed=6)
         instance = gen_instance(14, 6, config.depot, 3)
         result = run_ratio_experiment(config)
-        assert tours.count(frozenset(instance.terminals)) == 1
+        # the terminals' one Held-Karp table is the one BoundContext keeps
+        # and reads T*_0 from; tsp_exact, which built it until the context
+        # kept it, never runs over them
+        terminals = instance.terminals
+        assert tables.count((terminals[1:], terminals[0])) == 1
+        assert tours.count(frozenset(instance.terminals)) == 0
         t_zero = tsp.tsp_exact(list(instance.terminals)).length
         D = instance_diameter(instance)
         for row in result.rows:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -397,12 +398,21 @@ def _group_cases() -> dict[str, tuple[list[Point], Point]]:
 
 
 GROUP_CASES = _group_cases()
+# groups of EXACT_GROUP_THRESHOLD terminals with many equal tour and block
+# sums, where partition_layers leaves out the most masks
+FULL_GROUP_CASES = {
+    "lattice-12": ([Point(float(i % 4), float(i // 4)) for i in range(12)], Point(1.0, 1.0)),
+    "collinear-12": ([Point(0.2 + 0.5 * t, 0.1 + 0.3 * t) for t in
+                      np.random.default_rng(341).permutation(12) / 11.0], Point(0.2, 0.1)),
+    "duplicates-12": ([Point(0.125 * (i % 5), 0.25 * (i % 3)) for i in range(12)],
+                      Point(0.5, 0.5)),
+}
 
 
 class TestExactSmallReference:
-    @pytest.mark.parametrize("name", list(GROUP_CASES))
+    @pytest.mark.parametrize("name", list(GROUP_CASES) + list(FULL_GROUP_CASES))
     def test_same_solution_as_reference(self, name):
-        U, depot = GROUP_CASES[name]
+        U, depot = {**GROUP_CASES, **FULL_GROUP_CASES}[name]
         n = len(U)
         hk = _held_karp_reference(U, depot)
         if n:
@@ -612,6 +622,49 @@ class TestHeldKarpSize:
         for k in (1, 3, 9, 12):
             cvrp_exact_small(U, depot, k)
         assert seen == [(9, 1), (9, 3), (9, 9), (9, 9)]
+
+
+def _reached_masks(n: int, k: int) -> set[int]:
+    """The nonzero masks the set-partition DP reaches from the full mask of n
+    bits, by breadth-first search: a step removes a block of at most k bits
+    that holds the current mask's lowest bit."""
+    full = (1 << n) - 1
+    seen, frontier = {full}, [full]
+    while frontier:
+        step = []
+        for mask in frontier:
+            low = mask & -mask
+            others = [1 << b for b in range(n) if (mask ^ low) >> b & 1]
+            for size in range(k):
+                for extra in itertools.combinations(others, size):
+                    rest = mask ^ low ^ sum(extra)
+                    if rest and rest not in seen:
+                        seen.add(rest)
+                        step.append(rest)
+        frontier = step
+    return seen
+
+
+class TestReachableMasks:
+    def test_kept_masks_are_the_reached_ones(self):
+        for n in range(1, EXACT_GROUP_THRESHOLD + 1):
+            for k in range(1, n + 1):
+                kept = [int(m) for masks, _, _ in partition_layers(n, k) for m in masks]
+                assert len(kept) == len(set(kept)) and set(kept) == _reached_masks(n, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 12])
+    def test_rows_are_the_blocks_of_their_mask(self, k):
+        # each kept row lists every block of at most k bits that holds its
+        # mask's lowest bit, in descending order, and rest = mask ^ block
+        for p, (masks, blocks, rest) in enumerate(partition_layers(12, k), 1):
+            assert np.all(np.diff(masks) > 0) and np.all(_popcounts(12)[masks] == p)
+            m = masks.astype(np.int64)[:, None]
+            low = m & -m
+            b = blocks.astype(np.int64)
+            assert np.all((b & m) == b) and np.all((b & low) == low)
+            assert np.all(_popcounts(12)[b] <= k) and np.all(np.diff(b, axis=1) < 0)
+            assert np.array_equal(rest, m ^ b)
+            assert blocks.shape[1] == sum(math.comb(p - 1, j) for j in range(k))
 
 
 def _clear_table_caches():
