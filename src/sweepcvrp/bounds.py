@@ -51,8 +51,8 @@ from .closedform import choose_radius
 from .geometry import Instance, Point, Solution, as_xy, check_int, diameter, field_text
 from .itp import itp_solve
 from .tsp import (
-    HeldKarp, cycle_length, dispatch_certified, dispatch_exact, held_karp, held_karp_tour,
-    tsp_dispatch,
+    HeldKarp, check_tsp_mode, cycle_length, dispatch_certified, dispatch_exact, held_karp,
+    held_karp_tour, tsp_dispatch,
 )
 
 
@@ -99,7 +99,10 @@ def local_cost(
     this instance, mode and seed, solved here when None. `table`, if given,
     is BoundContext.table of this instance and mode; a set that holds
     terminal 0 is then read from it by tsp.held_karp_tour, tsp_dispatch's
-    tour bit for bit."""
+    tour bit for bit. tsp_mode and seed are checked on entry, on every path
+    (tsp.check_tsp_mode, geometry.check_int)."""
+    check_tsp_mode(tsp_mode)
+    seed = check_int(seed, "seed")
     subset = local_subset(instance, R)
     if table is not None and subset[:1] == [0]:
         mask = sum(1 << (i - 1) for i in subset[1:])
@@ -160,14 +163,16 @@ class BoundContext:
     given, is ITP's solution of the same instance, tsp_mode and seed; where
     T*_R over every terminal is ITP's tour (see the module docstring: an
     uncertified upper estimate), the context reads it from `itp`, and
-    without it solves ITP itself on first need.
+    without it solves ITP itself on first need. tsp_mode and seed are
+    checked on construction, as in local_cost.
     """
 
     def __init__(self, instance: Instance, tsp_mode: str = "auto", seed: int = 0,
                  itp: Solution | None = None):
+        check_tsp_mode(tsp_mode)
         self.instance = instance
         self.tsp_mode = tsp_mode
-        self.seed = seed
+        self.seed = check_int(seed, "seed")
         self.itp = itp
         self._local: dict[int, Bound] = {}  # by the size of the >=R set
         self._radial: dict[float, float] = {}

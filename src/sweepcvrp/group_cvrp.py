@@ -15,11 +15,11 @@ full is in partition_layers). They keep a third of the (mask, block) pairs
 at n = 12, k = 6 and under a fifth at k <= 3. The DP keeps each subset's cost
 only; the way back finds the winning block of each mask on its path as the
 first argmin over that mask's row, whose blocks are in descending order, so
-among equal sums the largest block wins. The
-heuristic path cuts one TSP tour over the group plus depot into segments of
-at most k terminals, taking the best of k rotation offsets. The DP's sums only
-choose: every Tour's length is the fsum of its route's edges,
-geometry.tour_length bit for bit.
+among equal sums the largest block wins, and tsp.held_karp_tour reads the
+block's route from the table. The heuristic path cuts one TSP tour over the
+group plus depot into segments of at most k terminals, taking the best of k
+rotation offsets. The DP's sums only choose: every Tour's length is the fsum
+of its route's edges, geometry.tour_length bit for bit.
 
 All solutions returned here use local indices 0..len(U)-1; callers remap.
 """
@@ -35,7 +35,7 @@ import numpy as np
 
 from .geometry import Point, Solution, Tour, check_coordinates, check_int, dist
 from .tsp import (
-    check_tsp_mode, held_karp, held_karp_path, mask_dtype, subset_layers, tsp_dispatch,
+    check_tsp_mode, held_karp, held_karp_tour, mask_dtype, subset_layers, tsp_dispatch,
 )
 
 EXACT_GROUP_THRESHOLD = 12
@@ -121,6 +121,7 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
         return Solution(())
 
     k = min(k, n)
+    points = (depot, *U)
     hk = held_karp(U, depot, k)  # no tour of more than k terminals is read
     layers = partition_layers(n, k)
     # part[mask]: cheapest partition of mask into blocks of at most k
@@ -142,11 +143,8 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
         masks, blocks, rest = layers[mask.bit_count() - 1]
         r = int(np.searchsorted(masks, mask))
         s = int(blocks[r, np.argmin(hk.tour_cost[blocks[r]] + part[rest[r]])])
-        path = held_karp_path(hk, s)
-        # the route's edges from held_karp's distances, dist of its rows:
-        # tour_length of the route, bit for bit, with U read only there
-        edges = [hk.d0[path[0]], *hk.d[path[:-1], path[1:]].tolist(), hk.d0[path[-1]]]
-        tours.append(Tour(tuple(path), math.fsum(edges)))
+        route = held_karp_tour(points, hk, s)
+        tours.append(Tour(tuple(i - 1 for i in route.order[1:]), route.length))
         mask ^= s
     return Solution(tuple(tours))
 

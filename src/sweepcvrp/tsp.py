@@ -25,18 +25,24 @@ Those sums only choose: a length is cycle_length of the order (geometry's
 length rule), 0 for 0 or 1 points, 2*d out and back for two, and the same
 for every cyclic order of at most 3 points. held_karp_tour is the one
 reading of a rooted tour from such a table: tsp_exact reads its whole set,
-and bounds.BoundContext reads from T*_0's table every T*_R over a set that
-holds terminal 0.
+group_cvrp each route of its exact partition, and bounds.BoundContext reads
+from T*_0's table every T*_R over a set that holds terminal 0.
 
 The heuristic tours the distinct locations, numbered by first occurrence,
 and emits each location's points consecutively, in index order. Its search
 (Bentley 1992; Johnson & McGeoch 1997) rests on one neighbour index per
-point set, _NeighbourIndex. Its table lists the K = NEIGHBOURS nearest
-other points of each point, ranked by (squared distance, index): up to
-_DENSE_MAX points the first K columns of one distance matrix sorted row by
-row, above it exactly through a grid. Its query row(a) gives a's squared
-distances to every point, and closer(a, lim) lists every point closer than
-a limit in the table's order. Three steps use the index:
+point set, _NeighbourIndex, which holds the points at unit scale as its
+`sites`: scaled by the power of two that puts the largest |coordinate| in
+[0.5, 1) (geometry.unit_scale), the one scale rule of the heuristic. The
+walk, the search and the screen read the sites from the index, so a tour
+does not change when the points are scaled by a power of two, and squared
+distances do not underflow for coordinates as small as 1e-200. Its table
+lists the K = NEIGHBOURS nearest other points of each point, ranked by
+(squared distance, index): up to _DENSE_MAX points the first K columns of
+one distance matrix sorted row by row, above it exactly through a grid. Its
+query row(a) gives a's squared distances to every point, and closer(a, lim)
+lists every point closer than a limit in the table's order. Three steps use
+the index:
   - the nearest-neighbor walk steps to the first unvisited point of the
     current point's row, and ranks row(a) only when the whole row is
     visited; ties go to the smallest index, so the walk is the plain O(n^2)
@@ -54,22 +60,13 @@ again, and the search ends only when such a pass moves nothing, so the tour
 is a 2-opt local optimum over all pairs of edges. On the grid path (above
 _DENSE_MAX points) one numpy screen, _screen, clears most points of that
 pass at its start: it evaluates every move improve could try at every
-point, with the gates that go through hypot widened by eps/2, more than the
-two hypot implementations can differ, so a cleared point provably has no
-move. The pass skips the cleared points until its first move, which drops
-the verdicts; the moves, and so every tour, stay the same bit for bit. A
-move must shorten the tour by more than _move_eps(pts), _IMPROVE_EPS scaled
-by the power of two of the largest |coordinate| (geometry.unit_scale), so
-the search never returns a longer tour than it started from, and points
-scaled by a power of two get the same moves.
-Everything is deterministic in the start point.
-
-tsp_heuristic runs all three steps on its distinct locations scaled by the
-power of two that puts the largest |coordinate| in [0.5, 1)
-(geometry.unit_scale), so its tour does not change when the points are
-scaled by a power of two: squared distances do not underflow for
-coordinates as small as 1e-200, and the move threshold is _IMPROVE_EPS at
-that scale.
+point, with the gates that go through hypot widened by _IMPROVE_EPS/2,
+more than the two hypot implementations can differ, so a cleared point
+provably has no move. The pass skips the cleared points until its first
+move, which drops the verdicts; the moves, and so every tour, stay the same
+bit for bit. A move must shorten the tour by more than _IMPROVE_EPS at the
+sites' scale, so the search never returns a longer tour than it started
+from. Everything is deterministic in the start point.
 """
 
 from __future__ import annotations
@@ -105,10 +102,10 @@ _QUERY_BLOCK = 192
 # 6.1), where sorting the whole matrix costs more than the grid's build
 _DENSE_MAX = 128
 
-# strict-improvement threshold of a local-search move at unit coordinate
-# scale; prevents cycling on FP noise. _move_eps scales it by the power of
-# two of the largest |coordinate|, since an edge length's rounding error
-# grows with it.
+# strict-improvement threshold of a local-search move; prevents cycling on
+# FP noise. The search reads a _NeighbourIndex's sites, whose largest
+# |coordinate| is in [0.5, 1) (e = 0), so an edge length's rounding error,
+# which grows with the coordinates' power of two 2^e, is that of unit scale.
 _IMPROVE_EPS = 1e-12
 
 # float64 candidates per gather block of a Held-Karp layer (n * n per mask
@@ -263,9 +260,9 @@ def held_karp_path(hk: HeldKarp, mask: int) -> list[int]:
 
 def held_karp_tour(points: Sequence[Point], hk: HeldKarp, mask: int) -> TspResult:
     """The optimal cycle over points[0] and the points i + 1 of the set bits i
-    of `mask`, read from hk = held_karp(points[1:], points[0]): its order
-    numbers the points as `points` does, from 0, and its length is
-    cycle_length's.
+    of `mask`, read from hk = held_karp(points[1:], points[0], size), with
+    at most `size` bits in mask: its order numbers the points as `points`
+    does, from 0, and its length is cycle_length's.
 
     Over every point (mask 2^(n-1) - 1) it is tsp_exact. Over a subset S that
     holds points[0], it is tsp_exact(S) bit for bit: held_karp over S fills
@@ -309,10 +306,8 @@ def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:
     if m <= CERTAIN_LOCATIONS:
         tour = list(range(m))
     else:
-        sites, _ = unit_scale(pts[first])
-        index = _NeighbourIndex(sites)
-        walk = _neighbour_walk(index, int(loc[seed % len(pts)]))
-        tour = _local_search(sites, walk, index)
+        index = _NeighbourIndex(pts[first])
+        tour = _local_search(index, _neighbour_walk(index, int(loc[seed % len(pts)])))
     where = np.empty(m, dtype=np.int64)
     where[tour] = np.arange(m)
     order = tuple(np.argsort(where[loc], kind="stable").tolist())
@@ -335,7 +330,8 @@ def _locations(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _NeighbourIndex:
     """One point set's neighbour table and the queries row(a) and
-    closer(a, lim).
+    closer(a, lim), over `sites`: the points at unit scale
+    (geometry.unit_scale), which everything below reads.
 
     `table` is the (n, K) array of the K = min(NEIGHBOURS, n - 1) nearest
     other points of each point, ranked by (squared distance, index), and
@@ -354,9 +350,10 @@ class _NeighbourIndex:
     """
 
     def __init__(self, pts: np.ndarray):
-        n = len(pts)
+        self.sites = sites = unit_scale(pts)[0]
+        n = len(sites)
         K = max(min(NEIGHBOURS, n - 1), 0)
-        self._x, self._y = x, y = pts[:, 0], pts[:, 1]
+        self._x, self._y = x, y = sites[:, 0], sites[:, 1]
         if n <= _DENSE_MAX:
             D = np.square(x - x[:, None])
             D += np.square(y - y[:, None])
@@ -373,7 +370,7 @@ class _NeighbourIndex:
             self.d2 = d2[:, :K].reshape(-1)
         else:
             self._all = None
-            self.table = _grid_table(pts)
+            self.table = _grid_table(sites)
             self.d2 = np.square(x[self.table] - x[:, None]).reshape(-1)
             self.d2 += np.square(y[self.table] - y[:, None]).reshape(-1)
         self._K = K
@@ -527,19 +524,10 @@ def _neighbour_walk(index: _NeighbourIndex, start: int) -> list[int]:
     return tour
 
 
-def _move_eps(pts: np.ndarray) -> float:
-    """The amount by which a local-search move must shorten the tour:
-    _IMPROVE_EPS times 2**e, for the e that geometry.unit_scale takes from
-    the largest |coordinate|. Scaling the points by a power of two scales
-    every delta and the threshold alike, and on unit-scaled points (e = 0)
-    it is _IMPROVE_EPS itself."""
-    return math.ldexp(_IMPROVE_EPS, unit_scale(pts)[1])
-
-
-def _screen(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex,
-            eps: float) -> np.ndarray:
-    """One flag per point of the cyclic `tour` (indexed by point): False
-    proves that _local_search's improve(a) finds no move at a on this tour.
+def _screen(index: _NeighbourIndex, tour: Sequence[int]) -> np.ndarray:
+    """One flag per point of the cyclic `tour` over the sites of `index`
+    (indexed by point): False proves that _local_search's improve(a) finds
+    no move at a on this tour.
 
     It evaluates every candidate move that improve can try, in numpy, over
     tour-order arrays, with improve's rules: 2-opt on both sides over the
@@ -554,14 +542,13 @@ def _screen(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex,
     the index's row_d where improve does, so the integer gates and the
     d2 < lim and lim > kth gates are exact, bit for bit. The gates that go
     through hypot (the move deltas, gain > near and ac < gain) are widened
-    by eps/2, in the direction that flags more. Both hypots are within 1 ulp,
-    so they differ by at most 2 ulp per term. With every |coordinate| below
-    2^e (eps = _move_eps(pts) = 1e-12 * 2^e), each term is below 2^(e + 2),
+    by eps/2 = _IMPROVE_EPS/2, in the direction that flags more. Both hypots
+    are within 1 ulp, so they differ by at most 2 ulp per term. Every
+    |coordinate| of the sites is below 1 (e = 0), so each term is below 4,
     and a delta has at most five hypot terms and five roundings of sums
-    below 2^(e + 4): the two evaluations differ by under 3e-14 * 2^e,
-    against eps/2 = 5e-13 * 2^e. So a move that improve takes (delta <
-    -eps) reads below -eps/2 here, at every power-of-two scale down to
-    coordinates near 1e-300, where eps/2 meets the subnormal spacing.
+    below 16: the two evaluations differ by under 3e-14, against eps/2 =
+    5e-13. So a move that improve takes (delta < -eps) reads below -eps/2
+    here.
     """
     n = len(tour)
     K = index.table.shape[1]
@@ -572,7 +559,7 @@ def _screen(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex,
     # -W <= i < n + W, sits at W + i
     W = 4
     wrap = np.concatenate((T[n - W :], T, T[:W]))
-    xw, yw = pts[wrap, 0], pts[wrap, 1]
+    xw, yw = index.sites[wrap, 0], index.sites[wrap, 1]
 
     def at_offset(v: np.ndarray, s: int) -> np.ndarray:
         """v[W + i + s] for the positions i = 0 .. n - 1, as a view."""
@@ -598,7 +585,7 @@ def _screen(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex,
     E = skip(1)  # E[W + i]: the tour edge (i, i + 1)
     table = index.table.reshape(-1)
     D2 = index.d2.reshape(n, K)  # by point, as the table
-    half = eps / 2
+    half = _IMPROVE_EPS / 2
 
     # 2-opt on (a, f1) with e after c (side 0), and on (b1, a) with e before
     # c (side 1); a lim beyond the K-th listed d2 takes the closer() path
@@ -645,13 +632,13 @@ def _screen(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex,
     return flag
 
 
-def _local_search(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex) -> list[int]:
-    """First-improvement 2-opt and Or-opt from the cyclic `tour`, driven by a
-    FIFO queue of active points (don't-look bits), over `index`, the
-    _NeighbourIndex of pts; returns the tour from point 0.
+def _local_search(index: _NeighbourIndex, tour: Sequence[int]) -> list[int]:
+    """First-improvement 2-opt and Or-opt from the cyclic `tour` over the
+    sites of `index`, driven by a FIFO queue of active points (don't-look
+    bits); returns the tour from point 0.
 
     Processing point a tries, in order, and applies the first move whose
-    delta is below -eps = -_move_eps(pts):
+    delta is below -eps = -_IMPROVE_EPS:
       - 2-opt on the edge (a, b) to a's successor, then to its predecessor:
         for each c closer to a than b, in (squared distance, index) order,
         replace (a, b) and the edge (c, e) on the same side of c by (a, c)
@@ -676,7 +663,7 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex) 
     move drops the verdicts. A cleared point provably has no move: the
     screen mirrors improve's gates, exactly where they compare the same bits
     and widened by eps/2 where they go through hypot, which covers the at
-    most 3e-14 * 2^e by which numpy's and math's hypot can move a delta (see
+    most 3e-14 by which numpy's and math's hypot can move a delta (see
     _screen). A skipped call would have moved nothing and changed nothing,
     so the queue, every move, and so the tour, are the same bit for bit.
 
@@ -687,14 +674,14 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex) 
     """
     tour = [int(v) for v in tour]
     n = len(tour)
-    if sorted(tour) != list(range(len(pts))):
+    if sorted(tour) != list(range(len(index.sites))):
         raise ValueError("the start tour is not a permutation of the points")
     if n < 4:
         i = tour.index(0) if n else 0
         return tour[i:] + tour[:i]
-    eps = _move_eps(pts)
+    eps = _IMPROVE_EPS
     K = index.table.shape[1]
-    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    xs, ys = index.sites[:, 0].tolist(), index.sites[:, 1].tolist()
     # point a's neighbours and their squared and plain distances sit at
     # a * K .. a * K + K - 1 of the index's memoryviews, which index as fast
     # as lists, without a Python object per entry
@@ -870,7 +857,7 @@ def _local_search(pts: np.ndarray, tour: Sequence[int], index: _NeighbourIndex) 
             queue.extend(tour)
             queued = bytearray(b"\x01") * n
             if n > _DENSE_MAX:
-                cleared = (~_screen(pts, tour, index, eps)).tobytes()
+                cleared = (~_screen(index, tour)).tobytes()
     return tour[pos[0]:] + tour[: pos[0]]
 
 

@@ -378,6 +378,8 @@ class TestRadiusRule:
 class TestTspModeChecked:
     # tsp_dispatch checks the mode on every subset, the empty one included
     ONE = Instance(terminals=(Point(0.2, 0.9),), depot=Point(0.5, 0.5), capacity=1)
+    THREE = Instance(terminals=((0.2, 0.9), (0.7, 0.1), (0.4, 0.4)), depot=Point(0.5, 0.5),
+                     capacity=1)
 
     def test_every_entry_point(self):
         calls = [
@@ -386,6 +388,10 @@ class TestTspModeChecked:
             lambda: upper_bound_formula(self.ONE, 2, "bogus"),
             lambda: local_cost(self.ONE, 0.0, "bogus"),
             lambda: BoundContext(self.ONE, "bogus").local(0.5),
+            # checked on entry: at construction, and where a given Held-Karp
+            # table skips tsp_dispatch
+            lambda: BoundContext(self.ONE, "bogus"),
+            lambda: local_cost(self.THREE, 0.0, "bogus", table=BoundContext(self.THREE).table),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="unknown tsp mode: 'bogus'"):

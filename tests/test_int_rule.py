@@ -14,7 +14,9 @@ import pytest
 import sweepcvrp.group_cvrp as group_cvrp
 import sweepcvrp.netverify as netverify
 import sweepcvrp.tsp as tsp
-from sweepcvrp.bounds import BoundContext, compute_bounds, upper_bound_formula
+from sweepcvrp.bounds import (
+    BoundContext, compute_bounds, local_cost, lower_bound, upper_bound_formula,
+)
 from sweepcvrp.experiments import (
     ExperimentConfig, gen_instance, read_csv, resolve_k, run_ratio_experiment, solve,
     write_csv,
@@ -29,6 +31,10 @@ SRC = Path(tsp.__file__).resolve().parent
 O = Point(0.5, 0.5)
 TERMINALS = ((0.1, 0.2), (0.9, 0.3), (0.4, 0.8), (0.7, 0.6), (0.2, 0.5), (0.6, 0.1))
 INST = Instance(terminals=TERMINALS, depot=O, capacity=2)
+TABLE = BoundContext(INST).table  # INST is on the exact path
+# above the exact threshold, T*_0 is ITP's tour, read from a given solution
+INST_ITP = gen_instance(40, 3, O, 0)
+ITP = itp_solve(INST_ITP, "auto", 0)
 _heuristic = tsp.tsp_heuristic  # the original, for the one site that is the tour
 
 
@@ -55,6 +61,17 @@ SITES = {
     "BoundContext.report M": ("M", lambda v: BoundContext(INST).report(0.0, v)),
     "compute_bounds M": ("M", lambda v: compute_bounds(INST, 0.0, v)),
     "upper_bound_formula M": ("M", lambda v: upper_bound_formula(INST, v)),
+    # the bounds read a seed on the exact path and on ITP's shortcut too,
+    # which tsp_dispatch's check never sees
+    "BoundContext seed": ("seed", lambda v: BoundContext(INST, "auto", v).lower(0.0)),
+    "lower_bound seed": ("seed", lambda v: lower_bound(INST, 0.0, "auto", v)),
+    "upper_bound_formula seed": ("seed", lambda v: upper_bound_formula(INST, 2, "auto", v)),
+    "compute_bounds seed": ("seed", lambda v: compute_bounds(INST, 0.0, 2, "auto", v)),
+    "local_cost seed": ("seed", lambda v: local_cost(INST, 0.0, "auto", v, table=TABLE)),
+    "local_cost seed, given itp": (
+        "seed", lambda v: local_cost(INST_ITP, 0.0, "auto", v, ITP)),
+    "BoundContext seed, given itp": (
+        "seed", lambda v: BoundContext(INST_ITP, "auto", v, ITP).lower(0.0)),
     "cvrp_exact_small k": ("capacity", lambda v: cvrp_exact_small(TERMINALS, O, v)),
     "split_tour_sequence k": (
         "capacity", lambda v: split_tour_sequence(TERMINALS, O, [0, 1, 2], v)),

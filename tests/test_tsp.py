@@ -1,5 +1,6 @@
 import bisect
 import functools
+import inspect
 import itertools
 import math
 from collections import deque
@@ -17,7 +18,6 @@ from sweepcvrp.tsp import (
     NEIGHBOURS,
     TSP_MODES,
     _local_search,
-    _move_eps,
     _neighbour_walk,
     _NeighbourIndex,
     _screen,
@@ -187,8 +187,8 @@ class TestContract:
 
     def test_local_search_of_few_points_starts_at_zero(self):
         pts = np.random.default_rng(103).random((3, 2))
-        assert _local_search(pts, [2, 0, 1], _NeighbourIndex(pts)) == [0, 1, 2]
-        assert _local_search(pts[:0], [], _NeighbourIndex(pts[:0])) == []
+        assert _local_search(_NeighbourIndex(pts), [2, 0, 1]) == [0, 1, 2]
+        assert _local_search(_NeighbourIndex(pts[:0]), []) == []
 
 
 class TestTuples:
@@ -387,7 +387,7 @@ def _local_search_reference(pts: np.ndarray, tour: Sequence[int],
     FIFO queue of active points (don't-look bits); returns the tour from point 0.
 
     Processing point a tries, in order, and applies the first move whose
-    delta is below -eps = -_move_eps(pts):
+    delta is below -eps = -_IMPROVE_EPS:
       - 2-opt on the edge (a, b) to a's successor, then to its predecessor:
         for each c closer to a than b, in (squared distance, index) order,
         replace (a, b) and the edge (c, e) on the same side of c by (a, c)
@@ -416,7 +416,7 @@ def _local_search_reference(pts: np.ndarray, tour: Sequence[int],
     if n < 4:
         i = tour.index(0) if n else 0
         return tour[i:] + tour[:i]
-    eps = _move_eps(pts)
+    eps = _IMPROVE_EPS
     K = nbrs.shape[1]
     x, y = pts[:, 0], pts[:, 1]
     xs, ys = x.tolist(), y.tolist()
@@ -603,21 +603,22 @@ def _logging_deque(log: list) -> type:
     return LoggingDeque
 
 
-def _logged_run(kernel, pts: np.ndarray, start: list[int], arg):
-    """(tour, calls) of kernel(pts, start, arg), _local_search_reference or
-    _local_search. calls lists each improve call as (a, deltas): the point,
-    and the bits of every move delta the call compared with the threshold,
-    in order. Equal deltas pin every sum's order, although no decision sits
-    within rounding of the threshold on these inputs."""
+def _logged_run(kernel, *args):
+    """(tour, calls) of kernel(*args): _local_search_reference(sites, start,
+    nbrs) or _local_search(index, start). calls lists each improve call as
+    (a, deltas): the point, and the bits of every move delta the call
+    compared with the threshold, in order. Equal deltas pin every sum's
+    order, although no decision sits within rounding of the threshold on
+    these inputs."""
     log: list = []
-    eps = _LoggingEps(_move_eps(pts), log)
+    eps = _LoggingEps(_IMPROVE_EPS, log)
     queue = _logging_deque(log)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tsp, "_move_eps", lambda p: eps)  # read by _local_search
-        mp.setitem(globals(), "_move_eps", lambda p: eps)  # by the reference
+        mp.setattr(tsp, "_IMPROVE_EPS", eps)  # read by _local_search
+        mp.setitem(globals(), "_IMPROVE_EPS", eps)  # by the reference
         mp.setattr(tsp, "deque", queue)
         mp.setitem(globals(), "deque", queue)
-        tour = kernel(pts, start, arg)
+        tour = kernel(*args)
     calls: list = []
     for entry in log:
         if isinstance(entry, tuple):
@@ -628,15 +629,16 @@ def _logged_run(kernel, pts: np.ndarray, start: list[int], arg):
 
 
 def _runs_with_deltas(pts: np.ndarray, start: list[int], nbrs: np.ndarray):
-    """The _logged_run of _local_search_reference over the table `nbrs`,
-    then of _local_search over the index of `pts`, whose table it is."""
+    """The _logged_run of _local_search_reference over the table `nbrs` and
+    the sites of the index of `pts`, whose table it is, then of
+    _local_search over that index."""
     index = _NeighbourIndex(pts)
     assert np.array_equal(index.table, nbrs)
-    return [_logged_run(_local_search_reference, pts, start, nbrs),
-            _logged_run(_local_search, pts, start, index)]
+    return [_logged_run(_local_search_reference, index.sites, start, nbrs),
+            _logged_run(_local_search, index, start)]
 
 
-def _assert_same_moves(ref_calls: list, calls: list, eps: float) -> int:
+def _assert_same_moves(ref_calls: list, calls: list) -> int:
     """Position by position, the screened search handed out the reference's
     points, and each of its calls is the reference's, delta bits and all,
     or a cleared call that logged no deltas where the reference's moved
@@ -647,7 +649,7 @@ def _assert_same_moves(ref_calls: list, calls: list, eps: float) -> int:
     for ref, call in zip(ref_calls, calls):
         if call != ref:
             assert call[1] == (), (ref, call)
-            assert all(float.fromhex(d) >= -eps for d in ref[1]), ref
+            assert all(float.fromhex(d) >= -_IMPROVE_EPS for d in ref[1]), ref
             cleared += 1
     return cleared
 
@@ -783,7 +785,8 @@ def _kernel_cases() -> dict[str, np.ndarray]:
     cases["all-equal"] = np.full((9, 2), 0.375)
     # Collinear at coordinate scale 1e4: every 2-opt delta that is zero in
     # exact arithmetic carries rounding noise (about 1e-12), which the move
-    # threshold, scaled by _move_eps to 2^14 * 1e-12 (about 1.6e-8), must absorb.
+    # threshold must absorb: _IMPROVE_EPS at the index's unit scale, 2^14 *
+    # 1e-12 (about 1.6e-8) at the case's own.
     far = np.random.default_rng(1)
     u = far.normal(size=2)
     u /= np.hypot(*u)
@@ -831,11 +834,20 @@ class TestTwoOptKernel:
         index = _NeighbourIndex(pts)
         nbrs = _neighbours_brute_force(pts)
         assert np.array_equal(index.table, nbrs)
-        # the squared distances that _local_search computed from the table
-        x, y = pts[:, 0], pts[:, 1]
+        # the squared distances that _local_search computed from the table,
+        # over the sites
+        x, y = index.sites[:, 0], index.sites[:, 1]
         d2 = np.square(x[nbrs] - x[:, None]).reshape(-1)
         d2 += np.square(y[nbrs] - y[:, None]).reshape(-1)
         assert index.d2.tobytes() == d2.tobytes()
+        # the sites are at unit scale, so the points scaled by any power of
+        # two give the same sites, table and d2, bit for bit
+        assert 0.5 <= np.abs(index.sites).max() < 1
+        for e in SCALE_EXPONENTS:
+            scaled = _NeighbourIndex(np.ldexp(pts, e))
+            for got, want in ((scaled.sites, index.sites), (scaled.table, index.table),
+                              (scaled.d2, index.d2)):
+                assert got.tobytes() == want.tobytes(), e
 
     def test_row_is_the_dense_matrix_row(self):
         # row(a) computes what the dense path's distance matrix held, which
@@ -843,11 +855,11 @@ class TestTwoOptKernel:
         rng = np.random.default_rng(137)
         for _ in range(20):
             pts = rng.random((int(rng.integers(4, 129)), 2))
-            x, y = pts[:, 0], pts[:, 1]
+            index = _NeighbourIndex(pts)
+            x, y = index.sites[:, 0], index.sites[:, 1]
             D = np.square(x - x[:, None])
             D += np.square(y - y[:, None])
             np.fill_diagonal(D, math.inf)
-            index = _NeighbourIndex(pts)
             assert all(index.row(a).tobytes() == D[a].tobytes() for a in range(len(pts)))
 
     @pytest.mark.parametrize("dense_max", [0, 10**6])
@@ -856,9 +868,9 @@ class TestTwoOptKernel:
         # at lims between a point's nearest and farthest d2, and at each
         # listed d2, where `<` must leave the equal entries out
         monkeypatch.setattr(tsp, "_DENSE_MAX", dense_max)
-        pts = KERNEL_CASES[name]
+        index = _NeighbourIndex(KERNEL_CASES[name])
+        pts = index.sites
         n = len(pts)
-        index = _NeighbourIndex(pts)
         K = index.table.shape[1]
         rng = np.random.default_rng(n)
         for a in range(n) if n <= 64 else rng.choice(n, 40, replace=False):
@@ -884,7 +896,7 @@ class TestTwoOptKernel:
         tours = []
         for dense_max in (0, 10**6):
             monkeypatch.setattr(tsp, "_DENSE_MAX", dense_max)
-            tours.append(_local_search(pts, start, _NeighbourIndex(pts)))
+            tours.append(_local_search(_NeighbourIndex(pts), start))
         assert tours[0] == tours[1]
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
@@ -899,7 +911,7 @@ class TestTwoOptKernel:
             (ref, ref_calls), (tour, calls) = _runs_with_deltas(pts, start, nbrs)
             assert tour == ref, start
             if n > tsp._DENSE_MAX:  # screened: cleared calls log no deltas
-                _assert_same_moves(ref_calls, calls, _move_eps(pts))
+                _assert_same_moves(ref_calls, calls)
             else:
                 assert calls == ref_calls, start
 
@@ -921,9 +933,9 @@ class TestTwoOptKernel:
                 continue
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(tsp, "_DENSE_MAX", 0)
-                screened, calls = _logged_run(_local_search, pts, start, _NeighbourIndex(pts))
+                screened, calls = _logged_run(_local_search, _NeighbourIndex(pts), start)
             assert screened == ref, pts
-            cleared += _assert_same_moves(ref_calls, calls, _move_eps(pts))
+            cleared += _assert_same_moves(ref_calls, calls)
         assert moved  # the comparison covers tours that the search changed
         assert cleared  # and searches whose screen cleared calls
 
@@ -956,7 +968,7 @@ class TestTwoOptKernel:
         scale = max(1.0, float(np.abs(pts).max()))
         for start in sorted({0, 1, n // 2, n - 1}):
             walk = _neighbour_walk(index, start)
-            tour = _local_search(pts, walk, index)
+            tour = _local_search(index, walk)
             assert sorted(tour) == list(range(n))
             assert _best_2opt_delta(pts, tour) >= -1e-9 * scale
             assert _length(pts, tour) <= _length(pts, walk)
@@ -978,7 +990,7 @@ class TestTwoOptKernel:
             index = _NeighbourIndex(pts)
             local_optimum = _two_opt_reference(pts, _nearest_neighbor_reference(pts, 0))
             for start in (rng.permutation(n).tolist(), local_optimum.tolist()):
-                tour = _local_search(pts, start, index)
+                tour = _local_search(index, start)
                 assert sorted(tour) == list(range(n)) and tour[0] == 0
                 assert _best_2opt_delta(pts, tour) >= -1e-9
                 assert _length(pts, tour) <= _length(pts, start)
@@ -987,13 +999,13 @@ class TestTwoOptKernel:
     def test_rejects_non_permutation(self, start):
         pts = np.random.default_rng(97).random((5, 2))
         with pytest.raises(ValueError, match="not a permutation"):
-            _local_search(pts, start, _NeighbourIndex(pts))
+            _local_search(_NeighbourIndex(pts), start)
 
 
 # the screen's checks, as (index path, power of two, tours): the grid path
 # on all three tours at unit scale; on the walk, the dense path, and the
-# grid path at 2^-600, where every squared distance underflows, so row_d is
-# 0 where hypot is not, and at 2^-200 and 2^200
+# grid path over the case scaled by 2^-600, 2^-200 and 2^200, which the
+# index brings back to unit scale
 SCREEN_RUNS = [(0, 0, 3), (10**6, 0, 1), (0, -600, 1), (0, -200, 1), (0, 200, 1)]
 
 
@@ -1008,7 +1020,7 @@ def _screen_tours(name: str) -> tuple[tuple[int, ...], ...]:
     index = _NeighbourIndex(pts)
     walk = _neighbour_walk(index, 0)
     rng = np.random.default_rng(n)
-    swapped = _local_search(pts, walk, index)
+    swapped = _local_search(index, walk)
     for i in rng.choice(n - 1, max(1, n // 10), replace=False):
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
     return tuple(walk), tuple(rng.permutation(n).tolist()), tuple(swapped)
@@ -1016,10 +1028,11 @@ def _screen_tours(name: str) -> tuple[tuple[int, ...], ...]:
 
 @functools.cache
 def _screen_oracle(name: str, e: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """_best_moves on tour k of _screen_tours(name), over the kernel case
-    scaled by 2^e; the table is the same on both index paths."""
-    pts = np.ldexp(KERNEL_CASES[name], e)
-    return _best_moves(pts, list(_screen_tours(name)[k]), _NeighbourIndex(pts).table)
+    """_best_moves on tour k of _screen_tours(name), over the sites of the
+    index of the kernel case scaled by 2^e; the table is the same on both
+    index paths."""
+    index = _NeighbourIndex(np.ldexp(KERNEL_CASES[name], e))
+    return _best_moves(index.sites, list(_screen_tours(name)[k]), index.table)
 
 
 class TestScreen:
@@ -1030,15 +1043,13 @@ class TestScreen:
     def test_unflagged_points_have_no_move(self, name, monkeypatch):
         for dense_max, e, tours in SCREEN_RUNS:
             monkeypatch.setattr(tsp, "_DENSE_MAX", dense_max)
-            pts = np.ldexp(KERNEL_CASES[name], e)
-            index = _NeighbourIndex(pts)
-            eps = _move_eps(pts)
+            index = _NeighbourIndex(np.ldexp(KERNEL_CASES[name], e))
             for k, tour in enumerate(map(list, _screen_tours(name)[:tours])):
                 best, _ = _screen_oracle(name, e, k)
-                flags = _screen(pts, tour, index, eps)
-                assert not (best[~flags] < -eps).any(), (dense_max, e)
+                flags = _screen(index, tour)
+                assert not (best[~flags] < -_IMPROVE_EPS).any(), (dense_max, e)
 
-    def test_flags_moves_at_the_threshold(self):
+    def test_flags_moves_at_the_threshold(self, monkeypatch):
         # with eps one ulp short of a move's |delta|, improve takes that move
         # and the screen must flag it: at the first two such points of each
         # tour, and at every move that np.hypot reads shallower than
@@ -1048,10 +1059,11 @@ class TestScreen:
             index = _NeighbourIndex(pts)
             for k, tour in enumerate(map(list, _screen_tours(name))):
                 best, best_np = _screen_oracle(name, 0, k)
-                probe = np.isfinite(best) & (best <= -_move_eps(pts))
+                probe = np.isfinite(best) & (best <= -_IMPROVE_EPS)
                 for a in np.flatnonzero(probe & ((np.cumsum(probe) <= 2) | (best_np > best))):
                     eps = float(np.nextafter(-best[a], 0))
-                    flags = _screen(pts, tour, index, eps)
+                    monkeypatch.setattr(tsp, "_IMPROVE_EPS", eps)
+                    flags = _screen(index, tour)
                     assert flags[a] and not (best[~flags] < -eps).any(), (name, a)
                     shallow += best_np[a] > best[a]
         assert shallow >= 3
@@ -1059,8 +1071,7 @@ class TestScreen:
     def test_few_flags_at_a_local_optimum(self):
         pts = KERNEL_CASES["random-300"]
         index = _NeighbourIndex(pts)
-        tour = _local_search(pts, _neighbour_walk(index, 0), index)
-        flags = _screen(pts, tour, index, _move_eps(pts))
+        flags = _screen(index, _local_search(index, _neighbour_walk(index, 0)))
         assert flags.sum() < 0.1 * len(pts)
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
@@ -1069,21 +1080,19 @@ class TestScreen:
         # call by call, with cleared calls empty where the reference's moved
         # nothing; with every point flagged, the reference's log bit for bit
         monkeypatch.setattr(tsp, "_DENSE_MAX", 0)
-        pts = KERNEL_CASES[name]
-        index = _NeighbourIndex(pts)
-        eps = _move_eps(pts)
-        def flag_all(pts, tour, index, eps):
+        index = _NeighbourIndex(KERNEL_CASES[name])
+        def flag_all(index, tour):
             return np.ones(len(tour), dtype=bool)
 
         walk, _, swapped = map(list, _screen_tours(name))
         for start in (walk, swapped):
-            ref, ref_calls = _logged_run(_local_search_reference, pts, start, index.table)
-            tour, calls = _logged_run(_local_search, pts, start, index)
+            ref, ref_calls = _logged_run(_local_search_reference, index.sites, start, index.table)
+            tour, calls = _logged_run(_local_search, index, start)
             assert tour == ref, start
-            _assert_same_moves(ref_calls, calls, eps)
+            _assert_same_moves(ref_calls, calls)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(tsp, "_screen", flag_all)
-                assert _logged_run(_local_search, pts, start, index) == (ref, ref_calls)
+                assert _logged_run(_local_search, index, start) == (ref, ref_calls)
 
 
 def _tsp_exact_reference(points):
@@ -1198,37 +1207,50 @@ class TestTwoOptScale:
         return np.outer(rng.random(30) * scale, u)
 
     def test_threshold_scales_with_coordinates(self, monkeypatch):
-        # the search sees the sites at unit scale, so its threshold is
-        # _IMPROVE_EPS there, follows the points' power of two, and leaves
-        # the tour as it is at every power-of-two scale
+        # the search sees the sites at unit scale, the same bits at every
+        # power of two, so its threshold is _IMPROVE_EPS there, follows the
+        # points' power of two, and leaves the tour as it is
         seen = []
 
         def spy(pts):
-            seen.append(move_eps(pts))
-            return seen[-1]
+            index = real(pts)
+            seen.append(index.sites.tobytes())
+            return index
 
-        move_eps = tsp._move_eps
-        monkeypatch.setattr(tsp, "_move_eps", spy)
+        real = tsp._NeighbourIndex
+        monkeypatch.setattr(tsp, "_NeighbourIndex", spy)
         for pts in (np.random.default_rng(79).random((300, 2)), self._collinear_far(1e5)):
+            seen.clear()
             base = tsp_heuristic(_as_points(pts), seed=0).order
             for e in (-560, -200, 30, 400):
                 assert tsp_heuristic(_as_points(np.ldexp(pts, e)), seed=0).order == base
-        assert seen == [_IMPROVE_EPS] * 10
+            assert seen == seen[:1] * 5
+            assert 0.5 <= np.abs(np.frombuffer(seen[0])).max() < 1
 
     def test_direct_search_follows_a_power_of_two(self):
-        # _local_search on raw sites at 2^-200 takes the moves it takes at
-        # unit scale; a threshold floored at 1e-12 there took none and
-        # returned the start walk
+        # a search over sites given at 2^-200 takes the moves it takes at
+        # unit scale, delta bits and all: its index brings them back. A
+        # threshold floored at 1e-12 at 2^-200 took none and returned the
+        # start walk
         pts = np.random.default_rng(83).random((300, 2))
-        tours = []
+        runs = []
         for e in (0, -200):
-            sites = np.ldexp(pts, e)
-            index = _NeighbourIndex(sites)
+            index = _NeighbourIndex(np.ldexp(pts, e))
             walk = _neighbour_walk(index, 0)
-            tours.append((walk, _local_search(sites, walk, index)))
-        assert tours[1] == tours[0]
-        assert tours[0][1] != tours[0][0]
-        assert _move_eps(np.ldexp(pts, -200)) == math.ldexp(_IMPROVE_EPS, -200)
+            runs.append((walk, _logged_run(_local_search, index, walk)))
+        assert runs[1] == runs[0]
+        walk, (tour, _) = runs[0]
+        assert tour != walk
+
+    def test_one_scale_rule(self):
+        # unit_scale runs once per heuristic tour, in _NeighbourIndex, and
+        # the search and the screen take only the index and a tour
+        source = inspect.getsource(tsp)
+        assert source.count("unit_scale(") == 1
+        assert "unit_scale(" in inspect.getsource(_NeighbourIndex.__init__)
+        assert not hasattr(tsp, "_move_eps")
+        for f in (_local_search, _screen):
+            assert list(inspect.signature(f).parameters) == ["index", "tour"]
 
     def test_tiny_coordinates_are_fast(self):
         # at 1e-170 the squared distances underflowed to 0, and the
