@@ -26,17 +26,18 @@ heuristic tour, that saves touring the terminals a second time.
 math.inf is the distinguished "unclipped" R value; the set {d >= inf} is
 empty and T*_inf = 0 exactly.
 
-BoundContext assembles the Bound(value, certified) records of one instance
-for one (tsp_mode, seed): D once, each rad_R once per R and each T*_R once
-per point set, so T*_0 serves lb_r0, every upper bound, and lb_rstar where
-R* keeps every terminal. Where T*_0 is exact, the context keeps the one
-Held-Karp table it is read from, held_karp(terminals[1:], terminals[0]) as
-tsp_exact builds it, and reads from it every T*_R whose set holds terminal
-0 (tsp.held_karp_tour): tsp_exact over that set, bit for bit, without a
-second table. A set without terminal 0 keeps tsp_dispatch. Callers make a
-fresh context per instance and drop it afterwards; nothing is cached across
-contexts.
-lower_bound, upper_bound_formula and compute_bounds are one-shot wrappers.
+BoundContext.local is the one implementation of T*_R. A context assembles
+the Bound(value, certified) records of one instance for one (tsp_mode,
+seed): D once, each rad_R once per R and each T*_R once per point set, so
+T*_0 serves lb_r0, every upper bound, and lb_rstar where R* keeps every
+terminal. Where T*_0 is exact, the context keeps the one Held-Karp table it
+is read from, held_karp(terminals[1:], terminals[0]) as tsp_exact builds
+it, and reads from it every T*_R whose set holds terminal 0
+(tsp.held_karp_tour): tsp_exact over that set, bit for bit, without a
+second table. Callers make a fresh context per instance and drop it
+afterwards; nothing is cached across contexts.
+local_cost, lower_bound, upper_bound_formula and compute_bounds are
+one-shot wrappers.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .closedform import choose_radius
-from .geometry import Instance, Point, Solution, as_xy, check_int, diameter, field_text
+from .geometry import (
+    Instance, Point, Solution, as_xy, check_feasible, check_int, diameter, field_text,
+)
 from .itp import itp_solve
 from .tsp import (
     HeldKarp, check_tsp_mode, cycle_length, dispatch_certified, dispatch_exact, held_karp,
@@ -87,36 +90,9 @@ def local_subset(instance: Instance, R: float) -> list[int]:
     return [i for i, d in enumerate(instance.depot_distances) if d >= R]
 
 
-def local_cost(
-    instance: Instance, R: float, tsp_mode: str = "auto", seed: int = 0,
-    itp: Solution | None = None, table: HeldKarp | None = None,
-) -> Bound:
-    """Bound(T*_R, certified): the length of tsp_dispatch's tour over the >=R
-    terminals, certified iff that tour is provably optimal. Where that set is
-    every terminal (R = 0, or any R up to the nearest depot distance) and the
-    tour would be uncertified, it is instead cycle_length of `itp`'s routes
-    concatenated in route order, uncertified: `itp` is ITP's solution of
-    this instance, mode and seed, solved here when None. `table`, if given,
-    is BoundContext.table of this instance and mode; a set that holds
-    terminal 0 is then read from it by tsp.held_karp_tour, tsp_dispatch's
-    tour bit for bit. tsp_mode and seed are checked on entry, on every path
-    (tsp.check_tsp_mode, geometry.check_int)."""
-    check_tsp_mode(tsp_mode)
-    seed = check_int(seed, "seed")
-    subset = local_subset(instance, R)
-    if table is not None and subset[:1] == [0]:
-        mask = sum(1 << (i - 1) for i in subset[1:])
-        return Bound(held_karp_tour(instance.terminals, table, mask).length, True)
-    points = [instance.terminals[i] for i in subset]
-    if len(points) == instance.n and not dispatch_certified(xy := as_xy(points), tsp_mode):
-        if itp is None:
-            itp = itp_solve(instance, tsp_mode, seed)
-        order = [i for tour in itp.tours for i in tour.indices]
-        if sorted(order) != list(range(instance.n)):
-            raise ValueError("itp must visit every terminal exactly once")
-        return Bound(cycle_length(xy, order), False)
-    result = tsp_dispatch(points, mode=tsp_mode, seed=seed)
-    return Bound(result.length, result.certified_optimal)
+def local_cost(instance: Instance, R: float, tsp_mode: str = "auto", seed: int = 0) -> Bound:
+    """BoundContext.local on a fresh context: Bound(T*_R, certified)."""
+    return BoundContext(instance, tsp_mode, seed).local(R)
 
 
 def instance_diameter(instance: Instance) -> float:
@@ -155,16 +131,16 @@ BoundsReport.CSV_HEADER = ",".join(f.name for f in fields(BoundsReport))
 class BoundContext:
     """The bound ingredients of one instance: D once, rad_R per R, T*_R per point set.
 
-    Values come from local_cost, radial_cost and instance_diameter, so every
-    bound equals, bit for bit, what the one-shot functions return. On the
-    exact path the context keeps `table`, T*_0's Held-Karp table, and hands
-    it to local_cost for every set that holds terminal 0, so one table
-    serves T*_0, lb_rstar and every other such T*_R. `itp`, if
-    given, is ITP's solution of the same instance, tsp_mode and seed; where
-    T*_R over every terminal is ITP's tour (see the module docstring: an
-    uncertified upper estimate), the context reads it from `itp`, and
-    without it solves ITP itself on first need. tsp_mode and seed are
-    checked on construction, as in local_cost.
+    `local` is the one implementation of T*_R (see the module docstring);
+    rad_R and D come from radial_cost and instance_diameter, so every bound
+    equals, bit for bit, what the one-shot functions return. On the exact
+    path the context keeps `table`, T*_0's Held-Karp table, and reads from
+    it every set that holds terminal 0, so one table serves T*_0, lb_rstar
+    and every other such T*_R. `itp`, if given, is ITP's solution of the
+    same instance, tsp_mode and seed, checked by geometry.check_feasible;
+    where T*_R over every terminal is ITP's tour, the context reads it from
+    `itp`, and without it solves ITP itself on first need. tsp_mode and seed
+    are checked on construction.
     """
 
     def __init__(self, instance: Instance, tsp_mode: str = "auto", seed: int = 0,
@@ -173,6 +149,11 @@ class BoundContext:
         self.instance = instance
         self.tsp_mode = tsp_mode
         self.seed = check_int(seed, "seed")
+        if itp is not None:
+            try:
+                check_feasible(instance, itp)
+            except ValueError as exc:
+                raise ValueError(f"itp must be a solution of this instance: {exc}") from None
         self.itp = itp
         self._local: dict[int, Bound] = {}  # by the size of the >=R set
         self._radial: dict[float, float] = {}
@@ -193,14 +174,30 @@ class BoundContext:
         return held_karp(terminals[1:], terminals[0])
 
     def local(self, R: float) -> Bound:
-        """T*_R, as local_cost, once per >=R set: the sets nest, so a size
-        names one. A set that holds terminal 0 is read from `table`."""
+        """Bound(T*_R, certified), once per >=R set (the sets nest, so a size
+        names one): read from `table` where the set holds terminal 0, ITP's
+        tour (uncertified) where the set is every terminal and tsp_dispatch
+        would not certify it, and tsp_dispatch's tour otherwise."""
         subset = local_subset(self.instance, R)
-        if len(subset) not in self._local:
-            table = self.table if subset[:1] == [0] else None
-            self._local[len(subset)] = local_cost(self.instance, R, self.tsp_mode,
-                                                  self.seed, self.itp, table)
-        return self._local[len(subset)]
+        size = len(subset)
+        if size in self._local:
+            return self._local[size]
+        terminals = self.instance.terminals
+        points = [terminals[i] for i in subset]
+        if subset[:1] == [0] and self.table is not None:
+            mask = sum(1 << (i - 1) for i in subset[1:])
+            bound = Bound(held_karp_tour(terminals, self.table, mask).length, True)
+        elif size == self.instance.n and not dispatch_certified(
+                xy := as_xy(points), self.tsp_mode):
+            if self.itp is None:
+                self.itp = itp_solve(self.instance, self.tsp_mode, self.seed)
+            order = [i for tour in self.itp.tours for i in tour.indices]
+            bound = Bound(cycle_length(xy, order), False)
+        else:
+            result = tsp_dispatch(points, mode=self.tsp_mode, seed=self.seed)
+            bound = Bound(result.length, result.certified_optimal)
+        self._local[size] = bound
+        return bound
 
     def radial(self, R: float) -> float:
         R = _check_radius(R)

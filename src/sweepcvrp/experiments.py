@@ -23,6 +23,7 @@ the brute-force optimum. Comment lines (`#`) are caveats the parser skips.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import astuple, dataclass, field, fields
 from typing import TextIO
 
@@ -79,15 +80,18 @@ def gen_instance(n: int, k: int, depot: Point, seed: int) -> Instance:
 
 
 def resolve_k(n: int, k_fixed: int | None = None, k_alpha: float | None = None) -> int:
-    """Fixed integer capacity, or k = ceil(n^alpha) for alpha in [0, 1]."""
+    """Fixed integer capacity, or k = ceil(n^alpha) for alpha in [0, 1]: any
+    numbers.Real k_alpha in that range, read as a float."""
     if (k_fixed is None) == (k_alpha is None):
         raise ValueError("specify exactly one of k_fixed, k_alpha")
     if k_fixed is not None:
         k = check_int(k_fixed, "k_fixed")
     else:
-        if not 0.0 <= k_alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {k_alpha}")
-        k = math.ceil(n ** k_alpha) if n > 0 else 1
+        if not isinstance(k_alpha, numbers.Real):
+            raise ValueError(f"k_alpha must be a real number, got {k_alpha!r}")
+        if not 0.0 <= k_alpha <= 1.0:  # also rejects nan
+            raise ValueError(f"k_alpha must be in [0, 1], got {k_alpha}")
+        k = math.ceil(n ** float(k_alpha)) if n > 0 else 1
     if not 1 <= k <= max(n, 1):
         raise ValueError(f"k = {k} outside 1..max(n,1) for n = {n}")
     return k

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from dataclasses import asdict
@@ -388,10 +389,9 @@ class TestTspModeChecked:
             lambda: upper_bound_formula(self.ONE, 2, "bogus"),
             lambda: local_cost(self.ONE, 0.0, "bogus"),
             lambda: BoundContext(self.ONE, "bogus").local(0.5),
-            # checked on entry: at construction, and where a given Held-Karp
-            # table skips tsp_dispatch
+            # checked on construction, before any branch of T*_R
             lambda: BoundContext(self.ONE, "bogus"),
-            lambda: local_cost(self.THREE, 0.0, "bogus", table=BoundContext(self.THREE).table),
+            lambda: BoundContext(self.THREE, "bogus"),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="unknown tsp mode: 'bogus'"):
@@ -427,24 +427,32 @@ class TestBoundContext:
 
     @pytest.fixture
     def ingredient_calls(self, monkeypatch):
-        """(name, R) of every local_cost, radial_cost and instance_diameter
-        call made through the bounds module."""
+        """Every tour, radial_cost and instance_diameter call made through
+        the bounds module: ("tour", size of the toured set) for a
+        tsp_dispatch, held_karp_tour or itp_solve, (name, R) otherwise."""
         import sweepcvrp.bounds as bounds
 
         calls = []
-        for name in ("local_cost", "radial_cost", "instance_diameter"):
+        sizes = {"tsp_dispatch": lambda points, *_, **__: len(points),
+                 "held_karp_tour": lambda _terminals, _table, mask: 1 + mask.bit_count(),
+                 "itp_solve": lambda instance, *_: instance.n}
+        for name in (*sizes, "radial_cost", "instance_diameter"):
             real = getattr(bounds, name)
 
-            def counted(*args, _real=real, _name=name):
-                calls.append((_name, args[1] if len(args) > 1 else None))
-                return _real(*args)
+            def counted(*args, _real=real, _name=name, **kwargs):
+                if _name in sizes:
+                    calls.append(("tour", sizes[_name](*args, **kwargs)))
+                else:
+                    calls.append((_name, args[1] if len(args) > 1 else None))
+                return _real(*args, **kwargs)
 
             monkeypatch.setattr(bounds, name, counted)
         return calls
 
     def test_each_ingredient_computed_once(self, ingredient_calls):
         # T*_R once per point set: every CROSS terminal is at distance 1, so
-        # R = 0 and R = 0.5 keep the same set (one local_cost for both)
+        # R = 0 and R = 0.5 keep the same set (one tour of 4 for both; the
+        # set {d >= inf} is empty)
         ctx = BoundContext(CROSS)
         for R in (0.0, 0.5, math.inf):
             ctx.lower(R)
@@ -452,15 +460,14 @@ class TestBoundContext:
         ctx.upper(2)
         ctx.report(0.0, 2)
         assert sorted(ingredient_calls, key=repr) == sorted([
-            ("local_cost", 0.0), ("local_cost", math.inf),
+            ("tour", 4), ("tour", 0),
             ("radial_cost", 0.0), ("radial_cost", 0.5), ("radial_cost", math.inf),
             ("instance_diameter", None),
         ], key=repr)
 
     def test_compute_bounds_at_zero_tours_once(self, ingredient_calls):
         compute_bounds(CROSS, 0.0, 2)
-        assert [c for c in ingredient_calls if c[0] == "local_cost"] == [
-            ("local_cost", 0.0)]
+        assert [c for c in ingredient_calls if c[0] == "tour"] == [("tour", 4)]
 
     def test_validation_matches_one_shot(self):
         ctx = BoundContext(CROSS)
@@ -476,7 +483,7 @@ class TestBoundContext:
                 compute_bounds(inst, R, 0)
         with pytest.raises(ValueError, match="R must be"):
             compute_bounds(inst, -1.0, 2)
-        assert [c for c in ingredient_calls if c[0] == "local_cost"] == []
+        assert [c for c in ingredient_calls if c[0] == "tour"] == []
 
     def test_invalid_r_rejected_before_any_tour(self, monkeypatch):
         import sweepcvrp.bounds as bounds
@@ -486,6 +493,24 @@ class TestBoundContext:
         with pytest.raises(ValueError, match="R must be"):
             BoundContext(CROSS).lower(-1.0)
         assert tours == []
+
+    def test_one_t_star_rule(self):
+        # BoundContext.local is the one implementation of T*_R: local_cost
+        # takes no table or solution of its own, so a table of another
+        # instance (which certified 4.85 where T*_0 is 3.05) cannot reach it
+        import sweepcvrp.bounds as bounds
+
+        assert list(inspect.signature(local_cost).parameters) == [
+            "instance", "R", "tsp_mode", "seed"]
+        source = inspect.getsource(bounds)
+        local = inspect.getsource(BoundContext.local)
+        for call in ("held_karp_tour(", "itp_solve(", "tsp_dispatch("):
+            assert source.count(call) == local.count(call) >= 1, call
+        assert source.count("check_tsp_mode(") == 1
+        inst = gen_instance(10, 3, Point(0.5, 0.5), 1)
+        foreign = BoundContext(gen_instance(10, 3, Point(0.5, 0.5), 2)).table
+        with pytest.raises(TypeError):
+            local_cost(inst, 0.0, table=foreign)
 
     def test_cached_sets_do_not_admit_an_invalid_r(self):
         ctx = BoundContext(CROSS)
@@ -659,19 +684,25 @@ class TestShortcutT0:
         itp = itp_solve(inst, "auto", 1)
         solved = []
         monkeypatch.setattr(bounds, "itp_solve", lambda *a: solved.append(a) or itp)
-        value = local_cost(inst, 0.0, "auto", 1, itp)
+        value = BoundContext(inst, "auto", 1, itp).local(0.0)
         assert solved == []
         assert value == local_cost(inst, 0.0, "auto", 1)
         assert solved == [(inst, "auto", 1)]
 
     def test_itp_must_cover_the_terminals(self):
+        # geometry.check_feasible reads a given itp on construction: a
+        # solution that leaves terminals out, one of a larger instance, and
+        # one of another instance of the same n (its tour lengths are not
+        # this instance's; it moved lb_r0 from -0.45 to 17.05) are refused
         inst = gen_instance(40, 4, Point(0.5, 0.5), 1)
         itp = itp_solve(inst)
         short = Solution(itp.tours[1:])
-        with pytest.raises(ValueError, match="every terminal exactly once"):
-            local_cost(inst, 0.0, itp=short)
-        with pytest.raises(ValueError, match="every terminal exactly once"):
-            BoundContext(gen_instance(41, 4, Point(0.5, 0.5), 1), itp=itp).upper(1)
+        foreign = itp_solve(gen_instance(40, 4, Point(0.5, 0.5), 2))
+        for instance, solution in ((inst, short), (inst, foreign),
+                                   (gen_instance(41, 4, Point(0.5, 0.5), 1), itp)):
+            with pytest.raises(ValueError, match="itp must be a solution of this instance"):
+                BoundContext(instance, itp=solution)
+        assert BoundContext(inst, itp=itp).lower(0.0) == lower_bound(inst, 0.0)
 
     def test_context_with_and_without_itp_agree(self, monkeypatch):
         import sweepcvrp.bounds as bounds

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,19 @@ class TestResolveK:
             resolve_k(10, k_fixed=11)
         with pytest.raises(ValueError):
             resolve_k(100, k_alpha=1.5)
+        # a non-real alpha raised TypeError ('<=' not supported)
+        for bad in ("0.5", 0.5 + 0j, 1j, [0.5]):
+            with pytest.raises(ValueError, match="k_alpha must be a real number, got "):
+                resolve_k(100, k_alpha=bad)
+            with pytest.raises(ValueError, match="k_alpha must be a real number, got "):
+                ExperimentConfig(n=100, depot=Point(0.5, 0.5), M=2, seeds=(0,),
+                                 k_alpha=bad)
+        for bad in (math.nan, -0.5, np.float64(2.0), Fraction(3, 2)):
+            with pytest.raises(ValueError, match="k_alpha must be in \\[0, 1\\]"):
+                resolve_k(100, k_alpha=bad)
+        # any real alpha in [0, 1] reads as its float
+        for alpha in (np.float64(0.5), np.float32(0.5), Fraction(1, 2), True, 0):
+            assert resolve_k(100, k_alpha=alpha) == resolve_k(100, k_alpha=float(alpha))
 
 
 class TestRunRatioExperiment:

@@ -31,8 +31,8 @@ SRC = Path(tsp.__file__).resolve().parent
 O = Point(0.5, 0.5)
 TERMINALS = ((0.1, 0.2), (0.9, 0.3), (0.4, 0.8), (0.7, 0.6), (0.2, 0.5), (0.6, 0.1))
 INST = Instance(terminals=TERMINALS, depot=O, capacity=2)
-TABLE = BoundContext(INST).table  # INST is on the exact path
-# above the exact threshold, T*_0 is ITP's tour, read from a given solution
+# INST is on the exact path; above the exact threshold, T*_0 is ITP's tour,
+# read from a given solution
 INST_ITP = gen_instance(40, 3, O, 0)
 ITP = itp_solve(INST_ITP, "auto", 0)
 _heuristic = tsp.tsp_heuristic  # the original, for the one site that is the tour
@@ -67,9 +67,7 @@ SITES = {
     "lower_bound seed": ("seed", lambda v: lower_bound(INST, 0.0, "auto", v)),
     "upper_bound_formula seed": ("seed", lambda v: upper_bound_formula(INST, 2, "auto", v)),
     "compute_bounds seed": ("seed", lambda v: compute_bounds(INST, 0.0, 2, "auto", v)),
-    "local_cost seed": ("seed", lambda v: local_cost(INST, 0.0, "auto", v, table=TABLE)),
-    "local_cost seed, given itp": (
-        "seed", lambda v: local_cost(INST_ITP, 0.0, "auto", v, ITP)),
+    "local_cost seed": ("seed", lambda v: local_cost(INST, 0.0, "auto", v)),
     "BoundContext seed, given itp": (
         "seed", lambda v: BoundContext(INST_ITP, "auto", v, ITP).lower(0.0)),
     "cvrp_exact_small k": ("capacity", lambda v: cvrp_exact_small(TERMINALS, O, v)),
