@@ -32,10 +32,12 @@ seed): D once, each rad_R once per R and each T*_R once per point set, so
 T*_0 serves lb_r0, every upper bound, and lb_rstar where R* keeps every
 terminal. Where T*_0 is exact, the context keeps the one Held-Karp table it
 is read from, held_karp(terminals[1:], terminals[0]) as tsp_exact builds
-it, and reads from it every T*_R whose set holds terminal 0
-(tsp.held_karp_tour): tsp_exact over that set, bit for bit, without a
-second table. Callers make a fresh context per instance and drop it
-afterwards; nothing is cached across contexts.
+it, and once it is built reads from it every T*_R whose set holds terminal
+0 (tsp.held_karp_tour): tsp_exact over that set, bit for bit, without a
+second table. Before that, such a smaller set takes tsp_dispatch, the same
+bits without the whole table (a one-shot local_cost or lower_bound). Callers
+make a fresh context per instance and drop it afterwards; nothing is cached
+across contexts.
 local_cost, lower_bound, upper_bound_formula and compute_bounds are
 one-shot wrappers.
 """
@@ -134,13 +136,13 @@ class BoundContext:
     `local` is the one implementation of T*_R (see the module docstring);
     rad_R and D come from radial_cost and instance_diameter, so every bound
     equals, bit for bit, what the one-shot functions return. On the exact
-    path the context keeps `table`, T*_0's Held-Karp table, and reads from
-    it every set that holds terminal 0, so one table serves T*_0, lb_rstar
-    and every other such T*_R. `itp`, if given, is ITP's solution of the
-    same instance, tsp_mode and seed, checked by geometry.check_feasible;
-    where T*_R over every terminal is ITP's tour, the context reads it from
-    `itp`, and without it solves ITP itself on first need. tsp_mode and seed
-    are checked on construction.
+    path the context keeps `table`, T*_0's Held-Karp table, and once T*_0
+    has built it reads from it every set that holds terminal 0, so one
+    table serves T*_0, lb_rstar and every other such T*_R. `itp`, if
+    given, is ITP's solution of the same instance, tsp_mode and seed,
+    checked by geometry.check_feasible; where T*_R over every terminal is
+    ITP's tour, the context reads it from `itp`, and without it solves ITP
+    itself on first need. tsp_mode and seed are checked on construction.
     """
 
     def __init__(self, instance: Instance, tsp_mode: str = "auto", seed: int = 0,
@@ -175,18 +177,22 @@ class BoundContext:
 
     def local(self, R: float) -> Bound:
         """Bound(T*_R, certified), once per >=R set (the sets nest, so a size
-        names one): read from `table` where the set holds terminal 0, ITP's
-        tour (uncertified) where the set is every terminal and tsp_dispatch
-        would not certify it, and tsp_dispatch's tour otherwise."""
+        names one): read from `table` where the set holds terminal 0 and is
+        every terminal or the table is built already, ITP's tour
+        (uncertified) where the set is every terminal and tsp_dispatch would
+        not certify it, and tsp_dispatch's tour otherwise."""
         subset = local_subset(self.instance, R)
         size = len(subset)
         if size in self._local:
             return self._local[size]
         terminals = self.instance.terminals
         points = [terminals[i] for i in subset]
-        if subset[:1] == [0] and self.table is not None:
+        # a smaller set reads T*_0's table only once it is built: tsp_dispatch
+        # gives it the same bits without the whole table
+        table = self.table if size == self.instance.n else vars(self).get("table")
+        if subset[:1] == [0] and table is not None:
             mask = sum(1 << (i - 1) for i in subset[1:])
-            bound = Bound(held_karp_tour(terminals, self.table, mask).length, True)
+            bound = Bound(held_karp_tour(terminals, table, mask).length, True)
         elif size == self.instance.n and not dispatch_certified(
                 xy := as_xy(points), self.tsp_mode):
             if self.itp is None:

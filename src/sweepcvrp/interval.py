@@ -31,25 +31,28 @@ propagates through every later operation; v_A1's isfinite test sends such
 lanes to its crude fallback, and the net verifier counts any non-finite
 margin as a failure, so a NaN can never read as a pass.
 
-The helpers allocate little: on a batch (float64 arrays of one shape, see
-_batch) a step writes into an array that it, or the v_* function that called
+The working representation is a pair (lo, hi) of float64 arrays of one shape;
+a constant, such as _V_SIXTH or V_PI, is a pair of Python floats that
+broadcasts against them. The `v_*` functions, which operate elementwise on
+such pairs, do all of the arithmetic, so the same code evaluates one depot
+position (a one-lane pair) or the net verifier's vectorized batches of
+millions. Every operation takes at least one array pair, so each of its
+endpoint results (sums, products, function values) is a fresh array of the
+operands' common shape. That gives each helper one body, which allocates
+little: a step writes into an array that it, or the v_* function that called
 it, has just made, and never into an argument; v_point hands one array to
 both ends, and the net scan passes exactly that. The outward step computes
 |z| 2^-52, the max with 2^-1074 and the final -/+ in the array np.abs
 allocated, _hull4 reduces v_mul's and v_div's four endpoint results into two
 of them, and v_sqr, v_sqrt, v_log, v_arccos and v_arcsin reuse their own
-temporaries. Python floats, 0-d values and operands that broadcast take the
-plain expressions. The operations and their order are the same either way,
-so every result keeps its bits and the argument above is unchanged.
+temporaries. An in-place step is the same IEEE operation as its plain
+expression, so the argument above holds for it as stated.
 
-The working representation is a pair (lo, hi) of binary64 scalars or numpy
-arrays; the `v_*` functions, which operate elementwise on such pairs, do all
-of the arithmetic, so the same code evaluates one depot position or the net
-verifier's vectorized batches of millions. `Interval` is only the result type
-handed to callers (of `iv_g`, `netverify.verify_point` and
-`netverify.lipschitz_slacks`): a checked scalar pair with lo <= hi. The two
-depot entry points build it through `enclosure`, which turns a pair with a
-NaN end into the whole real line, a valid if useless enclosure.
+`Interval` is only the result type handed to callers (of `iv_g`,
+`netverify.verify_point` and `netverify.lipschitz_slacks`): a checked scalar
+pair with lo <= hi. Each is built from a one-lane kernel pair by `enclosure`,
+which turns a pair with a NaN end into the whole real line, a valid if
+useless enclosure.
 
 The triangle integral A1 has one kernel, v_A1. Its callers compute each
 hypotenuse once (v_hyp) and share it between a mirrored pair A1(p, q),
@@ -100,42 +103,27 @@ PI_HI = math.nextafter(math.pi, math.inf)
 
 _ULP_SCALE = 2.0 ** -52  # |x| * 2^-52 >= ulp(x) for every normal x
 _ETA = 2.0 ** -1074      # smallest subnormal: the ulp of zero and subnormals
-_F64 = np.dtype(np.float64)
-
-
-def _batch(*xs) -> bool:
-    """Whether the helpers may compute in buffers of their own: every x is a
-    float64 numpy array with at least one dimension, all of one shape.
-    Python floats, 0-d values and operands that broadcast against each other
-    take the plain expressions."""
-    x0 = xs[0]
-    if type(x0) is not np.ndarray or x0.dtype is not _F64 or not x0.ndim:
-        return False
-    return all(type(x) is np.ndarray and x.dtype is _F64 and x.shape == x0.shape
-               for x in xs[1:])
 
 
 def _offset(x, ulps, out=None):
     """max(|x| ulps 2^-52, ulps 2^-1074); ulps is a power of two, so both
-    constants are exact. On a batch the three steps run in `out` (a float64
-    array of x's shape that is not x) or in the array np.abs allocates."""
-    if out is None and not _batch(x):
-        return np.maximum(np.abs(x) * (ulps * _ULP_SCALE), ulps * _ETA)
+    constants are exact. The three steps run in `out` (a float64 array of
+    x's shape that is not x) or in the array np.abs allocates."""
     out = np.abs(x, out=out)
     np.multiply(out, ulps * _ULP_SCALE, out=out)
     return np.maximum(out, ulps * _ETA, out=out)
 
 
 def _dn(x, ulps, out=None):
-    # an array offset is this call's own (or the caller's `out`), so the
+    # the offset is this call's own array (or the caller's `out`), so the
     # result may go into it
     off = _offset(x, ulps, out)
-    return np.subtract(x, off, out=off) if type(off) is np.ndarray else x - off
+    return np.subtract(x, off, out=off)
 
 
 def _up(x, ulps, out=None):
     off = _offset(x, ulps, out)
-    return np.add(x, off, out=off) if type(off) is np.ndarray else x + off
+    return np.add(x, off, out=off)
 
 
 def _dn1(x, out=None):
@@ -148,21 +136,16 @@ def _up1(x, out=None):
 
 def _outward(lo, hi, ulps):
     """(_dn(lo, ulps), _up(hi, ulps)) for a lo and hi that the caller has
-    just made; on a batch, _up works in lo's array once _dn has read it."""
+    just made; _up works in lo's array once _dn has read it."""
     down = _dn(lo, ulps)
-    return down, _up(hi, ulps, lo if _batch(lo, hi) else None)
-
-
-def _mine(x):
-    """The `out` for an elementwise step on x, an array the caller has just
-    made: x itself on a batch, else None (the step allocates)."""
-    return x if _batch(x) else None
+    return down, _up(hi, ulps, lo)
 
 
 # --- elementwise interval kernel ---------------------------------------------
-# An interval batch is a pair (lo, hi) of equal-shaped float64 arrays (or
-# python/numpy scalars). Soundness contract: for inputs x in [xlo, xhi] the
-# exact real result lies in the returned [lo, hi].
+# An interval is a pair (lo, hi) of float64 arrays of one shape, or a
+# constant pair of Python floats that broadcasts against them (an operation
+# takes at least one array). Soundness contract: for inputs x in [xlo, xhi]
+# the exact real result lies in the returned [lo, hi].
 
 def v_point(x):
     """Degenerate interval around an exact binary64 value."""
@@ -184,12 +167,8 @@ def v_neg(a):
 def _hull4(p1, p2, p3, p4):
     """Enclosure of a product or quotient from its four endpoint results
     (each rounded to nearest): their min and max, moved outward by
-    _dn1/_up1. The results are v_mul's or v_div's own arrays; on a batch the
-    min and max are reduced into them, with one array more."""
-    if not _batch(p1, p2, p3, p4):
-        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        return _dn1(lo), _up1(hi)
+    _dn1/_up1. The results are v_mul's or v_div's own arrays, and the min
+    and max are reduced into them, with one array more."""
     lo = np.minimum(p1, p2)
     hi = np.maximum(p1, p2, out=p1)
     np.minimum(lo, np.minimum(p3, p4, out=p2), out=lo)
@@ -210,13 +189,6 @@ def v_sqr(a):
     """Elementwise square; tighter than v_mul(a, a) for sign-straddling
     inputs since x*x never goes negative."""
     straddles = (a[0] < 0.0) & (a[1] > 0.0)
-    if not _batch(*a):
-        alo_abs = np.abs(a[0])
-        ahi_abs = np.abs(a[1])
-        m = np.minimum(alo_abs, ahi_abs)
-        M = np.maximum(alo_abs, ahi_abs)
-        lo = np.where(straddles, 0.0, np.maximum(0.0, _dn1(m * m)))
-        return lo, _up1(M * M)
     t = np.abs(a[0])
     M = np.abs(a[1])
     m = np.minimum(t, M)
@@ -230,9 +202,8 @@ def v_sqrt(a):
     """Elementwise sqrt; the radicand's lower end is clamped at 0."""
     lo_in = np.maximum(a[0], 0.0)
     hi_in = np.maximum(a[1], 0.0)
-    lo, hi = _outward(np.sqrt(lo_in, out=_mine(lo_in)),
-                      np.sqrt(hi_in, out=_mine(hi_in)), 4.0)
-    return np.maximum(0.0, lo, out=_mine(lo)), hi
+    lo, hi = _outward(np.sqrt(lo_in, out=lo_in), np.sqrt(hi_in, out=hi_in), 4.0)
+    return np.maximum(0.0, lo, out=lo), hi
 
 
 def v_log(a):
@@ -245,16 +216,14 @@ def v_arccos(a):
     # decreasing; inputs clamped to [-1, 1]
     lo_in = np.clip(a[0], -1.0, 1.0)
     hi_in = np.clip(a[1], -1.0, 1.0)
-    return _outward(np.arccos(hi_in, out=_mine(hi_in)),
-                    np.arccos(lo_in, out=_mine(lo_in)), 4.0)
+    return _outward(np.arccos(hi_in, out=hi_in), np.arccos(lo_in, out=lo_in), 4.0)
 
 
 def v_arcsin(a):
     # increasing; inputs clamped to [-1, 1]
     lo_in = np.clip(a[0], -1.0, 1.0)
     hi_in = np.clip(a[1], -1.0, 1.0)
-    return _outward(np.arcsin(lo_in, out=_mine(lo_in)),
-                    np.arcsin(hi_in, out=_mine(hi_in)), 4.0)
+    return _outward(np.arcsin(lo_in, out=lo_in), np.arcsin(hi_in, out=hi_in), 4.0)
 
 
 def v_ratio(p: int, q: int) -> tuple[float, float]:
@@ -277,7 +246,8 @@ _V_TWO_THIRDS = v_ratio(2, 3)
 _V_THREE_QUARTERS = v_ratio(3, 4)
 _V_ONE = (1.0, 1.0)
 _V_ZERO = (np.float64(0.0), np.float64(0.0))
-_V_TWO_THIRDS_PI = (_dn1(PI_LO * _V_TWO_THIRDS[0]), _up1(PI_HI * _V_TWO_THIRDS[1]))
+_V_TWO_THIRDS_PI = (_dn1(np.array([PI_LO * _V_TWO_THIRDS[0]])).item(),
+                    _up1(np.array([PI_HI * _V_TWO_THIRDS[1]])).item())
 
 
 def _piecewise(shape, outputs, cases):
@@ -286,8 +256,8 @@ def _piecewise(shape, outputs, cases):
     of the batch's shape. A branch is either a tuple of intervals, one per
     output (constants, or lanes computed already), or a function that
     computes that tuple on the guard's lanes only: it is called with `take`,
-    which maps an interval of the batch's shape to those lanes (a 0-d end
-    passes unchanged, so constants broadcast), and it is not called at all
+    which maps an interval of the batch's shape to those lanes (a constant
+    passes unchanged and still broadcasts), and it is not called at all
     when the guard holds on no lane. Every output starts as the empty
     interval (inf, -inf), and each case is merged into it in order."""
     size = math.prod(shape)
@@ -380,9 +350,8 @@ def _axis(h) -> _Axis:
         return (v_add(pma, v_add(a0, a0)),
                 v_add(v_mul(_V_TWO_THIRDS, pma), v_add(a1, a1)))
 
-    shape = np.broadcast(h[0], h[1]).shape
-    b0, b1 = _piecewise(shape, 2, ((has_low, (_V_ZERO, _V_ZERO)), (has_mid, mid),
-                                   (has_high, (V_PI, _V_TWO_THIRDS_PI))))
+    b0, b1 = _piecewise(h[0].shape, 2, ((has_low, (_V_ZERO, _V_ZERO)), (has_mid, mid),
+                                        (has_high, (V_PI, _V_TWO_THIRDS_PI))))
     return _Axis(h=h, sq=v_sqr(h), c=c, b0=b0, b1=b1)
 
 
@@ -502,17 +471,17 @@ def iv_g(j: int, a: float, b: float) -> Interval:
     numeric check, and the closedform values."""
     if j not in (1, 2, 3):
         raise ValueError(f"j must be 1, 2 or 3, got {j}")
-    check_coordinates([(a, b)], "depot")
+    x, y = check_coordinates([(a, b)], "depot").T  # one lane each
     with np.errstate(over="ignore", invalid="ignore"):
-        g = v_g_all(v_point(np.float64(a)), v_point(np.float64(b)))[j - 1]
+        g = v_g_all(v_point(x), v_point(y))[j - 1]
     return enclosure(g)
 
 
 def enclosure(v) -> Interval:
-    """The Interval of a 0-d enclosure v = (lo, hi). An end that overflow
-    made NaN (inf - inf, 0 * inf) carries no bound, so the enclosure widens
-    to the whole real line."""
-    lo, hi = float(v[0]), float(v[1])
+    """The Interval of a one-lane enclosure v = (lo, hi). An end that
+    overflow made NaN (inf - inf, 0 * inf) carries no bound, so the
+    enclosure widens to the whole real line."""
+    lo, hi = v[0].item(), v[1].item()
     if math.isnan(lo) or math.isnan(hi):
         return Interval(-math.inf, math.inf)
     return Interval(lo, hi)

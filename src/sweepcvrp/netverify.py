@@ -98,7 +98,7 @@ class PointCheck:
 
 def _margins(a, b):
     """Enclosures of g2 - (31/48) g1 and g3 - 31/48 at the depots (a, b),
-    binary64 scalars or arrays."""
+    float64 arrays of one shape."""
     g1, g2, g3 = v_g_all(v_point(a), v_point(b))
     return v_sub(g2, v_mul(_V_31_48, g1)), v_sub(g3, _V_31_48)
 
@@ -114,9 +114,9 @@ def verify_point(a: float, b: float) -> PointCheck:
     rule against THRESHOLD_G2 and THRESHOLD_G3. A depot that fails
     geometry.check_coordinates raises ValueError; far from the square the
     margins widen until the point fails (see interval.iv_g)."""
-    check_coordinates([(a, b)], "depot")
+    x, y = check_coordinates([(a, b)], "depot").T  # one lane each
     with np.errstate(over="ignore", invalid="ignore"):
-        m2, m3 = _margins(np.float64(a), np.float64(b))
+        m2, m3 = _margins(x, y)
     passed = bool(_clears(m2[0], m3[0], THRESHOLD_G2, THRESHOLD_G3))
     return PointCheck(margin2=enclosure(m2), margin3=enclosure(m3), passed=passed)
 
@@ -162,12 +162,11 @@ def lipschitz_slacks() -> tuple[Interval, Interval]:
     THRESHOLD_G2 - (79/48)*sqrt(2)/1000 and
     THRESHOLD_G3 - (3+sqrt(2))*sqrt(2)/1000, read at call time.
     Both must be positive for the grid check to extend to the continuum."""
-    sqrt2 = v_sqrt(v_point(2.0))
+    sqrt2 = v_sqrt(v_point(np.array([2.0])))
     step = v_div(sqrt2, v_point(1000.0))
     slack2 = v_sub(v_point(THRESHOLD_G2), v_mul(v_ratio(79, 48), step))
     slack3 = v_sub(v_point(THRESHOLD_G3), v_mul(v_add(v_point(3.0), sqrt2), step))
-    return (Interval(float(slack2[0]), float(slack2[1])),
-            Interval(float(slack3[0]), float(slack3[1])))
+    return enclosure(slack2), enclosure(slack3)
 
 
 def _margins_batch(i_idx: np.ndarray, j_idx: np.ndarray):

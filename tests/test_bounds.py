@@ -594,6 +594,21 @@ class TestSharedTable:
         assert calls[0] == 11
         assert sorted(calls[1:]) == sorted(size - 1 for size in without_0 if size >= 2)
 
+    def test_one_shot_tours_a_smaller_set_alone(self, monkeypatch):
+        # a one-shot over a >=R set that holds terminal 0 but not every
+        # terminal builds that set's own table, not T*_0's, with the value a
+        # context reads from T*_0's table
+        inst = gen_instance(14, 3, Point(0.5, 0.5), 4)
+        R = inst.depot_distances[0]
+        subset = local_subset(inst, R)
+        assert subset[0] == 0 and 2 <= len(subset) < inst.n
+        ctx = BoundContext(inst)
+        ctx.local(0.0)
+        shared, lower = ctx.local(R), ctx.lower(R)
+        calls = self._spy(monkeypatch)
+        assert local_cost(inst, R) == shared and lower_bound(inst, R) == lower
+        assert calls == [len(subset) - 1] * 2
+
     @pytest.mark.parametrize("n, mode", [(0, "auto"), (1, "auto"), (15, "auto"),
                                          (5, "heuristic")])
     def test_no_table_off_the_exact_path(self, n, mode):

@@ -120,7 +120,7 @@ class TestVerifyPoint:
 
         def patched(a, b):
             margins = list(real(a, b))
-            margins[which] = (np.float64(math.inf), np.float64(math.inf))
+            margins[which] = (np.full(1, math.inf), np.full(1, math.inf))
             return tuple(margins)
 
         monkeypatch.setattr(netverify, "_margins", patched)
