@@ -31,13 +31,13 @@ the Bound(value, certified) records of one instance for one (tsp_mode,
 seed): D once, each rad_R once per R and each T*_R once per point set, so
 T*_0 serves lb_r0, every upper bound, and lb_rstar where R* keeps every
 terminal. Where T*_0 is exact, the context keeps the one Held-Karp table it
-is read from, held_karp(terminals[1:], terminals[0]) as tsp_exact builds
-it, and once it is built reads from it every T*_R whose set holds terminal
-0 (tsp.held_karp_tour): tsp_exact over that set, bit for bit, without a
-second table. Before that, such a smaller set takes tsp_dispatch, the same
-bits without the whole table (a one-shot local_cost or lower_bound). Callers
-make a fresh context per instance and drop it afterwards; nothing is cached
-across contexts.
+is read from, held_karp(terminals) as tsp_exact builds it, rooted at
+terminal 0, and once it is built reads from it every T*_R whose set holds
+terminal 0 (tsp.held_karp_tour): tsp_exact over that set, bit for bit,
+without a second table. Before that, such a smaller set takes tsp_dispatch,
+the same bits without the whole table (a one-shot local_cost or
+lower_bound). Callers make a fresh context per instance and drop it
+afterwards; nothing is cached across contexts.
 local_cost, lower_bound, upper_bound_formula and compute_bounds are
 one-shot wrappers.
 """
@@ -166,14 +166,14 @@ class BoundContext:
 
     @cached_property
     def table(self) -> HeldKarp | None:
-        """held_karp(terminals[1:], terminals[0]), the table tsp_exact reads
-        T*_0 from, built on first need; None where tsp_dispatch over the
-        terminals is not tsp_exact's Held-Karp (heuristic mode, above
-        EXACT_THRESHOLD, or fewer than 2 terminals)."""
+        """held_karp(terminals), the table tsp_exact reads T*_0 from,
+        built on first need; None where tsp_dispatch over the terminals is
+        not tsp_exact's Held-Karp (heuristic mode, above EXACT_THRESHOLD, or
+        fewer than 2 terminals)."""
         terminals = self.instance.terminals
         if len(terminals) < 2 or not dispatch_exact(len(terminals), self.tsp_mode):
             return None
-        return held_karp(terminals[1:], terminals[0])
+        return held_karp(terminals)
 
     def local(self, R: float) -> Bound:
         """Bound(T*_R, certified), once per >=R set (the sets nest, so a size

@@ -199,7 +199,7 @@ class ExperimentResult:
 
     @property
     def best_certified_lb(self) -> dict[int, float]:
-        """{seed: best_certified_lb} of the rows; perfbench reads it until ROADMAP item 10."""
+        """{seed: best_certified_lb} of the rows; perfbench reads it until ROADMAP item 1."""
         return {row.seed: row.best_certified_lb for row in self.rows}
 
 

@@ -2,18 +2,18 @@
 tour-splitting heuristic otherwise.
 
 The exact path computes, for every subset of at most k terminals of the
-group, the optimal tour through the depot (one run of tsp.held_karp, stopped
-at k terminals, yields them all at once, ties to the smallest index), then a
-set-partition DP over those capacity-feasible blocks, which reads no larger
-subset's tour, one popcount layer at a time over the read-only
-`partition_layers` tables, built once per (n, min(k, n)) in int16. Those
-tables hold only the masks the DP can reach from the whole group: a mask M
-is reached iff popcount(M) >= n - low(M) * k, with low(M) its lowest bit:
-every block removed on the way to M is anchored at a bit below low(M), one
-block per bit, and any M within the bound is reached that way (the proof in
-full is in partition_layers). They keep a third of the (mask, block) pairs
-at n = 12, k = 6 and under a fifth at k <= 3. The DP keeps each subset's cost
-only; the way back finds the winning block of each mask on its path as the
+group, the optimal tour cost through the depot (one run of tsp.held_karp,
+stopped at k terminals, yields them all at once: the minimum over the last
+terminal of dp + d0), then a set-partition DP over those capacity-feasible
+blocks, which reads no larger subset's tour, one popcount layer at a time
+over the read-only `partition_layers` tables, built once per (n, min(k, n))
+in int16. Those tables hold only the masks the DP can reach from the whole
+group: a mask M is reached iff popcount(M) >= n - low(M) * k, with low(M)
+its lowest bit: every block removed on the way to M is anchored at a bit
+below low(M), one block per bit, and any M within the bound is reached that
+way (the proof in full is in partition_layers). They keep a third of the
+(mask, block) pairs at n = 12, k = 6 and under a fifth at k <= 3. The DP
+keeps each subset's cost only; the way back finds the winning block of each mask on its path as the
 first argmin over that mask's row, whose blocks are in descending order, so
 among equal sums the largest block wins, and tsp.held_karp_tour reads the
 block's route from the table. The heuristic path cuts one TSP tour over the
@@ -35,7 +35,7 @@ import numpy as np
 
 from .geometry import Point, Solution, Tour, check_coordinates, check_int, dist
 from .tsp import (
-    check_tsp_mode, held_karp, held_karp_tour, mask_dtype, subset_layers, tsp_dispatch,
+    check_tsp_mode, held_karp, held_karp_tour, subset_layers, tsp_dispatch,
 )
 
 EXACT_GROUP_THRESHOLD = 12
@@ -67,8 +67,8 @@ def partition_layers(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.n
     and row r of blocks lists the blocks that part[masks[r]] pulls from.
     Each holds the lowest bit of masks[r] and a pattern over its p - 1
     other bits with at most k - 1 set, the patterns in descending order;
-    rest = masks[r] ^ blocks. blocks and rest are in tsp.mask_dtype(n); all
-    arrays are shared between callers and read-only.
+    rest = masks[r] ^ blocks. All three are in int16, as every mask is, and
+    shared between callers and read-only.
 
     A mask M != 0 is reached from the whole group iff popcount(M) >=
     n - low(M) * k, where low(M) is its lowest bit (pos[:, 0]):
@@ -95,8 +95,8 @@ def partition_layers(n: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.n
         t_bits = (t[:, None] >> np.arange(p - 1)) & 1
         t_bits = t_bits[t_bits.sum(axis=1) < k]
         blocks = ((1 << pos[:, 1:]) @ t_bits.T) | (1 << pos[:, :1])
-        rest = (masks[:, None] ^ blocks).astype(mask_dtype(n))
-        blocks = blocks.astype(mask_dtype(n))
+        rest = (masks[:, None] ^ blocks).astype(np.int16)
+        blocks = blocks.astype(np.int16)
         blocks.flags.writeable = rest.flags.writeable = False
         layers.append((masks, blocks, rest))
     return tuple(layers)
@@ -122,7 +122,8 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
 
     k = min(k, n)
     points = (depot, *U)
-    hk = held_karp(U, depot, k)  # no tour of more than k terminals is read
+    hk = held_karp(points, k)  # no tour of more than k terminals is read
+    cost = (hk.dp + hk.d0[:, None]).min(axis=0)  # each mask's tour; inf above k
     layers = partition_layers(n, k)
     # part[mask]: cheapest partition of mask into blocks of at most k
     # terminals. A block holds the lowest bit of mask and a submask of the
@@ -131,7 +132,7 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
     for masks, blocks, rest in layers:
         rows = max(1, _BLOCK_ENTRIES // blocks.shape[1])
         for r in range(0, len(masks), rows):
-            cand = hk.tour_cost.take(blocks[r : r + rows])  # take beats [] on int16
+            cand = cost.take(blocks[r : r + rows])  # take beats [] on int16
             cand += part.take(rest[r : r + rows])
             part[masks[r : r + rows]] = cand.min(axis=1)
 
@@ -142,7 +143,7 @@ def cvrp_exact_small(U: Sequence[Point], depot: Point, k: int) -> Solution:
     while mask:
         masks, blocks, rest = layers[mask.bit_count() - 1]
         r = int(np.searchsorted(masks, mask))
-        s = int(blocks[r, np.argmin(hk.tour_cost[blocks[r]] + part[rest[r]])])
+        s = int(blocks[r, np.argmin(cost[blocks[r]] + part[rest[r]])])
         route = held_karp_tour(points, hk, s)
         tours.append(Tour(tuple(i - 1 for i in route.order[1:]), route.length))
         mask ^= s

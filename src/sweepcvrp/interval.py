@@ -87,7 +87,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import check_coordinates
+from .geometry import check_coordinates, check_int
 
 __all__ = ["Interval", "iv_g"]
 
@@ -245,7 +245,7 @@ _V_SIXTH = v_ratio(1, 6)
 _V_TWO_THIRDS = v_ratio(2, 3)
 _V_THREE_QUARTERS = v_ratio(3, 4)
 _V_ONE = (1.0, 1.0)
-_V_ZERO = (np.float64(0.0), np.float64(0.0))
+_V_ZERO = (0.0, 0.0)
 _V_TWO_THIRDS_PI = (_dn1(np.array([PI_LO * _V_TWO_THIRDS[0]])).item(),
                     _up1(np.array([PI_HI * _V_TWO_THIRDS[1]])).item())
 
@@ -460,8 +460,9 @@ class Interval:
 
 
 def iv_g(j: int, a: float, b: float) -> Interval:
-    """Enclosure of g_j at the depot (a, b), j in {1, 2, 3}. A depot that
-    fails geometry.check_coordinates raises ValueError.
+    """Enclosure of g_j at the depot (a, b), j in {1, 2, 3}. A j that fails
+    geometry.check_int or lies outside 1..3, and a depot that fails
+    check_coordinates, raise ValueError.
 
     The enclosure is tight near the unit square, where the net lies. Far
     from it the cubic triangle terms cancel, and it widens with the distance
@@ -469,7 +470,8 @@ def iv_g(j: int, a: float, b: float) -> Interval:
     enclosure is about 1e20 wide, and the g2 one is infinite from about
     1e40. For far depots use netverify.verify_far_field, which needs no
     numeric check, and the closedform values."""
-    if j not in (1, 2, 3):
+    j = check_int(j, "j", 1)
+    if j > 3:
         raise ValueError(f"j must be 1, 2 or 3, got {j}")
     x, y = check_coordinates([(a, b)], "depot").T  # one lane each
     with np.errstate(over="ignore", invalid="ignore"):

@@ -6,27 +6,28 @@ optimal; no depot is added implicitly (callers put it first). Of the two
 TSP_MODES, `auto` runs the exact solver on up to EXACT_THRESHOLD points and
 `heuristic` never does. Only tsp_exact raises above EXACT_THRESHOLD.
 
-`held_karp` is the one Held-Karp DP of the package: tsp_exact runs it over
-points[1:] rooted at points[0], and the exact group solver in group_cvrp runs
-it over a sweep group rooted at the depot, up to the capacity's number of
-terminals, and reads off every such subset's tour. It fills the subsets of
-one popcount at a time, each layer in blocks of one gather-add-min over every
-predecessor j at once, through the read-only per-size tables
-`held_karp_layers(n)`, which are built once per n from `subset_layers(n)`,
-hold masks in int16 (`mask_dtype`), and are shared by both callers. Every
-candidate is the IEEE sum dp + d and a minimum is exact, so the block size
-moves no bit. A coordinate that fails geometry.check_coordinates raises
+`held_karp(points, size)` is the one Held-Karp DP of the package, over the
+terminals points[1:] rooted at points[0]: tsp_exact runs it over its points,
+the exact group solver in group_cvrp over the depot and a sweep group, up to
+the capacity's number of terminals, and bounds.BoundContext over the
+terminals of T*_0. It fills the subsets of one popcount at a time, each
+layer in blocks of one gather-add-min over every predecessor j at once,
+through the read-only per-size tables `held_karp_layers(n)`, which are built
+once per n from `subset_layers(n)`, the one enumeration of masks, hold every
+mask in int16 (so at most 15 terminals), and are shared by every caller.
+Every candidate is the IEEE sum dp + d and a minimum is exact, so the block
+size moves no bit. A coordinate that fails geometry.check_coordinates raises
 ValueError in held_karp, as in tsp_heuristic and in tsp_exact below two
-points. It keeps no predecessor table: held_karp_path recovers each step of
-a path from the costs, as the first argmin of the same sums the DP
-minimised, so ties go to the smallest index: the smallest predecessor among
-equal path costs and the smallest last terminal among equal tour costs.
-Those sums only choose: a length is cycle_length of the order (geometry's
-length rule), 0 for 0 or 1 points, 2*d out and back for two, and the same
-for every cyclic order of at most 3 points. held_karp_tour is the one
-reading of a rooted tour from such a table: tsp_exact reads its whole set,
-group_cvrp each route of its exact partition, and bounds.BoundContext reads
-from T*_0's table every T*_R over a set that holds terminal 0.
+points. Its table, HeldKarp(dp, d, d0), keeps no predecessor and no tour
+cost: held_karp_tour, the one reading of a rooted tour from it, recovers
+each step of a path as the first argmin of the same sums the DP minimised,
+so ties go to the smallest index: the smallest predecessor among equal path
+costs and the smallest last terminal among equal tour costs. Those sums
+only choose: a length is cycle_length of the order (geometry's length
+rule), 0 for 0 or 1 points, 2*d out and back for two, and the same for
+every cyclic order of at most 3 points. tsp_exact reads its whole set from
+a table, group_cvrp each route of its exact partition, and BoundContext
+every T*_R over a set that holds terminal 0.
 
 The heuristic tours the distinct locations, numbered by first occurrence,
 and emits each location's points consecutively, in index order. Its search
@@ -141,10 +142,14 @@ def subset_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The masks 1 .. 2^n - 1 grouped by popcount p = 1 .. n, built once per n.
 
     Entry p - 1 is (masks, pos): the masks with p set bits in ascending order,
-    and pos[r] the positions of the set bits of masks[r], ascending. The
-    arrays are shared between callers and read-only.
+    in int16, and pos[r] the positions of the set bits of masks[r], ascending.
+    The arrays are shared between callers and read-only. This is the one
+    place masks are enumerated: an n above 15, whose masks do not fit in
+    int16, raises ValueError.
     """
-    masks = np.arange(1 << n)
+    if n > 15:
+        raise ValueError(f"masks of {n} bits do not fit in int16")
+    masks = np.arange(1 << n, dtype=np.int16)
     has = np.array([masks >> b & 1 for b in range(n)], dtype=bool).T
     count = has.sum(axis=1)
     layers = []
@@ -156,69 +161,61 @@ def subset_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(layers)
 
 
-def mask_dtype(n: int) -> type:
-    """The narrowest signed integer type that holds every mask of n bits, so
-    that the cached per-size tables stay compact (int16 up to n = 15)."""
-    for t in (np.int16, np.int32, np.int64):
-        if (1 << n) - 1 <= np.iinfo(t).max:
-            return t
-    raise ValueError(f"masks of {n} bits do not fit in int64")
-
-
 @functools.cache
 def held_karp_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Held-Karp's pull tables for popcount p = 2 .. n, built once per n.
 
     Entry p - 2 is (masks, prev), both of shape (n, C(n - 1, p - 1)) in
-    mask_dtype(n): row m of masks holds the masks with p set bits that
-    contain bit m, ascending, and row m of prev the same masks without bit
-    m. The arrays are shared between callers and read-only.
+    int16: row m of masks holds the masks with p set bits that contain bit
+    m, ascending, and row m of prev the same masks without bit m. The
+    arrays are shared between callers and read-only.
     """
     bits = np.arange(n)[:, None]
     layers = []
     for ms, _ in subset_layers(n)[1:]:
         masks = np.broadcast_to(ms, (n, len(ms)))[ms >> bits & 1 == 1].reshape(n, -1)
-        prev = (masks ^ 1 << bits).astype(mask_dtype(n))
-        masks = masks.astype(mask_dtype(n))
+        prev = (masks ^ 1 << bits).astype(np.int16)
         masks.flags.writeable = prev.flags.writeable = False
         layers.append((masks, prev))
     return tuple(layers)
 
 
 class HeldKarp(NamedTuple):
-    """held_karp's tables over n terminals, filled up to `size` of them:
-    tour_cost[mask], the optimal closed tour over mask plus the depot (inf
-    at mask 0 and on masks of more than `size` terminals); dp[m, mask], the
-    shortest depot-rooted path through mask ending at m (inf unless m is in
-    mask, and on masks of more than `size` terminals); and the distances d
-    between terminals and d0 from the depot."""
+    """held_karp's table over the n terminals points[1:], rooted at
+    points[0], filled up to `size` terminals: dp[m, mask], the shortest
+    rooted path through the terminals of mask ending at m (inf unless m is
+    in mask, and on masks of more than `size` terminals), and the distances
+    d between terminals and d0 from the root. The optimal tour over mask
+    plus the root costs min over m of dp[m, mask] + d0[m]."""
 
-    tour_cost: np.ndarray
     dp: np.ndarray
     d: np.ndarray
     d0: np.ndarray
 
 
-def held_karp(U: Sequence[Point], depot: Point, size: int | None = None) -> HeldKarp:
-    """Shortest depot-rooted paths over the subsets of a nonempty U of at
-    most `size` terminals, 1 <= size <= len(U) (all of them by default), one
-    popcount layer of subsets at a time (Held & Karp 1962).
+def held_karp(points: Sequence[Point], size: int | None = None) -> HeldKarp:
+    """Shortest paths from points[0] over the subsets of at most `size` of
+    the terminals points[1:], 1 <= size <= len(points) - 1 (all of them by
+    default), one popcount layer of subsets at a time (Held & Karp 1962).
 
-    dp[m, mask], the shortest path from the depot through the terminals of
+    dp[m, mask], the shortest path from the root through the terminals of
     mask ending at m, pulls min_j dp[j, mask ^ (1 << m)] + d[j, m]. A layer
     takes that minimum in blocks of its columns in the cached
     held_karp_layers(n): one gather of dp[j, prev] for every j at once, one
     add of d[j, m], one min over j, each block at most _GATHER_ENTRIES
-    candidates. dp and tour_cost stay inf on the masks of more than `size`
-    terminals. The tables keep no predecessor: held_karp_last recovers one
-    from dp on demand. An empty U, a size above len(U), and a size or
-    coordinate failing geometry.check_int or check_coordinates raise ValueError.
+    candidates. dp stays inf on the masks of more than `size` terminals.
+    The table keeps no predecessor: held_karp_tour recovers each step from
+    dp. Fewer than two points, a size above the terminals', and a size or
+    coordinate failing geometry.check_int or check_coordinates raise
+    ValueError, as do more than 15 terminals (subset_layers), before dp is
+    allocated.
     """
-    n = check_int(len(U), "|U|", 1)
+    n = check_int(len(points), "|points|", 2) - 1
     size = n if size is None else check_int(size, "size", 1)
     if size > n:
-        raise ValueError(f"size must be <= |U| = {n}, got {size}")
-    xy = check_coordinates((depot, *U)).tolist()  # row 0 is the depot
+        raise ValueError(f"size must be <= |points| - 1 = {n}, got {size}")
+    xy = check_coordinates(points).tolist()
+    layers = held_karp_layers(n)[: size - 1]
     # dist drops the signs of the differences: d is symmetric, bit for bit
     h = np.array([[dist(p, q) for q in xy] for p in xy])
     d, d0 = h[1:, 1:], h[0, 1:]
@@ -226,52 +223,38 @@ def held_karp(U: Sequence[Point], depot: Point, size: int | None = None) -> Held
     ends = np.arange(n)
     dp[ends, 1 << ends] = d0
     cols = max(1, _GATHER_ENTRIES // (n * n))
-    for masks, prev in held_karp_layers(n)[: size - 1]:
+    for masks, prev in layers:
         for c in range(0, masks.shape[1], cols):
             cand = dp.take(prev[:, c : c + cols], axis=1)  # [j, m, r]: dp[j, prev[m, r]]
             cand += d[:, :, None]
             dp[ends[:, None], masks[:, c : c + cols]] = cand.min(axis=0)
-    tour_cost = dp[0] + d0[0]
-    cand = np.empty_like(tour_cost)
-    for m in range(1, n):
-        np.add(dp[m], d0[m], out=cand)
-        np.minimum(tour_cost, cand, out=tour_cost)
-    return HeldKarp(tour_cost, dp, d, d0)
-
-
-def held_karp_last(hk: HeldKarp, mask: int, to: int) -> int:
-    """The last terminal of the optimal path over `mask` that goes on to
-    terminal `to`, or to the depot when `to` is -1: the first argmin over j
-    of dp[j, mask] + d[to, j] (of dp[j, mask] + d0[j]), so ties go to the
-    smallest index."""
-    return int(np.argmin(hk.dp[:, mask] + (hk.d0 if to < 0 else hk.d[to])))
-
-
-def held_karp_path(hk: HeldKarp, mask: int) -> list[int]:
-    """Visit order of the optimal closed tour over `mask` plus the depot,
-    recovered backwards from the depot one held_karp_last at a time."""
-    order, to = [], -1
-    while mask:
-        to = held_karp_last(hk, mask, to)
-        order.append(to)
-        mask ^= 1 << to
-    return order[::-1]
+    return HeldKarp(dp, d, d0)
 
 
 def held_karp_tour(points: Sequence[Point], hk: HeldKarp, mask: int) -> TspResult:
     """The optimal cycle over points[0] and the points i + 1 of the set bits i
-    of `mask`, read from hk = held_karp(points[1:], points[0], size), with
-    at most `size` bits in mask: its order numbers the points as `points`
-    does, from 0, and its length is cycle_length's.
+    of `mask`, read from hk = held_karp(points, size), with at most `size`
+    bits in mask: its order numbers the points as `points` does, from 0, and
+    its length is cycle_length's.
 
-    Over every point (mask 2^(n-1) - 1) it is tsp_exact. Over a subset S that
-    holds points[0], it is tsp_exact(S) bit for bit: held_karp over S fills
-    the same finite dp entries from the same distances, the entries outside S
-    are inf and never a minimum, and held_karp_path's first argmin meets the
-    same candidates in the same index order, so the order, and hence the
-    length, is the same.
+    The path is recovered backwards from the root: the last terminal is the
+    first argmin over j of dp[j, mask] + d0[j], the one before terminal `to`
+    that of dp[j, mask] + d[to, j], the same sums the DP minimised, so ties go
+    to the smallest index: the smallest last terminal among equal tour costs
+    and the smallest predecessor among equal path costs. Over every point
+    (mask 2^(n-1) - 1) it is tsp_exact. Over a subset S that holds points[0],
+    it is tsp_exact(S) bit for bit: held_karp over S fills the same finite dp
+    entries from the same distances, the entries outside S are inf and never a
+    minimum, and the first argmin meets the same candidates in the same index
+    order, so the order, and hence the length, is the same.
     """
-    order = (0, *(i + 1 for i in held_karp_path(hk, mask)))
+    order, to = [], hk.d0
+    while mask:
+        j = int(np.argmin(hk.dp[:, mask] + to))
+        order.append(j + 1)
+        mask ^= 1 << j
+        to = hk.d[j]
+    order = (0, *order[::-1])
     return TspResult(order, cycle_length(points, order), certified_optimal=True)
 
 
@@ -288,7 +271,7 @@ def tsp_exact(points: Sequence[Point]) -> TspResult:
     if n <= 1:
         check_coordinates(points)
         return TspResult(order=tuple(range(n)), length=0.0, certified_optimal=True)
-    return held_karp_tour(points, held_karp(points[1:], points[0]), (1 << (n - 1)) - 1)
+    return held_karp_tour(points, held_karp(points), (1 << (n - 1)) - 1)
 
 
 def tsp_heuristic(points: Sequence[Point], seed: int = 0) -> TspResult:

@@ -560,9 +560,9 @@ class TestSharedTable:
 
         calls = []
 
-        def spy(U, depot, size=None, _real=tsp.held_karp):
-            calls.append(len(U))
-            return _real(U, depot, size)
+        def spy(points, size=None, _real=tsp.held_karp):
+            calls.append(len(points) - 1)
+            return _real(points, size)
 
         monkeypatch.setattr(bounds, "held_karp", spy)
         monkeypatch.setattr(tsp, "held_karp", spy)

@@ -21,9 +21,11 @@ from sweepcvrp.geometry import (
     convex_hull,
     diameter,
     dist,
+    load_instance,
     output_file,
     polar_angle,
     read_instance,
+    save_instance,
     sweep_sort,
     tour_length,
     write_instance,
@@ -508,6 +510,25 @@ class TestInstanceIO:
         # blank lines after the terminals are fine
         inst = read_instance(io.StringIO("1 1 0.5 0.5\n0.1 0.2\n\n  \n"))
         assert inst.terminals == (Point(0.1, 0.2),)
+
+    def test_save_load_round_trip(self, tmp_path):
+        # save_instance then load_instance gives the Instance back, bit for
+        # bit: coordinates that need 17 significant digits, -0.0, a depot
+        # outside the unit square, and no terminals at all
+        long = [0.1 + 0.2, math.nextafter(1 / 3, 1.0), -(1 + 2**-52), 5e-324]
+        assert all(float(f"{x:.16g}") != x for x in long[:3])
+        cases = [
+            Instance(terminals=((long[0], long[1]), (long[2], -0.0), (0.5, long[3])),
+                     depot=Point(3.0, -math.nextafter(2.0, 3.0)), capacity=2),
+            Instance(terminals=(), depot=Point(-1.5, long[0]), capacity=1),
+        ]
+        for i, inst in enumerate(cases):
+            path = str(tmp_path / f"instance-{i}.txt")
+            save_instance(inst, path)
+            back = load_instance(path)
+            assert back == inst
+            assert [float(v).hex() for p in (back.depot, *back.terminals) for v in p] == \
+                [float(v).hex() for p in (inst.depot, *inst.terminals) for v in p]
 
 
 

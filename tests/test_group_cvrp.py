@@ -1,6 +1,9 @@
+import ast
+import inspect
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from sweepcvrp.group_cvrp import (
     split_tour_sequence,
 )
 from sweepcvrp.tsp import (
-    held_karp, held_karp_last, held_karp_layers, mask_dtype, subset_layers, tsp_exact,
+    HeldKarp, held_karp, held_karp_layers, held_karp_tour, subset_layers, tsp_exact,
 )
 
 from helpers import check_feasible, random_points, shuffled_edge_sum, within_ulps
@@ -330,19 +333,33 @@ def _assert_same_tours(U, depot, sol, ref):
         assert within_ulps(t.length, length, len(indices) + 1)
 
 
+def _tour_costs(hk) -> np.ndarray:
+    """Each mask's optimal tour cost from held_karp's table: the minimum over
+    the last terminal m of dp[m, mask] + d0[m] (inf at mask 0)."""
+    return (hk.dp + hk.d0[:, None]).min(axis=0)
+
+
+def _last(hk, mask, to):
+    """The last terminal of the optimal path over `mask` that goes on to
+    terminal `to`, or to the depot when `to` is -1: the first argmin over j
+    of dp[j, mask] + d[to, j] (of dp[j, mask] + d0[j]), as held_karp_tour
+    reads each step."""
+    return int(np.argmin(hk.dp[:, mask] + (hk.d0 if to < 0 else hk.d[to])))
+
+
 def _assert_same_held_karp(U, depot, tour_cost, tour_end, parent):
     """held_karp gives the reference's tour costs bit for bit, and recovers
     the reference's tour end of every mask and its predecessor of every
     (mask, end) with end in mask."""
     n = len(U)
-    hk = held_karp(U, depot)
+    hk = held_karp([depot, *U])
     ref = np.array(tour_cost, dtype=float)
-    np.testing.assert_array_equal(hk.tour_cost[1:].view(np.uint64), ref[1:].view(np.uint64))
+    np.testing.assert_array_equal(_tour_costs(hk)[1:].view(np.uint64), ref[1:].view(np.uint64))
     for mask in range(1, 1 << n):
-        assert held_karp_last(hk, mask, -1) == tour_end[mask], mask
+        assert _last(hk, mask, -1) == tour_end[mask], mask
         for end in range(n):
             if mask >> end & 1 and mask != 1 << end:
-                assert held_karp_last(hk, mask ^ 1 << end, end) == parent[mask][end], (mask, end)
+                assert _last(hk, mask ^ 1 << end, end) == parent[mask][end], (mask, end)
             elif mask >> end & 1:
                 assert parent[mask][end] == -1
 
@@ -440,7 +457,7 @@ class TestExactSmallReference:
             tour_cost, tour_end, parent = _held_karp_numpy_reference(U, depot)
             _assert_same_held_karp(U, depot, tour_cost.tolist(), tour_end.tolist(),
                                    parent.tolist())
-            assert np.isinf(held_karp(U, depot).tour_cost[0]) and np.isinf(tour_cost[0])
+            assert np.isinf(_tour_costs(held_karp([depot, *U]))[0]) and np.isinf(tour_cost[0])
         if n <= EXACT_GROUP_THRESHOLD:
             for k in range(1, max(n, 1) + 1):
                 ref = _cvrp_exact_small_numpy_reference(U, depot, k)
@@ -546,13 +563,14 @@ class TestHeldKarpSize:
         # tour_cost and in every dp row; every larger mask stays inf
         U, depot = HELD_KARP_CASES[name]
         n = len(U)
-        full = held_karp(U, depot)
+        full = held_karp([depot, *U])
         for size in range(1, n + 1):
-            hk = held_karp(U, depot, size)
+            hk = held_karp([depot, *U], size)
             low = _popcounts(n) <= size
-            np.testing.assert_array_equal(_bits(hk.tour_cost[low]), _bits(full.tour_cost[low]))
+            tour_cost = _tour_costs(hk)
+            np.testing.assert_array_equal(_bits(tour_cost[low]), _bits(_tour_costs(full)[low]))
             np.testing.assert_array_equal(_bits(hk.dp[:, low]), _bits(full.dp[:, low]))
-            assert np.isposinf(hk.tour_cost[~low]).all() and np.isposinf(hk.dp[:, ~low]).all()
+            assert np.isposinf(tour_cost[~low]).all() and np.isposinf(hk.dp[:, ~low]).all()
             assert np.array_equal(hk.d, full.d) and np.array_equal(hk.d0, full.d0)
 
     @pytest.mark.parametrize("budget", [1, 1 << 40], ids=["one-column", "one-block"])
@@ -565,15 +583,16 @@ class TestHeldKarpSize:
         expected = {}
         for name in names:
             U, depot = HELD_KARP_CASES[name]
-            expected[name] = held_karp(U, depot), tsp_exact([depot, *U])
+            expected[name] = held_karp([depot, *U]), tsp_exact([depot, *U])
         monkeypatch.setattr(tsp_module, "_GATHER_ENTRIES", budget)
         for name in names:
             U, depot = HELD_KARP_CASES[name]
             ref, tour = expected[name]
             for size in (None, (len(U) + 1) // 2):
-                hk = held_karp(U, depot, size)
+                hk = held_karp([depot, *U], size)
                 low = _popcounts(len(U)) <= (size or len(U))
-                np.testing.assert_array_equal(_bits(hk.tour_cost[low]), _bits(ref.tour_cost[low]))
+                np.testing.assert_array_equal(_bits(_tour_costs(hk)[low]),
+                                              _bits(_tour_costs(ref)[low]))
                 np.testing.assert_array_equal(_bits(hk.dp[:, low]), _bits(ref.dp[:, low]))
             assert tsp_exact([depot, *U]) == tour
 
@@ -583,39 +602,39 @@ class TestHeldKarpSize:
         # but the last: at n = 3 the 2-terminal tours came out finite
         U, depot = HELD_KARP_CASES["random-3"]
         with pytest.raises(ValueError, match=f"size must be >= 1, got {size}"):
-            held_karp(U, depot, size)
+            held_karp([depot, *U], size)
 
     def test_size_is_an_int(self):
         # 2.5 raised TypeError in the slice
         U, depot = HELD_KARP_CASES["random-5"]
         for bad in (2.5, 2.0, "2"):
             with pytest.raises(ValueError, match=f"size must be an int, got {bad!r}"):
-                held_karp(U, depot, bad)
+                held_karp([depot, *U], bad)
         for size, same in ((np.int64(2), 2), (True, 1)):
-            hk, ref = held_karp(U, depot, size), held_karp(U, depot, same)
-            np.testing.assert_array_equal(_bits(hk.tour_cost), _bits(ref.tour_cost))
+            hk, ref = held_karp([depot, *U], size), held_karp([depot, *U], same)
+            np.testing.assert_array_equal(_bits(_tour_costs(hk)), _bits(_tour_costs(ref)))
 
     @pytest.mark.parametrize("size", [3, 7])
     def test_rejects_size_above_len_U(self, size):
         # 7 filled every layer, as size=None does, against the docstring's
         # 1 <= size <= len(U)
-        with pytest.raises(ValueError, match=f"size must be <= \\|U\\| = 2, got {size}"):
-            held_karp([(0, 0), (1, 1)], (0.5, 0.5), size)
-        assert held_karp([(0, 0), (1, 1)], (0.5, 0.5), 2).tour_cost.shape == (4,)
+        with pytest.raises(ValueError, match=f"size must be <= \\|points\\| - 1 = 2, got {size}"):
+            held_karp([(0.5, 0.5), (0, 0), (1, 1)], size)
+        assert _tour_costs(held_karp([(0.5, 0.5), (0, 0), (1, 1)], 2)).shape == (4,)
 
     def test_rejects_empty_U(self):
         # an empty U raised ZeroDivisionError computing the block width
         for size in (None, 1):
-            with pytest.raises(ValueError, match=r"\|U\| must be >= 1, got 0"):
-                held_karp([], O, size)
+            with pytest.raises(ValueError, match=r"\|points\| must be >= 2, got 1"):
+                held_karp([O], size)
 
     def test_group_dp_stops_at_k(self, monkeypatch):
         # cvrp_exact_small asks held_karp for min(k, n) terminals and no more
         seen = []
 
-        def spy(U, depot, size=None):
-            seen.append((len(U), size))
-            return held_karp(U, depot, size)
+        def spy(points, size=None):
+            seen.append((len(points) - 1, size))
+            return held_karp(points, size)
 
         monkeypatch.setattr(group_module, "held_karp", spy)
         U, depot = GROUP_CASES["random-9"]
@@ -722,13 +741,49 @@ class TestSubsetLayersOnce:
             for _, blocks, rest in partition_layers(12, k):
                 assert blocks.dtype == rest.dtype == np.int16
 
-    def test_wider_masks_get_a_wider_dtype(self):
-        # no table is built: mask_dtype alone decides
-        assert mask_dtype(15) is np.int16
-        assert mask_dtype(16) is np.int32 and mask_dtype(31) is np.int32
-        assert mask_dtype(32) is np.int64 and mask_dtype(63) is np.int64
-        with pytest.raises(ValueError, match="64 bits"):
-            mask_dtype(64)
+    def test_more_than_15_terminals_raise(self):
+        # every mask is int16, so subset_layers, the one enumeration of
+        # masks, rejects 16 bits, and held_karp over 16 terminals fails
+        # before it allocates its 8 MB dp (no caller passes more than 13)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="masks of 16 bits do not fit in int16"):
+                subset_layers(16)
+            with pytest.raises(ValueError, match="masks of 16 bits do not fit in int16"):
+                held_karp(random_points(np.random.default_rng(7), 17))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
+class TestOneContract:
+    def test_one_held_karp_contract(self):
+        # held_karp(points, size) is rooted at points[0] like its readers,
+        # its table holds only what held_karp_tour reads, held_karp_tour is
+        # the one reading of a tour from it, and every mask is int16
+        for gone in ("mask_dtype", "held_karp_last", "held_karp_path"):
+            assert not hasattr(tsp_module, gone), gone
+        assert HeldKarp._fields == ("dp", "d", "d0")
+        assert list(inspect.signature(held_karp).parameters) == ["points", "size"]
+        assert list(inspect.signature(held_karp_tour).parameters) == ["points", "hk", "mask"]
+        src = Path(tsp_module.__file__).resolve().parent
+        calls = [node for path in src.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "held_karp"]
+        assert len(calls) == 3  # tsp_exact, cvrp_exact_small, BoundContext.table
+        for call in calls:
+            assert len(call.args) <= 2 and not isinstance(call.args[0], ast.Subscript), \
+                ast.unparse(call)
+        for n in (1, 12, 13, 15):
+            for masks, _ in subset_layers(n):
+                assert masks.dtype == np.int16
+            for masks, prev in held_karp_layers(n):
+                assert masks.dtype == prev.dtype == np.int16
+        for k in (1, 6, 12):
+            for table in partition_layers(12, k):
+                assert all(a.dtype == np.int16 for a in table)
 
 
 class TestExactMemory:

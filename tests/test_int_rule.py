@@ -23,6 +23,7 @@ from sweepcvrp.experiments import (
 )
 from sweepcvrp.geometry import Instance, Point, check_int
 from sweepcvrp.group_cvrp import SolveConfig, cvrp_exact_small, split_tour_sequence
+from sweepcvrp.interval import iv_g
 from sweepcvrp.itp import itp_solve
 from sweepcvrp.netverify import enumerate_net, net_size, verify_all
 from sweepcvrp.sweep import sweep_groups, sweep_solve
@@ -78,7 +79,8 @@ SITES = {
     # the exact path does not read the seed, and checks it all the same
     "tsp_dispatch seed": ("seed", lambda v: tsp.tsp_dispatch(TERMINALS, "auto", v)),
     "itp_solve seed": ("seed", lambda v: itp_solve(INST, "auto", v)),
-    "held_karp size": ("size", lambda v: tsp.held_karp(TERMINALS, O, v)),
+    "held_karp size": ("size", lambda v: tsp.held_karp([O, *TERMINALS], v)),
+    "iv_g j": ("j", lambda v: iv_g(v, 0.5, 0.5)),
     "net_size stride": ("stride", net_size),
     "enumerate_net stride": ("stride", lambda v: list(enumerate_net(v))),
     "verify_all stride": ("stride", lambda v: verify_all(stride=v)),

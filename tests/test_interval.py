@@ -336,8 +336,14 @@ class TestIvG:
             assert iv_g(3, a, b).contains(1.0)
 
     def test_invalid_j(self):
-        with pytest.raises(ValueError):
-            iv_g(4, 0.5, 0.5)
+        # j is read by the integer rule (a float or a string: the "iv_g j"
+        # row of tests/test_int_rule.py), then checked against 1..3; a numpy
+        # integer and True are ints
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match=f"j must be .*, got {bad}$"):
+                iv_g(bad, 0.5, 0.5)
+        assert iv_g(np.int64(2), 0.5, 0.5) == iv_g(2, 0.5, 0.5)
+        assert iv_g(True, 0.25, 0.75) == iv_g(1, 0.25, 0.75)
 
     def test_far_depot_encloses_closedform(self):
         # wide (about 1e20 at distance 1e10), but an enclosure

@@ -272,7 +272,7 @@ class TestDistanceRule:
     def test_held_karp_distances_are_the_former_rule(self):
         for xy in self._sets():
             pts = _as_points(xy)
-            hk = tsp.held_karp(pts[1:], pts[0], 1)
+            hk = tsp.held_karp(pts, 1)
             at = check_coordinates(pts)
             step = at[:, None] - at
             h = np.array(_hypots_reference(step[..., 0], step[..., 1])).reshape(len(at), -1)
@@ -1317,8 +1317,8 @@ class TestTwoOptScale:
 
 class TestExactCoordinates:
     def test_out_of_range_coordinates_raise(self):
-        # on a NaN, held_karp_path toggled a mask forever and the exact
-        # solvers never returned; diameter and convex_hull returned a number
+        # on a NaN, reading the Held-Karp path toggled a mask forever and the
+        # exact solvers never returned; diameter and convex_hull returned a number
         # that depended on the interpreter. One child runs every call, so a
         # hang fails in seconds instead of stalling the suite
         code = (
