@@ -142,7 +142,10 @@ class BoundContext:
     given, is ITP's solution of the same instance, tsp_mode and seed,
     checked by geometry.check_feasible; where T*_R over every terminal is
     ITP's tour, the context reads it from `itp`, and without it solves ITP
-    itself on first need. tsp_mode and seed are checked on construction.
+    itself on first need. That tour is ITP's routes joined in route order,
+    the terminal order of ITP's one TSP tour, which is why ITP's routes get
+    no group_cvrp.depot_two_opt pass. tsp_mode and seed are checked on
+    construction.
     """
 
     def __init__(self, instance: Instance, tsp_mode: str = "auto", seed: int = 0,

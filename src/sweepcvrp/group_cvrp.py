@@ -18,8 +18,16 @@ first argmin over that mask's row, whose blocks are in descending order, so
 among equal sums the largest block wins, and tsp.held_karp_tour reads the
 block's route from the table. The heuristic path cuts one TSP tour over the
 group plus depot into segments of at most k terminals, taking the best of k
-rotation offsets. The DP's sums only choose: every Tour's length is the fsum
-of its route's edges, geometry.tour_length bit for bit.
+rotation offsets (cvrp_group_heuristic, which ITP runs as it is), and
+solve_group then improves each segment's route by depot_two_opt, as the
+sweep of Gillett and Miller (1974) improves each route after the cut. A
+segment is a path of the group tour, which is 2-opt optimal, so a 2-opt
+move between two of its inner edges is a move of that tour with the same
+four edges and cannot gain: only the moves that replace one of the route's
+two depot edges can. The pass takes the best of them while one gains more
+than tsp._IMPROVE_EPS at unit scale. The DP's sums and the pass's gains only
+choose: every Tour's length is the fsum of its route's edges,
+geometry.tour_length bit for bit.
 
 All solutions returned here use local indices 0..len(U)-1; callers remap.
 """
@@ -33,9 +41,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Point, Solution, Tour, check_coordinates, check_int, dist
+from .geometry import (
+    Point, Solution, Tour, check_coordinates, check_int, dist, tour_length, unit_scale,
+)
 from .tsp import (
-    check_tsp_mode, held_karp, held_karp_tour, subset_layers, tsp_dispatch,
+    _IMPROVE_EPS, check_tsp_mode, held_karp, held_karp_tour, subset_layers, tsp_dispatch,
 )
 
 EXACT_GROUP_THRESHOLD = 12
@@ -198,7 +208,69 @@ def cvrp_group_heuristic(
 def solve_group(
     U: Sequence[Point], depot: Point, k: int, config: SolveConfig = SolveConfig()
 ) -> Solution:
-    """Exact partition for small groups, tour splitting otherwise."""
+    """Exact partition for small groups, otherwise tour splitting with each
+    route then improved by depot_two_opt."""
     if len(U) <= EXACT_GROUP_THRESHOLD:
         return cvrp_exact_small(U, depot, k)
-    return cvrp_group_heuristic(U, depot, k, config.tsp_mode, config.seed)
+    split = cvrp_group_heuristic(U, depot, k, config.tsp_mode, config.seed)
+    return Solution(tuple(depot_two_opt(U, depot, split.tours)))
+
+
+def depot_two_opt(U: Sequence[Point], depot: Point, tours: Sequence[Tour]) -> list[Tour]:
+    """Each route of `tours` after best-improvement 2-opt over its depot edges.
+
+    On a route depot, s_1 .. s_m, depot the moves are "reverse s_1 .. s_j",
+    which trades (depot, s_1) and (s_j, s_j+1) for (depot, s_j) and
+    (s_1, s_j+1), and "reverse s_j .. s_m", which trades (s_j-1, s_j) and
+    (s_m, depot) for (s_j-1, s_m) and (s_j, depot), for 1 <= j < m and
+    1 < j <= m. Their gains are computed with dist on the sites at unit scale
+    (geometry.unit_scale, the depot as row 0), so the moves do not depend on
+    the points' power-of-two scale. While one gains more than _IMPROVE_EPS,
+    the one of the largest gain is applied, the first among equals, head
+    moves before tail moves. A changed route's length is tour_length of its
+    route, and it replaces its tour only when strictly shorter, so no route
+    gets longer and every route keeps its terminals. The depot and U are
+    read once by check_coordinates (ValueError).
+    """
+    xy = check_coordinates((depot, *U))
+    rows, sites = xy.tolist(), list(zip(*unit_scale(xy)[0].T.tolist()))
+    out = []
+    for tour in tours:
+        route = _depot_moves(sites, [i + 1 for i in tour.indices])
+        indices = tuple(v - 1 for v in route)
+        if indices != tour.indices:
+            length = tour_length(rows[0], [rows[v] for v in route])
+            if length < tour.length:
+                tour = Tour(indices, length)
+        out.append(tour)
+    return out
+
+
+def _depot_moves(sites: list[tuple[float, float]], route: list[int]) -> list[int]:
+    """`route` (rows of `sites`, the depot left out) after the depot-edge
+    moves of depot_two_opt."""
+    m = len(route)
+    if m < 3:  # each move keeps the route or reverses all of it
+        return route
+    o, p = sites[0], [sites[v] for v in route]
+    d0 = [dist(o, q) for q in p]
+    legs = [dist(a, b) for a, b in zip(p, p[1:])]  # legs[j]: p[j] to p[j + 1]
+    while True:
+        # the gains of reversing p[: j + 1], then those of reversing p[j + 1 :]
+        a, z, ha, hz = p[0], p[-1], d0[0], d0[-1]
+        head = [ha + leg - d - dist(a, q) for leg, d, q in zip(legs, d0, p[1:])]
+        tail = [hz + leg - d - dist(q, z) for leg, d, q in zip(legs, d0[1:], p)]
+        hg, tg = max(head), max(tail)
+        if hg <= _IMPROVE_EPS and tg <= _IMPROVE_EPS:
+            return route
+        if hg >= tg:  # the legs inside p[: j + 1] are legs[:j]
+            j = head.index(hg)
+            legs[j] = dist(a, p[j + 1])
+            s, inner = slice(0, j + 1), slice(0, j)
+        else:  # those inside p[j + 1 :] are legs[j + 1 :]
+            j = tail.index(tg)
+            legs[j] = dist(p[j], z)
+            s = inner = slice(j + 1, m)
+        legs[inner] = legs[inner][::-1]
+        for seq in (route, p, d0):
+            seq[s] = seq[s][::-1]

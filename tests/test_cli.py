@@ -57,10 +57,13 @@ def test_gen_solve_bounds_pipeline(tmp_path, capsys):
 # tours became 21.40458307167746 with 15, ITP 21.55781292564512 with 15
 # tours became 21.25167772959708 with 16. Re-recorded again when every tour
 # length became the fsum of its edges: the same tours, some lengths an ulp or
-# a few apart, and ITP cost 21.251677729597084
+# a few apart, and ITP cost 21.251677729597084. The sweep entry was
+# re-recorded when every heuristic sweep group's routes gained
+# group_cvrp.depot_two_opt: sweep cost 21.40458307167746 with 15 tours became
+# 20.81254446645275 with 15; ITP carries no pass and kept its digest.
 GOLDEN_SOLVE_SHA256 = {
     ("--algo", "sweep", "--m", "2"):
-        "2c0d4863b4a7248df6d0789ca5f4419e9549590d2c6758adcf242321bb07a7f6",
+        "3b9abfb7e13e1b9a57a46d6ac3d2ce198b3a61e68c0d6fa4864c459f83619544",
     ("--algo", "itp"):
         "f61a3a8d22540923a41056ecb594f00344c5ed63b6da94d6a1487f488cd457c5",
 }

@@ -371,17 +371,23 @@ class TestBoundReuse:
 # 116.75546333262447, 70.70215926015311 and 112.96898301122626); lb_rstar
 # is the largest bound here, so best_lb and ratio kept their bits. Each row
 # was extended, not changed, when the CSV gained best_certified_lb and
-# certified_ratio: its first 13 fields kept their bits.
+# certified_ratio: its first 13 fields kept their bits. The sweep rows' cost,
+# ratio and certified_ratio were re-recorded when every heuristic sweep
+# group's routes gained group_cvrp.depot_two_opt (cost 21.685385141708267 and
+# 20.508056757122215, ratio 2.02324051348726 and 2.066069309279643,
+# certified_ratio 4.381863618592019 and 4.351639426100004); the ITP rows and
+# every lb_*, best_lb and ub column kept their bits, since ITP and T*_0 carry
+# no pass.
 GOLDEN_ROWS = [
-    "0,200,14,2,sweep,21.685385141708267,4.964727090181817,10.718144974435742,"
-    "4.948895499553731,10.718144974435742,72.60340158135621,2.02324051348726,false,"
-    "4.948895499553731,4.381863618592019",
+    "0,200,14,2,sweep,20.792303152912975,4.964727090181817,10.718144974435742,"
+    "4.948895499553731,10.718144974435742,72.60340158135621,1.9399162077491483,false,"
+    "4.948895499553731,4.201402748307765",
     "0,200,14,1,itp,21.04760529825976,4.964727090181817,10.718144974435742,"
     "4.948895499553731,10.718144974435742,116.48624687549068,1.963735828211058,false,"
     "4.948895499553731,4.252990450123212",
-    "1,200,14,2,sweep,20.508056757122215,4.9679851209060955,9.92612235466223,"
-    "4.712719678500984,9.92612235466223,70.06188158665444,2.066069309279643,false,"
-    "4.712719678500984,4.351639426100004",
+    "1,200,14,2,sweep,19.714849423092474,4.9679851209060955,9.92612235466223,"
+    "4.712719678500984,9.92612235466223,70.06188158665444,1.9861582115026568,false,"
+    "4.712719678500984,4.183327413474197",
     "1,200,14,1,itp,20.58245944867454,4.9679851209060955,9.92612235466223,"
     "4.712719678500984,9.92612235466223,112.3287053377276,2.0735649544967685,false,"
     "4.712719678500984,4.367427059701837",

@@ -17,17 +17,22 @@ from sweepcvrp.geometry import (
 )
 from sweepcvrp.group_cvrp import (
     EXACT_GROUP_THRESHOLD,
+    SolveConfig,
     cvrp_exact_small,
     cvrp_group_heuristic,
+    depot_two_opt,
     partition_layers,
     solve_group,
     split_tour_sequence,
 )
 from sweepcvrp.tsp import (
-    HeldKarp, held_karp, held_karp_layers, held_karp_tour, subset_layers, tsp_exact,
+    _IMPROVE_EPS, HeldKarp, held_karp, held_karp_layers, held_karp_tour, subset_layers,
+    tsp_exact,
 )
 
-from helpers import check_feasible, random_points, shuffled_edge_sum, within_ulps
+from helpers import (
+    SCALE_EXPONENTS, check_feasible, random_points, shuffled_edge_sum, within_ulps,
+)
 
 O = Point(0.0, 0.0)
 CROSS = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
@@ -162,9 +167,12 @@ class TestSolveGroup:
         assert solve_group(U, O, 2) == cvrp_exact_small(U, O, 2)
 
     def test_large_goes_heuristic(self):
+        # the split's routes, each after the depot-edge pass
         U = random_points(np.random.default_rng(97), 40)
         sol = solve_group(U, O, 5)
-        assert sol == cvrp_group_heuristic(U, O, 5)
+        split = cvrp_group_heuristic(U, O, 5)
+        assert sol == Solution(tuple(depot_two_opt(U, O, split.tours)))
+        assert sol.total_cost < split.total_cost
         check_feasible(_as_instance(U, O, 5), sol)
 
     def test_empty_group(self):
@@ -177,7 +185,8 @@ class TestSolveGroup:
         U = random_points(np.random.default_rng(101), EXACT_GROUP_THRESHOLD + 1)
         assert solve_group(U[:-1], O, 3) == cvrp_exact_small(U[:-1], O, 3)
         sol = solve_group(U, O, 3)
-        assert sol == cvrp_group_heuristic(U, O, 3)
+        split = cvrp_group_heuristic(U, O, 3)
+        assert sol == Solution(tuple(depot_two_opt(U, O, split.tours)))
         check_feasible(_as_instance(U, O, 3), sol)
 
 
@@ -496,8 +505,9 @@ class TestLengthRule:
 
 
 class TestPairForms:
-    # both solvers read U once through geometry.check_coordinates; numeric
-    # strings raised TypeError in split_tour_sequence and cvrp_exact_small
+    # both solvers and depot_two_opt read U once through
+    # geometry.check_coordinates; numeric strings raised TypeError in
+    # split_tour_sequence and cvrp_exact_small
     @staticmethod
     def forms(U, depot):
         """(name, U, depot) in every accepted pair form."""
@@ -514,9 +524,11 @@ class TestPairForms:
             seq = rng.permutation(n).tolist()
             for k in (1, 3, 5):
                 split = split_tour_sequence(U, depot, seq, k)
+                passed = depot_two_opt(U, depot, split)
                 exact = cvrp_exact_small(U, depot, k) if n <= EXACT_GROUP_THRESHOLD else None
                 for name, U2, depot2 in self.forms(U, depot):
                     assert repr(split_tour_sequence(U2, depot2, seq, k)) == repr(split), name
+                    assert repr(depot_two_opt(U2, depot2, split)) == repr(passed), name
                     if exact is not None:
                         assert repr(cvrp_exact_small(U2, depot2, k)) == repr(exact), name
 
@@ -527,6 +539,134 @@ class TestPairForms:
             split_tour_sequence(U, O, list(range(len(U))), 2)
         with pytest.raises(ValueError, match="pairs"):
             cvrp_exact_small(U, O, 2)
+
+
+def _unit_sites(U, depot) -> list[tuple[float, float]]:
+    """The depot and U times 2**-e, with 2**(e-1) <= the largest |coordinate|
+    < 2**e (e = 0 for no nonzero coordinate), computed here."""
+    pts = [(float(x), float(y)) for x, y in (depot, *U)]
+    e = math.frexp(max(abs(c) for p in pts for c in p))[1]
+    return [(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in pts]
+
+
+def _depot_gains(sites, route) -> list[float]:
+    """The gain of every depot-edge move on `route` (rows of `sites`, row 0
+    the depot), by the pass's expression from the route alone: reverse
+    s_1 .. s_j for j = 1 .. m-1, then reverse s_j .. s_m for j = 2 .. m."""
+    o, p = sites[0], [sites[v] for v in route]
+    m = len(p)
+    gains = []
+    for j in range(m - 1):  # reverse p[: j + 1]
+        gains.append(dist(o, p[0]) + dist(p[j], p[j + 1]) - dist(o, p[j])
+                     - dist(p[0], p[j + 1]))
+    for j in range(1, m):  # reverse p[j:]
+        gains.append(dist(o, p[-1]) + dist(p[j - 1], p[j]) - dist(o, p[j])
+                     - dist(p[j - 1], p[-1]))
+    return gains
+
+
+def _pass_cases() -> list[tuple[str, list[Point], Point, int]]:
+    """(name, U, depot, k) of groups above EXACT_GROUP_THRESHOLD: random in
+    and around the square, duplicates, co-located, collinear, and a depot on
+    a terminal."""
+    rng = np.random.default_rng(359)
+
+    def pts(coords):
+        return [Point(float(x), float(y)) for x, y in coords]
+
+    cases = []
+    for n, k in ((13, 3), (24, 5), (40, 8), (64, 32), (90, 30), (150, 71)):
+        depot = Point(*map(float, rng.uniform(-1, 2, 2)))
+        cases.append((f"random-{n}-k{k}", random_points(rng, n), depot, k))
+        cases.append((f"random-{n}-k{k}-centre", random_points(rng, n), Point(0.5, 0.5), k))
+    base = rng.random((10, 2))
+    cases.append(("duplicates", pts(np.vstack([base, base, base[:5]])), Point(0.5, 0.5), 6))
+    cases.append(("co-located", pts(np.full((20, 2), 0.375)), Point(0.0, 0.0), 7))
+    t = rng.permutation(30) / 29.0
+    cases.append(("collinear", pts(np.column_stack([0.2 + 0.5 * t, 0.1 + 0.3 * t])),
+                  Point(0.2, 0.1), 8))
+    U = random_points(rng, 30)
+    cases.append(("depot-on-terminal", U, U[7], 6))
+    lattice = pts([(i % 6, i // 6) for i in range(36)])
+    cases.append(("lattice", lattice, lattice[14], 9))
+    return cases
+
+
+PASS_CASES = _pass_cases()
+
+
+class TestDepotTwoOpt:
+    @pytest.mark.parametrize("name, U, depot, k", PASS_CASES, ids=[c[0] for c in PASS_CASES])
+    def test_each_route_keeps_its_terminals_and_never_grows(self, name, U, depot, k):
+        split = cvrp_group_heuristic(U, depot, k)
+        routes = depot_two_opt(U, depot, split.tours)
+        assert len(routes) == len(split.tours)
+        for before, after in zip(split.tours, routes):
+            assert sorted(after.indices) == sorted(before.indices)
+            assert after.length == _route_length(depot, [U[i] for i in after.indices])
+            assert after.length <= before.length
+            if after.indices != before.indices:
+                assert after.length < before.length
+        assert math.fsum(t.length for t in routes) <= split.total_cost
+
+    @pytest.mark.parametrize("name, U, depot, k", PASS_CASES, ids=[c[0] for c in PASS_CASES])
+    def test_no_move_gains_more_than_the_threshold(self, name, U, depot, k):
+        sites = _unit_sites(U, depot)
+        split = cvrp_group_heuristic(U, depot, k)
+        for t in depot_two_opt(U, depot, split.tours):
+            gains = _depot_gains(sites, [i + 1 for i in t.indices])
+            assert max(gains, default=0.0) <= _IMPROVE_EPS, (name, t)
+
+    def test_the_pass_gains_on_random_groups(self):
+        # not a test of optimality: the pass moved something on these groups
+        gained = [name for name, U, depot, k in PASS_CASES if name.startswith("random")
+                  and solve_group(U, depot, k).total_cost
+                  < cvrp_group_heuristic(U, depot, k).total_cost]
+        assert len(gained) >= 6, gained
+
+    def test_a_changed_route_must_be_strictly_shorter(self, monkeypatch):
+        # the reversed route has the same length, a shuffled one a longer
+        # one: neither replaces its tour
+        U, depot, k = PASS_CASES[2][1:]
+        split = cvrp_group_heuristic(U, depot, k)
+        rng = np.random.default_rng(373)
+        for change in (lambda sites, route: route[::-1],
+                       lambda sites, route: rng.permutation(route).tolist()):
+            monkeypatch.setattr(group_module, "_depot_moves", change)
+            assert depot_two_opt(U, depot, split.tours) == list(split.tours)
+
+    def test_short_routes_are_unchanged(self):
+        rng = np.random.default_rng(367)
+        U = random_points(rng, 9)
+        tours = [Tour((i,), 2.0 * dist(O, U[i])) for i in range(3)]
+        tours += [Tour((i, i + 1), _route_length(O, U[i : i + 2])) for i in (3, 5, 7)]
+        assert depot_two_opt(U, O, tours) == tours
+        assert depot_two_opt(U, O, []) == []
+
+    @pytest.mark.parametrize("name", list(GROUP_CASES) + list(FULL_GROUP_CASES))
+    def test_exact_groups_never_reach_the_pass(self, name, monkeypatch):
+        U, depot = {**GROUP_CASES, **FULL_GROUP_CASES}[name]
+        monkeypatch.setattr(group_module, "depot_two_opt", None)  # a call would raise
+        for k in range(1, max(len(U), 1) + 1):
+            assert repr(solve_group(U, depot, k)) == repr(cvrp_exact_small(U, depot, k))
+
+    @pytest.mark.parametrize("name, U, depot, k", PASS_CASES, ids=[c[0] for c in PASS_CASES])
+    def test_solutions_are_feasible(self, name, U, depot, k):
+        for cap in sorted({1, 2, k, len(U)}):
+            check_feasible(_as_instance(U, depot, cap), solve_group(U, depot, cap))
+            check_feasible(_as_instance(U, depot, cap),
+                           solve_group(U, depot, cap, SolveConfig(tsp_mode="heuristic")))
+
+    @pytest.mark.parametrize("name, U, depot, k", PASS_CASES[:6] + PASS_CASES[-2:],
+                             ids=[c[0] for c in PASS_CASES[:6] + PASS_CASES[-2:]])
+    def test_power_of_two_scale_moves_no_choice(self, name, U, depot, k):
+        sol = solve_group(U, depot, k)
+        for e in SCALE_EXPONENTS:
+            at = [Point(math.ldexp(x, e), math.ldexp(y, e)) for x, y in U]
+            scaled = solve_group(at, Point(math.ldexp(depot.x, e), math.ldexp(depot.y, e)), k)
+            assert [t.indices for t in scaled.tours] == [t.indices for t in sol.tours], e
+            assert [t.length for t in scaled.tours] == [
+                math.ldexp(t.length, e) for t in sol.tours], e
 
 
 def _held_karp_cases() -> dict[str, tuple[list[Point], Point]]:

@@ -5,11 +5,12 @@ import pytest
 
 from sweepcvrp.bounds import upper_bound_formula
 from sweepcvrp.bruteforce import brute_force_opt
+from sweepcvrp.experiments import gen_instance
 from sweepcvrp.geometry import Instance, Point, dist
-from sweepcvrp.group_cvrp import SolveConfig, solve_group
+from sweepcvrp.group_cvrp import SolveConfig, solve_group, split_tour_sequence
 from sweepcvrp.itp import itp_solve
 from sweepcvrp.sweep import sweep_groups, sweep_solve
-from sweepcvrp.tsp import tsp_exact
+from sweepcvrp.tsp import tsp_dispatch, tsp_exact
 
 from helpers import check_feasible, random_instance
 
@@ -115,6 +116,20 @@ class TestItp:
             bound = tsp.length + (2.0 / inst.capacity) * radial
             assert sol.total_cost <= bound + 1e-9
             check_feasible(inst, sol)
+
+    @pytest.mark.parametrize("n, k", [(15, 4), (40, 6), (200, 14)])
+    @pytest.mark.parametrize("depot", [Point(0.5, 0.5), Point(3.0, -2.0)])
+    def test_itp_is_the_classical_split(self, n, k, depot):
+        # ITP's routes in route order are the heuristic T*_0 tour
+        # (BoundContext.local), so ITP carries no depot_two_opt pass: its
+        # routes are the split of one TSP tour over the depot and terminals
+        for seed in (0, 1):
+            inst = gen_instance(n, k, depot, seed)
+            for mode in ("auto", "heuristic"):
+                res = tsp_dispatch([inst.depot, *inst.terminals], mode=mode, seed=seed)
+                seq = [i - 1 for i in res.order[1:]]
+                split = split_tour_sequence(list(inst.terminals), inst.depot, seq, k)
+                assert repr(itp_solve(inst, mode, seed).tours) == repr(tuple(split))
 
 
 class TestUpperBoundCertificate:
