@@ -244,27 +244,69 @@ def unit_scale(xy: np.ndarray) -> tuple[np.ndarray, int]:
 def diameter(points) -> float:
     """Maximum pairwise distance; 0 for fewer than two points.
 
-    The farthest pair of a finite set is a pair of convex hull vertices, so
-    the maximum of dx*dx + dy*dy over hull pairs, one numpy row per vertex,
-    is the all-pairs maximum. The hull (convex_hull checks the points) goes
-    to unit scale (unit_scale) and the root comes back, so D is exact where
-    products of raw coordinates of 1e-200 would underflow to 0, and scaling
-    the points by a power of two scales D by it, bit for bit. The hull's
-    largest |coordinate| is the set's unless the rounded orientation test
-    drops a point within rounding of a hull edge; then the two scales differ
-    by a power of two, which scales every square exactly unless it is
-    subnormal, so D keeps its bits. Only such a near-duplicate of a hull
-    vertex could move the maximum, by an ulp. Squares are IEEE products, not
-    `**2` (libm `pow`), so D is the same bits for every input size and libm.
+    The points (check_coordinates) go to unit scale (unit_scale), where
+    _inside drops only points strictly inside their convex hull, and D is
+    the root of the maximum of dx*dx + dy*dy over the pairs of the rest, one
+    numpy row per point, scaled back. No endpoint of a farthest pair is
+    strictly inside the hull: if p, q are at distance D and p were, a
+    small step from p away from q stays in the hull and ends farther than D
+    from q, but |x - q| is convex in x, so its maximum over the hull is its
+    maximum over the points, D. So every farthest pair survives, ties
+    included, and the survivors hold every hull vertex. Scaling the points
+    by a power of two scales D by it, bit for bit, and D is exact where
+    products of raw coordinates of 1e-200 would underflow to 0. Squares are
+    IEEE products, not `**2` (libm `pow`), so D is the same bits for every
+    input size and libm.
     """
-    hull, e = unit_scale(as_xy(convex_hull(points)))
-    xs, ys = hull[:, 0], hull[:, 1]
+    xy, e = unit_scale(check_coordinates(points))
+    xy = xy[~_inside(xy)]
+    xs, ys = xy[:, 0], xy[:, 1]
     best = 0.0
-    for i in range(len(hull) - 1):
+    for i in range(len(xy) - 1):
         dx = xs[i + 1 :] - xs[i]
         dy = ys[i + 1 :] - ys[i]
         best = max(best, float(np.max(dx * dx + dy * dy)))
     return math.ldexp(math.sqrt(best), e)
+
+
+# the rounding margin of _inside's orientation test at unit scale
+_ORIENT_MARGIN = 2.0**-47
+
+
+def _inside(xy: np.ndarray) -> np.ndarray:
+    """One flag per row of xy (at unit scale, every |coordinate| < 1): True
+    only for a point strictly inside the convex hull of the rows.
+
+    The polygon is the rows extreme in the 8 directions +-x, +-(x + y),
+    +-y, +-(x - y), in that (counterclockwise) order, consecutive equal
+    rows dropped, and a point is flagged when it is strictly left of every
+    directed edge. For any closed sequence of points v_i, convex or not,
+    such a point p is interior to their hull: otherwise a line through p
+    has every v_i on one closed side, and with p at the origin and that
+    side as the upper half-plane each v_i has an angle in [0, pi], none at
+    p; v_i x v_(i+1) > 0 then says the angle grows from v_i to v_(i+1), all
+    the way round the cycle, which cannot be. So a rounded x + y or x - y
+    that picks a vertex off the hull costs filtering, not correctness.
+
+    The test reads cross = (b - a) x (p - a) > _ORIENT_MARGIN. The four
+    differences are below 2 and each errs by at most u |.| (u = 2**-53;
+    below 2**-1022 a difference is exact), the two products are below 4
+    and err by at most 4((1 + u)^3 - 1) + 2**-1074 each, and the final
+    difference by at most u times its at most 8.0001: under 33u + 2**-1073
+    in all, far below the margin 2**-47 = 64u. So a flagged point is
+    strictly left of every edge in exact arithmetic.
+    """
+    if not len(xy):
+        return np.zeros(0, dtype=bool)
+    xs, ys = xy[:, 0], xy[:, 1]
+    s, d = xs + ys, xs - ys
+    poly = [xy[i] for i in (xs.argmax(), s.argmax(), ys.argmax(), d.argmin(),
+                            xs.argmin(), s.argmin(), ys.argmin(), d.argmax())]
+    poly = [v for v, w in zip(poly, poly[1:] + poly[:1]) if (v != w).any()]
+    inside = np.full(len(xy), len(poly) >= 3)  # fewer vertices enclose nothing
+    for a, b in zip(poly, poly[1:] + poly[:1]):
+        inside &= (b[0] - a[0]) * (ys - a[1]) - (b[1] - a[1]) * (xs - a[0]) > _ORIENT_MARGIN
+    return inside
 
 
 # --- text formats --------------------------------------------------------------

@@ -18,9 +18,15 @@ first argmin over that mask's row, whose blocks are in descending order, so
 among equal sums the largest block wins, and tsp.held_karp_tour reads the
 block's route from the table. The heuristic path cuts one TSP tour over the
 group plus depot into segments of at most k terminals, taking the best of k
-rotation offsets (cvrp_group_heuristic, which ITP runs as it is), and
-solve_group then improves each segment's route by depot_two_opt, as the
-sweep of Gillett and Miller (1974) improves each route after the cut. A
+rotation offsets (cvrp_group_heuristic, which ITP runs as it is). The offsets
+are screened in numpy first: an offset's total is a constant plus the sum of
+its cuts' costs d(depot, a) + d(depot, b) - d(a, b), one column sum of a
+(ceil(n / k), k) table each, and only the offsets within twice a proven
+rounding bound of the least are summed by the exact rule, so the winner and
+every length keep their bits (_offsets). solve_group then improves each
+segment's route by depot_two_opt, reading the group's points once for the
+split and the pass, as the sweep of Gillett and Miller (1974) improves each
+route after the cut. A
 segment is a path of the group tour, which is 2-opt optimal, so a 2-opt
 move between two of its inner edges is a move of that tour with the same
 four edges and cannot gain: only the moves that replace one of the route's
@@ -55,6 +61,8 @@ EXACT_GROUP_THRESHOLD = 12
 # took 1.2 ms per call in steps of 8192, 1.6 ms in whole layers (a shared
 # 2-vCPU Xeon)
 _BLOCK_ENTRIES = 8192
+# binary64's unit roundoff: |fl(x) - x| <= _U * |x| for a rounded sum
+_U = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -169,17 +177,23 @@ def split_tour_sequence(
 
     Returns one Tour per segment of the winning offset, of length the fsum
     of the segment's edges (tour_length). Offset r puts the first r terminals
-    in a short leading segment; ties prefer the smaller offset. The depot
-    and U are read once by check_coordinates, k by check_int (ValueError).
+    in a short leading segment; ties prefer the smaller offset. Only the
+    offsets that _offsets screens in are summed exactly; the others provably
+    cannot reach or tie the least exact total. The depot and U are read once
+    by check_coordinates, k by check_int (ValueError).
     """
     k = check_int(k, "capacity", 1)
+    return _split(check_coordinates((depot, *U)).tolist(), seq, k)
+
+
+def _split(rows: list[list[float]], seq: Sequence[int], k: int) -> list[Tour]:
+    """split_tour_sequence over rows = check_coordinates((depot, *U)).tolist()."""
     n = len(seq)
-    xy = check_coordinates((depot, *U)).tolist()  # row 0 is the depot
-    pts = [xy[i + 1] for i in seq]
-    dep = [dist(xy[0], p) for p in pts]
+    pts = [rows[i + 1] for i in seq]
+    dep = [dist(rows[0], p) for p in pts]
     legs = [dist(a, b) for a, b in zip(pts, pts[1:])]
     best_cost, best_cuts = math.inf, []
-    for r in range(min(k, n)):
+    for r in _offsets(dep, legs, k):
         starts = ([0] if r else []) + list(range(r, n, k))
         cuts = [(a, b, math.fsum([dep[a], *legs[a : b - 1], dep[b - 1]]))
                 for a, b in zip(starts, starts[1:] + [n])]
@@ -187,6 +201,69 @@ def split_tour_sequence(
         if total < best_cost:
             best_cost, best_cuts = total, cuts
     return [Tour(indices=tuple(seq[a:b]), length=c) for a, b, c in best_cuts]
+
+
+def _offsets(dep: list[float], legs: list[float], k: int) -> list[int]:
+    """The offsets r < min(k, n) whose exact total in _split can reach or
+    tie the least one, ascending.
+
+    With d_i = dep[i] and l_i = legs[i], offset r cuts the sequence at
+    K(r) = {c : 0 < c < n, c = r mod k}, and the real sum of its segments'
+    terms is S(r) = C + V(r), with C = sum(l) + d_0 + d_{n-1} and V(r) the
+    sum over c in K(r) of g_c = d_(c-1) + d_c - l_(c-1): each cut drops a
+    leg and adds the depot edges of the two ends it makes. C is the same for
+    every offset, so the screen compares V~(r), the column sums of a
+    zero-padded (m, k) table of the computed g_c, m = ceil(n / k), and E
+    below bounds |V~(r) - (T(r) - C)|, T(r) the exact rule's total.
+
+    The bound. With u = 2**-53, a rounded sum or difference x and a
+    correctly rounded fsum satisfy |fl(x) - x| <= u |x| and <= u |fl(x)|
+    (a sum in the subnormal range is exact), and adding m terms in any
+    order errs by at most gamma_m = m u / (1 - m u) times the sum of their
+    absolute values (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, 4.2).
+      - g_c is computed as fl(w_c - l_(c-1)) with w_c = fl(d_(c-1) + d_c),
+        so it is within u h_c of g_c, h_c = w_c + |fl(g_c)|, and V~(r) is
+        within (u + gamma_(m-1)) H(r) <= gamma_m H(r) of V(r), H(r) the real
+        sum of h_c over K(r). The column sums H~(r) of the rounded h_c are
+        at least (1 - gamma_m) H(r), so |V~(r) - V(r)| <= E_V =
+        gamma_m / (1 - gamma_m) max H~, which is at most
+        m u (1 + 2**-20) max H~ for n <= 2**30.
+      - The exact rule rounds each segment's fsum of non-negative terms,
+        then the fsum of those: |T(r) - S(r)| <= (2u + u^2) S(r), and
+        S(r) <= fsum(l) / (1 - u) + d_0 + d_{n-1} + max(V~, 0) + E_V.
+    So E = E_V + (2u + u^2) times that bound on S(r). The code evaluates
+    (1 + 2**-19) (e + 2u (fsum(l) + d_0 + d_{n-1} + max(V~, 0) + e)),
+    e = m u max H~, plus 2**-1070: every term is non-negative, the factor
+    covers u^2, 1 / (1 - u), the 2**-20 above and the eight roundings of
+    the evaluation, and the last term the three products should they fall
+    below 2**-1022.
+
+    If r is the exact winner, T(r) <= T(s) for s the offset of least V~,
+    so V~(r) <= T(r) - C + E <= T(s) - C + E <= V~(s) + 2E: r is kept
+    (rounding is monotone, so comparing with fl(V~(s) + 2E) keeps it too).
+    _split sums the kept offsets in ascending r under a strict <, so it
+    returns the first exact minimum over all offsets. One offset needs no
+    screen.
+    """
+    n = len(dep)
+    width = min(k, n)
+    if width <= 1:
+        return list(range(width))
+    m = -(-n // k)
+    a = np.array(dep + legs)
+    w = a[: n - 1] + a[1:n]
+    table = np.zeros((2, m * k))  # rows g and h, column c % k, row c // k
+    g, h = table[0, 1:n], table[1, 1:n]
+    np.subtract(w, a[n:], out=g)
+    np.abs(g, out=h)
+    h += w
+    v, hs = table.reshape(2, m, k).sum(axis=1)[:, :width].tolist()
+    e = m * _U * max(hs)
+    bound = (1 + 2.0**-19) * (e + 2 * _U * (
+        math.fsum(legs) + dep[0] + dep[-1] + max(max(v), 0.0) + e)) + 2.0**-1070
+    cap = min(v) + 2 * bound
+    return [r for r, x in enumerate(v) if x <= cap]
 
 
 def cvrp_group_heuristic(
@@ -200,20 +277,29 @@ def cvrp_group_heuristic(
     TSP(U + depot) + (2/k) * sum of depot distances (classical splitting
     inequality; the offset average argument).
     """
-    res = tsp_dispatch([depot, *U], mode=tsp_mode, seed=seed)
-    seq = [i - 1 for i in res.order[1:]]  # the depot leads; back to U indices
+    seq = _tour_order(U, depot, tsp_mode, seed)
     return Solution(tuple(split_tour_sequence(U, depot, seq, k)))
+
+
+def _tour_order(U: Sequence[Point], depot: Point, tsp_mode: str, seed: int) -> list[int]:
+    """The terminals of tsp_dispatch's tour over the depot and U, as U indices."""
+    res = tsp_dispatch([depot, *U], mode=tsp_mode, seed=seed)
+    return [i - 1 for i in res.order[1:]]  # the depot leads; back to U indices
 
 
 def solve_group(
     U: Sequence[Point], depot: Point, k: int, config: SolveConfig = SolveConfig()
 ) -> Solution:
     """Exact partition for small groups, otherwise tour splitting with each
-    route then improved by depot_two_opt."""
+    route then improved by depot_two_opt. The heuristic branch reads the
+    depot and U once for both the split and the pass."""
     if len(U) <= EXACT_GROUP_THRESHOLD:
         return cvrp_exact_small(U, depot, k)
-    split = cvrp_group_heuristic(U, depot, k, config.tsp_mode, config.seed)
-    return Solution(tuple(depot_two_opt(U, depot, split.tours)))
+    k = check_int(k, "capacity", 1)
+    xy = check_coordinates((depot, *U))
+    rows = xy.tolist()
+    tours = _split(rows, _tour_order(U, depot, config.tsp_mode, config.seed), k)
+    return Solution(tuple(_two_opt(xy, rows, tours)))
 
 
 def depot_two_opt(U: Sequence[Point], depot: Point, tours: Sequence[Tour]) -> list[Tour]:
@@ -233,7 +319,12 @@ def depot_two_opt(U: Sequence[Point], depot: Point, tours: Sequence[Tour]) -> li
     read once by check_coordinates (ValueError).
     """
     xy = check_coordinates((depot, *U))
-    rows, sites = xy.tolist(), list(zip(*unit_scale(xy)[0].T.tolist()))
+    return _two_opt(xy, xy.tolist(), tours)
+
+
+def _two_opt(xy: np.ndarray, rows: list[list[float]], tours: Sequence[Tour]) -> list[Tour]:
+    """depot_two_opt over xy = check_coordinates((depot, *U)) and its rows."""
+    sites = list(zip(*unit_scale(xy)[0].T.tolist()))
     out = []
     for tour in tours:
         route = _depot_moves(sites, [i + 1 for i in tour.indices])

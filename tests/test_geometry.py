@@ -28,6 +28,7 @@ from sweepcvrp.geometry import (
     save_instance,
     sweep_sort,
     tour_length,
+    unit_scale,
     write_instance,
 )
 from sweepcvrp.bounds import choose_R, compute_bounds
@@ -54,6 +55,25 @@ def _all_pairs_diameter(pts):
         dy = ys[i] - ys[i + 1 :]
         best = max(best, float((dx * dx + dy * dy).max()))
     return math.sqrt(best)
+
+
+def _hull_diameter(points):
+    """diameter before the extreme-point prefilter: the same maximum over
+    the pairs of convex_hull's vertices, at the hull's unit scale."""
+    hull, e = unit_scale(as_xy(convex_hull(points)))
+    xs, ys = hull[:, 0], hull[:, 1]
+    best = 0.0
+    for i in range(len(hull) - 1):
+        dx = xs[i + 1 :] - xs[i]
+        dy = ys[i + 1 :] - ys[i]
+        best = max(best, float(np.max(dx * dx + dy * dy)))
+    return math.ldexp(math.sqrt(best), e)
+
+
+def _kept(pts):
+    """The points diameter's prefilter keeps, at unit scale."""
+    xy = unit_scale(as_xy(pts))[0]
+    return xy[~sweepcvrp.geometry._inside(xy)]
 
 
 class TestPolarAngle:
@@ -232,6 +252,55 @@ class TestDiameter:
         d = diameter(_points(xy))
         for e in (-900, -560, -200, 30, 400):
             assert diameter(_points(np.ldexp(xy, e))) == math.ldexp(d, e)
+
+    def test_prefilter_keeps_every_point_on_a_circle(self):
+        t = np.linspace(0.0, 2 * math.pi, 97)[:-1]
+        pts = _points(np.column_stack([0.5 + 0.25 * np.cos(t), 0.5 + 0.25 * np.sin(t)]))
+        assert len(_kept(pts)) == 96
+        assert diameter(pts) == _hull_diameter(pts) == _all_pairs_diameter(pts)
+
+    def test_prefilter_margin(self):
+        # the polygon is the square of the four axis points; a point drops
+        # only when the rounded test puts it 2**-47 inside every edge
+        square = [Point(0.5, 0.0), Point(0.0, 0.5), Point(-0.5, 0.0), Point(0.0, -0.5)]
+        step = 2.0**-48  # moves the orientation test by 2**-48 per unit edge
+        near = [Point(0.25 - step, 0.25 - step), Point(-0.25, -0.25),
+                Point(0.25 - 3 * step, -0.25 + 3 * step), Point(0.0, 0.0)]
+        kept = {tuple(p) for p in _kept(square + near).tolist()}
+        assert kept == {*map(tuple, square), (0.25 - step, 0.25 - step), (-0.25, -0.25)}
+        pts = square + near
+        assert diameter(pts) == _hull_diameter(pts) == _all_pairs_diameter(pts) == 1.0
+
+    def test_duplicated_extreme_points(self):
+        rng = np.random.default_rng(11)
+        inner = _points(rng.uniform(-0.3, 0.3, size=(200, 2)))
+        corners = [Point(1.0, 0.0), Point(0.0, 1.0), Point(-1.0, 0.0), Point(0.0, -1.0)]
+        pts = corners * 3 + inner + corners
+        assert len(_kept(pts)) == 16  # the repeated vertices only
+        assert diameter(pts) == _hull_diameter(pts) == _all_pairs_diameter(pts) == 2.0
+
+    def test_lattice_with_tied_farthest_pairs(self):
+        # both diagonals are farthest pairs, and every point of the
+        # boundary is kept
+        pts = [Point(float(i), float(j)) for i in range(9) for j in range(9)]
+        assert len(_kept(pts)) == 32
+        assert diameter(pts) == _hull_diameter(pts) == _all_pairs_diameter(pts) == math.sqrt(128)
+
+    def test_prefilter_at_every_scale(self):
+        xy = np.random.default_rng(13).uniform(-1, 1, size=(300, 2))
+        d, kept = diameter(_points(xy)), _kept(_points(xy))
+        for e in SCALE_EXPONENTS:
+            pts = _points(np.ldexp(xy, e))
+            assert diameter(pts) == _hull_diameter(pts) == math.ldexp(d, e), e
+            assert np.array_equal(_kept(pts), kept), e
+
+    def test_same_as_hull_diameter_on_benchmark_instances(self):
+        # the instances of the benchmark's ratio_n1000 and exact_small
+        for n, k, seeds in ((1000, 32, range(16)), (14, 6, range(20))):
+            for seed in seeds:
+                inst = gen_instance(n, k, Point(0.5, 0.5), seed)
+                pts = [*inst.terminals, inst.depot]
+                assert diameter(pts) == _hull_diameter(pts), (n, seed)
 
     def test_translation_and_permutation_invariance(self):
         rng = np.random.default_rng(5)

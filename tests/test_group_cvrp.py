@@ -175,6 +175,19 @@ class TestSolveGroup:
         assert sol.total_cost < split.total_cost
         check_feasible(_as_instance(U, O, 5), sol)
 
+    def test_heuristic_group_reads_its_points_once(self, monkeypatch):
+        # the split and the pass share one read; tsp_dispatch reads its own
+        calls = []
+        read = group_module.check_coordinates
+        monkeypatch.setattr(group_module, "check_coordinates",
+                            lambda *a: calls.append(a) or read(*a))
+        U = random_points(np.random.default_rng(97), 40)
+        sol = solve_group(U, O, 5)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        split = cvrp_group_heuristic(U, O, 5)
+        assert sol == Solution(tuple(depot_two_opt(U, O, split.tours)))
+
     def test_empty_group(self):
         sol = solve_group([], O, 3)
         assert sol == cvrp_exact_small([], O, 3)
@@ -435,6 +448,49 @@ FULL_GROUP_CASES = {
 }
 
 
+def _split_cases() -> dict[str, tuple[list[Point], Point, list[int], tuple[int, ...]]]:
+    """name -> (U, depot, seq, capacities) for the tour split: an ITP-sized
+    sequence, 0 to 2 terminals, groups where many offsets tie, a one-ulp
+    near-tie and the same groups at every power-of-two scale."""
+    rng = np.random.default_rng(409)
+    cases = {}
+    U = random_points(rng, 1000)
+    order = sorted(range(1000), key=lambda i: math.atan2(U[i].y - 0.5, U[i].x - 0.5))
+    cases["itp-1000"] = (U, Point(0.5, 0.5), order, (1, 2, 8, 32, 71, 1000, 1005))
+    for n in (0, 1, 2):
+        cases[f"short-{n}"] = (random_points(rng, n), Point(0.25, 0.75), list(range(n)),
+                               (1, 2, 3, 5))
+    # n = 1 mod k gives every offset as many cuts, and each group below
+    # makes many cuts cost the same: all offsets tie, or many of them
+    lattice = [Point(4.0, 4.0), Point(3.0, 5.0), Point(2.0, 4.0), Point(3.0, 3.0)]
+    cases["tie-lattice"] = ([lattice[i % 4] for i in range(61)], Point(3.0, 4.0),
+                            list(range(61)), (4, 6, 7, 10, 20, 60))
+    # alternate sides of the depot on a line through it: d + d' = leg
+    line = [Point(0.5 + 0.6 * t, 0.5 + 0.8 * t)
+            for t in ((-1) ** i * (0.5 + i / 128) for i in range(61))]
+    cases["tie-collinear"] = (line, Point(0.5, 0.5), list(range(61)), (4, 9, 20, 61))
+    sites = random_points(rng, 5)
+    cases["tie-duplicates"] = ([sites[i % 5] for i in range(81)], Point(0.5, 0.5),
+                               list(range(81)), (5, 10, 20, 40, 80))
+    U = random_points(rng, 30)
+    cases["tie-depot-on-terminal"] = ([p for v in U for p in (v, U[0])], U[0],
+                                      list(range(60)), (5, 12, 59))
+    # on a line through the depot every distance is exact; see test_split_near_tie
+    x = [0.5 + 7 * 2.0**-53, 0.5 + 3 * 2.0**-53, 0.5 + 6 * 2.0**-53, -2.0 - 6 * 2.0**-51]
+    cases["near-tie"] = ([Point(v, 0.0) for v in x], Point(0.0, 0.0), [0, 1, 2, 3], (2,))
+    for name in ("tie-lattice", "near-tie"):
+        U, depot, seq, capacities = cases[name]
+        for e in SCALE_EXPONENTS:
+            def at(p, e=e):
+                return Point(math.ldexp(p.x, e), math.ldexp(p.y, e))
+
+            cases[f"{name}-scale-{e}"] = ([at(p) for p in U], at(depot), seq, capacities)
+    return cases
+
+
+SPLIT_CASES = _split_cases()
+
+
 class TestExactSmallReference:
     @pytest.mark.parametrize("name", list(GROUP_CASES) + list(FULL_GROUP_CASES))
     def test_same_solution_as_reference(self, name):
@@ -473,17 +529,46 @@ class TestExactSmallReference:
                 _assert_same_tours(U, depot, cvrp_exact_small(U, depot, k),
                                    [(t.indices, t.length) for t in ref.tours])
 
-    @pytest.mark.parametrize("name", list(GROUP_CASES))
-    def test_split_same_as_reference(self, name):
-        U, depot = GROUP_CASES[name]
-        seq = np.random.default_rng(len(U)).permutation(len(U)).tolist()
-        for k in range(1, max(len(U), 1) + 1):
+    @pytest.mark.parametrize("name", list(GROUP_CASES) + list(SPLIT_CASES))
+    def test_split_same_as_reference(self, name, monkeypatch):
+        # the reference sums every offset exactly, as the split did before
+        # the numpy screen of _offsets; kept records what each split summed
+        if name in GROUP_CASES:
+            U, depot = GROUP_CASES[name]
+            seq = np.random.default_rng(len(U)).permutation(len(U)).tolist()
+            capacities = range(1, max(len(U), 1) + 1)
+        else:
+            U, depot, seq, capacities = SPLIT_CASES[name]
+        kept = []
+        screen = group_module._offsets
+        monkeypatch.setattr(group_module, "_offsets",
+                            lambda *a: kept.append(screen(*a)) or kept[-1])
+        for k in capacities:
             tours = split_tour_sequence(U, depot, seq, k)
             segments, lengths, ref_total = _split_reference(U, depot, seq, k)
             assert [(t.indices, t.length) for t in tours] == [
                 (tuple(seg), length) for seg, length in zip(segments, lengths)
-            ]
+            ], k
             assert math.fsum(t.length for t in tours) == ref_total
+        if name.startswith("tie-"):  # many offsets inside the window
+            assert max(map(len, kept)) >= 3, kept
+
+    def test_split_near_tie(self):
+        # offsets 0 and 1 differ by one ulp in their exact totals, offset 1
+        # the smaller, while the screened cut sums put offset 0 first: the
+        # exact rule, not the screen, picks the winner
+        U, depot, seq, _ = SPLIT_CASES["near-tie"]
+        (segments, lengths, total) = _split_reference(U, depot, seq, 2)
+        assert segments == [[0], [1, 2], [3]]
+        other = math.fsum(_route_length(depot, [U[i] for i in seg]) for seg in ([0, 1], [2, 3]))
+        assert other == total + math.ulp(total)
+        x = [p.x for p in U]
+        d, leg = [abs(v) for v in x], [abs(b - a) for a, b in zip(x, x[1:])]
+        cut = [d[c - 1] + d[c] - leg[c - 1] for c in (1, 2, 3)]
+        assert cut[1] < cut[0] + cut[2]
+        tours = split_tour_sequence(U, depot, seq, 2)
+        assert [t.indices for t in tours] == [(0,), (1, 2), (3,)]
+        assert math.fsum(t.length for t in tours) == total
 
 
 class TestLengthRule:
@@ -646,7 +731,8 @@ class TestDepotTwoOpt:
     @pytest.mark.parametrize("name", list(GROUP_CASES) + list(FULL_GROUP_CASES))
     def test_exact_groups_never_reach_the_pass(self, name, monkeypatch):
         U, depot = {**GROUP_CASES, **FULL_GROUP_CASES}[name]
-        monkeypatch.setattr(group_module, "depot_two_opt", None)  # a call would raise
+        for attr in ("depot_two_opt", "_two_opt"):  # a call would raise
+            monkeypatch.setattr(group_module, attr, None)
         for k in range(1, max(len(U), 1) + 1):
             assert repr(solve_group(U, depot, k)) == repr(cvrp_exact_small(U, depot, k))
 
