@@ -196,34 +196,6 @@ def sweep_sort(instance: Instance) -> list[int]:
                   key=lambda i: (polar_angle(instance.terminals[i], depot), d[i], i))
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(points) -> list[Point]:
-    """Convex hull in counterclockwise order (Andrew's monotone chain).
-
-    Collinear points on the hull boundary are dropped. Degenerate inputs
-    (all points equal or collinear) yield hulls of size 1 or 2. The hull
-    lists the points, in any pair form, as float Points; a coordinate that
-    fails check_coordinates raises ValueError (NaN has no order to sort by).
-    The orientation tests run on the points at unit scale (unit_scale),
-    where their products neither underflow nor overflow.
-    """
-    pts = sorted(set(map(Point._make, check_coordinates(points).tolist())))
-    if len(pts) <= 2:
-        return pts
-    at = unit_scale(as_xy(pts))[0].tolist()
-    lower: list[int] = []
-    upper: list[int] = []
-    for chain, ids in ((lower, range(len(pts))), (upper, range(len(pts) - 1, -1, -1))):
-        for i in ids:
-            while len(chain) >= 2 and _cross(at[chain[-2]], at[chain[-1]], at[i]) <= 0:
-                chain.pop()
-            chain.append(i)
-    return [pts[i] for i in lower[:-1] + upper[:-1]]
-
-
 def unit_scale(xy: np.ndarray) -> tuple[np.ndarray, int]:
     """(xy * 2**-e, e) for e the power of two of the largest |coordinate|,
     which puts it in [0.5, 1), and e = 0 when every coordinate is 0 or there

@@ -23,17 +23,16 @@ are screened in numpy first: an offset's total is a constant plus the sum of
 its cuts' costs d(depot, a) + d(depot, b) - d(a, b), one column sum of a
 (ceil(n / k), k) table each, and only the offsets within twice a proven
 rounding bound of the least are summed by the exact rule, so the winner and
-every length keep their bits (_offsets). solve_group then improves each
-segment's route by depot_two_opt, reading the group's points once for the
-split and the pass, as the sweep of Gillett and Miller (1974) improves each
-route after the cut. A
-segment is a path of the group tour, which is 2-opt optimal, so a 2-opt
-move between two of its inner edges is a move of that tour with the same
-four edges and cannot gain: only the moves that replace one of the route's
-two depot edges can. The pass takes the best of them while one gains more
-than tsp._IMPROVE_EPS at unit scale. The DP's sums and the pass's gains only
-choose: every Tour's length is the fsum of its route's edges,
-geometry.tour_length bit for bit.
+every length keep their bits (_offsets). solve_group runs
+cvrp_group_heuristic, then improves each segment's route by depot_two_opt,
+as the sweep of Gillett and Miller (1974) improves each route after the
+cut; each stage reads the group's points itself. A segment is a path of
+the group tour, which is 2-opt optimal, so a 2-opt move between two of its
+inner edges is a move of that tour with the same four edges and cannot
+gain: only the moves that replace one of the route's two depot edges can.
+The pass takes the best of them while one gains more than tsp._IMPROVE_EPS
+at unit scale. The DP's sums and the pass's gains only choose: every Tour's
+length is the fsum of its route's edges, geometry.tour_length bit for bit.
 
 All solutions returned here use local indices 0..len(U)-1; callers remap.
 """
@@ -183,11 +182,7 @@ def split_tour_sequence(
     by check_coordinates, k by check_int (ValueError).
     """
     k = check_int(k, "capacity", 1)
-    return _split(check_coordinates((depot, *U)).tolist(), seq, k)
-
-
-def _split(rows: list[list[float]], seq: Sequence[int], k: int) -> list[Tour]:
-    """split_tour_sequence over rows = check_coordinates((depot, *U)).tolist()."""
+    rows = check_coordinates((depot, *U)).tolist()
     n = len(seq)
     pts = [rows[i + 1] for i in seq]
     dep = [dist(rows[0], p) for p in pts]
@@ -204,8 +199,8 @@ def _split(rows: list[list[float]], seq: Sequence[int], k: int) -> list[Tour]:
 
 
 def _offsets(dep: list[float], legs: list[float], k: int) -> list[int]:
-    """The offsets r < min(k, n) whose exact total in _split can reach or
-    tie the least one, ascending.
+    """The offsets r < min(k, n) whose exact total in split_tour_sequence can
+    reach or tie the least one, ascending.
 
     With d_i = dep[i] and l_i = legs[i], offset r cuts the sequence at
     K(r) = {c : 0 < c < n, c = r mod k}, and the real sum of its segments'
@@ -242,9 +237,9 @@ def _offsets(dep: list[float], legs: list[float], k: int) -> list[int]:
     If r is the exact winner, T(r) <= T(s) for s the offset of least V~,
     so V~(r) <= T(r) - C + E <= T(s) - C + E <= V~(s) + 2E: r is kept
     (rounding is monotone, so comparing with fl(V~(s) + 2E) keeps it too).
-    _split sums the kept offsets in ascending r under a strict <, so it
-    returns the first exact minimum over all offsets. One offset needs no
-    screen.
+    split_tour_sequence sums the kept offsets in ascending r under a strict
+    <, so it returns the first exact minimum over all offsets. One offset
+    needs no screen.
     """
     n = len(dep)
     width = min(k, n)
@@ -277,29 +272,20 @@ def cvrp_group_heuristic(
     TSP(U + depot) + (2/k) * sum of depot distances (classical splitting
     inequality; the offset average argument).
     """
-    seq = _tour_order(U, depot, tsp_mode, seed)
-    return Solution(tuple(split_tour_sequence(U, depot, seq, k)))
-
-
-def _tour_order(U: Sequence[Point], depot: Point, tsp_mode: str, seed: int) -> list[int]:
-    """The terminals of tsp_dispatch's tour over the depot and U, as U indices."""
     res = tsp_dispatch([depot, *U], mode=tsp_mode, seed=seed)
-    return [i - 1 for i in res.order[1:]]  # the depot leads; back to U indices
+    seq = [i - 1 for i in res.order[1:]]  # the depot leads; back to U indices
+    return Solution(tuple(split_tour_sequence(U, depot, seq, k)))
 
 
 def solve_group(
     U: Sequence[Point], depot: Point, k: int, config: SolveConfig = SolveConfig()
 ) -> Solution:
-    """Exact partition for small groups, otherwise tour splitting with each
-    route then improved by depot_two_opt. The heuristic branch reads the
-    depot and U once for both the split and the pass."""
+    """Exact partition for small groups, otherwise cvrp_group_heuristic with
+    each of its routes then improved by depot_two_opt."""
     if len(U) <= EXACT_GROUP_THRESHOLD:
         return cvrp_exact_small(U, depot, k)
-    k = check_int(k, "capacity", 1)
-    xy = check_coordinates((depot, *U))
-    rows = xy.tolist()
-    tours = _split(rows, _tour_order(U, depot, config.tsp_mode, config.seed), k)
-    return Solution(tuple(_two_opt(xy, rows, tours)))
+    sol = cvrp_group_heuristic(U, depot, k, config.tsp_mode, config.seed)
+    return Solution(tuple(depot_two_opt(U, depot, sol.tours)))
 
 
 def depot_two_opt(U: Sequence[Point], depot: Point, tours: Sequence[Tour]) -> list[Tour]:
@@ -319,11 +305,7 @@ def depot_two_opt(U: Sequence[Point], depot: Point, tours: Sequence[Tour]) -> li
     read once by check_coordinates (ValueError).
     """
     xy = check_coordinates((depot, *U))
-    return _two_opt(xy, xy.tolist(), tours)
-
-
-def _two_opt(xy: np.ndarray, rows: list[list[float]], tours: Sequence[Tour]) -> list[Tour]:
-    """depot_two_opt over xy = check_coordinates((depot, *U)) and its rows."""
+    rows = xy.tolist()
     sites = list(zip(*unit_scale(xy)[0].T.tolist()))
     out = []
     for tour in tours:

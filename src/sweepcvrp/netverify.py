@@ -4,14 +4,17 @@ The claim being certified, for every depot position O:
 
   g2(O) - (31/48) g1(O) >= 0   and   g3(O) - 31/48 >= 0.
 
-Depots at distance >= 3*sqrt(2) from the unit square satisfy both exactly
-(there g2 = (3/4) g1 and g3 = 1). The remaining region reduces by the
-square's symmetries to the wedge {1/2 <= a <= b}, which is covered by a
-0.002-spaced grid of 2,814,378 points; each grid point must clear the
-margins 0.0025 and 0.0096 in interval arithmetic, and the margins minus the
-worst-case Lipschitz drift over half a grid cell ((79/48) resp. (3+sqrt 2)
-times sqrt(2)/1000) must stay positive, which extends the grid check to the
-whole region.
+Depots at distance dist >= 3*sqrt(2) from the unit square satisfy both
+exactly: g1 <= dist + sqrt(2) (the triangle inequality through the square's
+nearest point, and the square's diameter sqrt(2)), so R = (3/4) g1 <= dist,
+the R-disk misses the square's interior, g2 = R = (3/4) g1 and g3 = 1 (in
+full in verify_far_field). The remaining region reduces by the square's
+symmetries to the wedge {1/2 <= a <= b}, which is covered by a 0.002-spaced
+grid of 2,814,378 points; each grid point must clear the margins 0.0025
+and 0.0096 in interval arithmetic, and the margins minus the worst-case
+Lipschitz drift over half a grid cell ((79/48) resp. (3+sqrt 2) times
+sqrt(2)/1000) must stay positive, which extends the grid check to the whole
+region.
 
 The net is every pair i <= j of the per-axis indices that `_net_indices`
 gives (every `stride`-th of 0..GRID_MAX_INDEX); `enumerate_net` lists it
@@ -124,7 +127,17 @@ def verify_point(a: float, b: float) -> PointCheck:
 def verify_far_field(a: float, b: float) -> bool:
     """True iff the depot is at distance >= 3*sqrt(2) from the unit square,
     where g2 = (3/4) g1 and g3 = 1 hold exactly and no numeric check is
-    needed. A depot that fails geometry.check_coordinates raises ValueError."""
+    needed. A depot that fails geometry.check_coordinates raises ValueError.
+
+    The argument. Let dist be the depot O's distance to the square and p the
+    square's point nearest O. Every v in the square is within sqrt(2), the
+    square's diameter, of p, so d(O, v) <= dist + sqrt(2) and, averaging,
+    g1 <= dist + sqrt(2). Then R = (3/4) g1 <= (3/4)(dist + sqrt(2)), which
+    is at most dist once dist >= 3*sqrt(2). The open R-disk around O then
+    misses the square, whose every point is at distance >= dist >= R, so
+    min{d(O, v), R} = R on the whole square and g2 = R = (3/4) g1; the
+    points at distance exactly R lie on a circle, of measure 0, so g3 = 1.
+    """
     check_coordinates([(a, b)], "depot")
     return square_distance(a, b) >= FAR_FIELD_DISTANCE
 

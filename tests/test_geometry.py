@@ -18,7 +18,6 @@ from sweepcvrp.geometry import (
     as_xy,
     check_coordinates,
     check_feasible,
-    convex_hull,
     diameter,
     dist,
     load_instance,
@@ -55,6 +54,34 @@ def _all_pairs_diameter(pts):
         dy = ys[i] - ys[i + 1 :]
         best = max(best, float((dx * dx + dy * dy).max()))
     return math.sqrt(best)
+
+
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull(points) -> list[Point]:
+    """Convex hull in counterclockwise order (Andrew's monotone chain).
+
+    Collinear points on the hull boundary are dropped. Degenerate inputs
+    (all points equal or collinear) yield hulls of size 1 or 2. The hull
+    lists the points, in any pair form, as float Points; a coordinate that
+    fails check_coordinates raises ValueError (NaN has no order to sort by).
+    The orientation tests run on the points at unit scale (unit_scale),
+    where their products neither underflow nor overflow.
+    """
+    pts = sorted(set(map(Point._make, check_coordinates(points).tolist())))
+    if len(pts) <= 2:
+        return pts
+    at = unit_scale(as_xy(pts))[0].tolist()
+    lower: list[int] = []
+    upper: list[int] = []
+    for chain, ids in ((lower, range(len(pts))), (upper, range(len(pts) - 1, -1, -1))):
+        for i in ids:
+            while len(chain) >= 2 and _cross(at[chain[-2]], at[chain[-1]], at[i]) <= 0:
+                chain.pop()
+            chain.append(i)
+    return [pts[i] for i in lower[:-1] + upper[:-1]]
 
 
 def _hull_diameter(points):
@@ -385,7 +412,7 @@ class TestPointForms:
     @pytest.mark.parametrize("name", list(NON_PAIRS))
     def test_non_pairs_raise(self, name):
         points = self.NON_PAIRS[name]
-        for check in (as_xy, check_coordinates, convex_hull, diameter, tsp_heuristic):
+        for check in (as_xy, check_coordinates, diameter, tsp_heuristic):
             with pytest.raises(ValueError, match=r"\(x, y\) pairs"):
                 check(points)
         with pytest.raises(ValueError, match=r"\(x, y\) pairs"):
@@ -398,9 +425,6 @@ class TestPointForms:
             got = as_xy(form)
             assert got.dtype == np.float64 and got.shape == (9, 2)
             assert np.array_equal(got, xy)
-            hull = convex_hull(form)
-            assert hull == convex_hull(_points(xy))
-            assert all(type(p) is Point and type(p.x) is type(p.y) is float for p in hull)
         assert as_xy([]).shape == as_xy(np.empty(0)).shape == (0, 2)
 
     def test_values_as_asarray_gives_them(self):

@@ -175,15 +175,20 @@ class TestSolveGroup:
         assert sol.total_cost < split.total_cost
         check_feasible(_as_instance(U, O, 5), sol)
 
-    def test_heuristic_group_reads_its_points_once(self, monkeypatch):
-        # the split and the pass share one read; tsp_dispatch reads its own
+    def test_heuristic_group_runs_the_public_stages(self, monkeypatch):
+        # solve_group looks each stage up through the module, as a tracer
+        # that patches them by name sees it; an exact group reaches neither
         calls = []
-        read = group_module.check_coordinates
-        monkeypatch.setattr(group_module, "check_coordinates",
-                            lambda *a: calls.append(a) or read(*a))
+        for attr in ("cvrp_group_heuristic", "split_tour_sequence"):
+            stage = getattr(group_module, attr)
+            monkeypatch.setattr(group_module, attr,
+                                lambda *a, _n=attr, _f=stage: calls.append(_n) or _f(*a))
         U = random_points(np.random.default_rng(97), 40)
         sol = solve_group(U, O, 5)
-        assert len(calls) == 1
+        assert calls == ["cvrp_group_heuristic", "split_tour_sequence"]
+        calls.clear()
+        solve_group(U[:EXACT_GROUP_THRESHOLD], O, 5)
+        assert calls == []
         monkeypatch.undo()
         split = cvrp_group_heuristic(U, O, 5)
         assert sol == Solution(tuple(depot_two_opt(U, O, split.tours)))
@@ -731,7 +736,7 @@ class TestDepotTwoOpt:
     @pytest.mark.parametrize("name", list(GROUP_CASES) + list(FULL_GROUP_CASES))
     def test_exact_groups_never_reach_the_pass(self, name, monkeypatch):
         U, depot = {**GROUP_CASES, **FULL_GROUP_CASES}[name]
-        for attr in ("depot_two_opt", "_two_opt"):  # a call would raise
+        for attr in ("depot_two_opt", "cvrp_group_heuristic"):  # a call would raise
             monkeypatch.setattr(group_module, attr, None)
         for k in range(1, max(len(U), 1) + 1):
             assert repr(solve_group(U, depot, k)) == repr(cvrp_exact_small(U, depot, k))

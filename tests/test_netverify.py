@@ -166,6 +166,32 @@ class TestFarField:
     def test_boundary_exact(self):
         assert verify_far_field(1 + 3 * math.sqrt(2), 0.5)
 
+    def test_premise_on_a_ring_at_the_boundary(self):
+        # the argument in verify_far_field: g1 <= dist + sqrt(2), so
+        # R = (3/4) g1 <= dist from 3 sqrt(2) on. Along each direction from
+        # the square's centre, bisect to the first depot at that distance,
+        # which verify_far_field accepts and the one before it does not,
+        # then check the premise there and just beyond
+        for theta in np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False).tolist():
+            ux, uy = math.cos(theta), math.sin(theta)
+            lo, hi = 0.0, FAR_FIELD_DISTANCE + 1.0
+            for _ in range(60):
+                mid = (lo + hi) / 2.0
+                if square_distance(0.5 + mid * ux, 0.5 + mid * uy) >= FAR_FIELD_DISTANCE:
+                    hi = mid
+                else:
+                    lo = mid
+            assert not verify_far_field(0.5 + lo * ux, 0.5 + lo * uy)
+            assert verify_far_field(0.5 + hi * ux, 0.5 + hi * uy)
+            for t in (hi, hi + 1e-9, hi + 1e-3, hi + 0.5):
+                a, b = 0.5 + t * ux, 0.5 + t * uy
+                d = square_distance(a, b)
+                assert d >= FAR_FIELD_DISTANCE
+                v1, v2, v3, R = closedform.g_all(a, b)
+                assert v1 == closedform.g1(a, b) <= d + math.sqrt(2), (theta, t)
+                assert R == closedform.choose_radius(a, b) <= d, (theta, t)
+                assert (v2, v3) == (R, 1.0)
+
     @pytest.mark.parametrize("a, b", [(1e150, 0.5), (-1e150, 0.5), (1e103, 1e103)])
     def test_far_depot_fails_without_warning(self, a, b):
         # the interval check is no use there; verify_far_field is

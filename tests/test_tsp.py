@@ -1318,12 +1318,12 @@ class TestTwoOptScale:
 class TestExactCoordinates:
     def test_out_of_range_coordinates_raise(self):
         # on a NaN, reading the Held-Karp path toggled a mask forever and the
-        # exact solvers never returned; diameter and convex_hull returned a number
-        # that depended on the interpreter. One child runs every call, so a
+        # exact solvers never returned; diameter returned a number that
+        # depended on the interpreter. One child runs every call, so a
         # hang fails in seconds instead of stalling the suite
         code = (
             "import math\n"
-            "from sweepcvrp.geometry import MAX_COORD, Point, convex_hull, diameter\n"
+            "from sweepcvrp.geometry import MAX_COORD, Point, diameter\n"
             "from sweepcvrp.group_cvrp import cvrp_exact_small\n"
             "from sweepcvrp.tsp import tsp_dispatch, tsp_exact\n"
             "calls = {\n"
@@ -1331,7 +1331,6 @@ class TestExactCoordinates:
             "    'tsp_dispatch': lambda P: tsp_dispatch(P, mode='auto'),\n"
             "    'cvrp_exact_small': lambda P: cvrp_exact_small(P[1:], P[0], 2),\n"
             "    'diameter': diameter,\n"
-            "    'convex_hull': convex_hull,\n"
             "}\n"
             "good = [Point(0.5, 0.5), Point(0.0, 0.0), Point(1.0, 1.0), Point(0.25, 0.75)]\n"
             "for call in calls.values():\n"
