@@ -13,7 +13,9 @@ convert and check in one call, check_coordinates, at every size; an Instance
 keeps the float Points it returns. Every count, capacity and seed is read by
 one integer rule, check_int: a bool or a numpy integer becomes a plain int,
 and a float, a string, None or a value below the caller's least raises
-ValueError. A closed walk's length is the math.fsum of dist over its edges
+ValueError. Every tour order and route set is read by one permutation rule,
+check_permutation: its indices must hold each of 0 .. n - 1 exactly once.
+A closed walk's length is the math.fsum of dist over its edges
 (tour_length; tsp.cycle_length): correctly rounded, so no edge order,
 direction, start or solver moves a bit. Each terminal's depot distance is
 computed once, in one place: Instance.depot_distances.
@@ -89,6 +91,13 @@ def check_int(value, what: str, least: int | None = None) -> int:
     return v
 
 
+def check_permutation(indices, n: int, what: str) -> None:
+    """Raise ValueError, naming `indices` a `what`, unless they hold each of
+    0 .. n - 1 exactly once."""
+    if sorted(indices) != list(range(n)):
+        raise ValueError(f"{what} is not a permutation of range({n})")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A unit-demand CVRP instance: terminals, a depot, and a capacity.
@@ -156,8 +165,8 @@ def check_feasible(instance: Instance, solution: Solution) -> None:
     """Raise ValueError unless `solution` is a feasible solution of `instance`:
     every terminal in exactly one tour, every tour of 1 .. capacity terminals,
     and every tour length exactly tour_length of its route."""
-    if sorted(i for t in solution.tours for i in t.indices) != list(range(instance.n)):
-        raise ValueError("infeasible solution: terminals not visited exactly once")
+    check_permutation([i for t in solution.tours for i in t.indices], instance.n,
+                      "infeasible solution: the tours' terminal list")
     for t in solution.tours:
         if not 1 <= len(t.indices) <= instance.capacity:
             raise ValueError(f"infeasible solution: a tour of {len(t.indices)} "

@@ -26,7 +26,9 @@ rounding bound of the least are summed by the exact rule, so the winner and
 every length keep their bits (_offsets). solve_group runs
 cvrp_group_heuristic, then improves each segment's route by depot_two_opt,
 as the sweep of Gillett and Miller (1974) improves each route after the
-cut; each stage reads the group's points itself. A segment is a path of
+cut; each stage reads the group's points itself, and checks first that
+its indices (the split's order, the pass's routes) hold each of the group's
+terminals once (geometry.check_permutation). A segment is a path of
 the group tour, which is 2-opt optimal, so a 2-opt move between two of its
 inner edges is a move of that tour with the same four edges and cannot
 gain: only the moves that replace one of the route's two depot edges can.
@@ -47,7 +49,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    Point, Solution, Tour, check_coordinates, check_int, dist, tour_length, unit_scale,
+    Point, Solution, Tour, check_coordinates, check_int, check_permutation, dist,
+    tour_length, unit_scale,
 )
 from .tsp import (
     _IMPROVE_EPS, check_tsp_mode, held_karp, held_karp_tour, subset_layers, tsp_dispatch,
@@ -178,10 +181,12 @@ def split_tour_sequence(
     of the segment's edges (tour_length). Offset r puts the first r terminals
     in a short leading segment; ties prefer the smaller offset. Only the
     offsets that _offsets screens in are summed exactly; the others provably
-    cannot reach or tie the least exact total. The depot and U are read once
-    by check_coordinates, k by check_int (ValueError).
+    cannot reach or tie the least exact total. seq must order all of U
+    (check_permutation), k pass check_int, and the depot and U, read once,
+    check_coordinates (ValueError).
     """
     k = check_int(k, "capacity", 1)
+    check_permutation(seq, len(U), "the split order")
     rows = check_coordinates((depot, *U)).tolist()
     n = len(seq)
     pts = [rows[i + 1] for i in seq]
@@ -301,9 +306,13 @@ def depot_two_opt(U: Sequence[Point], depot: Point, tours: Sequence[Tour]) -> li
     the one of the largest gain is applied, the first among equals, head
     moves before tail moves. A changed route's length is tour_length of its
     route, and it replaces its tour only when strictly shorter, so no route
-    gets longer and every route keeps its terminals. The depot and U are
-    read once by check_coordinates (ValueError).
+    gets longer and every route keeps its terminals. The routes must be the
+    routes of the group U, their indices each of U's once
+    (check_permutation), and the depot and U, read once, must pass
+    check_coordinates (ValueError).
     """
+    check_permutation([i for t in tours for i in t.indices], len(U),
+                      "the routes' terminal list")
     xy = check_coordinates((depot, *U))
     rows = xy.tolist()
     sites = list(zip(*unit_scale(xy)[0].T.tolist()))

@@ -81,7 +81,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Point, as_xy, check_coordinates, check_int, dist, unit_scale
+from .geometry import (
+    Point, as_xy, check_coordinates, check_int, check_permutation, dist, unit_scale,
+)
 
 EXACT_THRESHOLD = 14
 TSP_MODES = ("auto", "heuristic")
@@ -247,10 +249,22 @@ def held_karp_tour(points: Sequence[Point], hk: HeldKarp, mask: int) -> TspResul
     entries from the same distances, the entries outside S are inf and never a
     minimum, and the first argmin meets the same candidates in the same index
     order, so the order, and hence the length, is the same.
+
+    A mask outside 0 .. 2^n - 1 for the table's n terminals, or one whose
+    tour the table does not hold (more than `size` bits), raises ValueError:
+    there every candidate of a step is inf.
     """
+    n = len(hk.d0)
+    mask = check_int(mask, "mask", 0)
+    if mask >> n:
+        raise ValueError(f"mask must be < 2**{n} for {n} terminals, got {mask}")
     order, to = [], hk.d0
     while mask:
-        j = int(np.argmin(hk.dp[:, mask] + to))
+        cand = hk.dp[:, mask] + to
+        j = int(np.argmin(cand))
+        if cand[j] == math.inf:
+            raise ValueError(f"the table holds no tour over mask {mask:#b}: "
+                             f"more terminals than its size")
         order.append(j + 1)
         mask ^= 1 << j
         to = hk.d[j]
@@ -653,12 +667,11 @@ def _local_search(index: _NeighbourIndex, tour: Sequence[int]) -> list[int]:
     The tour is a position array; a move rewrites the shorter of the two
     tour arcs that give the same cycle, so a point's successor may become its
     predecessor. A start tour that is not a permutation of the points raises
-    ValueError.
+    ValueError (geometry.check_permutation).
     """
     tour = [int(v) for v in tour]
     n = len(tour)
-    if sorted(tour) != list(range(len(index.sites))):
-        raise ValueError("the start tour is not a permutation of the points")
+    check_permutation(tour, len(index.sites), "the start tour")
     if n < 4:
         i = tour.index(0) if n else 0
         return tour[i:] + tour[:i]

@@ -31,7 +31,8 @@ from sweepcvrp.tsp import (
 )
 
 from helpers import (
-    SCALE_EXPONENTS, check_feasible, random_points, shuffled_edge_sum, within_ulps,
+    SCALE_EXPONENTS, check_feasible, random_points, run_in_child, shuffled_edge_sum,
+    within_ulps,
 )
 
 O = Point(0.0, 0.0)
@@ -731,7 +732,7 @@ class TestDepotTwoOpt:
         tours = [Tour((i,), 2.0 * dist(O, U[i])) for i in range(3)]
         tours += [Tour((i, i + 1), _route_length(O, U[i : i + 2])) for i in (3, 5, 7)]
         assert depot_two_opt(U, O, tours) == tours
-        assert depot_two_opt(U, O, []) == []
+        assert depot_two_opt([], O, []) == []  # no route: an empty group
 
     @pytest.mark.parametrize("name", list(GROUP_CASES) + list(FULL_GROUP_CASES))
     def test_exact_groups_never_reach_the_pass(self, name, monkeypatch):
@@ -858,6 +859,39 @@ class TestHeldKarpSize:
         for size in (None, 1):
             with pytest.raises(ValueError, match=r"\|points\| must be >= 2, got 1"):
                 held_karp([O], size)
+
+    @pytest.mark.parametrize("size, mask", [(2, 0b1111), (None, -1)])
+    def test_a_mask_without_a_tour_raises(self, size, mask):
+        # both looped forever: over 4 bits at size 2 every candidate is inf,
+        # so each step took terminal 0 and the mask toggled back, and a
+        # negative mask never reaches 0. In a child, so a hang fails
+        code = (
+            "import numpy as np\n"
+            "from sweepcvrp.tsp import held_karp, held_karp_tour\n"
+            "pts = np.random.default_rng(0).random((5, 2)).tolist()\n"
+            "try:\n"
+            f"    held_karp_tour(pts, held_karp(pts, {size}), {mask})\n"
+            "except ValueError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('no ValueError')\n"
+        )
+        run_in_child(code, timeout=30)
+
+    def test_tour_masks_are_read_by_the_integer_rule(self):
+        # 1 << 4 over 4 terminals raised IndexError
+        U, depot = HELD_KARP_CASES["random-4"]
+        pts = [depot, *U]
+        hk = held_karp(pts, 2)
+        with pytest.raises(ValueError, match=r"mask must be < 2\*\*4 for 4 terminals, got 16"):
+            held_karp_tour(pts, hk, 1 << 4)
+        with pytest.raises(ValueError, match="the table holds no tour over mask 0b111"):
+            held_karp_tour(pts, hk, 0b111)
+        for bad in (1.0, "1", None):
+            with pytest.raises(ValueError, match="mask must be an int"):
+                held_karp_tour(pts, hk, bad)
+        assert held_karp_tour(pts, hk, np.int16(0b1001)) == held_karp_tour(pts, hk, 0b1001)
+        assert held_karp_tour(pts, hk, 0).order == (0,)
 
     def test_group_dp_stops_at_k(self, monkeypatch):
         # cvrp_exact_small asks held_karp for min(k, n) terminals and no more

@@ -10,7 +10,7 @@ import pytest
 from test_interval import _contains_mp, mp_g
 
 from sweepcvrp import closedform, netverify
-from sweepcvrp.interval import iv_g
+from sweepcvrp.interval import iv_g, v_D_pair, v_g_all, v_mul, v_point, v_ratio
 from sweepcvrp.netverify import (
     FAR_FIELD_DISTANCE,
     GRID_BASE,
@@ -172,6 +172,7 @@ class TestFarField:
         # the square's centre, bisect to the first depot at that distance,
         # which verify_far_field accepts and the one before it does not,
         # then check the premise there and just beyond
+        depots = []
         for theta in np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False).tolist():
             ux, uy = math.cos(theta), math.sin(theta)
             lo, hi = 0.0, FAR_FIELD_DISTANCE + 1.0
@@ -191,6 +192,18 @@ class TestFarField:
                 assert v1 == closedform.g1(a, b) <= d + math.sqrt(2), (theta, t)
                 assert R == closedform.choose_radius(a, b) <= d, (theta, t)
                 assert (v2, v3) == (R, 1.0)
+                depots.append((a, b))
+        # the interval kernel at the same 8,000 depots, in one batch: the
+        # square-cap terms D0, D1 are 0 there and g3 = 1, g2 = R. Outward
+        # rounding leaves enclosures around those values, not the values
+        # themselves: D0, D1 within 2.5e-11 of 0 and g3 within 6.8e-10 of 1
+        a, b = (v_point(c) for c in np.array(depots).T)
+        g1, g2, g3 = v_g_all(a, b)
+        R = v_mul(g1, v_ratio(3, 4))
+        for lo, hi in v_D_pair(a, b, R):
+            assert (lo <= 0.0).all() and (hi >= 0.0).all() and (hi - lo < 1e-10).all()
+        assert (g3[0] <= 1.0).all() and (g3[1] >= 1.0).all() and (g3[1] - g3[0] < 1e-8).all()
+        assert ((g2[0] <= R[1]) & (R[0] <= g2[1])).all()
 
     @pytest.mark.parametrize("a, b", [(1e150, 0.5), (-1e150, 0.5), (1e103, 1e103)])
     def test_far_depot_fails_without_warning(self, a, b):
@@ -211,6 +224,28 @@ class TestFarField:
     def test_out_of_range_depot_raises(self, bad):
         with pytest.raises(ValueError, match="depot.*finite with"):
             verify_point(bad, 0.5)
+
+
+class TestLipschitzConstants:
+    def test_slopes_on_the_stride_8_net_stay_below_the_constants(self):
+        # a falsification test of the constants the net certificate assumes:
+        # on the stride-8 net (297 indices per axis, spacing 0.016) the
+        # finite differences of the margin midpoints between wedge
+        # neighbours, along i and along j, stay below L2 = 79/48 and
+        # L3 = 3 + sqrt(2). Measured: 0.148 and 0.456
+        idx = np.arange(0, GRID_MAX_INDEX + 1, 8)
+        m = len(idx)
+        assert m == 297
+        i, j = np.triu_indices(m)  # the wedge, i <= j
+        coord = grid_coord(idx.astype(np.float64))
+        step = np.diff(coord)
+        for (lo, hi), lipschitz in zip(netverify._margins(coord[i], coord[j]),
+                                       (79 / 48, 3 + math.sqrt(2))):
+            mid = np.full((m, m), np.nan)  # NaN outside the wedge
+            mid[i, j] = 0.5 * (lo + hi)
+            slope_i = np.abs(np.diff(mid, axis=0)) / step[:, None]
+            slope_j = np.abs(np.diff(mid, axis=1)) / step
+            assert max(np.nanmax(slope_i), np.nanmax(slope_j)) < lipschitz
 
 
 class TestLipschitzSlacks:
