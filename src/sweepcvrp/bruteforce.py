@@ -1,6 +1,7 @@
 """Exhaustive-search oracles: permutation TSP and full partition-enumeration
 CVRP. Deliberately independent of the production solvers (no shared DP), so
-they can vouch for them in tests and small-instance experiments."""
+they can vouch for them in the tests and in perfbench; no other module of
+the package imports them."""
 
 from __future__ import annotations
 
@@ -35,17 +36,6 @@ def tsp_brute_force(points: Sequence[Point]) -> float:
     return best
 
 
-def check_cvrp_size(n: int, k: int) -> None:
-    """Raise ValueError unless cvrp_brute_force takes n terminals at capacity
-    k: at most _MAX_BRUTE_CVRP of them, in blocks that fit tsp_brute_force
-    together with the depot."""
-    if n > _MAX_BRUTE_CVRP:
-        raise ValueError(f"{n} points is too many for brute-force CVRP")
-    if min(k, n) + 1 > _MAX_BRUTE_TSP:
-        raise ValueError(f"blocks of {min(k, n)} terminals and the depot are too "
-                         f"many for brute-force TSP")
-
-
 def cvrp_brute_force(U: Sequence[Point], depot: Point, k: int) -> float:
     """Optimal CVRP value by enumerating every partition into blocks of at
     most k terminals, each served by a brute-force TSP tour through the
@@ -57,9 +47,14 @@ def cvrp_brute_force(U: Sequence[Point], depot: Point, k: int) -> float:
     (math.fsum) to at least the best total found is dropped: costs are >= 0
     and a correctly rounded sum never falls when terms are added, so no
     completion of it could be cheaper, and the value is that of the full
-    enumeration."""
+    enumeration. At most _MAX_BRUTE_CVRP terminals, in blocks that fit
+    tsp_brute_force together with the depot."""
     n = len(U)
-    check_cvrp_size(n, k)
+    if n > _MAX_BRUTE_CVRP:
+        raise ValueError(f"{n} points is too many for brute-force CVRP")
+    if min(k, n) + 1 > _MAX_BRUTE_TSP:
+        raise ValueError(f"blocks of {min(k, n)} terminals and the depot are too "
+                         f"many for brute-force TSP")
     if k < 1:
         raise ValueError(f"capacity must be >= 1, got {k}")
     if n == 0:

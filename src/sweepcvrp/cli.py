@@ -26,6 +26,7 @@ from .experiments import (
 from .geometry import (
     Point, Solution, check_coordinates, load_instance, output_file, write_instance,
 )
+from .group_cvrp import EXACT_GROUP_THRESHOLD
 from .netverify import verify_all, write_report
 from .tsp import TSP_MODES
 
@@ -132,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma subset of {','.join(ALGOS)}")
     p.add_argument("--tsp-mode", choices=TSP_MODES, default="auto")
     p.add_argument("--small-instance-mode", action="store_true",
-                   help="use the brute-force optimum as ratio denominator")
+                   help="use the optimum, by the exact group DP, as ratio "
+                        f"denominator (at most {EXACT_GROUP_THRESHOLD} terminals)")
     p.add_argument("--output", required=True, help="CSV file to write")
     return parser
 

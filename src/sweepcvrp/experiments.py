@@ -17,7 +17,9 @@ largest certified one (R = inf always is). `certified` is false when a tour
 not proven optimal entered any lb_*: `ratio` = cost / best_lb is then
 indicative, while certified_ratio = cost / best_certified_lb is a proof.
 A ratio is nan at a denominator <= 0; small-instance mode divides `ratio` by
-the brute-force optimum. Comment lines (`#`) are caveats the parser skips.
+the optimum, the group DP cvrp_exact_small over every terminal, and so takes
+at most its EXACT_GROUP_THRESHOLD terminals. Comment lines (`#`) are caveats
+the parser skips.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ import numpy as np
 # lower_bound and upper_bound_formula are not called here any more, but stay
 # importable from this module: perfbench's traced run wraps them at this site.
 from .bounds import BoundContext, choose_R, lower_bound, upper_bound_formula  # noqa: F401
-from .bruteforce import brute_force_opt, check_cvrp_size
 from .geometry import (Instance, Point, Solution, check_coordinates, check_feasible,
                        check_int, field_text)
-from .group_cvrp import SolveConfig
+from .group_cvrp import EXACT_GROUP_THRESHOLD, SolveConfig, cvrp_exact_small
 from .itp import itp_solve
 from .sweep import sweep_solve
 from .tsp import check_tsp_mode
@@ -107,7 +108,7 @@ class ExperimentConfig:
     k_alpha: float | None = None
     algos: tuple[str, ...] = ALGOS
     tsp_mode: str = "auto"
-    small_instance_mode: bool = False  # brute-force opt as ratio denominator
+    small_instance_mode: bool = False  # the exact optimum as ratio denominator
 
     def __post_init__(self) -> None:
         if not self.algos or len(set(self.algos)) != len(self.algos):
@@ -131,8 +132,9 @@ class ExperimentConfig:
         object.__setattr__(self, "M", check_int(self.M, "M", 1))
         object.__setattr__(self, "n", check_int(self.n, "n", 0))
         resolve_k(self.n, self.k_fixed, self.k_alpha)  # validate early
-        if self.small_instance_mode:
-            check_cvrp_size(self.n, self.k)
+        if self.small_instance_mode and self.n > EXACT_GROUP_THRESHOLD:
+            raise ValueError(f"small-instance mode takes at most {EXACT_GROUP_THRESHOLD} "
+                             f"terminals, got n = {self.n}")
 
     @property
     def k(self) -> int:
@@ -217,7 +219,7 @@ def run_ratio_experiment(config: ExperimentConfig) -> ExperimentResult:
         "n -> inf) is out of reach, so ratios are empirical, not bounds"
     )
     if config.small_instance_mode:
-        result.caveats.append("ratio denominator is the brute-force optimum")
+        result.caveats.append("ratio denominator is the optimum (exact group DP)")
 
     for seed in config.seeds:
         instance = gen_instance(config.n, k, config.depot, seed)
@@ -230,10 +232,10 @@ def run_ratio_experiment(config: ExperimentConfig) -> ExperimentResult:
         certified = all(b.certified for b in lbs.values())
         best_certified_lb = max(b.value for b in lbs.values() if b.certified)
 
+        denominator = best_lb
         if config.small_instance_mode:
-            denominator = brute_force_opt(instance)
-        else:
-            denominator = best_lb
+            denominator = cvrp_exact_small(instance.terminals, instance.depot,
+                                           instance.capacity).total_cost
 
         for algo, solution in solutions.items():
             cost = solution.total_cost

@@ -14,7 +14,8 @@ keeps the float Points it returns. Every count, capacity and seed is read by
 one integer rule, check_int: a bool or a numpy integer becomes a plain int,
 and a float, a string, None or a value below the caller's least raises
 ValueError. Every tour order and route set is read by one permutation rule,
-check_permutation: its indices must hold each of 0 .. n - 1 exactly once.
+check_permutation: each index is read by the integer rule, and the indices
+must hold each of 0 .. n - 1 exactly once.
 A closed walk's length is the math.fsum of dist over its edges
 (tour_length; tsp.cycle_length): correctly rounded, so no edge order,
 direction, start or solver moves a bit. Each terminal's depot distance is
@@ -91,11 +92,16 @@ def check_int(value, what: str, least: int | None = None) -> int:
     return v
 
 
-def check_permutation(indices, n: int, what: str) -> None:
-    """Raise ValueError, naming `indices` a `what`, unless they hold each of
-    0 .. n - 1 exactly once."""
-    if sorted(indices) != list(range(n)):
+def check_permutation(indices, n: int, what: str) -> list[int]:
+    """`indices` as a list of plain ints, each read by check_int; ValueError,
+    naming them a `what`, for an index check_int rejects (a float, None) or
+    unless they hold each of 0 .. n - 1 exactly once."""
+    values = list(indices)
+    if any(type(v) is not int for v in values):  # check_int costs 5x this scan
+        values = [check_int(v, f"{what} index") for v in values]
+    if sorted(values) != list(range(n)):
         raise ValueError(f"{what} is not a permutation of range({n})")
+    return values
 
 
 @dataclass(frozen=True)

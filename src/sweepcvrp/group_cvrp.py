@@ -42,6 +42,7 @@ All solutions returned here use local indices 0..len(U)-1; callers remap.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -186,7 +187,7 @@ def split_tour_sequence(
     check_coordinates (ValueError).
     """
     k = check_int(k, "capacity", 1)
-    check_permutation(seq, len(U), "the split order")
+    seq = check_permutation(seq, len(U), "the split order")
     rows = check_coordinates((depot, *U)).tolist()
     n = len(seq)
     pts = [rows[i + 1] for i in seq]
@@ -308,23 +309,33 @@ def depot_two_opt(U: Sequence[Point], depot: Point, tours: Sequence[Tour]) -> li
     route, and it replaces its tour only when strictly shorter, so no route
     gets longer and every route keeps its terminals. The routes must be the
     routes of the group U, their indices each of U's once
-    (check_permutation), and the depot and U, read once, must pass
-    check_coordinates (ValueError).
+    (check_permutation), each route nonempty and its length tour_length of
+    its route bit for bit, as check_feasible asks, and the depot and U, read
+    once, must pass check_coordinates (ValueError). Every returned index is
+    a plain int.
     """
-    check_permutation([i for t in tours for i in t.indices], len(U),
-                      "the routes' terminal list")
+    terminals = iter(check_permutation([i for t in tours for i in t.indices], len(U),
+                                       "the routes' terminal list"))
     xy = check_coordinates((depot, *U))
     rows = xy.tolist()
     sites = list(zip(*unit_scale(xy)[0].T.tolist()))
     out = []
     for tour in tours:
-        route = _depot_moves(sites, [i + 1 for i in tour.indices])
+        route = [i + 1 for i in itertools.islice(terminals, len(tour.indices))]
+        if not route:
+            raise ValueError("the routes hold an empty route")
+        length = tour_length(rows[0], [rows[v] for v in route])
+        if tour.length != length:
+            raise ValueError(f"a route's tour length {tour.length!r} != route length "
+                             f"{length!r}")
         indices = tuple(v - 1 for v in route)
-        if indices != tour.indices:
-            length = tour_length(rows[0], [rows[v] for v in route])
-            if length < tour.length:
-                tour = Tour(indices, length)
-        out.append(tour)
+        route = _depot_moves(sites, route)
+        moved = tuple(v - 1 for v in route)
+        if moved != indices:
+            moved_length = tour_length(rows[0], [rows[v] for v in route])
+            if moved_length < length:
+                indices, length = moved, moved_length
+        out.append(Tour(indices, length))
     return out
 
 

@@ -666,12 +666,12 @@ def _local_search(index: _NeighbourIndex, tour: Sequence[int]) -> list[int]:
 
     The tour is a position array; a move rewrites the shorter of the two
     tour arcs that give the same cycle, so a point's successor may become its
-    predecessor. A start tour that is not a permutation of the points raises
-    ValueError (geometry.check_permutation).
+    predecessor. A start tour that is not a permutation of the points, its
+    indices read by the integer rule, raises ValueError
+    (geometry.check_permutation).
     """
-    tour = [int(v) for v in tour]
+    tour = check_permutation(tour, len(index.sites), "the start tour")
     n = len(tour)
-    check_permutation(tour, len(index.sites), "the start tour")
     if n < 4:
         i = tour.index(0) if n else 0
         return tour[i:] + tour[:i]

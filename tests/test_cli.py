@@ -208,11 +208,20 @@ def test_solve_rejects_nonpositive_m(tmp_path, capsys, algo):
 
 
 def test_experiment_small_instance_mode_rejects_large_n(tmp_path, capsys):
+    # the limit is the group DP's cap, 12 terminals at any k: n = 12 and
+    # n = 10 at k = 10 were refused while the brute force gave the optimum
     out_file = tmp_path / "rows.csv"
-    assert main(["experiment", "--n", "12", "--k", "3", "--small-instance-mode",
+    assert main(["experiment", "--n", "13", "--k", "3", "--small-instance-mode",
                  "--output", str(out_file)]) == 2
-    assert "12 points is too many for brute-force CVRP" in capsys.readouterr().err
+    assert ("small-instance mode takes at most 12 terminals, got n = 13"
+            in capsys.readouterr().err)
     assert not out_file.exists()
+    for n, k in (("12", "3"), ("10", "10")):
+        assert main(["experiment", "--n", n, "--k", k, "--small-instance-mode",
+                     "--output", str(out_file)]) == 0
+        with open(out_file, encoding="utf-8") as fp:
+            rows = read_csv(fp)
+        assert len(rows) == 2 and all(r.ratio >= 1.0 - 1e-9 for r in rows)
 
 
 def test_experiment_rejects_negative_n(tmp_path, capsys):

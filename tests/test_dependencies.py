@@ -19,3 +19,22 @@ def test_solver_and_verifier_run_without_scipy():
         "assert not loaded, loaded\n"
     )
     run_in_child(code, timeout=120)
+
+
+def test_commands_run_without_the_brute_force_oracle():
+    # bruteforce vouches for the exact solvers in the tests and in perfbench
+    # only: small-instance mode reads its optimum from the group DP, and no
+    # command imports the oracle
+    code = (
+        "import os, sys, tempfile\n"
+        "from sweepcvrp.cli import main\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    inst, out = os.path.join(tmp, 'inst.txt'), os.path.join(tmp, 'out')\n"
+        "    assert main(['gen', '--n', '9', '--k', '3', '--output', inst]) == 0\n"
+        "    assert main(['solve', '--input', inst, '--output', out]) == 0\n"
+        "    assert main(['bounds', '--input', inst]) == 0\n"
+        "    assert main(['experiment', '--n', '9', '--k', '3', '--seeds', '0:2',\n"
+        "                 '--small-instance-mode', '--output', out]) == 0\n"
+        "assert 'sweepcvrp.bruteforce' not in sys.modules\n"
+    )
+    run_in_child(code, timeout=120)

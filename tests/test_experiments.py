@@ -12,6 +12,7 @@ import sweepcvrp.bounds as bounds_module
 import sweepcvrp.experiments as experiments
 import sweepcvrp.tsp as tsp
 from sweepcvrp.bounds import BoundContext, choose_R, instance_diameter
+from sweepcvrp.bruteforce import brute_force_opt
 from sweepcvrp.closedform import g1
 from sweepcvrp.experiments import (
     CSV_HEADER,
@@ -26,7 +27,7 @@ from sweepcvrp.experiments import (
     solve,
     write_csv,
 )
-from sweepcvrp.geometry import Point, Solution, dist, tour_length
+from sweepcvrp.geometry import Instance, Point, Solution, dist, tour_length
 from sweepcvrp.group_cvrp import EXACT_GROUP_THRESHOLD, SolveConfig
 from sweepcvrp.itp import itp_solve
 from sweepcvrp.sweep import sweep_groups, sweep_solve
@@ -220,21 +221,27 @@ class TestRunRatioExperiment:
             assert row.cost <= row.ub + 1e-9
             assert row.certified
 
-    @pytest.mark.parametrize("n, k", [(12, 3), (10, 10)])
-    def test_small_instance_mode_rejects_sizes_beyond_brute_force(self, monkeypatch,
-                                                                  n, k):
-        # both computed the first seed's three bounds, then failed in the
-        # brute-force CVRP, (10, 10) in its TSP over a block of 10 terminals
-        # and the depot; the config now raises before any bound
+    def test_small_instance_mode_limit_is_the_dp_cap(self, monkeypatch):
+        # the denominator is the group DP over every terminal, so the mode
+        # takes at most EXACT_GROUP_THRESHOLD = 12 terminals at any k; n = 13
+        # raises in the config, before any bound or optimum. While the brute
+        # force gave the optimum, n = 12 and n = 10 at k = 10 were refused
         def never(*args, **kwargs):
-            raise AssertionError("a bound was computed")
+            raise AssertionError("a bound or the optimum was computed")
 
-        monkeypatch.setattr(experiments, "BoundContext", never)
-        monkeypatch.setattr(experiments, "brute_force_opt", never)
-        with pytest.raises(ValueError, match="too many for brute-force"):
-            run_ratio_experiment(self._config(n=n, k_fixed=k, small_instance_mode=True))
-        self._config(n=n, k_fixed=k)  # without the mode, the size is not limited
-        self._config(n=10, k_fixed=9, small_instance_mode=True)
+        for k in (1, 3, 13):
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, "BoundContext", never)
+                patch.setattr(experiments, "cvrp_exact_small", never)
+                with pytest.raises(ValueError, match="small-instance mode takes at most "
+                                                     "12 terminals, got n = 13"):
+                    run_ratio_experiment(self._config(n=13, k_fixed=k,
+                                                      small_instance_mode=True))
+            self._config(n=13, k_fixed=k)  # without the mode, the size is not limited
+        for n, k in ((12, 1), (12, 3), (12, 12), (10, 10)):
+            result = run_ratio_experiment(self._config(n=n, k_fixed=k, seeds=(0,),
+                                                       small_instance_mode=True))
+            assert all(row.ratio >= 1.0 - 1e-9 for row in result.rows)
 
     def test_rejects_negative_n(self):
         # both constructed, and the run failed only in gen_instance, after
@@ -249,6 +256,33 @@ class TestRunRatioExperiment:
         for row in result.rows:
             assert row.certified
             assert row.ratio >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("lattice, n, k", [
+        (False, 9, 3), (True, 9, 3), (True, 8, 4), (True, 10, 2), (True, 7, 7),
+    ])
+    def test_small_instance_ratio_keeps_the_brute_force_bits(self, monkeypatch,
+                                                              lattice, n, k):
+        # the replaced denominator, brute_force_opt, kept as the reference:
+        # the group DP over every terminal gives every ratio the same bits,
+        # also on a lattice with duplicates around a depot on a lattice point,
+        # where many partitions tie
+        def lattice_instance(n, k, depot, seed):
+            xy = np.random.default_rng(seed).integers(0, 3, (n, 2)) / 2
+            return Instance(terminals=tuple(map(Point._make, xy.tolist())),
+                            depot=depot, capacity=k)
+
+        make, built = lattice_instance if lattice else gen_instance, {}
+
+        def record(n, k, depot, seed):
+            built[seed] = make(n, k, depot, seed)
+            return built[seed]
+
+        monkeypatch.setattr(experiments, "gen_instance", record)
+        result = run_ratio_experiment(self._config(n=n, k_fixed=k, seeds=range(5),
+                                                   small_instance_mode=True))
+        assert len(result.rows) == 10
+        for row in result.rows:
+            assert row.ratio == row.cost / brute_force_opt(built[row.seed]), row
 
     def test_heuristic_mode_marks_uncertified(self):
         config = self._config(n=30, k_fixed=3, tsp_mode="heuristic", seeds=(0,))
