@@ -58,16 +58,21 @@ the index:
 A FIFO queue of points whose edges changed (don't-look bits) drives the
 search. When it runs dry after a move, a confirming pass queues every point
 again, and the search ends only when such a pass moves nothing, so the tour
-is a 2-opt local optimum over all pairs of edges. On the grid path (above
-_DENSE_MAX points) one numpy screen, _screen, clears most points of that
-pass at its start: it evaluates every move improve could try at every
-point, with the gates that go through hypot widened by _IMPROVE_EPS/2,
-more than the two hypot implementations can differ, so a cleared point
-provably has no move. The pass skips the cleared points until its first
-move, which drops the verdicts; the moves, and so every tour, stay the same
-bit for bit. A move must shorten the tour by more than _IMPROVE_EPS at the
-sites' scale, so the search never returns a longer tour than it started
-from. Everything is deterministic in the start point.
+is a 2-opt local optimum over all pairs of edges. From _SCREEN_MIN points
+on, one numpy screen, _screen, runs at the start of the first confirming
+pass: it evaluates every move improve could try at every point, with the
+gates that go through hypot widened by _IMPROVE_EPS/2, more than the two
+hypot implementations can differ, so a point it clears provably has no
+move. From then on the search keeps each point's verdict, the screen's
+clear or a call that found no move, and skips the point while it holds. A
+verdict holds until a move changes what improve reads at the point, up to
+the direction of the tour (_local_search states and proves the rule), so
+a move drops only the verdicts near its endpoints and its reversed path,
+for at most (endpoints + reversed path) x K work. A skipped call would have
+moved nothing, so the moves, and so every tour, stay the same bit for bit.
+A move must shorten the tour by more than _IMPROVE_EPS at the sites' scale,
+so the search never returns a longer tour than it started from. Everything
+is deterministic in the start point.
 """
 
 from __future__ import annotations
@@ -104,6 +109,13 @@ _QUERY_BLOCK = 192
 # points (3.2 vs 3.5 ms), even at 160 (3.6 vs 3.6) and slower at 256 (6.7 vs
 # 6.1), where sorting the whole matrix costs more than the grid's build
 _DENSE_MAX = 128
+# from this many points on, _local_search screens its first confirming pass
+# and keeps verdicts from there on. Measured on a shared 2-vCPU Xeon, CPU
+# time of _local_search from the walk, screened over plain, medians of 7
+# rounds over 200 random sets: 1.95 at 12 points, 1.49 at 15, 1.11 at 32,
+# 1.05 at 40, 1.02 at 48 and 0.95 at 65; below that a screen costs more
+# than the calls it saves
+_SCREEN_MIN = 48
 
 # strict-improvement threshold of a local-search move; prevents cycling on
 # FP noise. The search reads a _NeighbourIndex's sites, whose largest
@@ -374,6 +386,17 @@ class _NeighbourIndex:
         self.rows = memoryview(self.table.reshape(-1))
         self.row_d2 = memoryview(self.d2)
         self.row_d = memoryview(np.sqrt(self.d2))
+
+    @functools.cached_property
+    def listers(self) -> tuple[memoryview, memoryview]:
+        """(start, by): the points that list v among their K neighbours are
+        by[start[v] : start[v + 1]], in no particular order; built on first
+        use."""
+        flat = self.table.reshape(-1)
+        by = np.argsort(flat) // self._K
+        start = np.zeros(len(self.sites) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=len(self.sites)), out=start[1:])
+        return memoryview(start), memoryview(by)
 
     def row(self, a: int) -> np.ndarray:
         """a's squared distances to every point, inf at a itself; a new
@@ -654,15 +677,52 @@ def _local_search(index: _NeighbourIndex, tour: Sequence[int]) -> list[int]:
     so the result is a 2-opt local optimum over all pairs. Only improving
     moves are taken, so the result is never longer than `tour`.
 
-    Above _DENSE_MAX points a confirming pass is that full pass, with
-    _screen run once at its start: while no move has changed the tour the
-    screen saw, the pass skips the points the screen cleared, and its first
-    move drops the verdicts. A cleared point provably has no move: the
-    screen mirrors improve's gates, exactly where they compare the same bits
-    and widened by eps/2 where they go through hypot, which covers the at
-    most 3e-14 by which numpy's and math's hypot can move a delta (see
-    _screen). A skipped call would have moved nothing and changed nothing,
-    so the queue, every move, and so the tour, are the same bit for bit.
+    From _SCREEN_MIN points on, the first confirming pass starts with
+    _screen, and from then on the search keeps verdicts: known[a] says that
+    improve(a) finds no move on the current tour, and a call at such a
+    point is skipped. The screen's cleared points get one, and so does a
+    call that moves nothing and read only a's listed neighbours; a tour
+    edge longer than the K-th neighbour sends 2-opt through closer(), over
+    points that no verdict follows. A cleared point provably has no move:
+    the screen mirrors improve's gates, exactly where they compare the same
+    bits and widened by eps/2 where they go through hypot, which covers the
+    at most 3e-14 by which numpy's and math's hypot can move a delta (see
+    _screen).
+
+    A verdict holds until a move changes what improve(a) reads. Beyond the
+    fixed points and distances, improve(a) reads the points within 3 tour
+    positions of a (its edges, lims and Or-opt gains) and, for each listed
+    neighbour c, whether c lies in one of a's segments and c's two tour
+    neighbours: 2-opt pairs succ(c) with (a, succ a) and pred(c) with
+    (pred a, a). A move with endpoints T changes the tour neighbours of the
+    points of T and of no other point, and the direction of the tour only
+    on a reversed path: 2-opt reverses the path between two endpoints (or
+    the rest of the cycle, the same cycle), Or-opt at most its moved
+    segment. So forget drops the verdict of a when
+      - a lies within 3 positions of T: its window may have changed;
+      - a lists a point of T, whose tour neighbours changed, or of the
+        moved Or-opt segment, whose direction may have flipped;
+      - after a 2-opt move, a and one of its listed neighbours lie on the
+        two sides of the reversed path: their relative direction flipped,
+        so 2-opt now pairs (a, succ a) with c's other tour neighbour. A pair
+        straddles the path iff it straddles the rest of the cycle, so
+        forget scans the shorter arc.
+    That costs at most (|T| + the arc's length) x K steps, through the
+    index's lists and their inverse (listers), never n x K. Every other
+    verdict stays true. If a's window and its listed neighbours' tour
+    neighbours keep their direction relative to a, improve(a) evaluates the
+    same moves on the same bits. If all of them flipped together, as inside
+    a reversed path, it still does: improve tries both sides, 2-opt on
+    (a, succ a) with (c, succ c) and on (pred a, a) with (pred c, c), and
+    the flip swaps the two, with lims and deltas that are the same sums of
+    the same distances (hypot ignores signs, and addition commutes); the
+    five Or-opt segments map onto each other with the same gains and the
+    same far end z, and each c tries both of its tour neighbours. Only the
+    order of the tries can change, and a verdict that no move exists does
+    not depend on it. The screen evaluates both sides as improve does, so
+    its clear is such a verdict. A skipped call would have moved nothing
+    and changed nothing, so the queue, every move, and so the tour, are the
+    same bit for bit.
 
     The tour is a position array; a move rewrites the shorter of the two
     tour arcs that give the same cycle, so a point's successor may become its
@@ -832,28 +892,84 @@ def _local_search(index: _NeighbourIndex, tour: Sequence[int]) -> list[int]:
             i = (pos[u] + 1) % n
             put(i, seg + arc(i, n - gap - m))
 
+    def listed_only(a: int) -> bool:
+        """Whether improve(a) read only a's listed neighbours: neither tour
+        edge at a is longer than its K-th neighbour (improve's test, bit for
+        bit)."""
+        i = pos[a]
+        kth = row_d2[a * K + K - 1]
+        ax, ay = xs[a], ys[a]
+        for b in (tour[i + 1 - n], tour[i - 1]):
+            ex, ey = xs[b] - ax, ys[b] - ay
+            if ex * ex + ey * ey > kth:
+                return False
+        return True
+
+    def forget(touched: tuple) -> None:
+        """Drop the verdicts that the move with endpoints `touched` can have
+        changed: those within 3 positions of an endpoint; those of the points
+        that list an endpoint or a point of the moved Or-opt segment; after a
+        2-opt move, those of the points with a listed neighbour on the other
+        side of the reversed path."""
+        start, by = index.listers
+        for v in touched:
+            i = pos[v]
+            for j in range(i - 3, i + 4):
+                known[tour[j % n]] = 0
+            for w in by[start[v] : start[v + 1]]:
+                known[w] = 0
+        if len(touched) == 6:  # Or-opt: the segment runs from a, next to c, to z
+            _, _, a, z, c, _ = touched
+            i = pos[a]
+            mid = tour[(i + 1) % n] if tour[i - 1] == c else tour[i - 1]
+            if a != z != mid:  # the middle point of 3
+                for w in by[start[mid] : start[mid + 1]]:
+                    known[w] = 0
+            return
+        # 2-opt: a c .. b e, or e b .. c a; the arc c .. b, or else the rest
+        a, b, c, _ = touched
+        i, j = (pos[b], pos[c]) if tour[pos[a] - 1] == c else (pos[c], pos[b])
+        m = (j - i) % n + 1
+        if 2 * m > n:
+            i, m = (i + m) % n, n - m
+        for v in arc(i, m):
+            if known[v]:
+                for u in rows[v * K : v * K + K]:
+                    if (pos[u] - i) % n >= m:
+                        known[v] = 0
+                        break
+            for w in by[start[v] : start[v + 1]]:
+                if known[w] and (pos[w] - i) % n >= m:
+                    known[w] = 0
+
     queue = deque(tour)
     queued = bytearray(b"\x01") * n
-    moved = False
-    # cleared[a]: the screen proved that a has no move, on a tour no move
-    # has changed since
-    cleared = no_verdict = bytes(n)
+    moved = tracked = False
+    # known[a]: a has no move on the current tour; tracked from the first
+    # confirming pass on, from _SCREEN_MIN points
+    known = bytearray(n)
     while queue:
         a = queue.popleft()
         queued[a] = 0
-        touched = None if cleared[a] else improve(a)
-        if touched:
-            moved, cleared = True, no_verdict
-            for v in touched:
-                if not queued[v]:
-                    queued[v] = 1
-                    queue.append(v)
+        if not known[a]:
+            touched = improve(a)
+            if touched:
+                moved = True
+                if tracked:
+                    forget(touched)
+                for v in touched:
+                    if not queued[v]:
+                        queued[v] = 1
+                        queue.append(v)
+            elif tracked and listed_only(a):
+                known[a] = 1
         if not queue and moved:  # confirm with a full pass
             moved = False
             queue.extend(tour)
             queued = bytearray(b"\x01") * n
-            if n > _DENSE_MAX:
-                cleared = (~_screen(index, tour)).tobytes()
+            if not tracked and n >= _SCREEN_MIN:
+                tracked = True
+                known = bytearray((~_screen(index, tour)).tobytes())
     return tour[pos[0]:] + tour[: pos[0]]
 
 

@@ -589,10 +589,11 @@ class _LoggingEps(float):
 
 
 def _logging_deque(log: list) -> type:
-    """A deque that logs ("call", a) for each point a it hands out: the
-    reference calls improve(a) once per popleft, and _local_search does too
-    unless the screen cleared a, so the entries split the delta log into
-    calls, a cleared one with no deltas."""
+    """A deque that logs ("call", a) for each point a it hands out, and
+    ("pass",) when a confirming pass queues every point: the reference calls
+    improve(a) once per popleft, and _local_search does too unless a verdict
+    clears a, so the entries split the delta log into calls, a cleared one
+    with no deltas."""
 
     class LoggingDeque(deque):
         def popleft(self):
@@ -600,16 +601,21 @@ def _logging_deque(log: list) -> type:
             log.append(("call", a))
             return a
 
+        def extend(self, points):
+            log.append(("pass",))
+            super().extend(points)
+
     return LoggingDeque
 
 
-def _logged_run(kernel, *args):
+def _logged_run(kernel, *args, passes: list | None = None):
     """(tour, calls) of kernel(*args): _local_search_reference(sites, start,
     nbrs) or _local_search(index, start). calls lists each improve call as
     (a, deltas): the point, and the bits of every move delta the call
     compared with the threshold, in order. Equal deltas pin every sum's
     order, although no decision sits within rounding of the threshold on
-    these inputs."""
+    these inputs. A list given as `passes` receives the number of the first
+    call of each confirming pass."""
     log: list = []
     eps = _LoggingEps(_IMPROVE_EPS, log)
     queue = _logging_deque(log)
@@ -621,7 +627,10 @@ def _logged_run(kernel, *args):
         tour = kernel(*args)
     calls: list = []
     for entry in log:
-        if isinstance(entry, tuple):
+        if entry == ("pass",):
+            if passes is not None:
+                passes.append(len(calls))
+        elif isinstance(entry, tuple):
             calls.append((entry[1], []))
         else:
             calls[-1][1].append(entry)
@@ -654,31 +663,23 @@ def _assert_same_moves(ref_calls: list, calls: list) -> int:
     return cleared
 
 
-def _best_moves(pts: np.ndarray, tour: list[int], nbrs: np.ndarray):
-    """(best, best_np): for each point a, the smallest delta of the moves
-    that improve can try at a on the cyclic `tour`, by the reference
-    kernel's rules and with math.hypot, and the delta of that same move with
-    np.hypot for every math.hypot; inf where it tries none. A point has a
-    move exactly when best < -eps, whatever the order of the tries. A point
-    whose 2-opt would rank all points (a tour edge longer than its K-th
-    neighbour) gets -inf: the screen must flag it outright."""
+def _move_tries(pts: np.ndarray, nbrs: np.ndarray):
+    """The function tries(tour, pos, a): the moves that improve can try at
+    point a on the cyclic `tour`, with pos[v] the position of v, by the
+    reference kernel's rules, as (delta, delta_of): the delta with
+    math.hypot, and the delta as a function of the distance d. None stands
+    for a point whose 2-opt would rank all points (a tour edge longer than
+    its K-th neighbour)."""
     n, K = nbrs.shape
     x, y = pts[:, 0], pts[:, 1]
     xs, ys = x.tolist(), y.tolist()
     d2 = np.square(x[nbrs] - x[:, None]) + np.square(y[nbrs] - y[:, None])
     rows, row_d, row_d2 = nbrs.tolist(), np.sqrt(d2).tolist(), d2.tolist()
-    pos = [0] * n
-    for i, v in enumerate(tour):
-        pos[v] = i
 
     def math_d(a, b):
         return math.hypot(xs[a] - xs[b], ys[a] - ys[b])
 
-    def np_d(a, b):
-        return float(np.hypot(xs[a] - xs[b], ys[a] - ys[b]))
-
-    best, best_np = np.full(n, math.inf), np.full(n, math.inf)
-    for a in range(n):
+    def tries_at(tour, pos, a):
         i = pos[a]
         f1, b1, f2, b2, f3, b3 = (tour[(i + s) % n] for s in (1, -1, 2, -2, 3, -3))
         tries = []  # (delta with math.hypot, the delta as a function of d)
@@ -687,8 +688,7 @@ def _best_moves(pts: np.ndarray, tour: list[int], nbrs: np.ndarray):
             ex, ey = xs[b] - xs[a], ys[b] - ys[a]
             lims.append(ex * ex + ey * ey)
         if max(lims) > row_d2[a][K - 1]:
-            best[a] = best_np[a] = -math.inf
-            continue
+            return None
         for (step, b), lim in zip(((1, f1), (-1, b1)), lims):  # 2-opt
             for c in (c for c, v in zip(rows[a], row_d2[a]) if v < lim):
                 e = tour[(pos[c] + step) % n]
@@ -718,7 +718,50 @@ def _best_moves(pts: np.ndarray, tour: list[int], nbrs: np.ndarray):
                         def delta(d, ac=ac, c=c, c2=c2, z=z, gain=gain):
                             return ((ac + d(z, c2)) - d(c, c2)) - gain(d)
                         tries.append((((ac + math_d(z, c2)) - math_d(c, c2)) - g, delta))
-        if tries:
+        return tries
+
+    return tries_at
+
+
+def _reads(tour: Sequence[int], pos: list[int], nbrs: np.ndarray, a: int) -> tuple:
+    """What improve reads at point a on the cyclic `tour` (pos[v] the
+    position of v) beyond the fixed points: the points from 3 before a to 3
+    after it, and the predecessor and successor of each listed neighbour,
+    read in whichever direction of the tour gives the smaller tuple, so that
+    reversing the whole tour changes nothing."""
+    n = len(tour)
+    window = [tour[(pos[a] + s) % n] for s in range(-3, 4)]
+    sides = [(tour[pos[c] - 1], tour[(pos[c] + 1) % n]) for c in nbrs[a].tolist()]
+    return min((window, sides), (window[::-1], [(q, p) for p, q in sides]))
+
+
+def _positions(tour: Sequence[int]) -> list[int]:
+    pos = [0] * len(tour)
+    for i, v in enumerate(tour):
+        pos[v] = i
+    return pos
+
+
+def _best_moves(pts: np.ndarray, tour: list[int], nbrs: np.ndarray):
+    """(best, best_np): for each point a, the smallest delta of the moves
+    that improve can try at a on the cyclic `tour` (_move_tries), and the
+    delta of that same move with np.hypot for every math.hypot; inf where
+    it tries none. A point has a move exactly when best < -eps, whatever
+    the order of the tries. A point whose 2-opt would rank all points gets
+    -inf: the screen must flag it outright."""
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+
+    def np_d(a, b):
+        return float(np.hypot(xs[a] - xs[b], ys[a] - ys[b]))
+
+    n = len(tour)
+    best, best_np = np.full(n, math.inf), np.full(n, math.inf)
+    tries_at, pos = _move_tries(pts, nbrs), _positions(tour)
+    for a in range(n):
+        tries = tries_at(tour, pos, a)
+        if tries is None:
+            best[a] = best_np[a] = -math.inf
+        elif tries:
             best[a], delta = min(tries, key=lambda t: t[0])
             best_np[a] = delta(np_d)
     return best, best_np
@@ -910,7 +953,7 @@ class TestTwoOptKernel:
         for start in starts:
             (ref, ref_calls), (tour, calls) = _runs_with_deltas(pts, start, nbrs)
             assert tour == ref, start
-            if n > tsp._DENSE_MAX:  # screened: cleared calls log no deltas
+            if n >= tsp._SCREEN_MIN:  # screened: cleared calls log no deltas
                 _assert_same_moves(ref_calls, calls)
             else:
                 assert calls == ref_calls, start
@@ -932,7 +975,7 @@ class TestTwoOptKernel:
             if trial % 2:
                 continue
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(tsp, "_DENSE_MAX", 0)
+                mp.setattr(tsp, "_SCREEN_MIN", 0)
                 screened, calls = _logged_run(_local_search, _NeighbourIndex(pts), start)
             assert screened == ref, pts
             cleared += _assert_same_moves(ref_calls, calls)
@@ -1076,10 +1119,11 @@ class TestScreen:
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_screened_search_takes_the_reference_moves(self, name, monkeypatch):
-        # every confirming pass screened: the reference's tour, and its log
-        # call by call, with cleared calls empty where the reference's moved
-        # nothing; with every point flagged, the reference's log bit for bit
-        monkeypatch.setattr(tsp, "_DENSE_MAX", 0)
+        # every search screened: the reference's tour, and its log call by
+        # call, with cleared calls empty where the reference's moved nothing;
+        # with every point flagged, the reference's log bit for bit up to the
+        # second confirming pass, the first that improve's verdicts can skip
+        monkeypatch.setattr(tsp, "_SCREEN_MIN", 0)
         index = _NeighbourIndex(KERNEL_CASES[name])
         def flag_all(index, tour):
             return np.ones(len(tour), dtype=bool)
@@ -1092,7 +1136,125 @@ class TestScreen:
             _assert_same_moves(ref_calls, calls)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(tsp, "_screen", flag_all)
-                assert _logged_run(_local_search, index, start) == (ref, ref_calls)
+                passes: list = []
+                tour, calls = _logged_run(_local_search, index, start, passes=passes)
+            assert tour == ref, start
+            _assert_same_moves(ref_calls, calls)
+            cut = passes[1] if len(passes) > 1 else len(calls)
+            assert calls[:cut] == ref_calls[:cut]
+
+
+def _verdict_log(kernel, *args, coarse: float) -> tuple[list[int], list]:
+    """(tour, calls) of kernel(*args), _local_search_reference(sites, start,
+    nbrs) or _local_search(index, start), with a move threshold of `coarse`
+    until the first confirming pass and _IMPROVE_EPS from it on, so that
+    the passes where _local_search tracks verdicts take many moves. calls
+    lists each improve call as (a, deltas, p, live, ran): the point, the
+    bits of its move deltas as in _logged_run, the number of confirming
+    passes begun before it, the tour at the call (None before the first
+    confirming pass), and whether _local_search ran improve: improve
+    computes an edge length through tsp.math.hypot first, a skipped call
+    none."""
+    log: list = []
+    live: list = []  # the kernel's own tour, which each confirming pass queues
+    hypots = [0]
+
+    def counting_hypot(*xy):
+        hypots[0] += 1
+        return math.hypot(*xy)
+
+    class PhasedEps(float):
+        def __neg__(self) -> _LoggingEps:
+            return _LoggingEps(-float(self) if live else -coarse, log)
+
+    class SpyDeque(deque):
+        def popleft(self):
+            a = super().popleft()
+            log.append((a, len(live), tuple(live[-1]) if live else None, hypots[0]))
+            return a
+
+        def extend(self, points):
+            live.append(points)
+            super().extend(points)
+
+    spy_math = type(math)("math")
+    spy_math.__dict__.update(vars(math), hypot=counting_hypot)
+    eps = PhasedEps(_IMPROVE_EPS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tsp, "_IMPROVE_EPS", eps)
+        mp.setitem(globals(), "_IMPROVE_EPS", eps)
+        mp.setattr(tsp, "deque", SpyDeque)
+        mp.setitem(globals(), "deque", SpyDeque)
+        mp.setattr(tsp, "math", spy_math)
+        tour = kernel(*args)
+    calls: list = []
+    for entry in log:
+        if isinstance(entry, tuple):
+            calls.append([*entry, []])
+        else:
+            calls[-1][-1].append(entry)
+    ends = [h for _, _, _, h, _ in calls[1:]] + [hypots[0]]
+    return tour, [(a, tuple(deltas), p, live, end > h)
+                  for (a, p, live, h, deltas), end in zip(calls, ends)]
+
+
+# the verdict checks' runs, as (index path, power of two, start, coarse
+# threshold): the grid and the dense path over the kernel case scaled by
+# 2^-600 and 2^200, from tour k of _screen_tours (the walk, a random tour,
+# the swapped local optimum)
+VERDICT_RUNS = [(0, -600, 2, 0.05), (10**6, -600, 0, 0.05), (0, 200, 1, 0.2),
+                (10**6, 200, 2, 0.01)]
+
+
+class TestVerdicts:
+    """A point's verdict, the screen's or a fruitless improve's, outlives
+    every move that leaves what improve reads at the point unchanged, and no
+    other: at each skipped call, improve would read what the verdict saw, up
+    to the direction of the tour, and try the very moves, none of which is a
+    move."""
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_verdicts_survive_moves(self, name, monkeypatch):
+        # every search screened, with a coarse threshold up to its first
+        # confirming pass, so that the passes that track verdicts move
+        monkeypatch.setattr(tsp, "_SCREEN_MIN", 0)
+        pts = KERNEL_CASES[name]
+        survived = 0
+        for dense_max, e, k, coarse in VERDICT_RUNS:
+            start = list(_screen_tours(name)[k])
+            monkeypatch.setattr(tsp, "_DENSE_MAX", dense_max)
+            index = _NeighbourIndex(np.ldexp(pts, e))
+            tries_at = _move_tries(index.sites, index.table)
+            pos = functools.cache(_positions)
+
+            def reads_at(tour: tuple, a: int) -> tuple:
+                """(what improve reads, the sorted deltas of its tries or
+                None) at a on `tour`."""
+                tries = tries_at(tour, pos(tour), a)
+                return (_reads(tour, pos(tour), index.table, a),
+                        None if tries is None else sorted(d for d, _ in tries))
+
+            ref, ref_calls = _verdict_log(_local_search_reference, index.sites, start,
+                                          index.table, coarse=coarse)
+            tour, calls = _verdict_log(_local_search, index, start, coarse=coarse)
+            assert tour == ref, (dense_max, e)
+            _assert_same_moves([c[:2] for c in ref_calls], [c[:2] for c in calls])
+            tracked = [c for c in calls if c[2]]  # from the first confirming pass
+            seen = {}  # each point's tour at its last tracked call that ran
+            moved_in = set()  # the passes with a moving call so far
+            for a, deltas, p, live, ran in tracked:
+                if ran:
+                    seen[a] = live
+                    if deltas and float.fromhex(deltas[-1]) < -_IMPROVE_EPS:
+                        moved_in.add(p)
+                    continue
+                now = reads_at(live, a)
+                assert now[1] is not None and not any(d < -_IMPROVE_EPS for d in now[1])
+                # a verdict of the screen saw the first confirming pass's tour
+                assert now == reads_at(seen.get(a, tracked[0][3]), a), (dense_max, e, a)
+                survived += p in moved_in
+        if len(pts) >= 64:
+            assert survived  # verdicts that a move in their pass left standing
 
 
 def _tsp_exact_reference(points):
