@@ -22,12 +22,16 @@ from sweepcvrp.interval import (
     _V_SIXTH,
     _V_THIRD,
     _V_TWO_THIRDS,
+    _V_THREE_QUARTERS,
     _V_TWO_THIRDS_PI,
     _axis,
     _corner,
     _dn,
     _dn1,
+    _guards,
     _hull4,
+    _leg,
+    _segment,
     _up,
     _up1,
     iv_g,
@@ -39,7 +43,6 @@ from sweepcvrp.interval import (
     v_div,
     v_g1,
     v_g_all,
-    v_hyp,
     v_log,
     v_mul,
     v_neg,
@@ -108,6 +111,11 @@ def mp_g(a, b):
     v2 = R - R ** 3 * D(0) + R ** 3 * D(1)
     v3 = one - R ** 2 * D(0)
     return v1, v2, v3
+
+
+def _segment_everywhere(h):
+    """The segment integrals (B0, B1) of h on every lane, read or not."""
+    return _segment(_axis(h), np.ones(np.shape(h[0]), dtype=bool))
 
 
 def _contains_mp(iv, value) -> bool:
@@ -401,14 +409,13 @@ class TestIvG:
     def test_branch_hull_straddles_segment_boundary(self):
         eps = 1e-10
         h = _lane(1.0 - eps, 1.0 + eps)
-        axis = _axis(h)
-        (b0_lo, b0_hi), (b1_lo, b1_hi) = axis.b0, axis.b1
+        (b0_lo, b0_hi), (b1_lo, b1_hi) = _segment_everywhere(h)
         assert b0_lo <= closedform.fn_B(0, 1.0 - eps) <= b0_hi
         assert b0_lo <= math.pi <= b0_hi
         assert b1_lo <= closedform.fn_B(1, 1.0 - eps) <= b1_hi
         assert b1_lo <= 2 * math.pi / 3 <= b1_hi
         h = _lane(-1.0 - eps, -1.0 + eps)
-        b0_lo, b0_hi = _axis(h).b0
+        b0_lo, b0_hi = _segment_everywhere(h)[0]
         assert b0_lo <= 0.0 <= b0_hi
         assert b0_lo <= closedform.fn_B(0, -1.0 + eps) <= b0_hi
 
@@ -685,6 +692,10 @@ class TestInPlaceHelpers:
         a, b = _case_intervals(271)
         for fast, ref in UNARY:
             _assert_bits(fast(a), ref(a))
+        for iv in (a, b):
+            # the square a leg shares with its reflection |a|
+            leg = _leg(iv)
+            _assert_bits(leg.sq, v_sqr(leg.ap))
         for fast, ref in BINARY:
             _assert_bits(fast(a, b), ref(a, b))
 
@@ -728,8 +739,9 @@ class TestInPlaceHelpers:
         before = [[end.copy() for end in iv] for iv in pairs]
         calls = [(f, (iv,)) for f, _ in UNARY for iv in pairs]
         calls += [(f, (p, q)) for f, _ in BINARY for p in pairs for q in pairs]
-        calls += [(v_neg, (a,)), (v_hyp, (a, b)), (v_A1, (a, b, v_hyp(a, b))),
-                  (v_A1, (v_point(x), b, None)), (v_D_pair, (a, b, b)),
+        hyp = v_sqrt(v_add(v_sqr(a), v_sqr(b)))  # as v_g1 builds it
+        calls += [(v_neg, (a,)), (v_A1, (_leg(a), b, hyp)),
+                  (v_A1, (_leg(v_point(x)), b, None)), (v_D_pair, (a, b, b)),
                   (v_g1, (a, b)), (v_g_all, (v_point(x), b))]
         for f, args in calls:
             result = f(*args)
@@ -856,14 +868,19 @@ def _v_B_pair_reference(h):
     return b0, b1
 
 
-def _v_C_pair_reference(h1, h2):
+def _corner_guards_reference(h1, h2):
+    """The five case guards of the corner {x <= h1, y <= h2}, by name."""
     s = v_add(v_sqr(h1), v_sqr(h2))
     outside = s[1] > 1.0
-    m_empty = outside & (h1[0] <= 0.0) & (h2[0] <= 0.0)
-    m_seg2 = outside & (h1[1] > 0.0) & (h2[0] <= 0.0)
-    m_seg1 = outside & (h1[0] <= 0.0) & (h2[1] > 0.0)
-    m_both = outside & (h1[1] > 0.0) & (h2[1] > 0.0)
-    m_in = s[0] <= 1.0
+    return {"empty": outside & (h1[0] <= 0.0) & (h2[0] <= 0.0),
+            "seg2": outside & (h1[1] > 0.0) & (h2[0] <= 0.0),
+            "seg1": outside & (h1[0] <= 0.0) & (h2[1] > 0.0),
+            "both": outside & (h1[1] > 0.0) & (h2[1] > 0.0),
+            "inside": s[0] <= 1.0}
+
+
+def _v_C_pair_reference(h1, h2):
+    m_empty, m_seg2, m_seg1, m_both, m_in = _corner_guards_reference(h1, h2).values()
     b0_h1, b1_h1 = _v_B_pair_reference(h1)
     b0_h2, b1_h2 = _v_B_pair_reference(h2)
     c1 = (np.clip(h1[0], -1.0, 1.0), np.clip(h1[1], -1.0, 1.0))
@@ -955,9 +972,11 @@ class TestSharedAxisTerms:
         n = 2000
         h1 = _boxes(rng, rng.uniform(-1.6, 1.6, n), n, 0.2)
         h2 = _boxes(rng, rng.uniform(-1.6, 1.6, n), n, 0.2)
-        axis1 = _axis(h1)
-        _assert_same_bits((axis1.b0, axis1.b1), _v_B_pair_reference(h1))
-        _assert_same_bits(_corner(axis1, _axis(h2)), _v_C_pair_reference(h1, h2))
+        axis1, axis2 = _axis(h1), _axis(h2)
+        b1 = _segment_everywhere(h1)
+        _assert_same_bits(b1, _v_B_pair_reference(h1))
+        _assert_same_bits(_corner(axis1, axis2, _guards(axis1, axis2), b1, _segment_everywhere(h2)),
+                          _v_C_pair_reference(h1, h2))
 
     def test_net_points_bit_identical(self):
         idx = np.arange(0, 2372, 37, dtype=np.float64)
@@ -970,8 +989,9 @@ class TestSharedAxisTerms:
 
 
 class TestOneTriangleKernel:
-    """v_A1 with a caller's hypotenuse, or None on the disk pattern, equals
-    bit for bit the two kernels it replaced, each of which computed its own."""
+    """v_A1 with a caller's leg terms and hypotenuse, or None on the disk
+    pattern, equals bit for bit the two kernels it replaced, each of which
+    computed its own."""
 
     @staticmethod
     def _mixed_boxes(rng, n, lo, hi):
@@ -990,9 +1010,12 @@ class TestOneTriangleKernel:
         b = self._mixed_boxes(rng, n, -3.0, 4.0)
         perm = rng.permutation(n)  # special lanes of b apart from a's
         b = (b[0][perm], b[1][perm])
-        hyp = v_hyp(a, b)
-        _assert_same_bits((v_A1(a, b, hyp), v_A1(b, a, hyp)),
+        leg_a, leg_b = _leg(a), _leg(b)
+        hyp = v_sqrt(v_add(leg_a.sq, leg_b.sq))  # as v_g1 and the corner build it
+        _assert_same_bits((v_A1(leg_a, b, hyp), v_A1(leg_b, a, hyp)),
                           (_v_A1_reference(a, b), _v_A1_reference(b, a)))
+        # and through v_g1, which shares the legs between pairs
+        _assert_same_bits((v_g1(a, b),), (_v_g1_reference(a, b),))
 
     def test_unit_kernel_bit_identical(self):
         rng = np.random.default_rng(239)
@@ -1007,7 +1030,7 @@ class TestOneTriangleKernel:
              np.concatenate([h[1][m:], near + wide]))
         c = (np.clip(h[0], -1.0, 1.0), np.clip(h[1], -1.0, 1.0))
         root = v_sqrt(v_sub(_V_ONE, v_sqr(c)))
-        _assert_same_bits((v_A1(c, root, None),), (_v_A1_unit_reference(c, root),))
+        _assert_same_bits((v_A1(_leg(c), root, None),), (_v_A1_unit_reference(c, root),))
 
     def test_g1_bit_identical(self):
         rng = np.random.default_rng(241)
@@ -1021,9 +1044,8 @@ class TestOneTriangleKernel:
 
 def _axis_reference(h):
     """The _axis fields as the eager composition computes them."""
-    b0, b1 = _v_B_pair_reference(h)
     c = (np.clip(h[0], -1.0, 1.0), np.clip(h[1], -1.0, 1.0))
-    return {"h": h, "sq": v_sqr(h), "c": c, "b0": b0, "b1": b1}
+    return {"h": h, "sq": v_sqr(h), "c": c}
 
 
 def _has_mid(h):
@@ -1035,8 +1057,9 @@ def _inside(h1, h2):
 
 
 class TestLazyBranches:
-    """_piecewise evaluates a branch only on the lanes where its guard holds;
-    bit for bit, _axis, _corner and v_D_pair equal the eager compositions,
+    """_piecewise evaluates a branch only on the lanes where its guard holds,
+    and _segment only on the lanes its corners read; bit for bit, _axis,
+    _guards, _segment, _corner and v_D_pair equal the eager compositions,
     on batches where a branch has no lane, every lane, or lanes that only
     one of two guards selects, and on one-lane inputs."""
 
@@ -1049,7 +1072,23 @@ class TestLazyBranches:
             assert tuple(axis._asdict()) == tuple(ref)
             _assert_same_bits(tuple(axis), tuple(ref.values()))
             axes.append(axis)
-        _assert_same_bits(_corner(*axes), _v_C_pair_reference(h1, h2))
+        g = _guards(*axes)
+        ref = _corner_guards_reference(h1, h2)
+        assert tuple(g._asdict()) == tuple(ref)
+        for got, want in zip(g, ref.values()):
+            np.testing.assert_array_equal(got, want)
+        segments = []
+        for h, axis, read in zip((h1, h2), axes, (g.seg1 | g.both, g.seg2 | g.both)):
+            # the lanes the corner reads carry the eager bits, every other
+            # lane the empty interval
+            segment, ref = _segment(axis, read), _v_B_pair_reference(h)
+            _assert_same_bits([(lo[read], hi[read]) for lo, hi in segment],
+                              [(lo[read], hi[read]) for lo, hi in ref])
+            for lo, hi in segment:
+                assert np.all(lo[~read] == np.inf) and np.all(hi[~read] == -np.inf)
+            _assert_same_bits(_segment_everywhere(h), ref)
+            segments.append(segment)
+        _assert_same_bits(_corner(*axes, g, *segments), _v_C_pair_reference(h1, h2))
 
     def test_no_lane_inside_the_disk(self):
         rng = np.random.default_rng(251)
@@ -1107,9 +1146,11 @@ class TestLazyBranches:
 
     def test_v_A1_sees_only_the_lanes_that_need_it(self, monkeypatch):
         # one stride-5 chunk of the net: v_g1 needs all lanes 8 times, each
-        # axis's segment terms its has_mid lanes once, and each corner's
-        # inside branch its inside lanes 4 times; every branch on every lane
-        # would be 8 + 4 + 16 = 28 times all lanes
+        # axis's segment terms once on its has_mid lanes that a corner reads
+        # (seg1 or both for h1, seg2 or both for h2), and each corner's
+        # inside branch its inside lanes 4 times; reading every has_mid lane
+        # would be more, and every branch on every lane 8 + 4 + 16 = 28
+        # times all lanes
         from sweepcvrp import interval, netverify
 
         i, j = netverify._scan_pairs(5, 0, netverify._BATCH_POINTS)
@@ -1118,18 +1159,120 @@ class TestLazyBranches:
         R = v_mul(v_g1(a, b), (0.75, 0.75))
         xs = (v_div(v_sub(_V_ONE, a), R), v_div(v_neg(a), R))
         ys = (v_div(v_sub(_V_ONE, b), R), v_div(v_neg(b), R))
+        read = {id(h): np.zeros(i.size, dtype=bool) for h in xs + ys}
+        for x in xs:
+            for y in ys:
+                guards = _corner_guards_reference(x, y)
+                read[id(x)] |= guards["seg1"] | guards["both"]
+                read[id(y)] |= guards["seg2"] | guards["both"]
         mid = sum(int(_has_mid(h).sum()) for h in xs + ys)
+        mid_read = sum(int((_has_mid(h) & read[id(h)]).sum()) for h in xs + ys)
         inside = sum(int(_inside(x, y).sum()) for x in xs for y in ys)
-        assert mid > 0 and inside > 0
-        need = 8 * i.size + mid + 4 * inside
+        assert 0 < mid_read < mid and inside > 0
+        need = 8 * i.size + mid_read + 4 * inside
 
         real = interval.v_A1
         lanes = []
 
         def counting(p, q, hyp):
-            lanes.append(np.broadcast(*p, *q).size)
+            lanes.append(np.broadcast(*p.a, *q).size)
             return real(p, q, hyp)
 
         monkeypatch.setattr(interval, "v_A1", counting)
         v_g_all(a, b)
-        assert sum(lanes) <= need < 28 * i.size
+        assert sum(lanes) == need < 28 * i.size
+
+
+# --- the whole kernel against the eager composition --------------------------------
+
+def _v_g_all_reference(a, b):
+    """v_g_all as the eager composition: every branch of every corner on
+    every lane, and every triangle term with its own legs and hypotenuse."""
+    g1 = _v_g1_reference(a, b)
+    R = v_mul(g1, _V_THREE_QUARTERS)
+    d0, d1 = _v_D_pair_reference(a, b, R)
+    r2 = v_sqr(R)
+    r3 = v_mul(r2, R)
+    return g1, v_add(v_sub(R, v_mul(r3, d0)), v_mul(r3, d1)), v_sub(_V_ONE, v_mul(r2, d0))
+
+
+def _assert_lane_bits(got, ref):
+    """Both ends of g1, g2 and g3 equal the reference's lane for lane, bit
+    for bit (NaN payloads and signed zeros included)."""
+    for k, (g, r) in enumerate(zip(got, ref), start=1):
+        for end, g_end, r_end in zip(("lo", "hi"), g, r):
+            assert np.shape(g_end) == np.shape(r_end), (k, end)
+            g_bits = np.asarray(g_end, dtype=np.float64).view(np.uint64)
+            r_bits = np.asarray(r_end, dtype=np.float64).view(np.uint64)
+            lanes = np.flatnonzero(g_bits != r_bits)
+            assert lanes.size == 0, (f"g{k} {end}: {lanes.size} lanes differ, first "
+                                     f"{lanes[0]}: {g_end.flat[lanes[0]]!r} != {r_end.flat[lanes[0]]!r}")
+
+
+@np.errstate(all="ignore")
+def _check_against_eager(a, b):
+    ref = _v_g_all_reference(a, b)
+    _assert_lane_bits(v_g_all(a, b), ref)
+    return ref
+
+
+class TestSameBitsAsEager:
+    """v_g_all computes only what its results read (segment integrals on the
+    lanes a corner reads, each leg's terms once, v_A1's fallback on its
+    failing lanes), and still equals the eager composition bit for bit."""
+
+    def test_one_stride_5_chunk(self):
+        from sweepcvrp import netverify
+
+        i, j = netverify._scan_pairs(5, 0, netverify._BATCH_POINTS)
+        assert i.size == netverify._BATCH_POINTS
+        _check_against_eager((netverify.grid_coord(i),) * 2, (netverify.grid_coord(j),) * 2)
+
+    def test_straddling_far_and_nan_boxes(self):
+        rng = np.random.default_rng(311)
+        n = 4000
+        # boxes across 0 and 1 (sign-straddling h and triangle legs), narrow
+        # and wide, and far boxes whose cubic terms overflow
+        a = _boxes(rng, rng.uniform(-1.5, 2.5, n), n, 1.5)
+        b = _boxes(rng, rng.uniform(-1.5, 2.5, n), n, 1.5)
+        special = np.array([1e6, -1e6, 1e103, 1e150, -1e150, math.inf, -math.inf,
+                            math.nan, 0.5, 0.0, -0.0, 1.0, 5e-324])
+        sa, sb = (x.ravel() for x in np.meshgrid(special, special))
+        a = (np.concatenate([a[0], sa, np.minimum(sa, sb)]),
+             np.concatenate([a[1], sa, np.maximum(sa, sb)]))
+        b = (np.concatenate([b[0], sb, -np.abs(sa)]), np.concatenate([b[1], sb, np.abs(sb)]))
+        ref = _check_against_eager(a, b)
+        ends = np.concatenate([end for g in ref for end in g])
+        assert np.isnan(ends).any() and np.isinf(ends).any()
+
+    @np.errstate(all="ignore")
+    def test_one_lane_inputs(self):
+        rng = np.random.default_rng(313)
+        n = 24
+        a = _boxes(rng, rng.uniform(-1.5, 2.5, n), n, 0.5)
+        b = _boxes(rng, rng.uniform(-1.5, 2.5, n), n, 0.5)
+        batch = v_g_all(a, b)
+        for k in range(n):
+            lane = slice(k, k + 1)
+            a_k, b_k = ((iv[0][lane], iv[1][lane]) for iv in (a, b))
+            _check_against_eager(a_k, b_k)
+            _assert_lane_bits(v_g_all(a_k, b_k), [(g[0][lane], g[1][lane]) for g in batch])
+
+    def test_every_corner_meets_every_case(self):
+        # depots in and around the square, as points and as boxes up to 2
+        # wide: each corner meets each of its five cases, lanes where
+        # several cases hold, and the sector formula read through seg1,
+        # seg2 and both
+        points = np.array([-3.0, -1.0, -0.2, 0.0, 0.1, 0.5, 0.8, 0.9, 1.0, 1.2, 2.0, 4.0])
+        lo_a, lo_b, width = (x.ravel() for x in np.meshgrid(
+            points, points, [0.0, 1e-3, 0.3, 2.0], indexing="ij"))
+        a, b = (lo_a, lo_a + width), (lo_b, lo_b + width)
+        g1 = _check_against_eager(a, b)[0]
+        R = v_mul(g1, _V_THREE_QUARTERS)
+        for x in (v_div(v_sub(_V_ONE, a), R), v_div(v_neg(a), R)):
+            for y in (v_div(v_sub(_V_ONE, b), R), v_div(v_neg(b), R)):
+                guards = _corner_guards_reference(x, y)
+                assert all(mask.any() for mask in guards.values())
+                assert (sum(mask.astype(int) for mask in guards.values()) >= 2).any()
+                assert (guards["seg1"] & _has_mid(x)).any() and (guards["seg2"] & _has_mid(y)).any()
+                assert (guards["both"] & _has_mid(x)).any() and (guards["both"] & _has_mid(y)).any()
