@@ -73,27 +73,16 @@ holds (compressed, evaluated, scattered back), and not at all when it holds
 on none. Its value on any other lane could not enter the hull, and the
 kernel is elementwise, so the result equals evaluating every branch on
 every lane bit for bit (the tests pin this against the eager composition;
-soundness does not rest on it, as every evaluation is an enclosure). Each
-lane set is the guard of the branch that reads the terms, never an
-inequality derived by hand. That is why a corner's inside-disk branch
-computes its chord terms (c sqrt(1 - c^2) and the unit-circle A1) itself,
-on its own lanes, instead of reading them from the axis's segment branch:
-its guard s[0] <= 1 can hold where the axis's guard -1 <= h < 1 does not
-(h = 1 + 2^-52 with the other coordinate 0 rounds s[0] down to exactly 1).
+soundness does not rest on it, as every evaluation is an enclosure).
 
-By the same rule an axis's disk-segment integrals are computed only on the
-lanes where one of its two corners reads them: the union of the guards of
-the branches that read them, `seg1` or `both` for an x axis (h1), `seg2` or
-`both` for a y axis (h2). v_D_pair therefore works out every corner's
-guards, which need only h and h^2, before any segment integral. On the
-stride-5 net the sector formula then runs on 1.1% of the lanes, summed over
-the four axes, where it ran on 233% before. A lane that no corner reads keeps
-_piecewise's empty interval (inf, -inf) rather than a value, so computing
-nothing there costs nothing and claims nothing. Were a guard ever to read
-such a lane, the `both` branch would give a NaN end (inf - inf) and a lone
-segment branch an empty hull, whose margins are infinite; neither passes
-the net's check, and the bit-for-bit tests against the eager composition
-fail on either, as on a hull that lost a branch beside another.
+One lane rule says which lanes a term is computed on: a branch computes
+every term it reads itself, on its own guard's lanes, and no lane set is an
+inequality derived by hand. So a corner's seg1, seg2 and both branches each
+call _segment on their own lanes, its inside branch computes its own chord
+terms, and each clamps h to [-1, 1] on those lanes. A lane that two
+branches read (an h that straddles 0 meets seg1 and both, and an axis is
+shared by two corners) is computed once for each; on the stride-5 net
+those repeats are 6 of its 1,005,847 A1 lanes.
 """
 
 from __future__ import annotations
@@ -229,17 +218,20 @@ def v_log(a):
     return _outward(np.log(a[0]), np.log(a[1]), 4.0)
 
 
+def _clip(a):
+    """a clamped to [-1, 1], each end in a fresh array."""
+    return np.clip(a[0], -1.0, 1.0), np.clip(a[1], -1.0, 1.0)
+
+
 def v_arccos(a):
     # decreasing; inputs clamped to [-1, 1]
-    lo_in = np.clip(a[0], -1.0, 1.0)
-    hi_in = np.clip(a[1], -1.0, 1.0)
+    lo_in, hi_in = _clip(a)
     return _outward(np.arccos(hi_in, out=hi_in), np.arccos(lo_in, out=lo_in), 4.0)
 
 
 def v_arcsin(a):
     # increasing; inputs clamped to [-1, 1]
-    lo_in = np.clip(a[0], -1.0, 1.0)
-    hi_in = np.clip(a[1], -1.0, 1.0)
+    lo_in, hi_in = _clip(a)
     return _outward(np.arcsin(lo_in, out=lo_in), np.arcsin(hi_in, out=hi_in), 4.0)
 
 
@@ -270,24 +262,23 @@ _V_TWO_THIRDS_PI = (_dn1(np.array([PI_LO * _V_TWO_THIRDS[0]])).item(),
 def _piecewise(shape, outputs, cases):
     """Lane-wise hull of the branches whose guard holds, for `outputs`
     intervals at once. Each case is (guard, branch), the guard a boolean array
-    of the batch's shape. A branch is either a tuple of intervals, one per
-    output (constants, or lanes computed already), or a function that
-    computes that tuple on the guard's lanes only: it is called with `take`,
-    which maps an interval of the batch's shape to those lanes (a constant
-    passes unchanged and still broadcasts), and it is not called at all
-    when the guard holds on no lane. Every output starts as the empty
-    interval (inf, -inf), and each case is merged into it in order."""
+    of the batch's shape. A branch is either a tuple of constant pairs, one
+    per output, or a function that computes that tuple on the guard's lanes
+    only: it is called with `take`, which maps an interval of the batch's
+    shape to those lanes, and it is not called at all when the guard holds
+    on no lane. Every output starts as the empty interval (inf, -inf), and
+    each case is merged into it in order."""
     size = math.prod(shape)
     outs = [(np.full(size, np.inf), np.full(size, -np.inf)) for _ in range(outputs)]
     for guard, branch in cases:
-        lanes = np.flatnonzero(np.broadcast_to(guard, shape))
+        lanes = np.flatnonzero(guard)
         if lanes.size == 0:
             continue
 
         def take(iv, lanes=lanes):
-            return tuple(x if np.ndim(x) == 0 else x.reshape(-1)[lanes] for x in iv)
+            return tuple(x.reshape(-1)[lanes] for x in iv)
 
-        values = branch(take) if callable(branch) else tuple(map(take, branch))
+        values = branch(take) if callable(branch) else branch
         for (lo, hi), (v_lo, v_hi) in zip(outs, values):
             lo[lanes] = np.minimum(lo[lanes], v_lo)
             hi[lanes] = np.maximum(hi[lanes], v_hi)
@@ -358,76 +349,51 @@ def _chord(c: _Leg):
 
 
 class _Axis(NamedTuple):
-    """The terms of one corner coordinate h that both corners over h read,
-    computed once per batch; the disk-segment integrals over {x <= h} come
-    later from _segment, on the lanes that a corner reads."""
+    """One corner coordinate h and its square, which both corners over h
+    read, computed once per batch."""
 
     h: tuple
     sq: tuple      # h^2, for the corners' inside guards
-    c: tuple       # h clamped to [-1, 1], the inside branch's argument
 
 
-def _axis(h) -> _Axis:
-    return _Axis(h=h, sq=v_sqr(h), c=(np.clip(h[0], -1.0, 1.0), np.clip(h[1], -1.0, 1.0)))
-
-
-class _Guards(NamedTuple):
-    """The five case guards of the corner {x <= h1, y <= h2}."""
-
-    empty: np.ndarray
-    seg2: np.ndarray   # reads B(h2)
-    seg1: np.ndarray   # reads B(h1)
-    both: np.ndarray   # reads B(h1) and B(h2)
-    inside: np.ndarray
-
-
-def _guards(p: _Axis, q: _Axis) -> _Guards:
-    h1, h2 = p.h, q.h
-    s = v_add(p.sq, q.sq)
-    outside = s[1] > 1.0
-    return _Guards(empty=outside & (h1[0] <= 0.0) & (h2[0] <= 0.0),
-                   seg2=outside & (h1[1] > 0.0) & (h2[0] <= 0.0),
-                   seg1=outside & (h1[0] <= 0.0) & (h2[1] > 0.0),
-                   both=outside & (h1[1] > 0.0) & (h2[1] > 0.0),
-                   inside=s[0] <= 1.0)
-
-
-def _segment(axis: _Axis, read):
-    """Disk-segment integrals (B0, B1) over {x <= h} on the lanes in `read`:
-    0 below h = -1, (pi, 2pi/3) above h = 1, the sector + triangles formula
-    between, combined by _piecewise. Every other lane keeps the empty
-    interval (inf, -inf)."""
-    h, c = axis.h, axis.c
+def _segment(h):
+    """Disk-segment integrals (B0, B1) over {x <= h}, on the lanes of `h`, an
+    interval that the calling branch has already taken to its own lanes: 0
+    below h = -1, (pi, 2pi/3) above h = 1, the sector + triangles formula
+    between, combined by _piecewise."""
 
     def mid(take):
-        cm = take(c)
+        cm = _clip(take(h))
         c_root, a1 = _chord(_leg(cm))
         pma = v_sub(V_PI, v_arccos(cm))  # pi - arccos h
         a0 = v_mul(c_root, _V_HALF)
         return (v_add(pma, v_add(a0, a0)),
                 v_add(v_mul(_V_TWO_THIRDS, pma), v_add(a1, a1)))
 
-    return _piecewise(read.shape, 2, (
-        (read & (h[0] < -1.0), (_V_ZERO, _V_ZERO)),
-        (read & (h[1] >= -1.0) & (h[0] < 1.0), mid),
-        (read & (h[1] >= 1.0), (V_PI, _V_TWO_THIRDS_PI))))
+    return _piecewise(h[0].shape, 2, (
+        (h[0] < -1.0, (_V_ZERO, _V_ZERO)),
+        ((h[1] >= -1.0) & (h[0] < 1.0), mid),
+        (h[1] >= 1.0, (V_PI, _V_TWO_THIRDS_PI))))
 
 
-def _corner(p: _Axis, q: _Axis, g: _Guards, bp, bq):
-    """Disk-corner integrals (C0, C1) over {x <= p.h, y <= q.h}: _piecewise
-    over the five cases (outside-disk sign cases via the segment integrals
-    bp = B(p.h) and bq = B(q.h), the inside case via the sector plus four
-    triangles)."""
+def _corner(p: _Axis, q: _Axis):
+    """Disk-corner integrals (C0, C1) over {x <= p.h, y <= q.h}, for an x
+    axis p and a y axis q (each h with its square): _piecewise over five
+    cases, the outside-disk sign cases via the segment integrals
+    B(p.h) and B(q.h), the inside case via the sector plus four triangles.
+    Each branch computes the terms it reads on its own lanes."""
+    h1, h2 = p.h, q.h
+    s = v_add(p.sq, q.sq)
+    outside = s[1] > 1.0
 
     def both(take):
-        return (v_sub(v_add(take(bp[0]), take(bq[0])), V_PI),
-                v_sub(v_add(take(bp[1]), take(bq[1])), _V_TWO_THIRDS_PI))
+        bp, bq = _segment(take(h1)), _segment(take(h2))
+        return (v_sub(v_add(bp[0], bq[0]), V_PI),
+                v_sub(v_add(bp[1], bq[1]), _V_TWO_THIRDS_PI))
 
     def inside(take):
-        # on arguments clamped to [-1, 1]; the chord terms are computed on
-        # this branch's own lanes (the module docstring says why), and the
-        # chords and the two triangles share each leg's square and cube
-        l1, l2 = _leg(take(p.c)), _leg(take(q.c))
+        # the chords and the two triangles share each leg's square and cube
+        l1, l2 = _leg(_clip(take(h1))), _leg(_clip(take(h2)))
         (c_root1, a1_1), (c_root2, a1_2) = _chord(l1), _chord(l2)
         c1, c2 = l1.a, l2.a
         ang = v_add(V_HALF_PI, v_add(v_arcsin(c1), v_arcsin(c2)))
@@ -439,26 +405,22 @@ def _corner(p: _Axis, q: _Axis, g: _Guards, bp, bq):
         return (v_add(v_mul(ang, _V_HALF), a0_sum),
                 v_add(v_mul(ang, _V_THIRD), a1_sum))
 
-    return _piecewise(g.inside.shape, 2, (
-        (g.empty, (_V_ZERO, _V_ZERO)), (g.seg2, bq), (g.seg1, bp),
-        (g.both, both), (g.inside, inside)))
+    return _piecewise(s[0].shape, 2, (
+        (outside & (h1[0] <= 0.0) & (h2[0] <= 0.0), (_V_ZERO, _V_ZERO)),
+        (outside & (h1[1] > 0.0) & (h2[0] <= 0.0), lambda take: _segment(take(h2))),
+        (outside & (h1[0] <= 0.0) & (h2[1] > 0.0), lambda take: _segment(take(h1))),
+        (outside & (h1[1] > 0.0) & (h2[1] > 0.0), both),
+        (s[0] <= 1.0, inside)))
 
 
 def v_D_pair(a, b, R):
-    """Normalized square-cap integrals (D0, D1): inclusion-exclusion of the
-    four corner terms, each coordinate's terms computed once, its segment
-    integrals on the lanes where one of its two corners reads them. R must
-    be a positive interval."""
-    xs = (_axis(v_div(v_sub(_V_ONE, a), R)), _axis(v_div(v_neg(a), R)))
-    ys = (_axis(v_div(v_sub(_V_ONE, b), R)), _axis(v_div(v_neg(b), R)))
-    g = [[_guards(x, y) for y in ys] for x in xs]
-    bx = [_segment(x, g[i][0].seg1 | g[i][0].both | g[i][1].seg1 | g[i][1].both)
-          for i, x in enumerate(xs)]
-    by = [_segment(y, g[0][j].seg2 | g[0][j].both | g[1][j].seg2 | g[1][j].both)
-          for j, y in enumerate(ys)]
-    (c_11, c_12), (c_21, c_22) = [
-        [_corner(x, y, g[i][j], bx[i], by[j]) for j, y in enumerate(ys)]
-        for i, x in enumerate(xs)]
+    """Normalized square-cap integrals (D0, D1) of the depot (a, b) over the
+    disk radius R, which must be a positive interval: inclusion-exclusion
+    of the four corner terms over the axes x = (1 - a)/R, -a/R and
+    y = (1 - b)/R, -b/R, each axis's square computed once."""
+    xs, ys = ([_Axis(h, v_sqr(h)) for h in (v_div(v_sub(_V_ONE, c), R), v_div(v_neg(c), R))]
+              for c in (a, b))
+    (c_11, c_12), (c_21, c_22) = [[_corner(x, y) for y in ys] for x in xs]
     d0 = v_add(v_sub(c_11[0], c_12[0]), v_sub(c_22[0], c_21[0]))
     d1 = v_add(v_sub(c_11[1], c_12[1]), v_sub(c_22[1], c_21[1]))
     return d0, d1

@@ -10,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sweepcvrp import closedform
+from sweepcvrp import closedform, interval
 from sweepcvrp.interval import (
     _ETA,
     _ULP_SCALE,
@@ -24,11 +24,10 @@ from sweepcvrp.interval import (
     _V_TWO_THIRDS,
     _V_THREE_QUARTERS,
     _V_TWO_THIRDS_PI,
-    _axis,
+    _Axis,
     _corner,
     _dn,
     _dn1,
-    _guards,
     _hull4,
     _leg,
     _segment,
@@ -111,11 +110,6 @@ def mp_g(a, b):
     v2 = R - R ** 3 * D(0) + R ** 3 * D(1)
     v3 = one - R ** 2 * D(0)
     return v1, v2, v3
-
-
-def _segment_everywhere(h):
-    """The segment integrals (B0, B1) of h on every lane, read or not."""
-    return _segment(_axis(h), np.ones(np.shape(h[0]), dtype=bool))
 
 
 def _contains_mp(iv, value) -> bool:
@@ -409,13 +403,13 @@ class TestIvG:
     def test_branch_hull_straddles_segment_boundary(self):
         eps = 1e-10
         h = _lane(1.0 - eps, 1.0 + eps)
-        (b0_lo, b0_hi), (b1_lo, b1_hi) = _segment_everywhere(h)
+        (b0_lo, b0_hi), (b1_lo, b1_hi) = _segment(h)
         assert b0_lo <= closedform.fn_B(0, 1.0 - eps) <= b0_hi
         assert b0_lo <= math.pi <= b0_hi
         assert b1_lo <= closedform.fn_B(1, 1.0 - eps) <= b1_hi
         assert b1_lo <= 2 * math.pi / 3 <= b1_hi
         h = _lane(-1.0 - eps, -1.0 + eps)
-        b0_lo, b0_hi = _segment_everywhere(h)[0]
+        b0_lo, b0_hi = _segment(h)[0]
         assert b0_lo <= 0.0 <= b0_hi
         assert b0_lo <= closedform.fn_B(0, -1.0 + eps) <= b0_hi
 
@@ -972,10 +966,8 @@ class TestSharedAxisTerms:
         n = 2000
         h1 = _boxes(rng, rng.uniform(-1.6, 1.6, n), n, 0.2)
         h2 = _boxes(rng, rng.uniform(-1.6, 1.6, n), n, 0.2)
-        axis1, axis2 = _axis(h1), _axis(h2)
-        b1 = _segment_everywhere(h1)
-        _assert_same_bits(b1, _v_B_pair_reference(h1))
-        _assert_same_bits(_corner(axis1, axis2, _guards(axis1, axis2), b1, _segment_everywhere(h2)),
+        _assert_same_bits(_segment(h1), _v_B_pair_reference(h1))
+        _assert_same_bits(_corner(_Axis(h1, v_sqr(h1)), _Axis(h2, v_sqr(h2))),
                           _v_C_pair_reference(h1, h2))
 
     def test_net_points_bit_identical(self):
@@ -1042,12 +1034,6 @@ class TestOneTriangleKernel:
         _assert_same_bits((v_g1(a, b),), (_v_g1_reference(a, b),))
 
 
-def _axis_reference(h):
-    """The _axis fields as the eager composition computes them."""
-    c = (np.clip(h[0], -1.0, 1.0), np.clip(h[1], -1.0, 1.0))
-    return {"h": h, "sq": v_sqr(h), "c": c}
-
-
 def _has_mid(h):
     return (h[1] >= -1.0) & (h[0] < 1.0)
 
@@ -1058,37 +1044,37 @@ def _inside(h1, h2):
 
 class TestLazyBranches:
     """_piecewise evaluates a branch only on the lanes where its guard holds,
-    and _segment only on the lanes its corners read; bit for bit, _axis,
-    _guards, _segment, _corner and v_D_pair equal the eager compositions,
-    on batches where a branch has no lane, every lane, or lanes that only
-    one of two guards selects, and on one-lane inputs."""
+    and each corner branch that reads a segment integral calls _segment on
+    exactly its own lanes; bit for bit, _segment, _corner and v_D_pair equal
+    the eager compositions, on batches where a branch has no lane, every
+    lane, or lanes that only one of two guards selects, and on one-lane
+    inputs."""
 
     @staticmethod
-    def _assert_axis_and_corner(h1, h2):
-        axes = []
+    def _assert_segments_and_corner(h1, h2):
+        guards = _corner_guards_reference(h1, h2)
+        # in case order: seg2 reads B(h2), seg1 B(h1), both B(h1) and B(h2)
+        want = [(h[0][guards[name]], h[1][guards[name]])
+                for name, hs in (("seg2", (h2,)), ("seg1", (h1,)), ("both", (h1, h2)))
+                if guards[name].any() for h in hs]
+        segment, calls = interval._segment, []
+
+        def spy(h):
+            calls.append(h)
+            return segment(h)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(interval, "_segment", spy)
+            got = _corner(_Axis(h1, v_sqr(h1)), _Axis(h2, v_sqr(h2)))
+        _assert_same_bits(got, _v_C_pair_reference(h1, h2))
+        # each call gets the guard lanes of its branch, taken out of the
+        # batch, and never the batch itself
+        assert len(calls) == len(want)
+        _assert_same_bits(calls, want)
+        for h in calls:
+            assert not any(np.shares_memory(end, whole) for end in h for whole in (*h1, *h2))
         for h in (h1, h2):
-            axis = _axis(h)
-            ref = _axis_reference(h)
-            assert tuple(axis._asdict()) == tuple(ref)
-            _assert_same_bits(tuple(axis), tuple(ref.values()))
-            axes.append(axis)
-        g = _guards(*axes)
-        ref = _corner_guards_reference(h1, h2)
-        assert tuple(g._asdict()) == tuple(ref)
-        for got, want in zip(g, ref.values()):
-            np.testing.assert_array_equal(got, want)
-        segments = []
-        for h, axis, read in zip((h1, h2), axes, (g.seg1 | g.both, g.seg2 | g.both)):
-            # the lanes the corner reads carry the eager bits, every other
-            # lane the empty interval
-            segment, ref = _segment(axis, read), _v_B_pair_reference(h)
-            _assert_same_bits([(lo[read], hi[read]) for lo, hi in segment],
-                              [(lo[read], hi[read]) for lo, hi in ref])
-            for lo, hi in segment:
-                assert np.all(lo[~read] == np.inf) and np.all(hi[~read] == -np.inf)
-            _assert_same_bits(_segment_everywhere(h), ref)
-            segments.append(segment)
-        _assert_same_bits(_corner(*axes, g, *segments), _v_C_pair_reference(h1, h2))
+            _assert_same_bits(_segment(h), _v_B_pair_reference(h))
 
     def test_no_lane_inside_the_disk(self):
         rng = np.random.default_rng(251)
@@ -1097,7 +1083,7 @@ class TestLazyBranches:
         h1 = _boxes(rng, sign[0] * rng.uniform(1.2, 3.0, n), n, 0.1)
         h2 = _boxes(rng, sign[1] * rng.uniform(-1.5, 3.0, n), n, 0.1)
         assert not _inside(h1, h2).any()
-        self._assert_axis_and_corner(h1, h2)
+        self._assert_segments_and_corner(h1, h2)
 
     def test_every_lane_inside_the_disk(self):
         rng = np.random.default_rng(257)
@@ -1105,7 +1091,7 @@ class TestLazyBranches:
         h1 = _boxes(rng, rng.uniform(-0.6, 0.5, n), n, 0.1)
         h2 = _boxes(rng, rng.uniform(-0.6, 0.5, n), n, 0.1)
         assert _inside(h1, h2).all() and _has_mid(h1).all() and _has_mid(h2).all()
-        self._assert_axis_and_corner(h1, h2)
+        self._assert_segments_and_corner(h1, h2)
 
     def test_inside_lanes_without_a_mid_segment(self):
         # h lo = 1 + 2^-52 rounds s[0] down to exactly 1.0: the corner's
@@ -1114,7 +1100,7 @@ class TestLazyBranches:
         h1 = (np.array([one_up, one_up, 0.3]), np.array([one_up, 1.5, 0.4]))
         h2 = (np.array([0.0, -1e-20, 0.2]), np.array([0.0, 1e-20, 0.2]))
         assert list(_inside(h1, h2) & ~_has_mid(h1)) == [True, True, False]
-        self._assert_axis_and_corner(h1, h2)
+        self._assert_segments_and_corner(h1, h2)
         # the same lanes reached through v_D_pair: x1 = (1 - a) / R with
         # a = -k 2^-52, y1 = 0
         k = np.arange(-4.0, 5.0)
@@ -1141,17 +1127,17 @@ class TestLazyBranches:
             got = v_D_pair(a_k, b_k, R_k)
             _assert_same_bits(got, _v_D_pair_reference(a_k, b_k, R_k))
             _assert_same_bits(got, [(d[0][lane], d[1][lane]) for d in batch])
-            self._assert_axis_and_corner((h1[0][lane], h1[1][lane]),
-                                         (h2[0][lane], h2[1][lane]))
+            self._assert_segments_and_corner((h1[0][lane], h1[1][lane]),
+                                             (h2[0][lane], h2[1][lane]))
 
     def test_v_A1_sees_only_the_lanes_that_need_it(self, monkeypatch):
         # one stride-5 chunk of the net: v_g1 needs all lanes 8 times, each
-        # axis's segment terms once on its has_mid lanes that a corner reads
-        # (seg1 or both for h1, seg2 or both for h2), and each corner's
-        # inside branch its inside lanes 4 times; reading every has_mid lane
+        # _segment call (seg1 and both read B(h1), seg2 and both B(h2)) once
+        # on the has_mid lanes it gets, and each corner's inside branch its
+        # inside lanes 4 times; the sector formula on every has_mid lane
         # would be more, and every branch on every lane 8 + 4 + 16 = 28
         # times all lanes
-        from sweepcvrp import interval, netverify
+        from sweepcvrp import netverify
 
         i, j = netverify._scan_pairs(5, 0, netverify._BATCH_POINTS)
         a = (netverify.grid_coord(i),) * 2
@@ -1159,17 +1145,16 @@ class TestLazyBranches:
         R = v_mul(v_g1(a, b), (0.75, 0.75))
         xs = (v_div(v_sub(_V_ONE, a), R), v_div(v_neg(a), R))
         ys = (v_div(v_sub(_V_ONE, b), R), v_div(v_neg(b), R))
-        read = {id(h): np.zeros(i.size, dtype=bool) for h in xs + ys}
+        mid_calls = inside = 0
         for x in xs:
             for y in ys:
                 guards = _corner_guards_reference(x, y)
-                read[id(x)] |= guards["seg1"] | guards["both"]
-                read[id(y)] |= guards["seg2"] | guards["both"]
+                for name, h in (("seg2", y), ("seg1", x), ("both", x), ("both", y)):
+                    mid_calls += int((guards[name] & _has_mid(h)).sum())
+                inside += int(guards["inside"].sum())
         mid = sum(int(_has_mid(h).sum()) for h in xs + ys)
-        mid_read = sum(int((_has_mid(h) & read[id(h)]).sum()) for h in xs + ys)
-        inside = sum(int(_inside(x, y).sum()) for x in xs for y in ys)
-        assert 0 < mid_read < mid and inside > 0
-        need = 8 * i.size + mid_read + 4 * inside
+        assert 0 < mid_calls < mid and inside > 0
+        need = 8 * i.size + mid_calls + 4 * inside
 
         real = interval.v_A1
         lanes = []

@@ -1,5 +1,6 @@
 import bisect
 import functools
+import hashlib
 import inspect
 import itertools
 import math
@@ -1526,3 +1527,44 @@ class TestExactCoordinates:
             "            must_raise(name, call, p)\n"
         )
         run_in_child(code, timeout=20)
+
+
+def _digest_sets():
+    """(family, n, coordinates) of the tsp_heuristic digest, from fixed
+    seeds: uniform, clustered, lattice (exact coordinates, many equal
+    distances) and duplicate points (about n/3 locations)."""
+    for n in (4, 15, 48, 129, 1000):
+        rng = np.random.default_rng(9000 + n)
+        yield "uniform", n, rng.random((n, 2))
+        centres = rng.random((n // 16 + 1, 2))
+        yield "clustered", n, centres[rng.integers(len(centres), size=n)] + 0.01 * rng.random((n, 2))
+        side = math.isqrt(n - 1) + 1
+        yield "lattice", n, rng.permutation(np.column_stack(np.divmod(np.arange(n), side)) / 64)
+        base = rng.random((n // 3 + 1, 2))
+        yield "duplicate", n, base[rng.integers(len(base), size=n)]
+
+
+def _heuristic_digest() -> str:
+    """sha256 over every digest set at scales 2^-600, 1 and 2^200 of each
+    tsp_heuristic tour: its order, the bits of its length and its
+    certified flag."""
+    h = hashlib.sha256()
+    for family, n, pts in _digest_sets():
+        for e in (-600, 0, 200):
+            res = tsp_heuristic(_as_points(np.ldexp(pts, e)))
+            h.update(f"{family} {n} {e} {res.order} {res.length.hex()} "
+                     f"{res.certified_optimal}\n".encode())
+    return h.hexdigest()
+
+
+class TestHeuristicDigest:
+    """A same-bits gate for tsp_heuristic that lives in the repository: the
+    digest of its tours over _digest_sets at three scales, as recorded when
+    the test was added. A change that claims the same tours keeps it; a
+    moved tour, a flipped certified flag or a one-ulp change of any length
+    moves it."""
+
+    DIGEST = "d94dc4bc77e1089efcb6eb806e7d39ee9e587e8285309992ddc2f841556ef415"
+
+    def test_tours_keep_their_bits(self):
+        assert _heuristic_digest() == self.DIGEST
